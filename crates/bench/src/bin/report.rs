@@ -12,13 +12,17 @@
 //! deletion-noise frontier (success is *expected* to collapse).
 
 use fdn_graph::GraphFamily;
-use fdn_lab::{run_campaign, Campaign, CampaignReport, EncodingSpec, EngineMode, SeedRange};
+use fdn_lab::{
+    run_campaign, Caches, Campaign, CampaignReport, EncodingSpec, EngineMode, RunOptions, SeedRange,
+};
 use fdn_netsim::{NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
 
 /// Runs a campaign, exiting loudly if the matrix is empty.
 fn run(campaign: &Campaign) -> CampaignReport {
-    run_campaign(campaign).unwrap_or_else(|e| panic!("campaign `{}`: {e}", campaign.name))
+    run_campaign(&Caches::new(), campaign, RunOptions::default())
+        .map(|(report, _)| report)
+        .unwrap_or_else(|e| panic!("campaign `{}`: {e}", campaign.name))
 }
 
 /// Payload bytes of a flood workload label (`flood(k)` -> `k`).

@@ -1,16 +1,18 @@
-//! Cell-by-cell comparison of two campaign reports — the regression gate.
+//! Cell-by-cell comparison of two saved reports — the regression gate.
 //!
-//! Campaign reports are byte-deterministic, so any difference between two
-//! saved reports of the same campaign is a real behavioural change. This
-//! module turns that property into a CI gate: [`diff_reports`] matches the
-//! cells of a *base* and a *candidate* report by their six-axis identity
-//! (family/mode/encoding/workload/noise/scheduler), classifies every change
-//! against a [`DiffTolerance`], and renders the result as markdown or JSON.
-//! The `fdn-lab diff` subcommand exits non-zero iff
-//! [`ReportDiff::has_regressions`], which makes `lab-out/` artifacts directly
-//! comparable across commits.
+//! Reports are byte-deterministic, so any difference between two saved
+//! reports of the same campaign (or frontier search) is a real behavioural
+//! change. This module is the one diff core both report kinds share: one
+//! matching loop pairs the cells of a *base* and a *candidate* report by
+//! id, and [`ReportDiff`] renders the findings as markdown or JSON. Each
+//! kind supplies only its per-cell comparison, a title and a tolerance
+//! description: [`diff_reports`] for campaign reports (cells matched by
+//! [`CellReport::cell_id`]) and [`crate::diff_frontier_reports`] for
+//! frontier reports. The `fdn-lab diff` subcommand exits non-zero iff
+//! [`ReportDiff::has_regressions`], which makes `lab-out/` artifacts
+//! directly comparable across commits.
 //!
-//! What counts as a **regression**:
+//! What counts as a campaign **regression**:
 //!
 //! * a cell present in the base but missing from the candidate (coverage
 //!   loss);
@@ -27,7 +29,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use crate::json::Json;
-use crate::report::{fmt_rate, CampaignReport, CellReport};
+use crate::report::{fmt_rate, md_cell, CampaignReport, CellReport};
 
 /// Thresholds below which a change is noise, not a finding.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,10 +63,21 @@ pub enum CellChange {
     Changed,
 }
 
+impl CellChange {
+    /// The label the renderers print.
+    pub fn label(self) -> &'static str {
+        match self {
+            CellChange::Added => "added",
+            CellChange::Removed => "removed",
+            CellChange::Changed => "changed",
+        }
+    }
+}
+
 /// The comparison result for one cell identity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellDelta {
-    /// The six-axis cell id (`family/mode/encoding/workload/noise/scheduler`).
+    /// The cell id the reports were matched on.
     pub cell: String,
     /// The kind of change.
     pub change: CellChange,
@@ -74,30 +87,35 @@ pub struct CellDelta {
     pub regressions: Vec<String>,
 }
 
-/// The full delta between two campaign reports.
+impl CellDelta {
+    /// Whether the comparison found anything at all.
+    pub fn has_findings(&self) -> bool {
+        !self.notes.is_empty() || !self.regressions.is_empty()
+    }
+}
+
+/// The full delta between two reports of one kind.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportDiff {
+    /// The report kind, as the markdown title names it (`Campaign`,
+    /// `Frontier`).
+    pub kind: &'static str,
     /// Name of the base report.
     pub base: String,
     /// Name of the candidate report.
     pub candidate: String,
-    /// Cells matched in both reports (order of the base report).
+    /// Cells matched in both reports.
     pub matched: usize,
-    /// Cells with no noted difference at the configured tolerance.
+    /// Matched cells with no noted difference at the configured tolerance.
     pub unchanged: usize,
     /// Per-cell changes, in base-report order (removed/changed first, then
     /// added cells in candidate order).
     pub deltas: Vec<CellDelta>,
-    /// The tolerance the comparison ran under.
-    pub tolerance: DiffTolerance,
-}
-
-/// The id a cell is matched by across reports.
-fn cell_key(c: &CellReport) -> String {
-    format!(
-        "{}/{}/{}/{}/{}/{}",
-        c.family, c.mode, c.encoding, c.workload, c.noise, c.scheduler
-    )
+    /// The tolerance the comparison ran under, as the markdown summary
+    /// states it.
+    pub tolerance: String,
+    /// The same tolerance as the JSON rendering's `tolerance` object.
+    pub tolerance_json: Json,
 }
 
 /// Relative change of `now` versus `base` (`0.1` = +10%); `None` when the
@@ -207,7 +225,7 @@ fn compare_cells(base: &CellReport, now: &CellReport, tol: &DiffTolerance) -> Ce
     }
 
     CellDelta {
-        cell: cell_key(base),
+        cell: base.cell_id(),
         change: CellChange::Changed,
         notes,
         regressions,
@@ -220,58 +238,104 @@ pub fn diff_reports(
     candidate: &CampaignReport,
     tolerance: DiffTolerance,
 ) -> ReportDiff {
-    // Index each side once: reports can hold thousands of cells, and the
-    // formatted key is too expensive to rebuild per probe.
-    // fdn-lint: allow(D2) -- keyed lookups only; deltas iterate base.cells in report order
-    let candidate_by_key: HashMap<String, &CellReport> =
-        candidate.cells.iter().map(|c| (cell_key(c), c)).collect();
-    // fdn-lint: allow(D2) -- membership test only, never iterated
-    let base_keys: HashSet<String> = base.cells.iter().map(cell_key).collect();
-    let mut deltas = Vec::new();
-    let mut matched = 0usize;
-    let mut unchanged = 0usize;
-    for b in &base.cells {
-        let key = cell_key(b);
-        match candidate_by_key.get(&key) {
-            Some(now) => {
-                matched += 1;
-                let delta = compare_cells(b, now, &tolerance);
-                if delta.notes.is_empty() && delta.regressions.is_empty() {
-                    unchanged += 1;
-                } else {
-                    deltas.push(delta);
-                }
-            }
-            None => deltas.push(CellDelta {
-                cell: key,
-                change: CellChange::Removed,
-                notes: Vec::new(),
-                regressions: vec!["cell removed from the campaign (coverage loss)".to_string()],
-            }),
-        }
-    }
-    for c in &candidate.cells {
-        let key = cell_key(c);
-        if !base_keys.contains(&key) {
-            deltas.push(CellDelta {
-                cell: key,
-                change: CellChange::Added,
-                notes: vec!["new cell (not present in the base report)".to_string()],
-                regressions: Vec::new(),
-            });
-        }
-    }
-    ReportDiff {
-        base: base.name.clone(),
-        candidate: candidate.name.clone(),
-        matched,
-        unchanged,
-        deltas,
-        tolerance,
-    }
+    let mut diff = ReportDiff::new(
+        "Campaign",
+        &base.name,
+        &candidate.name,
+        format!(
+            "rate {}, pulses {:.1}%",
+            fmt_rate(tolerance.rate),
+            tolerance.pulses * 100.0
+        ),
+        Json::obj(vec![
+            ("rate", Json::Num(tolerance.rate)),
+            ("pulses", Json::Num(tolerance.pulses)),
+        ]),
+    );
+    diff.match_cells(
+        &base.cells,
+        &candidate.cells,
+        CellReport::cell_id,
+        |b, n| compare_cells(b, n, &tolerance),
+    );
+    diff
 }
 
 impl ReportDiff {
+    /// An empty diff of two named reports of one kind.
+    pub(crate) fn new(
+        kind: &'static str,
+        base: &str,
+        candidate: &str,
+        tolerance: String,
+        tolerance_json: Json,
+    ) -> ReportDiff {
+        ReportDiff {
+            kind,
+            base: base.to_string(),
+            candidate: candidate.to_string(),
+            matched: 0,
+            unchanged: 0,
+            deltas: Vec::new(),
+            tolerance,
+            tolerance_json,
+        }
+    }
+
+    /// The matching loop: every base cell is compared with the candidate
+    /// cell of the same `id` (a missing one is a coverage-loss regression),
+    /// then candidate-only cells are noted as added. Deltas follow base
+    /// order, then candidate order; matched cells without findings count as
+    /// unchanged.
+    pub(crate) fn match_cells<C>(
+        &mut self,
+        base: &[C],
+        candidate: &[C],
+        id: impl Fn(&C) -> String,
+        compare: impl Fn(&C, &C) -> CellDelta,
+    ) {
+        // Index each side once: reports can hold thousands of cells, and the
+        // formatted id is too expensive to rebuild per probe.
+        // fdn-lint: allow(D2) -- keyed lookups only; deltas iterate the base cells in report order
+        let candidate_by_id: HashMap<String, &C> = candidate.iter().map(|c| (id(c), c)).collect();
+        // fdn-lint: allow(D2) -- membership test only, never iterated
+        let base_ids: HashSet<String> = base.iter().map(&id).collect();
+        for b in base {
+            let key = id(b);
+            match candidate_by_id.get(&key) {
+                Some(now) => {
+                    self.matched += 1;
+                    let delta = compare(b, now);
+                    if delta.has_findings() {
+                        self.deltas.push(delta);
+                    } else {
+                        self.unchanged += 1;
+                    }
+                }
+                None => self.deltas.push(CellDelta {
+                    cell: key,
+                    change: CellChange::Removed,
+                    notes: Vec::new(),
+                    regressions: vec![format!(
+                        "cell removed from the {} (coverage loss)",
+                        self.kind.to_lowercase()
+                    )],
+                }),
+            }
+        }
+        for c in candidate {
+            let key = id(c);
+            if !base_ids.contains(&key) {
+                self.deltas.push(CellDelta {
+                    cell: key,
+                    change: CellChange::Added,
+                    notes: vec!["new cell (not present in the base report)".to_string()],
+                    regressions: Vec::new(),
+                });
+            }
+        }
+    }
+
     /// Number of individual regression findings across all cells.
     pub fn regression_count(&self) -> usize {
         self.deltas.iter().map(|d| d.regressions.len()).sum()
@@ -287,20 +351,19 @@ impl ReportDiff {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "# Campaign diff: `{}` -> `{}`",
-            self.base, self.candidate
+            "# {} diff: `{}` -> `{}`",
+            self.kind, self.base, self.candidate
         );
         let _ = writeln!(out);
         let _ = writeln!(
             out,
             "{} matched cell(s), {} unchanged, {} changed, {} regression finding(s) \
-             (tolerance: rate {}, pulses {:.1}%).",
+             (tolerance: {}).",
             self.matched,
             self.unchanged,
             self.deltas.len(),
             self.regression_count(),
-            fmt_rate(self.tolerance.rate),
-            self.tolerance.pulses * 100.0,
+            self.tolerance,
         );
         if self.deltas.is_empty() {
             let _ = writeln!(out);
@@ -311,27 +374,19 @@ impl ReportDiff {
         let _ = writeln!(out, "| cell | change | finding | gate |");
         let _ = writeln!(out, "|---|---|---|---|");
         for d in &self.deltas {
-            let change = match d.change {
-                CellChange::Added => "added",
-                CellChange::Removed => "removed",
-                CellChange::Changed => "changed",
-            };
             // Backticks do not protect `|` inside a markdown table cell, so
-            // the cell key needs the same escaping as the finding text.
-            let cell = d.cell.replace('|', "\\|");
+            // the cell id needs the same escaping as the finding text.
+            let cell = md_cell(&d.cell);
+            let change = d.change.label();
             for r in &d.regressions {
                 let _ = writeln!(
                     out,
                     "| `{cell}` | {change} | {} | **REGRESSION** |",
-                    r.replace('|', "\\|")
+                    md_cell(r)
                 );
             }
             for n in &d.notes {
-                let _ = writeln!(
-                    out,
-                    "| `{cell}` | {change} | {} | ok |",
-                    n.replace('|', "\\|")
-                );
+                let _ = writeln!(out, "| `{cell}` | {change} | {} | ok |", md_cell(n));
             }
         }
         out
@@ -339,28 +394,13 @@ impl ReportDiff {
 
     /// Renders the delta as a JSON document.
     pub fn to_json_string(&self) -> String {
+        let strings = |v: &[String]| Json::Arr(v.iter().map(|s| Json::Str(s.clone())).collect());
         let delta_json = |d: &CellDelta| {
             Json::obj(vec![
                 ("cell", Json::Str(d.cell.clone())),
-                (
-                    "change",
-                    Json::Str(
-                        match d.change {
-                            CellChange::Added => "added",
-                            CellChange::Removed => "removed",
-                            CellChange::Changed => "changed",
-                        }
-                        .to_string(),
-                    ),
-                ),
-                (
-                    "regressions",
-                    Json::Arr(d.regressions.iter().map(|r| Json::Str(r.clone())).collect()),
-                ),
-                (
-                    "notes",
-                    Json::Arr(d.notes.iter().map(|n| Json::Str(n.clone())).collect()),
-                ),
+                ("change", Json::Str(d.change.label().to_string())),
+                ("regressions", strings(&d.regressions)),
+                ("notes", strings(&d.notes)),
             ])
         };
         Json::obj(vec![
@@ -372,13 +412,7 @@ impl ReportDiff {
                 "regression_count",
                 Json::Num(self.regression_count() as f64),
             ),
-            (
-                "tolerance",
-                Json::obj(vec![
-                    ("rate", Json::Num(self.tolerance.rate)),
-                    ("pulses", Json::Num(self.tolerance.pulses)),
-                ]),
-            ),
+            ("tolerance", self.tolerance_json.clone()),
             (
                 "deltas",
                 Json::Arr(self.deltas.iter().map(delta_json).collect()),
@@ -395,24 +429,9 @@ mod tests {
 
     fn cell(noise: &str, success: f64, p50: f64) -> CellReport {
         CellReport {
-            family: "figure3".to_string(),
-            mode: "full".to_string(),
-            encoding: "binary".to_string(),
-            workload: "flood(4)".to_string(),
             noise: noise.to_string(),
-            scheduler: "random".to_string(),
-            link_store: None,
-            first_scenario_index: 0,
-            nodes: 5,
-            edges: 8,
-            reference_cycle_len: 8,
             runs: 4,
-            errors: 0,
-            baseline_errors: 0,
-            construction_skews: 0,
-            construction_seed: None,
             success_rate: success,
-            quiescence_rate: 1.0,
             pulses: MetricSummary {
                 min: p50,
                 mean: p50,
@@ -420,19 +439,7 @@ mod tests {
                 p95: p50,
                 max: p50,
             },
-            bits: MetricSummary::ZERO,
-            steps: MetricSummary::ZERO,
-            dropped: MetricSummary::ZERO,
-            cc_init: MetricSummary::ZERO,
-            online_pulses: MetricSummary::ZERO,
-            max_node_pulses: MetricSummary::ZERO,
-            max_edge_pulses: MetricSummary::ZERO,
-            max_inflight: MetricSummary::ZERO,
-            cycle_len: MetricSummary::ZERO,
-            baseline_messages: MetricSummary::ZERO,
-            overhead: None,
-            inflight_curve: None,
-            stall_diagnostics: vec![],
+            ..crate::report::plain_cell()
         }
     }
 
@@ -517,6 +524,22 @@ mod tests {
         let d = diff_reports(&only_one, &both, DiffTolerance::default());
         assert!(!d.has_regressions());
         assert_eq!(d.deltas[0].change, CellChange::Added);
+    }
+
+    #[test]
+    fn counting_cells_are_matched_apart_from_their_exact_twins() {
+        // A counting cell shares all six axis labels with its exact twin;
+        // only the link-store segment of the cell id tells them apart.
+        let exact = cell("full-corruption", 1.0, 100.0);
+        let mut counting = exact.clone();
+        counting.link_store = Some("counting".to_string());
+        let base = report("base", vec![exact.clone(), counting]);
+        let only_exact = report("new", vec![exact]);
+        let d = diff_reports(&base, &only_exact, DiffTolerance::default());
+        assert_eq!(d.matched, 1);
+        assert_eq!(d.regression_count(), 1);
+        assert_eq!(d.deltas[0].change, CellChange::Removed);
+        assert!(d.deltas[0].cell.ends_with("/random/counting"));
     }
 
     #[test]

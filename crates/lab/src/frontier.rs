@@ -47,8 +47,10 @@ use fdn_netsim::{NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
 
 use crate::cache::Caches;
+use crate::diff::{CellChange, CellDelta, ReportDiff};
 use crate::error::LabError;
 use crate::json::Json;
+use crate::report::{md_cell, push_skipped_markdown, skipped_from_json, skipped_to_json};
 use crate::runner::{run_scenario_with, CellTiming};
 use crate::spec::{Campaign, Cell, EncodingSpec, EngineMode, Scenario, SeedRange, SkippedCell};
 
@@ -421,43 +423,22 @@ fn bisect_cell(
 }
 
 /// Runs the full frontier search: every eligible (family, mode, workload)
-/// cell is bisected to its breaking-rate bracket. Ineligible combinations
-/// (family fails to build, not 2-edge-connected, workload unsupported) are
-/// skipped with recorded reasons, exactly like campaign expansion.
+/// cell is bisected to its breaking-rate bracket, drawing shared work from
+/// `caches` (the hook through which `--store DIR` threads a persistent
+/// checkpoint store under the replay tier; the caches only accelerate).
+/// Ineligible combinations (family fails to build, not 2-edge-connected,
+/// workload unsupported) are skipped with recorded reasons, exactly like
+/// campaign expansion.
 ///
 /// Deterministic: same spec, same report bytes, independent of thread count.
+/// Alongside the report comes one [`CellTiming`] per bisected cell, in
+/// report order — the only place wall time goes.
 ///
 /// # Errors
 ///
 /// Returns [`LabError::Usage`] for invalid axis parameters and
 /// [`LabError::EmptyCampaign`] if no cell is eligible.
-pub fn run_frontier(spec: &FrontierSpec) -> Result<FrontierReport, LabError> {
-    run_frontier_instrumented(spec).map(|(report, _)| report)
-}
-
-/// [`run_frontier`] plus a per-cell wall-clock sidecar (one
-/// [`CellTiming`] per bisected cell, in report order). The report itself
-/// stays byte-deterministic; only the sidecar carries wall time, so it is
-/// written to a separate file and never enters a diff gate.
-///
-/// # Errors
-///
-/// Same as [`run_frontier`].
-pub fn run_frontier_instrumented(
-    spec: &FrontierSpec,
-) -> Result<(FrontierReport, Vec<CellTiming>), LabError> {
-    run_frontier_instrumented_with(&Caches::new(), spec)
-}
-
-/// Like [`run_frontier_instrumented`], but drawing from caller-provided
-/// [`Caches`] — the hook through which `--store DIR` threads a persistent
-/// checkpoint store under the replay tier. The caches only accelerate; the
-/// report bytes are identical whichever caches are passed.
-///
-/// # Errors
-///
-/// Same as [`run_frontier`].
-pub fn run_frontier_instrumented_with(
+pub fn run_frontier(
     caches: &Caches,
     spec: &FrontierSpec,
 ) -> Result<(FrontierReport, Vec<CellTiming>), LabError> {
@@ -591,20 +572,7 @@ impl FrontierReport {
             ("max_rate", Json::Num(f64::from(self.max_rate))),
             ("resolution", Json::Num(f64::from(self.resolution))),
             ("seeds_per_cell", Json::Num(f64::from(self.seeds_per_cell))),
-            (
-                "skipped",
-                Json::Arr(
-                    self.skipped
-                        .iter()
-                        .map(|s| {
-                            Json::obj(vec![
-                                ("cell", Json::Str(s.cell.clone())),
-                                ("reason", Json::Str(s.reason.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("skipped", skipped_to_json(&self.skipped)),
             (
                 "cells",
                 Json::Arr(self.cells.iter().map(cell_json).collect()),
@@ -641,26 +609,7 @@ impl FrontierReport {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("field `{k}` missing"))
         };
-        let skipped = j
-            .get("skipped")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|s| {
-                Ok(SkippedCell {
-                    cell: s
-                        .get("cell")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| "skipped entry without `cell`".to_string())?
-                        .to_string(),
-                    reason: s
-                        .get("reason")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| "skipped entry without `reason`".to_string())?
-                        .to_string(),
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
+        let skipped = skipped_from_json(j)?;
         let cells = j
             .get("cells")
             .and_then(Json::as_arr)
@@ -719,7 +668,6 @@ impl FrontierReport {
     /// wall clock lives **only** in this rendering; JSON/CSV stay
     /// byte-deterministic for the diff gate.
     pub fn to_markdown_with_wall_clock(&self, wall_clock_secs: Option<f64>) -> String {
-        let md = |s: &str| s.replace('|', "\\|");
         let mut out = String::new();
         let _ = writeln!(out, "# Frontier `{}`", self.name);
         let _ = writeln!(out);
@@ -747,9 +695,9 @@ impl FrontierReport {
             let _ = writeln!(
                 out,
                 "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-                md(&c.family),
-                md(&c.mode),
-                md(&c.workload),
+                md_cell(&c.family),
+                md_cell(&c.mode),
+                md_cell(&c.workload),
                 c.nodes,
                 c.edges,
                 c.status.label(),
@@ -781,16 +729,9 @@ impl FrontierReport {
                     format!("{}:{}/{}{}", p.rate, p.successes, p.runs, star)
                 })
                 .collect();
-            let _ = writeln!(out, "* `{}` — {}", md(&c.cell_id()), curve.join(" "));
+            let _ = writeln!(out, "* `{}` — {}", md_cell(&c.cell_id()), curve.join(" "));
         }
-        if !self.skipped.is_empty() {
-            let _ = writeln!(out);
-            let _ = writeln!(out, "## Skipped combinations");
-            let _ = writeln!(out);
-            for s in &self.skipped {
-                let _ = writeln!(out, "* `{}` — {}", s.cell, s.reason);
-            }
-        }
+        push_skipped_markdown(&mut out, &self.skipped);
         out
     }
 }
@@ -865,39 +806,11 @@ pub struct FrontierTolerance {
     pub mille: u16,
 }
 
-/// The comparison result for one frontier cell identity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontierCellDelta {
-    /// The three-axis cell id (`family/mode/workload`).
-    pub cell: String,
-    /// Human-readable differences that do not fail the gate.
-    pub notes: Vec<String>,
-    /// Differences that count as regressions (each fails the gate).
-    pub regressions: Vec<String>,
-}
-
-/// The full delta between two frontier reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontierDiff {
-    /// Name of the base report.
-    pub base: String,
-    /// Name of the candidate report.
-    pub candidate: String,
-    /// Cells matched in both reports.
-    pub matched: usize,
-    /// Matched cells with no noted difference.
-    pub unchanged: usize,
-    /// Per-cell changes, base-report order first, then added cells.
-    pub deltas: Vec<FrontierCellDelta>,
-    /// The tolerance the comparison ran under.
-    pub tolerance: FrontierTolerance,
-}
-
 fn compare_frontier_cells(
     base: &FrontierCell,
     now: &FrontierCell,
     tol: FrontierTolerance,
-) -> FrontierCellDelta {
+) -> CellDelta {
     let mut notes = Vec::new();
     let mut regressions = Vec::new();
     // Widened comparison so a huge --tol-mille cannot overflow u16.
@@ -962,8 +875,9 @@ fn compare_frontier_cells(
             now.probes.len()
         ));
     }
-    FrontierCellDelta {
+    CellDelta {
         cell: base.cell_id(),
+        change: CellChange::Changed,
         notes,
         regressions,
     }
@@ -973,7 +887,7 @@ fn compare_frontier_cells(
 /// candidate probing a shorter axis, fewer seeds, or a coarser resolution
 /// can match every cell's status while holding strictly weaker evidence, so
 /// those weakenings must fail the gate on their own.
-fn compare_parameters(base: &FrontierReport, candidate: &FrontierReport) -> FrontierCellDelta {
+fn compare_parameters(base: &FrontierReport, candidate: &FrontierReport) -> CellDelta {
     let mut notes = Vec::new();
     let mut regressions = Vec::new();
     let mut param = |label: &str, b: u32, n: u32, weaker_when_smaller: bool| {
@@ -1006,161 +920,52 @@ fn compare_parameters(base: &FrontierReport, candidate: &FrontierReport) -> Fron
         u32::from(candidate.resolution),
         false,
     );
-    FrontierCellDelta {
+    CellDelta {
         cell: "(report parameters)".to_string(),
+        change: CellChange::Changed,
         notes,
         regressions,
     }
 }
 
 /// Compares `candidate` against `base` under `tolerance` — the frontier
-/// counterpart of [`crate::diff_reports`]: removed cells, status downgrades,
-/// bracket bounds falling beyond tolerance, monotonicity loss and weakened
-/// search parameters (shorter axis, fewer seeds, coarser resolution) are
-/// regressions; improvements are notes.
+/// counterpart of [`crate::diff_reports`], through the same diff core:
+/// removed cells, status downgrades, bracket bounds falling beyond
+/// tolerance, monotonicity loss and weakened search parameters (shorter
+/// axis, fewer seeds, coarser resolution) are regressions; improvements are
+/// notes.
 pub fn diff_frontier_reports(
     base: &FrontierReport,
     candidate: &FrontierReport,
     tolerance: FrontierTolerance,
-) -> FrontierDiff {
-    let mut deltas = Vec::new();
-    let mut matched = 0usize;
-    let mut unchanged = 0usize;
+) -> ReportDiff {
+    let mut diff = ReportDiff::new(
+        "Frontier",
+        &base.name,
+        &candidate.name,
+        format!("{}‰", tolerance.mille),
+        Json::obj(vec![("mille", Json::Num(f64::from(tolerance.mille)))]),
+    );
     let params = compare_parameters(base, candidate);
-    if !params.notes.is_empty() || !params.regressions.is_empty() {
-        deltas.push(params);
+    if params.has_findings() {
+        diff.deltas.push(params);
     }
-    for b in &base.cells {
-        match candidate.cells.iter().find(|c| c.cell_id() == b.cell_id()) {
-            Some(now) => {
-                matched += 1;
-                let delta = compare_frontier_cells(b, now, tolerance);
-                if delta.notes.is_empty() && delta.regressions.is_empty() {
-                    unchanged += 1;
-                } else {
-                    deltas.push(delta);
-                }
-            }
-            None => deltas.push(FrontierCellDelta {
-                cell: b.cell_id(),
-                notes: Vec::new(),
-                regressions: vec!["cell removed from the frontier (coverage loss)".to_string()],
-            }),
-        }
-    }
-    for c in &candidate.cells {
-        if !base.cells.iter().any(|b| b.cell_id() == c.cell_id()) {
-            deltas.push(FrontierCellDelta {
-                cell: c.cell_id(),
-                notes: vec!["new cell (not present in the base report)".to_string()],
-                regressions: Vec::new(),
-            });
-        }
-    }
-    FrontierDiff {
-        base: base.name.clone(),
-        candidate: candidate.name.clone(),
-        matched,
-        unchanged,
-        deltas,
-        tolerance,
-    }
-}
-
-impl FrontierDiff {
-    /// Number of individual regression findings across all cells.
-    pub fn regression_count(&self) -> usize {
-        self.deltas.iter().map(|d| d.regressions.len()).sum()
-    }
-
-    /// Whether the gate fails.
-    pub fn has_regressions(&self) -> bool {
-        self.regression_count() > 0
-    }
-
-    /// Renders the delta as a markdown document.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# Frontier diff: `{}` -> `{}`",
-            self.base, self.candidate
-        );
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "{} matched cell(s), {} unchanged, {} changed, {} regression finding(s) \
-             (tolerance: {}‰).",
-            self.matched,
-            self.unchanged,
-            self.deltas.len(),
-            self.regression_count(),
-            self.tolerance.mille,
-        );
-        if self.deltas.is_empty() {
-            let _ = writeln!(out);
-            let _ = writeln!(out, "No differences beyond tolerance.");
-            return out;
-        }
-        let _ = writeln!(out);
-        let _ = writeln!(out, "| cell | finding | gate |");
-        let _ = writeln!(out, "|---|---|---|");
-        for d in &self.deltas {
-            let cell = d.cell.replace('|', "\\|");
-            for r in &d.regressions {
-                let _ = writeln!(
-                    out,
-                    "| `{cell}` | {} | **REGRESSION** |",
-                    r.replace('|', "\\|")
-                );
-            }
-            for n in &d.notes {
-                let _ = writeln!(out, "| `{cell}` | {} | ok |", n.replace('|', "\\|"));
-            }
-        }
-        out
-    }
-
-    /// Renders the delta as a JSON document.
-    pub fn to_json_string(&self) -> String {
-        let delta_json = |d: &FrontierCellDelta| {
-            Json::obj(vec![
-                ("cell", Json::Str(d.cell.clone())),
-                (
-                    "regressions",
-                    Json::Arr(d.regressions.iter().map(|r| Json::Str(r.clone())).collect()),
-                ),
-                (
-                    "notes",
-                    Json::Arr(d.notes.iter().map(|n| Json::Str(n.clone())).collect()),
-                ),
-            ])
-        };
-        Json::obj(vec![
-            ("base", Json::Str(self.base.clone())),
-            ("candidate", Json::Str(self.candidate.clone())),
-            ("matched", Json::Num(self.matched as f64)),
-            ("unchanged", Json::Num(self.unchanged as f64)),
-            (
-                "regression_count",
-                Json::Num(self.regression_count() as f64),
-            ),
-            (
-                "tolerance",
-                Json::obj(vec![("mille", Json::Num(f64::from(self.tolerance.mille)))]),
-            ),
-            (
-                "deltas",
-                Json::Arr(self.deltas.iter().map(delta_json).collect()),
-            ),
-        ])
-        .render()
-    }
+    diff.match_cells(
+        &base.cells,
+        &candidate.cells,
+        FrontierCell::cell_id,
+        |b, n| compare_frontier_cells(b, n, tolerance),
+    );
+    diff
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run_frontier(spec: &FrontierSpec) -> Result<FrontierReport, LabError> {
+        super::run_frontier(&Caches::new(), spec).map(|(report, _)| report)
+    }
 
     fn tiny_spec() -> FrontierSpec {
         FrontierSpec {
@@ -1429,11 +1234,19 @@ mod tests {
         let worse = report("new", vec![cell(FrontierStatus::BreaksAtZero, 0, 0, true)]);
         let d = diff_frontier_reports(&base, &worse, FrontierTolerance::default());
         let md = d.to_markdown();
+        assert!(md.starts_with("# Frontier diff: `base` -> `new`"), "{md}");
+        assert!(md.contains("| `figure3/full/flood(2)` | changed | status moved"));
         assert!(md.contains("**REGRESSION**"));
         let j = Json::parse(&d.to_json_string()).unwrap();
         assert_eq!(
             j.get("regression_count").and_then(Json::as_u64),
             Some(d.regression_count() as u64)
+        );
+        let delta = &j.get("deltas").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(delta.get("change").and_then(Json::as_str), Some("changed"));
+        assert_eq!(
+            j.get("tolerance").and_then(|t| t.get("mille")),
+            Some(&Json::Num(0.0))
         );
     }
 

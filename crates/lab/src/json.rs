@@ -353,12 +353,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash at
+                // once. Both are ASCII and never occur inside a multi-byte
+                // sequence, so the run ends on a character boundary, and
+                // each byte is validated exactly once.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(
+                    std::str::from_utf8(&bytes[start..*pos])
+                        .map_err(|_| "invalid UTF-8 in string".to_string())?,
+                );
             }
         }
     }
@@ -456,6 +462,27 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\"}", "nul", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    #[test]
+    fn multi_byte_text_round_trips() {
+        let text = "‰—× axis (per mille) ‰, \"quoted\" \\ tail ×";
+        let doc = Json::obj(vec![
+            ("label", Json::Str(text.to_string())),
+            (
+                "items",
+                Json::Arr(vec![Json::Str("—".into()), Json::Str("".into())]),
+            ),
+        ]);
+        for rendered in [doc.render(), doc.render_compact()] {
+            assert_eq!(Json::parse(&rendered).unwrap(), doc);
+        }
+        // Escapes between multi-byte runs decode in place.
+        let parsed = Json::parse(r#""‰\n×\u00e9—""#).unwrap();
+        assert_eq!(parsed.as_str(), Some("‰\n×é—"));
+        // The strict errors survive.
+        assert!(Json::parse("\"‰—×").unwrap_err().contains("unterminated"));
+        assert!(Json::parse(r#""‰\q""#).unwrap_err().contains("bad escape"));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!    topologies, token rings on non-rings, unary encodings of non-trivial
 //!    payloads) are filtered with recorded reasons.
 //! 3. **Execute** with [`run_campaign`]: every scenario is an independent
-//!    deterministic simulation, swept in parallel with rayon.
+//!    deterministic simulation, swept in parallel with rayon and drawing
+//!    seed-independent work from shared [`Caches`]. [`RunOptions`] picks a
+//!    cell-atomic shard of the matrix and optional in-flight sampling.
 //! 4. **Aggregate** into a [`CampaignReport`]: per-cell min/mean/p50/p95/max
 //!    of pulses, steps, drops, `CCinit`, online pulses and per-message
 //!    overhead, plus success and quiescence rates — rendered as JSON, CSV or
@@ -27,8 +29,14 @@
 //! 6. **Chart** the deletion frontier: [`run_frontier`] bisects the omission
 //!    drop-rate axis per (family, mode, workload) cell to the smallest rate
 //!    that breaks it, emitting a byte-deterministic [`FrontierReport`] that
-//!    is regression-gateable through the same `diff` subcommand
+//!    is regression-gateable through the same diff core
 //!    ([`diff_frontier_reports`]).
+//! 7. **Trace** one run per cell: [`run_trace`] attaches the observer layer
+//!    to each cell's first seed.
+//!
+//! Each artifact has exactly one entry point, and each takes the caches
+//! first and returns the per-cell wall-clock [`CellTiming`]s beside the
+//! report (the `--timings` sidecar; wall time never enters a report).
 //!
 //! Reports contain no wall-clock data and every stage is order-preserving,
 //! so two runs of the same campaign produce **byte-identical** reports
@@ -37,20 +45,23 @@
 //! # Example
 //!
 //! ```
-//! use fdn_lab::{run_campaign, Campaign, SeedRange};
+//! use fdn_lab::{run_campaign, Caches, Campaign, RunOptions, SeedRange};
 //! use fdn_graph::GraphFamily;
 //!
 //! let mut campaign = Campaign::new("doc");
 //! campaign.families = vec![GraphFamily::Figure3, GraphFamily::Cycle { n: 4 }];
 //! campaign.seeds = SeedRange { start: 1, count: 2 };
-//! let report = run_campaign(&campaign).unwrap();
+//! let (report, timings) =
+//!     run_campaign(&Caches::new(), &campaign, RunOptions::default()).unwrap();
 //! assert_eq!(report.cells.len(), 2);
+//! assert_eq!(timings.len(), 2);
 //! assert!(report.cells.iter().all(|c| c.success_rate == 1.0));
 //! println!("{}", report.to_markdown());
 //! ```
 //!
 //! The `fdn-lab` binary exposes the same engine on the command line
-//! (`run`, `list-scenarios`, `report`); see the repository README.
+//! (`run`, `frontier`, `trace`, `fleet`, `list-scenarios`, `report`,
+//! `merge`, `diff`); see the repository README.
 
 pub mod cache;
 pub mod diff;
@@ -74,8 +85,7 @@ pub use diff::{diff_reports, CellChange, CellDelta, DiffTolerance, ReportDiff};
 pub use error::LabError;
 pub use fleet::{DispatchOptions, FleetOutcome, FleetPlan, ShardPlan};
 pub use frontier::{
-    diff_frontier_reports, run_frontier, run_frontier_instrumented, run_frontier_instrumented_with,
-    FrontierCell, FrontierCellDelta, FrontierDiff, FrontierProbe, FrontierReport, FrontierSpec,
+    diff_frontier_reports, run_frontier, FrontierCell, FrontierProbe, FrontierReport, FrontierSpec,
     FrontierStatus, FrontierTolerance, FRONTIER_AXIS,
 };
 pub use json::Json;
@@ -85,9 +95,8 @@ pub use report::{
     MetricSummary,
 };
 pub use runner::{
-    run_campaign, run_expanded, run_scenario, run_scenario_observed, run_scenario_sampled,
-    run_scenario_with, run_shard, run_shard_instrumented, run_shard_instrumented_with, CellTiming,
-    InflightCurve, ScenarioOutcome,
+    run_campaign, run_scenario_observed, run_scenario_with, CellTiming, InflightCurve, RunOptions,
+    ScenarioOutcome,
 };
 pub use store::{CheckpointStore, StoreStats, STORE_FORMAT_VERSION};
 pub use timing::Stopwatch;
@@ -95,7 +104,4 @@ pub use timing::Stopwatch;
 pub use spec::{
     shard_slice, Campaign, Cell, EncodingSpec, EngineMode, Scenario, SeedRange, Shard, SkippedCell,
 };
-pub use trace::{
-    run_trace, run_trace_instrumented, run_trace_instrumented_with, CellTrace, TraceOptions,
-    TraceReport,
-};
+pub use trace::{run_trace, CellTrace, TraceOptions, TraceReport};

@@ -44,14 +44,14 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 use fdn_graph::GraphFamily;
 use fdn_lab::{
-    diff_frontier_reports, diff_reports, merge_reports, run_frontier_instrumented_with,
-    run_shard_instrumented_with, run_trace_instrumented_with, shard_slice, Caches, Campaign,
-    CampaignReport, CellTiming, CheckpointStore, DiffTolerance, DispatchOptions, FleetPlan,
-    FrontierReport, FrontierSpec, FrontierTolerance, Json, LabError, Shard, Stopwatch, StoreStats,
-    TraceOptions,
+    diff_frontier_reports, diff_reports, merge_reports, run_campaign, run_frontier, run_trace,
+    shard_slice, Caches, Campaign, CampaignReport, CellTiming, CheckpointStore, DiffTolerance,
+    DispatchOptions, FleetPlan, FrontierReport, FrontierSpec, FrontierTolerance, Json, LabError,
+    RunOptions, Shard, Stopwatch, StoreStats, TraceOptions,
 };
 use fdn_netsim::{NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
@@ -207,39 +207,109 @@ impl<'a> Flags<'a> {
     }
 }
 
-struct RunOptions {
-    campaign: Campaign,
+/// The execution flags of every artifact-producing command.
+struct Exec {
+    /// `--threads N`: worker threads of the global pool.
     threads: Option<usize>,
+    /// `--out DIR`: where the artifacts go.
     out_dir: PathBuf,
-    shard: Option<Shard>,
-    /// `--sample-every K`: attach the in-flight sampler to every scenario
-    /// and summarize the curve per cell.
-    sample_every: Option<u64>,
     /// `--timings PATH`: write the per-cell wall-clock sidecar.
     timings: Option<PathBuf>,
     /// `--store DIR`: persistent checkpoint store under the replay cache.
     store: Option<PathBuf>,
 }
 
-/// Opens the checkpoint store named by `--store`, if any, and builds the
-/// run's caches around it. Store stats land in stderr and the `--timings`
-/// sidecar only — report bytes are identical with or without a store.
-fn open_caches(store: Option<&Path>) -> Result<(Caches, Option<Arc<CheckpointStore>>), LabError> {
-    let store = store
-        .map(|dir| CheckpointStore::open(dir).map(Arc::new))
-        .transpose()
-        .map_err(LabError::Usage)?;
-    Ok((Caches::with_store(store.clone()), store))
+impl Default for Exec {
+    fn default() -> Self {
+        Exec {
+            threads: None,
+            out_dir: PathBuf::from("lab-out"),
+            timings: None,
+            store: None,
+        }
+    }
 }
 
-/// Narrates a finished run's store traffic on stderr (never into reports).
-fn report_store_stats(store: Option<&Arc<CheckpointStore>>) -> Option<StoreStats> {
-    let stats = store.map(|s| s.stats())?;
-    eprintln!(
-        "checkpoint store: {} hit(s), {} miss(es), {} rejected, {} write(s), {} write error(s)",
-        stats.hits, stats.misses, stats.rejected, stats.writes, stats.write_errors
-    );
-    Some(stats)
+impl Exec {
+    /// Applies one execution flag, returning `false` (without consuming a
+    /// value) when the flag is not one.
+    fn apply(&mut self, flag: &str, flags: &mut Flags) -> Result<bool, LabError> {
+        match flag {
+            "--threads" => self.threads = Some(parse_num(flag, flags.value(flag)?)? as usize),
+            "--out" => self.out_dir = PathBuf::from(flags.value(flag)?),
+            "--timings" => self.timings = Some(PathBuf::from(flags.value(flag)?)),
+            "--store" => self.store = Some(PathBuf::from(flags.value(flag)?)),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Runs one artifact command the way every command runs: sizes the
+    /// worker pool, builds the caches around the `--store` checkpoint store,
+    /// times `run`, narrates the store traffic, writes each artifact that
+    /// `render` returns as `STEM.EXT` under `--out` and, with `--timings`,
+    /// the wall-clock sidecar. Store stats and wall time land on stderr, the
+    /// markdown header and the sidecar only — never in gated bytes.
+    fn execute<R>(
+        &self,
+        command: &str,
+        name: &str,
+        run: impl FnOnce(&Caches) -> Result<(R, Vec<CellTiming>), LabError>,
+        render: impl FnOnce(&R, f64) -> (String, Vec<(&'static str, String)>),
+    ) -> Result<(R, Duration), LabError> {
+        if let Some(n) = self.threads {
+            // First configuration wins; a second command in-process keeps the pool.
+            let _ = rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build_global();
+        }
+        let store = self
+            .store
+            .as_deref()
+            .map(|dir| CheckpointStore::open(dir).map(Arc::new))
+            .transpose()
+            .map_err(LabError::Usage)?;
+        let caches = Caches::with_store(store.clone());
+        let started = Stopwatch::start();
+        let (report, timings) = run(&caches)?;
+        let store_stats = store.map(|s| {
+            let stats = s.stats();
+            eprintln!(
+                "checkpoint store: {} hit(s), {} miss(es), {} rejected, {} write(s), {} write \
+                 error(s)",
+                stats.hits, stats.misses, stats.rejected, stats.writes, stats.write_errors
+            );
+            stats
+        });
+        let elapsed = started.elapsed();
+        let (stem, artifacts) = render(&report, elapsed.as_secs_f64());
+        std::fs::create_dir_all(&self.out_dir)?;
+        for (ext, contents) in &artifacts {
+            // `Path::with_extension` would eat the `.shardKofM` suffix of
+            // sharded stems, so the extension is appended explicitly.
+            let path = self.out_dir.join(format!("{stem}.{ext}"));
+            std::fs::write(&path, contents)?;
+            println!("wrote {}", path.display());
+        }
+        if let Some(path) = &self.timings {
+            write_timings(
+                path,
+                command,
+                name,
+                elapsed.as_secs_f64(),
+                &timings,
+                store_stats,
+            )?;
+        }
+        Ok((report, elapsed))
+    }
+}
+
+/// The parsed flags of `run` (and of the commands layered over it).
+struct RunArgs {
+    campaign: Campaign,
+    run: RunOptions,
+    exec: Exec,
 }
 
 /// The first pass over a command's flags: only `--preset` matters, every
@@ -268,8 +338,7 @@ struct SharedFlags<'a> {
     workloads: &'a mut Vec<WorkloadSpec>,
     seeds: &'a mut fdn_lab::SeedRange,
     max_steps: &'a mut u64,
-    threads: &'a mut Option<usize>,
-    out_dir: &'a mut PathBuf,
+    exec: &'a mut Exec,
 }
 
 /// Applies one shared flag, returning `false` (without consuming a value)
@@ -308,24 +377,16 @@ fn apply_shared_flag(flag: &str, flags: &mut Flags, t: &mut SharedFlags) -> Resu
         "--max-steps" => {
             *t.max_steps = parse_num(flag, flags.value(flag)?)?;
         }
-        "--threads" => {
-            *t.threads = Some(parse_num(flag, flags.value(flag)?)? as usize);
-        }
-        "--out" => *t.out_dir = PathBuf::from(flags.value(flag)?),
-        _ => return Ok(false),
+        _ => return t.exec.apply(flag, flags),
     }
     Ok(true)
 }
 
-fn parse_run_options(args: &[String]) -> Result<RunOptions, LabError> {
+fn parse_run_args(args: &[String]) -> Result<RunArgs, LabError> {
     // Two passes: --preset decides the base, every other flag overrides.
     let mut campaign = Campaign::preset(&parse_preset_name(args)?)?;
-    let mut threads = None;
-    let mut out_dir = PathBuf::from("lab-out");
-    let mut shard = None;
-    let mut sample_every = None;
-    let mut timings = None;
-    let mut store = None;
+    let mut run = RunOptions::default();
+    let mut exec = Exec::default();
 
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next_flag() {
@@ -336,8 +397,7 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, LabError> {
             workloads: &mut campaign.workloads,
             seeds: &mut campaign.seeds,
             max_steps: &mut campaign.max_steps,
-            threads: &mut threads,
-            out_dir: &mut out_dir,
+            exec: &mut exec,
         };
         if apply_shared_flag(flag, &mut flags, &mut shared)? {
             continue;
@@ -359,10 +419,10 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, LabError> {
                     .collect::<Result<_, _>>()?;
             }
             "--shard" => {
-                shard = Some(Shard::parse(flags.value(flag)?).map_err(|e| parse_err(flag, e))?);
+                run.shard = Some(Shard::parse(flags.value(flag)?).map_err(|e| parse_err(flag, e))?);
             }
             "--sample-every" => {
-                sample_every = Some(parse_stride(flag, flags.value(flag)?)?);
+                run.sample_every = Some(parse_stride(flag, flags.value(flag)?)?);
             }
             "--link-store" => {
                 campaign.link_store_override = Some(
@@ -370,20 +430,36 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, LabError> {
                         .map_err(|e| parse_err(flag, e))?,
                 );
             }
-            "--timings" => timings = Some(PathBuf::from(flags.value(flag)?)),
-            "--store" => store = Some(PathBuf::from(flags.value(flag)?)),
             other => return Err(LabError::Usage(format!("unknown flag `{other}`"))),
         }
     }
-    Ok(RunOptions {
+    Ok(RunArgs {
         campaign,
-        threads,
-        out_dir,
-        shard,
-        sample_every,
-        timings,
-        store,
+        run,
+        exec,
     })
+}
+
+/// Parses a command that layers its own flags over `run`'s: `own` consumes
+/// the flags it knows (returning `false` for the rest), and everything else
+/// goes verbatim through [`parse_run_args`] — so a selector that works on
+/// `run` works identically here. Returns the parsed `run` flags and the
+/// forwarded arguments.
+fn parse_layered(
+    args: &[String],
+    mut own: impl FnMut(&str, &mut Flags) -> Result<bool, LabError>,
+) -> Result<(RunArgs, Vec<String>), LabError> {
+    let mut rest: Vec<String> = Vec::new();
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        if !own(flag, &mut flags)? {
+            rest.push(flag.to_string());
+            if takes_value(flag) {
+                rest.push(flags.value(flag)?.to_string());
+            }
+        }
+    }
+    Ok((parse_run_args(&rest)?, rest))
 }
 
 /// Parses a sampling stride: a positive delivery count.
@@ -446,79 +522,46 @@ fn parse_num_bounded(flag: &str, v: &str, max: u64) -> Result<u64, LabError> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), LabError> {
-    let opts = parse_run_options(args)?;
-    if let Some(n) = opts.threads {
-        // First configuration wins; a second `run` in-process keeps the pool.
-        let _ = rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global();
-    }
-    let (mut scenarios, skipped) = opts.campaign.expand_with_skips();
-    if let Some(shard) = opts.shard {
-        let full = scenarios.len();
-        scenarios = shard_slice(&scenarios, shard);
-        eprintln!(
-            "shard {shard}: {} of {full} scenarios (cell-atomic slice)",
-            scenarios.len()
-        );
-    }
+    let RunArgs {
+        campaign,
+        run,
+        exec,
+    } = parse_run_args(args)?;
+    let scope = run
+        .shard
+        .map_or(String::new(), |shard| format!(" shard {shard}"));
+    eprintln!("campaign `{}`{scope}: expanding and running", campaign.name);
+    let (report, elapsed) = exec.execute(
+        "run",
+        &campaign.name,
+        |caches| run_campaign(caches, &campaign, run),
+        |report, wall_s| {
+            // Shard runs get a distinguishing file stem; the report
+            // *content* keeps the plain campaign name so that `merge`
+            // reproduces the unsharded report byte-for-byte.
+            let stem = match run.shard {
+                Some(shard) => format!("{}.shard{}", report.name, shard.file_tag()),
+                None => report.name.clone(),
+            };
+            // The wall clock lives only in the markdown rendering; JSON/CSV
+            // stay byte-deterministic for the diff gate and shard merging.
+            let artifacts = vec![
+                ("json", report.to_json_string()),
+                ("csv", report.to_csv()),
+                ("md", report.to_markdown_with_wall_clock(Some(wall_s))),
+            ];
+            (stem, artifacts)
+        },
+    )?;
     eprintln!(
-        "campaign `{}`: {} scenarios across {} worker threads ({} combinations skipped)",
-        opts.campaign.name,
-        scenarios.len(),
-        rayon::current_num_threads().min(scenarios.len().max(1)),
-        skipped.len()
-    );
-    let started = Stopwatch::start();
-    // A shard is allowed to be empty (more shards than cells): it still
-    // writes a report so a fleet driver can merge all M shards uniformly.
-    // An unsharded empty expansion stays an error.
-    if opts.shard.is_none() && scenarios.is_empty() {
-        return Err(LabError::EmptyCampaign);
-    }
-    let (caches, store) = open_caches(opts.store.as_deref())?;
-    let (report, timings) = run_shard_instrumented_with(
-        &caches,
-        &opts.campaign,
-        scenarios,
-        skipped,
-        opts.sample_every,
-    );
-    let store_stats = report_store_stats(store.as_ref());
-    let elapsed = started.elapsed();
-    eprintln!(
-        "{} scenarios finished in {elapsed:.2?} ({:.1} scenarios/s)",
+        "campaign `{}`{scope}: {} scenarios on {} worker thread(s) ({} combinations skipped) \
+         finished in {elapsed:.2?} ({:.1} scenarios/s)",
+        report.name,
         report.scenario_count,
+        rayon::current_num_threads().min(report.scenario_count.max(1)),
+        report.skipped.len(),
         report.scenario_count as f64 / elapsed.as_secs_f64().max(1e-9),
     );
-    std::fs::create_dir_all(&opts.out_dir)?;
-    // Shard runs get a distinguishing file stem; the report *content* keeps
-    // the plain campaign name so that `merge` reproduces the unsharded
-    // report byte-for-byte.
-    let stem = match opts.shard {
-        Some(shard) => format!("{}.shard{}of{}", report.name, shard.index, shard.count),
-        None => report.name.clone(),
-    };
-    write_report(&opts.out_dir, &stem, "json", &report.to_json_string())?;
-    write_report(&opts.out_dir, &stem, "csv", &report.to_csv())?;
-    // The wall clock lives only in the markdown rendering; JSON/CSV stay
-    // byte-deterministic for the diff gate and shard merging.
-    write_report(
-        &opts.out_dir,
-        &stem,
-        "md",
-        &report.to_markdown_with_wall_clock(Some(elapsed.as_secs_f64())),
-    )?;
-    if let Some(path) = &opts.timings {
-        write_timings(
-            path,
-            "run",
-            &report.name,
-            elapsed.as_secs_f64(),
-            &timings,
-            store_stats,
-        )?;
-    }
     let failed: Vec<&fdn_lab::CellReport> = report
         .cells
         .iter()
@@ -539,15 +582,6 @@ fn cmd_run(args: &[String]) -> Result<(), LabError> {
             cell.errors
         );
     }
-    Ok(())
-}
-
-// `Path::with_extension` would eat the `.shardKofM` suffix of sharded stems,
-// so the extension is appended explicitly.
-fn write_report(dir: &Path, stem: &str, ext: &str, contents: &str) -> Result<(), LabError> {
-    let path = dir.join(format!("{stem}.{ext}"));
-    std::fs::write(&path, contents)?;
-    println!("wrote {}", path.display());
     Ok(())
 }
 
@@ -609,10 +643,7 @@ fn cmd_frontier(args: &[String]) -> Result<(), LabError> {
     // shared matrix/execution flags and the frontier-specific axis flags
     // override its fields.
     let mut spec = FrontierSpec::preset(&parse_preset_name(args)?)?;
-    let mut threads = None;
-    let mut out_dir = PathBuf::from("lab-out");
-    let mut timings_path: Option<PathBuf> = None;
-    let mut store_dir: Option<PathBuf> = None;
+    let mut exec = Exec::default();
 
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next_flag() {
@@ -623,8 +654,7 @@ fn cmd_frontier(args: &[String]) -> Result<(), LabError> {
             workloads: &mut spec.workloads,
             seeds: &mut spec.seeds,
             max_steps: &mut spec.max_steps,
-            threads: &mut threads,
-            out_dir: &mut out_dir,
+            exec: &mut exec,
         };
         if apply_shared_flag(flag, &mut flags, &mut shared)? {
             continue;
@@ -643,16 +673,8 @@ fn cmd_frontier(args: &[String]) -> Result<(), LabError> {
             "--verify-probes" => {
                 spec.verify_probes = parse_num_bounded(flag, flags.value(flag)?, 1000)? as u16;
             }
-            "--timings" => timings_path = Some(PathBuf::from(flags.value(flag)?)),
-            "--store" => store_dir = Some(PathBuf::from(flags.value(flag)?)),
             other => return Err(LabError::Usage(format!("unknown flag `{other}`"))),
         }
-    }
-    if let Some(n) = threads {
-        // First configuration wins; a second command in-process keeps the pool.
-        let _ = rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global();
     }
     eprintln!(
         "frontier `{}`: {} families x {} modes x {} workloads, axis 0..={}‰ at \
@@ -665,38 +687,26 @@ fn cmd_frontier(args: &[String]) -> Result<(), LabError> {
         spec.resolution,
         spec.seeds.count,
     );
-    let started = Stopwatch::start();
-    let (caches, store) = open_caches(store_dir.as_deref())?;
-    let (report, timings) = run_frontier_instrumented_with(&caches, &spec)?;
-    let store_stats = report_store_stats(store.as_ref());
-    let elapsed = started.elapsed();
+    let (report, elapsed) = exec.execute(
+        "frontier",
+        &spec.name,
+        |caches| run_frontier(caches, &spec),
+        |report, wall_s| {
+            // `.frontier` in the stem keeps the artifacts apart from the same
+            // preset's campaign reports in a shared --out directory.
+            let artifacts = vec![
+                ("json", report.to_json_string()),
+                ("csv", report.to_csv()),
+                ("md", report.to_markdown_with_wall_clock(Some(wall_s))),
+            ];
+            (format!("{}.frontier", report.name), artifacts)
+        },
+    )?;
     eprintln!(
         "{} cells bisected with {} probes in {elapsed:.2?}",
         report.cells.len(),
         report.probe_count(),
     );
-    std::fs::create_dir_all(&out_dir)?;
-    // `.frontier` in the stem keeps the artifacts apart from the same
-    // preset's campaign reports in a shared --out directory.
-    let stem = format!("{}.frontier", report.name);
-    write_report(&out_dir, &stem, "json", &report.to_json_string())?;
-    write_report(&out_dir, &stem, "csv", &report.to_csv())?;
-    write_report(
-        &out_dir,
-        &stem,
-        "md",
-        &report.to_markdown_with_wall_clock(Some(elapsed.as_secs_f64())),
-    )?;
-    if let Some(path) = &timings_path {
-        write_timings(
-            path,
-            "frontier",
-            &report.name,
-            elapsed.as_secs_f64(),
-            &timings,
-            store_stats,
-        )?;
-    }
     println!(
         "frontier `{}`: {} cells ({} bracketed, {} break at zero, {} never break, \
          {} non-monotone), {} skipped combination(s)",
@@ -734,71 +744,49 @@ fn cmd_frontier(args: &[String]) -> Result<(), LabError> {
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), LabError> {
-    // The matrix selector flags are literally `run`'s: trace-specific flags
-    // are pulled out first and the rest goes through [`parse_run_options`],
-    // so a selector that works on `run` works identically here.
-    let mut trace_opts = TraceOptions::default();
-    let mut timings_path: Option<PathBuf> = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next_flag() {
-        match flag {
-            "--sample-every" => {
-                trace_opts.sample_every = parse_stride(flag, flags.value(flag)?)?;
-            }
-            "--top-links" => {
-                trace_opts.top_links = parse_num(flag, flags.value(flag)?)? as usize;
-            }
-            "--timings" => timings_path = Some(PathBuf::from(flags.value(flag)?)),
-            other => {
-                rest.push(other.to_string());
-                if takes_value(other) {
-                    rest.push(flags.value(other)?.to_string());
-                }
-            }
+    let mut top_links = TraceOptions::default().top_links;
+    let (opts, _) = parse_layered(args, |flag, flags| {
+        if flag != "--top-links" {
+            return Ok(false);
         }
-    }
-    let opts = parse_run_options(&rest)?;
-    if opts.shard.is_some() {
+        top_links = parse_num(flag, flags.value(flag)?)? as usize;
+        Ok(true)
+    })?;
+    if opts.run.shard.is_some() {
         return Err(LabError::Usage(
             "trace runs one scenario per cell; --shard applies to `run`".into(),
         ));
     }
-    if let Some(n) = opts.threads {
-        // First configuration wins; a second command in-process keeps the pool.
-        let _ = rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global();
-    }
+    let trace_opts = TraceOptions {
+        sample_every: opts
+            .run
+            .sample_every
+            .unwrap_or(TraceOptions::default().sample_every),
+        top_links,
+    };
     eprintln!(
         "trace `{}`: first seed of every cell, sampling every {} deliveries",
         opts.campaign.name, trace_opts.sample_every,
     );
-    let started = Stopwatch::start();
-    let (caches, store) = open_caches(opts.store.as_deref())?;
-    let (report, timings) = run_trace_instrumented_with(&caches, &opts.campaign, trace_opts)?;
-    let store_stats = report_store_stats(store.as_ref());
-    let elapsed = started.elapsed();
+    let (report, elapsed) = opts.exec.execute(
+        "trace",
+        &opts.campaign.name,
+        |caches| run_trace(caches, &opts.campaign, trace_opts),
+        |report, _| {
+            // `.trace` in the stem keeps the artifacts apart from the same
+            // preset's campaign reports in a shared --out directory. The
+            // `.json` artifact is the Perfetto / Chrome trace-event document
+            // (load it at ui.perfetto.dev or chrome://tracing); `.jsonl` is
+            // one record per sample/marker.
+            let artifacts = vec![
+                ("jsonl", report.to_jsonl()),
+                ("json", report.to_perfetto_json()),
+                ("md", report.to_markdown()),
+            ];
+            (format!("{}.trace", report.name), artifacts)
+        },
+    )?;
     eprintln!("{} cell(s) traced in {elapsed:.2?}", report.cells.len());
-    std::fs::create_dir_all(&opts.out_dir)?;
-    // `.trace` in the stem keeps the artifacts apart from the same preset's
-    // campaign reports in a shared --out directory. The `.json` artifact is
-    // the Perfetto / Chrome trace-event document (load it at ui.perfetto.dev
-    // or chrome://tracing); `.jsonl` is one record per sample/marker.
-    let stem = format!("{}.trace", report.name);
-    write_report(&opts.out_dir, &stem, "jsonl", &report.to_jsonl())?;
-    write_report(&opts.out_dir, &stem, "json", &report.to_perfetto_json())?;
-    write_report(&opts.out_dir, &stem, "md", &report.to_markdown())?;
-    if let Some(path) = &timings_path {
-        write_timings(
-            path,
-            "trace",
-            &report.name,
-            elapsed.as_secs_f64(),
-            &timings,
-            store_stats,
-        )?;
-    }
     println!(
         "trace `{}`: {} cell(s), {} skipped combination(s)",
         report.name,
@@ -837,34 +825,20 @@ fn cmd_fleet(args: &[String]) -> Result<(), LabError> {
     let mut shards: Option<usize> = None;
     let mut emit_matrix = false;
     let mut manifest_only = false;
-    let mut store: Option<PathBuf> = None;
-    let mut out_dir = PathBuf::from("lab-out");
-    let mut threads: Option<usize> = None;
-    let mut timings_path: Option<PathBuf> = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next_flag() {
+    let mut exec = Exec::default();
+    let (opts, rest) = parse_layered(args, |flag, flags| {
         match flag {
             "--shards" => {
                 shards = Some(parse_num_bounded(flag, flags.value(flag)?, 4096)? as usize);
             }
             "--emit-matrix" => emit_matrix = true,
             "--manifest-only" => manifest_only = true,
-            "--store" => store = Some(PathBuf::from(flags.value(flag)?)),
-            "--out" => out_dir = PathBuf::from(flags.value(flag)?),
-            "--threads" => threads = Some(parse_num(flag, flags.value(flag)?)? as usize),
-            "--timings" => timings_path = Some(PathBuf::from(flags.value(flag)?)),
-            other => {
-                rest.push(other.to_string());
-                if takes_value(other) {
-                    rest.push(flags.value(other)?.to_string());
-                }
-            }
+            _ => return exec.apply(flag, flags),
         }
-    }
+        Ok(true)
+    })?;
     let shards = shards.ok_or_else(|| LabError::Usage("fleet requires --shards M".into()))?;
-    let opts = parse_run_options(&rest)?;
-    if opts.shard.is_some() {
+    if opts.run.shard.is_some() {
         return Err(LabError::Usage(
             "--shard is chosen by the fleet driver; use --shards M to set the shard count".into(),
         ));
@@ -885,16 +859,16 @@ fn cmd_fleet(args: &[String]) -> Result<(), LabError> {
         plan.scenario_count,
         plan.shard_count(),
     );
-    std::fs::create_dir_all(&out_dir)?;
-    let manifest_path = out_dir.join(format!("{}.fleet.json", plan.name));
+    std::fs::create_dir_all(&exec.out_dir)?;
+    let manifest_path = exec.out_dir.join(format!("{}.fleet.json", plan.name));
     std::fs::write(&manifest_path, plan.manifest().render())?;
     println!("wrote {}", manifest_path.display());
     let started = Stopwatch::start();
     let outcome = plan.dispatch(&DispatchOptions {
         exe: std::env::current_exe()?,
-        out_dir,
-        store,
-        threads_per_worker: threads,
+        out_dir: exec.out_dir,
+        store: exec.store,
+        threads_per_worker: exec.threads,
     })?;
     let elapsed = started.elapsed();
     eprintln!(
@@ -903,7 +877,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), LabError> {
         outcome.shard_reports.len(),
     );
     println!("wrote {}", outcome.merged_report().display());
-    if let Some(path) = &timings_path {
+    if let Some(path) = &exec.timings {
         // Workers report their own store traffic on their (inherited)
         // stderr; the driver's sidecar carries per-shard dispatch spans.
         write_timings(
@@ -925,27 +899,20 @@ fn cmd_list(args: &[String]) -> Result<(), LabError> {
     // `cycle(n)` while `--family "cycle(120)"` pins one.
     let mut family_filter: Option<String> = None;
     let mut noise_filter: Option<String> = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next_flag() {
+    let (opts, _) = parse_layered(args, |flag, flags| {
         match flag {
             "--family" => family_filter = Some(flags.value(flag)?.to_string()),
             "--noise" => noise_filter = Some(flags.value(flag)?.to_string()),
-            other => {
-                rest.push(other.to_string());
-                if takes_value(other) {
-                    rest.push(flags.value(other)?.to_string());
-                }
-            }
+            _ => return Ok(false),
         }
-    }
-    let opts = parse_run_options(&rest)?;
+        Ok(true)
+    })?;
     let keep = |family: &str, noise: &str| {
         family_filter.as_deref().is_none_or(|f| family.contains(f))
             && noise_filter.as_deref().is_none_or(|n| noise.contains(n))
     };
     let (mut scenarios, skipped) = opts.campaign.expand_with_skips();
-    if let Some(shard) = opts.shard {
+    if let Some(shard) = opts.run.shard {
         scenarios = shard_slice(&scenarios, shard);
     }
     let mut shown = 0usize;
@@ -1137,7 +1104,7 @@ fn cmd_diff(args: &[String]) -> Result<(), LabError> {
             "diff requires exactly two report files: BASE.json CANDIDATE.json".into(),
         ));
     };
-    let (rendered, regressions) = match (
+    let delta = match (
         load_any_report(base_path)?,
         load_any_report(candidate_path)?,
     ) {
@@ -1151,12 +1118,7 @@ fn cmd_diff(args: &[String]) -> Result<(), LabError> {
                 rate: tol_rate.unwrap_or(0.0),
                 pulses: tol_pulses.unwrap_or(0.0),
             };
-            let delta = diff_reports(&base, &candidate, tolerance);
-            let rendered = match format.as_str() {
-                "md" => delta.to_markdown(),
-                _ => delta.to_json_string(),
-            };
-            (rendered, delta.regression_count())
+            diff_reports(&base, &candidate, tolerance)
         }
         (AnyReport::Frontier(base), AnyReport::Frontier(candidate)) => {
             if tol_rate.is_some() || tol_pulses.is_some() {
@@ -1169,12 +1131,7 @@ fn cmd_diff(args: &[String]) -> Result<(), LabError> {
             let tolerance = FrontierTolerance {
                 mille: tol_mille.unwrap_or(0),
             };
-            let delta = diff_frontier_reports(&base, &candidate, tolerance);
-            let rendered = match format.as_str() {
-                "md" => delta.to_markdown(),
-                _ => delta.to_json_string(),
-            };
-            (rendered, delta.regression_count())
+            diff_frontier_reports(&base, &candidate, tolerance)
         }
         _ => {
             return Err(LabError::Usage(
@@ -1182,6 +1139,11 @@ fn cmd_diff(args: &[String]) -> Result<(), LabError> {
             ))
         }
     };
+    let rendered = match format.as_str() {
+        "md" => delta.to_markdown(),
+        _ => delta.to_json_string(),
+    };
+    let regressions = delta.regression_count();
     print!("{rendered}");
     if regressions > 0 {
         eprintln!("fdn-lab diff: {regressions} regression finding(s) — failing the gate");

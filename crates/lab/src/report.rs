@@ -28,8 +28,59 @@ pub(crate) fn csv_field(s: &str) -> String {
 
 /// Escapes a value for use inside a markdown table cell (`|` would otherwise
 /// split the column).
-fn md_cell(s: &str) -> String {
+pub(crate) fn md_cell(s: &str) -> String {
     s.replace('|', "\\|")
+}
+
+/// Renders a skip list as the `skipped` array every report kind carries.
+pub(crate) fn skipped_to_json(skipped: &[SkippedCell]) -> Json {
+    Json::Arr(
+        skipped
+            .iter()
+            .map(|s| {
+                Json::obj(vec![
+                    ("cell", Json::Str(s.cell.clone())),
+                    ("reason", Json::Str(s.reason.clone())),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// Parses the `skipped` array of a saved report (see [`skipped_to_json`]).
+pub(crate) fn skipped_from_json(report: &Json) -> Result<Vec<SkippedCell>, String> {
+    report
+        .get("skipped")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| "field `skipped` missing".to_string())?
+        .iter()
+        .map(|s| {
+            let field = |k: &str| {
+                s.get(k)
+                    .and_then(Json::as_str)
+                    .map(str::to_string)
+                    .ok_or_else(|| format!("skipped entry without `{k}`"))
+            };
+            Ok(SkippedCell {
+                cell: field("cell")?,
+                reason: field("reason")?,
+            })
+        })
+        .collect()
+}
+
+/// Appends the "Skipped combinations" section that closes every markdown
+/// rendering; nothing when no combination was skipped.
+pub(crate) fn push_skipped_markdown(out: &mut String, skipped: &[SkippedCell]) {
+    if skipped.is_empty() {
+        return;
+    }
+    let _ = writeln!(out);
+    let _ = writeln!(out, "## Skipped combinations");
+    let _ = writeln!(out);
+    for s in skipped {
+        let _ = writeln!(out, "* `{}` — {}", s.cell, s.reason);
+    }
 }
 
 /// Renders a rate in `[0, 1]` as a percentage with enough precision that
@@ -82,8 +133,8 @@ pub struct MetricSummary {
 }
 
 impl MetricSummary {
-    /// The all-zero summary, used as the default for metrics absent from
-    /// older saved reports.
+    /// The all-zero summary: the online metric of a cell whose every run
+    /// aborted mid-construction.
     pub const ZERO: MetricSummary = MetricSummary {
         min: 0.0,
         mean: 0.0,
@@ -537,6 +588,12 @@ impl CellReport {
                     .ok_or_else(|| format!("cell field `{k}` missing"))?,
             )
         };
+        // A field that is always written but may be `null`.
+        let nullable = |k: &str| match j.get(k) {
+            None => Err(format!("cell field `{k}` missing")),
+            Some(Json::Null) => Ok(None),
+            Some(v) => Ok(Some(v)),
+        };
         Ok(CellReport {
             family: s("family")?,
             mode: s("mode")?,
@@ -544,60 +601,43 @@ impl CellReport {
             workload: s("workload")?,
             noise: s("noise")?,
             scheduler: s("scheduler")?,
-            // Exact-store cells omit this field entirely, so every report
-            // written before the counting link store parses unchanged.
+            // Optional by design: only counting-store cells carry it.
             link_store: j
                 .get("link_store")
                 .and_then(Json::as_str)
                 .map(str::to_string),
-            // Reports saved before sharded campaigns lack this index; 0
-            // keeps them parseable (their cells are already in order).
-            first_scenario_index: j
-                .get("first_scenario_index")
-                .and_then(Json::as_u64)
-                .unwrap_or(0) as usize,
+            first_scenario_index: n("first_scenario_index")?,
             nodes: n("nodes")?,
             edges: n("edges")?,
             reference_cycle_len: n("reference_cycle_len")?,
             runs: n("runs")?,
             errors: n("errors")?,
-            // The three fields below postdate the construct-once replay PR;
-            // older saved reports parse with "nothing was ever flagged".
-            baseline_errors: j.get("baseline_errors").and_then(Json::as_u64).unwrap_or(0) as usize,
-            construction_skews: j
-                .get("construction_skews")
-                .and_then(Json::as_u64)
-                .unwrap_or(0) as usize,
-            construction_seed: j.get("construction_seed").and_then(Json::as_u64),
+            baseline_errors: n("baseline_errors")?,
+            construction_skews: n("construction_skews")?,
+            construction_seed: nullable("construction_seed")?
+                .map(|v| {
+                    v.as_u64()
+                        .ok_or_else(|| "cell field `construction_seed` is not a number".to_string())
+                })
+                .transpose()?,
             success_rate: f("success_rate")?,
             quiescence_rate: f("quiescence_rate")?,
             pulses: m("pulses")?,
             bits: m("bits")?,
             steps: m("steps")?,
-            // Reports written before the deletion-noise models lack this
-            // metric; treat absence as all-zero (nothing was ever dropped).
-            dropped: match j.get("dropped") {
-                None => MetricSummary::ZERO,
-                Some(v) => MetricSummary::from_json(v)?,
-            },
+            dropped: m("dropped")?,
             cc_init: m("cc_init")?,
             online_pulses: m("online_pulses")?,
             max_node_pulses: m("max_node_pulses")?,
             max_edge_pulses: m("max_edge_pulses")?,
-            // Reports written before the link-indexed event core lack the
-            // queue-depth metric; treat absence as all-zero.
-            max_inflight: match j.get("max_inflight") {
-                None => MetricSummary::ZERO,
-                Some(v) => MetricSummary::from_json(v)?,
-            },
+            max_inflight: m("max_inflight")?,
             cycle_len: m("cycle_len")?,
             baseline_messages: m("baseline_messages")?,
-            overhead: match j.get("overhead") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(MetricSummary::from_json(v)?),
-            },
-            // Observability fields postdate the observer layer; reports
-            // without them parse as "not sampled, nothing stalled".
+            overhead: nullable("overhead")?
+                .map(MetricSummary::from_json)
+                .transpose()?,
+            // Observability fields are optional by design: absent for
+            // unsampled runs and healthy cells.
             inflight_curve: match j.get("inflight_curve") {
                 None | Some(Json::Null) => None,
                 Some(v) => Some(CurveSummary::from_json(v)?),
@@ -624,20 +664,7 @@ impl CampaignReport {
             ("campaign", Json::Str(self.name.clone())),
             ("scenarios", Json::Num(self.scenario_count as f64)),
             ("seeds_per_cell", Json::Num(f64::from(self.seeds_per_cell))),
-            (
-                "skipped",
-                Json::Arr(
-                    self.skipped
-                        .iter()
-                        .map(|s| {
-                            Json::obj(vec![
-                                ("cell", Json::Str(s.cell.clone())),
-                                ("reason", Json::Str(s.reason.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("skipped", skipped_to_json(&self.skipped)),
             (
                 "cells",
                 Json::Arr(self.cells.iter().map(CellReport::to_json).collect()),
@@ -670,28 +697,14 @@ impl CampaignReport {
             .and_then(Json::as_str)
             .ok_or_else(|| "field `campaign` missing".to_string())?
             .to_string();
-        let scenario_count = j.get("scenarios").and_then(Json::as_u64).unwrap_or(0) as usize;
-        let seeds_per_cell = j.get("seeds_per_cell").and_then(Json::as_u64).unwrap_or(0) as u32;
-        let skipped = j
-            .get("skipped")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|s| {
-                Ok(SkippedCell {
-                    cell: s
-                        .get("cell")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| "skipped entry without `cell`".to_string())?
-                        .to_string(),
-                    reason: s
-                        .get("reason")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| "skipped entry without `reason`".to_string())?
-                        .to_string(),
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
+        let num = |k: &str| {
+            j.get(k)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("field `{k}` missing"))
+        };
+        let scenario_count = num("scenarios")? as usize;
+        let seeds_per_cell = num("seeds_per_cell")? as u32;
+        let skipped = skipped_from_json(j)?;
         let cells = j
             .get("cells")
             .and_then(Json::as_arr)
@@ -925,14 +938,7 @@ impl CampaignReport {
                 }
             }
         }
-        if !self.skipped.is_empty() {
-            let _ = writeln!(out);
-            let _ = writeln!(out, "## Skipped combinations");
-            let _ = writeln!(out);
-            for s in &self.skipped {
-                let _ = writeln!(out, "* `{}` — {}", s.cell, s.reason);
-            }
-        }
+        push_skipped_markdown(&mut out, &self.skipped);
         out
     }
 }
@@ -997,30 +1003,27 @@ pub fn merge_reports(reports: &[CampaignReport]) -> Result<CampaignReport, Strin
     }
     // Cells tile the expansion's scenario indices (each cell is a contiguous
     // seed block), so a *missing* shard leaves a hole the duplicate check
-    // cannot see. Verify the tiling — unless every index is 0, which marks
-    // reports saved before sharding existed (nothing to verify there).
-    // Limitation: a shard set whose only gaps are at the *tail* (possible
-    // when there are more shards than cells) tiles perfectly and cannot be
-    // detected from report content alone; the `fdn-lab merge` CLI closes
-    // that hole by checking `.shardKofM` file names for a complete 0..M set.
-    if cells.iter().any(|c| c.first_scenario_index > 0) {
-        let mut expected = 0usize;
-        for c in &cells {
-            if c.first_scenario_index != expected {
-                return Err(format!(
-                    "shard set is incomplete: scenarios {expected}..{} are missing (cell \
-                     `{}/{}/{}` starts at {}); pass every shard of the campaign to merge",
-                    c.first_scenario_index, c.family, c.mode, c.noise, c.first_scenario_index
-                ));
-            }
-            expected += c.runs;
-        }
-        if expected != scenario_count {
+    // cannot see. Limitation: a shard set whose only gaps are at the *tail*
+    // (possible when there are more shards than cells) tiles perfectly and
+    // cannot be detected from report content alone; the `fdn-lab merge` CLI
+    // closes that hole by checking `.shardKofM` file names for a complete
+    // 0..M set.
+    let mut expected = 0usize;
+    for c in &cells {
+        if c.first_scenario_index != expected {
             return Err(format!(
-                "shard set is incomplete: cells cover {expected} scenarios but the reports \
-                 claim {scenario_count}"
+                "shard set is incomplete: scenarios {expected}..{} are missing (cell \
+                 `{}/{}/{}` starts at {}); pass every shard of the campaign to merge",
+                c.first_scenario_index, c.family, c.mode, c.noise, c.first_scenario_index
             ));
         }
+        expected += c.runs;
+    }
+    if expected != scenario_count {
+        return Err(format!(
+            "shard set is incomplete: cells cover {expected} scenarios but the reports claim \
+             {scenario_count}"
+        ));
     }
     Ok(CampaignReport {
         name: first.name.clone(),
@@ -1029,6 +1032,46 @@ pub fn merge_reports(reports: &[CampaignReport]) -> Result<CampaignReport, Strin
         skipped,
         cells,
     })
+}
+
+/// A healthy one-run figure-3 cell with all-zero metrics: the fixture the
+/// report and diff tests vary field by field.
+#[cfg(test)]
+pub(crate) fn plain_cell() -> CellReport {
+    CellReport {
+        family: "figure3".to_string(),
+        mode: "full".to_string(),
+        encoding: "binary".to_string(),
+        workload: "flood(4)".to_string(),
+        noise: "noiseless".to_string(),
+        scheduler: "random".to_string(),
+        link_store: None,
+        first_scenario_index: 0,
+        nodes: 5,
+        edges: 8,
+        reference_cycle_len: 8,
+        runs: 1,
+        errors: 0,
+        baseline_errors: 0,
+        construction_skews: 0,
+        construction_seed: None,
+        success_rate: 1.0,
+        quiescence_rate: 1.0,
+        pulses: MetricSummary::ZERO,
+        bits: MetricSummary::ZERO,
+        steps: MetricSummary::ZERO,
+        dropped: MetricSummary::ZERO,
+        cc_init: MetricSummary::ZERO,
+        online_pulses: MetricSummary::ZERO,
+        max_node_pulses: MetricSummary::ZERO,
+        max_edge_pulses: MetricSummary::ZERO,
+        max_inflight: MetricSummary::ZERO,
+        cycle_len: MetricSummary::ZERO,
+        baseline_messages: MetricSummary::ZERO,
+        overhead: None,
+        inflight_curve: None,
+        stall_diagnostics: vec![],
+    }
 }
 
 #[cfg(test)]
@@ -1139,52 +1182,30 @@ mod tests {
         assert_eq!(fmt_rate(0.00001), "0.01%");
     }
 
+    fn report_of(cell: &CellReport) -> CampaignReport {
+        CampaignReport {
+            name: "md".to_string(),
+            scenario_count: cell.runs,
+            seeds_per_cell: cell.runs as u32,
+            skipped: vec![],
+            cells: vec![cell.clone()],
+        }
+    }
+
     #[test]
     fn markdown_escapes_pipes_in_label_cells() {
         assert_eq!(md_cell("flood(4)"), "flood(4)");
         assert_eq!(md_cell("weird|label"), "weird\\|label");
         let cell = CellReport {
             family: "fam|ily".to_string(),
-            mode: "full".to_string(),
-            encoding: "binary".to_string(),
-            workload: "flood(4)".to_string(),
             noise: "mix|ed".to_string(),
-            scheduler: "random".to_string(),
-            link_store: None,
-            first_scenario_index: 0,
-            nodes: 5,
-            edges: 8,
-            reference_cycle_len: 8,
             runs: 2,
             errors: 1,
-            baseline_errors: 0,
-            construction_skews: 0,
-            construction_seed: None,
             success_rate: 0.995,
             quiescence_rate: 0.5,
-            pulses: MetricSummary::ZERO,
-            bits: MetricSummary::ZERO,
-            steps: MetricSummary::ZERO,
-            dropped: MetricSummary::ZERO,
-            cc_init: MetricSummary::ZERO,
-            online_pulses: MetricSummary::ZERO,
-            max_node_pulses: MetricSummary::ZERO,
-            max_edge_pulses: MetricSummary::ZERO,
-            max_inflight: MetricSummary::ZERO,
-            cycle_len: MetricSummary::ZERO,
-            baseline_messages: MetricSummary::ZERO,
-            overhead: None,
-            inflight_curve: None,
-            stall_diagnostics: vec![],
+            ..plain_cell()
         };
-        let report = CampaignReport {
-            name: "md".to_string(),
-            scenario_count: 2,
-            seeds_per_cell: 2,
-            skipped: vec![],
-            cells: vec![cell],
-        };
-        let md = report.to_markdown();
+        let md = report_of(&cell).to_markdown();
         assert!(md.contains("fam\\|ily"));
         assert!(md.contains("mix\\|ed"));
         assert!(md.contains("| 99.5% | 50% |"));
@@ -1197,98 +1218,51 @@ mod tests {
     }
 
     #[test]
-    fn cell_report_without_dropped_metric_parses_as_zero() {
-        // Simulate a report saved before the deletion-noise models existed by
-        // deleting the `dropped` entry from a freshly rendered cell.
-        let cell = CellReport {
-            family: "figure3".to_string(),
-            mode: "full".to_string(),
-            encoding: "binary".to_string(),
-            workload: "flood(4)".to_string(),
-            noise: "noiseless".to_string(),
-            scheduler: "random".to_string(),
-            link_store: None,
-            first_scenario_index: 0,
-            nodes: 5,
-            edges: 8,
-            reference_cycle_len: 8,
-            runs: 1,
-            errors: 0,
-            baseline_errors: 0,
-            construction_skews: 0,
-            construction_seed: None,
-            success_rate: 1.0,
-            quiescence_rate: 1.0,
-            pulses: MetricSummary::ZERO,
-            bits: MetricSummary::ZERO,
-            steps: MetricSummary::ZERO,
-            dropped: MetricSummary::from_values(&[7.0]).unwrap(),
-            cc_init: MetricSummary::ZERO,
-            online_pulses: MetricSummary::ZERO,
-            max_node_pulses: MetricSummary::ZERO,
-            max_edge_pulses: MetricSummary::ZERO,
-            max_inflight: MetricSummary::ZERO,
-            cycle_len: MetricSummary::ZERO,
-            baseline_messages: MetricSummary::ZERO,
-            overhead: None,
-            inflight_curve: None,
-            stall_diagnostics: vec![],
+    fn reports_missing_a_required_field_are_rejected_by_name() {
+        // Every field the writer always emits is required: a report from an
+        // older binary fails to parse and the error names what is missing,
+        // instead of parsing with made-up defaults.
+        let strip = |doc: &Json, key: &str| match doc {
+            Json::Obj(fields) => {
+                Json::Obj(fields.iter().filter(|(k, _)| k != key).cloned().collect())
+            }
+            _ => panic!("reports render as objects"),
         };
-        let Json::Obj(fields) = cell.to_json() else {
-            panic!("cell renders as an object");
-        };
-        let legacy = Json::Obj(fields.into_iter().filter(|(k, _)| k != "dropped").collect());
-        let parsed = CellReport::from_json(&legacy).unwrap();
-        assert_eq!(parsed.dropped, MetricSummary::ZERO);
-        assert_eq!(parsed.family, "figure3");
+        let cell = plain_cell();
+        assert_eq!(CellReport::from_json(&cell.to_json()).unwrap(), cell);
+        for key in [
+            "first_scenario_index",
+            "baseline_errors",
+            "construction_skews",
+            "construction_seed",
+            "dropped",
+            "max_inflight",
+            "overhead",
+        ] {
+            let err = CellReport::from_json(&strip(&cell.to_json(), key)).unwrap_err();
+            assert!(err.contains(&format!("`{key}` missing")), "{key}: {err}");
+        }
+        let report = Json::parse(&report_of(&cell).to_json_string()).unwrap();
+        for key in ["scenarios", "seeds_per_cell", "skipped"] {
+            let err = CampaignReport::from_json(&strip(&report, key)).unwrap_err();
+            assert!(err.contains(&format!("`{key}` missing")), "{key}: {err}");
+        }
+        // Fields that are optional by design still parse when absent.
+        let mut extras = cell.clone();
+        extras.link_store = Some("counting".to_string());
+        extras.stall_diagnostics = vec!["s1: stalled".to_string()];
+        let doc = strip(&strip(&extras.to_json(), "stall_diagnostics"), "link_store");
+        assert_eq!(CellReport::from_json(&doc).unwrap(), cell);
     }
 
     #[test]
     fn markdown_marks_baseline_errors_and_construction_skews() {
         let mut cell = CellReport {
-            family: "figure3".to_string(),
-            mode: "full".to_string(),
-            encoding: "binary".to_string(),
-            workload: "flood(4)".to_string(),
-            noise: "noiseless".to_string(),
-            scheduler: "random".to_string(),
-            link_store: None,
-            first_scenario_index: 0,
-            nodes: 5,
-            edges: 8,
-            reference_cycle_len: 8,
             runs: 2,
-            errors: 0,
-            baseline_errors: 0,
-            construction_skews: 0,
-            construction_seed: None,
-            success_rate: 1.0,
-            quiescence_rate: 1.0,
-            pulses: MetricSummary::ZERO,
-            bits: MetricSummary::ZERO,
-            steps: MetricSummary::ZERO,
-            dropped: MetricSummary::ZERO,
             cc_init: MetricSummary::from_values(&[100.0]).unwrap(),
-            online_pulses: MetricSummary::ZERO,
-            max_node_pulses: MetricSummary::ZERO,
-            max_edge_pulses: MetricSummary::ZERO,
-            max_inflight: MetricSummary::ZERO,
-            cycle_len: MetricSummary::ZERO,
-            baseline_messages: MetricSummary::ZERO,
-            overhead: None,
-            inflight_curve: None,
-            stall_diagnostics: vec![],
+            ..plain_cell()
         };
-        let render = |cell: &CellReport| {
-            CampaignReport {
-                name: "markers".to_string(),
-                scenario_count: 2,
-                seeds_per_cell: 2,
-                skipped: vec![],
-                cells: vec![cell.clone()],
-            }
-            .to_markdown()
-        };
+        let render = |cell: &CellReport| report_of(cell).to_markdown();
         // No baseline at all: the overhead column stays the em dash.
         assert!(render(&cell).contains("| — |"));
         // A *failed* baseline is an explicit marker, never a blank cell.

@@ -23,7 +23,7 @@ use fdn_protocols::{BoxedProtocol, WorkloadSpec};
 use crate::cache::{BaselineKey, Caches, ReplayKey};
 use crate::error::LabError;
 use crate::report::{aggregate, CampaignReport};
-use crate::spec::{Campaign, EngineMode, Scenario};
+use crate::spec::{shard_slice, Campaign, EngineMode, Scenario, Shard};
 
 /// Seed salt for the noise stream (so noise and scheduler streams differ).
 pub(crate) const NOISE_SALT: u64 = 0x4E01_5E00;
@@ -158,13 +158,6 @@ impl ScenarioOutcome {
     }
 }
 
-/// Runs one scenario to completion with private, throwaway [`Caches`].
-/// Prefer [`run_scenario_with`] when sweeping many seeds of the same family
-/// — this convenience exists for one-off runs and tests.
-pub fn run_scenario(scenario: Scenario) -> ScenarioOutcome {
-    run_scenario_with(&Caches::new(), scenario)
-}
-
 /// The noiseless direct baseline of one scenario, memoized or freshly run.
 struct Baseline {
     messages: u64,
@@ -220,17 +213,6 @@ fn baseline_for(caches: &Caches, scenario: Scenario, graph: &fdn_graph::Graph) -
 /// outcome.
 pub fn run_scenario_with(caches: &Caches, scenario: Scenario) -> ScenarioOutcome {
     run_scenario_observed(caches, scenario, NullObserver).0
-}
-
-/// Runs one scenario with a [`TimeSeriesSampler`] attached (the lab's
-/// `--sample-every` flag) and records the compact in-flight curve summary on
-/// the outcome. Everything else — noise, scheduling, accounting — is
-/// byte-identical to the unsampled run: the sampler only listens.
-pub fn run_scenario_sampled(caches: &Caches, scenario: Scenario, every: u64) -> ScenarioOutcome {
-    let sampler = TimeSeriesSampler::new(every, DEFAULT_SAMPLE_CAPACITY);
-    let (mut outcome, sampler) = run_scenario_observed(caches, scenario, sampler);
-    outcome.inflight_curve = Some(InflightCurve::from_sampler(&sampler));
-    outcome
 }
 
 /// Like [`run_scenario_with`], but threads an [`Observer`] through the
@@ -547,49 +529,16 @@ fn online_split(sent_total: u64, cc_init: u64, cc_init_in_stats: bool) -> (u64, 
     }
 }
 
-/// Expands `campaign` and runs every scenario in parallel (rayon), returning
-/// the aggregated report. Deterministic: same campaign, same report bytes,
-/// independent of thread count and interleaving.
-///
-/// # Errors
-///
-/// Returns [`LabError::EmptyCampaign`] if the matrix expands to no runnable
-/// scenario.
-pub fn run_campaign(campaign: &Campaign) -> Result<CampaignReport, LabError> {
-    let (scenarios, skipped) = campaign.expand_with_skips();
-    run_expanded(campaign, scenarios, skipped)
-}
-
-/// Like [`run_campaign`], but takes an already-expanded matrix (so callers
-/// that inspected the expansion — e.g. to print a banner — don't pay for it
-/// twice).
-///
-/// # Errors
-///
-/// Returns [`LabError::EmptyCampaign`] if `scenarios` is empty.
-pub fn run_expanded(
-    campaign: &Campaign,
-    scenarios: Vec<Scenario>,
-    skipped: Vec<crate::spec::SkippedCell>,
-) -> Result<CampaignReport, LabError> {
-    if scenarios.is_empty() {
-        return Err(LabError::EmptyCampaign);
-    }
-    Ok(run_shard(campaign, scenarios, skipped))
-}
-
-/// Like [`run_expanded`], but for shard slices, where an empty scenario list
-/// is legitimate rather than a usage error: a campaign sharded `K/M` with
-/// fewer cells than `M` leaves the high-index shards empty, and a fleet
-/// driver looping over all `M` shards still needs every shard to produce a
-/// report for [`crate::report::merge_reports`] (an empty one merges
-/// neutrally: no cells, the same skip list).
-pub fn run_shard(
-    campaign: &Campaign,
-    scenarios: Vec<Scenario>,
-    skipped: Vec<crate::spec::SkippedCell>,
-) -> CampaignReport {
-    run_shard_instrumented(campaign, scenarios, skipped, None).0
+/// Per-invocation options of [`run_campaign`]: which slice of the matrix to
+/// run and whether to sample every run. Neither changes what a cell
+/// measures, only which cells run and what rides along.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunOptions {
+    /// Run only this cell-atomic slice of the expansion (`--shard K/M`).
+    pub shard: Option<Shard>,
+    /// Attach a [`TimeSeriesSampler`] with this stride to every run, so each
+    /// cell reports an in-flight curve (`--sample-every K`).
+    pub sample_every: Option<u64>,
 }
 
 /// Wall-clock cost of one cell, summed over its scenarios. This is the
@@ -608,37 +557,49 @@ pub struct CellTiming {
     pub runs: usize,
 }
 
-/// Like [`run_shard`], but also measures per-cell wall-clock cost and — when
-/// `sample_every` is set — attaches a [`TimeSeriesSampler`] to every run so
-/// each outcome carries an [`InflightCurve`]. Timings are listed in the
-/// deterministic scenario-expansion order of their cells; only the `wall_ms`
-/// values themselves are nondeterministic.
-pub fn run_shard_instrumented(
-    campaign: &Campaign,
-    scenarios: Vec<Scenario>,
-    skipped: Vec<crate::spec::SkippedCell>,
-    sample_every: Option<u64>,
-) -> (CampaignReport, Vec<CellTiming>) {
-    run_shard_instrumented_with(&Caches::new(), campaign, scenarios, skipped, sample_every)
-}
-
-/// Like [`run_shard_instrumented`], but drawing from caller-provided
-/// [`Caches`] — the hook through which `--store DIR` threads a persistent
-/// checkpoint store under the replay tier. The caches only accelerate;
-/// the report bytes are identical whichever caches are passed.
-pub fn run_shard_instrumented_with(
+/// Expands `campaign`, keeps the shard's slice, runs every scenario in
+/// parallel (rayon) and aggregates the report, drawing shared work from
+/// `caches` — the hook through which `--store DIR` threads a persistent
+/// checkpoint store under the replay tier. The caches only accelerate: the
+/// report bytes are identical whichever caches are passed, and independent
+/// of thread count and interleaving.
+///
+/// Alongside the report comes each cell's wall-clock cost, listed in the
+/// deterministic expansion order of the cells; only the `wall_ms` values
+/// themselves are nondeterministic.
+///
+/// A shard is allowed to be empty — a campaign sharded `K/M` with fewer
+/// cells than `M` leaves the high-index shards empty, and a fleet driver
+/// looping over all `M` shards still needs every shard's report for
+/// [`crate::report::merge_reports`] (an empty one merges neutrally: no
+/// cells, the same skip list).
+///
+/// # Errors
+///
+/// Returns [`LabError::EmptyCampaign`] if the unsharded matrix expands to no
+/// runnable scenario.
+pub fn run_campaign(
     caches: &Caches,
     campaign: &Campaign,
-    scenarios: Vec<Scenario>,
-    skipped: Vec<crate::spec::SkippedCell>,
-    sample_every: Option<u64>,
-) -> (CampaignReport, Vec<CellTiming>) {
+    opts: RunOptions,
+) -> Result<(CampaignReport, Vec<CellTiming>), LabError> {
+    let (mut scenarios, skipped) = campaign.expand_with_skips();
+    match opts.shard {
+        Some(shard) => scenarios = shard_slice(&scenarios, shard),
+        None if scenarios.is_empty() => return Err(LabError::EmptyCampaign),
+        None => {}
+    }
     let timed: Vec<(ScenarioOutcome, f64)> = scenarios
         .into_par_iter()
         .map(|s| {
             let watch = crate::timing::Stopwatch::start();
-            let outcome = match sample_every {
-                Some(every) => run_scenario_sampled(caches, s, every),
+            let outcome = match opts.sample_every {
+                Some(every) => {
+                    let sampler = TimeSeriesSampler::new(every, DEFAULT_SAMPLE_CAPACITY);
+                    let (mut outcome, sampler) = run_scenario_observed(caches, s, sampler);
+                    outcome.inflight_curve = Some(InflightCurve::from_sampler(&sampler));
+                    outcome
+                }
                 None => run_scenario_with(caches, s),
             };
             (outcome, watch.elapsed_ms())
@@ -660,10 +621,10 @@ pub fn run_shard_instrumented_with(
         }
     }
     let outcomes: Vec<ScenarioOutcome> = timed.into_iter().map(|(o, _)| o).collect();
-    (
+    Ok((
         aggregate(campaign, &outcomes, &skipped, &caches.topology),
         timings,
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -672,6 +633,11 @@ mod tests {
     use crate::spec::{Cell, EncodingSpec, SeedRange};
     use fdn_graph::GraphFamily;
     use fdn_netsim::{NoiseSpec, SchedulerSpec};
+
+    /// One-off run with private, throwaway caches.
+    fn run_scenario(scenario: Scenario) -> ScenarioOutcome {
+        run_scenario_with(&Caches::new(), scenario)
+    }
 
     fn scenario(cell: Cell, seed: u64) -> Scenario {
         scenario_with_construction(cell, seed, seed)
@@ -925,10 +891,14 @@ mod tests {
     fn sampled_runs_only_add_the_curve() {
         let caches = Caches::new();
         let plain = run_scenario_with(&caches, scenario(base_cell(), 7));
-        let mut sampled = run_scenario_sampled(&caches, scenario(base_cell(), 7), 8);
-        let curve = sampled.inflight_curve.take().expect("curve recorded");
-        // The sampler only listens: strip the curve and the outcomes match
-        // field for field, stats included.
+        let (sampled, sampler) = run_scenario_observed(
+            &caches,
+            scenario(base_cell(), 7),
+            TimeSeriesSampler::new(8, DEFAULT_SAMPLE_CAPACITY),
+        );
+        let curve = InflightCurve::from_sampler(&sampler);
+        // The sampler only listens: the outcomes match field for field,
+        // stats included.
         assert_eq!(sampled, plain);
         assert!(curve.samples > 0);
         assert!(curve.sample_every >= 8 && curve.sample_every.is_multiple_of(8));
@@ -954,37 +924,49 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_shard_times_every_cell_and_samples_every_run() {
+    fn run_campaign_times_every_cell_and_samples_every_run() {
         let mut campaign = Campaign::new("unit");
         campaign.families = vec![GraphFamily::Figure3, GraphFamily::Cycle { n: 4 }];
         campaign.seeds = SeedRange { start: 1, count: 2 };
-        let (scenarios, skipped) = campaign.expand_with_skips();
-        let runs = scenarios.len();
-        let (report, timings) =
-            run_shard_instrumented(&campaign, scenarios.clone(), skipped.clone(), Some(16));
+        let runs = campaign.expand().len();
+        let sampled = RunOptions {
+            sample_every: Some(16),
+            ..RunOptions::default()
+        };
+        let (report, timings) = run_campaign(&Caches::new(), &campaign, sampled).unwrap();
         assert_eq!(report.scenario_count, runs);
         assert_eq!(timings.len(), report.cells.len());
         assert_eq!(timings.iter().map(|t| t.runs).sum::<usize>(), runs);
         assert!(timings.iter().all(|t| t.wall_ms >= 0.0));
-        // The unsampled instrumented run aggregates to the exact same report
-        // as the plain shard runner.
+        assert!(report.cells.iter().all(|c| c.inflight_curve.is_some()));
+        // Without sampling, the same cells aggregate without the curve.
         let (unsampled, _) =
-            run_shard_instrumented(&campaign, scenarios.clone(), skipped.clone(), None);
-        assert_eq!(unsampled, run_shard(&campaign, scenarios, skipped));
+            run_campaign(&Caches::new(), &campaign, RunOptions::default()).unwrap();
+        assert!(unsampled.cells.iter().all(|c| c.inflight_curve.is_none()));
+        assert_eq!(unsampled.cells[0].pulses, report.cells[0].pulses);
     }
 
     #[test]
-    fn run_campaign_aggregates_and_rejects_empty() {
+    fn run_campaign_rejects_empty_expansions_but_not_empty_shards() {
         let mut campaign = Campaign::new("unit");
         campaign.families = vec![GraphFamily::Figure3, GraphFamily::Cycle { n: 4 }];
         campaign.seeds = SeedRange { start: 1, count: 2 };
-        let report = run_campaign(&campaign).unwrap();
+        let (report, _) = run_campaign(&Caches::new(), &campaign, RunOptions::default()).unwrap();
         assert_eq!(report.scenario_count, 4);
         assert_eq!(report.cells.len(), 2);
 
+        // Two cells, three shards: the tail shard is empty but still a report.
+        let tail = RunOptions {
+            shard: Some(Shard { index: 2, count: 3 }),
+            ..RunOptions::default()
+        };
+        let (empty, timings) = run_campaign(&Caches::new(), &campaign, tail).unwrap();
+        assert!(empty.cells.is_empty() && timings.is_empty());
+        assert_eq!(empty.skipped, report.skipped);
+
         campaign.families = vec![GraphFamily::Path { n: 3 }];
         assert!(matches!(
-            run_campaign(&campaign),
+            run_campaign(&Caches::new(), &campaign, RunOptions::default()),
             Err(LabError::EmptyCampaign)
         ));
     }

@@ -30,6 +30,8 @@ use fdn_netsim::{Sample, SpanProfiler, TimeSeriesSampler, DEFAULT_SAMPLE_CAPACIT
 
 use crate::cache::{Caches, ReplayKey};
 use crate::error::LabError;
+use crate::json::Json;
+use crate::report::push_skipped_markdown;
 use crate::runner::{run_scenario_observed, CellTiming, ScenarioOutcome};
 use crate::spec::{Campaign, EngineMode, Scenario, SkippedCell};
 
@@ -136,39 +138,17 @@ fn trace_scenario(caches: &Caches, scenario: Scenario, opts: TraceOptions) -> Ce
 /// Expands `campaign`, keeps the **first seed of every cell**, and runs each
 /// with the trace observers attached (in parallel; results are collected in
 /// expansion order, so the report is byte-deterministic across thread
-/// counts).
+/// counts). Shared work comes from `caches` — the hook through which
+/// `--store DIR` threads a persistent checkpoint store under the replay
+/// tier; the caches only accelerate. Alongside the report comes one
+/// [`CellTiming`] per traced cell, in report order: wall time never enters
+/// the trace artifacts themselves.
 ///
 /// # Errors
 ///
 /// Returns [`LabError::EmptyCampaign`] if the matrix expands to no runnable
 /// scenario.
-pub fn run_trace(campaign: &Campaign, opts: TraceOptions) -> Result<TraceReport, LabError> {
-    run_trace_instrumented(campaign, opts).map(|(report, _)| report)
-}
-
-/// [`run_trace`] plus a per-cell wall-clock sidecar (one [`CellTiming`] per
-/// traced cell, in report order). Wall time never enters the trace artifacts
-/// themselves — they stay byte-deterministic.
-///
-/// # Errors
-///
-/// Same as [`run_trace`].
-pub fn run_trace_instrumented(
-    campaign: &Campaign,
-    opts: TraceOptions,
-) -> Result<(TraceReport, Vec<CellTiming>), LabError> {
-    run_trace_instrumented_with(&Caches::new(), campaign, opts)
-}
-
-/// Like [`run_trace_instrumented`], but drawing from caller-provided
-/// [`Caches`] — the hook through which `--store DIR` threads a persistent
-/// checkpoint store under the replay tier. The caches only accelerate; the
-/// trace artifacts are identical whichever caches are passed.
-///
-/// # Errors
-///
-/// Same as [`run_trace`].
-pub fn run_trace_instrumented_with(
+pub fn run_trace(
     caches: &Caches,
     campaign: &Campaign,
     opts: TraceOptions,
@@ -214,28 +194,6 @@ pub fn run_trace_instrumented_with(
     ))
 }
 
-/// Minimal JSON string escaping for single-line records (cell labels are
-/// plain ASCII, but a renderer must never trust that).
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 impl TraceReport {
     /// Renders the trace as JSONL: per cell one `cell` header line, then one
     /// `sample` line per retained sample and one `marker` line per retained
@@ -245,12 +203,12 @@ impl TraceReport {
         let mut out = String::new();
         for trace in &self.cells {
             let o = &trace.outcome;
+            let cell = Json::Str(trace.cell_id()).render_compact();
             let _ = writeln!(
                 out,
-                "{{\"type\":\"cell\",\"cell\":{},\"seed\":{},\"nodes\":{},\"edges\":{},\
+                "{{\"type\":\"cell\",\"cell\":{cell},\"seed\":{},\"nodes\":{},\"edges\":{},\
                  \"cc_init\":{},\"online_pulses\":{},\"steps\":{},\"quiescent\":{},\
                  \"success\":{},\"sample_every\":{},\"markers_dropped\":{}}}",
-                jstr(&trace.cell_id()),
                 o.scenario.seed,
                 o.nodes,
                 o.edges,
@@ -274,21 +232,19 @@ impl TraceReport {
                 } = *s;
                 let _ = writeln!(
                     out,
-                    "{{\"type\":\"sample\",\"cell\":{},\"deliveries\":{deliveries},\
+                    "{{\"type\":\"sample\",\"cell\":{cell},\"deliveries\":{deliveries},\
                      \"inflight\":{inflight},\"sent\":{sent},\"delivered\":{delivered},\
                      \"dropped\":{dropped},\"max_link_depth\":{max_link_depth},\
                      \"phase\":{phase}}}",
-                    jstr(&trace.cell_id()),
                 );
             }
             for (stamp, marker) in trace.profiler.markers() {
                 let _ = writeln!(
                     out,
-                    "{{\"type\":\"marker\",\"cell\":{},\"at\":{stamp},\"node\":{},\
+                    "{{\"type\":\"marker\",\"cell\":{cell},\"at\":{stamp},\"node\":{},\
                      \"event\":{}}}",
-                    jstr(&trace.cell_id()),
                     marker.node.0,
-                    jstr(marker.event.label()),
+                    Json::Str(marker.event.label().to_string()).render_compact(),
                 );
             }
         }
@@ -306,11 +262,12 @@ impl TraceReport {
             events.push(format!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"args\":{{\"name\":{}}}}}",
                 pid,
-                jstr(&format!(
+                Json::Str(format!(
                     "{} (s{})",
                     trace.cell_id(),
                     trace.outcome.scenario.seed
-                )),
+                ))
+                .render_compact(),
             ));
             for id in 0..trace.profiler.node_count() {
                 events.extend(trace.profiler.chrome_span_events(NodeId(id as u32), pid));
@@ -319,7 +276,7 @@ impl TraceReport {
                 events.push(format!(
                     "{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{stamp},\"pid\":{pid},\
                      \"tid\":{}}}",
-                    jstr(marker.event.label()),
+                    Json::Str(marker.event.label().to_string()).render_compact(),
                     marker.node.0,
                 ));
             }
@@ -412,14 +369,7 @@ impl TraceReport {
                 }
             }
         }
-        if !self.skipped.is_empty() {
-            let _ = writeln!(out);
-            let _ = writeln!(out, "## Skipped combinations");
-            let _ = writeln!(out);
-            for s in &self.skipped {
-                let _ = writeln!(out, "* `{}` — {}", s.cell, s.reason);
-            }
-        }
+        push_skipped_markdown(&mut out, &self.skipped);
         out
     }
 }
@@ -429,6 +379,10 @@ mod tests {
     use super::*;
     use crate::spec::SeedRange;
     use fdn_graph::GraphFamily;
+
+    fn run_trace(campaign: &Campaign, opts: TraceOptions) -> Result<TraceReport, LabError> {
+        super::run_trace(&Caches::new(), campaign, opts).map(|(report, _)| report)
+    }
 
     fn quick_campaign(mode: EngineMode) -> Campaign {
         let mut campaign = Campaign::new("trace-unit");
@@ -447,7 +401,7 @@ mod tests {
         // The observed run is the cell's *first* seed and measures exactly
         // what the plain runner measures.
         assert_eq!(trace.outcome.scenario.seed, 7);
-        let plain = crate::runner::run_scenario(trace.outcome.scenario);
+        let plain = crate::runner::run_scenario_with(&Caches::new(), trace.outcome.scenario);
         assert_eq!(trace.outcome, plain);
         // Phase attribution is exact: per-node construction pulses sum to
         // the outcome's CCinit, online sends to its online pulses.

@@ -5,11 +5,24 @@
 
 use fdn_graph::GraphFamily;
 use fdn_lab::{
-    diff_reports, merge_reports, run_campaign, run_expanded, run_scenario, run_scenario_with,
-    shard_slice, Caches, Campaign, CampaignReport, DiffTolerance, EngineMode, SeedRange, Shard,
+    diff_reports, merge_reports, run_scenario_with, Caches, Campaign, CampaignReport,
+    DiffTolerance, EngineMode, LabError, RunOptions, SeedRange, Shard,
 };
 use fdn_netsim::{NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
+
+/// Runs `campaign` (or one shard of it) with fresh caches.
+fn run(campaign: &Campaign, shard: Option<Shard>) -> Result<CampaignReport, LabError> {
+    let opts = RunOptions {
+        shard,
+        ..RunOptions::default()
+    };
+    fdn_lab::run_campaign(&Caches::new(), campaign, opts).map(|(report, _)| report)
+}
+
+fn run_campaign(campaign: &Campaign) -> Result<CampaignReport, LabError> {
+    run(campaign, None)
+}
 
 /// 4 families (one of which is filtered out) x 2 noises x 2 schedulers x 4
 /// seeds, both engine modes: the determinism matrix from the issue spec.
@@ -170,7 +183,7 @@ fn cached_topologies_do_not_change_outcomes() {
     let shared = Caches::new();
     for scenario in scenarios.iter().take(24).copied() {
         let cached = run_scenario_with(&shared, scenario);
-        let fresh = run_scenario(scenario);
+        let fresh = run_scenario_with(&Caches::new(), scenario);
         assert_eq!(cached, fresh, "{}", scenario.id());
     }
     // One topology per distinct family made it into the shared cache.
@@ -186,17 +199,13 @@ fn sharded_runs_merge_into_the_unsharded_report_byte_for_byte() {
     let campaign = test_campaign();
     let unsharded = run_campaign(&campaign).unwrap();
     for shards in [2usize, 3, 5] {
-        let (scenarios, skipped) = campaign.expand_with_skips();
         let reports: Vec<CampaignReport> = (0..shards)
             .map(|index| {
-                let slice = shard_slice(
-                    &scenarios,
-                    Shard {
-                        index,
-                        count: shards,
-                    },
-                );
-                run_expanded(&campaign, slice, skipped.clone()).unwrap()
+                let shard = Shard {
+                    index,
+                    count: shards,
+                };
+                run(&campaign, Some(shard)).unwrap()
             })
             .collect();
         // Shards partition the matrix: cell counts add up, no overlap.
@@ -225,13 +234,9 @@ fn more_shards_than_cells_yields_empty_reports_that_merge_neutrally() {
     let mut campaign = Campaign::new("tiny");
     campaign.seeds = SeedRange { start: 1, count: 2 }; // a single cell
     let unsharded = run_campaign(&campaign).unwrap();
-    let (scenarios, skipped) = campaign.expand_with_skips();
     let m = 3;
     let reports: Vec<CampaignReport> = (0..m)
-        .map(|index| {
-            let slice = shard_slice(&scenarios, Shard { index, count: m });
-            fdn_lab::run_shard(&campaign, slice, skipped.clone())
-        })
+        .map(|index| run(&campaign, Some(Shard { index, count: m })).unwrap())
         .collect();
     assert_eq!(reports[0].cells.len(), 1);
     assert!(reports[1].cells.is_empty() && reports[2].cells.is_empty());
@@ -243,10 +248,7 @@ fn more_shards_than_cells_yields_empty_reports_that_merge_neutrally() {
 
 #[test]
 fn merge_rejects_mismatched_or_overlapping_shards() {
-    let campaign = test_campaign();
-    let (scenarios, skipped) = campaign.expand_with_skips();
-    let half = shard_slice(&scenarios, Shard { index: 0, count: 2 });
-    let report = run_expanded(&campaign, half, skipped).unwrap();
+    let report = run(&test_campaign(), Some(Shard { index: 0, count: 2 })).unwrap();
 
     assert!(merge_reports(&[]).is_err(), "empty merge is an error");
     // The same shard twice: overlapping cells.
@@ -270,47 +272,19 @@ fn merge_detects_a_missing_shard() {
     // report claiming to be the whole campaign: the cells no longer tile the
     // expansion's scenario indices, which merge detects.
     let campaign = test_campaign();
-    let (scenarios, skipped) = campaign.expand_with_skips();
     let reports: Vec<CampaignReport> = [0usize, 2]
         .into_iter()
-        .map(|index| {
-            let slice = shard_slice(&scenarios, Shard { index, count: 3 });
-            fdn_lab::run_shard(&campaign, slice, skipped.clone())
-        })
+        .map(|index| run(&campaign, Some(Shard { index, count: 3 })).unwrap())
         .collect();
     let err = merge_reports(&reports).unwrap_err();
     assert!(err.contains("incomplete"), "{err}");
 }
 
 #[test]
-fn queue_depth_metric_is_populated_and_legacy_reports_still_parse() {
+fn queue_depth_metric_is_populated() {
     let report = run_campaign(&test_campaign()).unwrap();
     // The chatter of a Theorem 2 run keeps more than one message in flight.
     assert!(report.cells.iter().all(|c| c.max_inflight.p50 >= 1.0));
-    // Reports saved before the link-indexed core lack `max_inflight` and
-    // `first_scenario_index`; stripping them must parse with defaults, not
-    // fail (the PR 2 compatibility contract, extended).
-    let mut doc = fdn_lab::Json::parse(&report.to_json_string()).unwrap();
-    let fdn_lab::Json::Obj(fields) = &mut doc else {
-        panic!("report renders as an object");
-    };
-    for (key, value) in fields.iter_mut() {
-        if key != "cells" {
-            continue;
-        }
-        let fdn_lab::Json::Arr(cells) = value else {
-            panic!("cells render as an array");
-        };
-        for cell in cells {
-            let fdn_lab::Json::Obj(cell_fields) = cell else {
-                panic!("each cell renders as an object");
-            };
-            cell_fields.retain(|(k, _)| k != "max_inflight" && k != "first_scenario_index");
-        }
-    }
-    let parsed = CampaignReport::from_json_str(&doc.render()).unwrap();
-    assert!(parsed.cells.iter().all(|c| c.max_inflight.p50 == 0.0));
-    assert!(parsed.cells.iter().all(|c| c.first_scenario_index == 0));
 }
 
 #[test]

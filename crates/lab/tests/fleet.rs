@@ -4,9 +4,12 @@
 //! and the warm/cold/corrupted behaviour of `--store` across processes —
 //! the exact contract CI's sharded matrix and store gates rely on.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
 
+use std::path::{Path, PathBuf};
+use std::process::Output;
+
+use common::scratch;
 use fdn_lab::Json;
 
 /// The matrix every test sweeps: small enough to be fast, but replay-mode so
@@ -22,20 +25,9 @@ const MATRIX: &[&str] = &[
     "2",
 ];
 
-/// A scratch directory under the target tree, unique per test.
-fn scratch(test: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("fleet-{test}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
 /// Runs the fdn-lab binary, asserting success.
 fn fdn_lab(args: &[&str]) -> Output {
-    let out = Command::new(env!("CARGO_BIN_EXE_fdn-lab"))
-        .args(args)
-        .output()
-        .expect("spawn fdn-lab");
+    let out = common::fdn_lab(args, &[]);
     assert!(
         out.status.success(),
         "fdn-lab {args:?} failed:\n{}",
@@ -112,7 +104,7 @@ fn emit_matrix_is_deterministic_single_line_json() {
 
 #[test]
 fn fleet_merge_is_byte_identical_to_an_unsharded_run() {
-    let dir = scratch("e2e");
+    let dir = scratch("fleet-e2e");
     let fleet_out = dir.join("fleet-out");
     let store = dir.join("store");
     let mut args = vec!["fleet"];
@@ -144,7 +136,7 @@ fn fleet_merge_is_byte_identical_to_an_unsharded_run() {
 
 #[test]
 fn warm_store_reruns_are_byte_identical_and_pay_no_construction() {
-    let dir = scratch("warm");
+    let dir = scratch("fleet-warm");
     let store = dir.join("store");
     let (cold_json, cold_csv, cold_t) = run_with_store(&dir, "cold", &store);
     let (warm_json, warm_csv, warm_t) = run_with_store(&dir, "warm", &store);
@@ -167,7 +159,7 @@ fn warm_store_reruns_are_byte_identical_and_pay_no_construction() {
 
 #[test]
 fn corrupted_store_entries_are_rebuilt_in_place() {
-    let dir = scratch("corrupt");
+    let dir = scratch("fleet-corrupt");
     let store = dir.join("store");
     let (cold_json, _, _) = run_with_store(&dir, "cold", &store);
     // Flip one byte in the middle of one entry.

@@ -2,16 +2,20 @@
 //! determinism across worker-thread counts, and the `fdn-lab diff` exit-code
 //! contract on frontier reports (the CI gate's exact interface).
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
 
+use common::{fdn_lab, report_artifacts, scratch};
 use fdn_graph::GraphFamily;
 use fdn_lab::{
-    diff_frontier_reports, run_frontier, EngineMode, FrontierReport, FrontierSpec, FrontierStatus,
-    FrontierTolerance, SeedRange,
+    diff_frontier_reports, Caches, EngineMode, FrontierReport, FrontierSpec, FrontierStatus,
+    FrontierTolerance, LabError, RunOptions, SeedRange,
 };
 use fdn_netsim::SchedulerSpec;
 use fdn_protocols::WorkloadSpec;
+
+fn run_frontier(spec: &FrontierSpec) -> Result<FrontierReport, LabError> {
+    fdn_lab::run_frontier(&Caches::new(), spec).map(|(report, _)| report)
+}
 
 fn small_spec(name: &str) -> FrontierSpec {
     FrontierSpec {
@@ -27,26 +31,6 @@ fn small_spec(name: &str) -> FrontierSpec {
         resolution: 8,
         verify_probes: 3,
     }
-}
-
-/// A scratch directory under the target tree, unique per test.
-fn scratch(test: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(test);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Runs the fdn-lab binary with the given arguments and environment
-/// overrides, returning the full output (the harness builds the binary for
-/// integration tests and exposes its path via `CARGO_BIN_EXE_fdn-lab`).
-fn fdn_lab(args: &[&str], envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fdn-lab"));
-    cmd.args(args);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("spawn fdn-lab")
 }
 
 #[test]
@@ -107,30 +91,7 @@ fn frontier_cli_is_byte_deterministic_across_worker_thread_counts() {
             "frontier run failed with {threads} thread(s): {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let mut files: Vec<(String, Vec<u8>)> = ["json", "csv", "md"]
-            .iter()
-            .map(|ext| {
-                let path = out_dir.join(format!("quick.frontier.{ext}"));
-                (
-                    ext.to_string(),
-                    std::fs::read(&path).expect("read artifact"),
-                )
-            })
-            .collect();
-        // The markdown header records the wall clock; strip its line before
-        // comparing (JSON/CSV must match without any allowance).
-        for (ext, bytes) in &mut files {
-            if ext == "md" {
-                let text = String::from_utf8(bytes.clone()).unwrap();
-                *bytes = text
-                    .lines()
-                    .filter(|l| !l.starts_with("Wall clock:"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-                    .into_bytes();
-            }
-        }
-        artifacts.push(files);
+        artifacts.push(report_artifacts(&out_dir, "quick.frontier"));
     }
     assert_eq!(
         artifacts[0], artifacts[1],
@@ -192,7 +153,12 @@ fn diff_exit_code_contract_on_frontier_reports() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("parse error"));
 
     // Kind mismatch (campaign vs frontier): usage error, exit 1.
-    let campaign = fdn_lab::run_campaign(&fdn_lab::Campaign::new("mixed")).unwrap();
+    let (campaign, _) = fdn_lab::run_campaign(
+        &Caches::new(),
+        &fdn_lab::Campaign::new("mixed"),
+        RunOptions::default(),
+    )
+    .unwrap();
     let campaign_path = dir.join("campaign.json");
     std::fs::write(&campaign_path, campaign.to_json_string()).unwrap();
     let out = fdn_lab(

@@ -4,34 +4,19 @@
 //! interface), report round-tripping of the replay provenance fields, and
 //! the `fdn-lab diff` exit-code contract on replay cells.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
 
+use common::{fdn_lab, report_artifacts, scratch};
 use fdn_graph::GraphFamily;
 use fdn_lab::{
-    run_campaign, run_scenario_with, Caches, Campaign, CampaignReport, Cell, EncodingSpec,
-    EngineMode, Scenario, SeedRange,
+    run_scenario_with, Caches, Campaign, CampaignReport, Cell, EncodingSpec, EngineMode, LabError,
+    RunOptions, Scenario, SeedRange,
 };
 use fdn_netsim::{NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
 
-/// A scratch directory under the target tree, unique per test.
-fn scratch(test: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(test);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Runs the fdn-lab binary with the given arguments and environment
-/// overrides, returning the full output.
-fn fdn_lab(args: &[&str], envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fdn-lab"));
-    cmd.args(args);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("spawn fdn-lab")
+fn run_campaign(campaign: &Campaign) -> Result<CampaignReport, LabError> {
+    fdn_lab::run_campaign(&Caches::new(), campaign, RunOptions::default()).map(|(r, _)| r)
 }
 
 fn figure3_cell(mode: EngineMode) -> Cell {
@@ -123,41 +108,6 @@ fn replay_campaign_reports_record_the_construction_seed() {
 }
 
 #[test]
-fn legacy_reports_without_replay_fields_still_parse() {
-    // Reports saved before the replay mode lack `baseline_errors`,
-    // `construction_skews` and `construction_seed`; stripping them must
-    // parse with "nothing was ever flagged" defaults, not fail (the PR 2
-    // compatibility contract, extended).
-    let mut campaign = Campaign::new("legacy");
-    campaign.seeds = SeedRange { start: 1, count: 2 };
-    let report = run_campaign(&campaign).unwrap();
-    let mut doc = fdn_lab::Json::parse(&report.to_json_string()).unwrap();
-    let fdn_lab::Json::Obj(fields) = &mut doc else {
-        panic!("report renders as an object");
-    };
-    for (key, value) in fields.iter_mut() {
-        if key != "cells" {
-            continue;
-        }
-        let fdn_lab::Json::Arr(cells) = value else {
-            panic!("cells render as an array");
-        };
-        for cell in cells {
-            let fdn_lab::Json::Obj(cell_fields) = cell else {
-                panic!("each cell renders as an object");
-            };
-            cell_fields.retain(|(k, _)| {
-                k != "baseline_errors" && k != "construction_skews" && k != "construction_seed"
-            });
-        }
-    }
-    let parsed = CampaignReport::from_json_str(&doc.render()).unwrap();
-    assert!(parsed.cells.iter().all(|c| c.baseline_errors == 0));
-    assert!(parsed.cells.iter().all(|c| c.construction_skews == 0));
-    assert!(parsed.cells.iter().all(|c| c.construction_seed.is_none()));
-}
-
-#[test]
 fn replay_cli_is_byte_deterministic_across_worker_thread_counts() {
     // The replay-mode report must be a pure function of the campaign: one
     // worker and four workers produce identical bytes for every artifact —
@@ -187,30 +137,7 @@ fn replay_cli_is_byte_deterministic_across_worker_thread_counts() {
             "replay run failed with {threads} thread(s): {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let mut files: Vec<(String, Vec<u8>)> = ["json", "csv", "md"]
-            .iter()
-            .map(|ext| {
-                let path = out_dir.join(format!("quick-replay.{ext}"));
-                (
-                    ext.to_string(),
-                    std::fs::read(&path).expect("read artifact"),
-                )
-            })
-            .collect();
-        // The markdown header records the wall clock; strip its line before
-        // comparing (JSON/CSV must match without any allowance).
-        for (ext, bytes) in &mut files {
-            if ext == "md" {
-                let text = String::from_utf8(bytes.clone()).unwrap();
-                *bytes = text
-                    .lines()
-                    .filter(|l| !l.starts_with("Wall clock:"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-                    .into_bytes();
-            }
-        }
-        artifacts.push(files);
+        artifacts.push(report_artifacts(&out_dir, "quick-replay"));
     }
     assert_eq!(
         artifacts[0], artifacts[1],

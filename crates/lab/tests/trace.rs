@@ -3,27 +3,11 @@
 //! (construction markers are present in full mode and absent in replay
 //! mode, whose simulation warm-starts past the construction).
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
 
-/// A scratch directory under the target tree, unique per test.
-fn scratch(test: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(test);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+use std::path::Path;
 
-/// Runs the fdn-lab binary with the given arguments and environment
-/// overrides, returning the full output.
-fn fdn_lab(args: &[&str], envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fdn-lab"));
-    cmd.args(args);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("spawn fdn-lab")
-}
+use common::{fdn_lab, scratch};
 
 /// A small but multi-cell selector: two families x two schedulers, full
 /// engine, one seed per cell.

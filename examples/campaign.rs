@@ -35,8 +35,11 @@ fn main() -> Result<(), LabError> {
     ];
     campaign.seeds = SeedRange { start: 1, count: 3 };
 
+    // The caches share seed-independent work (topologies, baselines) across
+    // both campaigns; they never change a report's bytes.
+    let caches = Caches::new();
     eprintln!("running {} scenarios…", campaign.scenario_count());
-    let report = run_campaign(&campaign)?;
+    let (report, _timings) = run_campaign(&caches, &campaign, RunOptions::default())?;
 
     // Every cell should succeed: content-oblivious simulation is exact even
     // under total corruption (that is the paper's Theorem 2).
@@ -55,7 +58,7 @@ fn main() -> Result<(), LabError> {
         "running {} deletion-frontier scenarios…",
         frontier.scenario_count()
     );
-    let frontier_report = run_campaign(&frontier)?;
+    let (frontier_report, _) = run_campaign(&caches, &frontier, RunOptions::default())?;
     println!();
     print!("{}", frontier_report.to_markdown());
     let broken = frontier_report

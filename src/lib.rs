@@ -73,8 +73,9 @@ pub mod prelude {
         RobbinsCycle,
     };
     pub use fdn_lab::{
-        diff_reports, run_campaign, run_scenario, Campaign, CampaignReport, DiffTolerance,
-        EncodingSpec, EngineMode, LabError, ReportDiff, Scenario, SeedRange,
+        diff_reports, run_campaign, run_scenario_with, Caches, Campaign, CampaignReport,
+        DiffTolerance, EncodingSpec, EngineMode, LabError, ReportDiff, RunOptions, Scenario,
+        SeedRange,
     };
     pub use fdn_netsim::{
         Burst, CrashLink, DirectRunner, FullCorruption, InnerProtocol, NoiseSpec, Noiseless,
