@@ -51,7 +51,6 @@ fn noise_axis_sweep(caches: &Caches) -> u64 {
             workload: WorkloadSpec::Flood { payload_bytes: 2 },
             noise,
             scheduler: SchedulerSpec::Random,
-            link_store: LinkStore::Exact,
         };
         for seed in 1..=2u64 {
             let out = run_scenario_with(
@@ -62,7 +61,7 @@ fn noise_axis_sweep(caches: &Caches) -> u64 {
                     seed,
                     construction_seed: 1,
                     max_steps: 2_000_000,
-                    link_store: cell.link_store,
+                    link_store: LinkStore::Exact,
                 },
             );
             assert!(out.success);

@@ -37,7 +37,6 @@ fn probe(caches: &Caches, rate: u16) -> u32 {
             drop_per_mille: rate,
         },
         scheduler: SchedulerSpec::Random,
-        link_store: fdn_netsim::LinkStore::Exact,
     };
     (0..SEEDS)
         .map(|seed| Scenario {
@@ -46,7 +45,7 @@ fn probe(caches: &Caches, rate: u16) -> u32 {
             seed: seed + 1,
             construction_seed: 1,
             max_steps: 2_000_000,
-            link_store: cell.link_store,
+            link_store: fdn_netsim::LinkStore::Exact,
         })
         .filter(|&s| run_scenario_with(caches, s).success)
         .count() as u32

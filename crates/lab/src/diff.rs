@@ -527,22 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn counting_cells_are_matched_apart_from_their_exact_twins() {
-        // A counting cell shares all six axis labels with its exact twin;
-        // only the link-store segment of the cell id tells them apart.
-        let exact = cell("full-corruption", 1.0, 100.0);
-        let mut counting = exact.clone();
-        counting.link_store = Some("counting".to_string());
-        let base = report("base", vec![exact.clone(), counting]);
-        let only_exact = report("new", vec![exact]);
-        let d = diff_reports(&base, &only_exact, DiffTolerance::default());
-        assert_eq!(d.matched, 1);
-        assert_eq!(d.regression_count(), 1);
-        assert_eq!(d.deltas[0].change, CellChange::Removed);
-        assert!(d.deltas[0].cell.ends_with("/random/counting"));
-    }
-
-    #[test]
     fn error_increase_is_a_regression() {
         let base = report("base", vec![cell("noiseless", 1.0, 100.0)]);
         let mut bad_cell = cell("noiseless", 1.0, 100.0);

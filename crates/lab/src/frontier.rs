@@ -43,7 +43,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use fdn_graph::{connectivity, GraphFamily};
-use fdn_netsim::{NoiseSpec, SchedulerSpec};
+use fdn_netsim::{LinkStore, NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
 
 use crate::cache::Caches;
@@ -52,7 +52,9 @@ use crate::error::LabError;
 use crate::json::Json;
 use crate::report::{md_cell, push_skipped_markdown, skipped_from_json, skipped_to_json};
 use crate::runner::{run_scenario_with, CellTiming};
-use crate::spec::{Campaign, Cell, EncodingSpec, EngineMode, Scenario, SeedRange, SkippedCell};
+use crate::spec::{
+    skip_reason, Campaign, Cell, EncodingSpec, EngineMode, Scenario, SeedRange, SkippedCell,
+};
 
 /// Human description of the probe axis, recorded in every report.
 pub const FRONTIER_AXIS: &str = "omission drop rate (per mille)";
@@ -66,11 +68,9 @@ pub struct FrontierSpec {
     pub families: Vec<GraphFamily>,
     /// Engine modes to chart.
     pub modes: Vec<EngineMode>,
-    /// Workloads to chart.
+    /// Workloads to chart (every probe runs the binary encoding: unary
+    /// cannot tolerate deletion noise).
     pub workloads: Vec<WorkloadSpec>,
-    /// Pulse encoding of every probe (binary: unary cannot tolerate
-    /// deletion noise, see [`Campaign::expand_with_skips`]).
-    pub encoding: EncodingSpec,
     /// Delivery scheduler of every probe.
     pub scheduler: SchedulerSpec,
     /// Seeds replicated at every probe rate.
@@ -98,7 +98,6 @@ impl FrontierSpec {
             families: campaign.families.clone(),
             modes: campaign.modes.clone(),
             workloads: campaign.workloads.clone(),
-            encoding: EncodingSpec::Binary,
             scheduler: campaign
                 .schedulers
                 .first()
@@ -286,7 +285,8 @@ pub struct FrontierReport {
 struct CellProber<'a> {
     caches: &'a Caches,
     spec: &'a FrontierSpec,
-    cell_axes: (GraphFamily, EngineMode, WorkloadSpec),
+    /// The probed cell; each probe replaces its noise with the probe rate.
+    cell: Cell,
     memo: BTreeMap<u16, FrontierProbe>,
 }
 
@@ -298,17 +298,11 @@ impl CellProber<'_> {
         if let Some(&p) = self.memo.get(&rate) {
             return p;
         }
-        let (family, mode, workload) = self.cell_axes;
         let cell = Cell {
-            family,
-            mode,
-            encoding: self.spec.encoding,
-            workload,
             noise: NoiseSpec::Omission {
                 drop_per_mille: rate,
             },
-            scheduler: self.spec.scheduler,
-            link_store: fdn_netsim::LinkStore::Exact,
+            ..self.cell
         };
         let scenarios: Vec<Scenario> = self
             .spec
@@ -321,7 +315,7 @@ impl CellProber<'_> {
                 seed,
                 construction_seed: self.spec.seeds.start,
                 max_steps: self.spec.max_steps,
-                link_store: cell.link_store,
+                link_store: LinkStore::Exact,
             })
             .collect();
         let runs = scenarios.len() as u32;
@@ -351,16 +345,14 @@ impl CellProber<'_> {
 fn bisect_cell(
     caches: &Caches,
     spec: &FrontierSpec,
-    family: GraphFamily,
-    mode: EngineMode,
-    workload: WorkloadSpec,
+    cell: Cell,
     nodes: usize,
     edges: usize,
 ) -> FrontierCell {
     let mut prober = CellProber {
         caches,
         spec,
-        cell_axes: (family, mode, workload),
+        cell,
         memo: BTreeMap::new(),
     };
     let (status, lower, upper) = if !prober.holds(0) {
@@ -408,9 +400,9 @@ fn bisect_cell(
         }
     }
     FrontierCell {
-        family: family.label(),
-        mode: mode.label(),
-        workload: workload.label(),
+        family: cell.family.label(),
+        mode: cell.mode.label(),
+        workload: cell.workload.label(),
         nodes,
         edges,
         status,
@@ -426,9 +418,9 @@ fn bisect_cell(
 /// cell is bisected to its breaking-rate bracket, drawing shared work from
 /// `caches` (the hook through which `--store DIR` threads a persistent
 /// checkpoint store under the replay tier; the caches only accelerate).
-/// Ineligible combinations (family fails to build, not 2-edge-connected,
-/// workload unsupported) are skipped with recorded reasons, exactly like
-/// campaign expansion.
+/// Ineligible combinations (the family fails to build, or campaign
+/// expansion's eligibility rules reject the cell) are skipped with recorded
+/// reasons, exactly like campaign expansion.
 ///
 /// Deterministic: same spec, same report bytes, independent of thread count.
 /// Alongside the report comes one [`CellTiming`] per bisected cell, in
@@ -468,32 +460,20 @@ pub fn run_frontier(
         for &mode in &spec.modes {
             for &workload in &spec.workloads {
                 let id = format!("{family}/{mode}/{workload}");
-                if !two_ec {
-                    skip(
-                        id,
-                        "graph is not 2-edge-connected (Theorem 3)".to_string(),
-                        &mut skipped,
-                    );
-                    continue;
-                }
-                if !workload.supports(graph) {
-                    skip(
-                        id,
-                        format!("workload {workload} unsupported on {family}"),
-                        &mut skipped,
-                    );
+                let cell = Cell {
+                    family,
+                    mode,
+                    encoding: EncodingSpec::Binary,
+                    workload,
+                    noise: NoiseSpec::Omission { drop_per_mille: 0 },
+                    scheduler: spec.scheduler,
+                };
+                if let Some(reason) = skip_reason(&cell, graph, two_ec) {
+                    skip(id, reason, &mut skipped);
                     continue;
                 }
                 let watch = crate::timing::Stopwatch::start();
-                let cell = bisect_cell(
-                    caches,
-                    spec,
-                    family,
-                    mode,
-                    workload,
-                    graph.node_count(),
-                    graph.edge_count(),
-                );
+                let cell = bisect_cell(caches, spec, cell, graph.node_count(), graph.edge_count());
                 timings.push(CellTiming {
                     cell: id,
                     wall_ms: watch.elapsed_ms(),
@@ -973,7 +953,6 @@ mod tests {
             families: vec![GraphFamily::Figure3],
             modes: vec![EngineMode::Full],
             workloads: vec![WorkloadSpec::Flood { payload_bytes: 2 }],
-            encoding: EncodingSpec::Binary,
             scheduler: SchedulerSpec::Random,
             seeds: SeedRange { start: 1, count: 2 },
             max_steps: 2_000_000,
@@ -1070,7 +1049,6 @@ mod tests {
         assert_eq!(spec.modes, campaign.modes);
         assert_eq!(spec.workloads, campaign.workloads);
         assert_eq!(spec.seeds, campaign.seeds);
-        assert_eq!(spec.encoding, EncodingSpec::Binary);
         assert_eq!(spec.scheduler, campaign.schedulers[0]);
         assert_eq!(spec.max_rate, 1000);
         assert_eq!(spec.resolution, 8);

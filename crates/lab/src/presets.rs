@@ -20,17 +20,13 @@
 //!   full-topology online sweeps then fit comfortably inside the 20M-step
 //!   budget that full mode exhausts mid-construction. The campaign
 //!   wall-clock is recorded in the markdown report header so future changes
-//!   can track the speedup. A second, **counting-store** block extends the
-//!   sweep to rings and thetas at n ∈ {400, 1000} (cycle + replay modes,
-//!   its own step budget): sizes where the run-length-compressed link
-//!   queues are what keeps memory and queue work flat. The replay cells at
-//!   these sizes chart the next frontier — the distributed construction's
-//!   id-learning phase outgrows even the generous construction budget.
-//! * `huge` — the n = 10⁴ frontier: one counting-store ring scenario in
-//!   cycle mode with a minimal flood. A ring broadcast costs `Θ(n²)`
-//!   deliveries, so this is a multi-billion-step run (tens of minutes);
-//!   it exists as a bounded, reproducible target for profiling the
-//!   compressed event core at depth, not as a CI gate.
+//!   can track the speedup.
+//! * `huge` — the big-n cycle-mode sweep on the counting link store: a
+//!   minimal flood on rings and thetas at n ∈ {400, 1000} and the n = 10⁴
+//!   ring. A ring broadcast costs `Θ(n²)` deliveries, so the n = 10⁴ cell
+//!   is a multi-billion-step run (tens of minutes); it exists as a bounded,
+//!   reproducible profiling target, not as a CI gate (`--families` picks
+//!   the smaller cells).
 //!
 //! Every preset sweeps [`NoiseSpec::DELETION`] alongside the paper-model
 //! noises: the alteration cells must stay at 100% success (Theorem 2) while
@@ -38,7 +34,7 @@
 //! no-deletion assumption is violated.
 
 use fdn_graph::GraphFamily;
-use fdn_netsim::{NoiseSpec, SchedulerSpec};
+use fdn_netsim::{LinkStore, NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
 
 use crate::error::LabError;
@@ -218,14 +214,14 @@ impl Campaign {
                 // `CONSTRUCTION_MAX_STEPS` and only the online phase counts
                 // against this per-scenario budget.
                 max_steps: 20_000_000,
-                // The counting-store block: rings and thetas at n ∈ {400,
-                // 1000}, cycle + replay only — full mode's distributed
-                // construction is hopeless at these sizes (the scale
-                // frontier above already charts why). A ring broadcast
-                // costs Θ(n²) deliveries, so the block carries its own
-                // budget: the n = 1000 cycle-mode cells land in the tens of
-                // millions of steps, far past the main block's 20M cap.
-                counting_families: vec![
+                ..Campaign::new("scale")
+            }),
+            "huge" => Ok(Campaign {
+                // The n = 10⁴ ring first, so it keeps index 0. Full mode
+                // cannot construct at these sizes, and replay's construction
+                // outgrows `CONSTRUCTION_MAX_STEPS` from n = 400 on.
+                families: vec![
+                    GraphFamily::Cycle { n: 10_000 },
                     GraphFamily::Cycle { n: 400 },
                     GraphFamily::Cycle { n: 1000 },
                     GraphFamily::Theta {
@@ -239,16 +235,7 @@ impl Campaign {
                         c: 332,
                     },
                 ],
-                counting_modes: vec![EngineMode::CycleOnly, EngineMode::Replay],
-                counting_max_steps: Some(200_000_000),
-                ..Campaign::new("scale")
-            }),
-            "huge" => Ok(Campaign {
-                // Everything lives in the counting block: there is no point
-                // running an exact-store cell at n = 10⁴, and full mode
-                // cannot construct at this size at all.
-                families: vec![],
-                modes: vec![],
+                modes: vec![EngineMode::CycleOnly],
                 encodings: vec![EncodingSpec::Binary],
                 // The minimal flood: every byte of payload multiplies the
                 // Θ(n²)-per-bit broadcast cost.
@@ -256,10 +243,10 @@ impl Campaign {
                 noises: vec![NoiseSpec::FullCorruption],
                 schedulers: vec![SchedulerSpec::Random],
                 seeds: SeedRange { start: 1, count: 1 },
-                max_steps: 20_000_000,
-                counting_families: vec![GraphFamily::Cycle { n: 10_000 }],
-                counting_modes: vec![EngineMode::CycleOnly],
-                counting_max_steps: Some(12_000_000_000),
+                max_steps: 12_000_000_000,
+                // The preset is the profiling target of the compressed
+                // store; `--link-store exact` reruns it byte-identically.
+                link_store_override: Some(LinkStore::Counting),
                 ..Campaign::new("huge")
             }),
             other => Err(LabError::Usage(format!(
@@ -318,9 +305,12 @@ mod tests {
         let c = Campaign::preset("scale").unwrap();
         let (scenarios, skipped) = c.expand_with_skips();
         assert!(skipped.is_empty(), "every scale family is 2EC and floods");
-        // 9 families x 3 modes x 2 seeds, then the counting block:
-        // 4 families x 2 modes x 2 seeds.
-        assert_eq!(scenarios.len(), 70);
+        // 9 families x 3 modes x 2 seeds, every cell id on the six paper
+        // axes.
+        assert_eq!(scenarios.len(), 54);
+        assert!(scenarios
+            .iter()
+            .all(|s| s.cell.id().split('/').count() == 6 && s.link_store == LinkStore::Exact));
         for family in &c.families {
             let g = family.build().unwrap();
             assert!(g.node_count() >= 50, "{family} is not a scale topology");
@@ -350,58 +340,44 @@ mod tests {
     }
 
     #[test]
-    fn scale_preset_counting_block_reaches_n_1000() {
-        let c = Campaign::preset("scale").unwrap();
-        let (scenarios, _) = c.expand_with_skips();
-        let counting: Vec<_> = scenarios
+    fn huge_preset_is_five_counting_store_cycle_cells() {
+        let c = Campaign::preset("huge").unwrap();
+        let (scenarios, skipped) = c.expand_with_skips();
+        assert!(skipped.is_empty());
+        assert_eq!(scenarios.len(), 5);
+        // The n = 10⁴ ring keeps index 0.
+        assert_eq!(scenarios[0].cell.family, GraphFamily::Cycle { n: 10_000 });
+        let sizes: Vec<usize> = scenarios
             .iter()
-            .filter(|s| s.cell.link_store == fdn_netsim::LinkStore::Counting)
+            .map(|s| s.cell.family.build().unwrap().node_count())
             .collect();
-        // 4 families x {cycle, replay} x 2 seeds, appended after the exact
-        // block so pre-existing scenario indices never renumber.
-        assert_eq!(counting.len(), 16);
-        assert!(counting.iter().all(|s| s.index >= 54));
-        assert!(counting
-            .iter()
-            .all(|s| s.link_store == fdn_netsim::LinkStore::Counting));
-        // The counting cells carry their store in the id (seventh segment);
-        // exact cells keep the historical six-segment id.
-        assert!(counting.iter().all(|s| s.cell.id().ends_with("/counting")));
-        assert!(scenarios[..54]
-            .iter()
-            .all(|s| !s.cell.id().contains("counting")));
-        // The headline cell: the n = 1000 ring in cycle mode, with a budget
-        // that fits its ~10⁸ deliveries.
-        let headline = counting
-            .iter()
-            .find(|s| {
-                s.cell.family == GraphFamily::Cycle { n: 1000 }
-                    && s.cell.mode == EngineMode::CycleOnly
-            })
-            .expect("scale sweeps the n=1000 ring in cycle mode");
-        assert!(headline.max_steps >= 100_000_000);
-        // Both n ∈ {400, 1000} appear as ring and theta topologies.
-        for n in [400usize, 1000] {
-            let sizes: Vec<_> = counting
-                .iter()
-                .filter(|s| s.cell.family.build().unwrap().node_count() == n)
-                .collect();
-            assert!(sizes.len() >= 4, "missing counting cells at n = {n}");
+        assert_eq!(sizes, [10_000, 400, 1000, 400, 1000]);
+        for s in &scenarios {
+            assert_eq!(s.cell.mode, EngineMode::CycleOnly);
+            assert_eq!(s.cell.workload, WorkloadSpec::Flood { payload_bytes: 0 });
+            assert_eq!(s.link_store, LinkStore::Counting);
+            assert!(!s.id().contains("counting"), "{}", s.id());
+            // Θ(n²) deliveries per broadcast bit at n = 10⁴ needs a budget
+            // in the billions.
+            assert!(s.max_steps >= 1_000_000_000);
         }
     }
 
     #[test]
-    fn huge_preset_is_one_counting_ring_scenario() {
-        let c = Campaign::preset("huge").unwrap();
-        let (scenarios, skipped) = c.expand_with_skips();
-        assert!(skipped.is_empty());
-        assert_eq!(scenarios.len(), 1);
-        let s = &scenarios[0];
-        assert_eq!(s.cell.family, GraphFamily::Cycle { n: 10_000 });
-        assert_eq!(s.cell.mode, EngineMode::CycleOnly);
-        assert_eq!(s.link_store, fdn_netsim::LinkStore::Counting);
-        // Θ(n²) deliveries per broadcast bit at n = 10⁴ needs a budget in
-        // the billions.
-        assert!(s.max_steps >= 1_000_000_000);
+    fn matrix_flags_replace_every_preset_axis() {
+        // A flag-overridden axis is the whole axis: no preset may carry
+        // cells from elsewhere past `--families` / `--modes` / `--workloads`.
+        for name in PRESET_NAMES {
+            let mut c = Campaign::preset(name).unwrap();
+            c.families = vec![GraphFamily::Cycle { n: 8 }];
+            c.modes = vec![EngineMode::CycleOnly];
+            c.workloads = vec![WorkloadSpec::Flood { payload_bytes: 0 }];
+            let scenarios = c.expand();
+            assert!(!scenarios.is_empty(), "{name}");
+            for s in &scenarios {
+                assert_eq!(s.cell.family, GraphFamily::Cycle { n: 8 }, "{name}");
+                assert_eq!(s.cell.mode, EngineMode::CycleOnly, "{name}");
+            }
+        }
     }
 }

@@ -255,13 +255,6 @@ pub struct CellReport {
     pub noise: String,
     /// Scheduler label.
     pub scheduler: String,
-    /// Link-store label of cells authored on a non-default queue
-    /// representation (`Some("counting")`); `None` — and absent from the
-    /// JSON — for exact-store cells, which therefore keep their historical
-    /// byte layout. A run-time `--link-store` override never sets this: the
-    /// stores are byte-equivalent, so the override must not change report
-    /// bytes.
-    pub link_store: Option<String>,
     /// Index (in the campaign's full expansion) of the cell's first scenario.
     /// Identifies the cell's position in expansion order even when the
     /// report covers only a shard of the matrix — [`merge_reports`] sorts by
@@ -344,8 +337,10 @@ pub struct CampaignReport {
     pub cells: Vec<CellReport>,
 }
 
-/// Groups outcomes by cell (in encounter order) and summarizes each group.
-/// The `cache` supplies the per-family reference cycle for the
+/// Groups outcomes by cell and summarizes each group. Outcomes must arrive
+/// in expansion order (as [`crate::run_campaign`] collects them): each
+/// cell's seeds are then one contiguous run, which is what is grouped. The
+/// `cache` supplies the per-family reference cycle for the
 /// `reference_cycle_len` column without rebuilding it per cell.
 pub fn aggregate(
     campaign: &Campaign,
@@ -353,20 +348,8 @@ pub fn aggregate(
     skipped: &[SkippedCell],
     cache: &TopologyCache,
 ) -> CampaignReport {
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: Vec<Vec<&ScenarioOutcome>> = Vec::new();
-    for outcome in outcomes {
-        let id = outcome.scenario.cell.id();
-        match order.iter().position(|o| *o == id) {
-            Some(i) => groups[i].push(outcome),
-            None => {
-                order.push(id);
-                groups.push(vec![outcome]);
-            }
-        }
-    }
-    let cells = groups
-        .iter()
+    let cells = outcomes
+        .chunk_by(|a, b| a.scenario.cell == b.scenario.cell)
         .map(|group| summarize_cell(group, cache))
         .collect();
     CampaignReport {
@@ -378,11 +361,11 @@ pub fn aggregate(
     }
 }
 
-fn summarize_cell(group: &[&ScenarioOutcome], cache: &TopologyCache) -> CellReport {
+fn summarize_cell(group: &[ScenarioOutcome], cache: &TopologyCache) -> CellReport {
     let cell = group[0].scenario.cell;
     let runs = group.len();
     let metric = |f: &dyn Fn(&ScenarioOutcome) -> f64| {
-        let values: Vec<f64> = group.iter().map(|o| f(o)).collect();
+        let values: Vec<f64> = group.iter().map(f).collect();
         MetricSummary::from_values(&values).expect("group is non-empty")
     };
     let overhead_values: Vec<f64> = group.iter().filter_map(|o| o.overhead_ratio()).collect();
@@ -398,13 +381,7 @@ fn summarize_cell(group: &[&ScenarioOutcome], cache: &TopologyCache) -> CellRepo
         workload: cell.workload.label(),
         noise: cell.noise.label(),
         scheduler: cell.scheduler.label(),
-        link_store: (cell.link_store != fdn_netsim::LinkStore::Exact)
-            .then(|| cell.link_store.label()),
-        first_scenario_index: group
-            .iter()
-            .map(|o| o.scenario.index)
-            .min()
-            .expect("group is non-empty"),
+        first_scenario_index: group[0].scenario.index,
         nodes: group[0].nodes,
         edges: group[0].edges,
         reference_cycle_len,
@@ -479,17 +456,12 @@ fn summarize_cell(group: &[&ScenarioOutcome], cache: &TopologyCache) -> CellRepo
 impl CellReport {
     /// The cell identity, in the same `/`-joined label format as
     /// `Cell::id()` (and as skipped-cell entries): the key reports are
-    /// matched on when diffing and merging. Six segments for exact-store
-    /// cells; counting cells carry their store as a seventh.
+    /// matched on when diffing and merging.
     pub fn cell_id(&self) -> String {
-        let base = format!(
+        format!(
             "{}/{}/{}/{}/{}/{}",
             self.family, self.mode, self.encoding, self.workload, self.noise, self.scheduler
-        );
-        match &self.link_store {
-            Some(store) => format!("{base}/{store}"),
-            None => base,
-        }
+        )
     }
 
     fn to_json(&self) -> Json {
@@ -544,9 +516,6 @@ impl CellReport {
         // — when absent, so unsampled, healthy campaigns keep producing the
         // exact bytes they produced before these fields existed (the
         // byte-identity the CI rerun gates compare).
-        if let Some(store) = &self.link_store {
-            fields.push(("link_store", Json::Str(store.clone())));
-        }
         if let Some(curve) = self.inflight_curve {
             fields.push(("inflight_curve", curve.to_json()));
         }
@@ -601,11 +570,6 @@ impl CellReport {
             workload: s("workload")?,
             noise: s("noise")?,
             scheduler: s("scheduler")?,
-            // Optional by design: only counting-store cells carry it.
-            link_store: j
-                .get("link_store")
-                .and_then(Json::as_str)
-                .map(str::to_string),
             first_scenario_index: n("first_scenario_index")?,
             nodes: n("nodes")?,
             edges: n("edges")?,
@@ -849,12 +813,6 @@ impl CampaignReport {
             } else {
                 format!("{:.0}", c.cc_init.p50)
             };
-            // Counting-store cells are annotated on the scheduler column so
-            // the table keeps its column count for downstream diffing.
-            let sched = match &c.link_store {
-                Some(store) => format!("{} [{store}]", md_cell(&c.scheduler)),
-                None => md_cell(&c.scheduler),
-            };
             let _ = writeln!(
                 out,
                 "| {} | {} | {} | {} | {} | {} | {} | {} | {:.0} | {} | {} | {:.0} | {:.0} | {:.0} | {:.0} | {} | {} |",
@@ -863,7 +821,7 @@ impl CampaignReport {
                 md_cell(&c.encoding),
                 md_cell(&c.workload),
                 md_cell(&c.noise),
-                sched,
+                md_cell(&c.scheduler),
                 c.nodes,
                 c.edges,
                 c.cycle_len.p50,
@@ -1013,8 +971,10 @@ pub fn merge_reports(reports: &[CampaignReport]) -> Result<CampaignReport, Strin
         if c.first_scenario_index != expected {
             return Err(format!(
                 "shard set is incomplete: scenarios {expected}..{} are missing (cell \
-                 `{}/{}/{}` starts at {}); pass every shard of the campaign to merge",
-                c.first_scenario_index, c.family, c.mode, c.noise, c.first_scenario_index
+                 `{}` starts at {}); pass every shard of the campaign to merge",
+                c.first_scenario_index,
+                c.cell_id(),
+                c.first_scenario_index
             ));
         }
         expected += c.runs;
@@ -1045,7 +1005,6 @@ pub(crate) fn plain_cell() -> CellReport {
         workload: "flood(4)".to_string(),
         noise: "noiseless".to_string(),
         scheduler: "random".to_string(),
-        link_store: None,
         first_scenario_index: 0,
         nodes: 5,
         edges: 8,
@@ -1249,9 +1208,8 @@ mod tests {
         }
         // Fields that are optional by design still parse when absent.
         let mut extras = cell.clone();
-        extras.link_store = Some("counting".to_string());
         extras.stall_diagnostics = vec!["s1: stalled".to_string()];
-        let doc = strip(&strip(&extras.to_json(), "stall_diagnostics"), "link_store");
+        let doc = strip(&extras.to_json(), "stall_diagnostics");
         assert_eq!(CellReport::from_json(&doc).unwrap(), cell);
     }
 
@@ -1305,7 +1263,6 @@ mod tests {
                 drop_per_mille: 500,
             },
             scheduler: fdn_netsim::SchedulerSpec::Random,
-            link_store: fdn_netsim::LinkStore::Exact,
         };
         let outcome = |index: usize, online: u64, skew: bool| ScenarioOutcome {
             scenario: Scenario {
@@ -1314,7 +1271,7 @@ mod tests {
                 seed: index as u64,
                 construction_seed: 0,
                 max_steps: 1000,
-                link_store: cell.link_store,
+                link_store: fdn_netsim::LinkStore::Exact,
             },
             error: None,
             quiescent: true,

@@ -605,21 +605,16 @@ pub fn run_campaign(
             (outcome, watch.elapsed_ms())
         })
         .collect();
-    let mut timings: Vec<CellTiming> = Vec::new();
-    for (outcome, ms) in &timed {
-        let id = outcome.scenario.cell.id();
-        match timings.iter_mut().find(|t| t.cell == id) {
-            Some(t) => {
-                t.wall_ms += ms;
-                t.runs += 1;
-            }
-            None => timings.push(CellTiming {
-                cell: id,
-                wall_ms: *ms,
-                runs: 1,
-            }),
-        }
-    }
+    // Expansion (and so the collected order) lists each cell's seeds as one
+    // contiguous block.
+    let timings = timed
+        .chunk_by(|(a, _), (b, _)| a.scenario.cell == b.scenario.cell)
+        .map(|block| CellTiming {
+            cell: block[0].0.scenario.cell.id(),
+            wall_ms: block.iter().map(|(_, ms)| ms).sum(),
+            runs: block.len(),
+        })
+        .collect();
     let outcomes: Vec<ScenarioOutcome> = timed.into_iter().map(|(o, _)| o).collect();
     Ok((
         aggregate(campaign, &outcomes, &skipped, &caches.topology),
@@ -650,7 +645,7 @@ mod tests {
             seed,
             construction_seed,
             max_steps: 2_000_000,
-            link_store: cell.link_store,
+            link_store: fdn_netsim::LinkStore::Exact,
         }
     }
 
@@ -662,7 +657,6 @@ mod tests {
             workload: WorkloadSpec::Flood { payload_bytes: 3 },
             noise: NoiseSpec::FullCorruption,
             scheduler: SchedulerSpec::Random,
-            link_store: fdn_netsim::LinkStore::Exact,
         }
     }
 

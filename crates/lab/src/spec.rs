@@ -11,7 +11,7 @@
 use std::fmt;
 
 use fdn_core::Encoding;
-use fdn_graph::{connectivity, GraphFamily};
+use fdn_graph::{connectivity, Graph, GraphFamily};
 use fdn_netsim::{LinkStore, NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
 
@@ -157,29 +157,17 @@ pub struct Cell {
     pub noise: NoiseSpec,
     /// Delivery scheduler.
     pub scheduler: SchedulerSpec,
-    /// The link-queue representation this cell is *authored* to run on
-    /// (part of the cell's identity, unlike the run-time `--link-store`
-    /// override recorded in [`Campaign::link_store_override`]). The two
-    /// stores are behaviourally byte-identical, so a campaign only authors
-    /// counting cells where the exact store's per-envelope storage is the
-    /// bottleneck (the `scale`/`huge` big-n sweeps).
-    pub link_store: LinkStore,
 }
 
 impl Cell {
-    /// A compact single-line identifier, used in logs and scenario listings.
-    /// Cells on the default exact store keep the historical six-segment
-    /// form; counting cells append a seventh `/counting` segment, so every
-    /// pre-existing id is byte-unchanged.
+    /// A compact single-line identifier
+    /// (`family/mode/encoding/workload/noise/scheduler`), used in logs,
+    /// scenario listings and reports.
     pub fn id(&self) -> String {
-        let base = format!(
+        format!(
             "{}/{}/{}/{}/{}/{}",
             self.family, self.mode, self.encoding, self.workload, self.noise, self.scheduler
-        );
-        match self.link_store {
-            LinkStore::Exact => base,
-            LinkStore::Counting => format!("{base}/counting"),
-        }
+        )
     }
 }
 
@@ -200,12 +188,11 @@ pub struct Scenario {
     pub construction_seed: u64,
     /// Delivery limit before the run is abandoned as non-quiescent.
     pub max_steps: u64,
-    /// The link-queue representation the engine actually uses for this run:
-    /// the cell's authored store, unless the campaign carries a run-time
-    /// `--link-store` override. Deliberately **not** part of [`Scenario::id`]
-    /// or any report field — the stores are byte-equivalent, so overriding
-    /// the engine must leave every artifact byte-identical (the CI
-    /// representation gate compares exactly that).
+    /// The link-queue representation the engine uses for this run:
+    /// [`Campaign::link_store_override`], else the exact store. Deliberately
+    /// **not** part of [`Scenario::id`] or any report field — the stores are
+    /// byte-equivalent, so switching the engine must leave every artifact
+    /// byte-identical (the CI link-store gates compare exactly that).
     pub link_store: LinkStore,
 }
 
@@ -338,26 +325,10 @@ pub struct Campaign {
     pub noises: Vec<NoiseSpec>,
     /// Schedulers to sweep.
     pub schedulers: Vec<SchedulerSpec>,
-    /// Families swept a second time on the **counting** link store, after
-    /// the main (exact-store) product. They share every other axis
-    /// (encodings, workloads, noises, schedulers, seeds) but cross
-    /// [`Campaign::counting_modes`] instead of `modes` — big-n presets
-    /// restrict their counting cells to the engine modes that fit the
-    /// budget at that size. Empty for campaigns without a counting sweep.
-    pub counting_families: Vec<GraphFamily>,
-    /// Engine modes of the counting sweep (see
-    /// [`Campaign::counting_families`]).
-    pub counting_modes: Vec<EngineMode>,
-    /// Per-scenario delivery limit of the counting sweep; `None` shares
-    /// [`Campaign::max_steps`]. Big-n counting cells legitimately take an
-    /// order of magnitude more deliveries than the main block's topologies
-    /// (a ring broadcast costs `Θ(n²)` deliveries per message), so presets
-    /// budget the two blocks independently.
-    pub counting_max_steps: Option<u64>,
-    /// Run-time engine override (`fdn-lab run --link-store`): forces every
-    /// scenario onto one queue representation without touching cell
-    /// identity, ids, or any report field. `None` (the default) runs each
-    /// cell on its authored store.
+    /// Engine choice of the link-queue representation (`fdn-lab run
+    /// --link-store`, or a preset's default): runs every scenario on one
+    /// store without touching cell identity, ids, or any report field.
+    /// `None` (the default) runs on the exact store.
     pub link_store_override: Option<LinkStore>,
     /// Seeds per cell.
     pub seeds: SeedRange,
@@ -378,9 +349,6 @@ impl Campaign {
             workloads: vec![WorkloadSpec::Flood { payload_bytes: 4 }],
             noises: vec![NoiseSpec::FullCorruption],
             schedulers: vec![SchedulerSpec::Random],
-            counting_families: vec![],
-            counting_modes: vec![],
-            counting_max_steps: None,
             link_store_override: None,
             seeds: SeedRange { start: 1, count: 4 },
             max_steps: 5_000_000,
@@ -399,60 +367,21 @@ impl Campaign {
     }
 
     /// Expands the matrix into concrete scenarios, in deterministic order
-    /// (families outermost, seeds innermost), filtering combinations that
-    /// cannot run:
+    /// (families outermost, seeds innermost, so each cell's seeds form one
+    /// contiguous block), filtering combinations that cannot run:
     ///
     /// * the family's parameters fail generator validation,
     /// * the graph is not 2-edge-connected (Theorem 3: no content-oblivious
     ///   simulation exists),
     /// * the workload does not support the topology,
     /// * the encoding is unary with anything but a 0-byte flood (Lemma 7:
-    ///   exponential cost makes those runs infeasible).
-    ///
-    /// The main (exact-store) product expands first, then the counting
-    /// block ([`Campaign::counting_families`] ×
-    /// [`Campaign::counting_modes`]) under the same rules, so adding a
-    /// counting sweep never renumbers pre-existing scenarios.
+    ///   exponential cost makes those runs infeasible),
+    /// * the encoding is unary under deletion noise.
     pub fn expand_with_skips(&self) -> (Vec<Scenario>, Vec<SkippedCell>) {
         let mut scenarios = Vec::new();
         let mut skipped = Vec::new();
-        let mut skip_dedup: Vec<String> = Vec::new();
-        self.expand_block(
-            &self.families,
-            &self.modes,
-            LinkStore::Exact,
-            &mut scenarios,
-            &mut skipped,
-            &mut skip_dedup,
-        );
-        self.expand_block(
-            &self.counting_families,
-            &self.counting_modes,
-            LinkStore::Counting,
-            &mut scenarios,
-            &mut skipped,
-            &mut skip_dedup,
-        );
-        (scenarios, skipped)
-    }
-
-    /// Expands one `families` × `modes` block with every cell authored on
-    /// `link_store` (the shared axes come from `self`), appending to the
-    /// running scenario/skip lists.
-    fn expand_block(
-        &self,
-        families: &[GraphFamily],
-        modes: &[EngineMode],
-        link_store: LinkStore,
-        scenarios: &mut Vec<Scenario>,
-        skipped: &mut Vec<SkippedCell>,
-        skip_dedup: &mut Vec<String>,
-    ) {
-        let max_steps = match link_store {
-            LinkStore::Exact => self.max_steps,
-            LinkStore::Counting => self.counting_max_steps.unwrap_or(self.max_steps),
-        };
-        for &family in families {
+        let link_store = self.link_store_override.unwrap_or(LinkStore::Exact);
+        for &family in &self.families {
             // Build once per family: expansion must stay cheap, and the
             // verdict is identical for every inner combination.
             let graph = match family.build() {
@@ -466,7 +395,7 @@ impl Campaign {
                 }
             };
             let two_ec = connectivity::is_two_edge_connected(&graph);
-            for &mode in modes {
+            for &mode in &self.modes {
                 for &encoding in &self.encodings {
                     for &workload in &self.workloads {
                         for &noise in &self.noises {
@@ -478,35 +407,10 @@ impl Campaign {
                                     workload,
                                     noise,
                                     scheduler,
-                                    link_store,
                                 };
-                                let reason = if !two_ec {
-                                    Some("graph is not 2-edge-connected (Theorem 3)".to_string())
-                                } else if !workload.supports(&graph) {
-                                    Some(format!("workload {workload} unsupported on {family}"))
-                                } else if encoding == EncodingSpec::Unary
-                                    && workload != (WorkloadSpec::Flood { payload_bytes: 0 })
-                                {
-                                    Some(
-                                        "unary encoding is exponential; only flood(0) is swept"
-                                            .to_string(),
-                                    )
-                                } else if encoding == EncodingSpec::Unary && noise.deletes() {
-                                    // A unary value is a pulse *count*; deleting
-                                    // one pulse silently decodes as a different
-                                    // value, so the combination measures nothing
-                                    // and its exponential stalls burn the whole
-                                    // step budget.
-                                    Some(
-                                        "unary counting cannot tolerate deletion noise".to_string(),
-                                    )
-                                } else {
-                                    None
-                                };
-                                if let Some(reason) = reason {
+                                if let Some(reason) = skip_reason(&cell, &graph, two_ec) {
                                     let id = cell.id();
-                                    if !skip_dedup.contains(&id) {
-                                        skip_dedup.push(id.clone());
+                                    if !skipped.iter().any(|s| s.cell == id) {
                                         skipped.push(SkippedCell { cell: id, reason });
                                     }
                                     continue;
@@ -517,8 +421,8 @@ impl Campaign {
                                         cell,
                                         seed,
                                         construction_seed: self.seeds.start,
-                                        max_steps,
-                                        link_store: self.link_store_override.unwrap_or(link_store),
+                                        max_steps: self.max_steps,
+                                        link_store,
                                     });
                                 }
                             }
@@ -527,6 +431,32 @@ impl Campaign {
                 }
             }
         }
+        (scenarios, skipped)
+    }
+}
+
+/// Why `cell` cannot run on its family's `graph` (whose
+/// 2-edge-connectivity the caller computed once per family as `two_ec`),
+/// or `None` when it can: the eligibility rules listed on
+/// [`Campaign::expand_with_skips`], shared with the frontier search.
+pub(crate) fn skip_reason(cell: &Cell, graph: &Graph, two_ec: bool) -> Option<String> {
+    let unary = cell.encoding == EncodingSpec::Unary;
+    if !two_ec {
+        Some("graph is not 2-edge-connected (Theorem 3)".to_string())
+    } else if !cell.workload.supports(graph) {
+        Some(format!(
+            "workload {} unsupported on {}",
+            cell.workload, cell.family
+        ))
+    } else if unary && cell.workload != (WorkloadSpec::Flood { payload_bytes: 0 }) {
+        Some("unary encoding is exponential; only flood(0) is swept".to_string())
+    } else if unary && cell.noise.deletes() {
+        // A unary value is a pulse *count*; deleting one pulse silently
+        // decodes as a different value, so the combination measures nothing
+        // and its exponential stalls burn the whole step budget.
+        Some("unary counting cannot tolerate deletion noise".to_string())
+    } else {
+        None
     }
 }
 
@@ -585,65 +515,24 @@ mod tests {
     }
 
     #[test]
-    fn counting_block_expands_after_the_exact_block() {
-        let mut c = matrix();
-        c.counting_families = vec![GraphFamily::Cycle { n: 4 }];
-        c.counting_modes = vec![EngineMode::CycleOnly];
-        c.counting_max_steps = Some(99_000_000);
-        let (scenarios, _) = c.expand_with_skips();
-        // The exact product is untouched (same 36 scenarios, same indices),
-        // the counting block rides behind it: 2 workloads x 2 noises x 2
-        // schedulers x 3 seeds.
-        assert_eq!(scenarios.len(), 36 + 24);
-        let mut base = c.clone();
-        base.counting_families = vec![];
-        base.counting_modes = vec![];
-        assert_eq!(&scenarios[..36], &base.expand()[..]);
-        for s in &scenarios[36..] {
-            assert_eq!(s.cell.link_store, LinkStore::Counting);
-            assert_eq!(s.link_store, LinkStore::Counting);
-            assert_eq!(s.cell.mode, EngineMode::CycleOnly);
-            // The block's own budget, not the campaign default.
-            assert_eq!(s.max_steps, 99_000_000);
-            // The store is the id's seventh segment — counting cells can
-            // never collide with an exact cell of the same axes.
-            assert!(s.cell.id().ends_with("/counting"), "{}", s.cell.id());
-            assert_eq!(s.cell.id().split('/').count(), 7);
-        }
-        for s in &scenarios[..36] {
-            assert_eq!(s.cell.link_store, LinkStore::Exact);
-            assert_eq!(s.link_store, LinkStore::Exact);
-            assert_eq!(s.cell.id().split('/').count(), 6);
-            assert_eq!(s.max_steps, c.max_steps);
-        }
-    }
-
-    #[test]
     fn link_store_override_changes_the_engine_not_the_identity() {
         let mut c = matrix();
-        c.counting_families = vec![GraphFamily::Cycle { n: 4 }];
-        c.counting_modes = vec![EngineMode::CycleOnly];
         let plain = c.expand();
+        assert!(plain.iter().all(|s| s.link_store == LinkStore::Exact));
         c.link_store_override = Some(LinkStore::Counting);
         let forced = c.expand();
         // Identity is untouched: same cells, same ids, same indices...
         assert_eq!(plain.len(), forced.len());
         for (p, f) in plain.iter().zip(&forced) {
             assert_eq!(p.cell, f.cell);
+            assert_eq!(p.id(), f.id());
             assert_eq!(p.index, f.index);
-            // ...only the effective engine store differs.
+            assert_eq!(p.max_steps, f.max_steps);
+            // ...only the engine store differs.
             assert_eq!(f.link_store, LinkStore::Counting);
         }
         c.link_store_override = Some(LinkStore::Exact);
-        let forced_exact = c.expand();
-        assert!(forced_exact
-            .iter()
-            .all(|s| s.link_store == LinkStore::Exact));
-        // Counting-authored cells keep their counting identity even when
-        // forced onto the exact engine (the equivalence gate's direction).
-        assert!(forced_exact
-            .iter()
-            .any(|s| s.cell.link_store == LinkStore::Counting));
+        assert_eq!(c.expand(), plain);
     }
 
     #[test]

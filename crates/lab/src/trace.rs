@@ -153,18 +153,10 @@ pub fn run_trace(
     campaign: &Campaign,
     opts: TraceOptions,
 ) -> Result<(TraceReport, Vec<CellTiming>), LabError> {
-    let (scenarios, skipped) = campaign.expand_with_skips();
+    let (mut firsts, skipped) = campaign.expand_with_skips();
     // One representative run per cell: expansion lists each cell's seeds
-    // contiguously, so the first occurrence of a cell id is its first seed.
-    let mut seen: Vec<String> = Vec::new();
-    let mut firsts: Vec<Scenario> = Vec::new();
-    for s in scenarios {
-        let id = s.cell.id();
-        if !seen.contains(&id) {
-            seen.push(id);
-            firsts.push(s);
-        }
-    }
+    // as one contiguous block, so its first scenario is its first seed.
+    firsts.dedup_by(|a, b| a.cell == b.cell);
     if firsts.is_empty() {
         return Err(LabError::EmptyCampaign);
     }

@@ -278,6 +278,9 @@ fn merge_detects_a_missing_shard() {
         .collect();
     let err = merge_reports(&reports).unwrap_err();
     assert!(err.contains("incomplete"), "{err}");
+    // The first cell after the hole (shard 2's first) is named in full.
+    let after_hole = reports[1].cells[0].cell_id();
+    assert!(err.contains(&format!("`{after_hole}`")), "{err}");
 }
 
 #[test]

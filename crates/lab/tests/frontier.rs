@@ -23,7 +23,6 @@ fn small_spec(name: &str) -> FrontierSpec {
         families: vec![GraphFamily::Figure3, GraphFamily::Cycle { n: 4 }],
         modes: vec![EngineMode::Full],
         workloads: vec![WorkloadSpec::Flood { payload_bytes: 2 }],
-        encoding: fdn_lab::EncodingSpec::Binary,
         scheduler: SchedulerSpec::Random,
         seeds: SeedRange { start: 1, count: 2 },
         max_steps: 2_000_000,

@@ -27,7 +27,6 @@ fn figure3_cell(mode: EngineMode) -> Cell {
         workload: WorkloadSpec::Flood { payload_bytes: 3 },
         noise: NoiseSpec::FullCorruption,
         scheduler: SchedulerSpec::Random,
-        link_store: fdn_netsim::LinkStore::Exact,
     }
 }
 
@@ -38,7 +37,7 @@ fn scenario(cell: Cell, seed: u64, construction_seed: u64) -> Scenario {
         seed,
         construction_seed,
         max_steps: 2_000_000,
-        link_store: cell.link_store,
+        link_store: fdn_netsim::LinkStore::Exact,
     }
 }
 
