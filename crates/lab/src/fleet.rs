@@ -98,18 +98,10 @@ impl FleetPlan {
                     count: shard_count,
                 };
                 let slice = shard_slice(&scenarios, shard);
-                let mut cell_count = 0usize;
-                let mut current = None;
-                for s in &slice {
-                    if current != Some(s.cell) {
-                        current = Some(s.cell);
-                        cell_count += 1;
-                    }
-                }
                 ShardPlan {
                     shard,
                     scenario_count: slice.len(),
-                    cell_count,
+                    cell_count: slice.chunk_by(|a, b| a.cell == b.cell).count(),
                 }
             })
             .collect();
@@ -332,17 +324,7 @@ mod tests {
     fn more_shards_than_cells_leaves_empty_tails() {
         let campaign = quick();
         let (scenarios, _) = campaign.expand_with_skips();
-        let cells = {
-            let mut n = 0usize;
-            let mut cur = None;
-            for s in &scenarios {
-                if cur != Some(s.cell) {
-                    cur = Some(s.cell);
-                    n += 1;
-                }
-            }
-            n
-        };
+        let cells = scenarios.chunk_by(|a, b| a.cell == b.cell).count();
         let plan = FleetPlan::plan(&campaign, &[], cells + 5).unwrap();
         let empty = plan.shards.iter().filter(|s| s.scenario_count == 0).count();
         assert_eq!(

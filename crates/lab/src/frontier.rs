@@ -3,8 +3,8 @@
 //! PR 2's fixed `omission(k)` sweep shows *that* the Theorem 2 construction
 //! breaks once the paper's no-deletion assumption is violated; it cannot say
 //! *how close* each (family, mode, workload) cell sits to the cliff. This
-//! module turns the frontier table into a frontier **curve**: for every cell
-//! of a [`FrontierSpec`], [`run_frontier`] bisects over the omission drop
+//! module turns the frontier table into a frontier **curve**: for every such
+//! cell of a [`Campaign`], [`run_frontier`] bisects over the omission drop
 //! rate (the per-mille axis of [`NoiseSpec::Omission`]) to find the smallest
 //! rate that breaks the cell's success predicate.
 //!
@@ -19,7 +19,7 @@
 //! bisection step — the probe then measures where the *online* phase breaks
 //! under deletion. A probe **holds** when
 //! every seed succeeds; the bisection maintains a `(holds, breaks]` bracket
-//! and narrows it to the spec's resolution. Because equal-seed
+//! and narrows it to the requested resolution. Because equal-seed
 //! [`fdn_netsim::Omission`] models are coupled across rates (one
 //! rate-independent uniform draw per delivery), per-seed verdicts move
 //! smoothly along the axis instead of being independently re-randomized at
@@ -42,9 +42,7 @@ use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use fdn_graph::{connectivity, GraphFamily};
-use fdn_netsim::{LinkStore, NoiseSpec, SchedulerSpec};
-use fdn_protocols::WorkloadSpec;
+use fdn_netsim::NoiseSpec;
 
 use crate::cache::Caches;
 use crate::diff::{CellChange, CellDelta, ReportDiff};
@@ -52,31 +50,15 @@ use crate::error::LabError;
 use crate::json::Json;
 use crate::report::{md_cell, push_skipped_markdown, skipped_from_json, skipped_to_json};
 use crate::runner::{run_scenario_with, CellTiming};
-use crate::spec::{
-    skip_reason, Campaign, Cell, EncodingSpec, EngineMode, Scenario, SeedRange, SkippedCell,
-};
+use crate::spec::{Campaign, Cell, EncodingSpec, Scenario, SkippedCell};
 
 /// Human description of the probe axis, recorded in every report.
 pub const FRONTIER_AXIS: &str = "omission drop rate (per mille)";
 
-/// The declarative input of one frontier search.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontierSpec {
-    /// Report name.
-    pub name: String,
-    /// Graph families to chart.
-    pub families: Vec<GraphFamily>,
-    /// Engine modes to chart.
-    pub modes: Vec<EngineMode>,
-    /// Workloads to chart (every probe runs the binary encoding: unary
-    /// cannot tolerate deletion noise).
-    pub workloads: Vec<WorkloadSpec>,
-    /// Delivery scheduler of every probe.
-    pub scheduler: SchedulerSpec,
-    /// Seeds replicated at every probe rate.
-    pub seeds: SeedRange,
-    /// Per-scenario delivery limit.
-    pub max_steps: u64,
+/// The probe axis of a frontier search; the cells, seeds, step budget,
+/// scheduler and link store come from the [`Campaign`] it runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrontierOptions {
     /// Upper end of the probe axis, in per mille (at most 1000).
     pub max_rate: u16,
     /// Target bracket width, in per mille (at least 1): bisection stops once
@@ -87,56 +69,14 @@ pub struct FrontierSpec {
     pub verify_probes: u16,
 }
 
-impl FrontierSpec {
-    /// Derives the frontier search of a campaign: its (family, mode,
-    /// workload) cells, its seed range and step budget, its first scheduler —
-    /// and the default axis (full per-mille range, bracket width 8, three
-    /// verification probes).
-    pub fn from_campaign(campaign: &Campaign) -> FrontierSpec {
-        FrontierSpec {
-            name: campaign.name.clone(),
-            families: campaign.families.clone(),
-            modes: campaign.modes.clone(),
-            workloads: campaign.workloads.clone(),
-            scheduler: campaign
-                .schedulers
-                .first()
-                .copied()
-                .unwrap_or(SchedulerSpec::Random),
-            seeds: campaign.seeds,
-            max_steps: campaign.max_steps,
+impl Default for FrontierOptions {
+    /// The full per-mille axis, bracket width 8, three verification probes.
+    fn default() -> Self {
+        FrontierOptions {
             max_rate: 1000,
             resolution: 8,
             verify_probes: 3,
         }
-    }
-
-    /// The frontier search of a named campaign preset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LabError::Usage`] for unknown preset names.
-    pub fn preset(name: &str) -> Result<FrontierSpec, LabError> {
-        Ok(FrontierSpec::from_campaign(&Campaign::preset(name)?))
-    }
-
-    fn validate(&self) -> Result<(), LabError> {
-        if self.max_rate == 0 || self.max_rate > 1000 {
-            return Err(LabError::Usage(
-                "frontier max rate must be in 1..=1000 per mille".into(),
-            ));
-        }
-        if self.resolution == 0 {
-            return Err(LabError::Usage(
-                "frontier resolution must be at least 1 per mille".into(),
-            ));
-        }
-        if self.seeds.count == 0 {
-            return Err(LabError::Usage(
-                "frontier needs at least one seed per probe".into(),
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -147,7 +87,7 @@ pub enum FrontierStatus {
     /// before any deletion happens; nothing to bisect).
     BreaksAtZero,
     /// The smallest breaking rate lies in `(lower, upper]`, bracketed to the
-    /// spec's resolution.
+    /// requested resolution.
     Bracketed,
     /// The predicate still holds at the top of the axis; no breaking rate
     /// `<= max_rate` exists.
@@ -284,9 +224,9 @@ pub struct FrontierReport {
 /// rendered in ascending order.
 struct CellProber<'a> {
     caches: &'a Caches,
-    spec: &'a FrontierSpec,
-    /// The probed cell; each probe replaces its noise with the probe rate.
-    cell: Cell,
+    /// The cell's seed block of the campaign expansion; each probe replaces
+    /// its noise with the probe rate.
+    block: &'a [Scenario],
     memo: BTreeMap<u16, FrontierProbe>,
 }
 
@@ -298,24 +238,15 @@ impl CellProber<'_> {
         if let Some(&p) = self.memo.get(&rate) {
             return p;
         }
-        let cell = Cell {
-            noise: NoiseSpec::Omission {
-                drop_per_mille: rate,
-            },
-            ..self.cell
+        let noise = NoiseSpec::Omission {
+            drop_per_mille: rate,
         };
         let scenarios: Vec<Scenario> = self
-            .spec
-            .seeds
+            .block
             .iter()
-            .enumerate()
-            .map(|(index, seed)| Scenario {
-                index,
-                cell,
-                seed,
-                construction_seed: self.spec.seeds.start,
-                max_steps: self.spec.max_steps,
-                link_store: LinkStore::Exact,
+            .map(|s| Scenario {
+                cell: Cell { noise, ..s.cell },
+                ..*s
             })
             .collect();
         let runs = scenarios.len() as u32;
@@ -340,31 +271,24 @@ impl CellProber<'_> {
     }
 }
 
-/// Bisects one cell to its breaking-rate bracket, then runs the
-/// non-monotonicity verification sweep.
-fn bisect_cell(
-    caches: &Caches,
-    spec: &FrontierSpec,
-    cell: Cell,
-    nodes: usize,
-    edges: usize,
-) -> FrontierCell {
+/// Bisects one cell (its seed block of the campaign expansion) to its
+/// breaking-rate bracket, then runs the non-monotonicity verification sweep.
+fn bisect_cell(caches: &Caches, block: &[Scenario], opts: FrontierOptions) -> FrontierCell {
     let mut prober = CellProber {
         caches,
-        spec,
-        cell,
+        block,
         memo: BTreeMap::new(),
     };
     let (status, lower, upper) = if !prober.holds(0) {
         (FrontierStatus::BreaksAtZero, 0, 0)
-    } else if prober.holds(spec.max_rate) {
-        (FrontierStatus::NeverBreaks, spec.max_rate, spec.max_rate)
+    } else if prober.holds(opts.max_rate) {
+        (FrontierStatus::NeverBreaks, opts.max_rate, opts.max_rate)
     } else {
         // Invariant: holds(lo) && !holds(hi). Integer bisection narrows the
         // bracket to the resolution in ceil(log2(max_rate / resolution))
         // probes.
-        let (mut lo, mut hi) = (0u16, spec.max_rate);
-        while hi - lo > spec.resolution {
+        let (mut lo, mut hi) = (0u16, opts.max_rate);
+        while hi - lo > opts.resolution {
             let mid = lo + (hi - lo) / 2;
             if prober.holds(mid) {
                 lo = mid;
@@ -379,10 +303,10 @@ fn bisect_cell(
     // evenly spaced rates in (upper, max_rate); any that holds marks the
     // cell non-monotone instead of being silently bisected over.
     if status == FrontierStatus::Bracketed {
-        let span = u32::from(spec.max_rate - upper);
-        for i in 1..=u32::from(spec.verify_probes) {
-            let rate = upper + (span * i / (u32::from(spec.verify_probes) + 1)) as u16;
-            if rate > upper && rate < spec.max_rate {
+        let span = u32::from(opts.max_rate - upper);
+        for i in 1..=u32::from(opts.verify_probes) {
+            let rate = upper + (span * i / (u32::from(opts.verify_probes) + 1)) as u16;
+            if rate > upper && rate < opts.max_rate {
                 prober.probe(rate);
             }
         }
@@ -399,12 +323,17 @@ fn bisect_cell(
             reappear_rates.push(p.rate);
         }
     }
+    let cell = block[0].cell;
+    let topo = caches
+        .topology
+        .get(cell.family)
+        .expect("campaign expansion built this family");
     FrontierCell {
         family: cell.family.label(),
         mode: cell.mode.label(),
         workload: cell.workload.label(),
-        nodes,
-        edges,
+        nodes: topo.graph.node_count(),
+        edges: topo.graph.edge_count(),
         status,
         lower,
         upper,
@@ -414,84 +343,70 @@ fn bisect_cell(
     }
 }
 
-/// Runs the full frontier search: every eligible (family, mode, workload)
-/// cell is bisected to its breaking-rate bracket, drawing shared work from
-/// `caches` (the hook through which `--store DIR` threads a persistent
-/// checkpoint store under the replay tier; the caches only accelerate).
-/// Ineligible combinations (the family fails to build, or campaign
-/// expansion's eligibility rules reject the cell) are skipped with recorded
-/// reasons, exactly like campaign expansion.
+/// Runs the full frontier search over `campaign`: each (family, mode,
+/// workload) cell is probed with the binary encoding (unary cannot tolerate
+/// deletion), the campaign's first scheduler, seeds, step budget and link
+/// store, and bisected to its breaking-rate bracket on the `opts` axis. The
+/// cells are the seed blocks of the campaign's own expansion, so ineligible
+/// combinations are skipped with the same reasons and six-axis ids as in
+/// every other report. Shared work is drawn from `caches` (the hook through
+/// which `--store DIR` threads a persistent checkpoint store under the
+/// replay tier; the caches only accelerate).
 ///
-/// Deterministic: same spec, same report bytes, independent of thread count.
-/// Alongside the report comes one [`CellTiming`] per bisected cell, in
-/// report order — the only place wall time goes.
+/// Deterministic: same campaign and options, same report bytes, independent
+/// of thread count. Alongside the report comes one [`CellTiming`] per
+/// bisected cell, in report order — the only place wall time goes.
 ///
 /// # Errors
 ///
-/// Returns [`LabError::Usage`] for invalid axis parameters and
-/// [`LabError::EmptyCampaign`] if no cell is eligible.
+/// Returns [`LabError::Usage`] for invalid axis parameters or a campaign
+/// without seeds, and [`LabError::EmptyCampaign`] if no cell is eligible.
 pub fn run_frontier(
     caches: &Caches,
-    spec: &FrontierSpec,
+    campaign: &Campaign,
+    opts: FrontierOptions,
 ) -> Result<(FrontierReport, Vec<CellTiming>), LabError> {
-    spec.validate()?;
+    if opts.max_rate == 0 || opts.max_rate > 1000 {
+        return Err(LabError::Usage(
+            "frontier max rate must be in 1..=1000 per mille".into(),
+        ));
+    }
+    if opts.resolution == 0 {
+        return Err(LabError::Usage(
+            "frontier resolution must be at least 1 per mille".into(),
+        ));
+    }
+    if campaign.seeds.count == 0 {
+        return Err(LabError::Usage(
+            "frontier needs at least one seed per probe".into(),
+        ));
+    }
+    let mut probed = campaign.clone();
+    probed.encodings = vec![EncodingSpec::Binary];
+    probed.noises = vec![NoiseSpec::Omission { drop_per_mille: 0 }];
+    probed.schedulers.truncate(1);
+    let (scenarios, skipped) = probed.expand_with_skips();
     let mut cells = Vec::new();
-    let mut timings: Vec<CellTiming> = Vec::new();
-    let mut skipped: Vec<SkippedCell> = Vec::new();
-    let skip = |cell: String, reason: String, skipped: &mut Vec<SkippedCell>| {
-        if !skipped.iter().any(|s| s.cell == cell) {
-            skipped.push(SkippedCell { cell, reason });
-        }
-    };
-    for &family in &spec.families {
-        let topo = match caches.topology.get(family) {
-            Ok(t) => t,
-            Err(e) => {
-                skip(
-                    family.label(),
-                    format!("family does not build: {e}"),
-                    &mut skipped,
-                );
-                continue;
-            }
-        };
-        let graph = &topo.graph;
-        let two_ec = connectivity::is_two_edge_connected(graph);
-        for &mode in &spec.modes {
-            for &workload in &spec.workloads {
-                let id = format!("{family}/{mode}/{workload}");
-                let cell = Cell {
-                    family,
-                    mode,
-                    encoding: EncodingSpec::Binary,
-                    workload,
-                    noise: NoiseSpec::Omission { drop_per_mille: 0 },
-                    scheduler: spec.scheduler,
-                };
-                if let Some(reason) = skip_reason(&cell, graph, two_ec) {
-                    skip(id, reason, &mut skipped);
-                    continue;
-                }
-                let watch = crate::timing::Stopwatch::start();
-                let cell = bisect_cell(caches, spec, cell, graph.node_count(), graph.edge_count());
-                timings.push(CellTiming {
-                    cell: id,
-                    wall_ms: watch.elapsed_ms(),
-                    runs: cell.probes.iter().map(|p| p.runs as usize).sum(),
-                });
-                cells.push(cell);
-            }
-        }
+    let mut timings = Vec::new();
+    for block in scenarios.chunk_by(|a, b| a.cell == b.cell) {
+        let watch = crate::timing::Stopwatch::start();
+        let cell = bisect_cell(caches, block, opts);
+        timings.push(CellTiming {
+            cell: cell.cell_id(),
+            wall_ms: watch.elapsed_ms(),
+            runs: cell.probes.iter().map(|p| p.runs as usize).sum(),
+        });
+        cells.push(cell);
     }
     if cells.is_empty() {
         return Err(LabError::EmptyCampaign);
     }
     Ok((
         FrontierReport {
-            name: spec.name.clone(),
-            max_rate: spec.max_rate,
-            resolution: spec.resolution,
-            seeds_per_cell: spec.seeds.count,
+            name: campaign.name.clone(),
+            max_rate: opts.max_rate,
+            resolution: opts.resolution,
+            seeds_per_cell: campaign.seeds.count,
             skipped,
             cells,
         },
@@ -579,31 +494,13 @@ impl FrontierReport {
     ///
     /// Returns a description of the first structural problem.
     pub fn from_json(j: &Json) -> Result<FrontierReport, String> {
-        let name = j
-            .get("frontier")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "field `frontier` missing".to_string())?
-            .to_string();
-        let num = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("field `{k}` missing"))
-        };
-        let skipped = skipped_from_json(j)?;
-        let cells = j
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "field `cells` missing".to_string())?
-            .iter()
-            .map(FrontierCell::from_json)
-            .collect::<Result<Vec<_>, String>>()?;
         Ok(FrontierReport {
-            name,
-            max_rate: num("max_rate")? as u16,
-            resolution: num("resolution")? as u16,
-            seeds_per_cell: num("seeds_per_cell")? as u32,
-            skipped,
-            cells,
+            name: j.str_field("frontier")?,
+            max_rate: j.int_field("max_rate")?,
+            resolution: j.int_field("resolution")?,
+            seeds_per_cell: j.int_field("seeds_per_cell")?,
+            skipped: skipped_from_json(j)?,
+            cells: j.arr_field("cells", FrontierCell::from_json)?,
         })
     }
 
@@ -718,62 +615,24 @@ impl FrontierReport {
 
 impl FrontierCell {
     fn from_json(j: &Json) -> Result<FrontierCell, String> {
-        let s = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("frontier cell field `{k}` missing"))
-        };
-        let n = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("frontier cell field `{k}` missing"))
-        };
-        let rates = |k: &str| -> Result<Vec<u16>, String> {
-            j.get(k)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("frontier cell field `{k}` missing"))?
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .map(|r| r as u16)
-                        .ok_or_else(|| format!("frontier cell field `{k}` holds a non-number"))
-                })
-                .collect()
-        };
-        let probes = j
-            .get("probes")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "frontier cell field `probes` missing".to_string())?
-            .iter()
-            .map(|p| {
-                let f = |k: &str| {
-                    p.get(k)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("probe field `{k}` missing"))
-                };
-                Ok(FrontierProbe {
-                    rate: f("rate")? as u16,
-                    successes: f("successes")? as u32,
-                    runs: f("runs")? as u32,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         Ok(FrontierCell {
-            family: s("family")?,
-            mode: s("mode")?,
-            workload: s("workload")?,
-            nodes: n("nodes")? as usize,
-            edges: n("edges")? as usize,
-            status: FrontierStatus::parse(&s("status")?)?,
-            lower: n("lower")? as u16,
-            upper: n("upper")? as u16,
-            monotone: match j.get("monotone") {
-                Some(Json::Bool(b)) => *b,
-                _ => return Err("frontier cell field `monotone` missing".to_string()),
-            },
-            reappear_rates: rates("reappear_rates")?,
-            probes,
+            family: j.str_field("family")?,
+            mode: j.str_field("mode")?,
+            workload: j.str_field("workload")?,
+            nodes: j.int_field("nodes")?,
+            edges: j.int_field("edges")?,
+            status: FrontierStatus::parse(&j.str_field("status")?)?,
+            lower: j.int_field("lower")?,
+            upper: j.int_field("upper")?,
+            monotone: j.bool_field("monotone")?,
+            reappear_rates: j.arr_field("reappear_rates", Json::int)?,
+            probes: j.arr_field("probes", |p| {
+                Ok(FrontierProbe {
+                    rate: p.int_field("rate")?,
+                    successes: p.int_field("successes")?,
+                    runs: p.int_field("runs")?,
+                })
+            })?,
         })
     }
 }
@@ -943,28 +802,38 @@ pub fn diff_frontier_reports(
 mod tests {
     use super::*;
 
-    fn run_frontier(spec: &FrontierSpec) -> Result<FrontierReport, LabError> {
-        super::run_frontier(&Caches::new(), spec).map(|(report, _)| report)
+    use fdn_graph::GraphFamily;
+    use fdn_netsim::LinkStore;
+    use fdn_protocols::WorkloadSpec;
+
+    use crate::spec::SeedRange;
+
+    fn run_frontier(
+        campaign: &Campaign,
+        opts: FrontierOptions,
+    ) -> Result<FrontierReport, LabError> {
+        super::run_frontier(&Caches::new(), campaign, opts).map(|(report, _)| report)
     }
 
-    fn tiny_spec() -> FrontierSpec {
-        FrontierSpec {
-            name: "unit".to_string(),
-            families: vec![GraphFamily::Figure3],
-            modes: vec![EngineMode::Full],
+    /// One figure-3 full-mode flood cell, two seeds.
+    fn tiny_campaign() -> Campaign {
+        Campaign {
             workloads: vec![WorkloadSpec::Flood { payload_bytes: 2 }],
-            scheduler: SchedulerSpec::Random,
             seeds: SeedRange { start: 1, count: 2 },
             max_steps: 2_000_000,
-            max_rate: 1000,
-            resolution: 64,
-            verify_probes: 2,
+            ..Campaign::new("unit")
         }
     }
 
+    const COARSE: FrontierOptions = FrontierOptions {
+        max_rate: 1000,
+        resolution: 64,
+        verify_probes: 2,
+    };
+
     #[test]
     fn frontier_brackets_a_breaking_rate_on_figure3() {
-        let report = run_frontier(&tiny_spec()).unwrap();
+        let report = run_frontier(&tiny_campaign(), COARSE).unwrap();
         assert_eq!(report.cells.len(), 1);
         let cell = &report.cells[0];
         // The construction survives rate 0 (Theorem 2) and dies by 1000‰.
@@ -985,9 +854,8 @@ mod tests {
 
     #[test]
     fn frontier_report_is_deterministic_and_roundtrips() {
-        let spec = tiny_spec();
-        let a = run_frontier(&spec).unwrap();
-        let b = run_frontier(&spec).unwrap();
+        let a = run_frontier(&tiny_campaign(), COARSE).unwrap();
+        let b = run_frontier(&tiny_campaign(), COARSE).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.to_json_string(), b.to_json_string());
         assert_eq!(a.to_csv(), b.to_csv());
@@ -998,18 +866,32 @@ mod tests {
     }
 
     #[test]
+    fn probes_follow_the_campaign_link_store() {
+        // The store is an engine choice: the counting store's probes must
+        // reproduce the exact store's report, bytes included.
+        let exact = run_frontier(&tiny_campaign(), COARSE).unwrap();
+        let counting = Campaign {
+            link_store_override: Some(LinkStore::Counting),
+            ..tiny_campaign()
+        };
+        let counting = run_frontier(&counting, COARSE).unwrap();
+        assert_eq!(counting, exact);
+        assert_eq!(counting.to_json_string(), exact.to_json_string());
+    }
+
+    #[test]
     fn ineligible_cells_are_skipped_with_reasons() {
-        let mut spec = tiny_spec();
-        spec.families = vec![
+        let mut campaign = tiny_campaign();
+        campaign.families = vec![
             GraphFamily::Figure3,
             GraphFamily::Path { n: 4 },  // not 2EC
             GraphFamily::Cycle { n: 2 }, // does not build
         ];
-        spec.workloads = vec![
+        campaign.workloads = vec![
             WorkloadSpec::Flood { payload_bytes: 2 },
             WorkloadSpec::TokenRing, // unsupported on figure3
         ];
-        let report = run_frontier(&spec).unwrap();
+        let report = run_frontier(&campaign, COARSE).unwrap();
         assert_eq!(report.cells.len(), 1);
         assert!(report
             .skipped
@@ -1019,40 +901,66 @@ mod tests {
             .skipped
             .iter()
             .any(|s| s.cell == "cycle(2)" && s.reason.contains("does not build")));
-        assert!(report
-            .skipped
-            .iter()
-            .any(|s| s.cell.contains("token-ring") && s.reason.contains("unsupported")));
+        // Skip ids are the six-axis cell ids of every other report.
+        assert!(report.skipped.iter().any(|s| s.cell
+            == "figure3/full/binary/token-ring/omission(0)/random"
+            && s.reason.contains("unsupported")));
     }
 
     #[test]
     fn empty_or_invalid_specs_are_errors() {
-        let mut spec = tiny_spec();
-        spec.families = vec![GraphFamily::Path { n: 4 }];
-        assert!(matches!(run_frontier(&spec), Err(LabError::EmptyCampaign)));
-        let mut bad = tiny_spec();
-        bad.resolution = 0;
-        assert!(matches!(run_frontier(&bad), Err(LabError::Usage(_))));
-        let mut bad = tiny_spec();
-        bad.max_rate = 1001;
-        assert!(matches!(run_frontier(&bad), Err(LabError::Usage(_))));
-        let mut bad = tiny_spec();
-        bad.seeds.count = 0;
-        assert!(matches!(run_frontier(&bad), Err(LabError::Usage(_))));
+        let mut campaign = tiny_campaign();
+        campaign.families = vec![GraphFamily::Path { n: 4 }];
+        assert!(matches!(
+            run_frontier(&campaign, COARSE),
+            Err(LabError::EmptyCampaign)
+        ));
+        for bad in [
+            FrontierOptions {
+                resolution: 0,
+                ..COARSE
+            },
+            FrontierOptions {
+                max_rate: 1001,
+                ..COARSE
+            },
+        ] {
+            assert!(matches!(
+                run_frontier(&tiny_campaign(), bad),
+                Err(LabError::Usage(_))
+            ));
+        }
+        let mut seedless = tiny_campaign();
+        seedless.seeds.count = 0;
+        assert!(matches!(
+            run_frontier(&seedless, COARSE),
+            Err(LabError::Usage(_))
+        ));
     }
 
     #[test]
-    fn from_campaign_inherits_the_cell_axes() {
-        let campaign = Campaign::preset("quick").unwrap();
-        let spec = FrontierSpec::from_campaign(&campaign);
-        assert_eq!(spec.families, campaign.families);
-        assert_eq!(spec.modes, campaign.modes);
-        assert_eq!(spec.workloads, campaign.workloads);
-        assert_eq!(spec.seeds, campaign.seeds);
-        assert_eq!(spec.scheduler, campaign.schedulers[0]);
-        assert_eq!(spec.max_rate, 1000);
-        assert_eq!(spec.resolution, 8);
-        assert!(FrontierSpec::preset("warp").is_err());
+    fn one_cell_per_family_mode_and_workload() {
+        // Encodings, noises and every scheduler but the first are not probe
+        // axes: a preset sweeping several noises and two schedulers still
+        // yields one cell per (family, mode, workload), probed on its first
+        // scheduler.
+        let mut campaign = Campaign::preset("quick").unwrap();
+        campaign.families = vec![GraphFamily::Figure3, GraphFamily::Cycle { n: 4 }];
+        assert!(campaign.noises.len() > 1 && campaign.schedulers.len() == 2);
+        let axis = FrontierOptions {
+            resolution: 500,
+            verify_probes: 0,
+            ..FrontierOptions::default()
+        };
+        let report = run_frontier(&campaign, axis).unwrap();
+        let mut ids: Vec<String> = report.cells.iter().map(FrontierCell::cell_id).collect();
+        let expected = campaign.families.len() * campaign.modes.len() * campaign.workloads.len();
+        assert_eq!(ids.len() + report.skipped.len(), expected);
+        ids.sort();
+        ids.dedup();
+        assert_eq!(ids.len(), report.cells.len());
+        campaign.schedulers.truncate(1);
+        assert_eq!(run_frontier(&campaign, axis).unwrap(), report);
     }
 
     #[test]
@@ -1235,6 +1143,19 @@ mod tests {
         let good = report("r", vec![cell(FrontierStatus::Bracketed, 40, 48, true)]);
         let mangled = good.to_json_string().replace("bracketed", "sideways");
         assert!(FrontierReport::from_json_str(&mangled).is_err());
+        // Numbers a field's type cannot hold are errors naming the field,
+        // never wrapped (66536 as u16 would read back as 1000).
+        for (from, to, key) in [
+            ("\"max_rate\": 1000", "\"max_rate\": 66536", "max_rate"),
+            ("\"rate\": 0", "\"rate\": 70000", "rate"),
+        ] {
+            let tampered = good.to_json_string().replacen(from, to, 1);
+            let err = FrontierReport::from_json_str(&tampered).unwrap_err();
+            assert!(
+                err.contains(&format!("field `{key}` is not an integer in range")),
+                "{err}"
+            );
+        }
         // A campaign report is *not* a frontier report.
         assert!(
             FrontierReport::from_json_str("{\n  \"campaign\": \"quick\",\n  \"cells\": []\n}")

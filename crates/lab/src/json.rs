@@ -61,9 +61,14 @@ impl Json {
         }
     }
 
-    /// The numeric value truncated to `u64`, if `self` is a number.
+    /// The numeric value, if `self` is a whole number in `0..=2^53` — the
+    /// range an `f64` holds exactly. Fractions, negatives and larger values
+    /// are `None`, never truncated.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().map(|x| x as u64)
+        const EXACT: f64 = 9_007_199_254_740_992.0;
+        self.as_f64()
+            .filter(|x| x.fract() == 0.0 && (0.0..=EXACT).contains(x))
+            .map(|x| x as u64)
     }
 
     /// The string value, if `self` is a string.
@@ -80,6 +85,80 @@ impl Json {
             Json::Arr(items) => Some(items),
             _ => None,
         }
+    }
+
+    /// The value as an integer of type `T`: a whole number (see
+    /// [`Json::as_u64`]) that `T` holds, else an error saying so.
+    pub(crate) fn int<T: TryFrom<u64>>(&self) -> Result<T, String> {
+        self.as_u64()
+            .and_then(|x| T::try_from(x).ok())
+            .ok_or_else(|| "is not an integer in range".to_string())
+    }
+
+    /// The value as an owned string, else an error saying so.
+    pub(crate) fn string(&self) -> Result<String, String> {
+        self.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "is not a string".to_string())
+    }
+
+    /// The value at `key` of an object, else the error "field `KEY`
+    /// missing" — the checked reader every saved-document parser goes
+    /// through, as do the typed `*_field` readers below, whose errors name
+    /// the field too.
+    pub fn field(&self, key: &str) -> Result<&Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("field `{key}` missing"))
+    }
+
+    fn field_as<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json) -> Result<T, String>,
+    ) -> Result<T, String> {
+        read(self.field(key)?).map_err(|e| format!("field `{key}` {e}"))
+    }
+
+    /// The string field `key`.
+    pub fn str_field(&self, key: &str) -> Result<String, String> {
+        self.field_as(key, Json::string)
+    }
+
+    /// The integer field `key`: a whole number (see [`Json::as_u64`]) that
+    /// `T` holds, never truncated or wrapped.
+    pub fn int_field<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        self.field_as(key, Json::int)
+    }
+
+    /// The numeric field `key`.
+    pub fn num_field(&self, key: &str) -> Result<f64, String> {
+        self.field_as(key, |v| {
+            v.as_f64().ok_or_else(|| "is not a number".to_string())
+        })
+    }
+
+    /// The boolean field `key`.
+    pub fn bool_field(&self, key: &str) -> Result<bool, String> {
+        self.field_as(key, |v| match v {
+            Json::Bool(b) => Ok(*b),
+            _ => Err("is not a boolean".to_string()),
+        })
+    }
+
+    /// The array field `key`, each element converted by `item`; an element's
+    /// error names the field and index (`` `cells[3]` ``).
+    pub fn arr_field<T>(
+        &self,
+        key: &str,
+        item: impl Fn(&Json) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.field_as(key, |v| {
+            v.as_arr().ok_or_else(|| "is not an array".to_string())
+        })?
+        .iter()
+        .enumerate()
+        .map(|(i, v)| item(v).map_err(|e| format!("`{key}[{i}]` {e}")))
+        .collect()
     }
 
     /// Renders the document with 2-space indentation and a trailing newline.
@@ -455,6 +534,38 @@ mod tests {
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("hi"));
         assert!(doc.get("nope").is_none());
         assert_eq!(Json::Arr(vec![]).as_arr(), Some(&[][..]));
+    }
+
+    #[test]
+    fn integers_are_read_exactly_or_not_at_all() {
+        for bad in [2.5, -1.0, 18_446_744_073_709_551_616.0, f64::NAN] {
+            assert_eq!(Json::Num(bad).as_u64(), None, "{bad}");
+        }
+        assert_eq!(Json::Num(0.0).as_u64(), Some(0));
+        assert_eq!(Json::Num(9_007_199_254_740_992.0).as_u64(), Some(1 << 53));
+        let doc =
+            Json::parse(r#"{"n": 70000, "f": 2.9, "s": "x", "b": true, "a": [1, -7]}"#).unwrap();
+        assert_eq!(doc.int_field::<u32>("n"), Ok(70_000));
+        for key in ["n", "f", "s"] {
+            let err = format!("field `{key}` is not an integer in range");
+            assert_eq!(doc.int_field::<u16>(key), Err(err));
+        }
+        assert_eq!(
+            doc.int_field::<u16>("nope"),
+            Err("field `nope` missing".into())
+        );
+        assert_eq!(doc.str_field("s").as_deref(), Ok("x"));
+        assert_eq!(doc.str_field("b").unwrap_err(), "field `b` is not a string");
+        assert_eq!(doc.bool_field("b"), Ok(true));
+        assert_eq!(doc.num_field("f"), Ok(2.9));
+        assert_eq!(
+            doc.arr_field("a", Json::int::<u8>).unwrap_err(),
+            "`a[1]` is not an integer in range"
+        );
+        assert_eq!(
+            doc.arr_field("n", Json::int::<u8>).unwrap_err(),
+            "field `n` is not an array"
+        );
     }
 
     #[test]

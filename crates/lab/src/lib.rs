@@ -27,16 +27,20 @@
 //!    subcommand exits non-zero on regression), turning `lab-out/` into a
 //!    CI regression gate.
 //! 6. **Chart** the deletion frontier: [`run_frontier`] bisects the omission
-//!    drop-rate axis per (family, mode, workload) cell to the smallest rate
-//!    that breaks it, emitting a byte-deterministic [`FrontierReport`] that
-//!    is regression-gateable through the same diff core
-//!    ([`diff_frontier_reports`]).
+//!    drop-rate axis ([`FrontierOptions`]) per (family, mode, workload) cell
+//!    of a campaign to the smallest rate that breaks it, emitting a
+//!    byte-deterministic [`FrontierReport`] that is regression-gateable
+//!    through the same diff core ([`diff_frontier_reports`]).
 //! 7. **Trace** one run per cell: [`run_trace`] attaches the observer layer
 //!    to each cell's first seed.
 //!
-//! Each artifact has exactly one entry point, and each takes the caches
-//! first and returns the per-cell wall-clock [`CellTiming`]s beside the
-//! report (the `--timings` sidecar; wall time never enters a report).
+//! Each artifact has exactly one entry point with the same shape — the
+//! caches, the [`Campaign`], the artifact's own options — and each returns
+//! the per-cell wall-clock [`CellTiming`]s beside the report (the
+//! `--timings` sidecar; wall time never enters a report). Every saved
+//! report parses back through one checked field reader ([`Json::field`]
+//! and its typed variants): a missing field, or a number its field's type
+//! cannot hold, is an error naming the field.
 //!
 //! Reports contain no wall-clock data and every stage is order-preserving,
 //! so two runs of the same campaign produce **byte-identical** reports
@@ -85,8 +89,8 @@ pub use diff::{diff_reports, CellChange, CellDelta, DiffTolerance, ReportDiff};
 pub use error::LabError;
 pub use fleet::{DispatchOptions, FleetOutcome, FleetPlan, ShardPlan};
 pub use frontier::{
-    diff_frontier_reports, run_frontier, FrontierCell, FrontierProbe, FrontierReport, FrontierSpec,
-    FrontierStatus, FrontierTolerance, FRONTIER_AXIS,
+    diff_frontier_reports, run_frontier, FrontierCell, FrontierOptions, FrontierProbe,
+    FrontierReport, FrontierStatus, FrontierTolerance, FRONTIER_AXIS,
 };
 pub use json::Json;
 pub use presets::PRESET_NAMES;

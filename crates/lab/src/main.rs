@@ -4,9 +4,12 @@
 //! ```text
 //! fdn-lab run [matrix flags] [--threads N] [--out DIR] [--shard K/M]
 //!              [--store DIR] [--sample-every K] [--timings PATH]
-//! fdn-lab frontier [frontier flags] [--threads N] [--out DIR] [--store DIR]
+//! fdn-lab frontier [matrix flags] [--max-rate R] [--resolution W]
+//!              [--verify-probes K] [--threads N] [--out DIR] [--store DIR]
 //!              [--timings PATH]
-//!              # bisect the omission drop-rate axis per cell
+//!              # bisect the omission drop-rate axis per (family, mode,
+//!              # workload) cell on the first scheduler; refuses
+//!              # --encodings, --noises, --shard, --sample-every
 //! fdn-lab trace [matrix flags] [--sample-every K] [--top-links K]
 //!              [--threads N] [--out DIR] [--store DIR] [--timings PATH]
 //!              # one deeply-observed run per cell:
@@ -37,9 +40,9 @@
 //!   --seeds N         seeds per cell
 //!   --seed-start K    first seed      [default: 1]
 //!   --max-steps N     delivery limit per scenario
-//!   --link-store exact|counting   (run, trace, list-scenarios) force every
-//!                     scenario onto one link-queue representation; cell ids
-//!                     and reports are unchanged (equivalence gate)
+//!   --link-store exact|counting   force every scenario onto one link-queue
+//!                     representation; cell ids and reports are unchanged
+//!                     (equivalence gate)
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -50,7 +53,7 @@ use fdn_graph::GraphFamily;
 use fdn_lab::{
     diff_frontier_reports, diff_reports, merge_reports, run_campaign, run_frontier, run_trace,
     shard_slice, Caches, Campaign, CampaignReport, CellTiming, CheckpointStore, DiffTolerance,
-    DispatchOptions, FleetPlan, FrontierReport, FrontierSpec, FrontierTolerance, Json, LabError,
+    DispatchOptions, FleetPlan, FrontierOptions, FrontierReport, FrontierTolerance, Json, LabError,
     RunOptions, Shard, Stopwatch, StoreStats, TraceOptions,
 };
 use fdn_netsim::{NoiseSpec, SchedulerSpec};
@@ -126,11 +129,10 @@ fn usage() -> String {
     \x20 --schedulers CSV                random,fifo,lifo\n\
     \x20 --seeds N / --seed-start K      seed sweep per cell\n\
     \x20 --max-steps N                   delivery limit per scenario\n\
-    \x20 --link-store exact|counting     (run, trace, list-scenarios) force\n\
-    \x20                                 every scenario onto one link-queue\n\
-    \x20                                 representation; cell ids and report\n\
-    \x20                                 bytes are unchanged (the equivalence\n\
-    \x20                                 gate compares the two runs)\n\
+    \x20 --link-store exact|counting     force every scenario onto one\n\
+    \x20                                 link-queue representation; cell ids\n\
+    \x20                                 and report bytes are unchanged (the\n\
+    \x20                                 equivalence gate compares the two)\n\
      \n\
      Execution flags:\n\
     \x20 --threads N                     worker threads [default: all cores]\n\
@@ -158,10 +160,9 @@ fn usage() -> String {
     \x20 --top-links K                   (trace) hottest links listed per cell\n\
     \x20                                 in the markdown rendering [default: 8]\n\
      \n\
-     Frontier flags (`fdn-lab frontier`, sharing --preset/--name/--families/\n\
-     --modes/--workloads/--seeds/--seed-start/--max-steps with `run`):\n\
-    \x20 --scheduler NAME                probe scheduler [default: the\n\
-    \x20                                 preset's first scheduler]\n\
+     Frontier flags (`fdn-lab frontier` takes the matrix flags too: one\n\
+     cell per family x mode x workload, probed on the first of --schedulers;\n\
+     --encodings, --noises, --shard and --sample-every are refused):\n\
     \x20 --max-rate R                    top of the probe axis, per mille\n\
     \x20                                 [default: 1000]\n\
     \x20 --resolution W                  target bracket width, per mille\n\
@@ -327,61 +328,6 @@ fn parse_preset_name(args: &[String]) -> Result<String, LabError> {
     Ok(preset)
 }
 
-/// Mutable targets of the flags `run` and `frontier` share — the matrix
-/// axes both commands sweep plus the execution flags. Keeping one handler
-/// for both commands means a parsing fix or a new shared flag cannot land
-/// in one and silently miss the other.
-struct SharedFlags<'a> {
-    name: &'a mut String,
-    families: &'a mut Vec<GraphFamily>,
-    modes: &'a mut Vec<fdn_lab::EngineMode>,
-    workloads: &'a mut Vec<WorkloadSpec>,
-    seeds: &'a mut fdn_lab::SeedRange,
-    max_steps: &'a mut u64,
-    exec: &'a mut Exec,
-}
-
-/// Applies one shared flag, returning `false` (without consuming a value)
-/// when the flag belongs to the calling command instead.
-fn apply_shared_flag(flag: &str, flags: &mut Flags, t: &mut SharedFlags) -> Result<bool, LabError> {
-    match flag {
-        "--preset" => {
-            // Consumed by the first pass ([`parse_preset_name`]).
-            let _ = flags.value(flag)?;
-        }
-        "--name" => *t.name = flags.value(flag)?.to_string(),
-        "--families" => {
-            *t.families = split_csv(flags.value(flag)?)
-                .map(|s| GraphFamily::parse(s).map_err(|e| parse_err(flag, e.to_string())))
-                .collect::<Result<_, _>>()?;
-        }
-        // `--mode replay` reads naturally for a single mode; both spellings
-        // parse the same CSV.
-        "--modes" | "--mode" => {
-            *t.modes = split_csv(flags.value(flag)?)
-                .map(|s| fdn_lab::EngineMode::parse(s).map_err(|e| parse_err(flag, e)))
-                .collect::<Result<_, _>>()?;
-        }
-        "--workloads" => {
-            *t.workloads = split_csv(flags.value(flag)?)
-                .map(|s| WorkloadSpec::parse(s).map_err(|e| parse_err(flag, e)))
-                .collect::<Result<_, _>>()?;
-        }
-        "--seeds" => {
-            t.seeds.count =
-                parse_num_bounded(flag, flags.value(flag)?, u64::from(u32::MAX))? as u32;
-        }
-        "--seed-start" => {
-            t.seeds.start = parse_num(flag, flags.value(flag)?)?;
-        }
-        "--max-steps" => {
-            *t.max_steps = parse_num(flag, flags.value(flag)?)?;
-        }
-        _ => return t.exec.apply(flag, flags),
-    }
-    Ok(true)
-}
-
 fn parse_run_args(args: &[String]) -> Result<RunArgs, LabError> {
     // Two passes: --preset decides the base, every other flag overrides.
     let mut campaign = Campaign::preset(&parse_preset_name(args)?)?;
@@ -390,22 +336,32 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, LabError> {
 
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next_flag() {
-        let mut shared = SharedFlags {
-            name: &mut campaign.name,
-            families: &mut campaign.families,
-            modes: &mut campaign.modes,
-            workloads: &mut campaign.workloads,
-            seeds: &mut campaign.seeds,
-            max_steps: &mut campaign.max_steps,
-            exec: &mut exec,
-        };
-        if apply_shared_flag(flag, &mut flags, &mut shared)? {
-            continue;
-        }
         match flag {
+            "--preset" => {
+                // Consumed by the first pass ([`parse_preset_name`]).
+                let _ = flags.value(flag)?;
+            }
+            "--name" => campaign.name = flags.value(flag)?.to_string(),
+            "--families" => {
+                campaign.families = split_csv(flags.value(flag)?)
+                    .map(|s| GraphFamily::parse(s).map_err(|e| parse_err(flag, e.to_string())))
+                    .collect::<Result<_, _>>()?;
+            }
+            // `--mode replay` reads naturally for a single mode; both
+            // spellings parse the same CSV.
+            "--modes" | "--mode" => {
+                campaign.modes = split_csv(flags.value(flag)?)
+                    .map(|s| fdn_lab::EngineMode::parse(s).map_err(|e| parse_err(flag, e)))
+                    .collect::<Result<_, _>>()?;
+            }
             "--encodings" => {
                 campaign.encodings = split_csv(flags.value(flag)?)
                     .map(|s| fdn_lab::EncodingSpec::parse(s).map_err(|e| parse_err(flag, e)))
+                    .collect::<Result<_, _>>()?;
+            }
+            "--workloads" => {
+                campaign.workloads = split_csv(flags.value(flag)?)
+                    .map(|s| WorkloadSpec::parse(s).map_err(|e| parse_err(flag, e)))
                     .collect::<Result<_, _>>()?;
             }
             "--noises" => {
@@ -418,6 +374,12 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, LabError> {
                     .map(|s| SchedulerSpec::parse(s).map_err(|e| parse_err(flag, e)))
                     .collect::<Result<_, _>>()?;
             }
+            "--seeds" => {
+                campaign.seeds.count =
+                    parse_num_bounded(flag, flags.value(flag)?, u64::from(u32::MAX))? as u32;
+            }
+            "--seed-start" => campaign.seeds.start = parse_num(flag, flags.value(flag)?)?,
+            "--max-steps" => campaign.max_steps = parse_num(flag, flags.value(flag)?)?,
             "--shard" => {
                 run.shard = Some(Shard::parse(flags.value(flag)?).map_err(|e| parse_err(flag, e))?);
             }
@@ -430,7 +392,11 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, LabError> {
                         .map_err(|e| parse_err(flag, e))?,
                 );
             }
-            other => return Err(LabError::Usage(format!("unknown flag `{other}`"))),
+            other => {
+                if !exec.apply(other, &mut flags)? {
+                    return Err(LabError::Usage(format!("unknown flag `{other}`")));
+                }
+            }
         }
     }
     Ok(RunArgs {
@@ -639,58 +605,39 @@ fn write_timings(
 }
 
 fn cmd_frontier(args: &[String]) -> Result<(), LabError> {
-    // Two passes, mirroring `run`: --preset decides the base spec, the
-    // shared matrix/execution flags and the frontier-specific axis flags
-    // override its fields.
-    let mut spec = FrontierSpec::preset(&parse_preset_name(args)?)?;
-    let mut exec = Exec::default();
-
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next_flag() {
-        let mut shared = SharedFlags {
-            name: &mut spec.name,
-            families: &mut spec.families,
-            modes: &mut spec.modes,
-            workloads: &mut spec.workloads,
-            seeds: &mut spec.seeds,
-            max_steps: &mut spec.max_steps,
-            exec: &mut exec,
+    let mut axis = FrontierOptions::default();
+    let (opts, _) = parse_layered(args, |flag, flags| {
+        let target = match flag {
+            "--max-rate" => &mut axis.max_rate,
+            "--resolution" => &mut axis.resolution,
+            "--verify-probes" => &mut axis.verify_probes,
+            "--encodings" | "--noises" | "--shard" | "--sample-every" => {
+                return Err(LabError::Usage(format!(
+                    "frontier does not take `{flag}`: every probe is binary-encoded under \
+                     omission noise, and each cell runs whole and unsampled"
+                )))
+            }
+            _ => return Ok(false),
         };
-        if apply_shared_flag(flag, &mut flags, &mut shared)? {
-            continue;
-        }
-        match flag {
-            "--scheduler" => {
-                spec.scheduler =
-                    SchedulerSpec::parse(flags.value(flag)?).map_err(|e| parse_err(flag, e))?;
-            }
-            "--max-rate" => {
-                spec.max_rate = parse_num_bounded(flag, flags.value(flag)?, 1000)? as u16;
-            }
-            "--resolution" => {
-                spec.resolution = parse_num_bounded(flag, flags.value(flag)?, 1000)? as u16;
-            }
-            "--verify-probes" => {
-                spec.verify_probes = parse_num_bounded(flag, flags.value(flag)?, 1000)? as u16;
-            }
-            other => return Err(LabError::Usage(format!("unknown flag `{other}`"))),
-        }
-    }
+        *target = parse_num_bounded(flag, flags.value(flag)?, 1000)? as u16;
+        Ok(true)
+    })?;
+    let campaign = opts.campaign;
     eprintln!(
         "frontier `{}`: {} families x {} modes x {} workloads, axis 0..={}‰ at \
          resolution {}‰, {} seeds per probe",
-        spec.name,
-        spec.families.len(),
-        spec.modes.len(),
-        spec.workloads.len(),
-        spec.max_rate,
-        spec.resolution,
-        spec.seeds.count,
+        campaign.name,
+        campaign.families.len(),
+        campaign.modes.len(),
+        campaign.workloads.len(),
+        axis.max_rate,
+        axis.resolution,
+        campaign.seeds.count,
     );
-    let (report, elapsed) = exec.execute(
+    let (report, elapsed) = opts.exec.execute(
         "frontier",
-        &spec.name,
-        |caches| run_frontier(caches, &spec),
+        &campaign.name,
+        |caches| run_frontier(caches, &campaign, axis),
         |report, wall_s| {
             // `.frontier` in the stem keeps the artifacts apart from the same
             // preset's campaign reports in a shared --out directory.

@@ -49,24 +49,12 @@ pub(crate) fn skipped_to_json(skipped: &[SkippedCell]) -> Json {
 
 /// Parses the `skipped` array of a saved report (see [`skipped_to_json`]).
 pub(crate) fn skipped_from_json(report: &Json) -> Result<Vec<SkippedCell>, String> {
-    report
-        .get("skipped")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "field `skipped` missing".to_string())?
-        .iter()
-        .map(|s| {
-            let field = |k: &str| {
-                s.get(k)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("skipped entry without `{k}`"))
-            };
-            Ok(SkippedCell {
-                cell: field("cell")?,
-                reason: field("reason")?,
-            })
+    report.arr_field("skipped", |s| {
+        Ok(SkippedCell {
+            cell: s.str_field("cell")?,
+            reason: s.str_field("reason")?,
         })
-        .collect()
+    })
 }
 
 /// Appends the "Skipped combinations" section that closes every markdown
@@ -180,12 +168,9 @@ impl MetricSummary {
         // JSON has no NaN/infinity; the writer renders them as `null`
         // (see `Json::render`), so `null` parses back as NaN — the round
         // trip is lossy in spelling but total, never an error.
-        let field = |k: &str| match j.get(k) {
-            Some(Json::Null) => Ok(f64::NAN),
-            Some(v) => v
-                .as_f64()
-                .ok_or_else(|| format!("metric field `{k}` is not a number")),
-            None => Err(format!("metric field `{k}` missing")),
+        let field = |k: &str| match j.field(k)? {
+            Json::Null => Ok(f64::NAN),
+            _ => j.num_field(k),
         };
         Ok(MetricSummary {
             min: field("min")?,
@@ -223,18 +208,9 @@ impl CurveSummary {
 
     fn from_json(j: &Json) -> Result<CurveSummary, String> {
         Ok(CurveSummary {
-            sample_every: j
-                .get("sample_every")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| "curve field `sample_every` missing".to_string())?,
-            peak: MetricSummary::from_json(
-                j.get("peak")
-                    .ok_or_else(|| "curve field `peak` missing".to_string())?,
-            )?,
-            mean: MetricSummary::from_json(
-                j.get("mean")
-                    .ok_or_else(|| "curve field `mean` missing".to_string())?,
-            )?,
+            sample_every: j.int_field("sample_every")?,
+            peak: MetricSummary::from_json(j.field("peak")?)?,
+            mean: MetricSummary::from_json(j.field("mean")?)?,
         })
     }
 }
@@ -534,89 +510,54 @@ impl CellReport {
     }
 
     fn from_json(j: &Json) -> Result<CellReport, String> {
-        let s = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("cell field `{k}` missing"))
-        };
-        let n = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_u64)
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("cell field `{k}` missing"))
-        };
-        let f = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("cell field `{k}` missing"))
-        };
-        let m = |k: &str| {
-            MetricSummary::from_json(
-                j.get(k)
-                    .ok_or_else(|| format!("cell field `{k}` missing"))?,
-            )
-        };
-        // A field that is always written but may be `null`.
-        let nullable = |k: &str| match j.get(k) {
-            None => Err(format!("cell field `{k}` missing")),
-            Some(Json::Null) => Ok(None),
-            Some(v) => Ok(Some(v)),
-        };
         Ok(CellReport {
-            family: s("family")?,
-            mode: s("mode")?,
-            encoding: s("encoding")?,
-            workload: s("workload")?,
-            noise: s("noise")?,
-            scheduler: s("scheduler")?,
-            first_scenario_index: n("first_scenario_index")?,
-            nodes: n("nodes")?,
-            edges: n("edges")?,
-            reference_cycle_len: n("reference_cycle_len")?,
-            runs: n("runs")?,
-            errors: n("errors")?,
-            baseline_errors: n("baseline_errors")?,
-            construction_skews: n("construction_skews")?,
-            construction_seed: nullable("construction_seed")?
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| "cell field `construction_seed` is not a number".to_string())
-                })
-                .transpose()?,
-            success_rate: f("success_rate")?,
-            quiescence_rate: f("quiescence_rate")?,
-            pulses: m("pulses")?,
-            bits: m("bits")?,
-            steps: m("steps")?,
-            dropped: m("dropped")?,
-            cc_init: m("cc_init")?,
-            online_pulses: m("online_pulses")?,
-            max_node_pulses: m("max_node_pulses")?,
-            max_edge_pulses: m("max_edge_pulses")?,
-            max_inflight: m("max_inflight")?,
-            cycle_len: m("cycle_len")?,
-            baseline_messages: m("baseline_messages")?,
-            overhead: nullable("overhead")?
-                .map(MetricSummary::from_json)
-                .transpose()?,
+            family: j.str_field("family")?,
+            mode: j.str_field("mode")?,
+            encoding: j.str_field("encoding")?,
+            workload: j.str_field("workload")?,
+            noise: j.str_field("noise")?,
+            scheduler: j.str_field("scheduler")?,
+            first_scenario_index: j.int_field("first_scenario_index")?,
+            nodes: j.int_field("nodes")?,
+            edges: j.int_field("edges")?,
+            reference_cycle_len: j.int_field("reference_cycle_len")?,
+            runs: j.int_field("runs")?,
+            errors: j.int_field("errors")?,
+            baseline_errors: j.int_field("baseline_errors")?,
+            construction_skews: j.int_field("construction_skews")?,
+            // Always written, `null` outside replay mode.
+            construction_seed: match j.field("construction_seed")? {
+                Json::Null => None,
+                _ => Some(j.int_field("construction_seed")?),
+            },
+            success_rate: j.num_field("success_rate")?,
+            quiescence_rate: j.num_field("quiescence_rate")?,
+            pulses: MetricSummary::from_json(j.field("pulses")?)?,
+            bits: MetricSummary::from_json(j.field("bits")?)?,
+            steps: MetricSummary::from_json(j.field("steps")?)?,
+            dropped: MetricSummary::from_json(j.field("dropped")?)?,
+            cc_init: MetricSummary::from_json(j.field("cc_init")?)?,
+            online_pulses: MetricSummary::from_json(j.field("online_pulses")?)?,
+            max_node_pulses: MetricSummary::from_json(j.field("max_node_pulses")?)?,
+            max_edge_pulses: MetricSummary::from_json(j.field("max_edge_pulses")?)?,
+            max_inflight: MetricSummary::from_json(j.field("max_inflight")?)?,
+            cycle_len: MetricSummary::from_json(j.field("cycle_len")?)?,
+            baseline_messages: MetricSummary::from_json(j.field("baseline_messages")?)?,
+            // Always written, `null` when the workload has no baseline.
+            overhead: match j.field("overhead")? {
+                Json::Null => None,
+                v => Some(MetricSummary::from_json(v)?),
+            },
             // Observability fields are optional by design: absent for
             // unsampled runs and healthy cells.
             inflight_curve: match j.get("inflight_curve") {
                 None | Some(Json::Null) => None,
                 Some(v) => Some(CurveSummary::from_json(v)?),
             },
-            stall_diagnostics: j
-                .get("stall_diagnostics")
-                .and_then(Json::as_arr)
-                .unwrap_or(&[])
-                .iter()
-                .map(|d| {
-                    d.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "stall diagnostic entry is not a string".to_string())
-                })
-                .collect::<Result<Vec<_>, String>>()?,
+            stall_diagnostics: match j.get("stall_diagnostics") {
+                None => Vec::new(),
+                Some(_) => j.arr_field("stall_diagnostics", Json::string)?,
+            },
         })
     }
 }
@@ -656,32 +597,12 @@ impl CampaignReport {
     ///
     /// Returns a description of the first structural problem.
     pub fn from_json(j: &Json) -> Result<CampaignReport, String> {
-        let name = j
-            .get("campaign")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "field `campaign` missing".to_string())?
-            .to_string();
-        let num = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("field `{k}` missing"))
-        };
-        let scenario_count = num("scenarios")? as usize;
-        let seeds_per_cell = num("seeds_per_cell")? as u32;
-        let skipped = skipped_from_json(j)?;
-        let cells = j
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "field `cells` missing".to_string())?
-            .iter()
-            .map(CellReport::from_json)
-            .collect::<Result<Vec<_>, String>>()?;
         Ok(CampaignReport {
-            name,
-            scenario_count,
-            seeds_per_cell,
-            skipped,
-            cells,
+            name: j.str_field("campaign")?,
+            scenario_count: j.int_field("scenarios")?,
+            seeds_per_cell: j.int_field("seeds_per_cell")?,
+            skipped: skipped_from_json(j)?,
+            cells: j.arr_field("cells", CellReport::from_json)?,
         })
     }
 
@@ -1211,6 +1132,34 @@ mod tests {
         extras.stall_diagnostics = vec!["s1: stalled".to_string()];
         let doc = strip(&extras.to_json(), "stall_diagnostics");
         assert_eq!(CellReport::from_json(&doc).unwrap(), cell);
+    }
+
+    #[test]
+    fn numbers_outside_a_field_type_are_rejected_by_name() {
+        // A fractional, negative or too-wide count is a parse error naming
+        // the field, never a truncated or wrapped value.
+        let text = report_of(&CellReport {
+            runs: 2,
+            ..plain_cell()
+        })
+        .to_json_string();
+        for (from, to, key) in [
+            ("\"runs\": 2,", "\"runs\": 2.9,", "runs"),
+            ("\"errors\": 0,", "\"errors\": -7,", "errors"),
+            (
+                "\"seeds_per_cell\": 2,",
+                "\"seeds_per_cell\": 4294967298,",
+                "seeds_per_cell",
+            ),
+        ] {
+            let tampered = text.replacen(from, to, 1);
+            assert_ne!(tampered, text);
+            let err = CampaignReport::from_json_str(&tampered).unwrap_err();
+            assert!(
+                err.contains(&format!("field `{key}` is not an integer in range")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -226,12 +226,22 @@ pub fn run_scenario_observed<O: Observer>(
     observer: O,
 ) -> (ScenarioOutcome, O) {
     let cell = scenario.cell;
-    let topo = match caches.topology.get(cell.family) {
+    let topo = caches.topology.get(cell.family);
+    let (nodes_n, edges_n) = topo
+        .as_ref()
+        .map_or((0, 0), |t| (t.graph.node_count(), t.graph.edge_count()));
+    // The one exit of a run that could not be set up.
+    let fail = |error: String, observer: O| {
+        (
+            ScenarioOutcome::failed(scenario, nodes_n, edges_n, error),
+            observer,
+        )
+    };
+    let topo = match topo {
         Ok(t) => t,
-        Err(e) => return (ScenarioOutcome::failed(scenario, 0, 0, e), observer),
+        Err(e) => return fail(e, observer),
     };
     let graph = &topo.graph;
-    let (nodes_n, edges_n) = (graph.node_count(), graph.edge_count());
 
     // Noiseless direct baseline (for the per-message overhead column).
     let baseline = baseline_for(caches, scenario, graph);
@@ -240,7 +250,7 @@ pub fn run_scenario_observed<O: Observer>(
     // differ only in how the reactors are built and where the cost split
     // (`cc_init`) and cycle length come from.
     let encoding = cell.encoding.build();
-    match cell.mode {
+    let run = match cell.mode {
         EngineMode::Full => {
             // The distributed construction runs inside the simulation and is
             // seed-dependent; only the graph itself comes from the cache.
@@ -248,12 +258,7 @@ pub fn run_scenario_observed<O: Observer>(
                 cell.workload.build(graph, v)
             }) {
                 Ok(s) => s,
-                Err(e) => {
-                    return (
-                        ScenarioOutcome::failed(scenario, nodes_n, edges_n, e.to_string()),
-                        observer,
-                    )
-                }
+                Err(e) => return fail(e.to_string(), observer),
             };
             drive(scenario, graph, baseline, None, sims, observer, |sim| {
                 Inspection {
@@ -280,23 +285,13 @@ pub fn run_scenario_observed<O: Observer>(
             // simulator nodes for every seed.
             let cycle = match &topo.cycle {
                 Ok(c) => c,
-                Err(e) => {
-                    return (
-                        ScenarioOutcome::failed(scenario, nodes_n, edges_n, e.clone()),
-                        observer,
-                    )
-                }
+                Err(e) => return fail(e.clone(), observer),
             };
             let sims = match cycle_simulators_prevalidated(graph, cycle, encoding, |v| {
                 cell.workload.build(graph, v)
             }) {
                 Ok(s) => s,
-                Err(e) => {
-                    return (
-                        ScenarioOutcome::failed(scenario, nodes_n, edges_n, e.to_string()),
-                        observer,
-                    )
-                }
+                Err(e) => return fail(e.to_string(), observer),
             };
             drive(scenario, graph, baseline, None, sims, observer, |sim| {
                 Inspection {
@@ -325,23 +320,13 @@ pub fn run_scenario_observed<O: Observer>(
             };
             let construction = match caches.construction.get(&caches.topology, key) {
                 Ok(c) => c,
-                Err(e) => {
-                    return (
-                        ScenarioOutcome::failed(scenario, nodes_n, edges_n, e),
-                        observer,
-                    )
-                }
+                Err(e) => return fail(e, observer),
             };
             let sims = match replay_simulators(graph, &construction.checkpoint, |v| {
                 cell.workload.build(graph, v)
             }) {
                 Ok(s) => s,
-                Err(e) => {
-                    return (
-                        ScenarioOutcome::failed(scenario, nodes_n, edges_n, e.to_string()),
-                        observer,
-                    )
-                }
+                Err(e) => return fail(e.to_string(), observer),
             };
             let cc_init = construction.checkpoint.cc_init();
             let cycle_len = construction.checkpoint.cycle().len();
@@ -366,7 +351,8 @@ pub fn run_scenario_observed<O: Observer>(
                 },
             )
         }
-    }
+    };
+    run.unwrap_or_else(|(error, observer)| fail(error, observer))
 }
 
 /// Mode-specific facts extracted from a finished simulation.
@@ -441,7 +427,8 @@ fn stall_diagnostic<O: Observer>(
 /// Runs an already-built reactor set under the scenario's noise/scheduler and
 /// assembles the outcome; `inspect` supplies the mode-specific facts. A
 /// pre-registered `links` table (replay warm start) skips per-seed link
-/// registration.
+/// registration. Fails, handing the observer back, when the simulation
+/// cannot be built.
 fn drive<R: fdn_netsim::Reactor, O: Observer>(
     scenario: Scenario,
     graph: &fdn_graph::Graph,
@@ -450,7 +437,7 @@ fn drive<R: fdn_netsim::Reactor, O: Observer>(
     sims: Vec<R>,
     observer: O,
     inspect: impl FnOnce(&Simulation<R, O>) -> Inspection,
-) -> (ScenarioOutcome, O) {
+) -> Result<(ScenarioOutcome, O), (String, O)> {
     let cell = scenario.cell;
     let (nodes_n, edges_n) = (graph.node_count(), graph.edge_count());
     let built = match links {
@@ -465,12 +452,7 @@ fn drive<R: fdn_netsim::Reactor, O: Observer>(
         Ok(s) => s
             .with_link_store(scenario.link_store)
             .with_observer(observer),
-        Err(e) => {
-            return (
-                ScenarioOutcome::failed(scenario, nodes_n, edges_n, e.to_string()),
-                observer,
-            )
-        }
+        Err(e) => return Err((e.to_string(), observer)),
     };
     sim = sim
         .with_noise_boxed(cell.noise.build(scenario.seed ^ NOISE_SALT))
@@ -508,7 +490,7 @@ fn drive<R: fdn_netsim::Reactor, O: Observer>(
         stall_diagnostic: inspection.stall,
         inflight_curve: None,
     };
-    (outcome, sim.into_observer())
+    Ok((outcome, sim.into_observer()))
 }
 
 /// Splits a run's send total into `(online_pulses, construction_skew)`.

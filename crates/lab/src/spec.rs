@@ -438,8 +438,8 @@ impl Campaign {
 /// Why `cell` cannot run on its family's `graph` (whose
 /// 2-edge-connectivity the caller computed once per family as `two_ec`),
 /// or `None` when it can: the eligibility rules listed on
-/// [`Campaign::expand_with_skips`], shared with the frontier search.
-pub(crate) fn skip_reason(cell: &Cell, graph: &Graph, two_ec: bool) -> Option<String> {
+/// [`Campaign::expand_with_skips`], which the frontier search expands too.
+fn skip_reason(cell: &Cell, graph: &Graph, two_ec: bool) -> Option<String> {
     let unary = cell.encoding == EncodingSpec::Unary;
     if !two_ec {
         Some("graph is not 2-edge-connected (Theorem 3)".to_string())

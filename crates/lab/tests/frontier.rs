@@ -7,34 +7,29 @@ mod common;
 use common::{fdn_lab, report_artifacts, scratch};
 use fdn_graph::GraphFamily;
 use fdn_lab::{
-    diff_frontier_reports, Caches, EngineMode, FrontierReport, FrontierSpec, FrontierStatus,
-    FrontierTolerance, LabError, RunOptions, SeedRange,
+    diff_frontier_reports, Caches, Campaign, FrontierOptions, FrontierReport, FrontierStatus,
+    FrontierTolerance, RunOptions, SeedRange,
 };
-use fdn_netsim::SchedulerSpec;
 use fdn_protocols::WorkloadSpec;
 
-fn run_frontier(spec: &FrontierSpec) -> Result<FrontierReport, LabError> {
-    fdn_lab::run_frontier(&Caches::new(), spec).map(|(report, _)| report)
-}
-
-fn small_spec(name: &str) -> FrontierSpec {
-    FrontierSpec {
-        name: name.to_string(),
+/// Figure 3 and the 4-cycle, full mode, flood(2), two seeds, on the default
+/// axis (full per-mille range, width 8, three verification probes).
+fn small_frontier(name: &str) -> FrontierReport {
+    let campaign = Campaign {
         families: vec![GraphFamily::Figure3, GraphFamily::Cycle { n: 4 }],
-        modes: vec![EngineMode::Full],
         workloads: vec![WorkloadSpec::Flood { payload_bytes: 2 }],
-        scheduler: SchedulerSpec::Random,
         seeds: SeedRange { start: 1, count: 2 },
         max_steps: 2_000_000,
-        max_rate: 1000,
-        resolution: 8,
-        verify_probes: 3,
-    }
+        ..Campaign::new(name)
+    };
+    fdn_lab::run_frontier(&Caches::new(), &campaign, FrontierOptions::default())
+        .unwrap()
+        .0
 }
 
 #[test]
 fn frontier_brackets_tightly_and_to_spec_resolution() {
-    let report = run_frontier(&small_spec("it")).unwrap();
+    let report = small_frontier("it");
     assert_eq!(report.cells.len(), 2);
     for cell in &report.cells {
         // The acceptance bar: a finite breaking rate, bracketed to at most
@@ -53,8 +48,8 @@ fn frontier_brackets_tightly_and_to_spec_resolution() {
 
 #[test]
 fn frontier_diff_of_independent_runs_is_clean() {
-    let a = run_frontier(&small_spec("it")).unwrap();
-    let b = run_frontier(&small_spec("it")).unwrap();
+    let a = small_frontier("it");
+    let b = small_frontier("it");
     assert_eq!(a.to_json_string(), b.to_json_string());
     let d = diff_frontier_reports(&a, &b, FrontierTolerance::default());
     assert!(!d.has_regressions());
@@ -99,12 +94,30 @@ fn frontier_cli_is_byte_deterministic_across_worker_thread_counts() {
 }
 
 #[test]
+fn frontier_cli_refuses_flags_that_are_not_probe_axes() {
+    // `--schedulers` picks the probed scheduler, so the old singular flag is
+    // unknown; the other four would silently not apply, so they are refused.
+    for (flag, value) in [
+        ("--scheduler", "fifo"),
+        ("--encodings", "unary"),
+        ("--noises", "noiseless"),
+        ("--shard", "0/2"),
+        ("--sample-every", "8"),
+    ] {
+        let out = fdn_lab(&["frontier", "--preset", "quick", flag, value], &[]);
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("`{flag}`")), "{flag}: {stderr}");
+    }
+}
+
+#[test]
 fn diff_exit_code_contract_on_frontier_reports() {
     // The CI gate's interface, end to end through the binary: clean diff
     // exits 0, a regression exits exactly 2, and a parse error is an
     // ordinary failure (1) — never mistakable for a regression.
     let dir = scratch("exit-codes");
-    let base = run_frontier(&small_spec("gate")).unwrap();
+    let base = small_frontier("gate");
     let base_path = dir.join("base.json");
     std::fs::write(&base_path, base.to_json_string()).unwrap();
 
@@ -209,7 +222,7 @@ fn frontier_report_parses_back_from_disk_bytes() {
     // The exact bytes the CLI writes are what CI re-reads: round-trip
     // through a file, not just through strings.
     let dir = scratch("roundtrip");
-    let report = run_frontier(&small_spec("rt")).unwrap();
+    let report = small_frontier("rt");
     let path = dir.join("rt.frontier.json");
     std::fs::write(&path, report.to_json_string()).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();

@@ -107,29 +107,14 @@ impl Baseline {
         if doc.get("tool").and_then(Json::as_str) != Some("fdn-lint") {
             return Err("not an fdn-lint baseline (missing `\"tool\": \"fdn-lint\"`)".to_string());
         }
-        let findings = doc
-            .get("findings")
-            .and_then(Json::as_arr)
-            .ok_or("baseline missing `findings` array")?;
-        let mut entries = Vec::with_capacity(findings.len());
-        for f in findings {
-            let file = f
-                .get("file")
-                .and_then(Json::as_str)
-                .ok_or("baseline entry missing `file`")?
-                .to_string();
-            let line = f
-                .get("line")
-                .and_then(Json::as_u64)
-                .ok_or("baseline entry missing `line`")? as u32;
-            let rule_name = f
-                .get("rule")
-                .and_then(Json::as_str)
-                .ok_or("baseline entry missing `rule`")?;
-            let rule = RuleId::parse(rule_name)
-                .ok_or_else(|| format!("baseline entry has unknown rule `{rule_name}`"))?;
-            entries.push(BaselineEntry { file, line, rule });
-        }
+        let mut entries = doc.arr_field("findings", |f| {
+            let rule = f.str_field("rule")?;
+            Ok(BaselineEntry {
+                file: f.str_field("file")?,
+                line: f.int_field("line")?,
+                rule: RuleId::parse(&rule).ok_or_else(|| format!("has unknown rule `{rule}`"))?,
+            })
+        })?;
         entries.sort();
         Ok(Baseline { entries })
     }

@@ -394,6 +394,46 @@ fn malformed_baseline_is_a_usage_error_not_a_gate_result() {
 }
 
 #[test]
+fn baseline_lines_are_read_exactly_or_rejected() {
+    // A baseline line that is a real finding's line plus 2^32, or plus one
+    // half, is malformed: it must neither wrap nor truncate onto the finding
+    // and grandfather it.
+    let dir = scratch("inexact-lines");
+    let path = dir.join("lint-baseline.json");
+    let baseline = path.to_string_lossy().into_owned();
+    let fixture = fixture_path();
+    let scan = ["--apply-all-rules", "--baseline", &baseline, &fixture];
+    let out = fdn_lint(&[&scan[..], &["--write-baseline"]].concat(), None);
+    assert_eq!(out.status.code(), Some(0));
+    let written = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(fdn_lint(&scan, None).status.code(), Some(0));
+    for shift in [
+        |n: u64| (n + (1 << 32)).to_string(),
+        |n: u64| format!("{n}.5"),
+    ] {
+        let shifted: Vec<String> = written
+            .lines()
+            .map(|l| match l.split_once("\"line\": ") {
+                Some((head, n)) => {
+                    let n: u64 = n.trim_end_matches(',').parse().unwrap();
+                    format!("{head}\"line\": {},", shift(n))
+                }
+                None => l.to_string(),
+            })
+            .collect();
+        std::fs::write(&path, shifted.join("\n")).unwrap();
+        let out = fdn_lint(&scan, None);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains("field `line` is not an integer in range"),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn help_and_list_rules_succeed() {
     for flag in ["--help", "--list-rules"] {
         let out = fdn_lint(&[flag], None);
