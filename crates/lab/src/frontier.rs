@@ -47,8 +47,8 @@ use fdn_netsim::NoiseSpec;
 use crate::cache::Caches;
 use crate::diff::{CellChange, CellDelta, ReportDiff};
 use crate::error::LabError;
-use crate::json::Json;
-use crate::report::{md_cell, push_skipped_markdown, skipped_from_json, skipped_to_json};
+use crate::json::{csv_lines, record, Field, Json};
+use crate::report::{md_cell, push_skipped_markdown};
 use crate::runner::{run_scenario_with, CellTiming};
 use crate::spec::{Campaign, Cell, EncodingSpec, Scenario, SkippedCell};
 
@@ -129,6 +129,25 @@ impl FrontierStatus {
     }
 }
 
+/// Written as its [`label`](FrontierStatus::label).
+impl Field for FrontierStatus {
+    fn to_json(&self) -> Json {
+        Json::Str(self.label().to_string())
+    }
+
+    fn from_json(j: &Json) -> Result<Self, String> {
+        FrontierStatus::parse(j.as_str().ok_or("is not a string")?)
+    }
+
+    fn csv_columns(key: &str) -> Vec<String> {
+        vec![key.to_string()]
+    }
+
+    fn csv_cells(&self) -> Vec<String> {
+        vec![self.label().to_string()]
+    }
+}
+
 /// One probe of a cell: the seed-replicated sweep at a single rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontierProbe {
@@ -139,6 +158,8 @@ pub struct FrontierProbe {
     /// Seeds run.
     pub runs: u32,
 }
+
+record! { FrontierProbe { rate, successes, runs } }
 
 impl FrontierProbe {
     /// The success predicate: a probe holds iff *every* seed succeeded.
@@ -179,6 +200,13 @@ pub struct FrontierCell {
     pub reappear_rates: Vec<u16>,
     /// Every probe taken, in ascending rate order (the frontier curve).
     pub probes: Vec<FrontierProbe>,
+}
+
+record! {
+    FrontierCell {
+        family, mode, workload, nodes, edges, status, lower, upper, monotone, reappear_rates,
+        probes,
+    }
 }
 
 impl FrontierCell {
@@ -424,54 +452,14 @@ impl FrontierReport {
     /// is the kind discriminator `fdn-lab diff` dispatches on (campaign
     /// reports lead with `campaign` instead).
     pub fn to_json_string(&self) -> String {
-        let cell_json = |c: &FrontierCell| {
-            Json::obj(vec![
-                ("family", Json::Str(c.family.clone())),
-                ("mode", Json::Str(c.mode.clone())),
-                ("workload", Json::Str(c.workload.clone())),
-                ("nodes", Json::Num(c.nodes as f64)),
-                ("edges", Json::Num(c.edges as f64)),
-                ("status", Json::Str(c.status.label().to_string())),
-                ("lower", Json::Num(f64::from(c.lower))),
-                ("upper", Json::Num(f64::from(c.upper))),
-                ("monotone", Json::Bool(c.monotone)),
-                (
-                    "reappear_rates",
-                    Json::Arr(
-                        c.reappear_rates
-                            .iter()
-                            .map(|&r| Json::Num(f64::from(r)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "probes",
-                    Json::Arr(
-                        c.probes
-                            .iter()
-                            .map(|p| {
-                                Json::obj(vec![
-                                    ("rate", Json::Num(f64::from(p.rate))),
-                                    ("successes", Json::Num(f64::from(p.successes))),
-                                    ("runs", Json::Num(f64::from(p.runs))),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        };
         Json::obj(vec![
-            ("frontier", Json::Str(self.name.clone())),
+            ("frontier", self.name.to_json()),
             ("axis", Json::Str(FRONTIER_AXIS.to_string())),
-            ("max_rate", Json::Num(f64::from(self.max_rate))),
-            ("resolution", Json::Num(f64::from(self.resolution))),
-            ("seeds_per_cell", Json::Num(f64::from(self.seeds_per_cell))),
-            ("skipped", skipped_to_json(&self.skipped)),
-            (
-                "cells",
-                Json::Arr(self.cells.iter().map(cell_json).collect()),
-            ),
+            ("max_rate", self.max_rate.to_json()),
+            ("resolution", self.resolution.to_json()),
+            ("seeds_per_cell", self.seeds_per_cell.to_json()),
+            ("skipped", self.skipped.to_json()),
+            ("cells", self.cells.to_json()),
         ])
         .render()
     }
@@ -494,45 +482,39 @@ impl FrontierReport {
     ///
     /// Returns a description of the first structural problem.
     pub fn from_json(j: &Json) -> Result<FrontierReport, String> {
-        Ok(FrontierReport {
-            name: j.str_field("frontier")?,
-            max_rate: j.int_field("max_rate")?,
-            resolution: j.int_field("resolution")?,
-            seeds_per_cell: j.int_field("seeds_per_cell")?,
-            skipped: skipped_from_json(j)?,
-            cells: j.arr_field("cells", FrontierCell::from_json)?,
-        })
+        let name = j.read("frontier")?;
+        if j.read::<String>("axis")? != FRONTIER_AXIS {
+            return Err(format!("field `axis` is not `{FRONTIER_AXIS}`"));
+        }
+        let report = FrontierReport {
+            name,
+            max_rate: j.read("max_rate")?,
+            resolution: j.read("resolution")?,
+            seeds_per_cell: j.read("seeds_per_cell")?,
+            skipped: j.read("skipped")?,
+            cells: j.read("cells")?,
+        };
+        // Bracket ends are ordered, or the width would underflow.
+        match report.cells.iter().position(|c| c.lower > c.upper) {
+            Some(i) => Err(format!("`cells[{i}]` field `lower` is above field `upper`")),
+            None => Ok(report),
+        }
     }
 
     /// Renders the frontier curves as CSV: one row per probe, with the cell
     /// identity and bracket repeated on every row of its curve.
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "family,mode,workload,nodes,edges,status,lower,upper,monotone,rate,successes,runs\n",
-        );
-        let field = |s: &str| crate::report::csv_field(s);
-        for c in &self.cells {
-            for p in &c.probes {
-                let _ = writeln!(
-                    out,
-                    "{},{},{},{},{},{},{},{},{},{},{},{}",
-                    field(&c.family),
-                    field(&c.mode),
-                    field(&c.workload),
-                    c.nodes,
-                    c.edges,
-                    c.status.label(),
-                    c.lower,
-                    c.upper,
-                    c.monotone,
-                    p.rate,
-                    p.successes,
-                    p.runs,
-                );
-            }
-        }
-        out
+        let header = [
+            FrontierCell::csv_columns(""),
+            FrontierProbe::csv_columns(""),
+        ]
+        .concat();
+        let rows = self.cells.iter().flat_map(|c| {
+            c.probes
+                .iter()
+                .map(move |p| [c.csv_cells(), p.csv_cells()].concat())
+        });
+        csv_lines(header, rows)
     }
 
     /// Renders the report as a markdown document.
@@ -610,30 +592,6 @@ impl FrontierReport {
         }
         push_skipped_markdown(&mut out, &self.skipped);
         out
-    }
-}
-
-impl FrontierCell {
-    fn from_json(j: &Json) -> Result<FrontierCell, String> {
-        Ok(FrontierCell {
-            family: j.str_field("family")?,
-            mode: j.str_field("mode")?,
-            workload: j.str_field("workload")?,
-            nodes: j.int_field("nodes")?,
-            edges: j.int_field("edges")?,
-            status: FrontierStatus::parse(&j.str_field("status")?)?,
-            lower: j.int_field("lower")?,
-            upper: j.int_field("upper")?,
-            monotone: j.bool_field("monotone")?,
-            reappear_rates: j.arr_field("reappear_rates", Json::int)?,
-            probes: j.arr_field("probes", |p| {
-                Ok(FrontierProbe {
-                    rate: p.int_field("rate")?,
-                    successes: p.int_field("successes")?,
-                    runs: p.int_field("runs")?,
-                })
-            })?,
-        })
     }
 }
 
@@ -796,6 +754,49 @@ pub fn diff_frontier_reports(
         |b, n| compare_frontier_cells(b, n, tolerance),
     );
     diff
+}
+
+/// A figure-3 cell probed at 0 (holds) and 1000 (breaks): the fixture the
+/// frontier diff and parser tests vary.
+#[cfg(test)]
+pub(crate) fn cell(status: FrontierStatus, lower: u16, upper: u16, monotone: bool) -> FrontierCell {
+    FrontierCell {
+        family: "figure3".to_string(),
+        mode: "full".to_string(),
+        workload: "flood(2)".to_string(),
+        nodes: 5,
+        edges: 8,
+        status,
+        lower,
+        upper,
+        monotone,
+        reappear_rates: if monotone { vec![] } else { vec![900] },
+        probes: vec![
+            FrontierProbe {
+                rate: 0,
+                successes: 2,
+                runs: 2,
+            },
+            FrontierProbe {
+                rate: 1000,
+                successes: 0,
+                runs: 2,
+            },
+        ],
+    }
+}
+
+/// A report of `cells` on the default axis with two seeds per probe.
+#[cfg(test)]
+pub(crate) fn report(name: &str, cells: Vec<FrontierCell>) -> FrontierReport {
+    FrontierReport {
+        name: name.to_string(),
+        max_rate: 1000,
+        resolution: 8,
+        seeds_per_cell: 2,
+        skipped: vec![],
+        cells,
+    }
 }
 
 #[cfg(test)]
@@ -975,44 +976,6 @@ mod tests {
         assert!(FrontierStatus::parse("sideways").is_err());
     }
 
-    fn cell(status: FrontierStatus, lower: u16, upper: u16, monotone: bool) -> FrontierCell {
-        FrontierCell {
-            family: "figure3".to_string(),
-            mode: "full".to_string(),
-            workload: "flood(2)".to_string(),
-            nodes: 5,
-            edges: 8,
-            status,
-            lower,
-            upper,
-            monotone,
-            reappear_rates: if monotone { vec![] } else { vec![900] },
-            probes: vec![
-                FrontierProbe {
-                    rate: 0,
-                    successes: 2,
-                    runs: 2,
-                },
-                FrontierProbe {
-                    rate: 1000,
-                    successes: 0,
-                    runs: 2,
-                },
-            ],
-        }
-    }
-
-    fn report(name: &str, cells: Vec<FrontierCell>) -> FrontierReport {
-        FrontierReport {
-            name: name.to_string(),
-            max_rate: 1000,
-            resolution: 8,
-            seeds_per_cell: 2,
-            skipped: vec![],
-            cells,
-        }
-    }
-
     #[test]
     fn diff_is_clean_on_identical_reports() {
         let a = report("a", vec![cell(FrontierStatus::Bracketed, 40, 48, true)]);
@@ -1156,6 +1119,12 @@ mod tests {
                 "{err}"
             );
         }
+        // An inverted bracket is malformed, not a width near u16::MAX.
+        let inverted = good
+            .to_json_string()
+            .replacen("\"lower\": 40", "\"lower\": 50", 1);
+        let err = FrontierReport::from_json_str(&inverted).unwrap_err();
+        assert!(err.contains("`cells[0]` field `lower`"), "{err}");
         // A campaign report is *not* a frontier report.
         assert!(
             FrontierReport::from_json_str("{\n  \"campaign\": \"quick\",\n  \"cells\": []\n}")

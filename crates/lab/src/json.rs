@@ -87,78 +87,18 @@ impl Json {
         }
     }
 
-    /// The value as an integer of type `T`: a whole number (see
-    /// [`Json::as_u64`]) that `T` holds, else an error saying so.
-    pub(crate) fn int<T: TryFrom<u64>>(&self) -> Result<T, String> {
-        self.as_u64()
-            .and_then(|x| T::try_from(x).ok())
-            .ok_or_else(|| "is not an integer in range".to_string())
-    }
-
-    /// The value as an owned string, else an error saying so.
-    pub(crate) fn string(&self) -> Result<String, String> {
-        self.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| "is not a string".to_string())
-    }
-
     /// The value at `key` of an object, else the error "field `KEY`
-    /// missing" — the checked reader every saved-document parser goes
-    /// through, as do the typed `*_field` readers below, whose errors name
-    /// the field too.
+    /// missing".
     pub fn field(&self, key: &str) -> Result<&Json, String> {
         self.get(key)
             .ok_or_else(|| format!("field `{key}` missing"))
     }
 
-    fn field_as<'a, T>(
-        &'a self,
-        key: &str,
-        read: impl FnOnce(&'a Json) -> Result<T, String>,
-    ) -> Result<T, String> {
-        read(self.field(key)?).map_err(|e| format!("field `{key}` {e}"))
-    }
-
-    /// The string field `key`.
-    pub fn str_field(&self, key: &str) -> Result<String, String> {
-        self.field_as(key, Json::string)
-    }
-
-    /// The integer field `key`: a whole number (see [`Json::as_u64`]) that
-    /// `T` holds, never truncated or wrapped.
-    pub fn int_field<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
-        self.field_as(key, Json::int)
-    }
-
-    /// The numeric field `key`.
-    pub fn num_field(&self, key: &str) -> Result<f64, String> {
-        self.field_as(key, |v| {
-            v.as_f64().ok_or_else(|| "is not a number".to_string())
-        })
-    }
-
-    /// The boolean field `key`.
-    pub fn bool_field(&self, key: &str) -> Result<bool, String> {
-        self.field_as(key, |v| match v {
-            Json::Bool(b) => Ok(*b),
-            _ => Err("is not a boolean".to_string()),
-        })
-    }
-
-    /// The array field `key`, each element converted by `item`; an element's
-    /// error names the field and index (`` `cells[3]` ``).
-    pub fn arr_field<T>(
-        &self,
-        key: &str,
-        item: impl Fn(&Json) -> Result<T, String>,
-    ) -> Result<Vec<T>, String> {
-        self.field_as(key, |v| {
-            v.as_arr().ok_or_else(|| "is not an array".to_string())
-        })?
-        .iter()
-        .enumerate()
-        .map(|(i, v)| item(v).map_err(|e| format!("`{key}[{i}]` {e}")))
-        .collect()
+    /// The field `key` of an object, read as a `T` — the one checked reader
+    /// every saved-document parser goes through. A missing field, or a
+    /// value `T` cannot hold exactly, is an error naming the field.
+    pub fn read<T: Field>(&self, key: &str) -> Result<T, String> {
+        T::read_field(self, key)
     }
 
     /// Renders the document with 2-space indentation and a trailing newline.
@@ -273,6 +213,215 @@ impl Json {
         }
         Ok(value)
     }
+}
+
+/// A value a saved report stores: its JSON form, its strict read and its
+/// CSV columns. Scalars, `Option<T>` (`null`, empty CSV cells) and `Vec<T>`
+/// (no CSV columns) implement it here; report records implement it through
+/// a `record!` table that lists their fields once, in JSON order.
+pub trait Field: Sized {
+    /// The value as JSON.
+    fn to_json(&self) -> Json;
+
+    /// Reads a value [`Field::to_json`] wrote, exactly. The error says what
+    /// is wrong with `j`; [`Json::read`] prefixes the field's name.
+    fn from_json(j: &Json) -> Result<Self, String>;
+
+    /// Reads the field `key` of the object `obj` (see [`Json::read`]).
+    fn read_field(obj: &Json, key: &str) -> Result<Self, String> {
+        Self::from_json(obj.field(key)?).map_err(|e| format!("field `{key}` {e}"))
+    }
+
+    /// The CSV column names of a value stored under `key`; none by default.
+    fn csv_columns(_key: &str) -> Vec<String> {
+        Vec::new()
+    }
+
+    /// The value's CSV cells, one per column of [`Field::csv_columns`].
+    fn csv_cells(&self) -> Vec<String> {
+        Vec::new()
+    }
+}
+
+/// Implements [`Field`] for a scalar: one CSV column, its `Display` form.
+macro_rules! scalar_field {
+    ($t:ty, $expected:literal, |$j:ident| $read:expr, |$x:ident| $json:expr) => {
+        impl Field for $t {
+            fn to_json(&self) -> Json {
+                let $x = self;
+                $json
+            }
+
+            fn from_json($j: &Json) -> Result<Self, String> {
+                $read.ok_or_else(|| $expected.to_string())
+            }
+
+            fn csv_columns(key: &str) -> Vec<String> {
+                vec![key.to_string()]
+            }
+
+            fn csv_cells(&self) -> Vec<String> {
+                vec![csv_field(&self.to_string())]
+            }
+        }
+    };
+}
+
+/// Integers are read exactly (see [`Json::as_u64`]): a fraction, a negative
+/// or a value the type cannot hold is an error, never truncated or wrapped.
+macro_rules! int_fields {
+    ($($t:ty),*) => {$(
+        scalar_field!($t, "is not an integer in range",
+            |j| j.as_u64().and_then(|x| <$t>::try_from(x).ok()), |x| Json::Num(*x as f64));
+    )*};
+}
+
+int_fields!(u16, u32, u64, usize);
+scalar_field!(f64, "is not a number", |j| j.as_f64(), |x| Json::Num(*x));
+scalar_field!(
+    bool,
+    "is not a boolean",
+    |j| [true, false].into_iter().find(|&b| *j == Json::Bool(b)),
+    |x| Json::Bool(*x)
+);
+scalar_field!(
+    String,
+    "is not a string",
+    |j| j.as_str().map(str::to_string),
+    |x| Json::Str(x.clone())
+);
+
+impl<T: Field> Field for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, Field::to_json)
+    }
+
+    fn from_json(j: &Json) -> Result<Self, String> {
+        match j {
+            Json::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+
+    fn csv_columns(key: &str) -> Vec<String> {
+        T::csv_columns(key)
+    }
+
+    fn csv_cells(&self) -> Vec<String> {
+        match self {
+            Some(v) => v.csv_cells(),
+            None => vec![String::new(); T::csv_columns("").len()],
+        }
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(Field::to_json).collect())
+    }
+
+    fn from_json(j: &Json) -> Result<Self, String> {
+        let items = j.as_arr().ok_or_else(|| "is not an array".to_string())?;
+        items.iter().map(T::from_json).collect()
+    }
+
+    /// An element's error names the field and index (`` `cells[3]` ``).
+    fn read_field(obj: &Json, key: &str) -> Result<Self, String> {
+        let items = obj
+            .field(key)?
+            .as_arr()
+            .ok_or_else(|| format!("field `{key}` is not an array"))?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, v)| T::from_json(v).map_err(|e| format!("`{key}[{i}]` {e}")))
+            .collect()
+    }
+}
+
+/// Implements [`Field`] for a report record from one table of its fields,
+/// in JSON order: `name as "key"` renames a field's JSON key, and the
+/// fields of a trailing `optional { … }` group are omitted when `null` or
+/// empty and read back as their default when absent, so records that lack
+/// them keep their exact earlier bytes. The CSV columns are the
+/// always-written fields', flattened. A table that leaves out a field, or
+/// names one the struct lacks, does not compile.
+macro_rules! record {
+    (@key $field:ident) => {
+        stringify!($field)
+    };
+    (@key $field:ident $key:literal) => {
+        $key
+    };
+    (
+        $ty:ident { $($field:ident $(as $key:literal)?),+ $(,)? }
+        $(optional { $($opt:ident),+ $(,)? })?
+    ) => {
+        impl $crate::json::Field for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                #[allow(unused_mut)]
+                let mut fields = vec![$((
+                    $crate::json::record!(@key $field $($key)?),
+                    $crate::json::Field::to_json(&self.$field),
+                )),+];
+                $($(
+                    let value = $crate::json::Field::to_json(&self.$opt);
+                    if value != $crate::json::Json::Null && value != $crate::json::Json::Arr(vec![]) {
+                        fields.push((stringify!($opt), value));
+                    }
+                )+)?
+                $crate::json::Json::obj(fields)
+            }
+
+            fn from_json(j: &$crate::json::Json) -> Result<Self, String> {
+                Ok($ty {
+                    $($field: j.read($crate::json::record!(@key $field $($key)?))?,)+
+                    $($($opt: match j.get(stringify!($opt)) {
+                        None => Default::default(),
+                        Some(_) => j.read(stringify!($opt))?,
+                    },)+)?
+                })
+            }
+
+            fn csv_columns(_key: &str) -> Vec<String> {
+                [$($crate::json::columns_of(
+                    |r: &Self| &r.$field,
+                    $crate::json::record!(@key $field $($key)?),
+                )),+]
+                .concat()
+            }
+
+            fn csv_cells(&self) -> Vec<String> {
+                [$($crate::json::Field::csv_cells(&self.$field)),+].concat()
+            }
+        }
+    };
+}
+pub(crate) use record;
+
+/// The CSV columns of the record field `get` borrows: how `record!` names a
+/// field's type without spelling it.
+pub(crate) fn columns_of<R, T: Field>(_get: fn(&R) -> &T, key: &str) -> Vec<String> {
+    T::csv_columns(key)
+}
+
+/// Quotes a CSV field when it contains a separator, quote, or line break
+/// (RFC 4180 requires quoting CR as well as LF): label fields like
+/// `theta(1,2,3)` must not split columns or rows.
+pub(crate) fn csv_field(s: &str) -> String {
+    if s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r') {
+        format!("\"{}\"", s.replace('"', "\"\""))
+    } else {
+        s.to_string()
+    }
+}
+
+/// A CSV document: the `header` line, then one line per row of cells.
+pub(crate) fn csv_lines(header: Vec<String>, rows: impl Iterator<Item = Vec<String>>) -> String {
+    std::iter::once(header)
+        .chain(rows)
+        .map(|cells| cells.join(",") + "\n")
+        .collect()
 }
 
 fn push_indent(out: &mut String, levels: usize) {
@@ -544,28 +693,45 @@ mod tests {
         assert_eq!(Json::Num(0.0).as_u64(), Some(0));
         assert_eq!(Json::Num(9_007_199_254_740_992.0).as_u64(), Some(1 << 53));
         let doc =
-            Json::parse(r#"{"n": 70000, "f": 2.9, "s": "x", "b": true, "a": [1, -7]}"#).unwrap();
-        assert_eq!(doc.int_field::<u32>("n"), Ok(70_000));
+            Json::parse(r#"{"n": 70000, "f": 2.9, "s": "x", "b": true, "a": [1, -7], "z": null}"#)
+                .unwrap();
+        assert_eq!(doc.read::<u32>("n"), Ok(70_000));
         for key in ["n", "f", "s"] {
             let err = format!("field `{key}` is not an integer in range");
-            assert_eq!(doc.int_field::<u16>(key), Err(err));
+            assert_eq!(doc.read::<u16>(key), Err(err));
         }
+        assert_eq!(doc.read::<u16>("nope"), Err("field `nope` missing".into()));
+        assert_eq!(doc.read::<String>("s").as_deref(), Ok("x"));
         assert_eq!(
-            doc.int_field::<u16>("nope"),
-            Err("field `nope` missing".into())
+            doc.read::<String>("b").unwrap_err(),
+            "field `b` is not a string"
         );
-        assert_eq!(doc.str_field("s").as_deref(), Ok("x"));
-        assert_eq!(doc.str_field("b").unwrap_err(), "field `b` is not a string");
-        assert_eq!(doc.bool_field("b"), Ok(true));
-        assert_eq!(doc.num_field("f"), Ok(2.9));
+        assert_eq!(doc.read("b"), Ok(true));
+        assert_eq!(doc.read("f"), Ok(2.9));
+        assert_eq!(doc.read::<Option<u32>>("z"), Ok(None));
+        assert_eq!(doc.read::<Option<u32>>("n"), Ok(Some(70_000)));
         assert_eq!(
-            doc.arr_field("a", Json::int::<u8>).unwrap_err(),
+            doc.read::<Vec<u16>>("a").unwrap_err(),
             "`a[1]` is not an integer in range"
         );
         assert_eq!(
-            doc.arr_field("n", Json::int::<u8>).unwrap_err(),
+            doc.read::<Vec<u16>>("n").unwrap_err(),
             "field `n` is not an array"
         );
+    }
+
+    #[test]
+    fn csv_columns_flatten_and_absent_values_leave_empty_cells() {
+        assert_eq!(<Option<u64>>::csv_columns("seed"), vec!["seed"]);
+        assert_eq!(None::<u64>.csv_cells(), vec![""]);
+        assert_eq!(Some(7u64).csv_cells(), vec!["7"]);
+        assert!(<Vec<u64>>::csv_columns("rates").is_empty());
+        assert_eq!(
+            "theta(1,2,3)".to_string().csv_cells(),
+            vec!["\"theta(1,2,3)\""]
+        );
+        let rows = [vec!["1".to_string(), String::new()]].into_iter();
+        assert_eq!(csv_lines(vec!["a".into(), "b".into()], rows), "a,b\n1,\n");
     }
 
     #[test]

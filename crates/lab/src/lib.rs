@@ -37,10 +37,12 @@
 //! Each artifact has exactly one entry point with the same shape — the
 //! caches, the [`Campaign`], the artifact's own options — and each returns
 //! the per-cell wall-clock [`CellTiming`]s beside the report (the
-//! `--timings` sidecar; wall time never enters a report). Every saved
-//! report parses back through one checked field reader ([`Json::field`]
-//! and its typed variants): a missing field, or a number its field's type
-//! cannot hold, is an error naming the field.
+//! `--timings` sidecar; wall time never enters a report). Each report
+//! record lists its fields once, and its JSON writer, strict parser and CSV
+//! columns all follow from that list through the [`Field`] trait. Every
+//! saved report parses back through one checked reader, [`Json::read`]: a
+//! missing field, or a number its field's type cannot hold, is an error
+//! naming the field.
 //!
 //! Reports contain no wall-clock data and every stage is order-preserving,
 //! so two runs of the same campaign produce **byte-identical** reports
@@ -92,7 +94,7 @@ pub use frontier::{
     diff_frontier_reports, run_frontier, FrontierCell, FrontierOptions, FrontierProbe,
     FrontierReport, FrontierStatus, FrontierTolerance, FRONTIER_AXIS,
 };
-pub use json::Json;
+pub use json::{Field, Json};
 pub use presets::PRESET_NAMES;
 pub use report::{
     aggregate, fmt_rate, merge_reports, percentile, CampaignReport, CellReport, CurveSummary,

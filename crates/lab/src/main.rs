@@ -1,51 +1,11 @@
 //! The `fdn-lab` command line: run experiment campaigns, list their scenario
-//! matrices, and re-render saved reports.
-//!
-//! ```text
-//! fdn-lab run [matrix flags] [--threads N] [--out DIR] [--shard K/M]
-//!              [--store DIR] [--sample-every K] [--timings PATH]
-//! fdn-lab frontier [matrix flags] [--max-rate R] [--resolution W]
-//!              [--verify-probes K] [--threads N] [--out DIR] [--store DIR]
-//!              [--timings PATH]
-//!              # bisect the omission drop-rate axis per (family, mode,
-//!              # workload) cell on the first scheduler; refuses
-//!              # --encodings, --noises, --shard, --sample-every
-//! fdn-lab trace [matrix flags] [--sample-every K] [--top-links K]
-//!              [--threads N] [--out DIR] [--store DIR] [--timings PATH]
-//!              # one deeply-observed run per cell:
-//!              # NAME.trace.{jsonl,json,md} (samples, Perfetto, phase tables)
-//! fdn-lab fleet [matrix flags] --shards M [--emit-matrix] [--manifest-only]
-//!              [--store DIR] [--out DIR] [--threads N] [--timings PATH]
-//!              # plan the campaign into M cell-atomic shards; print the plan
-//!              # (GitHub Actions matrix / JSON manifest) or run every shard
-//!              # as a local worker subprocess sharing one checkpoint store,
-//!              # then merge through the ordinary `merge` path
-//! fdn-lab list-scenarios [matrix flags] [--family SUBSTR] [--noise SUBSTR]
-//! fdn-lab report --input FILE [--format md|csv|json]
-//! fdn-lab merge SHARD.json... [--out FILE]   # recombine per-shard reports
-//! fdn-lab diff BASE.json CANDIDATE.json [--tol-rate X] [--tol-pulses Y]
-//!              [--tol-mille N] [--format md|json]
-//!              # campaign or frontier reports; exit 0 clean, 2 on regression
-//!
-//! Matrix flags (each overrides one axis of the chosen --preset):
-//!   --preset quick|standard|paper|scale|huge  base campaign [default: standard]
-//!   --name NAME                       report name     [default: preset name]
-//!   --families CSV    e.g. cycle(8),petersen,random2ec(10,5,s2)
-//!   --modes CSV       full,cycle,replay (--mode is an alias)
-//!   --encodings CSV   binary,unary
-//!   --workloads CSV   flood(4),leader,echo,gossip,token-ring
-//!   --noises CSV      noiseless,full-corruption,constant-one,bitflip(0.1),
-//!                     omission(200),crash-link(40),burst(8,2)
-//!   --schedulers CSV  random,fifo,lifo
-//!   --seeds N         seeds per cell
-//!   --seed-start K    first seed      [default: 1]
-//!   --max-steps N     delivery limit per scenario
-//!   --link-store exact|counting   force every scenario onto one link-queue
-//!                     representation; cell ids and reports are unchanged
-//!                     (equivalence gate)
-//! ```
+//! matrices, and re-render, merge and diff saved reports. `fdn-lab help`
+//! prints the usage.
 
+use std::fmt::Display;
+use std::num::ParseIntError;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -62,6 +22,9 @@ use fdn_protocols::WorkloadSpec;
 /// Exit code of `fdn-lab diff` when regressions are present (distinct from
 /// the generic error exit 1, so CI can tell "regression" from "broke").
 const EXIT_REGRESSION: i32 = 2;
+
+/// The largest seed a campaign may sweep: 2^53.
+const MAX_SEED: u64 = 1 << 53;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -111,7 +74,8 @@ fn usage() -> String {
     \x20                 the ordinary `merge` path\n\
     \x20 list-scenarios  print the expanded matrix without running it\n\
     \x20                 (--family SUBSTR / --noise SUBSTR filter the listing)\n\
-    \x20 report          re-render a saved JSON report (--input FILE)\n\
+    \x20 report          re-render a saved JSON report, campaign or\n\
+    \x20                 frontier (--input FILE)\n\
     \x20 merge           recombine per-shard reports (run --shard K/M) into\n\
     \x20                 the whole campaign's report (--out FILE, else stdout)\n\
     \x20 diff            compare two saved JSON reports (campaign or frontier)\n\
@@ -127,7 +91,8 @@ fn usage() -> String {
     \x20 --noises CSV                    noiseless,full-corruption,constant-one,bitflip(0.1),\n\
     \x20                                 omission(200),crash-link(40),burst(8,2)\n\
     \x20 --schedulers CSV                random,fifo,lifo\n\
-    \x20 --seeds N / --seed-start K      seed sweep per cell\n\
+    \x20 --seeds N / --seed-start K      seed sweep per cell (the last seed\n\
+    \x20                                 at most 2^53)\n\
     \x20 --max-steps N                   delivery limit per scenario\n\
     \x20 --link-store exact|counting     force every scenario onto one\n\
     \x20                                 link-queue representation; cell ids\n\
@@ -236,7 +201,7 @@ impl Exec {
     /// value) when the flag is not one.
     fn apply(&mut self, flag: &str, flags: &mut Flags) -> Result<bool, LabError> {
         match flag {
-            "--threads" => self.threads = Some(parse_num(flag, flags.value(flag)?)? as usize),
+            "--threads" => self.threads = Some(parse_num(flag, flags.value(flag)?)?),
             "--out" => self.out_dir = PathBuf::from(flags.value(flag)?),
             "--timings" => self.timings = Some(PathBuf::from(flags.value(flag)?)),
             "--store" => self.store = Some(PathBuf::from(flags.value(flag)?)),
@@ -374,10 +339,7 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, LabError> {
                     .map(|s| SchedulerSpec::parse(s).map_err(|e| parse_err(flag, e)))
                     .collect::<Result<_, _>>()?;
             }
-            "--seeds" => {
-                campaign.seeds.count =
-                    parse_num_bounded(flag, flags.value(flag)?, u64::from(u32::MAX))? as u32;
-            }
+            "--seeds" => campaign.seeds.count = parse_num(flag, flags.value(flag)?)?,
             "--seed-start" => campaign.seeds.start = parse_num(flag, flags.value(flag)?)?,
             "--max-steps" => campaign.max_steps = parse_num(flag, flags.value(flag)?)?,
             "--shard" => {
@@ -398,6 +360,18 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, LabError> {
                 }
             }
         }
+    }
+    // Reports record seeds as JSON numbers, which hold integers exactly only
+    // up to 2^53 (see `Json::as_u64`).
+    let seeds = campaign.seeds;
+    let last_seed = seeds
+        .start
+        .checked_add(u64::from(seeds.count.saturating_sub(1)));
+    if last_seed.is_none_or(|seed| seed > MAX_SEED) {
+        return Err(LabError::Usage(format!(
+            "flag `--seed-start`: the last seed of the range must be at most 2^53 = {MAX_SEED}, \
+             the largest integer a report stores exactly"
+        )));
     }
     Ok(RunArgs {
         campaign,
@@ -467,17 +441,21 @@ fn parse_err(flag: &str, e: String) -> LabError {
     LabError::Usage(format!("{flag}: {e}"))
 }
 
-fn parse_num(flag: &str, v: &str) -> Result<u64, LabError> {
-    v.parse::<u64>().map_err(|_| {
+/// Parses an unsigned integer of the flag's own type, so a value the type
+/// cannot hold is an error, never truncated.
+fn parse_num<T: FromStr<Err = ParseIntError>>(flag: &str, v: &str) -> Result<T, LabError> {
+    v.parse().map_err(|e| {
         LabError::Usage(format!(
-            "flag `{flag}` needs an unsigned integer, got `{v}`"
+            "flag `{flag}` needs an unsigned integer, got `{v}` ({e})"
         ))
     })
 }
 
-/// Like [`parse_num`], but rejects values above `max` — callers narrowing to
-/// a smaller integer type must never silently truncate.
-fn parse_num_bounded(flag: &str, v: &str, max: u64) -> Result<u64, LabError> {
+/// Like [`parse_num`], but also rejects values above the domain bound `max`.
+fn parse_num_bounded<T>(flag: &str, v: &str, max: T) -> Result<T, LabError>
+where
+    T: FromStr<Err = ParseIntError> + PartialOrd + Display,
+{
     let n = parse_num(flag, v)?;
     if n > max {
         return Err(LabError::Usage(format!(
@@ -619,7 +597,7 @@ fn cmd_frontier(args: &[String]) -> Result<(), LabError> {
             }
             _ => return Ok(false),
         };
-        *target = parse_num_bounded(flag, flags.value(flag)?, 1000)? as u16;
+        *target = parse_num_bounded(flag, flags.value(flag)?, 1000)?;
         Ok(true)
     })?;
     let campaign = opts.campaign;
@@ -696,7 +674,7 @@ fn cmd_trace(args: &[String]) -> Result<(), LabError> {
         if flag != "--top-links" {
             return Ok(false);
         }
-        top_links = parse_num(flag, flags.value(flag)?)? as usize;
+        top_links = parse_num(flag, flags.value(flag)?)?;
         Ok(true)
     })?;
     if opts.run.shard.is_some() {
@@ -776,7 +754,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), LabError> {
     let (opts, rest) = parse_layered(args, |flag, flags| {
         match flag {
             "--shards" => {
-                shards = Some(parse_num_bounded(flag, flags.value(flag)?, 4096)? as usize);
+                shards = Some(parse_num_bounded(flag, flags.value(flag)?, 4096)?);
             }
             "--emit-matrix" => emit_matrix = true,
             "--manifest-only" => manifest_only = true,
@@ -974,14 +952,16 @@ fn cmd_report(args: &[String]) -> Result<(), LabError> {
         }
     }
     let input = input.ok_or_else(|| LabError::Usage("report requires --input FILE".into()))?;
-    let text = std::fs::read_to_string(&input)?;
-    let report = CampaignReport::from_json_str(&text).map_err(LabError::Parse)?;
-    match format.as_str() {
-        "md" => print!("{}", report.to_markdown()),
-        "csv" => print!("{}", report.to_csv()),
-        "json" => print!("{}", report.to_json_string()),
-        other => return Err(LabError::Usage(format!("unknown format `{other}`"))),
-    }
+    let rendered = match (load_any_report(&input)?, format.as_str()) {
+        (AnyReport::Campaign(r), "md") => r.to_markdown(),
+        (AnyReport::Campaign(r), "csv") => r.to_csv(),
+        (AnyReport::Campaign(r), "json") => r.to_json_string(),
+        (AnyReport::Frontier(r), "md") => r.to_markdown(),
+        (AnyReport::Frontier(r), "csv") => r.to_csv(),
+        (AnyReport::Frontier(r), "json") => r.to_json_string(),
+        (_, other) => return Err(LabError::Usage(format!("unknown format `{other}`"))),
+    };
+    print!("{rendered}");
     Ok(())
 }
 
@@ -1034,7 +1014,7 @@ fn cmd_diff(args: &[String]) -> Result<(), LabError> {
             "--tol-rate" => tol_rate = Some(parse_tol(flag, flags.value(flag)?)?),
             "--tol-pulses" => tol_pulses = Some(parse_tol(flag, flags.value(flag)?)?),
             "--tol-mille" => {
-                tol_mille = Some(parse_num_bounded(flag, flags.value(flag)?, 1000)? as u16);
+                tol_mille = Some(parse_num_bounded(flag, flags.value(flag)?, 1000)?);
             }
             "--format" => format = flags.value(flag)?.to_string(),
             other if other.starts_with("--") => {

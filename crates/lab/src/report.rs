@@ -11,50 +11,14 @@
 use std::fmt::Write as _;
 
 use crate::cache::TopologyCache;
-use crate::json::Json;
+use crate::json::{csv_lines, record, Field, Json};
 use crate::runner::{InflightCurve, ScenarioOutcome};
 use crate::spec::{Campaign, SkippedCell};
-
-/// Quotes a CSV field when it contains a separator, quote, or line break
-/// (RFC 4180 requires quoting CR as well as LF): label fields like
-/// `theta(1,2,3)` must not split columns or rows.
-pub(crate) fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
 
 /// Escapes a value for use inside a markdown table cell (`|` would otherwise
 /// split the column).
 pub(crate) fn md_cell(s: &str) -> String {
     s.replace('|', "\\|")
-}
-
-/// Renders a skip list as the `skipped` array every report kind carries.
-pub(crate) fn skipped_to_json(skipped: &[SkippedCell]) -> Json {
-    Json::Arr(
-        skipped
-            .iter()
-            .map(|s| {
-                Json::obj(vec![
-                    ("cell", Json::Str(s.cell.clone())),
-                    ("reason", Json::Str(s.reason.clone())),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Parses the `skipped` array of a saved report (see [`skipped_to_json`]).
-pub(crate) fn skipped_from_json(report: &Json) -> Result<Vec<SkippedCell>, String> {
-    report.arr_field("skipped", |s| {
-        Ok(SkippedCell {
-            cell: s.str_field("cell")?,
-            reason: s.str_field("reason")?,
-        })
-    })
 }
 
 /// Appends the "Skipped combinations" section that closes every markdown
@@ -154,31 +118,51 @@ impl MetricSummary {
         })
     }
 
-    fn to_json(self) -> Json {
-        Json::obj(vec![
-            ("min", Json::Num(self.min)),
-            ("mean", Json::Num(self.mean)),
-            ("p50", Json::Num(self.p50)),
-            ("p95", Json::Num(self.p95)),
-            ("max", Json::Num(self.max)),
-        ])
+    /// The five statistics, in JSON and CSV order.
+    const STATS: [&'static str; 5] = ["min", "mean", "p50", "p95", "max"];
+
+    fn values(&self) -> [f64; 5] {
+        [self.min, self.mean, self.p50, self.p95, self.max]
+    }
+}
+
+/// Written as an object of the five statistics, and as the CSV columns
+/// `KEY_min` … `KEY_max`.
+impl Field for MetricSummary {
+    fn to_json(&self) -> Json {
+        Json::obj(
+            MetricSummary::STATS
+                .into_iter()
+                .zip(self.values().map(Json::Num))
+                .collect(),
+        )
     }
 
     fn from_json(j: &Json) -> Result<MetricSummary, String> {
         // JSON has no NaN/infinity; the writer renders them as `null`
         // (see `Json::render`), so `null` parses back as NaN — the round
         // trip is lossy in spelling but total, never an error.
-        let field = |k: &str| match j.field(k)? {
+        let stat = |k: &str| match j.field(k)? {
             Json::Null => Ok(f64::NAN),
-            _ => j.num_field(k),
+            _ => j.read(k),
         };
         Ok(MetricSummary {
-            min: field("min")?,
-            mean: field("mean")?,
-            p50: field("p50")?,
-            p95: field("p95")?,
-            max: field("max")?,
+            min: stat("min")?,
+            mean: stat("mean")?,
+            p50: stat("p50")?,
+            p95: stat("p95")?,
+            max: stat("max")?,
         })
+    }
+
+    fn csv_columns(key: &str) -> Vec<String> {
+        MetricSummary::STATS
+            .map(|stat| format!("{key}_{stat}"))
+            .to_vec()
+    }
+
+    fn csv_cells(&self) -> Vec<String> {
+        self.values().map(|x| x.to_string()).to_vec()
     }
 }
 
@@ -197,23 +181,7 @@ pub struct CurveSummary {
     pub mean: MetricSummary,
 }
 
-impl CurveSummary {
-    fn to_json(self) -> Json {
-        Json::obj(vec![
-            ("sample_every", Json::Num(self.sample_every as f64)),
-            ("peak", self.peak.to_json()),
-            ("mean", self.mean.to_json()),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Result<CurveSummary, String> {
-        Ok(CurveSummary {
-            sample_every: j.int_field("sample_every")?,
-            peak: MetricSummary::from_json(j.field("peak")?)?,
-            mean: MetricSummary::from_json(j.field("mean")?)?,
-        })
-    }
-}
+record! { CurveSummary { sample_every, peak, mean } }
 
 /// Aggregated measurements of one cell (family x mode x encoding x workload
 /// x noise x scheduler) across its seed sweep.
@@ -298,6 +266,20 @@ pub struct CellReport {
     pub stall_diagnostics: Vec<String>,
 }
 
+// The observability fields are optional: omitted when absent, so
+// unsampled, healthy campaigns keep the exact bytes they produced before
+// these fields existed (the byte identity the CI rerun gates compare).
+record! {
+    CellReport {
+        family, mode, encoding, workload, noise, scheduler, first_scenario_index, nodes, edges,
+        reference_cycle_len, runs, errors, baseline_errors, construction_skews, construction_seed,
+        success_rate, quiescence_rate, pulses, bits, steps, dropped, cc_init, online_pulses,
+        max_node_pulses, max_edge_pulses, max_inflight, cycle_len, baseline_messages, overhead,
+    } optional {
+        inflight_curve, stall_diagnostics,
+    }
+}
+
 /// The aggregated result of one campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
@@ -311,6 +293,12 @@ pub struct CampaignReport {
     pub skipped: Vec<SkippedCell>,
     /// Per-cell aggregates, in expansion order.
     pub cells: Vec<CellReport>,
+}
+
+record! {
+    CampaignReport {
+        name as "campaign", scenario_count as "scenarios", seeds_per_cell, skipped, cells,
+    }
 }
 
 /// Groups outcomes by cell and summarizes each group. Outcomes must arrive
@@ -439,143 +427,12 @@ impl CellReport {
             self.family, self.mode, self.encoding, self.workload, self.noise, self.scheduler
         )
     }
-
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("family", Json::Str(self.family.clone())),
-            ("mode", Json::Str(self.mode.clone())),
-            ("encoding", Json::Str(self.encoding.clone())),
-            ("workload", Json::Str(self.workload.clone())),
-            ("noise", Json::Str(self.noise.clone())),
-            ("scheduler", Json::Str(self.scheduler.clone())),
-            (
-                "first_scenario_index",
-                Json::Num(self.first_scenario_index as f64),
-            ),
-            ("nodes", Json::Num(self.nodes as f64)),
-            ("edges", Json::Num(self.edges as f64)),
-            (
-                "reference_cycle_len",
-                Json::Num(self.reference_cycle_len as f64),
-            ),
-            ("runs", Json::Num(self.runs as f64)),
-            ("errors", Json::Num(self.errors as f64)),
-            ("baseline_errors", Json::Num(self.baseline_errors as f64)),
-            (
-                "construction_skews",
-                Json::Num(self.construction_skews as f64),
-            ),
-            (
-                "construction_seed",
-                self.construction_seed
-                    .map_or(Json::Null, |s| Json::Num(s as f64)),
-            ),
-            ("success_rate", Json::Num(self.success_rate)),
-            ("quiescence_rate", Json::Num(self.quiescence_rate)),
-            ("pulses", self.pulses.to_json()),
-            ("bits", self.bits.to_json()),
-            ("steps", self.steps.to_json()),
-            ("dropped", self.dropped.to_json()),
-            ("cc_init", self.cc_init.to_json()),
-            ("online_pulses", self.online_pulses.to_json()),
-            ("max_node_pulses", self.max_node_pulses.to_json()),
-            ("max_edge_pulses", self.max_edge_pulses.to_json()),
-            ("max_inflight", self.max_inflight.to_json()),
-            ("cycle_len", self.cycle_len.to_json()),
-            ("baseline_messages", self.baseline_messages.to_json()),
-            (
-                "overhead",
-                self.overhead.map_or(Json::Null, MetricSummary::to_json),
-            ),
-        ];
-        // Optional observability fields are *omitted* — not rendered as null
-        // — when absent, so unsampled, healthy campaigns keep producing the
-        // exact bytes they produced before these fields existed (the
-        // byte-identity the CI rerun gates compare).
-        if let Some(curve) = self.inflight_curve {
-            fields.push(("inflight_curve", curve.to_json()));
-        }
-        if !self.stall_diagnostics.is_empty() {
-            fields.push((
-                "stall_diagnostics",
-                Json::Arr(
-                    self.stall_diagnostics
-                        .iter()
-                        .map(|d| Json::Str(d.clone()))
-                        .collect(),
-                ),
-            ));
-        }
-        Json::obj(fields)
-    }
-
-    fn from_json(j: &Json) -> Result<CellReport, String> {
-        Ok(CellReport {
-            family: j.str_field("family")?,
-            mode: j.str_field("mode")?,
-            encoding: j.str_field("encoding")?,
-            workload: j.str_field("workload")?,
-            noise: j.str_field("noise")?,
-            scheduler: j.str_field("scheduler")?,
-            first_scenario_index: j.int_field("first_scenario_index")?,
-            nodes: j.int_field("nodes")?,
-            edges: j.int_field("edges")?,
-            reference_cycle_len: j.int_field("reference_cycle_len")?,
-            runs: j.int_field("runs")?,
-            errors: j.int_field("errors")?,
-            baseline_errors: j.int_field("baseline_errors")?,
-            construction_skews: j.int_field("construction_skews")?,
-            // Always written, `null` outside replay mode.
-            construction_seed: match j.field("construction_seed")? {
-                Json::Null => None,
-                _ => Some(j.int_field("construction_seed")?),
-            },
-            success_rate: j.num_field("success_rate")?,
-            quiescence_rate: j.num_field("quiescence_rate")?,
-            pulses: MetricSummary::from_json(j.field("pulses")?)?,
-            bits: MetricSummary::from_json(j.field("bits")?)?,
-            steps: MetricSummary::from_json(j.field("steps")?)?,
-            dropped: MetricSummary::from_json(j.field("dropped")?)?,
-            cc_init: MetricSummary::from_json(j.field("cc_init")?)?,
-            online_pulses: MetricSummary::from_json(j.field("online_pulses")?)?,
-            max_node_pulses: MetricSummary::from_json(j.field("max_node_pulses")?)?,
-            max_edge_pulses: MetricSummary::from_json(j.field("max_edge_pulses")?)?,
-            max_inflight: MetricSummary::from_json(j.field("max_inflight")?)?,
-            cycle_len: MetricSummary::from_json(j.field("cycle_len")?)?,
-            baseline_messages: MetricSummary::from_json(j.field("baseline_messages")?)?,
-            // Always written, `null` when the workload has no baseline.
-            overhead: match j.field("overhead")? {
-                Json::Null => None,
-                v => Some(MetricSummary::from_json(v)?),
-            },
-            // Observability fields are optional by design: absent for
-            // unsampled runs and healthy cells.
-            inflight_curve: match j.get("inflight_curve") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(CurveSummary::from_json(v)?),
-            },
-            stall_diagnostics: match j.get("stall_diagnostics") {
-                None => Vec::new(),
-                Some(_) => j.arr_field("stall_diagnostics", Json::string)?,
-            },
-        })
-    }
 }
 
 impl CampaignReport {
     /// Renders the report as a JSON document.
     pub fn to_json_string(&self) -> String {
-        Json::obj(vec![
-            ("campaign", Json::Str(self.name.clone())),
-            ("scenarios", Json::Num(self.scenario_count as f64)),
-            ("seeds_per_cell", Json::Num(f64::from(self.seeds_per_cell))),
-            ("skipped", skipped_to_json(&self.skipped)),
-            (
-                "cells",
-                Json::Arr(self.cells.iter().map(CellReport::to_json).collect()),
-            ),
-        ])
-        .render()
+        Field::to_json(self).render()
     }
 
     /// Parses a report previously rendered by
@@ -597,88 +454,15 @@ impl CampaignReport {
     ///
     /// Returns a description of the first structural problem.
     pub fn from_json(j: &Json) -> Result<CampaignReport, String> {
-        Ok(CampaignReport {
-            name: j.str_field("campaign")?,
-            scenario_count: j.int_field("scenarios")?,
-            seeds_per_cell: j.int_field("seeds_per_cell")?,
-            skipped: skipped_from_json(j)?,
-            cells: j.arr_field("cells", CellReport::from_json)?,
-        })
+        <CampaignReport as Field>::from_json(j)
     }
 
     /// Renders the report as CSV (one row per cell).
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "family,mode,encoding,workload,noise,scheduler,first_scenario_index,nodes,edges,\
-             reference_cycle_len,runs,errors,baseline_errors,construction_skews,\
-             construction_seed,success_rate,quiescence_rate",
-        );
-        for metric in [
-            "pulses",
-            "bits",
-            "steps",
-            "dropped",
-            "cc_init",
-            "online_pulses",
-            "max_node_pulses",
-            "max_edge_pulses",
-            "max_inflight",
-            "cycle_len",
-            "baseline_messages",
-            "overhead",
-        ] {
-            for stat in ["min", "mean", "p50", "p95", "max"] {
-                let _ = write!(out, ",{metric}_{stat}");
-            }
-        }
-        out.push('\n');
-        for c in &self.cells {
-            let _ = write!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                csv_field(&c.family),
-                csv_field(&c.mode),
-                csv_field(&c.encoding),
-                csv_field(&c.workload),
-                csv_field(&c.noise),
-                csv_field(&c.scheduler),
-                c.first_scenario_index,
-                c.nodes,
-                c.edges,
-                c.reference_cycle_len,
-                c.runs,
-                c.errors,
-                c.baseline_errors,
-                c.construction_skews,
-                c.construction_seed.map_or(String::new(), |s| s.to_string()),
-                c.success_rate,
-                c.quiescence_rate
-            );
-            for m in [
-                Some(c.pulses),
-                Some(c.bits),
-                Some(c.steps),
-                Some(c.dropped),
-                Some(c.cc_init),
-                Some(c.online_pulses),
-                Some(c.max_node_pulses),
-                Some(c.max_edge_pulses),
-                Some(c.max_inflight),
-                Some(c.cycle_len),
-                Some(c.baseline_messages),
-                c.overhead,
-            ] {
-                match m {
-                    Some(m) => {
-                        let _ = write!(out, ",{},{},{},{},{}", m.min, m.mean, m.p50, m.p95, m.max);
-                    }
-                    None => out.push_str(",,,,,"),
-                }
-            }
-            out.push('\n');
-        }
-        out
+        csv_lines(
+            CellReport::csv_columns(""),
+            self.cells.iter().map(Field::csv_cells),
+        )
     }
 
     /// Renders the report as a markdown document.
@@ -957,6 +741,8 @@ pub(crate) fn plain_cell() -> CellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontier::{FrontierCell, FrontierProbe, FrontierReport, FrontierStatus::Bracketed};
+    use crate::json::csv_field;
 
     #[test]
     fn percentile_nearest_rank() {
@@ -1097,41 +883,79 @@ mod tests {
         assert!(lines.iter().all(|l| bars(l) == bars(lines[0])));
     }
 
-    #[test]
-    fn reports_missing_a_required_field_are_rejected_by_name() {
-        // Every field the writer always emits is required: a report from an
-        // older binary fails to parse and the error names what is missing,
-        // instead of parsing with made-up defaults.
-        let strip = |doc: &Json, key: &str| match doc {
+    /// `doc` without its field `key`.
+    fn strip(doc: &Json, key: &str) -> Json {
+        match doc {
             Json::Obj(fields) => {
                 Json::Obj(fields.iter().filter(|(k, _)| k != key).cloned().collect())
             }
-            _ => panic!("reports render as objects"),
+            _ => panic!("records render as objects"),
+        }
+    }
+
+    /// Parses `doc` once without each of its keys: every key but the
+    /// `optional` ones is required, and the error names it.
+    fn assert_keys_required<T>(
+        doc: &Json,
+        parse: fn(&Json) -> Result<T, String>,
+        optional: &[&str],
+    ) {
+        let Json::Obj(fields) = doc else {
+            panic!("records render as objects")
         };
-        let cell = plain_cell();
-        assert_eq!(CellReport::from_json(&cell.to_json()).unwrap(), cell);
-        for key in [
-            "first_scenario_index",
-            "baseline_errors",
-            "construction_skews",
-            "construction_seed",
-            "dropped",
-            "max_inflight",
-            "overhead",
-        ] {
-            let err = CellReport::from_json(&strip(&cell.to_json(), key)).unwrap_err();
-            assert!(err.contains(&format!("`{key}` missing")), "{key}: {err}");
+        assert!(parse(doc).is_ok());
+        for (key, _) in fields {
+            match parse(&strip(doc, key)) {
+                Ok(_) => assert!(optional.contains(&key.as_str()), "`{key}` is not required"),
+                Err(e) => assert!(e.contains(&format!("field `{key}` missing")), "{key}: {e}"),
+            }
         }
-        let report = Json::parse(&report_of(&cell).to_json_string()).unwrap();
-        for key in ["scenarios", "seeds_per_cell", "skipped"] {
-            let err = CampaignReport::from_json(&strip(&report, key)).unwrap_err();
-            assert!(err.contains(&format!("`{key}` missing")), "{key}: {err}");
-        }
-        // Fields that are optional by design still parse when absent.
-        let mut extras = cell.clone();
-        extras.stall_diagnostics = vec!["s1: stalled".to_string()];
-        let doc = strip(&extras.to_json(), "stall_diagnostics");
-        assert_eq!(CellReport::from_json(&doc).unwrap(), cell);
+    }
+
+    #[test]
+    fn reports_missing_a_required_field_are_rejected_by_name() {
+        // Every key the writers emit is required: a report from an older
+        // binary fails to parse and the error names what is missing, instead
+        // of parsing with made-up defaults. The keys come from the rendered
+        // documents, so the check follows the record tables.
+        let first = |doc: &Json, key: &str| doc.get(key).and_then(Json::as_arr).unwrap()[0].clone();
+        let curve = CurveSummary {
+            sample_every: 8,
+            peak: MetricSummary::ZERO,
+            mean: MetricSummary::ZERO,
+        };
+        let cell = CellReport {
+            inflight_curve: Some(curve),
+            stall_diagnostics: vec!["s1: stalled".to_string()],
+            ..plain_cell()
+        };
+        let mut report = report_of(&cell);
+        report.skipped = vec![SkippedCell {
+            cell: "path(4)".to_string(),
+            reason: "not 2-edge-connected".to_string(),
+        }];
+        let doc = Json::parse(&report.to_json_string()).unwrap();
+        assert_keys_required(&doc, CampaignReport::from_json, &[]);
+        assert_keys_required(&first(&doc, "skipped"), SkippedCell::from_json, &[]);
+        let cell_doc = first(&doc, "cells");
+        let optional = ["inflight_curve", "stall_diagnostics"];
+        assert_keys_required(&cell_doc, CellReport::from_json, &optional);
+        assert_keys_required(
+            cell_doc.get("pulses").unwrap(),
+            MetricSummary::from_json,
+            &[],
+        );
+        // Fields that are optional by design parse as absent.
+        let bare = optional.iter().fold(cell_doc, |doc, key| strip(&doc, key));
+        assert_eq!(CellReport::from_json(&bare).unwrap(), plain_cell());
+
+        let frontier =
+            crate::frontier::report("f", vec![crate::frontier::cell(Bracketed, 4, 8, false)]);
+        let doc = Json::parse(&frontier.to_json_string()).unwrap();
+        assert_keys_required(&doc, FrontierReport::from_json, &[]);
+        let cell_doc = first(&doc, "cells");
+        assert_keys_required(&cell_doc, FrontierCell::from_json, &[]);
+        assert_keys_required(&first(&cell_doc, "probes"), FrontierProbe::from_json, &[]);
     }
 
     #[test]

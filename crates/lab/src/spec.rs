@@ -15,6 +15,8 @@ use fdn_graph::{connectivity, Graph, GraphFamily};
 use fdn_netsim::{LinkStore, NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
 
+use crate::json::record;
+
 /// Which simulation engine carries the workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineMode {
@@ -288,6 +290,8 @@ pub struct SkippedCell {
     /// Why it cannot run.
     pub reason: String,
 }
+
+record! { SkippedCell { cell, reason } }
 
 impl SkippedCell {
     /// Whether this entry passes the `list-scenarios` substring filters.

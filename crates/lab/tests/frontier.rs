@@ -230,3 +230,26 @@ fn frontier_report_parses_back_from_disk_bytes() {
     assert_eq!(parsed, report);
     assert_eq!(parsed.to_json_string(), report.to_json_string());
 }
+
+#[test]
+fn report_re_renders_a_saved_frontier_report() {
+    // `report` reads either report kind, as `diff` does, from the exact
+    // bytes the CLI writes and CI re-reads.
+    let dir = scratch("frontier-report");
+    let report = small_frontier("rr");
+    let path = dir.join("rr.frontier.json");
+    std::fs::write(&path, report.to_json_string()).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(FrontierReport::from_json_str(&text).unwrap(), report);
+    for (format, expected) in [
+        ("json", report.to_json_string()),
+        ("csv", report.to_csv()),
+        ("md", report.to_markdown()),
+    ] {
+        let input = path.to_str().unwrap();
+        let out = fdn_lab(&["report", "--input", input, "--format", format], &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{format}: {stderr}");
+        assert_eq!(String::from_utf8(out.stdout).unwrap(), expected, "{format}");
+    }
+}

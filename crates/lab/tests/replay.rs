@@ -185,3 +185,42 @@ fn diff_exit_code_contract_on_replay_reports() {
     assert_eq!(out.status.code(), Some(2), "replay regression must exit 2");
     assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSION"));
 }
+
+#[test]
+fn seeds_a_report_cannot_store_exactly_are_refused() {
+    // Reports record seeds as JSON numbers, exact only up to 2^53: a seed
+    // range reaching past it is a usage error naming `--seed-start` (exit 1),
+    // never a report with a rounded or unreadable construction seed.
+    let dir = scratch("large-seeds");
+    let out_dir = dir.to_str().unwrap();
+    let run = |start: &str, seeds: &str| {
+        let mut args: Vec<&str> = "run --preset quick --families figure3 --modes replay \
+                                   --workloads flood(2) --noises noiseless --schedulers random"
+            .split_whitespace()
+            .collect();
+        args.extend(["--seeds", seeds, "--seed-start", start, "--out", out_dir]);
+        fdn_lab(&args, &[])
+    };
+    for (start, seeds) in [
+        ("9007199254740993", "1"),
+        ("1152921504606846977", "1"),
+        ("9007199254740992", "2"),
+        ("18446744073709551615", "2"),
+    ] {
+        let out = run(start, seeds);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{start} x {seeds}: {stderr}");
+        assert!(stderr.contains("`--seed-start`"), "{stderr}");
+    }
+    // The last exact seed runs, and its report reads back exactly.
+    let out = run("9007199254740992", "1");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(dir.join("quick.json")).unwrap();
+    assert!(text.contains("\"construction_seed\": 9007199254740992"));
+    let report = CampaignReport::from_json_str(&text).unwrap();
+    assert_eq!(report.cells[0].construction_seed, Some(1 << 53));
+}

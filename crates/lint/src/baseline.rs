@@ -13,7 +13,7 @@
 //! justify it with an inline pragma.
 
 use crate::rules::{Finding, RuleId};
-use fdn_lab::Json;
+use fdn_lab::{Field, Json};
 
 /// One grandfathered finding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -82,21 +82,7 @@ impl Baseline {
         Json::obj(vec![
             ("tool", Json::Str("fdn-lint".to_string())),
             ("version", Json::Num(1.0)),
-            (
-                "findings",
-                Json::Arr(
-                    entries
-                        .iter()
-                        .map(|e| {
-                            Json::obj(vec![
-                                ("file", Json::Str(e.file.clone())),
-                                ("line", Json::Num(e.line as f64)),
-                                ("rule", Json::Str(e.rule.name().to_string())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("findings", entries.to_json()),
         ])
         .render()
     }
@@ -107,16 +93,29 @@ impl Baseline {
         if doc.get("tool").and_then(Json::as_str) != Some("fdn-lint") {
             return Err("not an fdn-lint baseline (missing `\"tool\": \"fdn-lint\"`)".to_string());
         }
-        let mut entries = doc.arr_field("findings", |f| {
-            let rule = f.str_field("rule")?;
-            Ok(BaselineEntry {
-                file: f.str_field("file")?,
-                line: f.int_field("line")?,
-                rule: RuleId::parse(&rule).ok_or_else(|| format!("has unknown rule `{rule}`"))?,
-            })
-        })?;
+        let mut entries: Vec<BaselineEntry> = doc.read("findings")?;
         entries.sort();
         Ok(Baseline { entries })
+    }
+}
+
+/// One `findings` element: `{"file", "line", "rule"}`.
+impl Field for BaselineEntry {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("file", self.file.to_json()),
+            ("line", self.line.to_json()),
+            ("rule", Json::Str(self.rule.name().to_string())),
+        ])
+    }
+
+    fn from_json(f: &Json) -> Result<Self, String> {
+        let rule: String = f.read("rule")?;
+        Ok(BaselineEntry {
+            file: f.read("file")?,
+            line: f.read("line")?,
+            rule: RuleId::parse(&rule).ok_or_else(|| format!("has unknown rule `{rule}`"))?,
+        })
     }
 }
 
