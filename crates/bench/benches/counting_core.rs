@@ -12,6 +12,11 @@
 //! 64 the counting backend does at least 10x fewer queue operations per
 //! delivered envelope.
 
+#![expect(
+    clippy::print_stdout,
+    reason = "D5: the bench prints its headline ratio"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fdn_graph::{generators, NodeId};
 use fdn_netsim::{Context, LinkStore, Reactor, SchedulerSpec, Simulation};

@@ -11,6 +11,11 @@
 //! everywhere); E8 deliberately leaves the paper's model and charts the
 //! deletion-noise frontier (success is *expected* to collapse).
 
+#![expect(
+    clippy::print_stdout,
+    reason = "D5: the experiment-table binary prints its tables"
+)]
+
 use fdn_graph::GraphFamily;
 use fdn_lab::{
     run_campaign, Caches, Campaign, CampaignReport, EncodingSpec, EngineMode, RunOptions, SeedRange,

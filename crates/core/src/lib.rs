@@ -26,6 +26,8 @@
 //!   online phase, arbitrarily often;
 //! * [`impossibility`] — the §6 two-party impossibility harness (Theorem 20).
 
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+
 pub mod checkpoint;
 pub mod construction;
 pub mod control;

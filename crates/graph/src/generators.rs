@@ -4,6 +4,11 @@
 //! generators take an explicit seed), so every experiment in EXPERIMENTS.md is
 //! reproducible.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "D3: a seeded RNG factory; every random graph derives from its explicit seed argument"
+)]
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};

@@ -24,7 +24,12 @@
 //! New cells, rate improvements, and pulse-cost decreases are reported but
 //! never fail the gate.
 
-// fdn-lint: allow(D2) -- lookup indexes only; every rendered sequence iterates the reports' sorted cell vectors
+#![deny(clippy::disallowed_types)]
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup indexes only; every rendered sequence iterates the reports' sorted cell vectors"
+)]
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -296,9 +301,15 @@ impl ReportDiff {
     ) {
         // Index each side once: reports can hold thousands of cells, and the
         // formatted id is too expensive to rebuild per probe.
-        // fdn-lint: allow(D2) -- keyed lookups only; deltas iterate the base cells in report order
+        #[expect(
+            clippy::disallowed_types,
+            reason = "keyed lookups only; deltas iterate the base cells in report order"
+        )]
         let candidate_by_id: HashMap<String, &C> = candidate.iter().map(|c| (id(c), c)).collect();
-        // fdn-lint: allow(D2) -- membership test only, never iterated
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership test only, never iterated"
+        )]
         let base_ids: HashSet<String> = base.iter().map(&id).collect();
         for b in base {
             let key = id(b);

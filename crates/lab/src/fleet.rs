@@ -27,6 +27,9 @@
 //! This module performs no terminal output of its own (worker output is
 //! inherited); the `fdn-lab fleet` subcommand does the narration.
 
+#![deny(clippy::disallowed_types)]
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 

@@ -7,6 +7,8 @@
 //! which makes the rendered bytes a pure function of the report value — the
 //! determinism guarantee the campaign tests assert.
 
+#![deny(clippy::disallowed_types)]
+
 use std::fmt::Write as _;
 
 /// A JSON document.
@@ -40,7 +42,8 @@ impl Json {
     /// Convenience constructor for `u64` counters. Counters large enough to
     /// lose integer precision in a JSON number (above 2^53) do not occur in
     /// reports; the float detour stays confined to this module, which keeps
-    /// callers in the fdn-lint D4 accounting scope float-free.
+    /// callers in the D4 accounting modules (those denying
+    /// `clippy::cast_precision_loss`) float-free.
     pub fn num_u64(x: u64) -> Json {
         Json::Num(x as f64)
     }
@@ -359,7 +362,7 @@ macro_rules! record {
     ) => {
         impl $crate::json::Field for $ty {
             fn to_json(&self) -> $crate::json::Json {
-                #[allow(unused_mut)]
+                #[allow(unused_mut, reason = "only records with an `optional` group push onto `fields`")]
                 let mut fields = vec![$((
                     $crate::json::record!(@key $field $($key)?),
                     $crate::json::Field::to_json(&self.$field),

@@ -2,6 +2,12 @@
 //! matrices, and re-render, merge and diff saved reports. `fdn-lab help`
 //! prints the usage.
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "D5: the CLI writes reports to stdout and diagnostics to stderr"
+)]
+
 use std::fmt::Display;
 use std::num::ParseIntError;
 use std::path::{Path, PathBuf};

@@ -7,9 +7,14 @@
 //! sidecar ([`crate::runner::CellTiming`]) and markdown report headers,
 //! and both take their measurements exclusively through this module.
 //!
-//! `fdn-lint` rule D1 enforces the funnel statically: this file is the only
-//! `fdn-lab` source on the D1 allowlist, so an `Instant::now()` anywhere
-//! else in the crate fails the lint gate.
+//! Rule D1 enforces the funnel statically: `clippy.toml` bans the clock
+//! reads, and the `#![expect]` below is the only exception in `fdn-lab`, so
+//! an `Instant::now()` anywhere else in the crate fails `cargo clippy`.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "D1: the one sanctioned wall-clock read in fdn-lab, feeding only the --timings sidecar and markdown headers"
+)]
 
 use std::time::{Duration, Instant};
 

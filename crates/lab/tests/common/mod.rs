@@ -26,7 +26,7 @@ pub fn fdn_lab(args: &[&str], envs: &[(&str, &str)]) -> Output {
 /// Reads the `STEM.{json,csv,md}` artifacts of a run in `dir`. The markdown
 /// header records the wall clock, so its line is dropped; JSON and CSV are
 /// returned without any allowance.
-#[allow(dead_code)] // not every test file compares report artifacts
+#[allow(dead_code, reason = "not every test file compares report artifacts")]
 pub fn report_artifacts(dir: &Path, stem: &str) -> Vec<(String, Vec<u8>)> {
     ["json", "csv", "md"]
         .iter()

@@ -1,54 +1,43 @@
 //! Source→sink taint propagation over the workspace call graph — the flow
-//! rules F1–F3.
+//! rules F2 and F3.
 //!
-//! The lexical rules (D1–D6) ask "is this token allowed in this file?"; the
-//! flow rules ask the question that actually matters for the byte-identity
-//! contract: *can a nondeterministic value reach the bytes CI `cmp`s?* A
-//! wall-clock read in a helper crate is harmless until a report function
-//! calls that helper — and then it is a bug no path policy catches.
+//! Clippy asks "is this call or type allowed in this module?"; the flow
+//! rules ask the question that matters for the byte-identity contract: *can
+//! a nondeterministic value reach the bytes CI `cmp`s?* An environment read
+//! in a helper crate is harmless until a report function calls that helper
+//! — and then it is a bug no per-module lint catches.
 //!
 //! The model:
 //!
-//! - **Sources** seed taint per [`TaintKind`]: wall-clock reads (D1's
-//!   alphabet), entropy RNGs (D3), float arithmetic in accounting scope
-//!   (D4), iteration over `HashMap`/`HashSet`-typed state, and environment
-//!   reads (`env::var`, `available_parallelism`). Seeds respect the same
-//!   path policies as their lexical cousins, and a pragma suppressing the
-//!   lexical rule (or the flow rule) at the seed line suppresses the seed.
+//! - **Sources** seed taint per [`TaintKind`]: iteration over
+//!   `HashMap`/`HashSet`-typed state, and environment reads (`env::var`,
+//!   `available_parallelism`). A pragma suppressing the flow rule at the
+//!   seed line suppresses the seed.
 //! - **Taint propagates callee→caller**: if `helper` is tainted and
 //!   `render` calls it, `render` is tainted. The symmetric direction —
 //!   a tainted function passing a value *into* a sink it calls — is covered
 //!   by flagging tainted functions with a direct edge to a sink.
-//! - **Boundaries** absorb taint: the sanctioned timing modules clear clock
-//!   taint, the seeded factories clear entropy taint, `Json::num_u64`
-//!   clears float taint, and a body that sorts (or routes through a BTree
-//!   collection) clears iteration-order taint. Test paths and the vendored
-//!   shims are inert throughout.
-//! - **Sinks** are the report-producing functions: everything in the D2
-//!   scope files (derived from the same constant the lexical rule uses, so
-//!   extending D2 extends F1–F3 for free) plus a name heuristic
-//!   (`render*`, `*fingerprint*`, `to_json*`/`to_csv*`/`to_markdown*`/
-//!   `to_text*`) that guards future modules before anyone updates a policy
-//!   list.
+//! - **Boundaries** absorb taint: a body that sorts (or routes through a
+//!   BTree collection) clears iteration-order taint. Test paths and the
+//!   vendored shims are inert throughout.
+//! - **Sinks** are the report-producing functions: everything in a file
+//!   that starts with `#![deny(clippy::disallowed_types)]` (the D2 marker
+//!   of a report module, so denying unordered maps in a module also makes
+//!   it a sink) plus a name heuristic (`render*`, `*fingerprint*`,
+//!   `to_json*`/`to_csv*`/`to_markdown*`/`to_text*`) that guards future
+//!   modules before anyone adds the attribute.
 //!
-//! Findings are anchored at the **seed token** (file, line) so their
-//! baseline identity matches the lexical rules' `(file, rule, line)` form,
-//! and carry the full call path for `fdn-lint why`.
+//! Findings are anchored at the **seed token** (file, line) and carry the
+//! full call path for `fdn-lint why`.
 
 use crate::graph::{FnNode, WorkspaceGraph};
 use crate::pragma::Pragmas;
-use crate::rules::{Finding, PathPolicy, RuleId, D1_ALLOWED, D2_SCOPE, D3_ALLOWED};
+use crate::rules::{Finding, PathPolicy, RuleId};
 use std::collections::BTreeMap;
 
 /// One class of nondeterminism tracked through the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TaintKind {
-    /// Wall-clock reads (`Instant`, `SystemTime`, `UNIX_EPOCH`).
-    Clock,
-    /// Entropy-seeded RNG construction (`thread_rng`, `from_entropy`, `OsRng`).
-    Entropy,
-    /// Float arithmetic in accounting scope.
-    Float,
     /// `HashMap`/`HashSet` iteration order.
     MapIter,
     /// Environment dependence (`env::var`, `available_parallelism`).
@@ -56,19 +45,12 @@ pub enum TaintKind {
 }
 
 /// All kinds, in report order.
-const ALL_KINDS: [TaintKind; 5] = [
-    TaintKind::Clock,
-    TaintKind::Entropy,
-    TaintKind::Float,
-    TaintKind::MapIter,
-    TaintKind::Env,
-];
+const ALL_KINDS: [TaintKind; 2] = [TaintKind::MapIter, TaintKind::Env];
 
 impl TaintKind {
     /// The flow rule this kind reports as.
     pub fn rule(self) -> RuleId {
         match self {
-            TaintKind::Clock | TaintKind::Entropy | TaintKind::Float => RuleId::F1,
             TaintKind::MapIter => RuleId::F2,
             TaintKind::Env => RuleId::F3,
         }
@@ -77,22 +59,8 @@ impl TaintKind {
     /// Human label used in messages and graph roles.
     pub fn label(self) -> &'static str {
         match self {
-            TaintKind::Clock => "clock",
-            TaintKind::Entropy => "entropy",
-            TaintKind::Float => "float",
             TaintKind::MapIter => "map-iteration-order",
             TaintKind::Env => "environment",
-        }
-    }
-
-    /// The lexical rule whose pragma also clears this kind's seeds — a site
-    /// already argued safe for D1/D3/D4 must not re-fire as flow taint.
-    fn lexical_rule(self) -> Option<RuleId> {
-        match self {
-            TaintKind::Clock => Some(RuleId::D1),
-            TaintKind::Entropy => Some(RuleId::D3),
-            TaintKind::Float => Some(RuleId::D4),
-            TaintKind::MapIter | TaintKind::Env => None,
         }
     }
 }
@@ -108,25 +76,20 @@ fn inert(policy: &PathPolicy, file: &str) -> bool {
 /// propagates past it.
 fn boundary(node: &FnNode, kind: TaintKind) -> bool {
     match kind {
-        TaintKind::Clock => PathPolicy::in_any(&node.file, &D1_ALLOWED),
-        TaintKind::Entropy => PathPolicy::in_any(&node.file, &D3_ALLOWED),
-        // `Json::num_u64` renders an exact integer through the f64-shaped
-        // Json value type — the one sanctioned float→bytes path.
-        TaintKind::Float => node.name == "num_u64",
         TaintKind::MapIter => node.facts.sorts,
         TaintKind::Env => false,
     }
 }
 
-/// True when `node` is a report sink: its file is in the D2 report scope
-/// (the same constant the lexical rule uses) or its name matches the
+/// True when `node` is a report sink: its file denies
+/// `clippy::disallowed_types`, or its name matches the
 /// render/fingerprint/serialize heuristic.
 fn is_sink(node: &FnNode) -> bool {
-    PathPolicy::in_any(&node.file, &D2_SCOPE) || sink_name(&node.name)
+    node.report_module || sink_name(&node.name)
 }
 
-/// The sink name heuristic, applied everywhere (it guards modules no policy
-/// list mentions yet).
+/// The sink name heuristic, applied everywhere (it guards modules that do
+/// not carry the report-module attribute yet).
 fn sink_name(name: &str) -> bool {
     name.starts_with("render")
         || name.contains("fingerprint")
@@ -136,30 +99,16 @@ fn sink_name(name: &str) -> bool {
         || name.starts_with("to_text")
 }
 
-/// True when seeds of `kind` apply in `file` under `policy` — the same
-/// scoping as the corresponding lexical rule where one exists.
-fn seed_applies(policy: &PathPolicy, kind: TaintKind, file: &str) -> bool {
-    match kind {
-        TaintKind::Clock => policy.d1_applies(file),
-        TaintKind::Entropy => policy.d3_banned_applies(file),
-        TaintKind::Float => policy.d4_applies(file),
-        TaintKind::MapIter | TaintKind::Env => !policy.is_test_path(file),
-    }
-}
-
 /// The seed facts of `kind` on one node, as `(line, token)` pairs.
 fn facts_of(node: &FnNode, kind: TaintKind) -> &[(u32, String)] {
     match kind {
-        TaintKind::Clock => &node.facts.clock,
-        TaintKind::Entropy => &node.facts.entropy,
-        TaintKind::Float => &node.facts.floats,
         TaintKind::MapIter => &node.facts.map_iter,
         TaintKind::Env => &node.facts.env,
     }
 }
 
-/// Descriptive flow roles per function (`source:clock`, `boundary:map_iter`,
-/// `sink`) for the graph export. Pragmas are deliberately not consulted —
+/// Descriptive flow roles per function (`source:environment`,
+/// `boundary:map-iteration-order`, `sink`) for the graph export. Pragmas are deliberately not consulted —
 /// the export describes the model, not a particular scan's suppressions.
 pub fn roles(graph: &WorkspaceGraph, policy: &PathPolicy) -> Vec<Vec<String>> {
     graph
@@ -173,8 +122,7 @@ pub fn roles(graph: &WorkspaceGraph, policy: &PathPolicy) -> Vec<Vec<String>> {
             for kind in ALL_KINDS {
                 if boundary(node, kind) {
                     out.push(format!("boundary:{}", kind.label()));
-                } else if !facts_of(node, kind).is_empty() && seed_applies(policy, kind, &node.file)
-                {
+                } else if !facts_of(node, kind).is_empty() {
                     out.push(format!("source:{}", kind.label()));
                 }
             }
@@ -186,7 +134,7 @@ pub fn roles(graph: &WorkspaceGraph, policy: &PathPolicy) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Propagates taint of every kind through `graph` and returns the F1–F3
+/// Propagates taint of every kind through `graph` and returns the F2/F3
 /// findings, sorted and deduplicated on `(file, line, rule)` (keeping the
 /// shortest path per identity). `pragmas` is keyed by workspace-relative
 /// file path.
@@ -201,17 +149,13 @@ pub fn analyze(
         // Seed selection: the first unsuppressed fact per node.
         let mut seed: Vec<Option<(u32, String)>> = vec![None; graph.fns.len()];
         for (i, node) in graph.fns.iter().enumerate() {
-            if inert(policy, &node.file)
-                || boundary(node, kind)
-                || !seed_applies(policy, kind, &node.file)
-            {
+            if inert(policy, &node.file) || boundary(node, kind) {
                 continue;
             }
             let suppressed = |line: u32| {
-                pragmas.get(&node.file).is_some_and(|p| {
-                    p.suppresses(kind.rule(), line)
-                        || kind.lexical_rule().is_some_and(|r| p.suppresses(r, line))
-                })
+                pragmas
+                    .get(&node.file)
+                    .is_some_and(|p| p.suppresses(kind.rule(), line))
             };
             seed[i] = facts_of(node, kind)
                 .iter()
@@ -334,35 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_taint_flows_through_helper_into_sink() {
-        let f = run(&[(
-            "crates/x/src/lib.rs",
-            "fn helper_now() -> u64 { let t = Instant::now(); 0 }\n\
-             fn render_cells() { let x = helper_now(); }",
-        )]);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, RuleId::F1);
-        assert_eq!((f[0].file.as_str(), f[0].line), ("crates/x/src/lib.rs", 1));
-        assert_eq!(f[0].path.len(), 2);
-        assert!(f[0].message.contains("render_cells"));
-    }
-
-    #[test]
-    fn timing_module_is_a_clock_boundary() {
-        let f = run(&[
-            (
-                "crates/lab/src/timing.rs",
-                "pub fn stopwatch() -> u64 { let t = Instant::now(); 0 }",
-            ),
-            (
-                "crates/x/src/lib.rs",
-                "fn render_cells() { let x = stopwatch(); }",
-            ),
-        ]);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
     fn map_iteration_needs_a_sorting_boundary() {
         let dirty = "fn rows(m: &HashMap<u32, u32>) -> Vec<u32> { m.keys().cloned().collect() }\n\
                      fn render_rows(m: &HashMap<u32, u32>) { let r = rows(m); }";
@@ -378,35 +293,30 @@ mod tests {
 
     #[test]
     fn env_read_reaching_a_d2_scope_file_is_f3() {
+        let src =
+            "fn workers() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }";
+        // The same function is a sink only in a file that denies unordered
+        // maps: the D2 attribute, not the path, marks a report module.
+        assert!(run(&[("crates/x/src/lib.rs", src)]).is_empty());
         let f = run(&[(
-            "crates/lab/src/fleet.rs",
-            "fn workers() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }",
+            "crates/x/src/lib.rs",
+            &format!("#![deny(clippy::disallowed_types)]\n{src}"),
         )]);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, RuleId::F3);
+        assert_eq!(f[0].line, 2);
         assert_eq!(f[0].path.len(), 1);
     }
 
     #[test]
     fn pragma_at_seed_line_suppresses_flow_finding() {
         let f = run(&[(
-            "crates/lab/src/fleet.rs",
-            "fn workers() -> usize {\n\
+            "crates/x/src/lib.rs",
+            "#![deny(clippy::disallowed_types)]\n\
+             fn workers() -> usize {\n\
              // fdn-lint: allow(F3) -- worker count never reaches report bytes\n\
              std::thread::available_parallelism().map_or(1, |n| n.get())\n\
              }",
-        )]);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn d_rule_pragma_also_clears_the_seed() {
-        let f = run(&[(
-            "crates/x/src/lib.rs",
-            "fn helper_now() -> u64 {\n\
-             let t = Instant::now(); // fdn-lint: allow(D1) -- stderr sidecar only\n\
-             0 }\n\
-             fn render_cells() { let x = helper_now(); }",
         )]);
         assert!(f.is_empty(), "{f:?}");
     }
@@ -418,10 +328,10 @@ mod tests {
         let f = run(&[(
             "crates/x/src/lib.rs",
             "fn render_report(x: u64) {}\n\
-             fn driver() { let t = Instant::now(); render_report(0); }",
+             fn driver() { let n = std::env::var(\"N\"); render_report(0); }",
         )]);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, RuleId::F1);
+        assert_eq!(f[0].rule, RuleId::F3);
         assert_eq!(f[0].path.len(), 2);
     }
 
@@ -429,8 +339,8 @@ mod tests {
     fn test_paths_are_inert_without_apply_all_rules() {
         let files = [(
             "crates/x/tests/gate.rs",
-            "fn helper_now() -> u64 { let t = Instant::now(); 0 }\n\
-             fn render_cells() { let x = helper_now(); }",
+            "fn helper_env() -> usize { std::env::var(\"N\").map_or(0, |v| v.len()) }\n\
+             fn render_cells() { let x = helper_env(); }",
         )];
         assert!(run(&files).is_empty());
         let policy = PathPolicy {
@@ -443,10 +353,10 @@ mod tests {
     fn shortest_path_wins_per_identity() {
         let f = run(&[(
             "crates/x/src/lib.rs",
-            "fn helper_now() -> u64 { let t = Instant::now(); 0 }\n\
-             fn mid() -> u64 { helper_now() }\n\
+            "fn helper_env() -> usize { std::env::var(\"N\").map_or(0, |v| v.len()) }\n\
+             fn mid() -> usize { helper_env() }\n\
              fn render_a() { let x = mid(); }\n\
-             fn render_direct() { let x = helper_now(); }",
+             fn render_direct() { let x = helper_env(); }",
         )]);
         assert_eq!(f.len(), 1, "{f:?}");
         // Both sinks are reachable; the finding keeps the 2-hop path.
@@ -457,14 +367,18 @@ mod tests {
     fn roles_describe_sources_boundaries_and_sinks() {
         let mut raws = Vec::new();
         for (path, src) in [
-            ("crates/lab/src/report.rs", "pub fn render_all() {}"),
             (
-                "crates/lab/src/timing.rs",
-                "pub fn now_ms() -> u64 { let t = Instant::now(); 0 }",
+                "crates/x/src/report.rs",
+                "#![deny(clippy::disallowed_types)]\npub fn summary() {}",
             ),
             (
-                "crates/x/src/lib.rs",
-                "fn noisy() { let r = thread_rng(); }",
+                "crates/x/src/plan.rs",
+                "pub fn workers() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }",
+            ),
+            (
+                "crates/x/src/rows.rs",
+                "fn rows(m: &HashMap<u32, u32>) -> Vec<u32> {\n\
+                 let mut v: Vec<u32> = m.keys().cloned().collect(); v.sort(); v }",
             ),
         ] {
             raws.push(items::extract_file(path, &scan(src).tokens));
@@ -475,8 +389,8 @@ mod tests {
             let i = g.fns.iter().position(|n| n.name == name).unwrap();
             r[i].clone()
         };
-        assert!(of("render_all").contains(&"sink".to_string()));
-        assert!(of("now_ms").contains(&"boundary:clock".to_string()));
-        assert!(of("noisy").contains(&"source:entropy".to_string()));
+        assert_eq!(of("summary"), vec!["sink".to_string()]);
+        assert_eq!(of("workers"), vec!["source:environment".to_string()]);
+        assert_eq!(of("rows"), vec!["boundary:map-iteration-order".to_string()]);
     }
 }

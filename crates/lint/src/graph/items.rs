@@ -14,15 +14,15 @@
 //!   method (`.name(`) forms are tagged so resolution can be type-filtered;
 //! - `use` imports, flattened through `{…}` groups and `as` renames, kept
 //!   only for workspace-internal refinement of bare-call resolution;
-//! - per-function facts: wall-clock / entropy-RNG / float tokens (the D1,
-//!   D3, D4 alphabets), iteration over `HashMap`/`HashSet`-typed names,
-//!   environment reads, and whether the body sorts (the F2 sanitizer).
+//! - per-function facts: iteration over `HashMap`/`HashSet`-typed names,
+//!   environment reads, and whether the body sorts (the F2 sanitizer);
+//! - whether the file is a report module: its top level carries
+//!   `#![deny(clippy::disallowed_types)]`, the D2 attribute.
 //!
 //! Everything here is conservative in the taint direction: unresolved names
 //! stay external leaves, unknown receivers are skipped, and the worst case
 //! of a parse miss is a missing edge — reported coverage, never a crash.
 
-use crate::rules::is_float_literal;
 use crate::scanner::{Token, TokenKind};
 use std::collections::BTreeSet;
 
@@ -32,16 +32,6 @@ const NON_CALL_IDENTS: [&str; 23] = [
     "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "fn", "let",
     "in", "as", "move", "ref", "mut", "where", "impl", "dyn", "Some", "None", "Ok", "Err",
 ];
-
-/// Wall-clock identifiers (the D1 alphabet).
-const CLOCK_IDENTS: [&str; 3] = ["Instant", "SystemTime", "UNIX_EPOCH"];
-
-/// Entropy-seeded RNG constructors (the banned D3 alphabet).
-const ENTROPY_IDENTS: [&str; 3] = ["thread_rng", "from_entropy", "OsRng"];
-
-/// Float type identifiers (the D4 alphabet; float literals are matched by
-/// shape via [`is_float_literal`]).
-const FLOAT_IDENTS: [&str; 2] = ["f64", "f32"];
 
 /// `std::env` reader functions — only counted when qualified by `env::`.
 const ENV_READ_FNS: [&str; 3] = ["var", "vars", "var_os"];
@@ -107,12 +97,6 @@ pub struct RawCall {
 /// analysis time, not extraction time).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FnFacts {
-    /// Wall-clock tokens: `(line, identifier)`.
-    pub clock: Vec<(u32, String)>,
-    /// Entropy-RNG tokens.
-    pub entropy: Vec<(u32, String)>,
-    /// Float tokens (type names and float-shaped literals).
-    pub floats: Vec<(u32, String)>,
     /// Iteration over a `HashMap`/`HashSet`-typed name: `(line, receiver.method)`.
     pub map_iter: Vec<(u32, String)>,
     /// Environment reads (`env::var`, `available_parallelism`).
@@ -120,18 +104,6 @@ pub struct FnFacts {
     /// True when the body sorts or routes through an ordered collection —
     /// the sanctioned F2 ordering boundary.
     pub sorts: bool,
-}
-
-impl FnFacts {
-    /// True when no fact was recorded at all.
-    pub fn is_empty(&self) -> bool {
-        self.clock.is_empty()
-            && self.entropy.is_empty()
-            && self.floats.is_empty()
-            && self.map_iter.is_empty()
-            && self.env.is_empty()
-            && !self.sorts
-    }
 }
 
 /// One extracted `fn` item.
@@ -164,6 +136,10 @@ pub struct RawFile {
     pub imports: Vec<Import>,
     /// Extracted functions in source order.
     pub fns: Vec<RawFn>,
+    /// True when the file's top level carries
+    /// `#![deny(clippy::disallowed_types)]`: a report module, every function
+    /// of which is a flow sink.
+    pub report_module: bool,
 }
 
 /// Derives the displayed module path from a workspace-relative file path:
@@ -250,6 +226,7 @@ pub fn extract_file(path: &str, tokens: &[Token]) -> RawFile {
         module: module_path_of(path),
         imports: Vec::new(),
         fns: Vec::new(),
+        report_module: false,
     };
 
     /// One entry of the scope stack: the kind, its name, and the brace
@@ -283,12 +260,14 @@ pub fn extract_file(path: &str, tokens: &[Token]) -> RawFile {
         // `#` + `!` pair when followed by `[`; a plain shebang line's
         // tokens are inert punctuation otherwise).
         if t.is_punct('#') {
-            let mut j = i + 1;
-            if tokens.get(j).is_some_and(|n| n.is_punct('!')) {
-                j += 1;
-            }
+            let inner = tokens.get(i + 1).is_some_and(|n| n.is_punct('!'));
+            let j = if inner { i + 2 } else { i + 1 };
             if tokens.get(j).is_some_and(|n| n.is_punct('[')) {
-                i = skip_brackets(tokens, j);
+                let end = skip_brackets(tokens, j);
+                if inner && depth == 0 && denies_disallowed_types(&tokens[j + 1..end]) {
+                    file.report_module = true;
+                }
+                i = end;
                 continue;
             }
             i += 1;
@@ -333,7 +312,7 @@ pub fn extract_file(path: &str, tokens: &[Token]) -> RawFile {
                         match find_body_brace(tokens, i + 2) {
                             Some(body_start) => {
                                 let body_end = match_brace(tokens, body_start);
-                                let body = &tokens[body_start + 1..body_end.min(tokens.len())];
+                                let body = &tokens[body_start + 1..body_end];
                                 let mut f = RawFn {
                                     name: name.text.clone(),
                                     owner: scopes.iter().rev().find_map(|(s, _)| match s {
@@ -397,6 +376,18 @@ fn skip_brackets(tokens: &[Token], open: usize) -> usize {
     tokens.len()
 }
 
+/// True for the tokens inside an attribute's brackets that read
+/// `deny(…)` with `clippy::disallowed_types` in the list.
+fn denies_disallowed_types(attr: &[Token]) -> bool {
+    attr.first().is_some_and(|t| t.is_ident("deny"))
+        && attr.windows(4).any(|w| {
+            w[0].is_ident("clippy")
+                && w[1].is_punct(':')
+                && w[2].is_punct(':')
+                && w[3].is_ident("disallowed_types")
+        })
+}
+
 /// Finds the index of the body-opening `{` for an item whose signature
 /// starts at `from`: the first `{` at paren/bracket depth 0. Returns `None`
 /// when a top-level `;` terminates the item first (a bodyless declaration).
@@ -429,8 +420,9 @@ fn find_body_brace(tokens: &[Token], from: usize) -> Option<usize> {
     None
 }
 
-/// Returns the index of the `}` matching the `{` at `open` (or the end of
-/// input for unterminated bodies — the scanner's forgiving contract).
+/// Returns the index of the `}` matching the `{` at `open`, or
+/// `tokens.len()` for an unterminated body, which then runs to the end of
+/// input (the scanner's forgiving contract).
 fn match_brace(tokens: &[Token], open: usize) -> usize {
     let mut depth = 0usize;
     let mut j = open;
@@ -445,7 +437,7 @@ fn match_brace(tokens: &[Token], open: usize) -> usize {
         }
         j += 1;
     }
-    tokens.len().saturating_sub(1)
+    tokens.len()
 }
 
 /// Parses an `impl` header starting just past the `impl` keyword: returns
@@ -634,12 +626,6 @@ fn extract_body(body: &[Token], hash_typed: &BTreeSet<String>, f: &mut RawFn) {
             prev.is_some_and(|p| p.is_punct(':')) && prev2.is_some_and(|p| p.is_punct(':'));
         let next = body.get(j + 1);
 
-        if t.kind == TokenKind::Number {
-            if is_float_literal(&t.text) {
-                f.facts.floats.push((t.line, t.text.clone()));
-            }
-            continue;
-        }
         if t.kind != TokenKind::Ident {
             continue;
         }
@@ -666,15 +652,6 @@ fn extract_body(body: &[Token], hash_typed: &BTreeSet<String>, f: &mut RawFn) {
         }
 
         // Facts.
-        if CLOCK_IDENTS.contains(&name) {
-            f.facts.clock.push((t.line, name.to_string()));
-        }
-        if ENTROPY_IDENTS.contains(&name) {
-            f.facts.entropy.push((t.line, name.to_string()));
-        }
-        if FLOAT_IDENTS.contains(&name) {
-            f.facts.floats.push((t.line, name.to_string()));
-        }
         if ENV_IDENTS.contains(&name) {
             f.facts.env.push((t.line, name.to_string()));
         }
@@ -813,23 +790,38 @@ mod tests {
     #[test]
     fn facts_cover_every_source_alphabet() {
         let src = "fn f(m: &HashMap<u32, u32>) {\n\
-                   let t = Instant::now();\n\
-                   let r = thread_rng();\n\
-                   let x: f64 = 0.5;\n\
                    let n = std::env::var(\"N\");\n\
                    let p = std::thread::available_parallelism();\n\
                    for k in m.keys() { touch(k); }\n\
                    }";
         let facts = &extract(src).fns[0].facts;
-        assert_eq!(facts.clock, vec![(2, "Instant".into())]);
-        assert_eq!(facts.entropy, vec![(3, "thread_rng".into())]);
-        assert_eq!(facts.floats, vec![(4, "f64".into()), (4, "0.5".into())]);
         assert_eq!(
             facts.env,
-            vec![(5, "env::var".into()), (6, "available_parallelism".into())]
+            vec![(2, "env::var".into()), (3, "available_parallelism".into())]
         );
-        assert_eq!(facts.map_iter, vec![(7, "m.keys()".into())]);
+        assert_eq!(facts.map_iter, vec![(4, "m.keys()".into())]);
         assert!(!facts.sorts);
+    }
+
+    #[test]
+    fn report_module_is_read_from_the_top_level_deny_attribute() {
+        let report = |src: &str| extract(src).report_module;
+        assert!(report(
+            "//! docs\n#![deny(clippy::disallowed_types)]\nfn f() {}"
+        ));
+        assert!(report(
+            "#![deny(clippy::float_arithmetic, clippy::disallowed_types)]\nfn f() {}"
+        ));
+        // Other lints, other levels, outer attributes and nested modules do
+        // not mark the file.
+        assert!(!report("#![deny(clippy::float_arithmetic)]\nfn f() {}"));
+        assert!(!report(
+            "#![expect(clippy::disallowed_types, reason = \"r\")]\nfn f() {}"
+        ));
+        assert!(!report("#[deny(clippy::disallowed_types)]\nfn f() {}"));
+        assert!(!report(
+            "mod m { #![deny(clippy::disallowed_types)] fn f() {} }"
+        ));
     }
 
     #[test]

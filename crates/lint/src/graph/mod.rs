@@ -111,6 +111,9 @@ pub struct FnNode {
     pub end_line: u32,
     /// Nondeterminism facts of the body.
     pub facts: FnFacts,
+    /// True when the function's file is a report module (see
+    /// [`RawFile::report_module`]).
+    pub report_module: bool,
 }
 
 impl FnNode {
@@ -173,6 +176,7 @@ impl WorkspaceGraph {
                     line: f.line,
                     end_line: f.end_line,
                     facts: f.facts,
+                    report_module: file.report_module,
                 });
                 raw_calls.push(f.calls);
                 file_of.push(fi);
@@ -321,8 +325,8 @@ impl WorkspaceGraph {
     }
 
     /// Renders the graph as deterministic JSON. `roles[i]` annotates
-    /// function `i` with its flow roles (`source:clock`, `boundary:map_iter`,
-    /// `sink`, …); pass an empty slice to omit the annotations.
+    /// function `i` with its flow roles (`source:environment`,
+    /// `boundary:map-iteration-order`, `sink`, …); pass an empty slice to omit the annotations.
     pub fn to_json_string(&self, roles: &[Vec<String>]) -> String {
         Json::obj(vec![
             ("tool", Json::Str("fdn-lint-graph".to_string())),
@@ -437,17 +441,8 @@ impl WorkspaceGraph {
 /// The sorted fact-kind labels present on a function.
 fn fact_kinds(facts: &FnFacts) -> Vec<&'static str> {
     let mut out = Vec::new();
-    if !facts.clock.is_empty() {
-        out.push("clock");
-    }
-    if !facts.entropy.is_empty() {
-        out.push("entropy");
-    }
     if !facts.env.is_empty() {
         out.push("env");
-    }
-    if !facts.floats.is_empty() {
-        out.push("float");
     }
     if !facts.map_iter.is_empty() {
         out.push("map_iter");

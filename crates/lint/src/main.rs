@@ -4,24 +4,27 @@
 //!
 //! ```text
 //! fdn-lint [PATHS...] [--root DIR] [--format text|json|md|github]
-//!          [--baseline FILE | --no-baseline] [--write-baseline]
-//!          [--prune-baseline] [--apply-all-rules] [--list-rules]
+//!          [--apply-all-rules] [--list-rules]
 //! fdn-lint graph [--root DIR] [--format json|dot]
 //! fdn-lint why FILE:LINE [--root DIR]
 //! ```
 //!
-//! Exit codes mirror `fdn-lab diff`: 0 when every finding is baselined (or
-//! none exist), 2 when unbaselined findings are present, 1 on usage or I/O
-//! errors.
+//! Exit codes mirror `fdn-lab diff`: 0 when there are no findings, 2 when
+//! there are, 1 on usage or I/O errors.
+
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "D5: the CLI writes reports to stdout and diagnostics to stderr"
+)]
 
 use std::path::{Path, PathBuf};
 
 use fdn_lint::{
-    build_graph, discover, flow, lint_sources, relative, Baseline, LintReport, PathPolicy,
-    ALL_RULES,
+    build_graph, discover, flow, lint_sources, relative, LintReport, PathPolicy, ALL_RULES,
 };
 
-/// Exit code when unbaselined findings are present.
+/// Exit code when findings are present.
 const EXIT_FINDINGS: i32 = 2;
 
 fn main() {
@@ -47,15 +50,7 @@ struct Options {
     root: PathBuf,
     /// `text`, `json`, `md` or `github`.
     format: String,
-    /// Baseline file (`None` = `<root>/lint-baseline.json` when present).
-    baseline: Option<PathBuf>,
-    /// Ignore any baseline.
-    no_baseline: bool,
-    /// Write the scan's findings as the new baseline and exit.
-    write_baseline: bool,
-    /// Rewrite the baseline dropping entries that no longer fire.
-    prune_baseline: bool,
-    /// Ignore all path carve-outs (fixture/CI use).
+    /// Analyze test, bench and example paths too (fixture/CI use).
     apply_all_rules: bool,
 }
 
@@ -69,27 +64,25 @@ fn usage() -> String {
          \n\
          With no PATHS, scans every .rs file under --root (default: the\n\
          current directory), excluding target/, dot-directories and\n\
-         tests/fixtures corpora. The flow rules (F1-F3) propagate taint over\n\
-         the call graph of exactly the scanned file set.\n\
+         tests/fixtures corpora. The flow rules (F2, F3) propagate taint over\n\
+         the call graph of exactly the scanned file set. The lexical rules\n\
+         D1-D6 are clippy lints: see clippy.toml and [workspace.lints].\n\
          \n\
          `graph` exports that call graph (byte-deterministic JSON or DOT);\n\
          `why` re-runs the scan and prints the source->sink path of every\n\
          flow finding anchored at FILE:LINE.\n\
          \n\
          Flags:\n\
-        \x20 --root DIR          workspace root for path policies and the\n\
-        \x20                     default baseline [default: .]\n\
+        \x20 --root DIR          root that paths are reported relative to\n\
+        \x20                     [default: .]\n\
         \x20 --format FMT        text | json | md | github [default: text]\n\
-        \x20 --baseline FILE     baseline file [default: ROOT/lint-baseline.json]\n\
-        \x20 --no-baseline       ignore any baseline file\n\
-        \x20 --write-baseline    record current findings as the baseline\n\
-        \x20 --prune-baseline    rewrite the baseline dropping stale entries\n\
-        \x20 --apply-all-rules   ignore path allowlists/scopes (fixture gate)\n\
+        \x20 --apply-all-rules   analyze test, bench and example paths too\n\
+        \x20                     (fixture gate)\n\
         \x20 --list-rules        print the rule table and exit\n\
          \n\
-         Suppression: `// fdn-lint: allow(D1, D2) -- <reason>` on (or above)\n\
+         Suppression: `// fdn-lint: allow(F2, F3) -- <reason>` on (or above)\n\
          the offending line; the reason is mandatory.\n\
-         Exit codes: 0 clean, 2 unbaselined findings, 1 error.\n\
+         Exit codes: 0 clean, 2 findings, 1 error.\n\
          \n\
          Rules:\n",
     );
@@ -104,10 +97,6 @@ fn parse(args: &[String]) -> Result<Option<Options>, String> {
         paths: Vec::new(),
         root: PathBuf::from("."),
         format: "text".to_string(),
-        baseline: None,
-        no_baseline: false,
-        write_baseline: false,
-        prune_baseline: false,
         apply_all_rules: false,
     };
     let mut it = args.iter();
@@ -136,17 +125,10 @@ fn parse(args: &[String]) -> Result<Option<Options>, String> {
                 }
                 opts.format = f;
             }
-            "--baseline" => opts.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--no-baseline" => opts.no_baseline = true,
-            "--write-baseline" => opts.write_baseline = true,
-            "--prune-baseline" => opts.prune_baseline = true,
             "--apply-all-rules" => opts.apply_all_rules = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
             path => opts.paths.push(PathBuf::from(path)),
         }
-    }
-    if opts.prune_baseline && (opts.write_baseline || opts.no_baseline) {
-        return Err("--prune-baseline conflicts with --write-baseline/--no-baseline".to_string());
     }
     Ok(Some(opts))
 }
@@ -195,47 +177,7 @@ fn run(args: &[String]) -> Result<bool, String> {
     let policy = PathPolicy {
         apply_all_rules: opts.apply_all_rules,
     };
-    let findings = lint_sources(&sources, &policy);
-
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| opts.root.join("lint-baseline.json"));
-
-    if opts.write_baseline {
-        let baseline = Baseline::from_findings(&findings);
-        std::fs::write(&baseline_path, baseline.to_json_string())
-            .map_err(|e| format!("writing {baseline_path:?}: {e}"))?;
-        eprintln!(
-            "fdn-lint: wrote {} entr(y/ies) to {}",
-            baseline.entries.len(),
-            baseline_path.display()
-        );
-        return Ok(true);
-    }
-
-    let mut baseline = if opts.no_baseline {
-        Baseline::empty()
-    } else {
-        load_baseline(&baseline_path)?
-    };
-
-    if opts.prune_baseline {
-        let stale = baseline.stale(&findings);
-        if !stale.is_empty() {
-            baseline.entries.retain(|e| !stale.contains(e));
-            std::fs::write(&baseline_path, baseline.to_json_string())
-                .map_err(|e| format!("writing {baseline_path:?}: {e}"))?;
-        }
-        eprintln!(
-            "fdn-lint: pruned {} stale entr(y/ies), {} kept in {}",
-            stale.len(),
-            baseline.entries.len(),
-            baseline_path.display()
-        );
-    }
-
-    let report = LintReport::new(sources.len(), findings, &baseline);
+    let report = LintReport::new(sources.len(), lint_sources(&sources, &policy));
     match opts.format.as_str() {
         "json" => print!("{}", report.to_json_string()),
         "md" => print!("{}", report.to_markdown()),
@@ -325,14 +267,4 @@ fn run_why(args: &[String]) -> Result<bool, String> {
         println!("no flow finding anchored at {file}:{line}");
     }
     Ok(true)
-}
-
-/// Loads the baseline, treating a missing file as empty (a fresh checkout
-/// with no grandfathered findings needs no baseline file at all).
-fn load_baseline(path: &Path) -> Result<Baseline, String> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Baseline::parse(&text).map_err(|e| format!("parsing {}: {e}", path.display())),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Baseline::empty()),
-        Err(e) => Err(format!("reading {}: {e}", path.display())),
-    }
 }

@@ -3,14 +3,15 @@
 //! A finding is suppressed by a **line-comment** pragma of the form
 //!
 //! ```text
-//! // fdn-lint: allow(D1) -- wall clock feeds the --timings sidecar only
-//! // fdn-lint: allow(D2, D4) -- lookup table, never iterated for output
+//! // fdn-lint: allow(F3) -- worker count only; merged bytes are cmp-gated
+//! // fdn-lint: allow(F2, F3) -- order-independent fold over a lookup table
 //! ```
 //!
 //! The rule list names one or more rule ids; the `--` reason is
 //! **mandatory** — an allow without a written justification is itself a
 //! finding ([`crate::rules::RuleId::P1`]), because the pragma trail is the
-//! documentation of every sanctioned exception to the determinism contract.
+//! documentation of every sanctioned exception to the flow rules (clippy's
+//! lexical rules use `#[expect(<lint>, reason = "…")]` the same way).
 //!
 //! A pragma governs the line it appears on (trailing-comment form) and, when
 //! it stands alone on its line, the next line that carries any code token.
@@ -110,7 +111,7 @@ pub fn collect(file: &ScannedFile) -> Pragmas {
     out
 }
 
-/// Parses `allow(D1, D2) -- reason` into rules + reason.
+/// Parses `allow(F2, F3) -- reason` into rules + reason.
 fn parse_directive(directive: &str) -> Result<(Vec<RuleId>, &str), String> {
     let rest = directive
         .strip_prefix("allow")
@@ -152,26 +153,26 @@ mod tests {
 
     #[test]
     fn trailing_pragma_governs_its_own_line() {
-        let file = scan("let x = now(); // fdn-lint: allow(D1) -- trailing\nlet y = 1;");
+        let file = scan("let x = env(); // fdn-lint: allow(F3) -- trailing\nlet y = 1;");
         let pragmas = collect(&file);
-        assert!(pragmas.suppresses(RuleId::D1, 1));
-        assert!(!pragmas.suppresses(RuleId::D1, 2));
+        assert!(pragmas.suppresses(RuleId::F3, 1));
+        assert!(!pragmas.suppresses(RuleId::F3, 2));
     }
 
     #[test]
     fn standalone_pragma_governs_next_code_line() {
         let src =
-            "// fdn-lint: allow(D2, D6) -- multi-rule\n/// doc comment\nlet x = 1;\nlet y = 2;";
+            "// fdn-lint: allow(F2, F3) -- multi-rule\n/// doc comment\nlet x = 1;\nlet y = 2;";
         let pragmas = collect(&scan(src));
-        assert!(pragmas.suppresses(RuleId::D2, 3));
-        assert!(pragmas.suppresses(RuleId::D6, 3));
-        assert!(!pragmas.suppresses(RuleId::D2, 4));
-        assert!(!pragmas.suppresses(RuleId::D1, 3));
+        assert!(pragmas.suppresses(RuleId::F2, 3));
+        assert!(pragmas.suppresses(RuleId::F3, 3));
+        assert!(!pragmas.suppresses(RuleId::F2, 4));
+        assert!(!pragmas.suppresses(RuleId::P1, 3));
     }
 
     #[test]
     fn missing_reason_is_malformed() {
-        let pragmas = collect(&scan("// fdn-lint: allow(D1)\nlet x = 1;"));
+        let pragmas = collect(&scan("// fdn-lint: allow(F2)\nlet x = 1;"));
         assert!(pragmas.allows.is_empty());
         assert_eq!(pragmas.malformed.len(), 1);
         assert!(pragmas.malformed[0].problem.contains("reason"));
@@ -179,14 +180,16 @@ mod tests {
 
     #[test]
     fn unknown_rule_is_malformed() {
-        let pragmas = collect(&scan("// fdn-lint: allow(D99) -- what\nlet x = 1;"));
+        let pragmas = collect(&scan(
+            "// fdn-lint: allow(D1) -- now a clippy lint\nlet x = 1;",
+        ));
         assert!(pragmas.allows.is_empty());
         assert!(pragmas.malformed[0].problem.contains("unknown rule"));
     }
 
     #[test]
     fn pragma_inside_string_is_invisible() {
-        let pragmas = collect(&scan("let s = \"fdn-lint: allow(D6) -- nope\";"));
+        let pragmas = collect(&scan("let s = \"fdn-lint: allow(F3) -- nope\";"));
         assert!(pragmas.allows.is_empty());
         assert!(pragmas.malformed.is_empty());
     }

@@ -5,103 +5,53 @@
 //! paths are workspace-relative, and no clock, hostname or absolute path
 //! ever enters the bytes. CI runs the scan twice and `cmp`s the JSON.
 
-use crate::baseline::{Baseline, BaselineEntry};
 use crate::rules::{Finding, ALL_RULES};
 use fdn_lab::Json;
 
-/// The outcome of linting a file set against a baseline.
+/// The outcome of linting a file set.
 #[derive(Debug, Clone)]
 pub struct LintReport {
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Every finding, sorted, with its baseline status.
-    pub findings: Vec<(Finding, FindingStatus)>,
-    /// Baseline entries that matched nothing.
-    pub stale: Vec<BaselineEntry>,
-}
-
-/// Whether a finding is gated or grandfathered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FindingStatus {
-    /// Not in the baseline: fails the gate (exit 2).
-    New,
-    /// Recorded in the baseline: reported, tolerated.
-    Baselined,
-}
-
-impl FindingStatus {
-    fn name(self) -> &'static str {
-        match self {
-            FindingStatus::New => "new",
-            FindingStatus::Baselined => "baselined",
-        }
-    }
+    /// Every finding, sorted.
+    pub findings: Vec<Finding>,
 }
 
 impl LintReport {
-    /// Classifies `findings` against `baseline`.
-    pub fn new(files_scanned: usize, mut findings: Vec<Finding>, baseline: &Baseline) -> Self {
+    /// Collects `findings` (in any order) into a report.
+    pub fn new(files_scanned: usize, mut findings: Vec<Finding>) -> Self {
         findings.sort();
-        let stale = baseline.stale(&findings);
-        let findings = findings
-            .into_iter()
-            .map(|f| {
-                let status = if baseline.contains(&f) {
-                    FindingStatus::Baselined
-                } else {
-                    FindingStatus::New
-                };
-                (f, status)
-            })
-            .collect();
         LintReport {
             files_scanned,
             findings,
-            stale,
         }
     }
 
-    /// Number of gate-failing findings.
-    pub fn new_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|(_, s)| *s == FindingStatus::New)
-            .count()
-    }
-
-    /// Number of grandfathered findings.
-    pub fn baselined_count(&self) -> usize {
-        self.findings.len() - self.new_count()
-    }
-
-    /// True when the gate passes (no unbaselined findings).
+    /// True when the gate passes (no findings).
     pub fn is_clean(&self) -> bool {
-        self.new_count() == 0
+        self.findings.is_empty()
     }
 
     /// Renders the report as deterministic JSON.
     pub fn to_json_string(&self) -> String {
         Json::obj(vec![
             ("tool", Json::Str("fdn-lint".to_string())),
-            ("version", Json::Num(1.0)),
+            ("version", Json::Num(2.0)),
             ("files_scanned", Json::Num(self.files_scanned as f64)),
-            ("new", Json::Num(self.new_count() as f64)),
-            ("baselined", Json::Num(self.baselined_count() as f64)),
             (
                 "findings",
                 Json::Arr(
                     self.findings
                         .iter()
-                        .map(|(f, status)| {
+                        .map(|f| {
                             let mut fields = vec![
                                 ("file", Json::Str(f.file.clone())),
                                 ("line", Json::Num(f.line as f64)),
                                 ("rule", Json::Str(f.rule.name().to_string())),
                                 ("message", Json::Str(f.message.clone())),
-                                ("status", Json::Str(status.name().to_string())),
                             ];
                             // Flow findings carry the source→sink call path;
-                            // lexical findings keep the original byte shape.
+                            // P1 findings have none.
                             if !f.path.is_empty() {
                                 fields.push((
                                     "path",
@@ -111,21 +61,6 @@ impl LintReport {
                                 ));
                             }
                             Json::obj(fields)
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "stale_baseline_entries",
-                Json::Arr(
-                    self.stale
-                        .iter()
-                        .map(|e| {
-                            Json::obj(vec![
-                                ("file", Json::Str(e.file.clone())),
-                                ("line", Json::Num(e.line as f64)),
-                                ("rule", Json::Str(e.rule.name().to_string())),
-                            ])
                         })
                         .collect(),
                 ),
@@ -140,11 +75,9 @@ impl LintReport {
         let mut out = String::new();
         out.push_str("# fdn-lint report\n\n");
         out.push_str(&format!(
-            "{} file(s) scanned — {} new finding(s), {} baselined, {} stale baseline entr(y/ies)\n\n",
+            "{} file(s) scanned — {} finding(s)\n\n",
             self.files_scanned,
-            self.new_count(),
-            self.baselined_count(),
-            self.stale.len()
+            self.findings.len()
         ));
         out.push_str("## Rules\n\n| rule | title | rationale |\n|------|-------|----------|\n");
         for rule in ALL_RULES {
@@ -159,24 +92,15 @@ impl LintReport {
         if self.findings.is_empty() {
             out.push_str("No findings.\n");
         } else {
-            out.push_str(
-                "| location | rule | status | message |\n|----------|------|--------|--------|\n",
-            );
-            for (f, status) in &self.findings {
+            out.push_str("| location | rule | message |\n|----------|------|--------|\n");
+            for f in &self.findings {
                 out.push_str(&format!(
-                    "| {}:{} | {} | {} | {} |\n",
+                    "| {}:{} | {} | {} |\n",
                     f.file,
                     f.line,
                     f.rule.name(),
-                    status.name(),
                     f.message.replace('|', "\\|")
                 ));
-            }
-        }
-        if !self.stale.is_empty() {
-            out.push_str("\n## Stale baseline entries\n\n");
-            for e in &self.stale {
-                out.push_str(&format!("- {}:{} {}\n", e.file, e.line, e.rule.name()));
             }
         }
         out
@@ -186,17 +110,13 @@ impl LintReport {
     /// format): one `file:line rule message` per finding.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        for (f, status) in &self.findings {
+        for f in &self.findings {
             out.push_str(&format!(
-                "{}:{}: {} [{}{}] {}\n",
+                "{}:{}: {} [{}] {}\n",
                 f.file,
                 f.line,
                 f.rule.title(),
                 f.rule.name(),
-                match status {
-                    FindingStatus::New => "",
-                    FindingStatus::Baselined => ", baselined",
-                },
                 f.message
             ));
             for (i, hop) in f.path.iter().enumerate() {
@@ -206,56 +126,31 @@ impl LintReport {
                 ));
             }
         }
-        for e in &self.stale {
-            out.push_str(&format!(
-                "{}:{}: stale baseline entry for {} (violation no longer present)\n",
-                e.file,
-                e.line,
-                e.rule.name()
-            ));
-        }
         out.push_str(&format!(
-            "{} file(s) scanned, {} new finding(s), {} baselined, {} stale\n",
+            "{} file(s) scanned, {} finding(s)\n",
             self.files_scanned,
-            self.new_count(),
-            self.baselined_count(),
-            self.stale.len()
+            self.findings.len()
         ));
         out
     }
 
-    /// Renders the report as GitHub Actions workflow commands, one per
-    /// finding: unbaselined findings as `::error`, baselined as `::warning`,
-    /// stale baseline entries as `::notice` — so findings annotate the
-    /// offending lines inline on PRs.
+    /// Renders the report as GitHub Actions workflow commands, one
+    /// `::error` per finding, so findings annotate the offending lines
+    /// inline on PRs.
     pub fn to_github(&self) -> String {
         let mut out = String::new();
-        for (f, status) in &self.findings {
-            let level = match status {
-                FindingStatus::New => "error",
-                FindingStatus::Baselined => "warning",
-            };
+        for f in &self.findings {
             let mut message = f.message.clone();
             if !f.path.is_empty() {
                 message.push_str(&format!(" [path: {}]", f.path.join(" -> ")));
             }
             out.push_str(&format!(
-                "::{level} file={},line={},title={} {}::{}\n",
+                "::error file={},line={},title={} {}::{}\n",
                 github_escape_property(&f.file),
                 f.line,
                 f.rule.name(),
                 github_escape_property(f.rule.title()),
                 github_escape_data(&message)
-            ));
-        }
-        for e in &self.stale {
-            out.push_str(&format!(
-                "::notice file={},line={},title=stale baseline entry::{} no longer fires at {}:{}\n",
-                github_escape_property(&e.file),
-                e.line,
-                e.rule.name(),
-                github_escape_property(&e.file),
-                e.line
             ));
         }
         out
@@ -293,55 +188,41 @@ mod tests {
     }
 
     #[test]
-    fn classification_against_baseline() {
-        let old = finding("a.rs", 1, RuleId::D1);
-        let new = finding("b.rs", 2, RuleId::D6);
-        let baseline = Baseline::from_findings(&[old.clone(), finding("gone.rs", 3, RuleId::D5)]);
-        let report = LintReport::new(2, vec![new, old], &baseline);
-        assert_eq!(report.new_count(), 1);
-        assert_eq!(report.baselined_count(), 1);
-        assert_eq!(report.stale.len(), 1);
-        assert!(!report.is_clean());
-    }
-
-    #[test]
     fn json_is_sorted_and_stable() {
-        let baseline = Baseline::empty();
         let a = LintReport::new(
             2,
             vec![
-                finding("b.rs", 2, RuleId::D6),
-                finding("a.rs", 9, RuleId::D1),
+                finding("b.rs", 2, RuleId::P1),
+                finding("a.rs", 9, RuleId::F3),
             ],
-            &baseline,
         );
         let b = LintReport::new(
             2,
             vec![
-                finding("a.rs", 9, RuleId::D1),
-                finding("b.rs", 2, RuleId::D6),
+                finding("a.rs", 9, RuleId::F3),
+                finding("b.rs", 2, RuleId::P1),
             ],
-            &baseline,
         );
         assert_eq!(a.to_json_string(), b.to_json_string());
         let json = a.to_json_string();
         assert!(json.find("a.rs").unwrap() < json.find("b.rs").unwrap());
+        assert!(!a.is_clean());
+        assert!(LintReport::new(2, Vec::new()).is_clean());
     }
 
     #[test]
     fn github_format_escapes_and_levels() {
-        let old = finding("a.rs", 1, RuleId::D1);
-        let mut new = finding("b,c.rs", 2, RuleId::F1);
-        new.message = "taint\nacross lines: 100%".to_string();
-        new.path = vec![
+        let p1 = finding("a.rs", 1, RuleId::P1);
+        let mut flow = finding("b,c.rs", 2, RuleId::F3);
+        flow.message = "taint\nacross lines: 100%".to_string();
+        flow.path = vec![
             "x::src (a.rs:1)".to_string(),
             "x::sink (b.rs:9)".to_string(),
         ];
-        let baseline = Baseline::from_findings(std::slice::from_ref(&old));
-        let report = LintReport::new(2, vec![old, new], &baseline);
+        let report = LintReport::new(2, vec![p1, flow]);
         let gh = report.to_github();
-        assert!(gh.contains("::warning file=a.rs,line=1,"));
-        assert!(gh.contains("::error file=b%2Cc.rs,line=2,title=F1 "));
+        assert!(gh.contains("::error file=a.rs,line=1,title=P1 "));
+        assert!(gh.contains("::error file=b%2Cc.rs,line=2,title=F3 "));
         assert!(gh.contains("taint%0Aacross lines: 100%25"));
         assert!(gh.contains("[path: x::src (a.rs:1) -> x::sink (b.rs:9)]"));
         assert!(!gh.contains("\n\n"), "one command per line");
@@ -349,13 +230,13 @@ mod tests {
 
     #[test]
     fn flow_path_renders_in_json_and_text_only_when_present() {
-        let lexical = finding("a.rs", 1, RuleId::D1);
+        let p1 = finding("a.rs", 1, RuleId::P1);
         let mut flowf = finding("a.rs", 3, RuleId::F2);
         flowf.path = vec![
             "m::rows (a.rs:3)".to_string(),
             "m::render (a.rs:9)".to_string(),
         ];
-        let report = LintReport::new(1, vec![lexical, flowf], &Baseline::empty());
+        let report = LintReport::new(1, vec![p1, flowf]);
         let json = report.to_json_string();
         // Exactly one finding carries a "path" array.
         assert_eq!(json.matches("\"path\"").count(), 1);
@@ -366,9 +247,9 @@ mod tests {
 
     #[test]
     fn markdown_contains_rule_table_and_findings() {
-        let report = LintReport::new(1, vec![finding("a.rs", 1, RuleId::D2)], &Baseline::empty());
+        let report = LintReport::new(1, vec![finding("a.rs", 1, RuleId::F2)]);
         let md = report.to_markdown();
-        assert!(md.contains("| D2 |"));
+        assert!(md.contains("| F2 |"));
         assert!(md.contains("a.rs:1"));
         assert!(md.contains("iteration order"));
     }

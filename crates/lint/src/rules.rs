@@ -1,51 +1,27 @@
-//! The determinism rules and their path policies.
+//! The rules `fdn-lint` reports, and the path policy that scopes them.
 //!
-//! Every rule guards one way nondeterminism (or unaccountable state) has
-//! historically leaked — or could leak — into the byte-compared artifacts
-//! this repo's CI gates (`campaign`/`frontier`/`trace` reports, checked with
-//! `cmp` across reruns, thread counts and shard splits):
+//! Every rule guards one way nondeterminism could leak into the
+//! byte-compared artifacts this repo's CI gates (`campaign`/`frontier`/
+//! `trace` reports, checked with `cmp` across reruns, thread counts and
+//! shard splits):
 //!
 //! | rule | guards against |
 //! |------|----------------|
-//! | D1   | wall-clock reads (`Instant`, `SystemTime`) outside the sanctioned timing modules |
-//! | D2   | unordered `HashMap`/`HashSet` state in report-producing modules |
-//! | D3   | RNG construction outside the seeded factories (and entropy-seeded RNGs anywhere) |
-//! | D4   | float arithmetic in delivery/pulse accounting paths |
-//! | D5   | `println!`/`eprintln!` output outside CLI mains and bench binaries |
-//! | D6   | `unsafe` blocks anywhere in the workspace |
-//! | F1   | clock/entropy/float taint flowing through the call graph into a report sink |
 //! | F2   | map-iteration-order taint reaching a sink without a sorting boundary |
 //! | F3   | environment-dependence taint (env vars, thread counts) reaching a sink |
 //! | P1   | malformed `fdn-lint:` pragmas (never honoured, always reported) |
 //!
-//! D1–D6 and P1 are lexical (see [`crate::scanner`]); F1–F3 are *flow*
-//! rules computed over the workspace call graph (see [`crate::flow`]) and
-//! only fire on whole-workspace scans. Where a lexical check cannot
-//! prove safety (a `HashMap` that is only ever *indexed*, an `f64`
-//! probability that feeds a seeded draw), the escape hatch is an inline
-//! pragma whose mandatory `-- reason` documents the argument. Path policies
-//! below are workspace-relative, forward-slash paths.
-
-use crate::pragma;
-use crate::scanner::{mask_cfg_test, scan, TokenKind};
+//! F2 and F3 are *flow* rules computed over the call graph of the scanned
+//! file set (see [`crate::flow`]). The lexical rules D1–D6 are compiler and
+//! clippy lints, configured in the root `clippy.toml` and
+//! `[workspace.lints]` and opted out of per module with a reasoned
+//! `#[expect]`. Where the flow analysis cannot prove safety (a map-to-map
+//! difference whose order never reaches bytes), the escape hatch is an
+//! inline pragma whose mandatory `-- reason` documents the argument.
 
 /// Identifier of one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// Wall-clock APIs outside allowlisted timing modules.
-    D1,
-    /// `HashMap`/`HashSet` in report-producing modules.
-    D2,
-    /// RNG construction outside the seeded factories.
-    D3,
-    /// Float arithmetic in accounting paths.
-    D4,
-    /// `println!`-family output outside CLI/bench binaries.
-    D5,
-    /// `unsafe` code.
-    D6,
-    /// Clock/entropy/float taint reaching a report sink through calls.
-    F1,
     /// Map-iteration-order taint reaching a sink without sorting.
     F2,
     /// Environment-dependence taint reaching a sink.
@@ -55,21 +31,10 @@ pub enum RuleId {
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [RuleId; 10] = [
-    RuleId::D1,
-    RuleId::D2,
-    RuleId::D3,
-    RuleId::D4,
-    RuleId::D5,
-    RuleId::D6,
-    RuleId::F1,
-    RuleId::F2,
-    RuleId::F3,
-    RuleId::P1,
-];
+pub const ALL_RULES: [RuleId; 3] = [RuleId::F2, RuleId::F3, RuleId::P1];
 
 impl RuleId {
-    /// Parses a rule id (`"D1"` … `"D6"`, `"P1"`).
+    /// Parses a rule id (`"F2"`, `"F3"`, `"P1"`).
     pub fn parse(s: &str) -> Option<RuleId> {
         ALL_RULES.into_iter().find(|r| r.name() == s)
     }
@@ -77,13 +42,6 @@ impl RuleId {
     /// The canonical id string.
     pub fn name(self) -> &'static str {
         match self {
-            RuleId::D1 => "D1",
-            RuleId::D2 => "D2",
-            RuleId::D3 => "D3",
-            RuleId::D4 => "D4",
-            RuleId::D5 => "D5",
-            RuleId::D6 => "D6",
-            RuleId::F1 => "F1",
             RuleId::F2 => "F2",
             RuleId::F3 => "F3",
             RuleId::P1 => "P1",
@@ -93,13 +51,6 @@ impl RuleId {
     /// One-line rule title for report headers.
     pub fn title(self) -> &'static str {
         match self {
-            RuleId::D1 => "wall clock outside timing modules",
-            RuleId::D2 => "unordered map/set in report-producing module",
-            RuleId::D3 => "RNG construction outside seeded factories",
-            RuleId::D4 => "float arithmetic in accounting path",
-            RuleId::D5 => "print outside CLI/bench binaries",
-            RuleId::D6 => "unsafe code",
-            RuleId::F1 => "clock/entropy/float taint reaches a report sink",
             RuleId::F2 => "map-iteration-order taint reaches a sink unsorted",
             RuleId::F3 => "environment dependence reaches a sink",
             RuleId::P1 => "malformed fdn-lint pragma",
@@ -110,33 +61,6 @@ impl RuleId {
     /// markdown report and the README rule table.
     pub fn rationale(self) -> &'static str {
         match self {
-            RuleId::D1 => {
-                "Wall time is nondeterministic and must never reach byte-gated JSON/CSV \
-                 artifacts; the --timings sidecar and markdown headers are the sanctioned paths."
-            }
-            RuleId::D2 => {
-                "HashMap/HashSet iteration order varies per process; anything rendered into a \
-                 report must iterate sorted containers (or prove it never iterates)."
-            }
-            RuleId::D3 => {
-                "Every random stream must derive from an explicit scenario seed via the \
-                 NoiseSpec/SchedulerSpec/generator factories, or runs stop being replayable."
-            }
-            RuleId::D4 => {
-                "Delivery/pulse accounting is exact integer arithmetic (the frontier axis is \
-                 fixed-point ppm for this reason); floats belong in MetricSummary/rendering only."
-            }
-            RuleId::D5 => {
-                "Stray stdout/stderr writes corrupt piped artifacts and hide diagnostics; \
-                 human-facing output belongs to CLI mains and bench binaries."
-            }
-            RuleId::D6 => "The workspace forbids unsafe code (also enforced at compile time).",
-            RuleId::F1 => {
-                "A wall-clock read, entropy RNG or float computed in a helper still poisons the \
-                 report it flows into; taint is tracked along the call graph and only a \
-                 sanctioned boundary (timing::Stopwatch, the seeded factories, Json::num_u64) \
-                 clears it."
-            }
             RuleId::F2 => {
                 "HashMap/HashSet iteration order leaking through helpers into rendered bytes is \
                  the classic nondeterminism bug; a path is clean only if it passes an explicit \
@@ -166,94 +90,27 @@ pub struct Finding {
     pub rule: RuleId,
     /// Human-readable description of the specific violation.
     pub message: String,
-    /// For flow rules (F1–F3): the source→sink call path, each entry
-    /// `module::Owner::fn (file:line)`. Empty for lexical findings. Not part
-    /// of the baseline identity — that stays (file, rule, line).
+    /// For flow rules (F2, F3): the source→sink call path, each entry
+    /// `module::Owner::fn (file:line)`. Empty for P1.
     pub path: Vec<String>,
 }
 
-/// Where each rule applies and where it is pre-sanctioned.
+/// Which files the flow rules analyze.
 ///
-/// The default policy encodes this repository's layout; `apply_all_rules`
-/// (the CLI's `--apply-all-rules`) ignores every path carve-out, which is
-/// how the seeded-violation fixture under `tests/fixtures/` is exercised in
-/// CI despite living on a test path.
+/// Test, bench and example trees are skipped by default: their output and
+/// timing never feed byte-gated artifacts. `apply_all_rules` (the CLI's
+/// `--apply-all-rules`) analyzes them too, which is how the
+/// seeded-violation fixture under `tests/fixtures/` is exercised in CI
+/// despite living on a test path.
 #[derive(Debug, Clone, Default)]
 pub struct PathPolicy {
-    /// Ignore all allowlists and scopes: every rule applies to every file.
+    /// Analyze test, bench and example paths as well.
     pub apply_all_rules: bool,
 }
 
-/// Path prefixes whose files may read the wall clock (rule D1): the single
-/// lab timing helper, the criterion shim (a benchmark harness *is* a timer)
-/// and the bench crate.
-pub(crate) const D1_ALLOWED: [&str; 3] = [
-    "crates/lab/src/timing.rs",
-    "crates/shims/criterion/",
-    "crates/bench/",
-];
-
-/// Report-producing modules (rule D2 scope): everything whose output is
-/// byte-compared in CI. `HashMap`/`HashSet` here require a pragma arguing
-/// why unordered state cannot leak (lookup-only, or sorted before render).
-pub(crate) const D2_SCOPE: [&str; 10] = [
-    "crates/lab/src/report.rs",
-    "crates/lab/src/json.rs",
-    "crates/lab/src/diff.rs",
-    "crates/lab/src/trace.rs",
-    "crates/lab/src/frontier.rs",
-    "crates/lab/src/store.rs",
-    "crates/lab/src/fleet.rs",
-    "crates/netsim/src/observer.rs",
-    "crates/netsim/src/stats.rs",
-    "crates/netsim/src/transcript.rs",
-];
-
-/// The seeded RNG factories (rule D3): the only places allowed to construct
-/// generators, each taking an explicit seed from the scenario spec.
-pub(crate) const D3_ALLOWED: [&str; 4] = [
-    "crates/netsim/src/noise.rs",
-    "crates/netsim/src/scheduler.rs",
-    "crates/graph/src/generators.rs",
-    "crates/shims/rand/",
-];
-
-/// RNG constructors that are legitimate *inside* the factories.
-const D3_FACTORY_IDENTS: [&str; 4] = ["StdRng", "SeedableRng", "seed_from_u64", "from_seed"];
-
-/// Entropy-seeded constructors — nondeterministic by definition, banned
-/// everywhere including the factories.
-const D3_BANNED_IDENTS: [&str; 3] = ["thread_rng", "from_entropy", "OsRng"];
-
-/// Delivery/pulse accounting paths (rule D4 scope): the simulator event
-/// loop, link queues, counters, the construction engines, and the
-/// checkpoint store + fleet driver (whose on-disk entries and manifests
-/// must be byte-canonical). Floats here either round (breaking exact
-/// accounting invariants) or accumulate in platform-dependent order; the
-/// fixed-point ppm omission axis exists precisely to keep this set
-/// float-free.
-const D4_SCOPE: [&str; 9] = [
-    "crates/netsim/src/sim.rs",
-    "crates/netsim/src/links",
-    "crates/netsim/src/envelope.rs",
-    "crates/netsim/src/stats.rs",
-    "crates/netsim/src/transcript.rs",
-    "crates/netsim/src/noise.rs",
-    "crates/core/src/",
-    "crates/lab/src/store.rs",
-    "crates/lab/src/fleet.rs",
-];
-
-/// The `println!`-family macros rule D5 flags.
-const D5_MACROS: [&str; 5] = ["println", "eprintln", "print", "eprint", "dbg"];
-
-/// Paths allowed to print (rule D5) besides mains/bins: the criterion shim
-/// *is* the bench harness's result printer.
-const D5_ALLOWED: [&str; 1] = ["crates/shims/criterion/"];
-
 impl PathPolicy {
-    /// True for paths under a test/bench/example tree — exempt from D1, D3
-    /// and D5 (their output and timing never feed byte-gated artifacts).
+    /// True for paths under a test/bench/example tree, unless
+    /// `apply_all_rules` is set.
     pub(crate) fn is_test_path(&self, path: &str) -> bool {
         !self.apply_all_rules
             && (path.starts_with("tests/")
@@ -262,187 +119,19 @@ impl PathPolicy {
                 || path.contains("/benches/")
                 || path.contains("/examples/"))
     }
-
-    pub(crate) fn in_any(path: &str, prefixes: &[&str]) -> bool {
-        prefixes.iter().any(|p| path == *p || path.starts_with(p))
-    }
-
-    /// D1 applies unless the file is a sanctioned timing module or test.
-    pub(crate) fn d1_applies(&self, path: &str) -> bool {
-        self.apply_all_rules || (!self.is_test_path(path) && !Self::in_any(path, &D1_ALLOWED))
-    }
-
-    /// D2 applies only inside the report-producing scope.
-    fn d2_applies(&self, path: &str) -> bool {
-        self.apply_all_rules || Self::in_any(path, &D2_SCOPE)
-    }
-
-    /// D3 factory constructors are flagged outside the factory modules.
-    fn d3_factory_applies(&self, path: &str) -> bool {
-        self.apply_all_rules || (!self.is_test_path(path) && !Self::in_any(path, &D3_ALLOWED))
-    }
-
-    /// D3 entropy constructors are flagged everywhere outside tests.
-    pub(crate) fn d3_banned_applies(&self, path: &str) -> bool {
-        self.apply_all_rules || !self.is_test_path(path)
-    }
-
-    /// D4 applies only inside the accounting scope.
-    pub(crate) fn d4_applies(&self, path: &str) -> bool {
-        self.apply_all_rules || Self::in_any(path, &D4_SCOPE)
-    }
-
-    /// D5 applies outside binaries, tests, benches and examples.
-    fn d5_applies(&self, path: &str) -> bool {
-        self.apply_all_rules
-            || (!self.is_test_path(path)
-                && !path.ends_with("/main.rs")
-                && path != "main.rs"
-                && !path.contains("/bin/")
-                && !Self::in_any(path, &D5_ALLOWED))
-    }
-}
-
-/// Lints one file's source text. `path` must be workspace-relative with
-/// forward slashes — it drives the path policy and is recorded verbatim in
-/// findings (keeping reports machine-independent and byte-deterministic).
-pub fn check_file(path: &str, source: &str, policy: &PathPolicy) -> Vec<Finding> {
-    let scanned = scan(source);
-    let pragmas = pragma::collect(&scanned);
-    let tokens = mask_cfg_test(&scanned.tokens);
-    let mut findings = Vec::new();
-    let mut push = |rule: RuleId, line: u32, message: String| {
-        if !pragmas.suppresses(rule, line) {
-            findings.push(Finding {
-                file: path.to_string(),
-                line,
-                rule,
-                message,
-                path: Vec::new(),
-            });
-        }
-    };
-
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind == TokenKind::Ident {
-            let next_is = |c: char| tokens.get(i + 1).is_some_and(|n| n.is_punct(c));
-
-            // D1 — wall clock.
-            if (t.text == "Instant" || t.text == "SystemTime" || t.text == "UNIX_EPOCH")
-                && policy.d1_applies(path)
-            {
-                push(
-                    RuleId::D1,
-                    t.line,
-                    format!("`{}` outside an allowlisted timing module", t.text),
-                );
-            }
-
-            // D2 — unordered containers in report scope.
-            if (t.text == "HashMap" || t.text == "HashSet") && policy.d2_applies(path) {
-                push(
-                    RuleId::D2,
-                    t.line,
-                    format!("`{}` in a report-producing module", t.text),
-                );
-            }
-
-            // D3 — RNG construction.
-            if D3_BANNED_IDENTS.contains(&t.text.as_str()) && policy.d3_banned_applies(path) {
-                push(
-                    RuleId::D3,
-                    t.line,
-                    format!("entropy-seeded RNG `{}` is never deterministic", t.text),
-                );
-            } else if D3_FACTORY_IDENTS.contains(&t.text.as_str())
-                && policy.d3_factory_applies(path)
-            {
-                push(
-                    RuleId::D3,
-                    t.line,
-                    format!("RNG constructor `{}` outside the seeded factories", t.text),
-                );
-            }
-
-            // D4 — float types in accounting scope.
-            if (t.text == "f64" || t.text == "f32") && policy.d4_applies(path) {
-                push(
-                    RuleId::D4,
-                    t.line,
-                    format!("`{}` in a delivery/pulse accounting path", t.text),
-                );
-            }
-
-            // D5 — print macros (identifier followed by `!`).
-            if D5_MACROS.contains(&t.text.as_str()) && next_is('!') && policy.d5_applies(path) {
-                push(
-                    RuleId::D5,
-                    t.line,
-                    format!("`{}!` outside a CLI main or bench binary", t.text),
-                );
-            }
-
-            // D6 — unsafe, everywhere.
-            if t.text == "unsafe" {
-                push(RuleId::D6, t.line, "`unsafe` block or item".to_string());
-            }
-        }
-
-        // D4 — float literals in accounting scope (e.g. `0.5`, `1e3`).
-        if t.kind == TokenKind::Number && policy.d4_applies(path) && is_float_literal(&t.text) {
-            push(
-                RuleId::D4,
-                t.line,
-                format!(
-                    "float literal `{}` in a delivery/pulse accounting path",
-                    t.text
-                ),
-            );
-        }
-    }
-
-    // P1 — malformed pragmas (never path-gated: a broken suppression is a
-    // hole wherever it sits).
-    for m in &pragmas.malformed {
-        findings.push(Finding {
-            file: path.to_string(),
-            line: m.line,
-            rule: RuleId::P1,
-            message: format!("malformed fdn-lint pragma: {}", m.problem),
-            path: Vec::new(),
-        });
-    }
-
-    findings.sort();
-    findings
-}
-
-/// True for numeric literal text with float shape: a decimal point, an
-/// exponent (`e`/`E` followed by an optional sign and a digit — so the `e`
-/// of an `0usize` suffix does not count), or an explicit `f32`/`f64`
-/// suffix. Hex literals are excluded: `0xE3` is not an exponent.
-pub(crate) fn is_float_literal(text: &str) -> bool {
-    if text.starts_with("0x") || text.starts_with("0X") {
-        return false;
-    }
-    if text.contains('.') || text.ends_with("f32") || text.ends_with("f64") {
-        return true;
-    }
-    let chars: Vec<char> = text.chars().collect();
-    chars.iter().enumerate().any(|(i, &c)| {
-        (c == 'e' || c == 'E')
-            && chars
-                .get(i + 1)
-                .is_some_and(|&n| n.is_ascii_digit() || n == '+' || n == '-')
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lint_sources;
+
+    fn lint_with(path: &str, src: &str, policy: &PathPolicy) -> Vec<Finding> {
+        lint_sources(&[(path.to_string(), src.to_string())], policy)
+    }
 
     fn all(src: &str) -> Vec<Finding> {
-        check_file(
+        lint_with(
             "crates/x/src/lib.rs",
             src,
             &PathPolicy {
@@ -455,117 +144,79 @@ mod tests {
         findings.iter().map(|f| f.rule).collect()
     }
 
-    #[test]
-    fn each_rule_fires_on_its_pattern() {
-        let f = all("let t = Instant::now();");
-        assert_eq!(rules_of(&f), vec![RuleId::D1]);
-        let f = all("let m: HashMap<u32, u32> = HashMap::new();");
-        assert_eq!(rules_of(&f), vec![RuleId::D2, RuleId::D2]);
-        let f = all("let rng = StdRng::seed_from_u64(7);");
-        assert_eq!(rules_of(&f), vec![RuleId::D3, RuleId::D3]);
-        let f = all("let x: f64 = 0.5;");
-        assert_eq!(rules_of(&f), vec![RuleId::D4, RuleId::D4]);
-        let f = all("println!(\"hi\");");
-        assert_eq!(rules_of(&f), vec![RuleId::D5]);
-        let f = all("unsafe { core::hint::unreachable_unchecked() }");
-        assert_eq!(rules_of(&f), vec![RuleId::D6]);
-    }
+    /// An environment read inside a render function: one F3 seed.
+    const ENV_IN_SINK: &str =
+        "fn render_plan() -> usize { std::env::var(\"N\").map_or(0, |v| v.len()) }";
 
     #[test]
-    fn entropy_rngs_are_flagged_even_in_factories() {
-        let f = check_file(
-            "crates/netsim/src/noise.rs",
-            "let a = StdRng::seed_from_u64(1); let b = thread_rng();",
-            &PathPolicy::default(),
+    fn each_rule_fires_on_its_pattern() {
+        let f = all(
+            "fn render_rows(m: &HashMap<u32, u32>) -> Vec<u32> { m.keys().cloned().collect() }",
         );
-        // Factory path: seed_from_u64 fine, thread_rng still flagged.
-        assert_eq!(rules_of(&f), vec![RuleId::D3]);
-        assert!(f[0].message.contains("thread_rng"));
+        assert_eq!(rules_of(&f), vec![RuleId::F2]);
+        let f = all(ENV_IN_SINK);
+        assert_eq!(rules_of(&f), vec![RuleId::F3]);
+        let f = all("// fdn-lint: allow(F3)\nfn ok() {}");
+        assert_eq!(rules_of(&f), vec![RuleId::P1]);
     }
 
     #[test]
     fn path_policy_scopes_rules() {
         let policy = PathPolicy::default();
-        // D2 only bites in report-producing modules.
-        let src = "use std::collections::HashMap;";
-        assert!(check_file("crates/core/src/engine.rs", src, &policy).is_empty());
-        assert_eq!(
-            check_file("crates/lab/src/report.rs", src, &policy).len(),
-            1
-        );
-        // D1 is exempt in the timing helper and under tests/.
-        let src = "let t = Instant::now();";
-        assert!(check_file("crates/lab/src/timing.rs", src, &policy).is_empty());
-        assert!(check_file("crates/lab/tests/campaign.rs", src, &policy).is_empty());
-        assert_eq!(
-            check_file("crates/lab/src/runner.rs", src, &policy).len(),
-            1
-        );
-        // D5 is exempt in mains, bins and examples.
-        let src = "fn main() { println!(\"hi\"); }";
-        assert!(check_file("crates/lab/src/main.rs", src, &policy).is_empty());
-        assert!(check_file("examples/quickstart.rs", src, &policy).is_empty());
-        assert!(check_file("crates/bench/src/bin/report.rs", src, &policy).is_empty());
-        // D4 covers the whole links/ directory — the counting backend's
-        // run-length counters are accounting state like any other queue.
-        let src = "let x: f64 = y;";
-        assert_eq!(
-            check_file("crates/netsim/src/links/counting.rs", src, &policy).len(),
-            1
-        );
-        assert_eq!(
-            check_file("crates/netsim/src/links/mod.rs", src, &policy).len(),
-            1
-        );
-        assert!(check_file("crates/netsim/src/spec.rs", src, &policy).is_empty());
-        // The checkpoint store and the fleet driver are in both the D4
-        // (float-free accounting) and D2 (ordered containers) scopes: their
-        // on-disk entries and manifests are byte-compared artifacts.
-        for path in ["crates/lab/src/store.rs", "crates/lab/src/fleet.rs"] {
-            assert_eq!(
-                check_file(path, "let x: f64 = y;", &policy).len(),
-                1,
-                "{path}"
-            );
-            assert_eq!(
-                check_file(path, "use std::collections::HashMap;", &policy).len(),
-                1,
-                "{path}"
-            );
+        // Flow rules skip test, bench and example trees by default.
+        for path in [
+            "crates/lab/tests/campaign.rs",
+            "tests/equivalence.rs",
+            "examples/quickstart.rs",
+            "crates/bench/benches/end_to_end.rs",
+        ] {
+            assert!(lint_with(path, ENV_IN_SINK, &policy).is_empty(), "{path}");
         }
+        assert_eq!(
+            lint_with("crates/x/src/lib.rs", ENV_IN_SINK, &policy).len(),
+            1
+        );
+        // The vendored shims are inert even under `apply_all_rules`.
+        let every = PathPolicy {
+            apply_all_rules: true,
+        };
+        assert!(lint_with("crates/shims/rand/src/lib.rs", ENV_IN_SINK, &every).is_empty());
+        assert_eq!(
+            lint_with("tests/equivalence.rs", ENV_IN_SINK, &every).len(),
+            1
+        );
+        // P1 is never path-gated: a broken suppression is a hole anywhere.
+        let broken = "// fdn-lint: allow(F2)\nfn ok() {}";
+        assert_eq!(
+            rules_of(&lint_with("tests/equivalence.rs", broken, &policy)),
+            vec![RuleId::P1]
+        );
     }
 
     #[test]
     fn pragma_suppresses_and_documents() {
-        let f = all("let t = Instant::now(); // fdn-lint: allow(D1) -- measured for the sidecar");
-        assert!(f.is_empty());
+        let src = "fn render_plan() -> usize {\n\
+                   // fdn-lint: allow(F3) -- the length never reaches report bytes\n\
+                   std::env::var(\"N\").map_or(0, |v| v.len()) }";
+        assert!(all(src).is_empty());
         // The same code without a reason: finding survives, pragma reported.
-        let f = all("let t = Instant::now(); // fdn-lint: allow(D1)");
-        assert_eq!(rules_of(&f), vec![RuleId::D1, RuleId::P1]);
+        let src = "fn render_plan() -> usize {\n\
+                   // fdn-lint: allow(F3)\n\
+                   std::env::var(\"N\").map_or(0, |v| v.len()) }";
+        assert_eq!(rules_of(&all(src)), vec![RuleId::P1, RuleId::F3]);
     }
 
     #[test]
     fn pragma_in_string_does_not_suppress() {
-        let f = all("let s = \"fdn-lint: allow(D6) -- smuggled\";\nunsafe { }");
-        assert_eq!(rules_of(&f), vec![RuleId::D6]);
+        let src = "fn render_plan() -> usize {\n\
+                   let s = \"fdn-lint: allow(F3) -- smuggled\";\n\
+                   std::env::var(\"N\").map_or(0, |v| v.len()) }";
+        assert_eq!(rules_of(&all(src)), vec![RuleId::F3]);
     }
 
     #[test]
     fn cfg_test_mod_is_exempt() {
-        let f = all("#[cfg(test)] mod tests { fn t() { let i = Instant::now(); } }");
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn float_literal_shapes() {
-        assert!(is_float_literal("0.5"));
-        assert!(is_float_literal("1e3"));
-        assert!(is_float_literal("2f64"));
-        assert!(is_float_literal("1e-3"));
-        assert!(!is_float_literal("42"));
-        assert!(!is_float_literal("0xE3"));
-        assert!(!is_float_literal("1_000"));
-        assert!(!is_float_literal("0usize"));
-        assert!(!is_float_literal("8u32"));
+        let f = all(&format!("#[cfg(test)] mod tests {{ {ENV_IN_SINK} }}"));
+        assert!(f.is_empty(), "{f:?}");
     }
 }

@@ -1,12 +1,12 @@
 //! A comment-, string- and raw-string-aware token scanner for Rust sources.
 //!
-//! The lint rules in this crate are *lexical*: they match identifier
-//! sequences (`Instant`, `HashMap`, `unsafe`, …) in **code**, never in
-//! comments or string literals. Getting that distinction right is the whole
-//! job of this module — a naive `grep` would flag `// like Instant::now()`
-//! in a doc comment or `"fdn-lint: allow(D6) -- nope"` inside a string, and
-//! a pragma smuggled into a string literal must *not* count as a
-//! suppression. The scanner therefore performs a single character-level pass
+//! The flow facts and pragmas of this crate are read from identifier
+//! sequences (`env::var`, `HashMap`, `sort`, …) in **code** and from
+//! comments, never from string literals. Getting that distinction right is
+//! the whole job of this module — a naive `grep` would seed taint from
+//! `// like env::var("X")` in a doc comment or honour
+//! `"fdn-lint: allow(F3) -- nope"` inside a string, and a pragma smuggled
+//! into a string literal must *not* count as a suppression. The scanner therefore performs a single character-level pass
 //! that classifies every byte of the source as exactly one of:
 //!
 //! - **code** — emitted as [`Token`]s (identifiers, numbers, punctuation);
@@ -253,8 +253,7 @@ pub fn scan(source: &str) -> ScannedFile {
         }
 
         // Numeric literal (including float suffixes and exponents, so `2.5`,
-        // `1e3` and `0.5f64` each arrive as a single Number token — rule D4
-        // inspects the text for float shape).
+        // `1e3` and `0.5f64` each arrive as a single Number token).
         if c.is_ascii_digit() {
             let start_line = line;
             let mut text = String::new();
@@ -297,9 +296,9 @@ pub fn scan(source: &str) -> ScannedFile {
 /// Returns a copy of `file.tokens` with every token inside a
 /// `#[cfg(test)] mod … { … }` block removed.
 ///
-/// Test-only modules embedded in `src/` files are exempt from the lint rules
-/// (separate `tests/` files are handled by path policy instead): a seeded
-/// `StdRng` or a wall-clock assertion in a unit test is not a determinism
+/// Test-only modules embedded in `src/` files are exempt from the flow rules
+/// (separate `tests/` files are handled by path policy instead): an
+/// environment read or a map walk in a unit test is not a determinism
 /// hazard because test code never feeds a byte-gated artifact. The match is
 /// purely lexical — the exact token sequence `# [ cfg ( test ) ]` followed
 /// by an optional `pub`, then `mod <name> {`, skipping to the matching
@@ -408,7 +407,7 @@ mod tests {
 
     #[test]
     fn comments_are_captured_with_lines() {
-        let src = "code();\n// fdn-lint: allow(D1) -- reason\nmore();";
+        let src = "code();\n// fdn-lint: allow(F3) -- reason\nmore();";
         let file = scan(src);
         assert_eq!(file.comments.len(), 1);
         assert_eq!(file.comments[0].line, 2);

@@ -61,7 +61,7 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Renders `path` relative to `root` with forward slashes — the canonical
-/// path form used in findings, pragma policies and the baseline.
+/// path form used in findings and pragma lookups.
 pub fn relative(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     normalize(rel)

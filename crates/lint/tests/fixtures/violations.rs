@@ -1,87 +1,105 @@
-//! Seeded-violation corpus for the CI lint gate.
+//! Seeded-violation corpus for the lint gate.
 //!
-//! This file is NOT compiled (it sits below `tests/fixtures/`, which cargo
-//! ignores and the default `fdn-lint` walk excludes). It exists to prove,
-//! on every CI run, that the gate still *fails* when it should: linted
-//! explicitly with `--apply-all-rules`, it must produce at least one
-//! finding for every rule D1–D6, the flow rules F1–F3, plus a P1, and
-//! exit 2.
+//! Two checkers must reject this file, which proves on every run that the
+//! gate still fails when it should:
+//!
+//! - `cargo clippy`, on a throwaway package built around this file with the
+//!   workspace's own lint levels and `clippy.toml`, for the lexical rules
+//!   D1–D6 and for the two lints that keep every exception reasoned and
+//!   live. A `// trips: <lint>, …` marker ends each line that must be
+//!   rejected; `tests/lint_gate.rs` requires exactly those diagnostics, all
+//!   at error level.
+//! - `fdn-lint --apply-all-rules`, for the flow rules F2 and F3 and the
+//!   pragma rule P1, with exit code 2.
+//!
+//! Cargo never builds this file as part of the workspace, and the default
+//! `fdn-lint` walk skips `tests/fixtures/`.
 
-use std::collections::{HashMap, HashSet};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::collections::HashMap;
 use std::time::{Instant, SystemTime};
 
-/// D1 — wall clock reads.
-fn wall_clock() -> u128 {
-    let started = Instant::now();
-    let _epoch = SystemTime::now();
-    started.elapsed().as_millis()
+/// D1: wall-clock reads.
+pub fn wall_clock() -> u128 {
+    let started = Instant::now(); // trips: clippy::disallowed_methods
+    let _epoch = SystemTime::now(); // trips: clippy::disallowed_methods
+    started.elapsed().as_millis() // trips: clippy::disallowed_methods
 }
 
-/// D2 — unordered containers (either identifier fires).
-fn unordered_report() -> (HashMap<String, u64>, HashSet<String>) {
-    (HashMap::new(), HashSet::new())
+/// D2: a report module denies unordered maps. Outside such a module the
+/// maps below are allowed, and no diagnostic names them.
+pub mod report {
+    #![deny(clippy::disallowed_types)]
+
+    /// Iteration order of this map would reach the returned rows.
+    pub fn unordered_rows() -> Vec<u64> {
+        let counts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new(); // trips: clippy::disallowed_types
+        counts.into_values().collect()
+    }
 }
 
-/// D3 — RNG construction outside the factories, plus an entropy seed.
-fn rogue_rng() {
-    let _seeded = StdRng::seed_from_u64(42);
-    let _entropy = thread_rng();
+/// D3: RNG construction outside the seeded factories.
+pub fn rogue_rng() -> StdRng {
+    StdRng::seed_from_u64(42) // trips: clippy::disallowed_methods
 }
 
-/// D4 — float arithmetic in an accounting path.
-fn float_accounting(delivered: u64) -> f64 {
-    delivered as f64 * 0.5
+/// D4: an accounting module denies float arithmetic and lossy casts.
+pub mod accounting {
+    #![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+
+    /// Half of the deliveries, computed in floating point.
+    pub fn float_accounting(delivered: u64) -> f64 {
+        delivered as f64 * 0.5 // trips: clippy::cast_precision_loss, clippy::float_arithmetic
+    }
 }
 
-/// D5 — print outside a CLI main.
-fn noisy() {
-    println!("stray stdout write");
-    eprintln!("stray stderr write");
+/// D5: printing outside a CLI main.
+pub fn noisy() {
+    println!("stray stdout write"); // trips: clippy::print_stdout
+    eprintln!("stray stderr write"); // trips: clippy::print_stderr
+    dbg!("stray debug write"); // trips: clippy::dbg_macro
 }
 
-/// D6 — unsafe code.
-fn unchecked(xs: &[u64]) -> u64 {
-    unsafe { *xs.get_unchecked(0) }
+/// D6: unsafe code.
+pub fn unchecked(xs: &[u64]) -> u64 {
+    unsafe { *xs.get_unchecked(0) } // trips: unsafe_code
 }
 
-/// P1 — a malformed pragma: reason missing, so it is reported, not honoured.
-// fdn-lint: allow(D1)
-fn still_flagged() -> Instant {
-    Instant::now()
+/// Suppression control: a reasoned `#[expect]` keeps its own site out of
+/// the report.
+#[expect(clippy::print_stdout, reason = "fixture: demonstrates a justified exception")]
+pub fn sanctioned() {
+    println!("allowed by the reasoned expect above");
 }
 
-/// Suppression control: a *valid* pragma keeps this finding out of the
-/// report, proving suppression works inside the same fixture.
-fn sanctioned() {
-    // fdn-lint: allow(D6) -- fixture: demonstrates a justified suppression
-    unsafe { std::hint::unreachable_unchecked() }
+/// An exception without a reason is rejected, although it still suppresses.
+#[expect(clippy::print_stdout)] // trips: clippy::allow_attributes_without_reason
+pub fn unreasoned() {
+    println!("suppressed by an expect that states no reason");
 }
 
-/// F1 — wall-clock taint flowing *through a helper* into a report sink:
-/// neither function is individually more than a D1 site, but the call edge
-/// from the render function makes the pair a flow violation.
-fn helper_now_pulses() -> u64 {
-    Instant::now().elapsed().as_millis() as u64
-}
+/// An exception that no longer fires is rejected.
+#[expect(clippy::print_stdout, reason = "fixture: nothing here prints any more")] // trips: unfulfilled_lint_expectations
+pub fn stale() {}
 
-/// The F1 sink (matched by the `render*` name heuristic).
-fn render_cells() -> u64 {
-    helper_now_pulses()
-}
+/// P1: a malformed pragma (its reason is missing) is reported, not honoured.
+// fdn-lint: allow(F3)
+pub fn still_flagged() {}
 
-/// F2 — map-iteration order leaking through a helper into a render
-/// function with no sort on the path.
-fn unstable_rows(stats: &HashMap<String, u64>) -> Vec<String> {
+/// F2: map-iteration order leaking through a helper into a render function
+/// with no sort on the path.
+pub fn unstable_rows(stats: &HashMap<String, u64>) -> Vec<String> {
     stats.keys().cloned().collect()
 }
 
-/// The F2 sink.
-fn render_rows(stats: &HashMap<String, u64>) -> Vec<String> {
+/// The F2 sink (matched by the `render*` name heuristic).
+pub fn render_rows(stats: &HashMap<String, u64>) -> Vec<String> {
     unstable_rows(stats)
 }
 
-/// F3 — environment dependence feeding a report sink.
-fn shard_width_from_env() -> usize {
+/// F3: environment dependence feeding a report sink.
+pub fn shard_width_from_env() -> usize {
     std::env::var("FDN_SHARDS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -89,30 +107,32 @@ fn shard_width_from_env() -> usize {
 }
 
 /// The F3 sink.
-fn render_shard_plan() -> usize {
+pub fn render_shard_plan() -> usize {
     shard_width_from_env()
 }
 
 /// Flow control case: the same map-iteration shape as `unstable_rows`, but
-/// the path to the sink sorts — the sorting boundary must keep this pair
-/// out of the report.
-fn stable_rows(stats: &HashMap<String, u64>) -> Vec<String> {
+/// the path to the sink sorts, so the sorting boundary keeps this pair out
+/// of the report.
+pub fn stable_rows(stats: &HashMap<String, u64>) -> Vec<String> {
     let mut rows: Vec<String> = stats.keys().cloned().collect();
     rows.sort();
     rows
 }
 
 /// Not a finding: `stable_rows` sorts, so no F2 fires here.
-fn render_sorted_rows(stats: &HashMap<String, u64>) -> Vec<String> {
+pub fn render_sorted_rows(stats: &HashMap<String, u64>) -> Vec<String> {
     stable_rows(stats)
 }
 
-/// Non-findings: the scanner must NOT flag any of these.
-fn decoys() {
-    // Instant::now() in a line comment is invisible.
-    /* HashMap in /* a nested */ block comment is invisible. */
-    let _s = "unsafe { } in a string is invisible";
-    let _r = r#"SystemTime inside a raw string is invisible"#;
-    let _smuggled = "fdn-lint: allow(D5) -- a pragma in a string suppresses nothing";
-    println!("flagged: the string pragma above must not cover this line");
+/// Scanner decoys in a sink: environment reads in comments and strings are
+/// invisible, and a pragma inside a string suppresses nothing, so only the
+/// last line of the body is an F3 seed.
+pub fn render_decoys() -> usize {
+    // std::env::var("IN_A_LINE_COMMENT") is invisible.
+    /* std::env::var("IN_A") /* nested */ block comment is invisible. */
+    let _s = "std::env::var(\"IN_A_STRING\") is invisible";
+    let _r = r#"std::env::var("IN_A_RAW_STRING") is invisible"#;
+    let _smuggled = "fdn-lint: allow(F3) -- a pragma in a string suppresses nothing";
+    std::env::var("FDN_SMUGGLED").map_or(0, |v| v.len())
 }

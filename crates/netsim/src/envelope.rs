@@ -1,5 +1,7 @@
 //! In-flight messages and their shared payload representation.
 
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+
 use std::ops::Deref;
 use std::sync::Arc;
 

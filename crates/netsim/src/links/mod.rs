@@ -55,6 +55,8 @@
 //! Determinism: link ids, queue contents and the active-set order are pure
 //! functions of the event sequence, so seeded runs remain byte-reproducible.
 
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+
 mod counting;
 mod exact;
 

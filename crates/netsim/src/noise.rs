@@ -15,6 +15,12 @@
 //! these adversaries in a campaign measures *where* the Theorem 2 construction
 //! breaks — expected loss of quiescence or success, never a panic or hang.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "D3: a seeded RNG factory; every noise stream derives from the scenario's noise seed"
+)]
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -111,7 +117,6 @@ impl NoiseModel for ConstantOne {
 /// break down long before total corruption.
 #[derive(Debug, Clone)]
 pub struct BitFlip {
-    // fdn-lint: allow(D4) -- Bernoulli parameter for seeded per-bit draws, never accumulated
     p: f64,
     rng: StdRng,
 }
@@ -122,10 +127,8 @@ impl BitFlip {
     /// # Panics
     ///
     /// Panics if `p` is not within `[0, 1]`.
-    // fdn-lint: allow(D4) -- probability parameter feeding seeded draws only
     pub fn new(p: f64, seed: u64) -> Self {
         assert!(
-            // fdn-lint: allow(D4) -- range check on the probability parameter
             (0.0..=1.0).contains(&p),
             "flip probability must be in [0, 1]"
         );

@@ -22,7 +22,12 @@
 //! never wall clock: observed output is byte-deterministic and independent
 //! of thread count, exactly like the rest of the pipeline.
 
-// fdn-lint: allow(D2) -- live counter only; exports sort by (from, to) first
+#![deny(clippy::disallowed_types)]
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "live counter only; exports sort by (from, to) first"
+)]
 use std::collections::HashMap;
 use std::fmt;
 
@@ -391,7 +396,10 @@ pub struct SpanProfiler {
     markers: Vec<(u64, PhaseMarker)>,
     markers_dropped: u64,
     marker_capacity: usize,
-    // fdn-lint: allow(D2) -- keyed increments only; link_table()/trace exports sort by (from, to)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed increments only; link_table()/trace exports sort by (from, to)"
+    )]
     link_deliveries: HashMap<(NodeId, NodeId), u64>,
     last_stamp: u64,
 }

@@ -23,6 +23,11 @@
 //! p50/p95 shifts on random/lifo cells, never success-rate drops: Theorems 2
 //! and 10 hold under every admissible schedule).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "D3: a seeded RNG factory; every schedule derives from the scenario's scheduler seed"
+)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;

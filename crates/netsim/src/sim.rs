@@ -1,5 +1,7 @@
 //! The discrete-event simulation engine.
 
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+
 use fdn_graph::{Graph, NodeId};
 
 use crate::envelope::{Envelope, Payload};

@@ -5,7 +5,13 @@
 //! pre-processing phase and `CCoverhead(m)` per simulated message. The
 //! simulator tracks exactly those quantities, per node and per edge.
 
-// fdn-lint: allow(D2) -- live counters only; every export path sorts into StatsSnapshot first
+#![deny(clippy::disallowed_types)]
+#![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "live counters only; every export path sorts into StatsSnapshot first"
+)]
 use std::collections::HashMap;
 
 use fdn_graph::graph::Edge;
@@ -14,7 +20,7 @@ use fdn_graph::NodeId;
 use crate::envelope::Envelope;
 
 /// Counters maintained by a [`crate::Simulation`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stats {
     /// Total messages (pulses) sent.
     pub sent_total: u64,
@@ -33,14 +39,24 @@ pub struct Stats {
     pub max_inflight: u64,
     /// Per-directed-link high-water mark of the link's FIFO queue depth.
     /// Cumulative over the whole run, like [`Stats::max_inflight`].
-    // fdn-lint: allow(D2) -- keyed updates only; snapshot() sorts before export
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed updates only; snapshot() sorts before export"
+    )]
     pub per_link_high_water: HashMap<(NodeId, NodeId), u64>,
     /// Messages sent per undirected edge.
-    // fdn-lint: allow(D2) -- keyed updates only; snapshot() sorts before export
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed updates only; snapshot() sorts before export"
+    )]
     pub per_edge_sent: HashMap<Edge, u64>,
     /// Messages sent per node (indexed by node id).
     pub per_node_sent: Vec<u64>,
 }
+
+// Written out: a derived `Eq` names each field's type again, outside the
+// fields' `#[expect(clippy::disallowed_types)]`.
+impl Eq for Stats {}
 
 impl Stats {
     /// Creates zeroed counters for a graph with `n` nodes.
@@ -135,7 +151,10 @@ impl Stats {
     /// are run-cumulative, not phase-differencible, so the later values are
     /// carried through unchanged.
     pub fn since(&self, earlier: &Stats) -> Stats {
-        // fdn-lint: allow(D2) -- value-keyed difference of two maps; insertion order cannot leak
+        #[expect(
+            clippy::disallowed_types,
+            reason = "value-keyed difference of two maps; insertion order cannot leak"
+        )]
         let mut per_edge = HashMap::new();
         // fdn-lint: allow(F2) -- map-to-map difference keyed by the same edges; iteration order cannot reach rendered bytes (snapshot() sorts)
         for (e, v) in &self.per_edge_sent {

@@ -11,6 +11,12 @@
 //! is that `cargo bench` builds, runs and prints comparable numbers without
 //! registry access, not that it replaces Criterion's statistics.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::print_stdout,
+    reason = "D1, D5: a benchmark harness times with the wall clock and prints its results"
+)]
+
 use std::fmt;
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};

@@ -198,6 +198,10 @@ pub mod prelude {
     pub use crate::{Rng, RngCore, SeedableRng};
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D3: the shim's own tests construct generators to check the seeded stream"
+)]
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;

@@ -9,6 +9,12 @@
 //!
 //! Usage: `cargo run --release --example campaign`
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "D5: an example prints its results, and its progress to stderr"
+)]
+
 use fully_defective::prelude::*;
 
 fn main() -> Result<(), LabError> {

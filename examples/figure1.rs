@@ -5,6 +5,8 @@
 //!
 //! Run with: `cargo run --example figure1`
 
+#![expect(clippy::print_stdout, reason = "D5: an example prints its results")]
+
 use fully_defective::graph::ear::ear_decomposition;
 use fully_defective::graph::orientation::robbins_orientation;
 use fully_defective::prelude::*;

@@ -9,6 +9,8 @@
 //!
 //! Run with: `cargo run --example leader_election`
 
+#![expect(clippy::print_stdout, reason = "D5: an example prints its results")]
+
 use fully_defective::prelude::*;
 use fully_defective::protocols::util::{decode_u64, run_direct};
 

@@ -6,6 +6,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+#![expect(clippy::print_stdout, reason = "D5: an example prints its results")]
+
 use fully_defective::prelude::*;
 
 fn main() {

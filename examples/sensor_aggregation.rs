@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --example sensor_aggregation`
 
+#![expect(clippy::print_stdout, reason = "D5: an example prints its results")]
+
 use fully_defective::prelude::*;
 use fully_defective::protocols::util::decode_u64;
 
