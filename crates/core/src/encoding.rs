@@ -321,7 +321,7 @@ mod tests {
 
     #[test]
     fn unary_values_are_distinct() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for a in 0..=255u8 {
             assert!(seen.insert(unary_value(&[a]).unwrap()));
         }

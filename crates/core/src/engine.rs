@@ -531,7 +531,7 @@ impl RobbinsEngine {
         }
         // Line 3: one REQUEST is owed per occurrence, i.e. per
         // counterclockwise neighbour with multiplicity.
-        let remaining = self.view.prev_multiplicities().into_iter().collect();
+        let remaining = self.view.prev_multiplicities();
         self.state = State::AwaitRequests { remaining };
         true
     }

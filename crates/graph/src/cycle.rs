@@ -16,7 +16,7 @@
 //! positions starting from `seq[0]`, which places the token inside every
 //! node's segment 0 (Figure 2).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{btree_map, BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use crate::error::GraphError;
@@ -171,8 +171,8 @@ impl LocalCycleView {
 
     /// For each counterclockwise neighbour, how many occurrences have it as
     /// their `prev` (used by the REQUEST-counting logic of Algorithm 3).
-    pub fn prev_multiplicities(&self) -> HashMap<NodeId, usize> {
-        let mut m = HashMap::new();
+    pub fn prev_multiplicities(&self) -> BTreeMap<NodeId, usize> {
+        let mut m = BTreeMap::new();
         for o in &self.occurrences {
             *m.entry(o.prev).or_insert(0) += 1;
         }
@@ -203,7 +203,7 @@ impl RobbinsCycle {
                 seq.len()
             )));
         }
-        let mut arcs: HashSet<(NodeId, NodeId)> = HashSet::new();
+        let mut arcs: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
         for i in 0..seq.len() {
             let u = seq[i];
             let v = seq[(i + 1) % seq.len()];
@@ -215,8 +215,8 @@ impl RobbinsCycle {
             arcs.insert((u, v));
         }
         // Walk the sequence (not the set) so the reported arc of an invalid
-        // cycle is the first offender in sequence order, independent of
-        // HashSet iteration order.
+        // cycle is the first offender in sequence order, not the smallest
+        // arc.
         for i in 0..seq.len() {
             let u = seq[i];
             let v = seq[(i + 1) % seq.len()];
@@ -262,15 +262,12 @@ impl RobbinsCycle {
 
     /// The set of distinct nodes on the cycle, sorted.
     pub fn distinct_nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .seq
+        self.seq
             .iter()
             .copied()
-            .collect::<HashSet<_>>()
+            .collect::<BTreeSet<_>>()
             .into_iter()
-            .collect();
-        v.sort();
-        v
+            .collect()
     }
 
     /// All directed edges (arcs) along the cycle, in cycle order, including
@@ -282,7 +279,7 @@ impl RobbinsCycle {
     }
 
     /// The set of undirected edges used by the cycle.
-    pub fn undirected_edges(&self) -> HashSet<(NodeId, NodeId)> {
+    pub fn undirected_edges(&self) -> BTreeSet<(NodeId, NodeId)> {
         self.arcs()
             .into_iter()
             .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
@@ -367,9 +364,9 @@ impl RobbinsCycle {
     /// [`RobbinsCycle::local_view`] for every distinct node, but `O(|C|)`
     /// instead of `O(n·|C|)` — the difference matters when a cached cycle is
     /// re-handed to fresh simulator nodes for every seed of a sweep.
-    pub fn local_views(&self) -> HashMap<NodeId, LocalCycleView> {
+    pub fn local_views(&self) -> BTreeMap<NodeId, LocalCycleView> {
         let n = self.seq.len();
-        let mut views: HashMap<NodeId, LocalCycleView> = HashMap::new();
+        let mut views: BTreeMap<NodeId, LocalCycleView> = BTreeMap::new();
         for i in 0..n {
             let node = self.seq[i];
             let occ = Occurrence {
@@ -404,7 +401,7 @@ impl RobbinsCycle {
             return Some(vec![from]);
         }
         // Build the (deduplicated) arc adjacency with sorted successors.
-        let mut succ: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+        let mut succ: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
         for (u, v) in self.arcs() {
             let entry = succ.entry(u).or_default();
             if !entry.contains(&v) {
@@ -414,7 +411,7 @@ impl RobbinsCycle {
         for list in succ.values_mut() {
             list.sort();
         }
-        let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
+        let mut parent: BTreeMap<NodeId, NodeId> = BTreeMap::new();
         let mut queue = VecDeque::new();
         queue.push_back(from);
         parent.insert(from, from);
@@ -424,7 +421,7 @@ impl RobbinsCycle {
             }
             if let Some(nexts) = succ.get(&u) {
                 for &v in nexts {
-                    if let std::collections::hash_map::Entry::Vacant(slot) = parent.entry(v) {
+                    if let btree_map::Entry::Vacant(slot) = parent.entry(v) {
                         slot.insert(u);
                         queue.push_back(v);
                     }

@@ -14,7 +14,7 @@
 use crate::connectivity::is_two_edge_connected;
 use crate::error::GraphError;
 use crate::graph::{Edge, Graph, NodeId};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// One ear of an ear decomposition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,8 +78,8 @@ impl EarDecomposition {
     /// ears use existing edges, cover every edge exactly once, ear endpoints
     /// lie on previously-built structure and internal nodes are new.
     pub fn validate(&self, g: &Graph) -> Result<(), GraphError> {
-        let mut covered_edges: HashSet<Edge> = HashSet::new();
-        let mut covered_nodes: HashSet<NodeId> = HashSet::new();
+        let mut covered_edges: BTreeSet<Edge> = BTreeSet::new();
+        let mut covered_nodes: BTreeSet<NodeId> = BTreeSet::new();
         if self.initial_cycle.len() < 3 {
             return Err(GraphError::InvalidCycle(
                 "initial cycle has fewer than 3 nodes".into(),
@@ -176,7 +176,7 @@ pub fn ear_decomposition(g: &Graph, root: NodeId) -> Result<EarDecomposition, Gr
         return Err(GraphError::NotTwoEdgeConnected);
     }
 
-    let mut covered_edges: HashSet<Edge> = HashSet::new();
+    let mut covered_edges: BTreeSet<Edge> = BTreeSet::new();
     let mut on_structure: Vec<bool> = vec![false; g.node_count()];
 
     // --- Initial simple cycle through the root (DFS with backtracking). ---
@@ -225,7 +225,7 @@ pub fn ear_decomposition(g: &Graph, root: NodeId) -> Result<EarDecomposition, Gr
 fn find_simple_cycle_through(
     g: &Graph,
     root: NodeId,
-    covered: &HashSet<Edge>,
+    covered: &BTreeSet<Edge>,
 ) -> Option<Vec<NodeId>> {
     // Path-based DFS with explicit backtracking, exploring neighbours in
     // ascending order; stops when an edge back to the root closes a cycle of
@@ -233,7 +233,7 @@ fn find_simple_cycle_through(
     let mut path = vec![root];
     let mut on_path = vec![false; g.node_count()];
     on_path[root.index()] = true;
-    let mut used: HashSet<Edge> = HashSet::new();
+    let mut used: BTreeSet<Edge> = BTreeSet::new();
 
     loop {
         let u = *path.last().unwrap();
@@ -269,13 +269,13 @@ fn find_simple_cycle_through(
 fn grow_ear(
     g: &Graph,
     start: NodeId,
-    covered: &HashSet<Edge>,
+    covered: &BTreeSet<Edge>,
     on_structure: &[bool],
 ) -> Vec<NodeId> {
     let mut path = vec![start];
     let mut on_path = vec![false; g.node_count()];
     on_path[start.index()] = true;
-    let mut used: HashSet<Edge> = HashSet::new();
+    let mut used: BTreeSet<Edge> = BTreeSet::new();
 
     loop {
         let u = *path.last().unwrap();

@@ -18,7 +18,7 @@ use crate::graph::Graph;
 ///
 /// `build()` of equal values always returns equal graphs (random families
 /// carry their seed), so a `GraphFamily` fully identifies a topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GraphFamily {
     /// Simple cycle on `n` nodes ([`generators::cycle`]).
     Cycle { n: usize },

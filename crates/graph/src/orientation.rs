@@ -7,7 +7,7 @@
 //! as a *reference*; the distributed, content-oblivious construction lives in
 //! `fdn-core::construction`.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::connectivity::is_two_edge_connected;
 use crate::error::GraphError;
@@ -17,7 +17,7 @@ use crate::graph::{Edge, Graph, NodeId};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Orientation {
     /// For each undirected edge, the chosen direction `(from, to)`.
-    dir: HashMap<Edge, (NodeId, NodeId)>,
+    dir: BTreeMap<Edge, (NodeId, NodeId)>,
 }
 
 impl Orientation {
@@ -112,7 +112,7 @@ pub fn robbins_orientation(g: &Graph, root: NodeId) -> Result<Orientation, Graph
     let n = g.node_count();
     let mut disc = vec![usize::MAX; n];
     let mut timer = 0usize;
-    let mut dir: HashMap<Edge, (NodeId, NodeId)> = HashMap::with_capacity(g.edge_count());
+    let mut dir: BTreeMap<Edge, (NodeId, NodeId)> = BTreeMap::new();
 
     let mut stack: Vec<(NodeId, usize)> = Vec::new();
     disc[root.index()] = timer;

@@ -38,8 +38,7 @@
 //! block on a single build instead of redundantly re-running it — seeds of
 //! one cell are dispatched back-to-back, exactly the racy case.
 
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use fdn_core::{construction_simulators, ConstructionCheckpoint, ConstructionSimulator};
@@ -62,10 +61,10 @@ pub const CONSTRUCTION_MAX_STEPS: u64 = 200_000_000;
 /// one key never serializes lookups of *other* keys.
 #[derive(Debug)]
 struct SingleFlight<K, V> {
-    map: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
+    map: Mutex<BTreeMap<K, Arc<OnceLock<V>>>>,
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
+impl<K: Ord, V: Clone> SingleFlight<K, V> {
     fn get_or_init(&self, key: K, build: impl FnOnce() -> V) -> V {
         let slot = {
             let mut map = self.map.lock().expect("cache lock");
@@ -82,7 +81,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
 impl<K, V> Default for SingleFlight<K, V> {
     fn default() -> Self {
         SingleFlight {
-            map: Mutex::new(HashMap::new()),
+            map: Mutex::new(BTreeMap::new()),
         }
     }
 }
@@ -157,7 +156,7 @@ impl TopologyCache {
 /// construction's trajectory depends on. (The noise axis is absent on
 /// purpose: the construction always runs under the paper's full-corruption
 /// model, and alteration noise cannot steer a content-oblivious run.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ReplayKey {
     /// Graph family.
     pub family: GraphFamily,
@@ -314,7 +313,7 @@ impl ReplayCache {
 /// depends on. The noise and encoding axes are deliberately absent — the
 /// baseline never sees either, which is exactly why it can be shared across
 /// them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct BaselineKey {
     /// Graph family.
     pub family: GraphFamily,

@@ -24,13 +24,7 @@
 //! New cells, rate improvements, and pulse-cost decreases are reported but
 //! never fail the gate.
 
-#![deny(clippy::disallowed_types)]
-
-#[expect(
-    clippy::disallowed_types,
-    reason = "lookup indexes only; every rendered sequence iterates the reports' sorted cell vectors"
-)]
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use crate::json::Json;
@@ -301,16 +295,8 @@ impl ReportDiff {
     ) {
         // Index each side once: reports can hold thousands of cells, and the
         // formatted id is too expensive to rebuild per probe.
-        #[expect(
-            clippy::disallowed_types,
-            reason = "keyed lookups only; deltas iterate the base cells in report order"
-        )]
-        let candidate_by_id: HashMap<String, &C> = candidate.iter().map(|c| (id(c), c)).collect();
-        #[expect(
-            clippy::disallowed_types,
-            reason = "membership test only, never iterated"
-        )]
-        let base_ids: HashSet<String> = base.iter().map(&id).collect();
+        let candidate_by_id: BTreeMap<String, &C> = candidate.iter().map(|c| (id(c), c)).collect();
+        let base_ids: BTreeSet<String> = base.iter().map(&id).collect();
         for b in base {
             let key = id(b);
             match candidate_by_id.get(&key) {

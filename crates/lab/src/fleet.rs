@@ -27,7 +27,6 @@
 //! This module performs no terminal output of its own (worker output is
 //! inherited); the `fdn-lab fleet` subcommand does the narration.
 
-#![deny(clippy::disallowed_types)]
 #![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
 
 use std::path::{Path, PathBuf};
@@ -183,10 +182,13 @@ impl FleetPlan {
     /// the merge exits non-zero (their own stderr has the detail).
     pub fn dispatch(&self, opts: &DispatchOptions) -> Result<FleetOutcome, LabError> {
         std::fs::create_dir_all(&opts.out_dir)?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D7: worker thread-count default only; merged report bytes are cmp-gated identical across thread counts"
+        )]
         let threads = opts.threads_per_worker.or_else(|| {
             // Default: split the machine between the workers instead of
             // oversubscribing it M-fold.
-            // fdn-lint: allow(F3) -- worker thread-count default only; merged report bytes are cmp-gated identical across thread counts
             std::thread::available_parallelism()
                 .ok()
                 .map(|n| (n.get() / self.shard_count().max(1)).max(1))

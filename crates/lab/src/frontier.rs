@@ -38,8 +38,6 @@
 //! like the campaign diff gate, and `fdn-lab diff` exits 2 on regression for
 //! both report kinds.
 
-#![deny(clippy::disallowed_types)]
-
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -7,8 +7,6 @@
 //! which makes the rendered bytes a pure function of the report value — the
 //! determinism guarantee the campaign tests assert.
 
-#![deny(clippy::disallowed_types)]
-
 use std::fmt::Write as _;
 
 /// A JSON document.

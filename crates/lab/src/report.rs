@@ -8,8 +8,7 @@
 //! data and all grouping is order-preserving, so a report — and each of its
 //! three renderings — is a byte-deterministic function of the campaign.
 
-#![deny(clippy::disallowed_types)]
-
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use crate::cache::TopologyCache;
@@ -655,11 +654,7 @@ pub fn merge_reports(reports: &[CampaignReport]) -> Result<CampaignReport, Strin
         cells.extend(r.cells.iter().cloned());
     }
     cells.sort_by_key(|c| c.first_scenario_index);
-    #[expect(
-        clippy::disallowed_types,
-        reason = "duplicate-cell membership check only, never iterated"
-    )]
-    let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
+    let mut seen = BTreeSet::new();
     for c in &cells {
         let id = c.cell_id();
         if !seen.insert(id.clone()) {

@@ -74,7 +74,7 @@ impl fmt::Display for EngineMode {
 }
 
 /// A pulse encoding, as data (the value-level face of [`Encoding`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EncodingSpec {
     /// Binary pulse encoding (Algorithm 2), the practical default.
     Binary,

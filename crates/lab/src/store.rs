@@ -41,7 +41,6 @@
 //! and surface in `--timings` sidecars only — never in byte-gated reports,
 //! which must not depend on cache temperature.
 
-#![deny(clippy::disallowed_types)]
 #![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
 
 use std::fs;

@@ -21,8 +21,6 @@
 //!   whose totals match the cell's `ScenarioOutcome` accounting exactly,
 //!   plus the top-k hottest links by deliveries.
 
-#![deny(clippy::disallowed_types)]
-
 use std::fmt::Write as _;
 
 use rayon::prelude::*;

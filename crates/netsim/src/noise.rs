@@ -23,7 +23,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use fdn_graph::graph::Edge;
 
@@ -162,7 +162,7 @@ impl NoiseModel for BitFlip {
 /// "f Byzantine edges" setting the paper contrasts itself with, and the
 /// single-bridge corruption of Theorem 3.
 pub struct TargetedEdges<N> {
-    edges: HashSet<Edge>,
+    edges: BTreeSet<Edge>,
     inner: N,
 }
 

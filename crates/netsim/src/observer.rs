@@ -22,13 +22,7 @@
 //! never wall clock: observed output is byte-deterministic and independent
 //! of thread count, exactly like the rest of the pipeline.
 
-#![deny(clippy::disallowed_types)]
-
-#[expect(
-    clippy::disallowed_types,
-    reason = "live counter only; exports sort by (from, to) first"
-)]
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use fdn_graph::NodeId;
@@ -396,11 +390,7 @@ pub struct SpanProfiler {
     markers: Vec<(u64, PhaseMarker)>,
     markers_dropped: u64,
     marker_capacity: usize,
-    #[expect(
-        clippy::disallowed_types,
-        reason = "keyed increments only; link_table()/trace exports sort by (from, to)"
-    )]
-    link_deliveries: HashMap<(NodeId, NodeId), u64>,
+    link_deliveries: BTreeMap<(NodeId, NodeId), u64>,
     last_stamp: u64,
 }
 
@@ -464,12 +454,9 @@ impl SpanProfiler {
     }
 
     /// Per-directed-link delivery counts, sorted by `(from, to)` — the
-    /// deterministic order every renderer must use (the internal map is
-    /// unordered).
+    /// deterministic order every renderer must use.
     pub fn link_deliveries_sorted(&self) -> Vec<((NodeId, NodeId), u64)> {
-        let mut v: Vec<_> = self.link_deliveries.iter().map(|(&k, &n)| (k, n)).collect();
-        v.sort_unstable_by_key(|&((f, t), _)| (f, t));
-        v
+        self.link_deliveries.iter().map(|(&k, &n)| (k, n)).collect()
     }
 
     /// The top `k` links by delivery count; ties broken by `(from, to)` so

@@ -30,7 +30,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use fdn_graph::graph::Edge;
 
@@ -124,7 +124,7 @@ impl Scheduler for LifoScheduler {
 /// model allows.
 #[derive(Debug, Clone)]
 pub struct EdgeDelayScheduler {
-    slow: HashSet<Edge>,
+    slow: BTreeSet<Edge>,
     rng: StdRng,
 }
 

@@ -183,7 +183,7 @@ impl fmt::Display for NoiseSpec {
 }
 
 /// A scheduler, as data — see [`NoiseSpec`] for the rationale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SchedulerSpec {
     /// Seeded uniform choice ([`RandomScheduler`]).
     Random,

@@ -7,7 +7,6 @@
 //! the simulated execution corresponds to a valid noiseless execution of the
 //! inner protocol.
 
-#![deny(clippy::disallowed_types)]
 #![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
 
 use fdn_graph::NodeId;

@@ -269,9 +269,9 @@ fn per_link_fifo_is_never_violated_even_under_deletion_noise() {
 }
 
 fn assert_per_link_fifo(t: &Transcript, label: &str) {
-    use std::collections::HashMap;
-    let mut sent: HashMap<(NodeId, NodeId), Vec<&Vec<u8>>> = HashMap::new();
-    let mut consumed: HashMap<(NodeId, NodeId), Vec<&Vec<u8>>> = HashMap::new();
+    use std::collections::BTreeMap;
+    let mut sent: BTreeMap<(NodeId, NodeId), Vec<&Vec<u8>>> = BTreeMap::new();
+    let mut consumed: BTreeMap<(NodeId, NodeId), Vec<&Vec<u8>>> = BTreeMap::new();
     for e in t.events() {
         match e {
             TranscriptEvent::Sent { from, to, payload } => {

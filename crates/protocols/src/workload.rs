@@ -38,7 +38,7 @@ pub fn flood_value(payload_bytes: usize) -> Vec<u8> {
 pub type BoxedProtocol = Box<dyn InnerProtocol + Send>;
 
 /// A workload protocol with its canonical inputs, as data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WorkloadSpec {
     /// [`FloodBroadcast`] of a payload of the given byte length.
     Flood {

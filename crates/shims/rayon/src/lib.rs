@@ -22,6 +22,10 @@ use std::sync::{Mutex, OnceLock};
 
 static GLOBAL_NUM_THREADS: OnceLock<usize> = OnceLock::new();
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D7: the pool size steers speed only; reports are cmp-gated identical across thread counts"
+)]
 fn default_num_threads() -> usize {
     if let Some(&n) = GLOBAL_NUM_THREADS.get() {
         return n;
