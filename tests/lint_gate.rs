@@ -1,127 +1,16 @@
 //! The lint gate: the seeded-violation fixture must fail clippy exactly where
-//! its markers say, and the workspace must pass it, so `cargo test` enforces
-//! the whole determinism contract (D1–D7).
+//! its markers say, and the workspace must pass it with every source file
+//! linted, so `cargo test` enforces the whole determinism contract (D1–D7).
 
+mod clippy_gate;
+
+use clippy_gate::{cargo_clippy, clippy_package, workspace_root};
 use fdn_lab::Json;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
-/// The workspace root (this package's manifest directory).
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-}
-
-fn fixture_path() -> String {
-    workspace_root()
-        .join("tests/fixtures/violations.rs")
-        .to_string_lossy()
-        .into_owned()
-}
-
-/// A `cargo clippy` command that reads the workspace's `clippy.toml` and
-/// builds into its own target directory under `CARGO_TARGET_TMPDIR`.
-fn cargo_clippy(target: &str) -> Command {
-    let mut cmd = Command::new(env!("CARGO"));
-    cmd.arg("clippy")
-        .arg("--target-dir")
-        .arg(Path::new(env!("CARGO_TARGET_TMPDIR")).join(target))
-        .env("CLIPPY_CONF_DIR", workspace_root());
-    cmd
-}
-
-/// The root manifest's `[workspace.lints.*]` tables, renamed to a package's
-/// own `[lints.*]` tables.
-fn workspace_lint_tables() -> String {
-    let manifest = std::fs::read_to_string(workspace_root().join("Cargo.toml")).unwrap();
-    let mut out = String::new();
-    let mut keep = false;
-    for line in manifest.lines() {
-        if line.starts_with('[') {
-            keep = line.starts_with("[workspace.lints.");
-        }
-        if keep {
-            out.push_str(&line.replacen("[workspace.lints.", "[lints.", 1));
-            out.push('\n');
-        }
-    }
-    assert!(
-        out.contains("[lints.clippy]"),
-        "no lint tables found:\n{manifest}"
-    );
-    out
-}
-
-/// Runs clippy on a throwaway package whose library is the fixture, with the
-/// root manifest's lint tables as its own and the root `clippy.toml`, and
-/// returns `(line, lint, level)` for every diagnostic with a lint code in the
-/// fixture.
-fn clippy_fixture_diagnostics() -> (BTreeSet<(u32, String, String)>, String) {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("clippy-fixture");
-    std::fs::create_dir_all(&dir).unwrap();
-    let rand = workspace_root().join("crates/shims/rand");
-    std::fs::write(
-        dir.join("Cargo.toml"),
-        format!(
-            "[package]\nname = \"lint-gate-fixture\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\
-             publish = false\n\n[workspace]\n\n[lib]\npath = {:?}\n\n\
-             [dependencies]\nrand = {{ path = {:?} }}\n\n{}",
-            fixture_path(),
-            rand.to_string_lossy(),
-            workspace_lint_tables(),
-        ),
-    )
-    .unwrap();
-    let out = cargo_clippy("clippy-fixture")
-        .args([
-            "--quiet",
-            "--offline",
-            "--message-format=json",
-            "--manifest-path",
-        ])
-        .arg(dir.join("Cargo.toml"))
-        .output()
-        .expect("cargo clippy runs");
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    let mut found = BTreeSet::new();
-    for line in String::from_utf8(out.stdout).unwrap().lines() {
-        let msg = Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
-        if msg.get("reason").and_then(Json::as_str) != Some("compiler-message") {
-            continue;
-        }
-        let diag = msg.get("message").unwrap();
-        let Some(code) = diag
-            .get("code")
-            .and_then(|c| c.get("code"))
-            .and_then(Json::as_str)
-        else {
-            continue;
-        };
-        let span = diag
-            .get("spans")
-            .and_then(Json::as_arr)
-            .and_then(|spans| {
-                spans
-                    .iter()
-                    .find(|s| s.get("is_primary") == Some(&Json::Bool(true)))
-            })
-            .unwrap();
-        if span
-            .get("file_name")
-            .and_then(Json::as_str)
-            .is_some_and(|f| f.ends_with("violations.rs"))
-        {
-            found.insert((
-                span.get("line_start").and_then(Json::as_u64).unwrap() as u32,
-                code.to_string(),
-                diag.get("level")
-                    .and_then(Json::as_str)
-                    .unwrap()
-                    .to_string(),
-            ));
-        }
-    }
-    (found, stderr)
+fn fixture_path() -> PathBuf {
+    workspace_root().join("tests/fixtures/violations.rs")
 }
 
 #[test]
@@ -156,10 +45,17 @@ fn clippy_rejects_every_lexical_trip_in_the_fixture() {
             "the fixture no longer trips {lint}"
         );
     }
-    let (found, stderr) = clippy_fixture_diagnostics();
+    let run = clippy_package("clippy-fixture", &fixture_path());
+    let found: BTreeSet<_> = run
+        .diagnostics
+        .iter()
+        .filter(|d| d.file == "violations.rs")
+        .map(|d| (d.line, d.lint.clone(), d.level.clone()))
+        .collect();
     assert_eq!(
         found, expected,
-        "clippy on the fixture disagrees with its markers:\n{stderr}"
+        "clippy on the fixture disagrees with its markers:\n{}",
+        run.stderr
     );
 }
 
@@ -177,4 +73,120 @@ fn workspace_self_scan_is_clean() {
         "cargo clippy --workspace --all-targets must pass:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+#[test]
+fn json_report_is_byte_deterministic() {
+    // Two clippy runs on the fixture, each in a fresh target directory, must
+    // report the same diagnostics in the same order, byte for byte.
+    let report = |tag: &str| {
+        let _ = std::fs::remove_dir_all(Path::new(env!("CARGO_TARGET_TMPDIR")).join(tag));
+        let run = clippy_package(tag, &fixture_path());
+        let rendered: Vec<_> = run.diagnostics.into_iter().map(|d| d.rendered).collect();
+        (run.status.code(), rendered)
+    };
+    let a = report("clippy-fixture-a");
+    assert!(!a.1.is_empty(), "the fixture must trip the gate");
+    assert_eq!(a, report("clippy-fixture-b"), "same scan, different bytes");
+}
+
+#[test]
+fn workspace_walk_covers_every_source_tree() {
+    // Independent enumeration of the real tree, applying only the
+    // documented exclusions: target/, dot-dirs, tests/fixtures, and
+    // perfbench/ (its own package, with its own clippy step in CI). It must
+    // equal the set of files `cargo clippy --workspace --all-targets`
+    // compiles, read from that run's dep-info files. A file no target
+    // reaches, or a crate that leaves the workspace, would escape the gate;
+    // this test names the exact paths that fell out of (or crept into) it.
+    fn enumerate(root: &Path, dir: &Path, out: &mut BTreeSet<String>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let skipped = name == "target"
+                || name.starts_with('.')
+                || path.ends_with("tests/fixtures")
+                || path == root.join("perfbench");
+            if path.is_dir() {
+                if !skipped {
+                    enumerate(root, &path, out);
+                }
+            } else if name.ends_with(".rs") {
+                out.insert(relative(root, &path));
+            }
+        }
+    }
+    fn relative(root: &Path, path: &Path) -> String {
+        let rel = path.strip_prefix(root).unwrap_or(path);
+        rel.to_string_lossy().replace('\\', "/")
+    }
+
+    let root = workspace_root();
+    let mut expected = BTreeSet::new();
+    enumerate(&root, &root, &mut expected);
+
+    let out = cargo_clippy("clippy-workspace")
+        .args([
+            "--quiet",
+            "--workspace",
+            "--all-targets",
+            "--locked",
+            "--message-format=json",
+        ])
+        .current_dir(&root)
+        .output()
+        .expect("cargo clippy runs");
+    assert!(
+        out.status.success(),
+        "cargo clippy --workspace --all-targets must pass:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut linted = BTreeSet::new();
+    for line in String::from_utf8(out.stdout).unwrap().lines() {
+        let msg = Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        if msg.get("reason").and_then(Json::as_str) != Some("compiler-artifact") {
+            continue;
+        }
+        let filenames = msg.get("filenames").and_then(Json::as_arr).unwrap();
+        for rmeta in filenames.iter().filter_map(Json::as_str).map(Path::new) {
+            // `deps/lib<unit>.rmeta` has its dep-info in `deps/<unit>.d`,
+            // whose first line lists every source file of the unit.
+            let name = rmeta.file_name().unwrap().to_string_lossy();
+            let Some(unit) = name
+                .strip_prefix("lib")
+                .and_then(|n| n.strip_suffix(".rmeta"))
+            else {
+                continue;
+            };
+            let dep_info = std::fs::read_to_string(rmeta.with_file_name(format!("{unit}.d")))
+                .unwrap_or_else(|e| panic!("dep-info of {}: {e}", rmeta.display()));
+            let (_, sources) = dep_info.lines().next().unwrap().split_once(": ").unwrap();
+            for source in sources.split(' ').filter(|s| s.ends_with(".rs")) {
+                linted.insert(relative(&root, &root.join(source)));
+            }
+        }
+    }
+    let escaped: Vec<_> = expected.difference(&linted).collect();
+    assert!(escaped.is_empty(), "no clippy target reaches {escaped:?}");
+    let crept_in: Vec<_> = linted.difference(&expected).collect();
+    assert!(
+        crept_in.is_empty(),
+        "clippy lints {crept_in:?}, which the exclusion rules leave out"
+    );
+
+    // Document (and defend) one representative per covered source tree:
+    // root crate, root examples/, root tests/, crate tests/, benches/,
+    // bin targets and the vendored shims are all inside the gate; the
+    // seeded-violation corpus in tests/fixtures stays out of it.
+    for must_cover in [
+        "src/lib.rs",
+        "examples/quickstart.rs",
+        "tests/equivalence.rs",
+        "crates/core/tests/construction.rs",
+        "crates/bench/benches/end_to_end.rs",
+        "crates/bench/src/bin/report.rs",
+        "crates/shims/rand/src/lib.rs",
+    ] {
+        assert!(linted.contains(must_cover), "the gate lost {must_cover}");
+    }
 }
