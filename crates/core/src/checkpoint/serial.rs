@@ -290,8 +290,7 @@ mod tests {
             .collect();
         drivers[0].on_start();
         let mut inflight: Vec<(NodeId, NodeId)> = drivers[0]
-            .take_outgoing()
-            .into_iter()
+            .drain_outgoing()
             .map(|to| (NodeId(0), to))
             .collect();
         let mut steps = 0usize;
@@ -301,9 +300,7 @@ mod tests {
             let d = &mut drivers[to.index()];
             d.on_pulse(from);
             assert!(d.error().is_none(), "node {to}: {:?}", d.error());
-            for next in d.take_outgoing() {
-                inflight.push((to, next));
-            }
+            inflight.extend(d.drain_outgoing().map(|next| (to, next)));
         }
         drivers
     }

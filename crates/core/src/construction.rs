@@ -89,9 +89,9 @@ enum Phase {
 /// The per-node driver of the content-oblivious Robbins-cycle construction.
 ///
 /// The node consumes pulse arrivals (`on_pulse`) and produces pulse send
-/// requests (`take_outgoing`); when [`is_done`](Self::is_done) becomes true
-/// the final cycle and the live engine over it can be extracted with
-/// [`into_result`](Self::into_result).
+/// requests ([`drain_outgoing`](Self::drain_outgoing)); when
+/// [`is_done`](Self::is_done) becomes true the final cycle and the live
+/// engine over it can be extracted with [`into_result`](Self::into_result).
 #[derive(Debug)]
 pub struct ConstructionNode {
     node: NodeId,
@@ -237,9 +237,10 @@ impl ConstructionNode {
         Ok((cycle, engine))
     }
 
-    /// Drains the pulses the node wants to send, in order.
-    pub fn take_outgoing(&mut self) -> Vec<NodeId> {
-        std::mem::take(&mut self.outgoing)
+    /// Drains the pulses the node wants to send, in order, in place: the
+    /// buffer keeps its capacity for the next event.
+    pub fn drain_outgoing(&mut self) -> std::vec::Drain<'_, NodeId> {
+        self.outgoing.drain(..)
     }
 
     /// Kicks off the construction: the designated root sends the first DFS
@@ -356,17 +357,17 @@ impl ConstructionNode {
         }
     }
 
+    /// Moves the engines' pulses into this node's outgoing buffer, as
+    /// [`send_pulse`](Self::send_pulse) would one by one.
     fn drain_engine_outgoing(&mut self) {
-        let mut pulses = Vec::new();
+        let before = self.outgoing.len();
         if let Some(e) = &mut self.ear {
-            pulses.extend(e.take_outgoing());
+            self.outgoing.extend(e.drain_outgoing());
         }
         if let Some(e) = &mut self.main {
-            pulses.extend(e.take_outgoing());
+            self.outgoing.extend(e.drain_outgoing());
         }
-        for to in pulses {
-            self.send_pulse(to);
-        }
+        self.pulses_sent += (self.outgoing.len() - before) as u64;
     }
 
     /// Takes the next decoded message destined to this node, if any.
@@ -951,14 +952,14 @@ impl ConstructionSimulator {
 impl Reactor for ConstructionSimulator {
     fn on_start(&mut self, ctx: &mut Context) {
         self.inner.on_start();
-        for to in self.inner.take_outgoing() {
+        for to in self.inner.drain_outgoing() {
             ctx.send(to, pulse_payload());
         }
     }
 
     fn on_message(&mut self, from: NodeId, _payload: &[u8], ctx: &mut Context) {
         self.inner.on_pulse(from);
-        for to in self.inner.take_outgoing() {
+        for to in self.inner.drain_outgoing() {
             ctx.send(to, pulse_payload());
         }
     }

@@ -150,7 +150,7 @@ enum ReceiverState {
 ///
 /// Feed it pulse arrivals with [`on_pulse`](Self::on_pulse) and simulated
 /// messages with [`enqueue`](Self::enqueue); drain the pulses it wants to
-/// send with [`take_outgoing`](Self::take_outgoing) and the messages it has
+/// send with [`drain_outgoing`](Self::drain_outgoing) and the messages it has
 /// decoded with [`take_delivered`](Self::take_delivered).
 ///
 /// The engine is `Clone`: its state is plain data, which is what allows the
@@ -365,9 +365,10 @@ impl RobbinsEngine {
         self.progress();
     }
 
-    /// Drains the pulses the engine wants to send (in order).
-    pub fn take_outgoing(&mut self) -> Vec<PulseTo> {
-        std::mem::take(&mut self.outgoing)
+    /// Drains the pulses the engine wants to send (in order), in place: the
+    /// buffer keeps its capacity for the next event.
+    pub fn drain_outgoing(&mut self) -> std::vec::Drain<'_, PulseTo> {
+        self.outgoing.drain(..)
     }
 
     /// Drains the messages decoded since the last call. Every node decodes
@@ -926,19 +927,19 @@ mod tests {
         e.enqueue(WireMessage::broadcast(NodeId(0), vec![]))
             .unwrap();
         // Line 2: a clockwise REQUEST to its next (node 1).
-        assert_eq!(e.take_outgoing(), vec![NodeId(1)]);
+        assert!(e.drain_outgoing().eq([NodeId(1)]));
         assert!(!e.is_idle());
         // When the REQUEST from its prev (node 2) arrives, it releases the
         // token counterclockwise (to node 2).
         e.on_pulse(NodeId(2));
-        assert_eq!(e.take_outgoing(), vec![NodeId(2)]);
+        assert!(e.drain_outgoing().eq([NodeId(2)]));
         assert!(!e.is_token_holder());
         // The token comes back around the cycle (from node 1): node 0
         // re-acquires it and starts the data phase with a clockwise pulse
         // (the frame's leading 1) to node 1.
         e.on_pulse(NodeId(1));
         assert!(e.is_token_holder());
-        assert_eq!(e.take_outgoing(), vec![NodeId(1)]);
+        assert!(e.drain_outgoing().eq([NodeId(1)]));
     }
 
     /// Hand-driven relay loop over a simple cycle of `engines`.
@@ -957,9 +958,7 @@ mod tests {
                 "engine {idx}: {:?}",
                 engines[idx].error()
             );
-            for next_to in engines[idx].take_outgoing() {
-                inflight.push((to, next_to));
-            }
+            inflight.extend(engines[idx].drain_outgoing().map(|next_to| (to, next_to)));
         }
     }
 
@@ -979,8 +978,7 @@ mod tests {
             .enqueue(WireMessage::broadcast(NodeId(0), vec![0xA5]))
             .unwrap();
         let inflight: Vec<(NodeId, NodeId)> = engines[0]
-            .take_outgoing()
-            .into_iter()
+            .drain_outgoing()
             .map(|to| (NodeId(0), to))
             .collect();
         relay(&mut engines, inflight, 10_000);
@@ -1004,8 +1002,7 @@ mod tests {
             .enqueue(WireMessage::to_node(NodeId(1), NodeId(2), vec![]))
             .unwrap();
         let inflight: Vec<(NodeId, NodeId)> = engines[1]
-            .take_outgoing()
-            .into_iter()
+            .drain_outgoing()
             .map(|to| (NodeId(1), to))
             .collect();
         relay(&mut engines, inflight, 1_000_000);
@@ -1033,9 +1030,7 @@ mod tests {
             .unwrap();
         let mut inflight: Vec<(NodeId, NodeId)> = Vec::new();
         for i in [2usize, 3] {
-            for to in engines[i].take_outgoing() {
-                inflight.push((NodeId(i as u32), to));
-            }
+            inflight.extend(engines[i].drain_outgoing().map(|to| (NodeId(i as u32), to)));
         }
         relay(&mut engines, inflight, 100_000);
         for (i, e) in engines.iter_mut().enumerate() {
@@ -1070,8 +1065,7 @@ mod tests {
             .enqueue(WireMessage::broadcast(NodeId(4), vec![0x5A, 0x11]))
             .unwrap();
         let inflight: Vec<(NodeId, NodeId)> = engines[4]
-            .take_outgoing()
-            .into_iter()
+            .drain_outgoing()
             .map(|to| (NodeId(4), to))
             .collect();
         relay(&mut engines, inflight, 100_000);

@@ -185,7 +185,7 @@ impl<P: InnerProtocol> FullSimulator<P> {
 
     fn flush_construction(&mut self, ctx: &mut Context) {
         if let Some(c) = &mut self.construction {
-            for to in c.take_outgoing() {
+            for to in c.drain_outgoing() {
                 self.construction_pulses += 1;
                 ctx.send(to, pulse_payload());
             }
@@ -240,12 +240,13 @@ impl<P: InnerProtocol> FullSimulator<P> {
                 return;
             };
             let delivered = engine.take_delivered();
-            let pulses = engine.take_outgoing();
-            if delivered.is_empty() && pulses.is_empty() {
-                return;
-            }
-            for to in pulses {
+            let mut sent = 0usize;
+            for to in engine.drain_outgoing() {
                 ctx.send(to, pulse_payload());
+                sent += 1;
+            }
+            if delivered.is_empty() && sent == 0 {
+                return;
             }
             let mut emitted = Vec::new();
             for msg in &delivered {

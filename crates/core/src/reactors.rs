@@ -8,8 +8,6 @@
 //! Theorem 2 compiler, which first *constructs* the Robbins cycle, lives in
 //! [`crate::full`].
 
-use std::sync::OnceLock;
-
 use fdn_graph::cycle::LocalCycleView;
 use fdn_graph::{connectivity, Graph, NodeId, RobbinsCycle};
 use fdn_netsim::{Context, InnerProtocol, Payload, ProtocolIo, Reactor};
@@ -24,13 +22,21 @@ use crate::wire::WireMessage;
 /// delete messages.
 pub const PULSE: [u8; 1] = [0];
 
-/// The [`PULSE`] as a shared [`Payload`]: serialized once per process, cloned
-/// (an `Arc` bump) per send. Every pulse the simulators emit goes through
-/// this single allocation, which is also what lets the counting link backend
+/// The [`PULSE`] as a shared [`Payload`]: serialized once per thread, cloned
+/// (an `Arc` bump) per send. A simulation runs on one thread, so all of its
+/// pulses share one allocation, which is what lets the counting link backend
 /// classify pulse runs by pointer identity instead of comparing bytes.
+///
+/// The share is per thread rather than per process because every send and
+/// delivery writes the `Arc`'s refcount: one process-wide pulse would make
+/// parallel workers contend for that cache line on every delivery.
+/// [`Payload`] compares by bytes, so which thread allocated a pulse is not
+/// observable.
 pub fn pulse_payload() -> Payload {
-    static SHARED: OnceLock<Payload> = OnceLock::new();
-    SHARED.get_or_init(|| PULSE.to_vec().into()).clone()
+    thread_local! {
+        static SHARED: Payload = PULSE.to_vec().into();
+    }
+    SHARED.with(Payload::clone)
 }
 
 /// One node of the cycle simulator: an inner protocol `π` plus the
@@ -113,15 +119,16 @@ impl<P: InnerProtocol> CycleSimulator<P> {
                     }
                 }
             }
-            let pulses = self.engine.take_outgoing();
-            if pulses.is_empty() && self.engine.take_delivered().is_empty() {
+            let mut sent = 0usize;
+            for to in self.engine.drain_outgoing() {
+                ctx.send(to, pulse_payload());
+                sent += 1;
+            }
+            if sent == 0 && self.engine.take_delivered().is_empty() {
                 // Nothing new was produced; note take_delivered() above is
                 // empty unless a re-entrant decode happened, which cannot
                 // occur without new pulses.
                 break;
-            }
-            for to in pulses {
-                ctx.send(to, pulse_payload());
             }
         }
     }
@@ -235,6 +242,22 @@ mod tests {
     use fdn_graph::{generators, robbins};
     use fdn_netsim::{FullCorruption, RandomScheduler, Simulation};
     use fdn_protocols::{FloodBroadcast, TokenRingCounter};
+
+    #[test]
+    fn pulse_payload_is_shared_per_thread() {
+        let first = pulse_payload();
+        assert!(first.ptr_eq(&pulse_payload()));
+        // `first` stays alive while the other thread allocates its pulse, so
+        // the two cannot share an address by reuse.
+        let other = std::thread::scope(|s| {
+            s.spawn(pulse_payload)
+                .join()
+                .expect("pulse thread panicked")
+        });
+        assert!(!first.ptr_eq(&other));
+        assert_eq!(first, other);
+        assert_eq!(&*other, &PULSE[..]);
+    }
 
     #[test]
     fn broadcast_over_fully_defective_simple_cycle() {

@@ -20,10 +20,22 @@ pub struct Context<'a> {
 impl<'a> Context<'a> {
     /// Creates a context for `node` with the given (sorted) neighbour list.
     pub fn new(node: NodeId, neighbors: &'a [NodeId]) -> Self {
+        Self::with_outbox(node, neighbors, Vec::new())
+    }
+
+    /// Like [`new`](Self::new), but queues sends into `outbox`, an empty
+    /// buffer the engine lends for one event and takes back with
+    /// [`take_outbox`](Self::take_outbox), so that its capacity is reused.
+    pub(crate) fn with_outbox(
+        node: NodeId,
+        neighbors: &'a [NodeId],
+        outbox: Vec<(NodeId, Payload)>,
+    ) -> Self {
+        debug_assert!(outbox.is_empty(), "a lent outbox must be empty");
         Context {
             node,
             neighbors,
-            outbox: Vec::new(),
+            outbox,
             markers: Vec::new(),
             markers_enabled: false,
         }

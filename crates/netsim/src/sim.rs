@@ -8,7 +8,7 @@ use crate::envelope::{Envelope, Payload};
 use crate::error::SimError;
 use crate::links::{LinkStore, LinkTable, LinkView};
 use crate::noise::{NoiseModel, Noiseless};
-use crate::observer::{NullObserver, Observer, PhaseMarker};
+use crate::observer::{NullObserver, Observer, PhaseEvent, PhaseMarker};
 use crate::reactor::{Context, Reactor};
 use crate::scheduler::{RandomScheduler, Scheduler};
 use crate::stats::Stats;
@@ -45,6 +45,9 @@ pub struct Simulation<R, O = NullObserver> {
     stats: Stats,
     transcript: Option<Transcript>,
     observer: O,
+    /// The buffer every reactor event queues its sends into; empty between
+    /// events (see [`react`](Self::react)).
+    outbox: Vec<(NodeId, Payload)>,
     next_seq: u64,
     steps: u64,
     max_steps: u64,
@@ -77,6 +80,7 @@ impl<R: Reactor> Simulation<R> {
             stats: Stats::new(n),
             transcript: None,
             observer: NullObserver,
+            outbox: Vec::new(),
             next_seq: 0,
             steps: 0,
             max_steps: DEFAULT_MAX_STEPS,
@@ -135,6 +139,7 @@ impl<R: Reactor> Simulation<R> {
             stats: Stats::new(n),
             transcript: None,
             observer: NullObserver,
+            outbox: Vec::new(),
             next_seq: 0,
             steps: 0,
             max_steps: DEFAULT_MAX_STEPS,
@@ -167,6 +172,7 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
             stats: self.stats,
             transcript: self.transcript,
             observer,
+            outbox: self.outbox,
             next_seq: self.next_seq,
             steps: self.steps,
             max_steps: self.max_steps,
@@ -312,14 +318,7 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
         self.observer
             .on_attach(self.nodes.len(), self.links.link_count());
         for id in 0..self.nodes.len() {
-            let node = NodeId(id as u32);
-            let neighbors = self.graph.neighbors(node).to_vec();
-            let mut ctx = Context::new(node, &neighbors);
-            if O::ENABLED {
-                ctx.enable_markers();
-            }
-            self.nodes[id].on_start(&mut ctx);
-            self.drain_context(node, &mut ctx)?;
+            self.react(NodeId(id as u32), R::on_start)?;
         }
         Ok(())
     }
@@ -387,14 +386,9 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
                 payload: delivered_payload.clone(),
             });
         }
-        let to = env.to;
-        let neighbors = self.graph.neighbors(to).to_vec();
-        let mut ctx = Context::new(to, &neighbors);
-        if O::ENABLED {
-            ctx.enable_markers();
-        }
-        self.nodes[to.index()].on_message(env.from, &delivered_payload, &mut ctx);
-        self.drain_context(to, &mut ctx)?;
+        self.react(env.to, |node, ctx| {
+            node.on_message(env.from, &delivered_payload, ctx);
+        })?;
         Ok(true)
     }
 
@@ -455,29 +449,51 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
     where
         F: FnOnce(&mut R, &mut Context),
     {
-        let neighbors = self.graph.neighbors(node).to_vec();
-        let mut ctx = Context::new(node, &neighbors);
+        self.react(node, f)
+    }
+
+    /// Runs one reactor event: `f` gets the reactor at `node` and a context
+    /// over its neighbour slice (borrowed from the graph) and the
+    /// simulation's reusable outbox. The queued sends then enter the
+    /// network, with the phase markers forwarded to the observer at the
+    /// outbox positions where they were recorded — so every send lands on
+    /// the correct side of a phase boundary. For the null observer both the
+    /// marker vector and the `O::ENABLED` blocks compile away.
+    ///
+    /// The outbox is drained in place and kept empty, also when a send is
+    /// rejected, so no stale send outlives an error.
+    fn react<F>(&mut self, node: NodeId, f: F) -> Result<(), SimError>
+    where
+        F: FnOnce(&mut R, &mut Context),
+    {
+        let lent = std::mem::take(&mut self.outbox);
+        let mut ctx = Context::with_outbox(node, self.graph.neighbors(node), lent);
         if O::ENABLED {
             ctx.enable_markers();
         }
         f(&mut self.nodes[node.index()], &mut ctx);
-        self.drain_context(node, &mut ctx)
-    }
-
-    /// Moves a reactor's outbox into the network and forwards its phase
-    /// markers to the observer, interleaved at the outbox positions where
-    /// they were recorded — so every send lands on the correct side of a
-    /// phase boundary. For the null observer both the marker vector and the
-    /// `O::ENABLED` blocks compile away.
-    fn drain_context(&mut self, from: NodeId, ctx: &mut Context) -> Result<(), SimError> {
-        let outbox = ctx.take_outbox();
+        let mut outbox = ctx.take_outbox();
         let markers = if O::ENABLED {
             ctx.take_markers()
         } else {
             Vec::new()
         };
+        let queued = self.enqueue_outbox(node, &mut outbox, markers);
+        outbox.clear();
+        self.outbox = outbox;
+        queued
+    }
+
+    /// Moves one event's sends out of `outbox` into the network,
+    /// interleaved with its `markers` (see [`react`](Self::react)).
+    fn enqueue_outbox(
+        &mut self,
+        from: NodeId,
+        outbox: &mut Vec<(NodeId, Payload)>,
+        markers: Vec<(usize, PhaseEvent)>,
+    ) -> Result<(), SimError> {
         let mut markers = markers.into_iter().peekable();
-        for (pos, (to, payload)) in outbox.into_iter().enumerate() {
+        for (pos, (to, payload)) in outbox.drain(..).enumerate() {
             if O::ENABLED {
                 while markers.peek().is_some_and(|&(at, _)| at <= pos) {
                     let (_, event) = markers.next().expect("peeked marker");
@@ -869,6 +885,50 @@ mod tests {
         assert_eq!(sim.inflight_count(), 1);
         let report = sim.run_to_quiescence().unwrap();
         assert!(report.steps >= 1);
+    }
+
+    #[test]
+    fn rejected_event_leaves_no_stale_send_in_the_lent_outbox() {
+        use crate::observer::{Observer, PhaseEvent, PhaseMarker};
+
+        /// Counts the sends and markers that reach the observer.
+        #[derive(Default)]
+        struct Tally {
+            sends: usize,
+            markers: usize,
+        }
+        impl Observer for Tally {
+            fn on_send(&mut self, _f: NodeId, _t: NodeId, _b: u64, _d: usize, _i: usize) {
+                self.sends += 1;
+            }
+            fn on_marker(&mut self, _m: PhaseMarker, _deliveries: u64) {
+                self.markers += 1;
+            }
+        }
+
+        /// On the 4-ring node 1 is a neighbour of node 0 and node 2 is not:
+        /// the first event fails on its first send, and its second, valid
+        /// send must not leak into the next event.
+        fn rejected_then_valid<O: Observer>(sim: &mut Simulation<RingOnce, O>) {
+            let rejected = sim.with_node_mut(NodeId(0), |_node, ctx| {
+                ctx.marker(PhaseEvent::OnlineWindow);
+                ctx.send(NodeId(2), vec![1]);
+                ctx.send(NodeId(1), vec![1]);
+            });
+            assert!(matches!(rejected, Err(SimError::NotNeighbor { .. })));
+            assert_eq!(sim.inflight_count(), 0);
+            sim.with_node_mut(NodeId(0), |_node, ctx| ctx.send(NodeId(1), vec![2]))
+                .unwrap();
+            assert_eq!(sim.inflight_count(), 1);
+        }
+
+        rejected_then_valid(&mut ring_sim(4));
+        let mut observed = ring_sim(4).with_observer(Tally::default());
+        rejected_then_valid(&mut observed);
+        let tally = observed.into_observer();
+        assert_eq!(tally.sends, 1);
+        // The rejected event's marker preceded its failing send.
+        assert_eq!(tally.markers, 1);
     }
 
     #[test]

@@ -5,15 +5,9 @@
 //! pre-processing phase and `CCoverhead(m)` per simulated message. The
 //! simulator tracks exactly those quantities, per node and per edge.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "the workspace's one hash exception: as BTreeMaps, the two per-send maps of Stats \
-              measured 14% slower on the n=400 ring (release build, 2 cores); they are only \
-              iterated into another map (since) or a sorted Vec (snapshot)"
-)]
 #![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use fdn_graph::graph::Edge;
 use fdn_graph::NodeId;
@@ -21,7 +15,10 @@ use fdn_graph::NodeId;
 use crate::envelope::Envelope;
 
 /// Counters maintained by a [`crate::Simulation`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Equality compares the counters, as their [`snapshot`](Self::snapshot)s
+/// do, not the layout of the per-link rows.
+#[derive(Debug, Clone, Default)]
 pub struct Stats {
     /// Total messages (pulses) sent.
     pub sent_total: u64,
@@ -38,19 +35,42 @@ pub struct Stats {
     /// event core). Cumulative over the whole run: unlike the send/delivery
     /// counters it is *not* differenced by [`Stats::since`].
     pub max_inflight: u64,
-    /// Per-directed-link high-water mark of the link's FIFO queue depth.
-    /// Cumulative over the whole run, like [`Stats::max_inflight`].
-    per_link_high_water: HashMap<(NodeId, NodeId), u64>,
-    /// Messages sent per undirected edge.
-    per_edge_sent: HashMap<Edge, u64>,
+    /// Per-directed-link counters: one row per sending node (indexed by node
+    /// id, grown on demand), each sorted by receiver, with one entry per
+    /// directed link used so far. A lookup is one index plus a binary search
+    /// over at most the sender's degree.
+    links: Vec<Vec<LinkCounts>>,
     /// Messages sent per node (indexed by node id).
     pub per_node_sent: Vec<u64>,
 }
+
+/// The counters of one used directed link, in its sender's row of
+/// [`Stats`].
+#[derive(Debug, Clone, Copy)]
+struct LinkCounts {
+    /// The receiving node.
+    to: NodeId,
+    /// Messages sent over the link.
+    sent: u64,
+    /// The link's FIFO queue-depth high-water mark, once a depth has been
+    /// recorded. Cumulative over the whole run, like
+    /// [`Stats::max_inflight`].
+    high_water: Option<u64>,
+}
+
+impl PartialEq for Stats {
+    fn eq(&self, other: &Self) -> bool {
+        self.snapshot() == other.snapshot()
+    }
+}
+
+impl Eq for Stats {}
 
 impl Stats {
     /// Creates zeroed counters for a graph with `n` nodes.
     pub fn new(n: usize) -> Self {
         Stats {
+            links: vec![Vec::new(); n],
             per_node_sent: vec![0; n],
             ..Default::default()
         }
@@ -60,10 +80,7 @@ impl Stats {
     pub fn record_send(&mut self, env: &Envelope) {
         self.sent_total += 1;
         self.bits_sent += env.bits();
-        *self
-            .per_edge_sent
-            .entry(Edge::new(env.from, env.to))
-            .or_insert(0) += 1;
+        self.link_mut(env.from, env.to).sent += 1;
         if let Some(slot) = self.per_node_sent.get_mut(env.from.index()) {
             *slot += 1;
         }
@@ -90,8 +107,42 @@ impl Stats {
         total_inflight: u64,
     ) {
         self.max_inflight = self.max_inflight.max(total_inflight);
-        let hw = self.per_link_high_water.entry((from, to)).or_insert(0);
-        *hw = (*hw).max(link_depth);
+        let hw = &mut self.link_mut(from, to).high_water;
+        *hw = Some(hw.map_or(link_depth, |mark| mark.max(link_depth)));
+    }
+
+    /// The counters of the directed link `from -> to`, inserted zeroed on
+    /// first use.
+    fn link_mut(&mut self, from: NodeId, to: NodeId) -> &mut LinkCounts {
+        if from.index() >= self.links.len() {
+            self.links.resize_with(from.index() + 1, Vec::new);
+        }
+        let row = &mut self.links[from.index()];
+        let at = row
+            .binary_search_by_key(&to, |link| link.to)
+            .unwrap_or_else(|at| {
+                let fresh = LinkCounts {
+                    to,
+                    sent: 0,
+                    high_water: None,
+                };
+                row.insert(at, fresh);
+                at
+            });
+        &mut row[at]
+    }
+
+    /// The row of links sent from node index `from` (empty if unused).
+    fn row(&self, from: usize) -> &[LinkCounts] {
+        self.links.get(from).map_or(&[], Vec::as_slice)
+    }
+
+    /// Every used directed link with its counters, in `(from, to)` order.
+    fn link_counts(&self) -> impl Iterator<Item = (NodeId, &LinkCounts)> + '_ {
+        self.links.iter().enumerate().flat_map(|(from, row)| {
+            let from = NodeId(u32::try_from(from).expect("node ids fit in u32"));
+            row.iter().map(move |link| (from, link))
+        })
     }
 
     /// Messages sent by a specific node.
@@ -101,7 +152,7 @@ impl Stats {
 
     /// Messages sent over a specific undirected edge (both directions).
     pub fn sent_on_edge(&self, e: Edge) -> u64 {
-        self.per_edge_sent.get(&e).copied().unwrap_or(0)
+        sent_to(self.row(e.lo().index()), e.hi()) + sent_to(self.row(e.hi().index()), e.lo())
     }
 
     /// The maximum number of messages sent by any single node.
@@ -113,15 +164,14 @@ impl Stats {
     /// [`StatsSnapshot`] (per-edge counters sorted by edge, so two snapshots
     /// of equal runs are equal values and serialize identically).
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut per_edge_sent: Vec<(Edge, u64)> =
-            self.per_edge_sent.iter().map(|(e, c)| (*e, *c)).collect();
-        per_edge_sent.sort_unstable();
-        let mut per_link_high_water: Vec<((NodeId, NodeId), u64)> = self
-            .per_link_high_water
-            .iter()
-            .map(|(l, c)| (*l, *c))
+        let mut per_edge: BTreeMap<Edge, u64> = BTreeMap::new();
+        for (from, link) in self.link_counts().filter(|(_, link)| link.sent > 0) {
+            *per_edge.entry(Edge::new(from, link.to)).or_insert(0) += link.sent;
+        }
+        let per_link_high_water = self
+            .link_counts()
+            .filter_map(|(from, link)| Some(((from, link.to), link.high_water?)))
             .collect();
-        per_link_high_water.sort_unstable();
         StatsSnapshot {
             sent_total: self.sent_total,
             delivered_total: self.delivered_total,
@@ -129,7 +179,7 @@ impl Stats {
             bits_sent: self.bits_sent,
             max_inflight: self.max_inflight,
             per_node_sent: self.per_node_sent.clone(),
-            per_edge_sent,
+            per_edge_sent: per_edge.into_iter().collect(),
             per_link_high_water,
         }
     }
@@ -140,21 +190,27 @@ impl Stats {
     /// are run-cumulative, not phase-differencible, so the later values are
     /// carried through unchanged.
     pub fn since(&self, earlier: &Stats) -> Stats {
-        let mut per_edge = HashMap::new();
-        for (e, v) in &self.per_edge_sent {
-            let before = earlier.per_edge_sent.get(e).copied().unwrap_or(0);
-            if *v > before {
-                per_edge.insert(*e, v - before);
-            }
-        }
+        let links = self
+            .links
+            .iter()
+            .enumerate()
+            .map(|(from, row)| {
+                let before = earlier.row(from);
+                row.iter()
+                    .map(|link| LinkCounts {
+                        sent: link.sent.saturating_sub(sent_to(before, link.to)),
+                        ..*link
+                    })
+                    .collect()
+            })
+            .collect();
         Stats {
             sent_total: self.sent_total - earlier.sent_total,
             delivered_total: self.delivered_total - earlier.delivered_total,
             dropped_total: self.dropped_total - earlier.dropped_total,
             bits_sent: self.bits_sent - earlier.bits_sent,
             max_inflight: self.max_inflight,
-            per_link_high_water: self.per_link_high_water.clone(),
-            per_edge_sent: per_edge,
+            links,
             per_node_sent: self
                 .per_node_sent
                 .iter()
@@ -165,13 +221,20 @@ impl Stats {
     }
 }
 
+/// Messages sent to `to` in one sender's row of [`Stats`].
+fn sent_to(row: &[LinkCounts], to: NodeId) -> u64 {
+    row.binary_search_by_key(&to, |link| link.to)
+        .map_or(0, |at| row[at].sent)
+}
+
 /// A frozen, ordered view of a [`Stats`] at one instant.
 ///
-/// Unlike [`Stats`] (whose per-edge map has nondeterministic iteration
-/// order), a snapshot is a plain value: `Clone`/`PartialEq`/`Eq`, per-edge
-/// counters sorted by edge, and therefore safe to diff, aggregate across
-/// parallel runs, and serialize byte-identically. This is the type report
-/// aggregation consumes instead of copying counters field by field.
+/// Unlike [`Stats`] (whose per-link counters are kept per directed link,
+/// for cheap updates), a snapshot is a plain value: `Clone`/`PartialEq`/`Eq`,
+/// per-edge counters folded over both directions and sorted by edge, and
+/// therefore safe to diff, aggregate across parallel runs, and serialize
+/// byte-identically. This is the type report aggregation consumes instead of
+/// copying counters field by field.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Total messages (pulses) sent.
@@ -371,11 +434,11 @@ mod tests {
 
     #[test]
     fn per_link_high_water_serializes_order_independently() {
-        // The live per-link map is an unordered HashMap: the same
-        // observations arriving in different orders give maps with
-        // different iteration orders. Every render/serialize path must go
-        // through the sorted snapshot — two snapshots of order-permuted
-        // stats must be equal values AND byte-identical when formatted.
+        // The same observations arriving in different orders must give
+        // equal values: every render/serialize path goes through the
+        // snapshot, and two snapshots of order-permuted stats must be equal
+        // AND byte-identical when formatted, whatever order the live
+        // counters were filled in.
         let obs = [
             ((3u32, 2u32), 5u64),
             ((0, 1), 2),
@@ -402,6 +465,112 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(links, sorted);
         assert_eq!(sa.max_link_high_water(), 7);
+    }
+
+    /// The two maps `Stats` kept before its per-link rows, as a reference:
+    /// sends per undirected edge and the high-water mark per directed link.
+    #[derive(Clone, Default)]
+    struct MapModel {
+        per_edge_sent: BTreeMap<Edge, u64>,
+        per_link_high_water: BTreeMap<(NodeId, NodeId), u64>,
+    }
+
+    impl MapModel {
+        fn record_send(&mut self, from: NodeId, to: NodeId) {
+            *self.per_edge_sent.entry(Edge::new(from, to)).or_insert(0) += 1;
+        }
+
+        fn record_queue_depth(&mut self, from: NodeId, to: NodeId, depth: u64) {
+            let hw = self.per_link_high_water.entry((from, to)).or_insert(0);
+            *hw = (*hw).max(depth);
+        }
+
+        fn since(&self, earlier: &MapModel) -> MapModel {
+            let per_edge_sent = self
+                .per_edge_sent
+                .iter()
+                .filter_map(|(&e, &now)| {
+                    let before = earlier.per_edge_sent.get(&e).copied().unwrap_or(0);
+                    (now > before).then_some((e, now - before))
+                })
+                .collect();
+            MapModel {
+                per_edge_sent,
+                per_link_high_water: self.per_link_high_water.clone(),
+            }
+        }
+
+        fn assert_agrees(&self, stats: &Stats, edges: &[Edge]) {
+            let snap = stats.snapshot();
+            let per_edge: Vec<(Edge, u64)> = self.per_edge_sent.clone().into_iter().collect();
+            assert_eq!(snap.per_edge_sent, per_edge);
+            let per_link: Vec<((NodeId, NodeId), u64)> =
+                self.per_link_high_water.clone().into_iter().collect();
+            assert_eq!(snap.per_link_high_water, per_link);
+            for &e in edges {
+                let expected = self.per_edge_sent.get(&e).copied().unwrap_or(0);
+                assert_eq!(stats.sent_on_edge(e), expected, "edge {e:?}");
+            }
+        }
+    }
+
+    /// One step of splitmix64: seeded test sequences without an RNG crate.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn per_link_rows_agree_with_the_map_model() {
+        // A 4-cycle with a chord, plus two edges past node 3: beyond `n` for
+        // `Stats::new(4)`, and every id is beyond `n` for `Stats::default()`.
+        let pairs = [(0u32, 1u32), (1, 2), (2, 3), (3, 0), (0, 2), (5, 9), (9, 2)];
+        let edges: Vec<Edge> = pairs
+            .iter()
+            .map(|&(a, b)| Edge::new(NodeId(a), NodeId(b)))
+            .collect();
+        for seed in 0..24u64 {
+            for mut stats in [Stats::new(4), Stats::default()] {
+                let mut state = seed;
+                let mut model = MapModel::default();
+                let mut earlier = None;
+                for step in 0..300 {
+                    if step == 150 {
+                        earlier = Some((stats.clone(), model.clone()));
+                    }
+                    let draw = splitmix(&mut state);
+                    let (a, b) = pairs[(draw % pairs.len() as u64) as usize];
+                    let (from, to) = if (draw >> 8) & 1 == 0 { (a, b) } else { (b, a) };
+                    let (from, to) = (NodeId(from), NodeId(to));
+                    if (draw >> 9) & 1 == 0 {
+                        stats.record_send(&Envelope {
+                            from,
+                            to,
+                            payload: vec![0].into(),
+                            seq: step,
+                        });
+                        model.record_send(from, to);
+                    } else {
+                        let depth = (draw >> 10) & 7;
+                        stats.record_queue_depth(from, to, depth, depth);
+                        model.record_queue_depth(from, to, depth);
+                    }
+                }
+                model.assert_agrees(&stats, &edges);
+                let (stats_then, model_then) = earlier.expect("snapshot taken mid-run");
+                model_then.assert_agrees(&stats_then, &edges);
+                model
+                    .since(&model_then)
+                    .assert_agrees(&stats.since(&stats_then), &edges);
+                assert_eq!(
+                    stats.since(&stats_then).snapshot(),
+                    stats.snapshot().since(&stats_then.snapshot())
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@ pub fn unordered_rows() -> Vec<u64> {
 }
 
 /// D2 exception: a reasoned module-level `#![expect]` admits a hash
-/// collection for the whole module, the form `crates/netsim/src/stats.rs`
-/// uses.
+/// collection for the whole module. The workspace itself has no such
+/// exception; this pins that the form still works.
 pub mod hashed {
     #![expect(
         clippy::disallowed_types,
