@@ -314,3 +314,44 @@ fn full_and_cycle_modes_agree_on_workload_outputs() {
         assert!(full_cell.pulses.p50 > twin.pulses.p50);
     }
 }
+
+#[test]
+fn engine_modes_pin_exact_counts() {
+    // One cell per engine mode at one seed, with every count the report
+    // derives from pinned exactly: a change to the reactors must leave each
+    // mode's trajectory untouched, not merely its success rate. Replay's
+    // checkpoint is built with construction seed 1, so it crosses the same
+    // boundary as the full-mode run of seed 1 (same CCinit, same online
+    // traffic); cycle mode runs on the reference cycle instead.
+    let mut campaign = Campaign::new("pinned");
+    campaign.modes = vec![EngineMode::Full, EngineMode::CycleOnly, EngineMode::Replay];
+    campaign.workloads = vec![WorkloadSpec::Flood { payload_bytes: 2 }];
+    campaign.seeds = SeedRange { start: 1, count: 1 };
+    let caches = Caches::new();
+    // (sent_total, delivered_total, cc_init, online_pulses, cycle_len)
+    let expected = [
+        ("full", (11_131, 11_131, 8_132, 2_999, 8)),
+        ("cycle", (2_995, 2_995, 0, 2_995, 8)),
+        ("replay", (2_999, 2_999, 8_132, 2_999, 8)),
+    ];
+    let scenarios = campaign.expand();
+    assert_eq!(scenarios.len(), expected.len());
+    for (scenario, (mode, counts)) in scenarios.into_iter().zip(expected) {
+        let id = scenario.id();
+        assert_eq!(
+            id,
+            format!("figure3/{mode}/binary/flood(2)/full-corruption/random/s1")
+        );
+        let out = run_scenario_with(&caches, scenario);
+        assert_eq!(out.error, None, "{id}");
+        assert!(out.success, "{id}");
+        let measured = (
+            out.stats.sent_total,
+            out.stats.delivered_total,
+            out.cc_init,
+            out.online_pulses,
+            out.cycle_len,
+        );
+        assert_eq!(measured, counts, "{id}");
+    }
+}
