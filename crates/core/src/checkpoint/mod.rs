@@ -9,14 +9,17 @@
 //! online overhead at many seeds re-pays the (steep, Lemma 19-sized)
 //! construction every time.
 //!
-//! [`ConstructionCheckpoint`] captures exactly what survives the boundary:
-//! the learned [`RobbinsCycle`] and, per node, the idle [`RobbinsEngine`]
-//! over it — rotated views, token position and pulse counters frozen at the
-//! instant the construction terminated — plus each node's share of `CCinit`.
-//! [`replay_simulators`] then warm-starts a fresh set of
-//! [`FullSimulator`]s directly in the online phase from (clones of) that
-//! state, so the online phase can be replayed under arbitrarily many
-//! noise/scheduler seeds without ever re-running the construction.
+//! [`ConstructionCheckpoint`] captures exactly what survives the boundary
+//! from a finished construction-only run
+//! ([`crate::construction::construction_simulators`]): the learned
+//! [`RobbinsCycle`] and, per node, the idle [`RobbinsEngine`] over it —
+//! rotated views, token position and pulse counters frozen at the instant
+//! the construction terminated — plus each node's share of `CCinit`.
+//! [`replay_simulators`] then starts a fresh set of [`FullSimulator`]s
+//! directly in the online phase from (clones of) that state, all sharing
+//! the checkpoint's one copy of the cycle, so the online phase can be
+//! replayed under arbitrarily many noise/scheduler seeds without ever
+//! re-running the construction.
 //!
 //! Soundness: the captured engines must be **idle** (token phase entry
 //! point, empty queue, no unconsumed pulse — the quiescence condition of
@@ -27,10 +30,11 @@
 //!
 //! [`capture`]: ConstructionCheckpoint::capture
 
+use std::sync::Arc;
+
 use fdn_graph::{Graph, NodeId, RobbinsCycle};
 use fdn_netsim::InnerProtocol;
 
-use crate::construction::ConstructionNode;
 use crate::engine::RobbinsEngine;
 use crate::error::CoreError;
 use crate::full::FullSimulator;
@@ -70,35 +74,41 @@ impl NodeCheckpoint {
 /// once and replayed across arbitrarily many online runs.
 #[derive(Debug, Clone)]
 pub struct ConstructionCheckpoint {
-    cycle: RobbinsCycle,
+    /// The learned cycle, shared with every node a replay starts.
+    cycle: Arc<RobbinsCycle>,
     /// One checkpoint per node, indexed by node id.
     nodes: Vec<NodeCheckpoint>,
     cc_init: u64,
 }
 
 impl ConstructionCheckpoint {
-    /// Captures the boundary from finished construction drivers (one per
-    /// node, any order).
+    /// Captures the boundary from the nodes of a finished construction run
+    /// (one per node, any order), typically those of
+    /// [`construction_simulators`](crate::construction::construction_simulators)
+    /// after the simulation reached quiescence.
     ///
     /// # Errors
     ///
-    /// Returns an error if any driver has not terminated or latched an
-    /// error, the drivers disagree on the constructed cycle, an engine is
-    /// not idle, or the token is held by anything but exactly one node.
-    pub fn capture(drivers: Vec<ConstructionNode>) -> Result<ConstructionCheckpoint, CoreError> {
-        if drivers.is_empty() {
+    /// Returns an error if any node has not finished its construction or
+    /// latched an error, the nodes disagree on the constructed cycle, an
+    /// engine is not idle, or the token is held by anything but exactly one
+    /// node.
+    pub fn capture<P: InnerProtocol>(
+        sims: Vec<FullSimulator<P>>,
+    ) -> Result<ConstructionCheckpoint, CoreError> {
+        if sims.is_empty() {
             return Err(CoreError::ProtocolViolation(
-                "checkpoint capture needs at least one construction driver".into(),
+                "checkpoint capture needs at least one construction node".into(),
             ));
         }
-        let mut nodes: Vec<Option<NodeCheckpoint>> = (0..drivers.len()).map(|_| None).collect();
-        let mut cycle: Option<RobbinsCycle> = None;
+        let mut nodes: Vec<Option<NodeCheckpoint>> = (0..sims.len()).map(|_| None).collect();
+        let mut cycle: Option<Arc<RobbinsCycle>> = None;
         let mut cc_init = 0u64;
         let mut holders = 0usize;
-        for driver in drivers {
-            let node = driver.node();
-            let construction_pulses = driver.pulses_sent();
-            let (node_cycle, engine) = driver.into_result()?;
+        for sim in sims {
+            let construction_pulses = sim.construction_pulses();
+            let (node_cycle, engine) = sim.into_boundary()?;
+            let node = engine.node();
             match &cycle {
                 None => cycle = Some(node_cycle),
                 Some(c) if *c == node_cycle => {}
@@ -121,7 +131,7 @@ impl ConstructionCheckpoint {
                 .ok_or(CoreError::NodeOutOfRange { node })?;
             if slot.is_some() {
                 return Err(CoreError::ProtocolViolation(format!(
-                    "two construction drivers claim node {node}"
+                    "two construction nodes claim node {node}"
                 )));
             }
             cc_init += construction_pulses;
@@ -139,10 +149,10 @@ impl ConstructionCheckpoint {
             .into_iter()
             .collect::<Option<Vec<_>>>()
             .ok_or_else(|| {
-                CoreError::ProtocolViolation("construction drivers do not cover 0..n".into())
+                CoreError::ProtocolViolation("construction nodes do not cover 0..n".into())
             })?;
         Ok(ConstructionCheckpoint {
-            cycle: cycle.expect("drivers were non-empty"),
+            cycle: cycle.expect("nodes were non-empty"),
             nodes,
             cc_init,
         })
@@ -209,7 +219,7 @@ impl ConstructionCheckpoint {
             )));
         }
         Ok(ConstructionCheckpoint {
-            cycle,
+            cycle: Arc::new(cycle),
             nodes,
             cc_init,
         })
@@ -253,10 +263,11 @@ impl ConstructionCheckpoint {
 /// Builds one online-phase [`FullSimulator`] per node of `graph`,
 /// warm-started from `checkpoint` — the replay counterpart of
 /// [`crate::full::full_simulators`]. The construction is **not** re-run:
-/// each node starts with a clone of its boundary engine (learned cycle,
-/// rotated views, token position), its `construction_pulses` pre-credited
-/// from the checkpoint, and the inner protocol fresh; every pulse the
-/// returned reactors send is online-phase traffic.
+/// each node starts with a clone of its boundary engine (rotated views,
+/// token position), the checkpoint's shared learned cycle, its
+/// `construction_pulses` pre-credited from the checkpoint, and the inner
+/// protocol fresh; every pulse the returned reactors send is online-phase
+/// traffic.
 ///
 /// # Errors
 ///
@@ -278,67 +289,51 @@ where
             graph.node_count()
         )));
     }
-    graph
+    Ok(graph
         .nodes()
         .map(|v| {
             let ckpt = &checkpoint.nodes[v.index()];
-            Ok(FullSimulator::from_checkpoint(
+            FullSimulator::online(
                 v,
                 graph.neighbors(v).to_vec(),
                 ckpt.engine(),
-                checkpoint.cycle.clone(),
+                Arc::clone(&checkpoint.cycle),
                 ckpt.construction_pulses(),
                 factory(v),
-            ))
+            )
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::construction::ConstructionNode;
+    use crate::construction::construction_simulators;
     use crate::encoding::Encoding;
     use fdn_graph::generators;
+    use fdn_netsim::{FullCorruption, Simulation};
 
-    /// Drives the distributed construction by hand (no netsim) to completion
-    /// and returns the finished drivers.
-    fn run_construction(graph: &Graph) -> Vec<ConstructionNode> {
-        let mut drivers: Vec<ConstructionNode> = graph
-            .nodes()
-            .map(|v| {
-                ConstructionNode::new(
-                    v,
-                    graph.neighbors(v).to_vec(),
-                    v == NodeId(0),
-                    Encoding::binary(),
-                )
-                .unwrap()
-            })
-            .collect();
-        drivers[0].on_start();
-        let mut inflight: Vec<(NodeId, NodeId)> = drivers[0]
-            .drain_outgoing()
-            .map(|to| (NodeId(0), to))
-            .collect();
-        let mut steps = 0usize;
-        while let Some((from, to)) = inflight.pop() {
-            steps += 1;
-            assert!(steps < 1_000_000, "construction did not terminate");
-            let d = &mut drivers[to.index()];
-            d.on_pulse(from);
-            assert!(d.error().is_none(), "node {to}: {:?}", d.error());
-            inflight.extend(d.drain_outgoing().map(|next| (to, next)));
+    /// Runs the distributed construction from node 0 to completion under
+    /// full corruption and returns the finished nodes.
+    pub(crate) fn run_construction(graph: &Graph, encoding: Encoding) -> Vec<FullSimulator<()>> {
+        let nodes = construction_simulators(graph, NodeId(0), encoding).unwrap();
+        let mut sim = Simulation::new(graph.clone(), nodes)
+            .unwrap()
+            .with_noise(FullCorruption::new(1));
+        sim.run().expect("construction did not terminate");
+        let (_, _, nodes) = sim.into_parts();
+        for node in &nodes {
+            assert!(node.error().is_none(), "{:?}", node.error());
         }
-        drivers
+        nodes
     }
 
     #[test]
     fn capture_freezes_a_quiescent_boundary() {
         let g = generators::figure3();
-        let drivers = run_construction(&g);
-        let cc: u64 = drivers.iter().map(ConstructionNode::pulses_sent).sum();
-        let ckpt = ConstructionCheckpoint::capture(drivers).unwrap();
+        let nodes = run_construction(&g, Encoding::binary());
+        let cc: u64 = nodes.iter().map(FullSimulator::construction_pulses).sum();
+        let ckpt = ConstructionCheckpoint::capture(nodes).unwrap();
         assert_eq!(ckpt.node_count(), g.node_count());
         assert_eq!(ckpt.cc_init(), cc);
         assert!(ckpt.cc_init() > 0);
@@ -370,26 +365,16 @@ mod tests {
     #[test]
     fn capture_rejects_unfinished_drivers() {
         let g = generators::figure3();
-        let drivers: Vec<ConstructionNode> = g
-            .nodes()
-            .map(|v| {
-                ConstructionNode::new(
-                    v,
-                    g.neighbors(v).to_vec(),
-                    v == NodeId(0),
-                    Encoding::binary(),
-                )
-                .unwrap()
-            })
-            .collect();
-        assert!(ConstructionCheckpoint::capture(drivers).is_err());
-        assert!(ConstructionCheckpoint::capture(Vec::new()).is_err());
+        let unstarted = construction_simulators(&g, NodeId(0), Encoding::binary()).unwrap();
+        assert!(ConstructionCheckpoint::capture(unstarted).is_err());
+        assert!(ConstructionCheckpoint::capture(Vec::<FullSimulator<()>>::new()).is_err());
     }
 
     #[test]
     fn replay_simulators_require_a_matching_graph() {
         let g = generators::figure3();
-        let ckpt = ConstructionCheckpoint::capture(run_construction(&g)).unwrap();
+        let ckpt =
+            ConstructionCheckpoint::capture(run_construction(&g, Encoding::binary())).unwrap();
         let other = generators::cycle(4).unwrap();
         let res = replay_simulators(&other, &ckpt, |v| {
             fdn_protocols::FloodBroadcast::new(v, NodeId(0), vec![1])

@@ -275,35 +275,8 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<ConstructionCheckpoint, CoreErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::construction::ConstructionNode;
+    use crate::checkpoint::tests::run_construction;
     use fdn_graph::{Graph, GraphFamily};
-
-    /// Drives the distributed construction by hand (no netsim) to
-    /// completion, as in the capture tests, parameterized by encoding.
-    fn run_construction(graph: &Graph, encoding: Encoding) -> Vec<ConstructionNode> {
-        let mut drivers: Vec<ConstructionNode> = graph
-            .nodes()
-            .map(|v| {
-                ConstructionNode::new(v, graph.neighbors(v).to_vec(), v == NodeId(0), encoding)
-                    .unwrap()
-            })
-            .collect();
-        drivers[0].on_start();
-        let mut inflight: Vec<(NodeId, NodeId)> = drivers[0]
-            .drain_outgoing()
-            .map(|to| (NodeId(0), to))
-            .collect();
-        let mut steps = 0usize;
-        while let Some((from, to)) = inflight.pop() {
-            steps += 1;
-            assert!(steps < 10_000_000, "construction did not terminate");
-            let d = &mut drivers[to.index()];
-            d.on_pulse(from);
-            assert!(d.error().is_none(), "node {to}: {:?}", d.error());
-            inflight.extend(d.drain_outgoing().map(|next| (to, next)));
-        }
-        drivers
-    }
 
     fn checkpoint_for(graph: &Graph, encoding: Encoding) -> ConstructionCheckpoint {
         ConstructionCheckpoint::capture(run_construction(graph, encoding)).unwrap()

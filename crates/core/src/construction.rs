@@ -16,6 +16,9 @@
 //! The process ends with a Robbins cycle containing **every** edge of the
 //! graph, at which point the final engine is handed to [`crate::full`] for
 //! the online simulation of the user's protocol (Theorem 2).
+//! [`ConstructionNode`] is the per-node driver; it runs only inside a
+//! [`FullSimulator`], and a construction-only run is one over the silent
+//! protocol `()` ([`construction_simulators`]).
 //!
 //! All coordination messages travel over the engine of the current cycle and
 //! are therefore themselves carried by content-less pulses; the only other
@@ -25,14 +28,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fdn_graph::cycle::LocalCycleView;
-use fdn_graph::{connectivity, Graph, NodeId, RobbinsCycle};
-use fdn_netsim::{Context, Reactor};
+use fdn_graph::{Graph, NodeId, RobbinsCycle};
 
 use crate::control::ControlMsg;
 use crate::encoding::Encoding;
 use crate::engine::RobbinsEngine;
 use crate::error::CoreError;
-use crate::reactors::pulse_payload;
+use crate::full::{full_simulators, FullSimulator};
 use crate::wire::{WireDest, WireMessage};
 
 /// The role of this node in the paper's Algorithm 4(a) DFS.
@@ -116,7 +118,6 @@ pub struct ConstructionNode {
     stash: Vec<WireMessage>,
     // --- outputs ---
     outgoing: Vec<NodeId>,
-    pulses_sent: u64,
     error: Option<CoreError>,
 }
 
@@ -157,14 +158,8 @@ impl ConstructionNode {
             pending_coord: BTreeMap::new(),
             stash: Vec::new(),
             outgoing: Vec::new(),
-            pulses_sent: 0,
             error: None,
         })
-    }
-
-    /// The node this driver runs at.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// Whether the construction has terminated at this node.
@@ -198,17 +193,6 @@ impl ConstructionNode {
             .as_ref()
             .or_else(|| self.main.as_ref().and_then(RobbinsEngine::error))
             .or_else(|| self.ear.as_ref().and_then(RobbinsEngine::error))
-    }
-
-    /// Total pulses this node has sent so far (DFS pulses plus engine
-    /// pulses) — the per-node share of the paper's `CCinit`.
-    pub fn pulses_sent(&self) -> u64 {
-        self.pulses_sent
-    }
-
-    /// The constructed cycle, once [`is_done`](Self::is_done).
-    pub fn cycle(&self) -> Option<&RobbinsCycle> {
-        self.cycle.as_ref()
     }
 
     /// Consumes the driver and returns the final cycle together with the
@@ -315,7 +299,6 @@ impl ConstructionNode {
     }
 
     fn send_pulse(&mut self, to: NodeId) {
-        self.pulses_sent += 1;
         self.outgoing.push(to);
     }
 
@@ -360,14 +343,12 @@ impl ConstructionNode {
     /// Moves the engines' pulses into this node's outgoing buffer, as
     /// [`send_pulse`](Self::send_pulse) would one by one.
     fn drain_engine_outgoing(&mut self) {
-        let before = self.outgoing.len();
         if let Some(e) = &mut self.ear {
             self.outgoing.extend(e.drain_outgoing());
         }
         if let Some(e) = &mut self.main {
             self.outgoing.extend(e.drain_outgoing());
         }
-        self.pulses_sent += (self.outgoing.len() - before) as u64;
     }
 
     /// Takes the next decoded message destined to this node, if any.
@@ -901,79 +882,12 @@ impl ConstructionNode {
     }
 }
 
-/// A standalone reactor that runs only the construction (no inner protocol),
-/// used by the Theorem 15 tests and the construction benchmarks. Its output,
-/// once done, is the constructed cycle as a byte string of node ids.
-#[derive(Debug)]
-pub struct ConstructionSimulator {
-    inner: ConstructionNode,
-}
-
-impl ConstructionSimulator {
-    /// Creates the reactor for one node.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ConstructionNode::new`] errors.
-    pub fn new(
-        node: NodeId,
-        neighbors: Vec<NodeId>,
-        designated_root: bool,
-        encoding: Encoding,
-    ) -> Result<Self, CoreError> {
-        Ok(ConstructionSimulator {
-            inner: ConstructionNode::new(node, neighbors, designated_root, encoding)?,
-        })
-    }
-
-    /// Access to the underlying construction driver.
-    pub fn construction(&self) -> &ConstructionNode {
-        &self.inner
-    }
-
-    /// Consumes the reactor and returns the construction driver — the
-    /// extraction step of the construct-once checkpoint
-    /// ([`crate::checkpoint::ConstructionCheckpoint::capture`]).
-    pub fn into_construction(self) -> ConstructionNode {
-        self.inner
-    }
-
-    /// The constructed cycle, if finished.
-    pub fn cycle(&self) -> Option<&RobbinsCycle> {
-        self.inner.cycle()
-    }
-
-    /// The first error observed, if any.
-    pub fn error(&self) -> Option<&CoreError> {
-        self.inner.error()
-    }
-}
-
-impl Reactor for ConstructionSimulator {
-    fn on_start(&mut self, ctx: &mut Context) {
-        self.inner.on_start();
-        for to in self.inner.drain_outgoing() {
-            ctx.send(to, pulse_payload());
-        }
-    }
-
-    fn on_message(&mut self, from: NodeId, _payload: &[u8], ctx: &mut Context) {
-        self.inner.on_pulse(from);
-        for to in self.inner.drain_outgoing() {
-            ctx.send(to, pulse_payload());
-        }
-    }
-
-    fn output(&self) -> Option<Vec<u8>> {
-        self.inner
-            .cycle()
-            .filter(|_| self.inner.is_done())
-            .map(|c| c.seq().iter().map(|v| v.0 as u8).collect())
-    }
-}
-
-/// Builds one [`ConstructionSimulator`] per node of the graph, with
-/// `designated_root` as the paper's pre-selected root.
+/// Builds one construction-only node per node of the graph, with
+/// `designated_root` as the paper's pre-selected root: a [`FullSimulator`]
+/// over the silent protocol `()`, whose [`cycle`](FullSimulator::cycle) is
+/// the constructed cycle once it is online. The Theorem 15 tests, the
+/// construction benchmarks and the construct-once checkpoint
+/// ([`crate::checkpoint::ConstructionCheckpoint::capture`]) run these.
 ///
 /// # Errors
 ///
@@ -983,26 +897,6 @@ pub fn construction_simulators(
     graph: &Graph,
     designated_root: NodeId,
     encoding: Encoding,
-) -> Result<Vec<ConstructionSimulator>, CoreError> {
-    graph.check_node(designated_root)?;
-    if graph.node_count() > crate::wire::MAX_WIDE_NODE_ID as usize + 1 {
-        return Err(CoreError::TooManyNodes {
-            nodes: graph.node_count(),
-            max: crate::wire::MAX_WIDE_NODE_ID as usize + 1,
-        });
-    }
-    if !connectivity::is_two_edge_connected(graph) {
-        return Err(CoreError::NotTwoEdgeConnected);
-    }
-    graph
-        .nodes()
-        .map(|v| {
-            ConstructionSimulator::new(
-                v,
-                graph.neighbors(v).to_vec(),
-                v == designated_root,
-                encoding,
-            )
-        })
-        .collect()
+) -> Result<Vec<FullSimulator<()>>, CoreError> {
+    full_simulators(graph, designated_root, encoding, |_| ())
 }

@@ -1,18 +1,26 @@
-//! The end-to-end Theorem 2 compiler: construct a Robbins cycle over the
-//! fully-defective network, then simulate the user's protocol over it.
+//! The reactor of every engine mode: the Theorem 2 pipeline at one node.
 //!
-//! [`FullSimulator`] is a `fdn-netsim` reactor with two phases:
+//! [`FullSimulator`] runs the paper's end-to-end compiler — construct a
+//! Robbins cycle over the fully-defective network, then simulate the user's
+//! protocol over it — and a node may start at either end of the pipeline:
 //!
-//! * **pre-processing** — the content-oblivious Robbins-cycle construction of
-//!   Algorithm 4 ([`crate::construction`]); messages the inner protocol emits
-//!   during this phase are buffered;
-//! * **online** — once the construction terminates, the live engine over the
-//!   final cycle carries the inner protocol's messages exactly as in
-//!   Theorem 10.
+//! * **constructing** ([`full_simulators`]) — the content-oblivious
+//!   Robbins-cycle construction of Algorithm 4 ([`crate::construction`])
+//!   runs first, and messages the inner protocol emits meanwhile are
+//!   buffered. A construction-only run is this start over the silent
+//!   protocol `()` ([`crate::construction::construction_simulators`]);
+//! * **online** — a given engine over a given cycle carries the inner
+//!   protocol's messages from the first event: a fresh engine over a cycle
+//!   computed elsewhere ([`crate::reactors::cycle_simulators`], the
+//!   Theorem 4 and 10 simulator), or the boundary engine of a finished
+//!   construction ([`crate::checkpoint::replay_simulators`]).
 //!
-//! The split also gives the paper's cost accounting for free:
-//! [`FullSimulator::construction_pulses`] is the node's share of `CCinit`,
-//! and everything after is `CCoverhead`.
+//! Once online, the engine over the final cycle carries the inner
+//! protocol's messages exactly as in Theorem 10. The split also gives the
+//! paper's cost accounting: [`FullSimulator::construction_pulses`] is the
+//! node's share of `CCinit`, and everything after is `CCoverhead`.
+
+use std::sync::Arc;
 
 use fdn_graph::{connectivity, Graph, NodeId, RobbinsCycle};
 use fdn_netsim::{Context, InnerProtocol, PhaseEvent, ProtocolIo, Reactor};
@@ -24,13 +32,34 @@ use crate::error::CoreError;
 use crate::reactors::pulse_payload;
 use crate::wire::WireMessage;
 
-/// Which phase of Theorem 2 the node is currently in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FullPhase {
-    /// Pre-processing: building the Robbins cycle.
-    Construction,
-    /// Online: simulating the inner protocol over the constructed cycle.
-    Online,
+/// Where a node is in the Theorem 2 pipeline.
+#[derive(Debug)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "every node ends online, and the online engine stays inline on the per-delivery path"
+)]
+enum Stage {
+    /// Pre-processing: building the Robbins cycle. Boxed, because the
+    /// construction state is larger than the whole rest of the node and
+    /// nodes that start online never carry it.
+    Constructing(Box<Construction>),
+    /// Online: simulating the inner protocol over the settled cycle.
+    Online {
+        /// The engine over `cycle`.
+        engine: RobbinsEngine,
+        /// The cycle, shared by every node that started online on it.
+        cycle: Arc<RobbinsCycle>,
+    },
+    /// The construction ended in an error, latched in the node's `error`.
+    Failed,
+}
+
+/// A node's pre-processing state.
+#[derive(Debug)]
+struct Construction {
+    driver: ConstructionNode,
+    /// The inner protocol's messages, held back until the node is online.
+    buffered: Vec<WireMessage>,
 }
 
 /// The Theorem 2 simulator for one node: Robbins-cycle construction followed
@@ -40,19 +69,17 @@ pub struct FullSimulator<P> {
     node: NodeId,
     graph_neighbors: Vec<NodeId>,
     inner: P,
-    phase: FullPhase,
-    construction: Option<ConstructionNode>,
-    engine: Option<RobbinsEngine>,
-    cycle: Option<RobbinsCycle>,
-    buffered: Vec<WireMessage>,
+    stage: Stage,
     construction_pulses: u64,
+    /// The engine's pulse counter when the node went online: its
+    /// pre-processing pulses, which `construction_pulses` already counts.
     engine_baseline: u64,
     error: Option<CoreError>,
 }
 
 impl<P: InnerProtocol> FullSimulator<P> {
-    /// Creates the simulator node. Exactly one node of the network must be
-    /// created with `designated_root = true`.
+    /// Creates a node that starts with the construction. Exactly one node of
+    /// the network must be created with `designated_root = true`.
     ///
     /// # Errors
     ///
@@ -64,49 +91,43 @@ impl<P: InnerProtocol> FullSimulator<P> {
         encoding: Encoding,
         inner: P,
     ) -> Result<Self, CoreError> {
-        let construction =
+        let driver =
             ConstructionNode::new(node, graph_neighbors.clone(), designated_root, encoding)?;
         Ok(FullSimulator {
             node,
             graph_neighbors,
             inner,
-            phase: FullPhase::Construction,
-            construction: Some(construction),
-            engine: None,
-            cycle: None,
-            buffered: Vec::new(),
+            stage: Stage::Constructing(Box::new(Construction {
+                driver,
+                buffered: Vec::new(),
+            })),
             construction_pulses: 0,
             engine_baseline: 0,
             error: None,
         })
     }
 
-    /// Warm-starts a simulator directly in the **online** phase from a
-    /// construct-once checkpoint (see [`crate::checkpoint`]): `engine` is the
-    /// node's idle boundary engine over `cycle`, and `construction_pulses`
-    /// is the node's already-paid share of `CCinit`. The construction is not
-    /// re-run; every pulse this reactor sends is online-phase traffic
-    /// (its [`online_pulses`](Self::online_pulses) counter starts at 0).
-    pub(crate) fn from_checkpoint(
+    /// Creates a node that starts **online**: `engine` is the node's idle
+    /// engine over `cycle`, and `construction_pulses` its share of a
+    /// `CCinit` paid before this simulation (0 for a cycle no distributed
+    /// construction produced). No construction runs; every pulse this
+    /// reactor sends is online-phase traffic (its
+    /// [`online_pulses`](Self::online_pulses) counter starts at 0).
+    pub(crate) fn online(
         node: NodeId,
         graph_neighbors: Vec<NodeId>,
         engine: RobbinsEngine,
-        cycle: RobbinsCycle,
+        cycle: Arc<RobbinsCycle>,
         construction_pulses: u64,
         inner: P,
     ) -> Self {
-        let engine_baseline = engine.pulses_sent();
         FullSimulator {
             node,
             graph_neighbors,
             inner,
-            phase: FullPhase::Online,
-            construction: None,
-            engine: Some(engine),
-            cycle: Some(cycle),
-            buffered: Vec::new(),
+            engine_baseline: engine.pulses_sent(),
+            stage: Stage::Online { engine, cycle },
             construction_pulses,
-            engine_baseline,
             error: None,
         }
     }
@@ -116,14 +137,18 @@ impl<P: InnerProtocol> FullSimulator<P> {
         &self.inner
     }
 
-    /// Whether the pre-processing phase has finished at this node.
+    /// Whether the pre-processing phase has finished at this node (always
+    /// true for a node that started online).
     pub fn is_online(&self) -> bool {
-        self.phase == FullPhase::Online
+        self.engine().is_some()
     }
 
-    /// The Robbins cycle this node settled on (available once online).
+    /// The Robbins cycle this node runs on (available once online).
     pub fn cycle(&self) -> Option<&RobbinsCycle> {
-        self.cycle.as_ref()
+        match &self.stage {
+            Stage::Online { cycle, .. } => Some(cycle),
+            Stage::Constructing(_) | Stage::Failed => None,
+        }
     }
 
     /// Pulses sent by this node during the construction (its share of
@@ -134,58 +159,66 @@ impl<P: InnerProtocol> FullSimulator<P> {
 
     /// Pulses sent by this node during the online phase so far.
     pub fn online_pulses(&self) -> u64 {
-        self.engine
-            .as_ref()
-            .map(RobbinsEngine::pulses_sent)
-            .unwrap_or(0)
-            - self.construction_engine_pulses()
-    }
-
-    fn construction_engine_pulses(&self) -> u64 {
-        // The engine is reused from the construction, so its counter includes
-        // pre-processing pulses; those are accounted inside
-        // `construction_pulses` already.
-        self.engine_baseline
+        self.engine()
+            .map_or(0, |e| e.pulses_sent() - self.engine_baseline)
     }
 
     /// Whether this node's engine currently holds the cycle token (always
     /// `false` before the node is online).
     pub fn holds_token(&self) -> bool {
-        self.engine
-            .as_ref()
-            .is_some_and(RobbinsEngine::is_token_holder)
+        self.engine().is_some_and(RobbinsEngine::is_token_holder)
     }
 
     /// Coarse, render-stable label of the node's current stage — the
     /// construction stage while pre-processing, `"online"` afterwards. Used
     /// by stall diagnostics and traces; never parsed back.
     pub fn stage(&self) -> &'static str {
-        match self.phase {
-            FullPhase::Online => "online",
-            FullPhase::Construction => self
-                .construction
-                .as_ref()
-                .map_or("construction", ConstructionNode::stage),
+        match &self.stage {
+            Stage::Constructing(c) => c.driver.stage(),
+            Stage::Online { .. } => "online",
+            Stage::Failed => "construction",
         }
     }
 
     /// The first error observed, if any.
     pub fn error(&self) -> Option<&CoreError> {
-        self.error
-            .as_ref()
-            .or_else(|| self.construction.as_ref().and_then(ConstructionNode::error))
-            .or_else(|| self.engine.as_ref().and_then(RobbinsEngine::error))
+        self.error.as_ref().or_else(|| match &self.stage {
+            Stage::Constructing(c) => c.driver.error(),
+            Stage::Online { engine, .. } => engine.error(),
+            Stage::Failed => None,
+        })
     }
 
-    fn latch(&mut self, e: CoreError) {
-        if self.error.is_none() {
-            self.error = Some(e);
+    /// Consumes a node that finished its construction and returns what
+    /// crosses the construction/online boundary: the learned cycle and the
+    /// engine over it ([`crate::checkpoint::ConstructionCheckpoint::capture`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the node's first error, or a protocol violation if the node
+    /// is not online.
+    pub(crate) fn into_boundary(self) -> Result<(Arc<RobbinsCycle>, RobbinsEngine), CoreError> {
+        if let Some(e) = self.error() {
+            return Err(e.clone());
+        }
+        match self.stage {
+            Stage::Online { engine, cycle } => Ok((cycle, engine)),
+            Stage::Constructing(_) | Stage::Failed => Err(CoreError::ProtocolViolation(
+                "construction has not terminated".into(),
+            )),
+        }
+    }
+
+    fn engine(&self) -> Option<&RobbinsEngine> {
+        match &self.stage {
+            Stage::Online { engine, .. } => Some(engine),
+            Stage::Constructing(_) | Stage::Failed => None,
         }
     }
 
     fn flush_construction(&mut self, ctx: &mut Context) {
-        if let Some(c) = &mut self.construction {
-            for to in c.drain_outgoing() {
+        if let Stage::Constructing(c) = &mut self.stage {
+            for to in c.driver.drain_outgoing() {
                 self.construction_pulses += 1;
                 ctx.send(to, pulse_payload());
             }
@@ -193,52 +226,72 @@ impl<P: InnerProtocol> FullSimulator<P> {
     }
 
     fn maybe_go_online(&mut self, ctx: &mut Context) {
-        let done = self
-            .construction
-            .as_ref()
-            .is_some_and(ConstructionNode::is_done);
-        if !done {
+        if !matches!(&self.stage, Stage::Constructing(c) if c.driver.is_done()) {
             return;
         }
-        let construction = self.construction.take().expect("checked above");
-        match construction.into_result() {
+        let Stage::Constructing(c) = std::mem::replace(&mut self.stage, Stage::Failed) else {
+            return;
+        };
+        let Construction { driver, buffered } = *c;
+        match driver.into_result() {
             Ok((cycle, engine)) => {
                 self.engine_baseline = engine.pulses_sent();
-                self.cycle = Some(cycle);
-                self.engine = Some(engine);
-                self.phase = FullPhase::Online;
+                self.stage = Stage::Online {
+                    engine,
+                    cycle: Arc::new(cycle),
+                };
                 // The quiescence marker sits after this event's construction
                 // sends (already in the outbox) and before any online send
-                // the pump queues below, so an observer's per-phase send
-                // attribution agrees exactly with `construction_pulses`.
+                // queued below, so an observer's per-phase send attribution
+                // agrees exactly with `construction_pulses`.
                 ctx.marker(PhaseEvent::ConstructionQuiescence);
-                if self.holds_token() {
-                    ctx.marker(PhaseEvent::TokenAcquired);
-                }
                 // Release the inner protocol's messages buffered during the
                 // pre-processing phase.
-                let buffered = std::mem::take(&mut self.buffered);
-                if !buffered.is_empty() {
-                    ctx.marker(PhaseEvent::OnlineWindow);
-                }
-                for msg in buffered {
-                    if let Some(e) = &mut self.engine {
-                        if let Err(err) = e.enqueue(msg) {
-                            self.latch(err);
-                        }
-                    }
-                }
-                self.pump_online(ctx);
+                self.start_online(buffered, ctx);
             }
-            Err(e) => self.latch(e),
+            Err(e) => {
+                self.error.get_or_insert(e);
+            }
         }
     }
 
-    fn pump_online(&mut self, ctx: &mut Context) {
+    /// Opens the online phase with the inner protocol's first messages:
+    /// those of `on_init`, or those buffered during the construction.
+    fn start_online(&mut self, first: Vec<WireMessage>, ctx: &mut Context) {
+        if self.holds_token() {
+            ctx.marker(PhaseEvent::TokenAcquired);
+        }
+        self.pump_online(first, ctx);
+    }
+
+    /// Runs the online engine to a fixed point, starting from `emitted`, the
+    /// inner protocol's messages not yet handed to the engine: hands them
+    /// over, flushes the engine's pulses to the network and moves decoded
+    /// messages into the inner protocol, whose replies are handed over in
+    /// turn.
+    fn pump_online(&mut self, mut emitted: Vec<WireMessage>, ctx: &mut Context) {
+        let FullSimulator {
+            node,
+            graph_neighbors,
+            inner,
+            stage,
+            error,
+            ..
+        } = self;
+        let Stage::Online { engine, .. } = stage else {
+            return;
+        };
         loop {
-            let Some(engine) = &mut self.engine else {
-                return;
-            };
+            if !emitted.is_empty() {
+                // A fresh batch of inner-protocol data enters the engine: an
+                // online pulse window opens.
+                ctx.marker(PhaseEvent::OnlineWindow);
+            }
+            for msg in emitted.drain(..) {
+                if let Err(e) = engine.enqueue(msg) {
+                    error.get_or_insert(e);
+                }
+            }
             let delivered = engine.take_delivered();
             let mut sent = 0usize;
             for to in engine.drain_outgoing() {
@@ -248,25 +301,15 @@ impl<P: InnerProtocol> FullSimulator<P> {
             if delivered.is_empty() && sent == 0 {
                 return;
             }
-            let mut emitted = Vec::new();
             for msg in &delivered {
-                if msg.is_for(self.node) && msg.src != self.node {
-                    let mut io = ProtocolIo::new(self.node, self.graph_neighbors.clone());
-                    self.inner.on_deliver(msg.src, &msg.payload, &mut io);
-                    emitted.extend(io.take_sends());
-                }
-            }
-            if !emitted.is_empty() {
-                // A fresh batch of inner-protocol data enters the engine: an
-                // online pulse window opens.
-                ctx.marker(PhaseEvent::OnlineWindow);
-            }
-            for m in emitted {
-                let wire = WireMessage::from_protocol(self.node, m);
-                if let Some(e) = &mut self.engine {
-                    if let Err(err) = e.enqueue(wire) {
-                        self.latch(err);
-                    }
+                if msg.is_for(*node) && msg.src != *node {
+                    let mut io = ProtocolIo::new(*node, graph_neighbors.clone());
+                    inner.on_deliver(msg.src, &msg.payload, &mut io);
+                    emitted.extend(
+                        io.take_sends()
+                            .into_iter()
+                            .map(|m| WireMessage::from_protocol(*node, m)),
+                    );
                 }
             }
         }
@@ -280,59 +323,46 @@ impl<P: InnerProtocol> Reactor for FullSimulator<P> {
         // phase) to be delivered.
         let mut io = ProtocolIo::new(self.node, self.graph_neighbors.clone());
         self.inner.on_init(&mut io);
-        match self.phase {
-            FullPhase::Construction => {
+        let node = self.node;
+        let first: Vec<WireMessage> = io
+            .take_sends()
+            .into_iter()
+            .map(|m| WireMessage::from_protocol(node, m))
+            .collect();
+        match &mut self.stage {
+            Stage::Constructing(c) => {
                 ctx.marker(PhaseEvent::ConstructionStart);
-                for m in io.take_sends() {
-                    self.buffered.push(WireMessage::from_protocol(self.node, m));
-                }
-                if let Some(c) = &mut self.construction {
-                    c.on_start();
-                }
+                c.buffered = first;
+                c.driver.on_start();
                 self.flush_construction(ctx);
             }
-            FullPhase::Online => {
-                // A checkpoint-restored node is online from the first event:
-                // the inner protocol's initial sends go straight into the
-                // boundary engine instead of the construction buffer.
-                ctx.marker(PhaseEvent::ReplayWarmStart);
-                if self.holds_token() {
-                    ctx.marker(PhaseEvent::TokenAcquired);
+            Stage::Online { .. } => {
+                // A node that resumes a construction paid before this
+                // simulation (a checkpoint) announces the warm start; a node
+                // on a cycle no construction produced has none to resume.
+                if self.construction_pulses > 0 {
+                    ctx.marker(PhaseEvent::ReplayWarmStart);
                 }
-                let sends = io.take_sends();
-                if !sends.is_empty() {
-                    ctx.marker(PhaseEvent::OnlineWindow);
-                }
-                for m in sends {
-                    let wire = WireMessage::from_protocol(self.node, m);
-                    if let Some(e) = &mut self.engine {
-                        if let Err(err) = e.enqueue(wire) {
-                            self.latch(err);
-                        }
-                    }
-                }
-                self.pump_online(ctx);
+                self.start_online(first, ctx);
             }
+            Stage::Failed => {}
         }
     }
 
     fn on_message(&mut self, from: NodeId, _payload: &[u8], ctx: &mut Context) {
-        match self.phase {
-            FullPhase::Construction => {
-                if let Some(c) = &mut self.construction {
-                    c.on_pulse(from);
-                }
+        // Content-oblivious: the payload is ignored entirely.
+        match &mut self.stage {
+            Stage::Constructing(c) => {
+                c.driver.on_pulse(from);
                 self.flush_construction(ctx);
                 self.maybe_go_online(ctx);
             }
-            FullPhase::Online => {
+            Stage::Online { engine, .. } => {
                 // Token-circulation markers need a before/after comparison;
                 // skip the bookkeeping entirely when nothing collects it.
-                let held_before = ctx.markers_enabled().then(|| self.holds_token());
-                if let Some(e) = &mut self.engine {
-                    e.on_pulse(from);
-                }
-                self.pump_online(ctx);
+                let held_before = ctx.markers_enabled().then(|| engine.is_token_holder());
+                engine.on_pulse(from);
+                self.pump_online(Vec::new(), ctx);
                 if let Some(before) = held_before {
                     match (before, self.holds_token()) {
                         (false, true) => ctx.marker(PhaseEvent::TokenAcquired),
@@ -341,6 +371,7 @@ impl<P: InnerProtocol> Reactor for FullSimulator<P> {
                     }
                 }
             }
+            Stage::Failed => {}
         }
     }
 
@@ -367,12 +398,7 @@ where
     F: FnMut(NodeId) -> P,
 {
     graph.check_node(designated_root)?;
-    if graph.node_count() > crate::wire::MAX_WIDE_NODE_ID as usize + 1 {
-        return Err(CoreError::TooManyNodes {
-            nodes: graph.node_count(),
-            max: crate::wire::MAX_WIDE_NODE_ID as usize + 1,
-        });
-    }
+    crate::wire::check_node_count(graph)?;
     if !connectivity::is_two_edge_connected(graph) {
         return Err(CoreError::NotTwoEdgeConnected);
     }

@@ -15,15 +15,16 @@
 //!   (Algorithm 1(b), Algorithm 2);
 //! * [`engine`] — the per-node token/data phase state machine over a cycle
 //!   (Algorithm 1 for simple cycles, Algorithm 3 for Robbins cycles);
-//! * [`reactors`] — adapters that run an inner protocol over a given cycle on
-//!   the `fdn-netsim` simulator (Theorems 4 and 10);
 //! * [`construction`] — the content-oblivious distributed construction of a
 //!   Robbins cycle by ear decomposition (Algorithms 4–6, Theorem 15);
-//! * [`full`] — the end-to-end compiler of Theorem 2: construct the Robbins
-//!   cycle, then simulate `π` over it;
+//! * [`full`] — the one `fdn-netsim` reactor, [`FullSimulator`]: the
+//!   end-to-end compiler of Theorem 2 (construct the Robbins cycle, then
+//!   simulate `π` over it), which a node may also start online;
+//! * [`reactors`] — the pulse payload, and nodes started online over a
+//!   given cycle (Theorems 4 and 10);
 //! * [`checkpoint`] — the construct-once boundary: freeze the constructed
 //!   per-node state after the pre-processing phase and replay only the
-//!   online phase, arbitrarily often;
+//!   online phase, arbitrarily often, from nodes started online there;
 //! * [`impossibility`] — the §6 two-party impossibility harness (Theorem 20).
 
 #![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
@@ -43,10 +44,10 @@ pub use checkpoint::{
     decode_checkpoint, encode_checkpoint, fnv1a64, replay_simulators, ConstructionCheckpoint,
     NodeCheckpoint, CHECKPOINT_FORMAT_VERSION,
 };
-pub use construction::{construction_simulators, ConstructionNode, ConstructionSimulator};
+pub use construction::{construction_simulators, ConstructionNode};
 pub use encoding::Encoding;
 pub use engine::RobbinsEngine;
 pub use error::CoreError;
 pub use full::{full_simulators, FullSimulator};
-pub use reactors::{cycle_simulators, cycle_simulators_prevalidated, CycleSimulator};
+pub use reactors::{cycle_simulators, cycle_simulators_prevalidated};
 pub use wire::{WireDest, WireMessage};

@@ -1,21 +1,23 @@
-//! Netsim adapters: run an inner protocol over a given cycle on a
-//! fully-defective network (Theorems 4 and 10).
+//! The pulse every reactor sends, and the simulation of an inner protocol
+//! over a given cycle on a fully-defective network (Theorems 4 and 10).
 //!
-//! [`CycleSimulator`] wraps one inner-protocol instance and one
-//! [`RobbinsEngine`] per node. Fed with a *simple* cycle it is the Theorem 4
-//! simulator (Algorithm 1/2); fed with a Robbins cycle of a 2-edge-connected
-//! graph it is the Theorem 10 simulator (Algorithm 3). The end-to-end
-//! Theorem 2 compiler, which first *constructs* the Robbins cycle, lives in
-//! [`crate::full`].
+//! [`cycle_simulators`] starts one [`FullSimulator`] per node directly in
+//! its online phase, each on a fresh [`RobbinsEngine`] over the given cycle.
+//! Fed with a *simple* cycle it is the Theorem 4 simulator (Algorithm 1/2);
+//! fed with a Robbins cycle of a 2-edge-connected graph it is the Theorem 10
+//! simulator (Algorithm 3). The end-to-end Theorem 2 compiler, which first
+//! *constructs* the Robbins cycle, is the same reactor started at the
+//! construction ([`crate::full`]).
 
-use fdn_graph::cycle::LocalCycleView;
+use std::sync::Arc;
+
 use fdn_graph::{connectivity, Graph, NodeId, RobbinsCycle};
-use fdn_netsim::{Context, InnerProtocol, Payload, ProtocolIo, Reactor};
+use fdn_netsim::{InnerProtocol, Payload};
 
 use crate::encoding::Encoding;
 use crate::engine::RobbinsEngine;
 use crate::error::CoreError;
-use crate::wire::WireMessage;
+use crate::full::FullSimulator;
 
 /// A content-less pulse payload. The byte value is irrelevant — receivers
 /// ignore content — but it must be non-empty because the noise model may not
@@ -39,129 +41,9 @@ pub fn pulse_payload() -> Payload {
     SHARED.with(Payload::clone)
 }
 
-/// One node of the cycle simulator: an inner protocol `π` plus the
-/// content-oblivious engine that carries its messages over the
-/// fully-defective cycle.
-#[derive(Debug)]
-pub struct CycleSimulator<P> {
-    inner: P,
-    engine: RobbinsEngine,
-    node: NodeId,
-    graph_neighbors: Vec<NodeId>,
-    error: Option<CoreError>,
-}
-
-impl<P: InnerProtocol> CycleSimulator<P> {
-    /// Creates the simulator node.
-    ///
-    /// * `view` — the node's local view of the cycle (`k` occurrences with
-    ///   `prev`/`next` each);
-    /// * `is_token_holder` — true for exactly one node;
-    /// * `graph_neighbors` — the node's neighbours in the *graph* (what the
-    ///   inner protocol believes its neighbourhood is).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine construction errors.
-    pub fn new(
-        view: LocalCycleView,
-        is_token_holder: bool,
-        encoding: Encoding,
-        graph_neighbors: Vec<NodeId>,
-        inner: P,
-    ) -> Result<Self, CoreError> {
-        let node = view.node();
-        let engine = RobbinsEngine::new(view, is_token_holder, encoding)?;
-        Ok(CycleSimulator {
-            inner,
-            engine,
-            node,
-            graph_neighbors,
-            error: None,
-        })
-    }
-
-    /// Read access to the wrapped inner protocol.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Read access to the underlying engine (pulse counters, token state).
-    pub fn engine(&self) -> &RobbinsEngine {
-        &self.engine
-    }
-
-    /// The first error observed by this node (an engine protocol violation or
-    /// a message that could not be encoded), if any.
-    pub fn error(&self) -> Option<&CoreError> {
-        self.error.as_ref().or_else(|| self.engine.error())
-    }
-
-    fn pump(&mut self, ctx: &mut Context) {
-        // Move decoded messages into the inner protocol, collect what it
-        // emits, and flush the engine's pulses to the network — repeating
-        // until a fixed point, since deliveries can trigger new sends.
-        loop {
-            let delivered = self.engine.take_delivered();
-            let mut emitted = Vec::new();
-            for msg in &delivered {
-                if msg.is_for(self.node) && msg.src != self.node {
-                    let mut io = ProtocolIo::new(self.node, self.graph_neighbors.clone());
-                    self.inner.on_deliver(msg.src, &msg.payload, &mut io);
-                    emitted.extend(io.take_sends());
-                }
-            }
-            for m in emitted {
-                let wire = WireMessage::from_protocol(self.node, m);
-                if let Err(e) = self.engine.enqueue(wire) {
-                    if self.error.is_none() {
-                        self.error = Some(e);
-                    }
-                }
-            }
-            let mut sent = 0usize;
-            for to in self.engine.drain_outgoing() {
-                ctx.send(to, pulse_payload());
-                sent += 1;
-            }
-            if sent == 0 && self.engine.take_delivered().is_empty() {
-                // Nothing new was produced; note take_delivered() above is
-                // empty unless a re-entrant decode happened, which cannot
-                // occur without new pulses.
-                break;
-            }
-        }
-    }
-}
-
-impl<P: InnerProtocol> Reactor for CycleSimulator<P> {
-    fn on_start(&mut self, ctx: &mut Context) {
-        let mut io = ProtocolIo::new(self.node, self.graph_neighbors.clone());
-        self.inner.on_init(&mut io);
-        for m in io.take_sends() {
-            let wire = WireMessage::from_protocol(self.node, m);
-            if let Err(e) = self.engine.enqueue(wire) {
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
-            }
-        }
-        self.pump(ctx);
-    }
-
-    fn on_message(&mut self, from: NodeId, _payload: &[u8], ctx: &mut Context) {
-        // Content-oblivious: the payload is ignored entirely.
-        self.engine.on_pulse(from);
-        self.pump(ctx);
-    }
-
-    fn output(&self) -> Option<Vec<u8>> {
-        self.inner.output()
-    }
-}
-
-/// Builds one [`CycleSimulator`] per node of `graph` for the given Robbins
-/// cycle. The token holder is the node at the cycle's position 0 (Remark 4).
+/// Builds one online [`FullSimulator`] per node of `graph` over the given
+/// Robbins cycle. The token holder is the node at the cycle's position 0
+/// (Remark 4).
 ///
 /// # Errors
 ///
@@ -173,7 +55,7 @@ pub fn cycle_simulators<P, F>(
     cycle: &RobbinsCycle,
     encoding: Encoding,
     factory: F,
-) -> Result<Vec<CycleSimulator<P>>, CoreError>
+) -> Result<Vec<FullSimulator<P>>, CoreError>
 where
     P: InnerProtocol,
     F: FnMut(NodeId) -> P,
@@ -194,7 +76,8 @@ where
 /// sweep without paying the `O(|C|)` validation per run.
 ///
 /// The node views are built in one `O(|C|)` pass
-/// ([`RobbinsCycle::local_views`]) rather than one scan per node.
+/// ([`RobbinsCycle::local_views`]) rather than one scan per node, and the
+/// nodes share one copy of the cycle.
 ///
 /// # Errors
 ///
@@ -206,32 +89,30 @@ pub fn cycle_simulators_prevalidated<P, F>(
     cycle: &RobbinsCycle,
     encoding: Encoding,
     mut factory: F,
-) -> Result<Vec<CycleSimulator<P>>, CoreError>
+) -> Result<Vec<FullSimulator<P>>, CoreError>
 where
     P: InnerProtocol,
     F: FnMut(NodeId) -> P,
 {
-    if graph.node_count() > crate::wire::MAX_WIDE_NODE_ID as usize + 1 {
-        return Err(CoreError::TooManyNodes {
-            nodes: graph.node_count(),
-            max: crate::wire::MAX_WIDE_NODE_ID as usize + 1,
-        });
-    }
+    crate::wire::check_node_count(graph)?;
     let mut views = cycle.local_views();
     let holder = cycle.root();
+    let shared = Arc::new(cycle.clone());
     graph
         .nodes()
         .map(|v| {
             let view = views
                 .remove(&v)
                 .ok_or_else(|| CoreError::InvalidCycle(format!("node {v} not on the cycle")))?;
-            CycleSimulator::new(
-                view,
-                v == holder,
-                encoding,
+            let engine = RobbinsEngine::new(view, v == holder, encoding)?;
+            Ok(FullSimulator::online(
+                v,
                 graph.neighbors(v).to_vec(),
+                engine,
+                Arc::clone(&shared),
+                0,
                 factory(v),
-            )
+            ))
         })
         .collect()
 }
@@ -240,7 +121,7 @@ where
 mod tests {
     use super::*;
     use fdn_graph::{generators, robbins};
-    use fdn_netsim::{FullCorruption, RandomScheduler, Simulation};
+    use fdn_netsim::{FullCorruption, RandomScheduler, Reactor, Simulation};
     use fdn_protocols::{FloodBroadcast, TokenRingCounter};
 
     #[test]

@@ -10,7 +10,7 @@
 //! simulators pay `Θ(|C|)` pulses *per bit* under the binary encoding and
 //! `Θ(2^{bits})` under the unary encoding.
 
-use fdn_graph::NodeId;
+use fdn_graph::{Graph, NodeId};
 use fdn_netsim::{Dest, ProtocolMsg};
 
 use crate::error::CoreError;
@@ -34,6 +34,23 @@ const WIDE_BROADCAST: u16 = 0xFFFF;
 /// Maximum node id representable at all (`0xFFFF` is reserved as the wide
 /// broadcast marker).
 pub const MAX_WIDE_NODE_ID: u32 = 65_534;
+
+/// Checks that every node of `graph` has a wire id.
+///
+/// # Errors
+///
+/// Returns [`CoreError::TooManyNodes`] if the graph has more nodes than
+/// [`MAX_WIDE_NODE_ID`] allows.
+pub(crate) fn check_node_count(graph: &Graph) -> Result<(), CoreError> {
+    let max = MAX_WIDE_NODE_ID as usize + 1;
+    if graph.node_count() > max {
+        return Err(CoreError::TooManyNodes {
+            nodes: graph.node_count(),
+            max,
+        });
+    }
+    Ok(())
+}
 
 /// Destination of a simulated message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

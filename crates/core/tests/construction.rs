@@ -6,7 +6,7 @@
 use fdn_core::construction::construction_simulators;
 use fdn_core::Encoding;
 use fdn_graph::{connectivity, generators, Graph, NodeId, RobbinsCycle};
-use fdn_netsim::{FullCorruption, LifoScheduler, RandomScheduler, Reactor, Simulation};
+use fdn_netsim::{FullCorruption, LifoScheduler, RandomScheduler, Simulation};
 
 /// Runs the construction on `graph` and returns the cycle all nodes agreed on
 /// together with the total number of pulses sent.
@@ -27,7 +27,7 @@ fn run_construction(graph: &Graph, root: NodeId, seed: u64) -> (RobbinsCycle, u6
             .cycle()
             .unwrap_or_else(|| panic!("node {v} did not finish"))
             .clone();
-        assert!(node.construction().is_done(), "node {v} not done");
+        assert!(node.is_online(), "node {v} not done");
         match &agreed {
             None => agreed = Some(cycle),
             Some(c) => assert_eq!(c.seq(), cycle.seq(), "node {v} disagrees on the cycle"),
@@ -164,8 +164,8 @@ fn construction_output_is_reported_via_reactor_output() {
         .with_noise(FullCorruption::new(1));
     sim.run().unwrap();
     for v in g.nodes() {
-        let out = sim.node(v).output().expect("construction finished");
-        assert_eq!(out.len(), 4);
+        let cycle = sim.node(v).cycle().expect("construction finished");
+        assert_eq!(cycle.len(), 4);
     }
 }
 

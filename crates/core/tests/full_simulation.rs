@@ -231,13 +231,7 @@ fn replayed_runs_emit_warm_start_markers_and_no_construction_markers() {
         .with_scheduler(RandomScheduler::new(11));
     build.run().unwrap();
     let (_, _, reactors) = build.into_parts();
-    let checkpoint = ConstructionCheckpoint::capture(
-        reactors
-            .into_iter()
-            .map(fdn_core::ConstructionSimulator::into_construction)
-            .collect(),
-    )
-    .unwrap();
+    let checkpoint = ConstructionCheckpoint::capture(reactors).unwrap();
     let holder = checkpoint.token_holder();
 
     let value = vec![0x5A];
@@ -273,5 +267,49 @@ fn replayed_runs_emit_warm_start_markers_and_no_construction_markers() {
         let prof = sim.observer();
         assert_eq!(prof.construction_span(v).sends, 0);
         assert_eq!(prof.online_span(v).sends, sim.node(v).online_pulses());
+    }
+}
+
+#[test]
+fn cycle_mode_runs_emit_token_markers_and_no_construction_markers() {
+    use fdn_core::cycle_simulators;
+    use fdn_graph::robbins;
+    use fdn_netsim::{PhaseEvent, Reactor, SpanProfiler};
+    let g = generators::figure3();
+    let cycle = robbins::reference_robbins_cycle(&g, NodeId(0)).unwrap();
+    let value = vec![0x3C];
+    let sims = cycle_simulators(&g, &cycle, Encoding::binary(), |v| {
+        FloodBroadcast::new(v, NodeId(1), value.clone())
+    })
+    .unwrap();
+    let mut sim = Simulation::new(g.clone(), sims)
+        .unwrap()
+        .with_noise(FullCorruption::new(6))
+        .with_scheduler(RandomScheduler::new(13))
+        .with_observer(SpanProfiler::new());
+    sim.run().unwrap();
+    let events: Vec<PhaseEvent> = sim
+        .observer()
+        .markers()
+        .iter()
+        .map(|&(_, m)| m.event)
+        .collect();
+    // The token circulates: nodes announce taking and passing it on, and
+    // the broadcast opens online windows.
+    assert!(events.contains(&PhaseEvent::TokenAcquired));
+    assert!(events.contains(&PhaseEvent::TokenReleased));
+    assert!(events.contains(&PhaseEvent::OnlineWindow));
+    // No construction ran and none was paid before the run: no
+    // construction markers and no warm start.
+    assert!(events.iter().all(|e| !e.is_construction()));
+    assert!(!events.contains(&PhaseEvent::ReplayWarmStart));
+    for v in g.nodes() {
+        let node = sim.node(v);
+        assert_eq!(node.output(), Some(value.clone()), "node {v}");
+        assert_eq!(node.construction_pulses(), 0);
+        let prof = sim.observer();
+        assert_eq!(prof.construction_span(v).sends, 0);
+        assert_eq!(prof.online_span(v).sends, node.online_pulses());
+        assert!(node.online_pulses() > 0, "node {v} sent nothing");
     }
 }

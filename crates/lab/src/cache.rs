@@ -41,7 +41,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use fdn_core::{construction_simulators, ConstructionCheckpoint, ConstructionSimulator};
+use fdn_core::{construction_simulators, ConstructionCheckpoint};
 use fdn_graph::{robbins, Graph, GraphFamily, RobbinsCycle};
 use fdn_netsim::{LinkTable, NoiseSpec, SchedulerSpec, Simulation};
 use fdn_protocols::WorkloadSpec;
@@ -283,13 +283,8 @@ impl ReplayCache {
         {
             return Err(format!("construction error at node {v}: {e}"));
         }
-        let checkpoint = ConstructionCheckpoint::capture(
-            reactors
-                .into_iter()
-                .map(ConstructionSimulator::into_construction)
-                .collect(),
-        )
-        .map_err(|e| format!("checkpoint capture failed: {e}"))?;
+        let checkpoint = ConstructionCheckpoint::capture(reactors)
+            .map_err(|e| format!("checkpoint capture failed: {e}"))?;
         Ok(CachedConstruction {
             checkpoint,
             links,

@@ -246,140 +246,70 @@ pub fn run_scenario_observed<O: Observer>(
     // Noiseless direct baseline (for the per-message overhead column).
     let baseline = baseline_for(caches, scenario, graph);
 
-    // The content-oblivious run. The engine modes share the drive logic and
-    // differ only in how the reactors are built and where the cost split
-    // (`cc_init`) and cycle length come from.
+    // The content-oblivious run. Every engine mode runs the same reactor;
+    // the modes differ only in where its nodes start.
     let encoding = cell.encoding.build();
-    let run = match cell.mode {
-        EngineMode::Full => {
-            // The distributed construction runs inside the simulation and is
-            // seed-dependent; only the graph itself comes from the cache.
-            let sims = match full_simulators(graph, WorkloadSpec::ROOT, encoding, |v| {
-                cell.workload.build(graph, v)
-            }) {
-                Ok(s) => s,
-                Err(e) => return fail(e.to_string(), observer),
-            };
-            drive(scenario, graph, baseline, None, sims, observer, |sim| {
-                Inspection {
-                    node_error: graph
-                        .nodes()
-                        .find_map(|v| sim.node(v).error().map(|e| e.to_string())),
-                    cc_init: graph
-                        .nodes()
-                        .map(|v| sim.node(v).construction_pulses())
-                        .sum(),
-                    cc_init_in_stats: true,
-                    cycle_len: sim
-                        .node(WorkloadSpec::ROOT)
-                        .cycle()
-                        .map(fdn_graph::RobbinsCycle::len)
-                        .unwrap_or(0),
-                    stall: stall_diagnostic(graph, sim),
-                }
-            })
-        }
-        EngineMode::CycleOnly => {
-            // The reference cycle is seed-independent: computed once per
-            // family by the cache, validated there, and re-handed to fresh
-            // simulator nodes for every seed.
-            let cycle = match &topo.cycle {
-                Ok(c) => c,
-                Err(e) => return fail(e.clone(), observer),
-            };
-            let sims = match cycle_simulators_prevalidated(graph, cycle, encoding, |v| {
-                cell.workload.build(graph, v)
-            }) {
-                Ok(s) => s,
-                Err(e) => return fail(e.to_string(), observer),
-            };
-            drive(scenario, graph, baseline, None, sims, observer, |sim| {
-                Inspection {
-                    node_error: graph
-                        .nodes()
-                        .find_map(|v| sim.node(v).error().map(|e| e.to_string())),
-                    cc_init: 0,
-                    cc_init_in_stats: true,
-                    cycle_len: cycle.len(),
-                    stall: None,
-                }
-            })
-        }
-        EngineMode::Replay => {
-            // Construct once, replay the online phase: the distributed
-            // construction (under full corruption, seeded by the recorded
-            // construction seed) is shared by the whole seed range; this
-            // scenario's own seed feeds only the online-phase noise and
-            // scheduler. `cc_init` is the checkpoint's one-time cost and the
-            // simulation's own traffic is purely online.
-            let key = ReplayKey {
-                family: cell.family,
-                encoding: cell.encoding,
-                scheduler: cell.scheduler,
-                construction_seed: scenario.construction_seed,
-            };
-            let construction = match caches.construction.get(&caches.topology, key) {
-                Ok(c) => c,
-                Err(e) => return fail(e, observer),
-            };
-            let sims = match replay_simulators(graph, &construction.checkpoint, |v| {
-                cell.workload.build(graph, v)
-            }) {
-                Ok(s) => s,
-                Err(e) => return fail(e.to_string(), observer),
-            };
-            let cc_init = construction.checkpoint.cc_init();
-            let cycle_len = construction.checkpoint.cycle().len();
-            // Warm start: reuse the construction's registered link table
-            // instead of re-registering links for every seed.
-            let links = construction.links.clone();
-            drive(
-                scenario,
-                graph,
-                baseline,
-                Some(links),
-                sims,
-                observer,
-                |sim| Inspection {
-                    node_error: graph
-                        .nodes()
-                        .find_map(|v| sim.node(v).error().map(|e| e.to_string())),
-                    cc_init,
-                    cc_init_in_stats: false,
-                    cycle_len,
-                    stall: None,
-                },
-            )
-        }
+    let factory = |v| cell.workload.build(graph, v);
+    let (sims, links) = match cell.mode {
+        // The distributed construction runs inside the simulation and is
+        // seed-dependent; only the graph itself comes from the cache.
+        EngineMode::Full => (
+            full_simulators(graph, WorkloadSpec::ROOT, encoding, factory),
+            None,
+        ),
+        // The reference cycle is seed-independent: computed once per family
+        // by the cache, validated there, and re-handed to fresh simulator
+        // nodes for every seed.
+        EngineMode::CycleOnly => match &topo.cycle {
+            Ok(cycle) => (
+                cycle_simulators_prevalidated(graph, cycle, encoding, factory),
+                None,
+            ),
+            Err(e) => return fail(e.clone(), observer),
+        },
+        // Construct once, replay the online phase: the distributed
+        // construction (under full corruption, seeded by the recorded
+        // construction seed) is shared by the whole seed range; this
+        // scenario's own seed feeds only the online-phase noise and
+        // scheduler. Warm start: the construction's registered link table
+        // is reused instead of re-registering links for every seed.
+        EngineMode::Replay => match caches
+            .construction
+            .get(&caches.topology, replay_key(scenario))
+        {
+            Ok(construction) => (
+                replay_simulators(graph, &construction.checkpoint, factory),
+                Some(construction.links.clone()),
+            ),
+            Err(e) => return fail(e, observer),
+        },
     };
-    run.unwrap_or_else(|(error, observer)| fail(error, observer))
+    let sims = match sims {
+        Ok(s) => s,
+        Err(e) => return fail(e.to_string(), observer),
+    };
+    drive(scenario, graph, baseline, links, sims, observer)
+        .unwrap_or_else(|(error, observer)| fail(error, observer))
 }
 
-/// Mode-specific facts extracted from a finished simulation.
-struct Inspection {
-    /// First per-node engine error, if any.
-    node_error: Option<String>,
-    /// Construction-phase pulses (0 when there is no construction phase).
-    cc_init: u64,
-    /// Whether `cc_init` was spent *inside* this simulation (full mode) and
-    /// must be subtracted from its send totals to isolate the online phase —
-    /// replay mode pays it outside, so its simulation traffic is already
-    /// purely online.
-    cc_init_in_stats: bool,
-    /// Length of the cycle the run used.
-    cycle_len: usize,
-    /// Stall diagnostic for runs that stopped mid-construction (full mode
-    /// only; the other modes have no construction phase to stall in).
-    stall: Option<String>,
+/// The construct-once key of a replay scenario.
+pub(crate) fn replay_key(scenario: Scenario) -> ReplayKey {
+    ReplayKey {
+        family: scenario.cell.family,
+        encoding: scenario.cell.encoding,
+        scheduler: scenario.cell.scheduler,
+        construction_seed: scenario.construction_seed,
+    }
 }
 
-/// Renders the one-shot stall diagnostic for a full-mode run that stopped
-/// without reaching quiescence while nodes were still mid-construction — the
+/// Renders the one-shot stall diagnostic for a run that stopped without
+/// reaching quiescence while nodes were still mid-construction — the
 /// step-budget-exhaustion path behind the `construction_skew` flag. Instead
 /// of only the flag, the outcome carries what the network looked like at the
 /// moment of death: how many links still had traffic, how deep the worst
 /// queue was, which construction stage each node was stuck in, and where the
-/// cycle token was (if any engine already held it).
+/// cycle token was (if any engine already held it). `None` once every node
+/// is online, so runs whose nodes start online never carry one.
 fn stall_diagnostic<O: Observer>(
     graph: &fdn_graph::Graph,
     sim: &Simulation<FullSimulator<BoxedProtocol>, O>,
@@ -424,19 +354,17 @@ fn stall_diagnostic<O: Observer>(
     ))
 }
 
-/// Runs an already-built reactor set under the scenario's noise/scheduler and
-/// assembles the outcome; `inspect` supplies the mode-specific facts. A
-/// pre-registered `links` table (replay warm start) skips per-seed link
-/// registration. Fails, handing the observer back, when the simulation
-/// cannot be built.
-fn drive<R: fdn_netsim::Reactor, O: Observer>(
+/// Runs an already-built node set under the scenario's noise/scheduler and
+/// assembles the outcome. A pre-registered `links` table (replay warm start)
+/// skips per-seed link registration. Fails, handing the observer back, when
+/// the simulation cannot be built.
+fn drive<O: Observer>(
     scenario: Scenario,
     graph: &fdn_graph::Graph,
     baseline: Baseline,
     links: Option<LinkTable>,
-    sims: Vec<R>,
+    sims: Vec<FullSimulator<BoxedProtocol>>,
     observer: O,
-    inspect: impl FnOnce(&Simulation<R, O>) -> Inspection,
 ) -> Result<(ScenarioOutcome, O), (String, O)> {
     let cell = scenario.cell;
     let (nodes_n, edges_n) = (graph.node_count(), graph.edge_count());
@@ -460,18 +388,27 @@ fn drive<R: fdn_netsim::Reactor, O: Observer>(
         .with_max_steps(scenario.max_steps);
     let run = sim.run();
     let stats = sim.stats().snapshot();
-    let inspection = inspect(&sim);
     let error = match run {
-        Ok(_) => inspection.node_error,
+        Ok(_) => graph
+            .nodes()
+            .find_map(|v| sim.node(v).error().map(ToString::to_string)),
         Err(e) => Some(e.to_string()),
     };
+    // A node's construction share is its part of `CCinit`, whether it was
+    // paid inside this simulation (full mode) or before it (replay).
+    let cc_init = graph
+        .nodes()
+        .map(|v| sim.node(v).construction_pulses())
+        .sum();
+    let cycle_len = sim
+        .node(WorkloadSpec::ROOT)
+        .cycle()
+        .map_or(0, fdn_graph::RobbinsCycle::len);
+    let stall = stall_diagnostic(graph, &sim);
     let outputs = sim.outputs();
     let quiescent = sim.is_quiescent();
-    let (online_pulses, construction_skew) = online_split(
-        stats.sent_total,
-        inspection.cc_init,
-        inspection.cc_init_in_stats,
-    );
+    let (online_pulses, construction_skew) =
+        online_split(stats.sent_total, cc_init, cell.mode == EngineMode::Full);
     let outcome = ScenarioOutcome {
         scenario,
         success: error.is_none() && quiescent && cell.workload.is_success(graph, &outputs),
@@ -479,15 +416,15 @@ fn drive<R: fdn_netsim::Reactor, O: Observer>(
         quiescent,
         nodes: nodes_n,
         edges: edges_n,
-        cycle_len: inspection.cycle_len,
+        cycle_len,
         steps: stats.delivered_total,
-        cc_init: inspection.cc_init,
+        cc_init,
         online_pulses,
         construction_skew,
         stats,
         baseline_messages: baseline.messages,
         baseline_error: baseline.error,
-        stall_diagnostic: inspection.stall,
+        stall_diagnostic: stall,
         inflight_curve: None,
     };
     Ok((outcome, sim.into_observer()))

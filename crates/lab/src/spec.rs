@@ -135,9 +135,11 @@ pub struct SeedRange {
 }
 
 impl SeedRange {
-    /// The seeds in order.
+    /// The seeds in order. A range that would run past `u64::MAX` ends
+    /// there: seeds never wrap around to 0, so such a range yields fewer
+    /// than `count` seeds.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..u64::from(self.count)).map(move |i| self.start + i)
+        (0..u64::from(self.count)).map_while(move |i| self.start.checked_add(i))
     }
 }
 
@@ -592,6 +594,15 @@ mod tests {
     fn seed_range_iterates_in_order() {
         let r = SeedRange { start: 5, count: 3 };
         assert_eq!(r.iter().collect::<Vec<_>>(), vec![5, 6, 7]);
+    }
+
+    #[test]
+    fn seed_range_ends_at_the_largest_seed() {
+        let r = SeedRange {
+            start: u64::MAX - 1,
+            count: 4,
+        };
+        assert_eq!(r.iter().collect::<Vec<_>>(), vec![u64::MAX - 1, u64::MAX]);
     }
 
     #[test]

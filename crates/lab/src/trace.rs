@@ -28,11 +28,11 @@ use rayon::prelude::*;
 use fdn_graph::NodeId;
 use fdn_netsim::{Sample, SpanProfiler, TimeSeriesSampler, DEFAULT_SAMPLE_CAPACITY};
 
-use crate::cache::{Caches, ReplayKey};
+use crate::cache::Caches;
 use crate::error::LabError;
 use crate::json::Json;
 use crate::report::push_skipped_markdown;
-use crate::runner::{run_scenario_observed, CellTiming, ScenarioOutcome};
+use crate::runner::{replay_key, run_scenario_observed, CellTiming, ScenarioOutcome};
 use crate::spec::{Campaign, EngineMode, Scenario, SkippedCell};
 
 /// Knobs of a trace run.
@@ -104,25 +104,17 @@ fn trace_scenario(caches: &Caches, scenario: Scenario, opts: TraceOptions) -> Ce
     let node_cc_init: Vec<u64> = match cell.mode {
         // The replay simulation is purely online; the per-node construction
         // shares live in the (cached, already built) checkpoint.
-        EngineMode::Replay => {
-            let key = ReplayKey {
-                family: cell.family,
-                encoding: cell.encoding,
-                scheduler: cell.scheduler,
-                construction_seed: scenario.construction_seed,
-            };
-            caches
-                .construction
-                .get(&caches.topology, key)
-                .map(|c| {
-                    c.checkpoint
-                        .nodes()
-                        .iter()
-                        .map(fdn_core::NodeCheckpoint::construction_pulses)
-                        .collect()
-                })
-                .unwrap_or_else(|_| vec![0; outcome.nodes])
-        }
+        EngineMode::Replay => caches
+            .construction
+            .get(&caches.topology, replay_key(scenario))
+            .map(|c| {
+                c.checkpoint
+                    .nodes()
+                    .iter()
+                    .map(fdn_core::NodeCheckpoint::construction_pulses)
+                    .collect()
+            })
+            .unwrap_or_else(|_| vec![0; outcome.nodes]),
         _ => (0..outcome.nodes)
             .map(|v| profiler.construction_span(NodeId(v as u32)).sends)
             .collect(),

@@ -108,6 +108,15 @@ pub trait InnerProtocol {
     }
 }
 
+/// The silent protocol: it sends nothing and outputs nothing, so a simulator
+/// running it carries only its own traffic (a construction-only run of the
+/// Theorem 2 pipeline, say).
+impl InnerProtocol for () {
+    fn on_init(&mut self, _io: &mut ProtocolIo) {}
+
+    fn on_deliver(&mut self, _from: NodeId, _payload: &[u8], _io: &mut ProtocolIo) {}
+}
+
 /// Boxed protocols are protocols, which lets heterogeneous sweep harnesses
 /// spawn type-erased instances (`Box<dyn InnerProtocol + Send>`) through the
 /// same generic runners as concrete ones.

@@ -65,8 +65,8 @@ pub use fdn_protocols as protocols;
 /// The most commonly used items, re-exported for convenient glob imports.
 pub mod prelude {
     pub use fdn_core::{
-        construction_simulators, cycle_simulators, full_simulators, CoreError, CycleSimulator,
-        Encoding, FullSimulator, RobbinsEngine, WireDest, WireMessage,
+        construction_simulators, cycle_simulators, full_simulators, CoreError, Encoding,
+        FullSimulator, RobbinsEngine, WireDest, WireMessage,
     };
     pub use fdn_graph::{
         connectivity, generators, robbins, Graph, GraphError, GraphFamily, LocalCycleView, NodeId,

@@ -107,21 +107,11 @@ fn no_starvation_every_sender_gets_through() {
 
 #[test]
 fn quiescence_with_a_silent_protocol() {
-    // If π never sends anything, the simulator performs the pre-processing
-    // and then reaches quiescence (Theorem 6's quiescence clause).
-    struct Silent;
-    impl InnerProtocol for Silent {
-        fn on_init(&mut self, _io: &mut fully_defective::netsim::ProtocolIo) {}
-        fn on_deliver(
-            &mut self,
-            _from: NodeId,
-            _payload: &[u8],
-            _io: &mut fully_defective::netsim::ProtocolIo,
-        ) {
-        }
-    }
+    // If π never sends anything (the silent protocol `()`), the simulator
+    // performs the pre-processing and then reaches quiescence (Theorem 6's
+    // quiescence clause).
     let g = generators::figure3();
-    let nodes = full_simulators(&g, NodeId(0), Encoding::binary(), |_| Silent).unwrap();
+    let nodes = full_simulators(&g, NodeId(0), Encoding::binary(), |_| ()).unwrap();
     let mut sim = Simulation::new(g.clone(), nodes)
         .unwrap()
         .with_noise(FullCorruption::new(5))
