@@ -415,3 +415,21 @@ where
         })
         .collect()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn online_nodes_do_not_carry_the_construction_state() {
+        // The construction driver is larger than a whole online node; kept
+        // inline, it would more than double the memory of every cycle-mode
+        // and replay simulation, whose nodes never construct.
+        let node = std::mem::size_of::<FullSimulator<Box<dyn InnerProtocol + Send>>>();
+        let driver = std::mem::size_of::<ConstructionNode>();
+        assert!(
+            node < driver,
+            "a node takes {node} bytes, its driver {driver}"
+        );
+    }
+}
