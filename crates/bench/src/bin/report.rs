@@ -3,6 +3,10 @@
 //!
 //! Usage: `cargo run -p fdn-bench --release --bin report [e1|...|e8|all]`
 //!
+//! Exits 0 when every table printed, 1 when a correctness sweep (E5, E7)
+//! found a failure, and 2, with a usage line on stderr, when the argument
+//! names no experiment.
+//!
 //! Every experiment is one declarative [`Campaign`]: the matrix is expanded,
 //! swept in parallel, aggregated per cell, and the table below is a custom
 //! rendering of the resulting [`fdn_lab::CampaignReport`]. E1–E4 and E6
@@ -13,8 +17,11 @@
 
 #![expect(
     clippy::print_stdout,
-    reason = "D5: the experiment-table binary prints its tables"
+    clippy::print_stderr,
+    reason = "D5: the experiment-table binary prints its tables, and its usage line on stderr"
 )]
+
+use std::process::ExitCode;
 
 use fdn_graph::GraphFamily;
 use fdn_lab::{
@@ -39,7 +46,7 @@ fn flood_payload(workload: &str) -> usize {
         .unwrap_or(0)
 }
 
-fn e1_unary_simple_cycle() {
+fn e1_unary_simple_cycle() -> bool {
     println!("\n## E1 — Lemma 7: unary overhead over a simple cycle (campaign: cycle x unary)\n");
     let mut c = Campaign::preset("quick").expect("preset");
     c.name = "e1".into();
@@ -69,9 +76,10 @@ fn e1_unary_simple_cycle() {
         );
     }
     println!("\n(unary cost ~ n * 2^|M|; payloads beyond a couple of bytes are infeasible, which is the Lemma 7 point)");
+    true
 }
 
-fn e2_binary_simple_cycle() {
+fn e2_binary_simple_cycle() -> bool {
     println!(
         "\n## E2 — Lemma 9: binary overhead over a simple cycle (campaign: cycle x payload)\n"
     );
@@ -110,9 +118,10 @@ fn e2_binary_simple_cycle() {
         );
     }
     println!("\n(the last column is roughly constant: cost = O(n·|m| + n log n), Lemma 9)");
+    true
 }
 
-fn e3_robbins_overhead() {
+fn e3_robbins_overhead() -> bool {
     println!("\n## E3 — Lemmas 13/14: overhead over non-simple Robbins cycles\n");
     let mut c = Campaign::preset("quick").expect("preset");
     c.name = "e3".into();
@@ -152,9 +161,10 @@ fn e3_robbins_overhead() {
             per_message / (cell.reference_cycle_len as f64 * bits),
         );
     }
+    true
 }
 
-fn e4_construction() {
+fn e4_construction() -> bool {
     println!("\n## E4 — Theorem 15 / Lemma 19: Robbins-cycle construction\n");
     let mut c = Campaign::preset("quick").expect("preset");
     c.name = "e4".into();
@@ -213,9 +223,10 @@ fn e4_construction() {
     println!(
         "\n(|C| stays far below the O(n^3) bound and CCinit far below the O(n^8 log n) bound)"
     );
+    true
 }
 
-fn e5_equivalence() {
+fn e5_equivalence() -> bool {
     println!(
         "\n## E5 — Theorems 4/10: workload equivalence sweep (success must be 100% everywhere)\n"
     );
@@ -243,10 +254,10 @@ fn e5_equivalence() {
     ];
     c.seeds = SeedRange { start: 1, count: 3 };
     let report = run(&c);
-    summarize_correctness(&report);
+    summarize_correctness(&report)
 }
 
-fn e6_end_to_end() {
+fn e6_end_to_end() -> bool {
     println!("\n## E6 — Theorem 2: end-to-end cost split (broadcast workload)\n");
     let mut c = Campaign::preset("quick").expect("preset");
     c.name = "e6".into();
@@ -289,9 +300,10 @@ fn e6_end_to_end() {
             cell.overhead.expect("flood(4) has a baseline").p50,
         );
     }
+    true
 }
 
-fn e7_robustness() {
+fn e7_robustness() -> bool {
     println!(
         "\n## E7 — robustness: noise x scheduler invariance (success must be 100% everywhere)\n"
     );
@@ -319,10 +331,10 @@ fn e7_robustness() {
         count: 3,
     };
     let report = run(&c);
-    summarize_correctness(&report);
+    summarize_correctness(&report)
 }
 
-fn e8_deletion_frontier() {
+fn e8_deletion_frontier() -> bool {
     println!(
         "\n## E8 — beyond the model: the deletion-noise frontier (the paper forbids deletion; \
          these adversaries chart where Theorem 2 breaks)\n"
@@ -370,11 +382,12 @@ fn e8_deletion_frontier() {
         "\n(full-corruption rows stay at 100% — alteration alone is harmless, Theorem 2; \
          every deletion row shows the no-deletion assumption is load-bearing)"
     );
+    true
 }
 
 /// Renders a correctness sweep: per-(noise, scheduler) success rates plus a
-/// verdict line.
-fn summarize_correctness(report: &CampaignReport) {
+/// verdict line. Returns whether every scenario succeeded and quiesced.
+fn summarize_correctness(report: &CampaignReport) -> bool {
     println!("| noise | scheduler | cells | scenarios | success | quiescent |");
     println!("|---|---|---|---|---|---|");
     let mut keys: Vec<(String, String)> = Vec::new();
@@ -419,38 +432,49 @@ fn summarize_correctness(report: &CampaignReport) {
             "FAILURES PRESENT"
         }
     );
+    all_ok
 }
 
-fn main() {
+/// An experiment's command-line name and the function that prints its table
+/// and returns whether its correctness verdict holds. Only the sweeps E5 and
+/// E7 have a verdict; the cost tables always return `true`.
+type Experiment = (&'static str, fn() -> bool);
+
+/// Every experiment, in run order.
+const EXPERIMENTS: [Experiment; 8] = [
+    ("e1", e1_unary_simple_cycle),
+    ("e2", e2_binary_simple_cycle),
+    ("e3", e3_robbins_overhead),
+    ("e4", e4_construction),
+    ("e5", e5_equivalence),
+    ("e6", e6_end_to_end),
+    ("e7", e7_robustness),
+    ("e8", e8_deletion_frontier),
+];
+
+fn main() -> ExitCode {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let run_it = |name: &str| arg == "all" || arg == name;
+    let selected: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| arg == "all" || arg == *name)
+        .collect();
+    if selected.is_empty() {
+        let names: Vec<_> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        eprintln!("usage: report [{}|all]", names.join("|"));
+        return ExitCode::from(2);
+    }
     println!("# Measured reproduction of the paper's complexity claims");
     println!("\n(every table is an `fdn-lab` campaign; re-run any row set with the CLI, e.g.");
     println!(
         "`cargo run -p fdn-lab --release -- run --families petersen --noises full-corruption`)"
     );
-    if run_it("e1") {
-        e1_unary_simple_cycle();
+    let mut verdicts_hold = true;
+    for (_, experiment) in selected {
+        verdicts_hold &= experiment();
     }
-    if run_it("e2") {
-        e2_binary_simple_cycle();
-    }
-    if run_it("e3") {
-        e3_robbins_overhead();
-    }
-    if run_it("e4") {
-        e4_construction();
-    }
-    if run_it("e5") {
-        e5_equivalence();
-    }
-    if run_it("e6") {
-        e6_end_to_end();
-    }
-    if run_it("e7") {
-        e7_robustness();
-    }
-    if run_it("e8") {
-        e8_deletion_frontier();
+    if verdicts_hold {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

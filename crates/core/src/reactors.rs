@@ -140,28 +140,52 @@ mod tests {
         assert_eq!(&*other, &PULSE[..]);
     }
 
-    #[test]
-    fn broadcast_over_fully_defective_simple_cycle() {
-        let n = 6usize;
+    /// Floods `value` from `sender` over the `n`-ring's simple cycle under
+    /// full corruption (noise seed `seeds.0`, scheduler seed `seeds.1`),
+    /// checks that every node adopts it without error, and returns the
+    /// pulses sent.
+    fn flood_over_ring(
+        n: usize,
+        encoding: Encoding,
+        sender: NodeId,
+        value: Vec<u8>,
+        seeds: (u64, u64),
+    ) -> u64 {
         let g = generators::cycle(n).unwrap();
         let cycle = robbins::reference_robbins_cycle(&g, NodeId(0)).unwrap();
-        let nodes = cycle_simulators(&g, &cycle, Encoding::binary(), |v| {
-            FloodBroadcast::new(v, NodeId(2), vec![0xBE, 0xEF])
+        let nodes = cycle_simulators(&g, &cycle, encoding, |v| {
+            FloodBroadcast::new(v, sender, value.clone())
         })
         .unwrap();
-        let mut sim = Simulation::new(g, nodes)
+        let mut sim = Simulation::new(g.clone(), nodes)
             .unwrap()
-            .with_noise(FullCorruption::new(11))
-            .with_scheduler(RandomScheduler::new(7));
+            .with_noise(FullCorruption::new(seeds.0))
+            .with_scheduler(RandomScheduler::new(seeds.1));
         sim.run().unwrap();
-        for v in 0..n {
+        for v in g.nodes() {
             assert_eq!(
-                sim.node(NodeId(v as u32)).output(),
-                Some(vec![0xBE, 0xEF]),
+                sim.node(v).output(),
+                Some(value.clone()),
                 "node {v} did not adopt the broadcast value"
             );
-            assert!(sim.node(NodeId(v as u32)).error().is_none());
+            assert!(
+                sim.node(v).error().is_none(),
+                "node {v}: {:?}",
+                sim.node(v).error()
+            );
         }
+        sim.stats().sent_total
+    }
+
+    #[test]
+    fn broadcast_over_fully_defective_simple_cycle() {
+        flood_over_ring(6, Encoding::binary(), NodeId(2), vec![0xBE, 0xEF], (11, 7));
+        // Lemma 9: the cost grows linearly with the payload, so 4 bytes cost
+        // more than 1 byte but far less than 8 times as much.
+        let one = flood_over_ring(6, Encoding::binary(), NodeId(2), vec![0xA5], (11, 7));
+        let four = flood_over_ring(6, Encoding::binary(), NodeId(2), vec![0xA5; 4], (11, 7));
+        assert!(four > one);
+        assert!(four < 8 * one);
     }
 
     #[test]
@@ -190,26 +214,11 @@ mod tests {
         // Unary encoding is exponential in the message length, so the unary
         // test uses an empty payload (the 2 header bytes alone already cost
         // ~2^16 DATA circulations).
-        let n = 4usize;
-        let g = generators::cycle(n).unwrap();
-        let cycle = robbins::reference_robbins_cycle(&g, NodeId(0)).unwrap();
-        let nodes = cycle_simulators(&g, &cycle, Encoding::unary(), |v| {
-            FloodBroadcast::new(v, NodeId(1), vec![])
-        })
-        .unwrap();
-        let mut sim = Simulation::new(g.clone(), nodes)
-            .unwrap()
-            .with_noise(FullCorruption::new(9))
-            .with_scheduler(RandomScheduler::new(2));
-        sim.run().unwrap();
-        for v in g.nodes() {
-            assert_eq!(sim.node(v).output(), Some(vec![]));
-            assert!(
-                sim.node(v).error().is_none(),
-                "node {v}: {:?}",
-                sim.node(v).error()
-            );
-        }
+        let unary = flood_over_ring(4, Encoding::unary(), NodeId(1), vec![], (9, 2));
+        // Lemma 7 against Lemma 9: the same messages cost a few dozen bits
+        // each in binary.
+        let binary = flood_over_ring(4, Encoding::binary(), NodeId(1), vec![], (9, 2));
+        assert!(unary > 100 * binary);
     }
 
     #[test]

@@ -49,8 +49,7 @@
 //! queue entries inserted or removed: the exact backend pays one operation
 //! per push and one per pop, while the counting backend pays one per run
 //! created and one per run exhausted — extending a run or decrementing it is
-//! free, and the materialised head is a view cache, not a stored entry. The
-//! `counting_core` bench charts this ratio against queue depth.
+//! free, and the materialised head is a view cache, not a stored entry.
 //!
 //! Determinism: link ids, queue contents and the active-set order are pure
 //! functions of the event sequence, so seeded runs remain byte-reproducible.

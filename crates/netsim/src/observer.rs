@@ -5,8 +5,7 @@
 //! (`Simulation<R, O = NullObserver>`). Every hook has an empty default
 //! body and [`NullObserver`] overrides nothing, so the disabled path
 //! monomorphizes to the exact un-instrumented engine — no branch, no
-//! virtual call, no allocation (the `observer_overhead` bench in
-//! `fdn-bench` pins this against the `link_core` baseline).
+//! virtual call, no allocation.
 //!
 //! Reactors participate through **phase markers**: semantic events
 //! ([`PhaseEvent`]) pushed into their [`Context`](crate::Context) alongside

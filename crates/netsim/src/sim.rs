@@ -18,7 +18,7 @@ use crate::transcript::{Transcript, TranscriptEvent};
 /// experiments while still catching accidental non-termination.
 pub const DEFAULT_MAX_STEPS: u64 = 50_000_000;
 
-/// Summary of one [`Simulation::run_to_quiescence`] call.
+/// Summary of one [`Simulation::run`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunReport {
     /// Number of scheduler steps performed (deliveries plus messages deleted
@@ -217,7 +217,7 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
         self
     }
 
-    /// Sets the delivery limit for [`run_to_quiescence`](Self::run_to_quiescence).
+    /// Sets the delivery limit for [`run`](Self::run).
     pub fn with_max_steps(mut self, max_steps: u64) -> Self {
         self.max_steps = max_steps;
         self
@@ -241,8 +241,7 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
     }
 
     /// Stored queue entries inserted/removed by the event core so far — the
-    /// backend cost measure (see [`crate::links`] and the `counting_core`
-    /// bench).
+    /// backend cost measure (see [`crate::links`]).
     pub fn link_queue_ops(&self) -> u64 {
         self.links.queue_ops()
     }
@@ -353,7 +352,7 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
         let Some(delivered_payload) = self.noise.deliver(&env) else {
             // Deleted in transit: the receiver never observes anything, so no
             // reactor runs. The step still counts towards the step limit —
-            // that is what lets run_to_quiescence absorb delete-everything
+            // that is what lets `run` absorb delete-everything
             // adversaries without hanging.
             self.stats.record_drop();
             self.observer
@@ -392,16 +391,16 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
         Ok(true)
     }
 
-    /// Runs until no message is in flight or the step limit is reached.
+    /// Runs until no message is in flight or this call has taken the step
+    /// limit's worth of steps, calling [`start`](Self::start) first (a no-op
+    /// once the run has started).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::StepLimitExceeded`] if the limit is hit, or any
-    /// error surfaced by [`step`](Self::step).
-    pub fn run_to_quiescence(&mut self) -> Result<RunReport, SimError> {
-        if !self.started {
-            self.start()?;
-        }
+    /// error surfaced by starting or by [`step`](Self::step).
+    pub fn run(&mut self) -> Result<RunReport, SimError> {
+        self.start()?;
         let start_steps = self.steps;
         while !self.links.is_empty() {
             if self.steps - start_steps >= self.max_steps {
@@ -426,26 +425,15 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
         })
     }
 
-    /// Convenience: [`start`](Self::start) followed by
-    /// [`run_to_quiescence`](Self::run_to_quiescence).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any error from starting or stepping.
-    pub fn run(&mut self) -> Result<RunReport, SimError> {
-        self.start()?;
-        self.run_to_quiescence()
-    }
-
-    /// Lets external drivers (e.g. benchmark harnesses measuring
-    /// `CCoverhead` of a single message) inject an event into a specific
-    /// reactor outside of a delivery: the closure receives the reactor and a
-    /// context, and any messages it queues enter the network.
+    /// Injects an event into a specific reactor outside of a delivery: the
+    /// closure receives the reactor and a context, and any messages it
+    /// queues enter the network.
     ///
     /// # Errors
     ///
     /// Returns an error if the reactor emits an invalid message.
-    pub fn with_node_mut<F>(&mut self, node: NodeId, f: F) -> Result<(), SimError>
+    #[cfg(test)]
+    fn with_node_mut<F>(&mut self, node: NodeId, f: F) -> Result<(), SimError>
     where
         F: FnOnce(&mut R, &mut Context),
     {
@@ -874,8 +862,7 @@ mod tests {
     #[test]
     fn with_node_mut_injects_events() {
         let mut sim = ring_sim(4);
-        sim.start().unwrap();
-        sim.run_to_quiescence().unwrap();
+        sim.run().unwrap();
         assert!(sim.is_quiescent());
         // Inject a fresh send from node 2 and watch it propagate one hop.
         sim.with_node_mut(NodeId(2), |_node, ctx| {
@@ -883,7 +870,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(sim.inflight_count(), 1);
-        let report = sim.run_to_quiescence().unwrap();
+        let report = sim.run().unwrap();
         assert!(report.steps >= 1);
     }
 
