@@ -18,17 +18,19 @@
 //!   loss);
 //! * a success- or quiescence-rate drop beyond the rate tolerance;
 //! * more erroring runs than before;
-//! * a relative increase of the p50 or p95 pulse cost beyond the metric
-//!   tolerance.
+//! * a relative increase of the p50 or p95 of a cost column beyond the
+//!   metric tolerance. The cost columns are `pulses` and the paper's costs:
+//!   `cc_init` (`CCinit`), `online_pulses` and `overhead` (`CCoverhead`,
+//!   compared only when both cells have one).
 //!
-//! New cells, rate improvements, and pulse-cost decreases are reported but
-//! never fail the gate.
+//! New cells, rate improvements, cost decreases and cost changes from a
+//! zero base are reported but never fail the gate.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use crate::json::Json;
-use crate::report::{fmt_rate, md_cell, CampaignReport, CellReport};
+use crate::report::{fmt_rate, md_cell, CampaignReport, CellReport, MetricSummary};
 
 /// Thresholds below which a change is noise, not a finding.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,8 +38,9 @@ pub struct DiffTolerance {
     /// Absolute tolerated drop of success/quiescence rates (in `[0, 1]`;
     /// `0.0` means any drop is a regression).
     pub rate: f64,
-    /// Tolerated relative increase of p50/p95 pulses (`0.1` = +10%; `0.0`
-    /// means any increase is a regression).
+    /// Tolerated relative increase of the p50/p95 cost columns: pulses,
+    /// `CCinit`, online pulses and overhead (`0.1` = +10%; `0.0` means any
+    /// increase is a regression).
     pub pulses: f64,
 }
 
@@ -168,29 +171,38 @@ fn compare_cells(base: &CellReport, now: &CellReport, tol: &DiffTolerance) -> Ce
         ));
     }
 
-    let mut pulse = |label: &str, b: f64, n: f64| {
-        if b == n {
-            return;
-        }
-        match rel_change(b, n) {
-            Some(rel) if rel > tol.pulses => {
-                regressions.push(format!(
-                    "{label} rose {b:.0} -> {n:.0} (+{:.1}%)",
-                    rel * 100.0
-                ));
+    // Values print with `digits` decimals: counts whole, ratios to 0.01.
+    let mut cost = |label: &str, b: &MetricSummary, n: &MetricSummary, digits: usize| {
+        for (stat, b, n) in [("p50", b.p50, n.p50), ("p95", b.p95, n.p95)] {
+            if b == n {
+                continue;
             }
-            Some(rel) if rel < -tol.pulses => {
-                notes.push(format!(
-                    "{label} fell {b:.0} -> {n:.0} ({:.1}%)",
-                    rel * 100.0
-                ));
+            match rel_change(b, n) {
+                Some(rel) if rel > tol.pulses => {
+                    regressions.push(format!(
+                        "{label} {stat} rose {b:.digits$} -> {n:.digits$} (+{:.1}%)",
+                        rel * 100.0
+                    ));
+                }
+                Some(rel) if rel < -tol.pulses => {
+                    notes.push(format!(
+                        "{label} {stat} fell {b:.digits$} -> {n:.digits$} ({:.1}%)",
+                        rel * 100.0
+                    ));
+                }
+                Some(_) => {}
+                None => notes.push(format!(
+                    "{label} {stat} changed {b:.digits$} -> {n:.digits$}"
+                )),
             }
-            Some(_) => {}
-            None => notes.push(format!("{label} changed {b:.0} -> {n:.0}")),
         }
     };
-    pulse("pulses p50", base.pulses.p50, now.pulses.p50);
-    pulse("pulses p95", base.pulses.p95, now.pulses.p95);
+    cost("pulses", &base.pulses, &now.pulses, 0);
+    cost("CCinit", &base.cc_init, &now.cc_init, 0);
+    cost("online pulses", &base.online_pulses, &now.online_pulses, 0);
+    if let (Some(b), Some(n)) = (&base.overhead, &now.overhead) {
+        cost("overhead", b, n, 2);
+    }
 
     if base.runs != now.runs {
         notes.push(format!("runs changed {} -> {}", base.runs, now.runs));
@@ -422,20 +434,18 @@ impl ReportDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::MetricSummary;
+
+    /// A summary whose five statistics all equal `x`.
+    fn flat(x: f64) -> MetricSummary {
+        MetricSummary::from_values(&[x]).unwrap()
+    }
 
     fn cell(noise: &str, success: f64, p50: f64) -> CellReport {
         CellReport {
             noise: noise.to_string(),
             runs: 4,
             success_rate: success,
-            pulses: MetricSummary {
-                min: p50,
-                mean: p50,
-                p50,
-                p95: p50,
-                max: p50,
-            },
+            pulses: flat(p50),
             ..crate::report::plain_cell()
         }
     }
@@ -500,6 +510,57 @@ mod tests {
         // A 50% tolerance absorbs it; a speedup is never a regression.
         assert!(!diff_reports(&base, &slower, tol(0.5)).has_regressions());
         assert!(!diff_reports(&slower, &base, tol(0.1)).has_regressions());
+    }
+
+    #[test]
+    fn the_paper_cost_columns_are_gated_like_pulses() {
+        let mut b = cell("noiseless", 1.0, 100.0);
+        b.cc_init = flat(400.0);
+        b.online_pulses = flat(60.0);
+        b.overhead = Some(flat(1.5));
+        // CCinit doubled, online pulses halved, overhead tripled.
+        let mut n = b.clone();
+        n.cc_init = flat(800.0);
+        n.online_pulses = flat(30.0);
+        n.overhead = Some(flat(4.5));
+        let (base, now) = (report("base", vec![b.clone()]), report("new", vec![n]));
+        let d = diff_reports(&base, &now, DiffTolerance::default());
+        assert_eq!(
+            d.deltas[0].regressions,
+            [
+                "CCinit p50 rose 400 -> 800 (+100.0%)",
+                "CCinit p95 rose 400 -> 800 (+100.0%)",
+                "overhead p50 rose 1.50 -> 4.50 (+200.0%)",
+                "overhead p95 rose 1.50 -> 4.50 (+200.0%)",
+            ]
+        );
+        assert_eq!(
+            d.deltas[0].notes,
+            [
+                "online pulses p50 fell 60 -> 30 (-50.0%)",
+                "online pulses p95 fell 60 -> 30 (-50.0%)",
+            ]
+        );
+        let tol = DiffTolerance {
+            rate: 0.0,
+            pulses: 2.0,
+        };
+        assert!(!diff_reports(&base, &now, tol).has_regressions());
+        // A cost from a zero base is a note; overhead is compared only when
+        // both cells have one.
+        let mut z = b.clone();
+        z.cc_init = MetricSummary::ZERO;
+        z.overhead = None;
+        let d = diff_reports(
+            &report("base", vec![z]),
+            &report("new", vec![b]),
+            DiffTolerance::default(),
+        );
+        assert!(!d.has_regressions());
+        assert_eq!(
+            d.deltas[0].notes,
+            ["CCinit p50 changed 0 -> 400", "CCinit p95 changed 0 -> 400"]
+        );
     }
 
     #[test]
@@ -612,13 +673,7 @@ mod tests {
         use crate::report::CurveSummary;
         let curve = |peak: f64| CurveSummary {
             sample_every: 64,
-            peak: MetricSummary {
-                min: peak,
-                mean: peak,
-                p50: peak,
-                p95: peak,
-                max: peak,
-            },
+            peak: flat(peak),
             mean: MetricSummary::ZERO,
         };
         let mut a = cell("noiseless", 1.0, 100.0);

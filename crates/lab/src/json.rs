@@ -9,6 +9,11 @@
 
 use std::fmt::Write as _;
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// Campaign and frontier reports nest at most 5 levels; the bound keeps a
+/// hostile file from overflowing the parser's stack.
+const MAX_DEPTH: usize = 64;
+
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -111,9 +116,8 @@ impl Json {
     }
 
     /// Renders the document on a single line with no whitespace and no
-    /// trailing newline — the shape `fromJson()` expressions and
-    /// `$GITHUB_OUTPUT` lines want (an output value must not contain
-    /// newlines). Deterministic for the same reason [`render`](Self::render)
+    /// trailing newline — the shape of one record of a trace's JSONL
+    /// artifact. Deterministic for the same reason [`render`](Self::render)
     /// is: objects are association lists in insertion order.
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
@@ -200,6 +204,8 @@ impl Json {
     }
 
     /// Parses a JSON document (strict: one value, only trailing whitespace).
+    /// It accepts only what it can write back: arrays and objects nest at
+    /// most 64 levels, and every number is finite.
     ///
     /// # Errors
     ///
@@ -207,7 +213,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -475,8 +481,14 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` arrays or objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
@@ -492,7 +504,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -517,7 +529,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -607,9 +619,12 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii");
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number at byte {start}"))
+    // `1e400` parses as infinity, which `render` would write as `null`.
+    match text.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+        Ok(_) => Err(format!("number out of range at byte {start}")),
+        Err(_) => Err(format!("invalid number at byte {start}")),
+    }
 }
 
 #[cfg(test)]
@@ -740,6 +755,32 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\"}", "nul", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_beyond_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        let err = Json::parse(&nested(200_000)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 64 levels at byte 64");
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 64 levels at byte 64");
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        let err = Json::parse(&objects).unwrap_err();
+        assert_eq!(err, "nesting deeper than 64 levels at byte 320");
+    }
+
+    #[test]
+    fn numbers_that_overflow_f64_are_rejected() {
+        let err = Json::parse(r#"{"success_rate": 1e400}"#).unwrap_err();
+        assert_eq!(err, "number out of range at byte 17");
+        assert_eq!(
+            Json::parse("[1, -1e309]").unwrap_err(),
+            "number out of range at byte 4"
+        );
+        // Tiny values underflow to zero, which is finite and written back.
+        assert_eq!(Json::parse("1e-400"), Ok(Json::Num(0.0)));
+        assert_eq!(Json::parse("1.7e308"), Ok(Json::Num(1.7e308)));
     }
 
     #[test]

@@ -66,13 +66,12 @@
 //! ```
 //!
 //! The `fdn-lab` binary exposes the same engine on the command line
-//! (`run`, `frontier`, `trace`, `fleet`, `list-scenarios`, `report`,
-//! `merge`, `diff`); see the repository README.
+//! (`run`, `frontier`, `trace`, `list-scenarios`, `report`, `merge`,
+//! `diff`); see the repository README.
 
 pub mod cache;
 pub mod diff;
 pub mod error;
-pub mod fleet;
 pub mod frontier;
 pub mod json;
 pub mod presets;
@@ -89,7 +88,6 @@ pub use cache::{
 };
 pub use diff::{diff_reports, CellChange, CellDelta, DiffTolerance, ReportDiff};
 pub use error::LabError;
-pub use fleet::{DispatchOptions, FleetOutcome, FleetPlan, ShardPlan};
 pub use frontier::{
     diff_frontier_reports, run_frontier, FrontierCell, FrontierOptions, FrontierProbe,
     FrontierReport, FrontierStatus, FrontierTolerance, FRONTIER_AXIS,

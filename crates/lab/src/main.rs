@@ -19,8 +19,8 @@ use fdn_graph::GraphFamily;
 use fdn_lab::{
     diff_frontier_reports, diff_reports, merge_reports, run_campaign, run_frontier, run_trace,
     shard_slice, Caches, Campaign, CampaignReport, CellTiming, CheckpointStore, DiffTolerance,
-    DispatchOptions, FleetPlan, FrontierOptions, FrontierReport, FrontierTolerance, Json, LabError,
-    RunOptions, Shard, Stopwatch, StoreStats, TraceOptions,
+    FrontierOptions, FrontierReport, FrontierTolerance, Json, LabError, RunOptions, Shard,
+    Stopwatch, StoreStats, TraceOptions,
 };
 use fdn_netsim::{NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
@@ -46,7 +46,6 @@ fn dispatch(args: &[String]) -> Result<(), LabError> {
         Some("run") => cmd_run(&args[1..]),
         Some("frontier") => cmd_frontier(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
-        Some("fleet") => cmd_fleet(&args[1..]),
         Some("list-scenarios") => cmd_list(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
         Some("merge") => cmd_merge(&args[1..]),
@@ -72,12 +71,6 @@ fn usage() -> String {
     \x20                 layer attached; write NAME.trace.{jsonl,json,md}\n\
     \x20                 (sampled time series, Perfetto/Chrome trace-event\n\
     \x20                 JSON, markdown phase breakdown)\n\
-    \x20 fleet           plan the campaign into --shards M cell-atomic shards;\n\
-    \x20                 with --emit-matrix / --manifest-only print the plan\n\
-    \x20                 (GitHub Actions include-list / JSON manifest),\n\
-    \x20                 otherwise dispatch every shard as a local `run`\n\
-    \x20                 subprocess sharing one --store, then merge through\n\
-    \x20                 the ordinary `merge` path\n\
     \x20 list-scenarios  print the expanded matrix without running it\n\
     \x20                 (--family SUBSTR / --noise SUBSTR filter the listing)\n\
     \x20 report          re-render a saved JSON report, campaign or\n\
@@ -109,17 +102,14 @@ fn usage() -> String {
     \x20 --threads N                     worker threads [default: all cores]\n\
     \x20 --out DIR                       report directory [default: lab-out]\n\
     \x20 --shard K/M                     run only the K-th of M deterministic\n\
-    \x20                                 cell slices (recombine with `merge`)\n\
-    \x20 --store DIR                     (run, frontier, trace, fleet) persist\n\
+    \x20                                 cell slices; run every K (concurrent\n\
+    \x20                                 runs may share one --store), then\n\
+    \x20                                 `merge` the M shard reports\n\
+    \x20 --store DIR                     (run, frontier, trace) persist\n\
     \x20                                 replay-mode construction checkpoints\n\
     \x20                                 in a content-addressed on-disk store;\n\
     \x20                                 corrupt or stale entries are rebuilt,\n\
     \x20                                 report bytes never change\n\
-    \x20 --shards M                      (fleet) number of shards to plan\n\
-    \x20 --emit-matrix                   (fleet) print the GitHub Actions\n\
-    \x20                                 matrix include-list and exit\n\
-    \x20 --manifest-only                 (fleet) print the JSON manifest and\n\
-    \x20                                 exit without dispatching workers\n\
     \x20 --format md|csv|json            (report command) output format\n\
     \x20 --sample-every K                (run, trace) attach the in-flight\n\
     \x20                                 sampler, one sample per K deliveries\n\
@@ -145,7 +135,9 @@ fn usage() -> String {
     \x20 --tol-rate X                    campaign: tolerated success/quiescence\n\
     \x20                                 drop, absolute in [0,1] [default: 0]\n\
     \x20 --tol-pulses Y                  campaign: tolerated relative p50/p95\n\
-    \x20                                 pulse increase (0.1 = +10%) [default: 0]\n\
+    \x20                                 increase of pulses, CCinit, online\n\
+    \x20                                 pulses and overhead (0.1 = +10%)\n\
+    \x20                                 [default: 0]\n\
     \x20 --tol-mille N                   frontier: tolerated bracket-bound\n\
     \x20                                 decrease, per mille [default: 0]\n\
     \x20 --format md|json                delta report format [default: md]\n"
@@ -389,12 +381,11 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, LabError> {
 /// Parses a command that layers its own flags over `run`'s: `own` consumes
 /// the flags it knows (returning `false` for the rest), and everything else
 /// goes verbatim through [`parse_run_args`] — so a selector that works on
-/// `run` works identically here. Returns the parsed `run` flags and the
-/// forwarded arguments.
+/// `run` works identically here.
 fn parse_layered(
     args: &[String],
     mut own: impl FnMut(&str, &mut Flags) -> Result<bool, LabError>,
-) -> Result<(RunArgs, Vec<String>), LabError> {
+) -> Result<RunArgs, LabError> {
     let mut rest: Vec<String> = Vec::new();
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next_flag() {
@@ -405,7 +396,7 @@ fn parse_layered(
             }
         }
     }
-    Ok((parse_run_args(&rest)?, rest))
+    parse_run_args(&rest)
 }
 
 /// Parses a sampling stride: a positive delivery count.
@@ -590,7 +581,7 @@ fn write_timings(
 
 fn cmd_frontier(args: &[String]) -> Result<(), LabError> {
     let mut axis = FrontierOptions::default();
-    let (opts, _) = parse_layered(args, |flag, flags| {
+    let opts = parse_layered(args, |flag, flags| {
         let target = match flag {
             "--max-rate" => &mut axis.max_rate,
             "--resolution" => &mut axis.resolution,
@@ -676,7 +667,7 @@ fn cmd_frontier(args: &[String]) -> Result<(), LabError> {
 
 fn cmd_trace(args: &[String]) -> Result<(), LabError> {
     let mut top_links = TraceOptions::default().top_links;
-    let (opts, _) = parse_layered(args, |flag, flags| {
+    let opts = parse_layered(args, |flag, flags| {
         if flag != "--top-links" {
             return Ok(false);
         }
@@ -742,87 +733,6 @@ fn cmd_trace(args: &[String]) -> Result<(), LabError> {
     Ok(())
 }
 
-/// `fdn-lab fleet`: plan a campaign into `--shards M` cell-atomic shards and
-/// either print the plan (`--emit-matrix` for a GitHub Actions include-list,
-/// `--manifest-only` for the JSON manifest) or dispatch every shard as a
-/// local `run` subprocess sharing one checkpoint store, merging the results
-/// through the ordinary `merge` path. The plan is a pure function of the
-/// matrix arguments and `M`, so the CI matrix and a local fleet execute the
-/// same shards.
-fn cmd_fleet(args: &[String]) -> Result<(), LabError> {
-    // Fleet/execution flags are pulled out first; everything left over is
-    // the campaign matrix selection, forwarded to the workers verbatim
-    // (validated here by the same parser the workers will use).
-    let mut shards: Option<usize> = None;
-    let mut emit_matrix = false;
-    let mut manifest_only = false;
-    let mut exec = Exec::default();
-    let (opts, rest) = parse_layered(args, |flag, flags| {
-        match flag {
-            "--shards" => {
-                shards = Some(parse_num_bounded(flag, flags.value(flag)?, 4096)?);
-            }
-            "--emit-matrix" => emit_matrix = true,
-            "--manifest-only" => manifest_only = true,
-            _ => return exec.apply(flag, flags),
-        }
-        Ok(true)
-    })?;
-    let shards = shards.ok_or_else(|| LabError::Usage("fleet requires --shards M".into()))?;
-    if opts.run.shard.is_some() {
-        return Err(LabError::Usage(
-            "--shard is chosen by the fleet driver; use --shards M to set the shard count".into(),
-        ));
-    }
-    let plan = FleetPlan::plan(&opts.campaign, &rest, shards)?;
-    if emit_matrix {
-        // Single-line compact JSON — fit for `>> "$GITHUB_OUTPUT"`.
-        println!("{}", plan.emit_matrix().render_compact());
-        return Ok(());
-    }
-    if manifest_only {
-        print!("{}", plan.manifest().render());
-        return Ok(());
-    }
-    eprintln!(
-        "fleet `{}`: {} scenarios across {} shard(s), one worker subprocess each",
-        plan.name,
-        plan.scenario_count,
-        plan.shard_count(),
-    );
-    std::fs::create_dir_all(&exec.out_dir)?;
-    let manifest_path = exec.out_dir.join(format!("{}.fleet.json", plan.name));
-    std::fs::write(&manifest_path, plan.manifest().render())?;
-    println!("wrote {}", manifest_path.display());
-    let started = Stopwatch::start();
-    let outcome = plan.dispatch(&DispatchOptions {
-        exe: std::env::current_exe()?,
-        out_dir: exec.out_dir,
-        store: exec.store,
-        threads_per_worker: exec.threads,
-    })?;
-    let elapsed = started.elapsed();
-    eprintln!(
-        "fleet `{}`: merged {} shard report(s) in {elapsed:.2?}",
-        plan.name,
-        outcome.shard_reports.len(),
-    );
-    println!("wrote {}", outcome.merged_report().display());
-    if let Some(path) = &exec.timings {
-        // Workers report their own store traffic on their (inherited)
-        // stderr; the driver's sidecar carries per-shard dispatch spans.
-        write_timings(
-            path,
-            "fleet",
-            &plan.name,
-            elapsed.as_secs_f64(),
-            &outcome.shard_timings,
-            None,
-        )?;
-    }
-    Ok(())
-}
-
 fn cmd_list(args: &[String]) -> Result<(), LabError> {
     // `--family` / `--noise` are listing filters, not matrix axes: pull them
     // out before handing the rest to the shared matrix parser. Values are
@@ -830,7 +740,7 @@ fn cmd_list(args: &[String]) -> Result<(), LabError> {
     // `cycle(n)` while `--family "cycle(120)"` pins one.
     let mut family_filter: Option<String> = None;
     let mut noise_filter: Option<String> = None;
-    let (opts, _) = parse_layered(args, |flag, flags| {
+    let opts = parse_layered(args, |flag, flags| {
         match flag {
             "--family" => family_filter = Some(flags.value(flag)?.to_string()),
             "--noise" => noise_filter = Some(flags.value(flag)?.to_string()),

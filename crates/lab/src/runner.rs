@@ -488,8 +488,8 @@ pub struct CellTiming {
 /// themselves are nondeterministic.
 ///
 /// A shard is allowed to be empty — a campaign sharded `K/M` with fewer
-/// cells than `M` leaves the high-index shards empty, and a fleet driver
-/// looping over all `M` shards still needs every shard's report for
+/// cells than `M` leaves the high-index shards empty, and a CI matrix that
+/// runs all `M` shards still needs every shard's report for
 /// [`crate::report::merge_reports`] (an empty one merges neutrally: no
 /// cells, the same skip list).
 ///

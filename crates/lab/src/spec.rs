@@ -245,9 +245,9 @@ impl Shard {
         Ok(Shard { index, count })
     }
 
-    /// The filename-safe form of this shard (`KofM`), used in shard report
-    /// stems (`NAME.shardKofM.json`) by the CLI, the fleet driver and the CI
-    /// matrix — one definition so all three always agree.
+    /// The filename-safe form of this shard (`KofM`), used in the shard
+    /// report stems (`NAME.shardKofM.json`) that `run --shard K/M` writes
+    /// and whose file names `merge` checks for a complete shard set.
     pub fn file_tag(&self) -> String {
         format!("{}of{}", self.index, self.count)
     }

@@ -228,7 +228,7 @@ fn sharded_runs_merge_into_the_unsharded_report_byte_for_byte() {
 
 #[test]
 fn more_shards_than_cells_yields_empty_reports_that_merge_neutrally() {
-    // A fleet driver loops `for k in 0..M` without knowing the cell count;
+    // A CI matrix runs `for k in 0..M` without knowing the cell count;
     // shards beyond the last cell must produce valid *empty* reports, and
     // merging all M of them must still reproduce the unsharded bytes.
     let mut campaign = Campaign::new("tiny");

@@ -1,8 +1,9 @@
-//! End-to-end tests of the fleet driver and the persistent checkpoint store
-//! through the real binary: the planned matrix, the dispatched worker
-//! subprocesses, the merged report's byte-identity with an unsharded run,
-//! and the warm/cold/corrupted behaviour of `--store` across processes —
-//! the exact contract CI's sharded matrix and store gates rely on.
+//! End-to-end tests of sharded campaigns and the persistent checkpoint store
+//! through the real binary: `run --shard K/M` processes sharing one
+//! `--store`, their `merge` and its byte-identity with an unsharded run, the
+//! shard-file checks of `merge`, and the warm/cold/corrupted behaviour of
+//! `--store` across processes — the exact contract CI's sharded matrix and
+//! store gates rely on.
 
 mod common;
 
@@ -12,18 +13,13 @@ use std::process::Output;
 use common::scratch;
 use fdn_lab::Json;
 
-/// The matrix every test sweeps: small enough to be fast, but replay-mode so
-/// the checkpoint store is actually on the hot path.
-const MATRIX: &[&str] = &[
-    "--preset",
-    "quick",
-    "--modes",
-    "replay",
-    "--families",
-    "figure3,cycle(5)",
-    "--seeds",
-    "2",
-];
+/// The matrix of the store and fleet tests: small enough to be fast, but
+/// replay-mode so the checkpoint store is actually on the hot path.
+const MATRIX: &str = "--preset quick --modes replay --families figure3,cycle(5) --seeds 2";
+
+/// A two-cell campaign: run as `--shard K/3`, its shard 2 is empty.
+const TWO_CELLS: &str = "--preset quick --modes replay --families figure3 --noises noiseless \
+                         --schedulers random --seeds 1";
 
 /// Runs the fdn-lab binary, asserting success.
 fn fdn_lab(args: &[&str]) -> Output {
@@ -40,6 +36,10 @@ fn read(path: &Path) -> Vec<u8> {
     std::fs::read(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
+fn arg(path: &Path) -> &str {
+    path.to_str().expect("UTF-8 scratch path")
+}
+
 /// The `store` object of a `--timings` sidecar, as (hits, misses, rejected).
 fn store_counters(timings_path: &Path) -> (u64, u64, u64) {
     let text = std::fs::read_to_string(timings_path).expect("read timings sidecar");
@@ -51,25 +51,23 @@ fn store_counters(timings_path: &Path) -> (u64, u64, u64) {
     (n("hits"), n("misses"), n("rejected"))
 }
 
+/// Runs `fdn-lab run` on `matrix` with the `extra` flags into `out`.
+fn run(matrix: &str, extra: &[&str], out: &Path) {
+    let mut args = vec!["run"];
+    args.extend(matrix.split_whitespace());
+    args.extend_from_slice(extra);
+    args.extend_from_slice(&["--out", arg(out)]);
+    fdn_lab(&args);
+}
+
 fn run_with_store(dir: &Path, tag: &str, store: &Path) -> (Vec<u8>, Vec<u8>, PathBuf) {
     let out_dir = dir.join(tag);
     let timings = dir.join(format!("{tag}.timings.json"));
-    let mut args = vec!["run"];
-    args.extend_from_slice(MATRIX);
-    let (out_s, store_s, timings_s) = (
-        out_dir.to_str().unwrap().to_string(),
-        store.to_str().unwrap().to_string(),
-        timings.to_str().unwrap().to_string(),
+    run(
+        MATRIX,
+        &["--store", arg(store), "--timings", arg(&timings)],
+        &out_dir,
     );
-    args.extend_from_slice(&[
-        "--out",
-        &out_s,
-        "--store",
-        &store_s,
-        "--timings",
-        &timings_s,
-    ]);
-    fdn_lab(&args);
     (
         read(&out_dir.join("quick.json")),
         read(&out_dir.join("quick.csv")),
@@ -77,61 +75,68 @@ fn run_with_store(dir: &Path, tag: &str, store: &Path) -> (Vec<u8>, Vec<u8>, Pat
     )
 }
 
-#[test]
-fn emit_matrix_is_deterministic_single_line_json() {
-    let mut args = vec!["fleet"];
-    args.extend_from_slice(MATRIX);
-    args.extend_from_slice(&["--shards", "3", "--emit-matrix"]);
-    let first = fdn_lab(&args);
-    let second = fdn_lab(&args);
-    assert_eq!(first.stdout, second.stdout, "matrix must be deterministic");
-    let text = String::from_utf8(first.stdout).expect("utf-8 matrix");
-    assert_eq!(text.lines().count(), 1, "one line, fit for $GITHUB_OUTPUT");
-    let doc = Json::parse(text.trim()).expect("matrix parses as JSON");
-    let include = doc.get("include").and_then(Json::as_arr).expect("include");
-    assert_eq!(include.len(), 3);
-    for (i, entry) in include.iter().enumerate() {
-        assert_eq!(
-            entry.get("args").and_then(Json::as_str),
-            Some(format!("--shard {i}/3").as_str())
-        );
-        assert_eq!(
-            entry.get("shard").and_then(Json::as_str),
-            Some(format!("{i}of3").as_str())
-        );
-    }
+/// Runs shard `K/M` of `matrix` into `out` with the `extra` flags and
+/// returns the shard report's path.
+fn run_shard(matrix: &str, (k, m): (usize, usize), extra: &[&str], out: &Path) -> PathBuf {
+    run(
+        matrix,
+        &[&["--shard", &format!("{k}/{m}")], extra].concat(),
+        out,
+    );
+    out.join(format!("quick.shard{k}of{m}.json"))
+}
+
+/// Runs `fdn-lab merge` over `shards` into `out`, returning the output.
+fn merge(shards: &[&PathBuf], out: &Path) -> Output {
+    let mut args = vec!["merge"];
+    args.extend(shards.iter().map(|p| arg(p)));
+    args.extend_from_slice(&["--out", arg(out)]);
+    common::fdn_lab(&args, &[])
 }
 
 #[test]
 fn fleet_merge_is_byte_identical_to_an_unsharded_run() {
+    // A fleet by hand: one `run --shard K/3` per shard, all sharing one
+    // checkpoint store, then `merge`.
     let dir = scratch("fleet-e2e");
-    let fleet_out = dir.join("fleet-out");
     let store = dir.join("store");
-    let mut args = vec!["fleet"];
-    args.extend_from_slice(MATRIX);
-    let (fleet_s, store_s) = (
-        fleet_out.to_str().unwrap().to_string(),
-        store.to_str().unwrap().to_string(),
-    );
-    args.extend_from_slice(&["--shards", "3", "--out", &fleet_s, "--store", &store_s]);
-    fdn_lab(&args);
-    // Every shard report and the manifest exist under --out.
-    for k in 0..3 {
-        assert!(fleet_out.join(format!("quick.shard{k}of3.json")).is_file());
-    }
-    assert!(fleet_out.join("quick.fleet.json").is_file());
-    // The reference: the same matrix, unsharded, in one process.
-    let ref_out = dir.join("ref-out");
-    let mut run_args = vec!["run"];
-    run_args.extend_from_slice(MATRIX);
-    let ref_s = ref_out.to_str().unwrap().to_string();
-    run_args.extend_from_slice(&["--out", &ref_s]);
-    fdn_lab(&run_args);
+    let shards: Vec<PathBuf> = (0..3)
+        .map(|k| run_shard(MATRIX, (k, 3), &["--store", arg(&store)], &dir))
+        .collect();
+    let merged = dir.join("merged.json");
+    let out = merge(&shards.iter().collect::<Vec<_>>(), &merged);
+    assert!(out.status.success(), "merge failed: {out:?}");
+    // The reference: the same matrix, unsharded, in one process, no store.
+    run(MATRIX, &[], &dir);
     assert_eq!(
-        read(&fleet_out.join("quick.json")),
-        read(&ref_out.join("quick.json")),
-        "merged fleet report must reproduce the unsharded bytes"
+        read(&merged),
+        read(&dir.join("quick.json")),
+        "merged store-backed shards must reproduce the unsharded, store-less bytes"
     );
+}
+
+#[test]
+fn merge_rejects_incomplete_or_mixed_shard_file_sets() {
+    let dir = scratch("fleet-shard-files");
+    let of3: Vec<PathBuf> = (0..3)
+        .map(|k| run_shard(TWO_CELLS, (k, 3), &[], &dir))
+        .collect();
+    let shard1of2 = run_shard(TWO_CELLS, (1, 2), &[], &dir);
+    let merged = dir.join("merged.json");
+    // All three shards merge, although shard 2 holds no cell...
+    let all = merge(&[&of3[0], &of3[1], &of3[2]], &merged);
+    assert!(all.status.success(), "{all:?}");
+    // ...and leaving out that empty tail, or mixing shard counts, is caught
+    // by the file names alone.
+    for (inputs, error) in [
+        ([&of3[0], &of3[1]], "incomplete shard set"),
+        ([&of3[0], &shard1of2], "disagree on the shard count"),
+    ] {
+        let out = merge(&inputs, &merged);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(error), "{stderr}");
+    }
 }
 
 #[test]
