@@ -1079,4 +1079,105 @@ mod tests {
         assert_eq!(engines.iter().filter(|e| e.is_token_holder()).count(), 1);
         assert!(engines[4].is_token_holder());
     }
+
+    fn figure1_engines() -> Vec<RobbinsEngine> {
+        let cycle = fdn_graph::RobbinsCycle::new(
+            [3u32, 0, 1, 2, 3, 4, 1, 2]
+                .iter()
+                .map(|&x| NodeId(x))
+                .collect(),
+        )
+        .unwrap();
+        (0..5)
+            .map(|i| {
+                let view = cycle.local_view(NodeId(i)).unwrap();
+                RobbinsEngine::new(view, i == 3, Encoding::binary()).unwrap()
+            })
+            .collect()
+    }
+
+    /// Like [`relay`], but each delivery is a seeded pick among all pulses
+    /// in flight (SplitMix64), so every seed is a different delivery order.
+    fn relay_seeded(engines: &mut [RobbinsEngine], mut inflight: Vec<(NodeId, NodeId)>, seed: u64) {
+        let mut state = seed;
+        let mut steps = 0;
+        while !inflight.is_empty() {
+            steps += 1;
+            assert!(steps < 100_000, "seed {seed}: exchange did not terminate");
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let pick = usize::try_from(z % inflight.len() as u64).unwrap();
+            let (from, to) = inflight.remove(pick);
+            let idx = to.index();
+            engines[idx].on_pulse(from);
+            assert!(
+                engines[idx].error().is_none(),
+                "seed {seed}, engine {idx}: {:?}",
+                engines[idx].error()
+            );
+            inflight.extend(engines[idx].drain_outgoing().map(|next_to| (to, next_to)));
+        }
+    }
+
+    /// Pinned per-node counters of three broadcasts over the figure-1 cycle
+    /// `3 0 1 2 3 4 1 2`, under 8 seeded delivery orders. Node 2 has
+    /// `prev = 1` at both of its occurrences and node 1 has `next = 2` at
+    /// both, so a REQUEST debt of two from one neighbour and a port shared by
+    /// two occurrences are both on the path.
+    #[test]
+    fn figure1_broadcasts_pin_counts_under_seeded_orders() {
+        // (pulses_sent, pulses_received, epochs_completed) per node 0..5.
+        const PINNED: [(u64, u64, u64); 5] = [
+            (106, 107, 3),
+            (214, 214, 3),
+            (214, 214, 3),
+            (214, 213, 3),
+            (107, 107, 3),
+        ];
+        let messages = [
+            WireMessage::broadcast(NodeId(2), vec![0x21]),
+            WireMessage::broadcast(NodeId(4), vec![0x5A, 0x11]),
+            WireMessage::broadcast(NodeId(0), vec![]),
+        ];
+        for seed in 0..8u64 {
+            let mut engines = figure1_engines();
+            let mut inflight = Vec::new();
+            for msg in &messages {
+                let src = msg.src;
+                engines[src.index()].enqueue(msg.clone()).unwrap();
+                inflight.extend(engines[src.index()].drain_outgoing().map(|to| (src, to)));
+            }
+            relay_seeded(&mut engines, inflight, seed);
+            assert!(engines.iter().all(RobbinsEngine::is_idle), "seed {seed}");
+            let counts: Vec<(u64, u64, u64)> = engines
+                .iter()
+                .map(|e| (e.pulses_sent(), e.pulses_received(), e.epochs_completed()))
+                .collect();
+            assert_eq!(counts, PINNED, "seed {seed}");
+            let holders: Vec<usize> = (0..5).filter(|&i| engines[i].is_token_holder()).collect();
+            assert_eq!(holders, [0], "seed {seed}");
+            for (i, e) in engines.iter_mut().enumerate() {
+                assert_eq!(e.take_delivered(), messages, "seed {seed}, node {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_prev_owes_one_request_per_occurrence() {
+        // Node 2 of the figure-1 cycle has prev = 1 at both occurrences, so
+        // its token phase waits for two REQUESTs from node 1.
+        let mut e = figure1_engines().swap_remove(2);
+        e.enqueue(WireMessage::broadcast(NodeId(2), vec![]))
+            .unwrap();
+        assert!(e.drain_outgoing().eq([NodeId(3), NodeId(3)]));
+        assert_eq!(e.state_label(), "await-requests");
+        e.on_pulse(NodeId(1));
+        assert_eq!(e.state_label(), "await-requests");
+        e.on_pulse(NodeId(1));
+        assert_eq!(e.state_label(), "await-pulse");
+        assert!(e.error().is_none());
+    }
 }
