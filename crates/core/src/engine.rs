@@ -16,12 +16,16 @@
 //! directly.
 //!
 //! The paper's blocking pseudo-code ("wait until …") is rendered as explicit
-//! *wait points* plus per-neighbour pending-pulse counters; the internal
+//! *wait points* plus per-port pending-pulse counters; the internal
 //! `progress()` loop consumes pending pulses exactly as the blocking code
-//! would. Comments reference the pseudo-code line numbers of Algorithm 3
-//! (and Algorithm 2 for the binary data phase).
+//! would. A port is one distinct cycle neighbour. Every wait point waits for
+//! `prev_{u,i}` or `next_{u,i}` of some occurrence `i`, so each occurrence
+//! holds the indices of its two ports: a pulse's sender is resolved to its
+//! port once, on arrival, and every check after that is an index read.
+//! Comments reference the pseudo-code line numbers of Algorithm 3 (and
+//! Algorithm 2 for the binary data phase).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use fdn_graph::cycle::{CycleDirection, LocalCycleView};
 use fdn_graph::NodeId;
@@ -35,15 +39,35 @@ use crate::wire::WireMessage;
 /// actually travel.
 pub type PulseTo = NodeId;
 
+/// One distinct neighbour of the node on the cycle.
+#[derive(Debug, Clone)]
+struct Port {
+    nbr: NodeId,
+    /// The direction pulses from `nbr` travel: clockwise from a `prev`,
+    /// counterclockwise from a `next`. A Robbins cycle never uses an edge in
+    /// both directions, so every neighbour is one or the other.
+    dir: CycleDirection,
+    /// Pulses received from `nbr` and not yet consumed by a wait point.
+    pending: usize,
+}
+
+/// The ports of one occurrence's `prev` and `next` neighbours.
+#[derive(Debug, Clone, Copy)]
+struct OccurrencePorts {
+    prev: usize,
+    next: usize,
+}
+
 /// The wait points of Algorithm 3, plus the data-phase sub-machines.
 #[derive(Debug, Clone)]
 enum State {
     /// Line 1: waiting for the queue to become non-empty or for a clockwise
     /// REQUEST pulse.
     AwaitTrigger,
-    /// Line 3: waiting to receive one REQUEST per occurrence, i.e. per
-    /// counterclockwise neighbour with multiplicity.
-    AwaitRequests { remaining: BTreeMap<NodeId, usize> },
+    /// Line 3: waiting to receive one REQUEST per occurrence. `debt[p]` is
+    /// the number still owed by port `p`: the occurrences whose `prev` it is,
+    /// less the REQUESTs consumed so far.
+    AwaitRequests { debt: Vec<usize> },
     /// Line 8: waiting for a TOKEN (counterclockwise) or the first DATA
     /// (clockwise) pulse.
     AwaitPulse,
@@ -108,8 +132,8 @@ struct Circulation {
     /// Clockwise: the occurrence whose `next` was last sent to (counting up).
     /// Counterclockwise: counting down from `k - 1`.
     step: usize,
-    /// The neighbour the engine is waiting to hear the pulse back from.
-    awaiting: NodeId,
+    /// The port the engine is waiting to hear the pulse back from.
+    awaiting: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -161,11 +185,13 @@ enum ReceiverState {
 pub struct RobbinsEngine {
     node: NodeId,
     view: LocalCycleView,
-    dir_from: BTreeMap<NodeId, CycleDirection>,
+    /// The distinct cycle neighbours, in id order.
+    ports: Vec<Port>,
+    /// Per occurrence of `view`, in the same (rotated) order.
+    occ_ports: Vec<OccurrencePorts>,
     is_token_holder: bool,
     encoding: Encoding,
     queue: VecDeque<WireMessage>,
-    pending: BTreeMap<NodeId, usize>,
     state: State,
     outgoing: Vec<PulseTo>,
     delivered: Vec<WireMessage>,
@@ -194,29 +220,50 @@ impl RobbinsEngine {
     ) -> Result<Self, CoreError> {
         encoding.validate()?;
         let node = view.node();
-        let mut dir_from = BTreeMap::new();
+        let mut ports: Vec<Port> = Vec::new();
         for occ in view.occurrences() {
             for (nbr, dir) in [
                 (occ.prev, CycleDirection::Clockwise),
                 (occ.next, CycleDirection::Counterclockwise),
             ] {
-                if let Some(existing) = dir_from.insert(nbr, dir) {
-                    if existing != dir {
+                match ports.iter().find(|p| p.nbr == nbr) {
+                    Some(p) if p.dir != dir => {
                         return Err(CoreError::InvalidCycle(format!(
                             "edge ({nbr}, {node}) is used in both directions"
                         )));
                     }
+                    Some(_) => {}
+                    None => ports.push(Port {
+                        nbr,
+                        dir,
+                        pending: 0,
+                    }),
                 }
             }
         }
+        ports.sort_unstable_by_key(|p| p.nbr);
+        let port_of = |nbr: NodeId| {
+            ports
+                .iter()
+                .position(|p| p.nbr == nbr)
+                .expect("every occurrence neighbour has a port")
+        };
+        let occ_ports = view
+            .occurrences()
+            .iter()
+            .map(|occ| OccurrencePorts {
+                prev: port_of(occ.prev),
+                next: port_of(occ.next),
+            })
+            .collect();
         Ok(RobbinsEngine {
             node,
             view,
-            dir_from,
+            ports,
+            occ_ports,
             is_token_holder,
             encoding,
             queue: VecDeque::new(),
-            pending: BTreeMap::new(),
             state: State::AwaitTrigger,
             outgoing: Vec::new(),
             delivered: Vec::new(),
@@ -231,7 +278,7 @@ impl RobbinsEngine {
     /// fields: the rotated view, token flag, encoding and the pulse/epoch
     /// counters frozen at the construction/online boundary. Everything else
     /// about an idle engine (empty queue, no pending pulses, `AwaitTrigger`
-    /// wait point, derived `dir_from` map) is reconstructed, so an engine
+    /// wait point, ports derived from the view) is reconstructed, so an engine
     /// that was idle when encoded round-trips exactly.
     ///
     /// # Errors
@@ -310,7 +357,7 @@ impl RobbinsEngine {
     pub fn is_idle(&self) -> bool {
         matches!(self.state, State::AwaitTrigger)
             && self.queue.is_empty()
-            && self.pending.values().all(|&c| c == 0)
+            && self.ports.iter().all(|p| p.pending == 0)
     }
 
     /// A latched fatal error, if the engine observed a protocol violation
@@ -322,7 +369,7 @@ impl RobbinsEngine {
     /// Whether `other` is one of this node's neighbours on the cycle (pulses
     /// from any other node do not belong to this engine).
     pub fn is_cycle_neighbor(&self, other: NodeId) -> bool {
-        self.dir_from.contains_key(&other)
+        self.ports.iter().any(|p| p.nbr == other)
     }
 
     /// Enqueues a simulated message emitted by the inner protocol `π`
@@ -353,15 +400,17 @@ impl RobbinsEngine {
     /// state machine. Pulse content is ignored — the engine is
     /// content-oblivious by construction.
     pub fn on_pulse(&mut self, from: NodeId) {
-        if !self.dir_from.contains_key(&from) {
+        // The engine's only id-to-port lookup: a scan over at most 2·k_u
+        // ports.
+        let Some(port) = self.ports.iter_mut().find(|p| p.nbr == from) else {
             self.fail(format!(
                 "pulse from {from}, which is not a cycle neighbour of {}",
                 self.node
             ));
             return;
-        }
+        };
+        port.pending += 1;
         self.pulses_received += 1;
-        *self.pending.entry(from).or_insert(0) += 1;
         self.progress();
     }
 
@@ -397,27 +446,39 @@ impl RobbinsEngine {
         self.outgoing.push(to);
     }
 
-    fn pending_count(&self, from: NodeId) -> usize {
-        self.pending.get(&from).copied().unwrap_or(0)
+    /// The port of occurrence `i`'s counterclockwise neighbour.
+    fn prev_port(&self, i: usize) -> usize {
+        self.occ_ports[i].prev
     }
 
-    /// First pending neighbour (in id order) whose pulses travel in `dir`.
-    fn pending_in_dir(&self, dir: CycleDirection) -> Option<NodeId> {
-        self.pending
+    /// The port of occurrence `i`'s clockwise neighbour.
+    fn next_port(&self, i: usize) -> usize {
+        self.occ_ports[i].next
+    }
+
+    /// First port (in neighbour id order) with a pending pulse travelling in
+    /// `dir`.
+    fn pending_in_dir(&self, dir: CycleDirection) -> Option<usize> {
+        self.ports
             .iter()
-            .find(|(nbr, &count)| count > 0 && self.dir_from[nbr] == dir)
-            .map(|(&nbr, _)| nbr)
+            .position(|p| p.pending > 0 && p.dir == dir)
     }
 
-    /// Consumes one pending pulse from `from`; returns false if none pending.
-    fn consume_from(&mut self, from: NodeId) -> bool {
-        match self.pending.get_mut(&from) {
-            Some(c) if *c > 0 => {
-                *c -= 1;
-                true
-            }
-            _ => false,
+    /// Consumes one pending pulse from `port`; returns false if none pending.
+    fn consume_from(&mut self, port: usize) -> bool {
+        let pending = &mut self.ports[port].pending;
+        if *pending == 0 {
+            return false;
         }
+        *pending -= 1;
+        true
+    }
+
+    /// The paper's `RotateEdges()` (Algorithm 3 line 10), applied to the view
+    /// and to its occurrence ports alike.
+    fn rotate_edges(&mut self) {
+        self.view.rotate_edges();
+        self.occ_ports.rotate_right(1);
     }
 
     fn complete_epoch(&mut self) {
@@ -482,7 +543,7 @@ impl RobbinsEngine {
                 Circulation {
                     dir,
                     step: 0,
-                    awaiting: self.view.prev(1 % k),
+                    awaiting: self.prev_port(1 % k),
                 }
             }
             CycleDirection::Counterclockwise => {
@@ -493,7 +554,7 @@ impl RobbinsEngine {
                 Circulation {
                     dir,
                     step: k - 1,
-                    awaiting: self.view.next(k - 1),
+                    awaiting: self.next_port(k - 1),
                 }
             }
         }
@@ -530,35 +591,32 @@ impl RobbinsEngine {
             let to = self.view.next(i);
             self.emit(to);
         }
-        // Line 3: one REQUEST is owed per occurrence, i.e. per
-        // counterclockwise neighbour with multiplicity.
-        let remaining = self.view.prev_multiplicities();
-        self.state = State::AwaitRequests { remaining };
+        // Line 3: one REQUEST is owed per occurrence, by its prev_{u,i}.
+        let mut debt = vec![0; self.ports.len()];
+        for occ in &self.occ_ports {
+            debt[occ.prev] += 1;
+        }
+        self.state = State::AwaitRequests { debt };
         true
     }
 
     /// Line 3: consume one REQUEST per owed occurrence, then (lines 4–7) the
     /// holder releases the token.
     fn step_await_requests(&mut self) -> bool {
-        let needs: Vec<(NodeId, usize)> = match &self.state {
-            State::AwaitRequests { remaining } => {
-                remaining.iter().map(|(&nbr, &need)| (nbr, need)).collect()
-            }
-            _ => unreachable!("step_await_requests called in a different state"),
+        let State::AwaitRequests { debt } = &mut self.state else {
+            unreachable!("step_await_requests called in a different state")
         };
         let mut progressed = false;
-        let mut new_remaining = BTreeMap::new();
-        for (nbr, mut need) in needs {
-            while need > 0 && self.consume_from(nbr) {
-                need -= 1;
+        let mut done = true;
+        for (port, owed) in self.ports.iter_mut().zip(debt.iter_mut()) {
+            let paid = port.pending.min(*owed);
+            if paid > 0 {
+                port.pending -= paid;
+                *owed -= paid;
                 progressed = true;
             }
-            new_remaining.insert(nbr, need);
+            done &= *owed == 0;
         }
-        let done = new_remaining.values().all(|&need| need == 0);
-        self.state = State::AwaitRequests {
-            remaining: new_remaining,
-        };
         if done {
             if self.is_token_holder {
                 // Lines 5–6: release the token counterclockwise.
@@ -575,19 +633,20 @@ impl RobbinsEngine {
     /// Line 8: the next pulse is either the TOKEN (counterclockwise) or the
     /// first DATA pulse of the epoch (clockwise).
     fn step_await_pulse(&mut self) -> bool {
-        if let Some(from) = self.pending_in_dir(CycleDirection::Counterclockwise) {
+        if let Some(port) = self.pending_in_dir(CycleDirection::Counterclockwise) {
             // Lines 9–16: a counterclockwise pulse here is the TOKEN, and the
             // segment-0 invariant says it arrives from next_{u, k-1}.
-            let expected = self.view.next(self.k() - 1);
-            if from != expected {
+            let expected = self.next_port(self.k() - 1);
+            if port != expected {
                 self.fail(format!(
-                    "token pulse arrived from {from}, expected from {expected}"
+                    "token pulse arrived from {}, expected from {}",
+                    self.ports[port].nbr, self.ports[expected].nbr
                 ));
                 return false;
             }
-            self.consume_from(from);
+            self.consume_from(port);
             // Line 10: RotateEdges().
-            self.view.rotate_edges();
+            self.rotate_edges();
             if !self.queue.is_empty() {
                 // Lines 11–12: become the token holder and start the data
                 // phase (the first pulse is emitted by the sender step).
@@ -646,7 +705,7 @@ impl RobbinsEngine {
                             Some(Circulation {
                                 dir: circ.dir,
                                 step,
-                                awaiting: self.view.prev((step + 1) % k),
+                                awaiting: self.prev_port((step + 1) % k),
                             })
                         } else {
                             None
@@ -660,7 +719,7 @@ impl RobbinsEngine {
                             Some(Circulation {
                                 dir: circ.dir,
                                 step,
-                                awaiting: self.view.next(step),
+                                awaiting: self.next_port(step),
                             })
                         } else {
                             None
@@ -715,8 +774,7 @@ impl RobbinsEngine {
         if let Some(eo) = end_occ {
             // Lines 41–44: forward the END at the remaining occurrences,
             // counting down.
-            let from = self.view.next(eo);
-            if !self.consume_from(from) {
+            if !self.consume_from(self.next_port(eo)) {
                 return false;
             }
             let to = self.view.prev(eo);
@@ -730,9 +788,7 @@ impl RobbinsEngine {
         }
         // Line 37: a counterclockwise pulse ends the DATA loop; it arrives at
         // occurrence k-1 first.
-        let end_from = self.view.next(k - 1);
-        if self.pending_count(end_from) > 0 {
-            self.consume_from(end_from);
+        if self.consume_from(self.next_port(k - 1)) {
             // Lines 38–40: decode the unary count and deliver.
             match encoding::unary_decode(count) {
                 Ok(bytes) => self.deliver_decoded(&bytes),
@@ -755,9 +811,7 @@ impl RobbinsEngine {
             return true;
         }
         // Lines 33–36: the next DATA pulse is owed at occurrence cw_occ.
-        let data_from = self.view.prev(cw_occ);
-        if self.pending_count(data_from) > 0 {
-            self.consume_from(data_from);
+        if self.consume_from(self.prev_port(cw_occ)) {
             let to = self.view.next(cw_occ);
             self.emit(to);
             if let State::Receiver(ReceiverState::Unary(r)) = &mut self.state {
@@ -771,8 +825,20 @@ impl RobbinsEngine {
         false
     }
 
-    /// Data phase, non-holder, binary encoding (Algorithm 2 receiver lifted
-    /// to non-simple cycles; see DESIGN.md for the occurrence-cursor rule).
+    /// Data phase, non-holder, binary encoding: the Algorithm 2 receiver
+    /// lifted to non-simple cycles by two occurrence cursors.
+    ///
+    /// A 1-bit circulates clockwise, so it passes this node's occurrences in
+    /// increasing order: it is awaited from `prev` of occurrence `cw_occ`
+    /// and forwarded to that occurrence's `next`. A 0-bit circulates
+    /// counterclockwise and passes them in decreasing order, tracked by
+    /// `ccw_occ` (from `next`, forwarded to `prev`). The sender lies in
+    /// segment 0, so a clockwise pulse reaches occurrence 0 first and a
+    /// counterclockwise one reaches occurrence `k-1` first: each bit is
+    /// recorded once, at that first arrival. After `l` zeros in a row the
+    /// frame's terminal is seen. From then on a clockwise pulse is a
+    /// next-epoch REQUEST and stays pending, and the epoch ends once the
+    /// last zero has been forwarded at occurrence 0.
     fn step_receiver_binary(&mut self) -> bool {
         let l = match self.encoding {
             Encoding::Binary { l } => l,
@@ -785,9 +851,7 @@ impl RobbinsEngine {
         };
         // Counterclockwise pulses (0-bits / terminal zeros) are expected at
         // occurrence ccw_occ, counting down.
-        let ccw_from = self.view.next(ccw_occ);
-        if self.pending_count(ccw_from) > 0 {
-            self.consume_from(ccw_from);
+        if self.consume_from(self.next_port(ccw_occ)) {
             let mut now_terminal = terminal;
             if let State::Receiver(ReceiverState::Binary(r)) = &mut self.state {
                 if ccw_occ == k - 1 {
@@ -827,9 +891,7 @@ impl RobbinsEngine {
         // Clockwise pulses (1-bits) are expected at occurrence cw_occ — but
         // only until the terminal is detected; afterwards any clockwise pulse
         // is a next-epoch REQUEST and must stay pending.
-        let cw_from = self.view.prev(cw_occ);
-        if !terminal && self.pending_count(cw_from) > 0 {
-            self.consume_from(cw_from);
+        if !terminal && self.consume_from(self.prev_port(cw_occ)) {
             let to = self.view.next(cw_occ);
             self.emit(to);
             if let State::Receiver(ReceiverState::Binary(r)) = &mut self.state {

@@ -292,13 +292,13 @@ impl<P: InnerProtocol> FullSimulator<P> {
                     error.get_or_insert(e);
                 }
             }
-            let delivered = engine.take_delivered();
-            let mut sent = 0usize;
             for to in engine.drain_outgoing() {
                 ctx.send(to, pulse_payload());
-                sent += 1;
             }
-            if delivered.is_empty() && sent == 0 {
+            // Only a decoded message can make the inner protocol hand the
+            // engine more work; without one, the engine is at a fixed point.
+            let delivered = engine.take_delivered();
+            if delivered.is_empty() {
                 return;
             }
             for msg in &delivered {

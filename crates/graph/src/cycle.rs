@@ -168,16 +168,6 @@ impl LocalCycleView {
             .iter()
             .any(|o| o.prev == other || o.next == other)
     }
-
-    /// For each counterclockwise neighbour, how many occurrences have it as
-    /// their `prev` (used by the REQUEST-counting logic of Algorithm 3).
-    pub fn prev_multiplicities(&self) -> BTreeMap<NodeId, usize> {
-        let mut m = BTreeMap::new();
-        for o in &self.occurrences {
-            *m.entry(o.prev).or_insert(0) += 1;
-        }
-        m
-    }
 }
 
 /// A Robbins cycle in its global representation: the cyclic sequence of node
@@ -555,9 +545,6 @@ mod tests {
         assert_eq!(view_b.incoming_direction(NodeId(3)), None);
         assert!(view_b.is_cycle_neighbor(NodeId(4)));
         assert!(!view_b.is_cycle_neighbor(NodeId(3)));
-        let mult = view_b.prev_multiplicities();
-        assert_eq!(mult.get(&NodeId(0)), Some(&1));
-        assert_eq!(mult.get(&NodeId(4)), Some(&1));
 
         assert!(c.local_view(NodeId(99)).is_none());
     }
