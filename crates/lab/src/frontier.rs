@@ -48,7 +48,7 @@ use crate::cache::Caches;
 use crate::diff::{CellChange, CellDelta, ReportDiff};
 use crate::error::LabError;
 use crate::json::{csv_lines, record, Field, Json};
-use crate::report::{md_cell, push_skipped_markdown};
+use crate::report::{check_unique_cells, md_cell, push_skipped_markdown};
 use crate::runner::{run_scenario_with, CellTiming};
 use crate::spec::{Campaign, Cell, EncodingSpec, Scenario, SkippedCell};
 
@@ -480,7 +480,8 @@ impl FrontierReport {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem.
+    /// Returns a description of the first structural problem, or names a
+    /// cell that appears twice.
     pub fn from_json(j: &Json) -> Result<FrontierReport, String> {
         let name = j.read("frontier")?;
         if j.read::<String>("axis")? != FRONTIER_AXIS {
@@ -495,10 +496,11 @@ impl FrontierReport {
             cells: j.read("cells")?,
         };
         // Bracket ends are ordered, or the width would underflow.
-        match report.cells.iter().position(|c| c.lower > c.upper) {
-            Some(i) => Err(format!("`cells[{i}]` field `lower` is above field `upper`")),
-            None => Ok(report),
+        if let Some(i) = report.cells.iter().position(|c| c.lower > c.upper) {
+            return Err(format!("`cells[{i}]` field `lower` is above field `upper`"));
         }
+        check_unique_cells(&report.cells, FrontierCell::cell_id)?;
+        Ok(report)
     }
 
     /// Renders the frontier curves as CSV: one row per probe, with the cell

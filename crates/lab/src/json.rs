@@ -577,17 +577,28 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape".to_string())?,
-                            16,
-                        )
-                        .map_err(|_| "bad \\u escape".to_string())?;
-                        // Surrogate pairs are not needed for report content.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let start = *pos - 1;
+                        let code = hex4(bytes, *pos + 1)
+                            .ok_or_else(|| format!("bad \\u escape at byte {start}"))?;
                         *pos += 4;
+                        // A high surrogate counts only as the first half of
+                        // an escaped pair; either half alone is an error.
+                        let c = if (0xD800..0xDC00).contains(&code) {
+                            let low = match bytes.get(*pos + 1..*pos + 3) {
+                                Some(b"\\u") => hex4(bytes, *pos + 3),
+                                _ => None,
+                            }
+                            .filter(|low| (0xDC00..0xE000).contains(low));
+                            low.and_then(|low| {
+                                *pos += 6;
+                                char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
+                            })
+                        } else {
+                            char::from_u32(code)
+                        };
+                        out.push(c.ok_or_else(|| {
+                            format!("lone surrogate \\u{code:04x} at byte {start}")
+                        })?);
                     }
                     _ => return Err(format!("bad escape at byte {pos}")),
                 }
@@ -609,6 +620,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
         }
     }
+}
+
+/// The value of the four ASCII hex digits at `at`, if there are four.
+fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
+    let digits = bytes.get(at..at + 4)?;
+    digits
+        .iter()
+        .try_fold(0, |acc, &b| Some(acc * 16 + char::from(b).to_digit(16)?))
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -802,6 +821,46 @@ mod tests {
         // The strict errors survive.
         assert!(Json::parse("\"‰—×").unwrap_err().contains("unterminated"));
         assert!(Json::parse(r#""‰\q""#).unwrap_err().contains("bad escape"));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        // `from_str_radix` would have read `+041` as 0x41.
+        for bad in [
+            r#""q\u+041""#,
+            r#""q\u-041""#,
+            r#""q\u00e""#,
+            r#""q\u 041""#,
+        ] {
+            assert_eq!(
+                Json::parse(bad).unwrap_err(),
+                "bad \\u escape at byte 2",
+                "{bad}"
+            );
+        }
+        assert_eq!(
+            Json::parse(r#""q\u0041\u00E9""#),
+            Ok(Json::Str("qAé".into()))
+        );
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        let parsed = Json::parse(r#""a\ud83d\ude00b\uD834\uDD1E""#).unwrap();
+        assert_eq!(parsed.as_str(), Some("a\u{1f600}b\u{1d11e}"));
+    }
+
+    #[test]
+    fn lone_surrogates_are_rejected() {
+        for (bad, err) in [
+            (r#""\ud800""#, "lone surrogate \\ud800 at byte 1"),
+            (r#""x\udbff\u0041""#, "lone surrogate \\udbff at byte 2"),
+            (r#""\ud800\ud800""#, "lone surrogate \\ud800 at byte 1"),
+            (r#""\udc00""#, "lone surrogate \\udc00 at byte 1"),
+            (r#""\ud800\""#, "lone surrogate \\ud800 at byte 1"),
+        ] {
+            assert_eq!(Json::parse(bad).unwrap_err(), err, "{bad}");
+        }
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //! prints the usage.
 
 #![expect(
-    clippy::print_stdout,
     clippy::print_stderr,
-    reason = "D5: the CLI writes reports to stdout and diagnostics to stderr"
+    reason = "D5: the CLI writes diagnostics to stderr; stdout goes through `write_stdout`"
 )]
 
-use std::fmt::Display;
+use std::fmt::{self, Display};
+use std::io::{self, Write as _};
 use std::num::ParseIntError;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -32,6 +33,46 @@ const EXIT_REGRESSION: i32 = 2;
 /// The largest seed a campaign may sweep: 2^53.
 const MAX_SEED: u64 = 1 << 53;
 
+/// Set once a write to stdout found the reading end of its pipe closed.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout through one locked handle: every report, summary and
+/// listing the CLI prints goes through here (via [`out!`] and [`outln!`]).
+/// A reader that closed the pipe (`fdn-lab report … | head`) is not an
+/// error: later writes are skipped, and the command finishes its work and
+/// exits with its own status. Any other write error ends the process with
+/// exit 1.
+fn write_stdout(args: fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    let mut stdout = io::stdout().lock();
+    match stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        }
+        Err(e) => {
+            eprintln!("fdn-lab: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = dispatch(&args) {
@@ -51,7 +92,7 @@ fn dispatch(args: &[String]) -> Result<(), LabError> {
         Some("merge") => cmd_merge(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{}", usage());
+            out!("{}", usage());
             Ok(())
         }
         Some(other) => Err(LabError::Usage(format!("unknown command `{other}`"))),
@@ -253,7 +294,7 @@ impl Exec {
             // sharded stems, so the extension is appended explicitly.
             let path = self.out_dir.join(format!("{stem}.{ext}"));
             std::fs::write(&path, contents)?;
-            println!("wrote {}", path.display());
+            outln!("wrote {}", path.display());
         }
         if let Some(path) = &self.timings {
             write_timings(
@@ -508,7 +549,7 @@ fn cmd_run(args: &[String]) -> Result<(), LabError> {
         .iter()
         .filter(|c| c.success_rate < 1.0)
         .collect();
-    println!(
+    outln!(
         "campaign `{}`: {} cells, {} scenarios, {} cell(s) below 100% success",
         report.name,
         report.cells.len(),
@@ -516,7 +557,7 @@ fn cmd_run(args: &[String]) -> Result<(), LabError> {
         failed.len()
     );
     for cell in failed {
-        println!(
+        outln!(
             "  {}: success {}, {} error(s)",
             cell.cell_id(),
             fdn_lab::fmt_rate(cell.success_rate),
@@ -575,7 +616,7 @@ fn write_timings(
         std::fs::create_dir_all(dir)?;
     }
     std::fs::write(path, doc.render())?;
-    println!("wrote {}", path.display());
+    outln!("wrote {}", path.display());
     Ok(())
 }
 
@@ -629,7 +670,7 @@ fn cmd_frontier(args: &[String]) -> Result<(), LabError> {
         report.cells.len(),
         report.probe_count(),
     );
-    println!(
+    outln!(
         "frontier `{}`: {} cells ({} bracketed, {} break at zero, {} never break, \
          {} non-monotone), {} skipped combination(s)",
         report.name,
@@ -653,7 +694,7 @@ fn cmd_frontier(args: &[String]) -> Result<(), LabError> {
         report.skipped.len(),
     );
     for cell in &report.cells {
-        println!(
+        outln!(
             "  {}: {} (width {}‰, {} probes{})",
             cell.cell_id(),
             cell.bracket_label(),
@@ -709,14 +750,14 @@ fn cmd_trace(args: &[String]) -> Result<(), LabError> {
         },
     )?;
     eprintln!("{} cell(s) traced in {elapsed:.2?}", report.cells.len());
-    println!(
+    outln!(
         "trace `{}`: {} cell(s), {} skipped combination(s)",
         report.name,
         report.cells.len(),
         report.skipped.len(),
     );
     for trace in &report.cells {
-        println!(
+        outln!(
             "  {}: CCinit {}, online {}, {} sample(s), {} marker(s){}",
             trace.cell_id(),
             trace.outcome.cc_init,
@@ -759,7 +800,7 @@ fn cmd_list(args: &[String]) -> Result<(), LabError> {
     let mut shown = 0usize;
     for s in &scenarios {
         if keep(&s.cell.family.label(), &s.cell.noise.label()) {
-            println!("{:>6}  {}", s.index, s.id());
+            outln!("{:>6}  {}", s.index, s.id());
             shown += 1;
         }
     }
@@ -849,9 +890,9 @@ fn cmd_merge(args: &[String]) -> Result<(), LabError> {
     match out {
         Some(path) => {
             std::fs::write(&path, merged.to_json_string())?;
-            println!("wrote {}", path.display());
+            outln!("wrote {}", path.display());
         }
-        None => print!("{}", merged.to_json_string()),
+        None => out!("{}", merged.to_json_string()),
     }
     Ok(())
 }
@@ -877,7 +918,7 @@ fn cmd_report(args: &[String]) -> Result<(), LabError> {
         (AnyReport::Frontier(r), "json") => r.to_json_string(),
         (_, other) => return Err(LabError::Usage(format!("unknown format `{other}`"))),
     };
-    print!("{rendered}");
+    out!("{rendered}");
     Ok(())
 }
 
@@ -987,7 +1028,7 @@ fn cmd_diff(args: &[String]) -> Result<(), LabError> {
         _ => delta.to_json_string(),
     };
     let regressions = delta.regression_count();
-    print!("{rendered}");
+    out!("{rendered}");
     if regressions > 0 {
         eprintln!("fdn-lab diff: {regressions} regression finding(s) — failing the gate");
         std::process::exit(EXIT_REGRESSION);

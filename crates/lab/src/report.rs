@@ -8,7 +8,7 @@
 //! data and all grouping is order-preserving, so a report — and each of its
 //! three renderings — is a byte-deterministic function of the campaign.
 
-use std::collections::BTreeSet;
+use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use crate::cache::TopologyCache;
@@ -453,9 +453,12 @@ impl CampaignReport {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem.
+    /// Returns a description of the first structural problem, or names a
+    /// cell that appears twice.
     pub fn from_json(j: &Json) -> Result<CampaignReport, String> {
-        <CampaignReport as Field>::from_json(j)
+        let report = <CampaignReport as Field>::from_json(j)?;
+        check_unique_cells(&report.cells, CellReport::cell_id)?;
+        Ok(report)
     }
 
     /// Renders the report as CSV (one row per cell).
@@ -605,6 +608,28 @@ impl CampaignReport {
         push_skipped_markdown(&mut out, &self.skipped);
         out
     }
+}
+
+/// Checks that no two of a report's `cells` share an `id`. Diffs and merges
+/// match cells by id, so a repeated cell would be compared through one of
+/// its copies only.
+pub(crate) fn check_unique_cells<C>(cells: &[C], id: impl Fn(&C) -> String) -> Result<(), String> {
+    let mut seen = BTreeMap::new();
+    for (i, c) in cells.iter().enumerate() {
+        match seen.entry(id(c)) {
+            btree_map::Entry::Vacant(slot) => {
+                slot.insert(i);
+            }
+            btree_map::Entry::Occupied(first) => {
+                return Err(format!(
+                    "cell `{}` appears twice, as `cells[{}]` and `cells[{i}]`",
+                    first.key(),
+                    first.get()
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Recombines per-shard [`CampaignReport`]s (produced by `fdn-lab run
@@ -956,6 +981,35 @@ mod tests {
         let cell_doc = first(&doc, "cells");
         assert_keys_required(&cell_doc, FrontierCell::from_json, &[]);
         assert_keys_required(&first(&cell_doc, "probes"), FrontierProbe::from_json, &[]);
+    }
+
+    #[test]
+    fn reports_that_repeat_a_cell_are_rejected_by_name() {
+        let intact = plain_cell();
+        let degraded = CellReport {
+            errors: 1,
+            ..plain_cell()
+        };
+        let mut report = report_of(&intact);
+        report.cells.insert(0, degraded);
+        let err = CampaignReport::from_json_str(&report.to_json_string()).unwrap_err();
+        assert_eq!(
+            err,
+            "cell `figure3/full/binary/flood(4)/noiseless/random` appears twice, as `cells[0]` \
+             and `cells[1]`"
+        );
+        report.cells[1].scheduler = "fifo".to_string();
+        assert!(CampaignReport::from_json_str(&report.to_json_string()).is_ok());
+
+        let probed = crate::frontier::cell(Bracketed, 4, 8, false);
+        let mut frontier = crate::frontier::report("f", vec![probed.clone(), probed]);
+        let err = FrontierReport::from_json_str(&frontier.to_json_string()).unwrap_err();
+        assert_eq!(
+            err,
+            "cell `figure3/full/flood(2)` appears twice, as `cells[0]` and `cells[1]`"
+        );
+        frontier.cells[1].workload = "leader".to_string();
+        assert!(FrontierReport::from_json_str(&frontier.to_json_string()).is_ok());
     }
 
     #[test]
