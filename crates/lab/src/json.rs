@@ -578,27 +578,27 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
                         let start = *pos - 1;
-                        let code = hex4(bytes, *pos + 1)
+                        let mut code = hex4(bytes, *pos + 1)
                             .ok_or_else(|| format!("bad \\u escape at byte {start}"))?;
                         *pos += 4;
-                        // A high surrogate counts only as the first half of
-                        // an escaped pair; either half alone is an error.
-                        let c = if (0xD800..0xDC00).contains(&code) {
+                        if (0xD800..0xDC00).contains(&code) {
+                            // A high surrogate followed by an escaped low one
+                            // is one character.
                             let low = match bytes.get(*pos + 1..*pos + 3) {
-                                Some(b"\\u") => hex4(bytes, *pos + 3),
+                                Some(b"\\u") => hex4(bytes, *pos + 3)
+                                    .filter(|low| (0xDC00..0xE000).contains(low)),
                                 _ => None,
-                            }
-                            .filter(|low| (0xDC00..0xE000).contains(low));
-                            low.and_then(|low| {
+                            };
+                            if let Some(low) = low {
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                                 *pos += 6;
-                                char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
-                            })
-                        } else {
-                            char::from_u32(code)
-                        };
-                        out.push(c.ok_or_else(|| {
+                            }
+                        }
+                        // Only a surrogate left unpaired is not a character.
+                        let c = char::from_u32(code).ok_or_else(|| {
                             format!("lone surrogate \\u{code:04x} at byte {start}")
-                        })?);
+                        })?;
+                        out.push(c);
                     }
                     _ => return Err(format!("bad escape at byte {pos}")),
                 }
