@@ -45,7 +45,9 @@ use std::fmt::Write as _;
 use fdn_netsim::NoiseSpec;
 
 use crate::cache::Caches;
-use crate::diff::{CellChange, CellDelta, ReportDiff};
+use crate::diff::{
+    cells, exact, fall, id, note, rise, title, Diff, DiffTolerance, Gate, ReportDiff,
+};
 use crate::error::LabError;
 use crate::json::{csv_lines, record, Field, Json};
 use crate::report::{check_unique_cells, md_cell, push_skipped_markdown};
@@ -80,8 +82,10 @@ impl Default for FrontierOptions {
     }
 }
 
-/// Where a cell's breaking rate was found on the probe axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where a cell's breaking rate was found on the probe axis. The variants
+/// are declared in robustness order, from the cell that breaks earliest on
+/// the axis, so a status that falls is a regression.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FrontierStatus {
     /// The success predicate fails already at rate 0 (the cell is broken
     /// before any deletion happens; nothing to bisect).
@@ -115,16 +119,6 @@ impl FrontierStatus {
             "bracketed" => Ok(FrontierStatus::Bracketed),
             "never-breaks" => Ok(FrontierStatus::NeverBreaks),
             other => Err(format!("unknown frontier status `{other}`")),
-        }
-    }
-
-    /// Robustness order: a *lower* rank means the cell breaks earlier on the
-    /// axis. The diff gate treats any rank decrease as a regression.
-    fn rank(self) -> u8 {
-        match self {
-            FrontierStatus::BreaksAtZero => 0,
-            FrontierStatus::Bracketed => 1,
-            FrontierStatus::NeverBreaks => 2,
         }
     }
 }
@@ -202,17 +196,44 @@ pub struct FrontierCell {
     pub probes: Vec<FrontierProbe>,
 }
 
+// Each field names its diff rule (see `crate::diff`); `bracket` is below.
 record! {
     FrontierCell {
-        family, mode, workload, nodes, edges, status, lower, upper, monotone, reappear_rates,
-        probes,
+        family: id, mode: id, workload: id, nodes: exact, edges: exact, status: fall,
+        lower: bracket, upper: bracket, monotone: fall, reappear_rates: note, probes: note,
     }
 }
 
+/// The diff rule of `lower` and `upper`. With the same bracketed status on
+/// both sides, a bound that falls beyond the per-mille tolerance is a
+/// regression: the cliff crept closer. With never-breaks on both sides,
+/// `lower` is how far up the axis the claim was probed, and is compared the
+/// same way. A bound that rises is a note; a status change is the `status`
+/// field's finding.
+fn bracket(g: &mut Gate, key: &str, b: &u16, n: &u16, (base, now): (&FrontierCell, &FrontierCell)) {
+    let compared = match base.status {
+        FrontierStatus::Bracketed => true,
+        FrontierStatus::NeverBreaks => key == "lower",
+        FrontierStatus::BreaksAtZero => false,
+    };
+    if base.status != now.status || !compared || b == n {
+        return;
+    }
+    // Widened so that a huge --tol-mille cannot overflow u16.
+    let beyond = u32::from(*n) + u32::from(g.tol.mille) < u32::from(*b);
+    let verb = match (n > b, beyond) {
+        (true, _) => "rose",
+        (false, true) => "fell",
+        (false, false) => "fell within tolerance",
+    };
+    g.flag(beyond, format!("{key} {verb} {b}‰ -> {n}‰"));
+}
+
 impl FrontierCell {
-    /// The three-axis cell identity the diff gate matches on.
+    /// The three-axis cell identity the diff gate matches on, built from
+    /// the `id` fields.
     pub fn cell_id(&self) -> String {
-        format!("{}/{}/{}", self.family, self.mode, self.workload)
+        Diff::id(self)
     }
 
     /// Width of the confidence bound, in per mille (0 when no finite
@@ -231,11 +252,29 @@ impl FrontierCell {
     }
 }
 
+/// The probe axis of every frontier report, written as [`FRONTIER_AXIS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrontierAxis;
+
+impl Field for FrontierAxis {
+    fn to_json(&self) -> Json {
+        Json::Str(FRONTIER_AXIS.to_string())
+    }
+
+    fn from_json(j: &Json) -> Result<Self, String> {
+        (j.as_str() == Some(FRONTIER_AXIS))
+            .then_some(FrontierAxis)
+            .ok_or_else(|| format!("is not `{FRONTIER_AXIS}`"))
+    }
+}
+
 /// The aggregated result of one frontier search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierReport {
     /// Search name.
     pub name: String,
+    /// The probe axis.
+    pub axis: FrontierAxis,
     /// Upper end of the probe axis, per mille.
     pub max_rate: u16,
     /// Target bracket width, per mille.
@@ -246,6 +285,17 @@ pub struct FrontierReport {
     pub skipped: Vec<SkippedCell>,
     /// Per-cell results, in (family, mode, workload) expansion order.
     pub cells: Vec<FrontierCell>,
+}
+
+// The leading `frontier` key is the kind discriminator `fdn-lab diff`
+// dispatches on (campaign reports lead with `campaign` instead). A shorter
+// axis, fewer seeds or a coarser resolution is weaker evidence for the same
+// statuses, so each fails the gate on its own.
+record! {
+    FrontierReport {
+        name as "frontier": title, axis: exact, max_rate: fall, resolution: rise,
+        seeds_per_cell: fall, skipped: note, cells: cells,
+    }
 }
 
 /// One memoized probe runner per cell: rates probed once, results keyed and
@@ -432,6 +482,7 @@ pub fn run_frontier(
     Ok((
         FrontierReport {
             name: campaign.name.clone(),
+            axis: FrontierAxis,
             max_rate: opts.max_rate,
             resolution: opts.resolution,
             seeds_per_cell: campaign.seeds.count,
@@ -448,20 +499,9 @@ impl FrontierReport {
         self.cells.iter().map(|c| c.probes.len()).sum()
     }
 
-    /// Renders the report as a JSON document. The leading `frontier` field
-    /// is the kind discriminator `fdn-lab diff` dispatches on (campaign
-    /// reports lead with `campaign` instead).
+    /// Renders the report as a JSON document.
     pub fn to_json_string(&self) -> String {
-        Json::obj(vec![
-            ("frontier", self.name.to_json()),
-            ("axis", Json::Str(FRONTIER_AXIS.to_string())),
-            ("max_rate", self.max_rate.to_json()),
-            ("resolution", self.resolution.to_json()),
-            ("seeds_per_cell", self.seeds_per_cell.to_json()),
-            ("skipped", self.skipped.to_json()),
-            ("cells", self.cells.to_json()),
-        ])
-        .render()
+        Field::to_json(self).render()
     }
 
     /// Parses a report previously rendered by
@@ -483,23 +523,12 @@ impl FrontierReport {
     /// Returns a description of the first structural problem, or names a
     /// cell that appears twice.
     pub fn from_json(j: &Json) -> Result<FrontierReport, String> {
-        let name = j.read("frontier")?;
-        if j.read::<String>("axis")? != FRONTIER_AXIS {
-            return Err(format!("field `axis` is not `{FRONTIER_AXIS}`"));
-        }
-        let report = FrontierReport {
-            name,
-            max_rate: j.read("max_rate")?,
-            resolution: j.read("resolution")?,
-            seeds_per_cell: j.read("seeds_per_cell")?,
-            skipped: j.read("skipped")?,
-            cells: j.read("cells")?,
-        };
+        let report = <FrontierReport as Field>::from_json(j)?;
         // Bracket ends are ordered, or the width would underflow.
         if let Some(i) = report.cells.iter().position(|c| c.lower > c.upper) {
             return Err(format!("`cells[{i}]` field `lower` is above field `upper`"));
         }
-        check_unique_cells(&report.cells, FrontierCell::cell_id)?;
+        check_unique_cells(&report.cells)?;
         Ok(report)
     }
 
@@ -597,146 +626,13 @@ impl FrontierReport {
     }
 }
 
-/// Thresholds of the frontier diff gate, in the axis's own per-mille units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FrontierTolerance {
-    /// Tolerated decrease of a bracket bound, in per mille (0 = any decrease
-    /// is a regression).
-    pub mille: u16,
-}
-
-fn compare_frontier_cells(
-    base: &FrontierCell,
-    now: &FrontierCell,
-    tol: FrontierTolerance,
-) -> CellDelta {
-    let mut notes = Vec::new();
-    let mut regressions = Vec::new();
-    // Widened comparison so a huge --tol-mille cannot overflow u16.
-    let fell_beyond_tol = |b: u16, n: u16| u32::from(n) + u32::from(tol.mille) < u32::from(b);
-    if base.status != now.status {
-        let msg = format!(
-            "status moved {} -> {}",
-            base.status.label(),
-            now.status.label()
-        );
-        if now.status.rank() < base.status.rank() {
-            regressions.push(msg);
-        } else {
-            notes.push(msg);
-        }
-    } else if base.status == FrontierStatus::Bracketed {
-        // Same status, both finite: the breaking rate moved iff a bracket
-        // bound moved. A decrease beyond tolerance means the cliff crept
-        // closer — a robustness regression.
-        for (label, b, n) in [
-            ("lower", base.lower, now.lower),
-            ("upper", base.upper, now.upper),
-        ] {
-            if fell_beyond_tol(b, n) {
-                regressions.push(format!("bracket {label} bound fell {b}‰ -> {n}‰"));
-            } else if n > b {
-                notes.push(format!("bracket {label} bound rose {b}‰ -> {n}‰"));
-            } else if n != b {
-                notes.push(format!(
-                    "bracket {label} bound fell {b}‰ -> {n}‰ (within tolerance)"
-                ));
-            }
-        }
-    } else if base.status == FrontierStatus::NeverBreaks {
-        // Both never-breaks: `lower` is how far up the axis the claim was
-        // actually probed. A shorter candidate axis holds strictly weaker
-        // evidence for the same status.
-        if fell_beyond_tol(base.lower, now.lower) {
-            regressions.push(format!(
-                "never-breaks evidence shortened {}‰ -> {}‰",
-                base.lower, now.lower
-            ));
-        } else if now.lower > base.lower {
-            notes.push(format!(
-                "never-breaks evidence extended {}‰ -> {}‰",
-                base.lower, now.lower
-            ));
-        }
-    }
-    if base.monotone && !now.monotone {
-        regressions.push(format!(
-            "cell became non-monotone (success reappears at {:?}‰)",
-            now.reappear_rates
-        ));
-    } else if !base.monotone && now.monotone {
-        notes.push("cell became monotone".to_string());
-    }
-    if base.probes.len() != now.probes.len() {
-        notes.push(format!(
-            "probe count changed {} -> {}",
-            base.probes.len(),
-            now.probes.len()
-        ));
-    }
-    CellDelta {
-        cell: base.cell_id(),
-        change: CellChange::Changed,
-        notes,
-        regressions,
-    }
-}
-
-/// Compares the evidence strength recorded in the report headers: a
-/// candidate probing a shorter axis, fewer seeds, or a coarser resolution
-/// can match every cell's status while holding strictly weaker evidence, so
-/// those weakenings must fail the gate on their own.
-fn compare_parameters(base: &FrontierReport, candidate: &FrontierReport) -> CellDelta {
-    let mut notes = Vec::new();
-    let mut regressions = Vec::new();
-    let mut param = |label: &str, b: u32, n: u32, weaker_when_smaller: bool| {
-        if b == n {
-            return;
-        }
-        let weaker = if weaker_when_smaller { n < b } else { n > b };
-        let msg = format!("{label} changed {b} -> {n}");
-        if weaker {
-            regressions.push(format!("{msg} (weaker evidence)"));
-        } else {
-            notes.push(msg);
-        }
-    };
-    param(
-        "probe axis max rate (per mille)",
-        u32::from(base.max_rate),
-        u32::from(candidate.max_rate),
-        true,
-    );
-    param(
-        "seeds per probe",
-        base.seeds_per_cell,
-        candidate.seeds_per_cell,
-        true,
-    );
-    param(
-        "bracket resolution (per mille)",
-        u32::from(base.resolution),
-        u32::from(candidate.resolution),
-        false,
-    );
-    CellDelta {
-        cell: "(report parameters)".to_string(),
-        change: CellChange::Changed,
-        notes,
-        regressions,
-    }
-}
-
 /// Compares `candidate` against `base` under `tolerance` — the frontier
-/// counterpart of [`crate::diff_reports`], through the same diff core:
-/// removed cells, status downgrades, bracket bounds falling beyond
-/// tolerance, monotonicity loss and weakened search parameters (shorter
-/// axis, fewer seeds, coarser resolution) are regressions; improvements are
-/// notes.
+/// counterpart of [`crate::diff_reports`], through the same walk of the
+/// `record!` tables; only [`DiffTolerance::mille`] applies.
 pub fn diff_frontier_reports(
     base: &FrontierReport,
     candidate: &FrontierReport,
-    tolerance: FrontierTolerance,
+    tolerance: DiffTolerance,
 ) -> ReportDiff {
     let mut diff = ReportDiff::new(
         "Frontier",
@@ -745,16 +641,8 @@ pub fn diff_frontier_reports(
         format!("{}‰", tolerance.mille),
         Json::obj(vec![("mille", Json::Num(f64::from(tolerance.mille)))]),
     );
-    let params = compare_parameters(base, candidate);
-    if params.has_findings() {
-        diff.deltas.push(params);
-    }
-    diff.match_cells(
-        &base.cells,
-        &candidate.cells,
-        FrontierCell::cell_id,
-        |b, n| compare_frontier_cells(b, n, tolerance),
-    );
+    diff.compare_headers(base, candidate, tolerance);
+    diff.match_cells(&base.cells, &candidate.cells, tolerance);
     diff
 }
 
@@ -793,6 +681,7 @@ pub(crate) fn cell(status: FrontierStatus, lower: u16, upper: u16, monotone: boo
 pub(crate) fn report(name: &str, cells: Vec<FrontierCell>) -> FrontierReport {
     FrontierReport {
         name: name.to_string(),
+        axis: FrontierAxis,
         max_rate: 1000,
         resolution: 8,
         seeds_per_cell: 2,
@@ -981,7 +870,7 @@ mod tests {
     #[test]
     fn diff_is_clean_on_identical_reports() {
         let a = report("a", vec![cell(FrontierStatus::Bracketed, 40, 48, true)]);
-        let d = diff_frontier_reports(&a, &a, FrontierTolerance::default());
+        let d = diff_frontier_reports(&a, &a, DiffTolerance::default());
         assert!(!d.has_regressions());
         assert_eq!(d.matched, 1);
         assert_eq!(d.unchanged, 1);
@@ -992,15 +881,18 @@ mod tests {
     fn bracket_decrease_is_a_regression_and_increase_is_not() {
         let base = report("base", vec![cell(FrontierStatus::Bracketed, 40, 48, true)]);
         let closer = report("new", vec![cell(FrontierStatus::Bracketed, 24, 32, true)]);
-        let d = diff_frontier_reports(&base, &closer, FrontierTolerance::default());
+        let d = diff_frontier_reports(&base, &closer, DiffTolerance::default());
         assert!(d.has_regressions());
         assert!(d.deltas[0].regressions[0].contains("fell"));
         // The cliff moving away is an improvement.
-        let d = diff_frontier_reports(&closer, &base, FrontierTolerance::default());
+        let d = diff_frontier_reports(&closer, &base, DiffTolerance::default());
         assert!(!d.has_regressions());
         assert!(d.deltas[0].notes[0].contains("rose"));
         // A wide-enough tolerance absorbs the decrease.
-        let tol = FrontierTolerance { mille: 16 };
+        let tol = DiffTolerance {
+            mille: 16,
+            ..DiffTolerance::default()
+        };
         assert!(!diff_frontier_reports(&base, &closer, tol).has_regressions());
     }
 
@@ -1011,30 +903,27 @@ mod tests {
             vec![cell(FrontierStatus::NeverBreaks, 1000, 1000, true)],
         );
         let broke = report("new", vec![cell(FrontierStatus::Bracketed, 40, 48, true)]);
-        let d = diff_frontier_reports(&never, &broke, FrontierTolerance::default());
+        let d = diff_frontier_reports(&never, &broke, DiffTolerance::default());
         assert!(d.has_regressions());
-        assert!(d.deltas[0].regressions[0].contains("status moved"));
+        assert!(d.deltas[0].regressions[0].contains("status fell"));
         // The reverse direction is an improvement.
-        assert!(
-            !diff_frontier_reports(&broke, &never, FrontierTolerance::default()).has_regressions()
-        );
+        assert!(!diff_frontier_reports(&broke, &never, DiffTolerance::default()).has_regressions());
         // A removed cell is coverage loss.
         let empty = report("new", vec![]);
-        let d = diff_frontier_reports(&never, &empty, FrontierTolerance::default());
+        let d = diff_frontier_reports(&never, &empty, DiffTolerance::default());
         assert!(d.has_regressions());
         assert!(d.deltas[0].regressions[0].contains("removed"));
         // An added cell is a note.
-        let d = diff_frontier_reports(&empty, &never, FrontierTolerance::default());
+        let d = diff_frontier_reports(&empty, &never, DiffTolerance::default());
         assert!(!d.has_regressions());
         // Losing monotonicity fails; regaining it is a note.
         let wobbly = report("new", vec![cell(FrontierStatus::Bracketed, 40, 48, false)]);
         let stable = report("base", vec![cell(FrontierStatus::Bracketed, 40, 48, true)]);
-        let d = diff_frontier_reports(&stable, &wobbly, FrontierTolerance::default());
+        let d = diff_frontier_reports(&stable, &wobbly, DiffTolerance::default());
         assert!(d.has_regressions());
-        assert!(d.deltas[0].regressions[0].contains("non-monotone"));
+        assert!(d.deltas[0].regressions[0].contains("monotone fell"));
         assert!(
-            !diff_frontier_reports(&wobbly, &stable, FrontierTolerance::default())
-                .has_regressions()
+            !diff_frontier_reports(&wobbly, &stable, DiffTolerance::default()).has_regressions()
         );
     }
 
@@ -1051,16 +940,35 @@ mod tests {
         weak.max_rate = 50;
         weak.seeds_per_cell = 1;
         weak.resolution = 64;
-        let d = diff_frontier_reports(&base, &weak, FrontierTolerance::default());
+        let d = diff_frontier_reports(&base, &weak, DiffTolerance::default());
         assert!(d.has_regressions());
         // Axis, seeds, resolution and the per-cell never-breaks evidence all
         // regressed.
         assert_eq!(d.regression_count(), 4, "{:?}", d.deltas);
         assert!(d.deltas[0].cell.contains("parameters"));
         // The reverse direction (stronger evidence) is all notes.
-        let d = diff_frontier_reports(&weak, &base, FrontierTolerance::default());
+        let d = diff_frontier_reports(&weak, &base, DiffTolerance::default());
         assert!(!d.has_regressions());
         assert!(!d.deltas.is_empty());
+    }
+
+    #[test]
+    fn every_frontier_report_key_is_gated() {
+        let mut full = report("base", vec![cell(FrontierStatus::Bracketed, 4, 8, false)]);
+        full.skipped = vec![SkippedCell {
+            cell: "path(4)".to_string(),
+            reason: "not 2-edge-connected".to_string(),
+        }];
+        let doc = Json::parse(&full.to_json_string()).unwrap();
+        // A status must stay a status label; `lower` and `upper` rise by
+        // one within the bracket; the parser accepts no other axis.
+        crate::diff::assert_every_key_gated(
+            &doc,
+            FrontierReport::from_json,
+            |b, n| diff_frontier_reports(b, n, DiffTolerance::default()),
+            (&["family", "mode", "workload"], "frontier", &["axis"]),
+            &[("status", Json::Str("never-breaks".to_string()))],
+        );
     }
 
     #[test]
@@ -1072,21 +980,22 @@ mod tests {
             vec![cell(FrontierStatus::Bracketed, 900, 908, true)],
         );
         let closer = report("new", vec![cell(FrontierStatus::Bracketed, 0, 8, true)]);
-        let tol = FrontierTolerance { mille: u16::MAX };
+        let tol = DiffTolerance {
+            mille: u16::MAX,
+            ..DiffTolerance::default()
+        };
         assert!(!diff_frontier_reports(&base, &closer, tol).has_regressions());
-        assert!(
-            diff_frontier_reports(&base, &closer, FrontierTolerance::default()).has_regressions()
-        );
+        assert!(diff_frontier_reports(&base, &closer, DiffTolerance::default()).has_regressions());
     }
 
     #[test]
     fn diff_renderers_cover_both_formats() {
         let base = report("base", vec![cell(FrontierStatus::Bracketed, 40, 48, true)]);
         let worse = report("new", vec![cell(FrontierStatus::BreaksAtZero, 0, 0, true)]);
-        let d = diff_frontier_reports(&base, &worse, FrontierTolerance::default());
+        let d = diff_frontier_reports(&base, &worse, DiffTolerance::default());
         let md = d.to_markdown();
         assert!(md.starts_with("# Frontier diff: `base` -> `new`"), "{md}");
-        assert!(md.contains("| `figure3/full/flood(2)` | changed | status moved"));
+        assert!(md.contains("| `figure3/full/flood(2)` | changed | status fell"));
         assert!(md.contains("**REGRESSION**"));
         let j = Json::parse(&d.to_json_string()).unwrap();
         assert_eq!(

@@ -353,6 +353,13 @@ impl<T: Field> Field for Vec<T> {
 /// them keep their exact earlier bytes. The CSV columns are the
 /// always-written fields', flattened. A table that leaves out a field, or
 /// names one the struct lacks, does not compile.
+///
+/// A record the regression gate compares names each field's diff rule
+/// after a colon (`cc_init: cost`, `name as "campaign": title`), and also
+/// gets a [`Diff`](crate::diff::Diff) walk that runs every rule in table
+/// order. A rule is a function in scope at the table with the signature of
+/// those in [`crate::diff`]; a table in which one field lacks its rule does
+/// not compile.
 macro_rules! record {
     (@key $field:ident) => {
         stringify!($field)
@@ -360,9 +367,45 @@ macro_rules! record {
     (@key $field:ident $key:literal) => {
         $key
     };
+    (@id id $value:expr) => {
+        Some($value.as_str())
+    };
+    (@id $rule:ident $value:expr) => {
+        None
+    };
     (
-        $ty:ident { $($field:ident $(as $key:literal)?),+ $(,)? }
-        $(optional { $($opt:ident),+ $(,)? })?
+        $ty:ident { $($field:ident $(as $key:literal)? : $rule:ident),+ $(,)? }
+        $(optional { $($opt:ident : $opt_rule:ident),+ $(,)? })?
+    ) => {
+        $crate::json::record!(@field $ty { $($field $(as $key)?),+ } $(optional { $($opt),+ })?);
+
+        impl $crate::diff::Diff for $ty {
+            fn id(&self) -> String {
+                let parts: Vec<&str> = [$($crate::json::record!(@id $rule self.$field)),+]
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                parts.join("/")
+            }
+
+            fn diff(base: &Self, now: &Self, gate: &mut $crate::diff::Gate) {
+                $($rule(
+                    gate,
+                    $crate::json::record!(@key $field $($key)?),
+                    &base.$field,
+                    &now.$field,
+                    (base, now),
+                );)+
+                $($($opt_rule(gate, stringify!($opt), &base.$opt, &now.$opt, (base, now));)+)?
+            }
+        }
+    };
+    ($ty:ident { $($field:ident $(as $key:literal)?),+ $(,)? }) => {
+        $crate::json::record!(@field $ty { $($field $(as $key)?),+ });
+    };
+    (
+        @field $ty:ident { $($field:ident $(as $key:literal)?),+ }
+        $(optional { $($opt:ident),+ })?
     ) => {
         impl $crate::json::Field for $ty {
             fn to_json(&self) -> $crate::json::Json {

@@ -39,7 +39,8 @@
 //! the per-cell wall-clock [`CellTiming`]s beside the report (the
 //! `--timings` sidecar; wall time never enters a report). Each report
 //! record lists its fields once, and its JSON writer, strict parser and CSV
-//! columns all follow from that list through the [`Field`] trait. Every
+//! columns all follow from that list through the [`Field`] trait, as does,
+//! for the records the diff gate compares, each field's diff rule. Every
 //! saved report parses back through one checked reader, [`Json::read`]: a
 //! missing field, or a number its field's type cannot hold, is an error
 //! naming the field.
@@ -89,8 +90,8 @@ pub use cache::{
 pub use diff::{diff_reports, CellChange, CellDelta, DiffTolerance, ReportDiff};
 pub use error::LabError;
 pub use frontier::{
-    diff_frontier_reports, run_frontier, FrontierCell, FrontierOptions, FrontierProbe,
-    FrontierReport, FrontierStatus, FrontierTolerance, FRONTIER_AXIS,
+    diff_frontier_reports, run_frontier, FrontierAxis, FrontierCell, FrontierOptions,
+    FrontierProbe, FrontierReport, FrontierStatus, FRONTIER_AXIS,
 };
 pub use json::{Field, Json};
 pub use presets::PRESET_NAMES;

@@ -20,8 +20,8 @@ use fdn_graph::GraphFamily;
 use fdn_lab::{
     diff_frontier_reports, diff_reports, merge_reports, run_campaign, run_frontier, run_trace,
     shard_slice, Caches, Campaign, CampaignReport, CellTiming, CheckpointStore, DiffTolerance,
-    FrontierOptions, FrontierReport, FrontierTolerance, Json, LabError, RunOptions, Shard,
-    Stopwatch, StoreStats, TraceOptions,
+    FrontierOptions, FrontierReport, Json, LabError, RunOptions, Shard, Stopwatch, StoreStats,
+    TraceOptions,
 };
 use fdn_netsim::{NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
@@ -159,8 +159,6 @@ fn usage() -> String {
     \x20                                 per-cell wall-clock JSON sidecar;\n\
     \x20                                 reports themselves never carry wall\n\
     \x20                                 time, so diff gates stay byte-exact\n\
-    \x20 --top-links K                   (trace) hottest links listed per cell\n\
-    \x20                                 in the markdown rendering [default: 8]\n\
      \n\
      Frontier flags (`fdn-lab frontier` takes the matrix flags too: one\n\
      cell per family x mode x workload, probed on the first of --schedulers;\n\
@@ -176,9 +174,9 @@ fn usage() -> String {
     \x20 --tol-rate X                    campaign: tolerated success/quiescence\n\
     \x20                                 drop, absolute in [0,1] [default: 0]\n\
     \x20 --tol-pulses Y                  campaign: tolerated relative p50/p95\n\
-    \x20                                 increase of pulses, CCinit, online\n\
-    \x20                                 pulses and overhead (0.1 = +10%)\n\
-    \x20                                 [default: 0]\n\
+    \x20                                 increase of every cost field (pulses,\n\
+    \x20                                 bits, steps, cc_init, overhead, …;\n\
+    \x20                                 0.1 = +10%) [default: 0]\n\
     \x20 --tol-mille N                   frontier: tolerated bracket-bound\n\
     \x20                                 decrease, per mille [default: 0]\n\
     \x20 --format md|json                delta report format [default: md]\n"
@@ -707,14 +705,7 @@ fn cmd_frontier(args: &[String]) -> Result<(), LabError> {
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), LabError> {
-    let mut top_links = TraceOptions::default().top_links;
-    let opts = parse_layered(args, |flag, flags| {
-        if flag != "--top-links" {
-            return Ok(false);
-        }
-        top_links = parse_num(flag, flags.value(flag)?)?;
-        Ok(true)
-    })?;
+    let opts = parse_run_args(args)?;
     if opts.run.shard.is_some() {
         return Err(LabError::Usage(
             "trace runs one scenario per cell; --shard applies to `run`".into(),
@@ -725,7 +716,6 @@ fn cmd_trace(args: &[String]) -> Result<(), LabError> {
             .run
             .sample_every
             .unwrap_or(TraceOptions::default().sample_every),
-        top_links,
     };
     eprintln!(
         "trace `{}`: first seed of every cell, sampling every {} deliveries",
@@ -988,6 +978,11 @@ fn cmd_diff(args: &[String]) -> Result<(), LabError> {
             "diff requires exactly two report files: BASE.json CANDIDATE.json".into(),
         ));
     };
+    let tolerance = DiffTolerance {
+        rate: tol_rate.unwrap_or(0.0),
+        pulses: tol_pulses.unwrap_or(0.0),
+        mille: tol_mille.unwrap_or(0),
+    };
     let delta = match (
         load_any_report(base_path)?,
         load_any_report(candidate_path)?,
@@ -998,10 +993,6 @@ fn cmd_diff(args: &[String]) -> Result<(), LabError> {
                     "--tol-mille applies to frontier reports, not campaign reports".into(),
                 ));
             }
-            let tolerance = DiffTolerance {
-                rate: tol_rate.unwrap_or(0.0),
-                pulses: tol_pulses.unwrap_or(0.0),
-            };
             diff_reports(&base, &candidate, tolerance)
         }
         (AnyReport::Frontier(base), AnyReport::Frontier(candidate)) => {
@@ -1012,9 +1003,6 @@ fn cmd_diff(args: &[String]) -> Result<(), LabError> {
                         .into(),
                 ));
             }
-            let tolerance = FrontierTolerance {
-                mille: tol_mille.unwrap_or(0),
-            };
             diff_frontier_reports(&base, &candidate, tolerance)
         }
         _ => {

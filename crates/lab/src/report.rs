@@ -12,6 +12,7 @@ use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use crate::cache::TopologyCache;
+use crate::diff::{cells, cost, cost_if_both, exact, fall, id, note, rate, rise, title, Diff};
 use crate::json::{csv_lines, record, Field, Json};
 use crate::runner::{InflightCurve, ScenarioOutcome};
 use crate::spec::{Campaign, SkippedCell};
@@ -269,15 +270,19 @@ pub struct CellReport {
 
 // The observability fields are optional: omitted when absent, so
 // unsampled, healthy campaigns keep the exact bytes they produced before
-// these fields existed (the byte identity the CI rerun gates compare).
+// these fields existed (the byte identity the CI rerun gates compare). Each
+// field names its diff rule (see `crate::diff`).
 record! {
     CellReport {
-        family, mode, encoding, workload, noise, scheduler, first_scenario_index, nodes, edges,
-        reference_cycle_len, runs, errors, baseline_errors, construction_skews, construction_seed,
-        success_rate, quiescence_rate, pulses, bits, steps, dropped, cc_init, online_pulses,
-        max_node_pulses, max_edge_pulses, max_inflight, cycle_len, baseline_messages, overhead,
+        family: id, mode: id, encoding: id, workload: id, noise: id, scheduler: id,
+        first_scenario_index: note, nodes: exact, edges: exact, reference_cycle_len: exact,
+        runs: note, errors: rise, baseline_errors: rise, construction_skews: rise,
+        construction_seed: note, success_rate: rate, quiescence_rate: rate, pulses: cost,
+        bits: cost, steps: cost, dropped: cost, cc_init: cost, online_pulses: cost,
+        max_node_pulses: cost, max_edge_pulses: cost, max_inflight: cost, cycle_len: cost,
+        baseline_messages: cost, overhead: cost_if_both,
     } optional {
-        inflight_curve, stall_diagnostics,
+        inflight_curve: note, stall_diagnostics: note,
     }
 }
 
@@ -298,7 +303,8 @@ pub struct CampaignReport {
 
 record! {
     CampaignReport {
-        name as "campaign", scenario_count as "scenarios", seeds_per_cell, skipped, cells,
+        name as "campaign": title, scenario_count as "scenarios": note, seeds_per_cell: fall,
+        skipped: note, cells: cells,
     }
 }
 
@@ -421,12 +427,9 @@ fn summarize_cell(group: &[ScenarioOutcome], cache: &TopologyCache) -> CellRepor
 impl CellReport {
     /// The cell identity, in the same `/`-joined label format as
     /// `Cell::id()` (and as skipped-cell entries): the key reports are
-    /// matched on when diffing and merging.
+    /// matched on when diffing and merging, built from the `id` fields.
     pub fn cell_id(&self) -> String {
-        format!(
-            "{}/{}/{}/{}/{}/{}",
-            self.family, self.mode, self.encoding, self.workload, self.noise, self.scheduler
-        )
+        Diff::id(self)
     }
 }
 
@@ -457,7 +460,7 @@ impl CampaignReport {
     /// cell that appears twice.
     pub fn from_json(j: &Json) -> Result<CampaignReport, String> {
         let report = <CampaignReport as Field>::from_json(j)?;
-        check_unique_cells(&report.cells, CellReport::cell_id)?;
+        check_unique_cells(&report.cells)?;
         Ok(report)
     }
 
@@ -610,13 +613,13 @@ impl CampaignReport {
     }
 }
 
-/// Checks that no two of a report's `cells` share an `id`. Diffs and merges
+/// Checks that no two of a report's `cells` share an id. Diffs and merges
 /// match cells by id, so a repeated cell would be compared through one of
 /// its copies only.
-pub(crate) fn check_unique_cells<C>(cells: &[C], id: impl Fn(&C) -> String) -> Result<(), String> {
+pub(crate) fn check_unique_cells<C: Diff>(cells: &[C]) -> Result<(), String> {
     let mut seen = BTreeMap::new();
     for (i, c) in cells.iter().enumerate() {
-        match seen.entry(id(c)) {
+        match seen.entry(c.id()) {
             btree_map::Entry::Vacant(slot) => {
                 slot.insert(i);
             }

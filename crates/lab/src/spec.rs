@@ -380,6 +380,8 @@ impl Campaign {
     /// * the graph is not 2-edge-connected (Theorem 3: no content-oblivious
     ///   simulation exists),
     /// * the workload does not support the topology,
+    /// * the encoding is unary in a mode other than `cycle` (Lemma 7: unary
+    ///   cannot carry the construction's control messages),
     /// * the encoding is unary with anything but a 0-byte flood (Lemma 7:
     ///   exponential cost makes those runs infeasible),
     /// * the encoding is unary under deletion noise.
@@ -454,6 +456,10 @@ fn skip_reason(cell: &Cell, graph: &Graph, two_ec: bool) -> Option<String> {
             "workload {} unsupported on {}",
             cell.workload, cell.family
         ))
+    } else if unary && cell.mode != EngineMode::CycleOnly {
+        // The construction's control messages carry payloads, which unary
+        // cannot afford: such a run fails at once.
+        Some("unary cannot carry the construction's control messages (Lemma 7)".to_string())
     } else if unary && cell.workload != (WorkloadSpec::Flood { payload_bytes: 0 }) {
         Some("unary encoding is exponential; only flood(0) is swept".to_string())
     } else if unary && cell.noise.deletes() {
@@ -544,6 +550,7 @@ mod tests {
     #[test]
     fn unary_only_pairs_with_zero_payload_flood() {
         let mut c = matrix();
+        c.modes = vec![EngineMode::CycleOnly];
         c.families = vec![GraphFamily::Cycle { n: 4 }];
         c.encodings = vec![EncodingSpec::Unary];
         c.workloads = vec![
@@ -560,6 +567,7 @@ mod tests {
     #[test]
     fn unary_never_pairs_with_deletion_noise() {
         let mut c = matrix();
+        c.modes = vec![EngineMode::CycleOnly];
         c.families = vec![GraphFamily::Cycle { n: 4 }];
         c.encodings = vec![EncodingSpec::Unary];
         c.workloads = vec![WorkloadSpec::Flood { payload_bytes: 0 }];
@@ -578,6 +586,33 @@ mod tests {
             .filter(|s| s.reason.contains("deletion"))
             .collect();
         assert_eq!(deletion_skips.len(), 4); // 2 deletion noises x 2 schedulers
+    }
+
+    #[test]
+    fn unary_runs_only_in_cycle_mode() {
+        let mut c = matrix();
+        c.modes = EngineMode::ALL.to_vec();
+        c.families = vec![GraphFamily::Cycle { n: 4 }, GraphFamily::Figure3];
+        c.encodings = vec![EncodingSpec::Unary];
+        c.workloads = vec![WorkloadSpec::Flood { payload_bytes: 0 }];
+        c.noises = vec![NoiseSpec::Noiseless];
+        c.schedulers = vec![SchedulerSpec::Random];
+        let (scenarios, skipped) = c.expand_with_skips();
+        assert_eq!(scenarios.len(), 2 * 3, "two families, one cycle cell each");
+        assert!(scenarios
+            .iter()
+            .all(|s| s.cell.mode == EngineMode::CycleOnly));
+        assert!(skipped.iter().all(|s| s.reason.contains("Lemma 7")));
+        let ids: Vec<&str> = skipped.iter().map(|s| s.cell.as_str()).collect();
+        assert_eq!(
+            ids,
+            [
+                "cycle(4)/full/unary/flood(0)/noiseless/random",
+                "cycle(4)/replay/unary/flood(0)/noiseless/random",
+                "figure3/full/unary/flood(0)/noiseless/random",
+                "figure3/replay/unary/flood(0)/noiseless/random",
+            ]
+        );
     }
 
     #[test]

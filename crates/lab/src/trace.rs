@@ -35,21 +35,19 @@ use crate::report::push_skipped_markdown;
 use crate::runner::{replay_key, run_scenario_observed, CellTiming, ScenarioOutcome};
 use crate::spec::{Campaign, EngineMode, Scenario, SkippedCell};
 
+/// How many of the busiest links the markdown rendering lists per cell.
+const TOP_LINKS: usize = 8;
+
 /// Knobs of a trace run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceOptions {
     /// Sampling stride in deliveries for the time-series ring.
     pub sample_every: u64,
-    /// How many of the busiest links the markdown rendering lists.
-    pub top_links: usize,
 }
 
 impl Default for TraceOptions {
     fn default() -> Self {
-        TraceOptions {
-            sample_every: 64,
-            top_links: 8,
-        }
+        TraceOptions { sample_every: 64 }
     }
 }
 
@@ -337,14 +335,10 @@ impl TraceReport {
                     ""
                 },
             );
-            let hottest = trace.profiler.hottest_links(self.options.top_links);
+            let hottest = trace.profiler.hottest_links(TOP_LINKS);
             if !hottest.is_empty() {
                 let _ = writeln!(out);
-                let _ = writeln!(
-                    out,
-                    "Hottest links (top {} by deliveries):",
-                    self.options.top_links
-                );
+                let _ = writeln!(out, "Hottest links (top {TOP_LINKS} by deliveries):");
                 let _ = writeln!(out);
                 let _ = writeln!(out, "| link | deliveries |");
                 let _ = writeln!(out, "|---|---|");

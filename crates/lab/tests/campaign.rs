@@ -162,14 +162,14 @@ fn diff_gate_passes_on_rerun_and_fails_on_degradation() {
         &base,
         &worse,
         DiffTolerance {
-            rate: 0.0,
             pulses: 2.0,
+            ..DiffTolerance::default()
         },
     );
     assert!(loose
         .deltas
         .iter()
-        .all(|d| d.regressions.iter().all(|r| r.contains("success rate"))));
+        .all(|d| d.regressions.iter().all(|r| r.contains("success_rate"))));
 }
 
 #[test]

@@ -7,8 +7,8 @@ mod common;
 use common::{fdn_lab, report_artifacts, scratch};
 use fdn_graph::GraphFamily;
 use fdn_lab::{
-    diff_frontier_reports, Caches, Campaign, FrontierOptions, FrontierReport, FrontierStatus,
-    FrontierTolerance, RunOptions, SeedRange,
+    diff_frontier_reports, Caches, Campaign, DiffTolerance, FrontierOptions, FrontierReport,
+    FrontierStatus, RunOptions, SeedRange,
 };
 use fdn_protocols::WorkloadSpec;
 
@@ -51,7 +51,7 @@ fn frontier_diff_of_independent_runs_is_clean() {
     let a = small_frontier("it");
     let b = small_frontier("it");
     assert_eq!(a.to_json_string(), b.to_json_string());
-    let d = diff_frontier_reports(&a, &b, FrontierTolerance::default());
+    let d = diff_frontier_reports(&a, &b, DiffTolerance::default());
     assert!(!d.has_regressions());
     assert_eq!(d.unchanged, a.cells.len());
 }
