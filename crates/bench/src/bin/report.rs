@@ -1,4 +1,5 @@
-//! Regenerates the experiment tables of EXPERIMENTS.md via the `fdn-lab`
+//! Regenerates the paper-claim experiment tables (E1–E8; the README's
+//! "Experiment tables" section lists the commands) via the `fdn-lab`
 //! campaign engine.
 //!
 //! Usage: `cargo run -p fdn-bench --release --bin report [e1|...|e8|all]`

@@ -1,8 +1,9 @@
 //! Graph generators used by the examples, tests and the benchmark harness.
 //!
 //! All generators return deterministic graphs for fixed parameters (random
-//! generators take an explicit seed), so every experiment in EXPERIMENTS.md is
-//! reproducible.
+//! generators take an explicit seed), so every experiment table the
+//! `fdn-bench` `report` binary prints (see the README's "Experiment tables")
+//! is reproducible.
 
 #![expect(
     clippy::disallowed_methods,

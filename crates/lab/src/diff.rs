@@ -31,8 +31,8 @@ pub struct DiffTolerance {
     /// Tolerated absolute drop of a rate field, in `[0, 1]`
     /// (`--tol-rate`).
     pub rate: f64,
-    /// Tolerated relative rise of a cost field's p50 or p95: `0.1` = +10%
-    /// (`--tol-pulses`).
+    /// Tolerated relative rise of any statistic of a cost field: `0.1` =
+    /// +10% (`--tol-pulses`).
     pub pulses: f64,
     /// Tolerated fall of a frontier bracket bound, in per mille
     /// (`--tol-mille`).
@@ -209,12 +209,16 @@ pub(crate) fn rate<R>(g: &mut Gate, key: &str, b: &f64, n: &f64, _: (&R, &R)) {
     }
 }
 
-/// Rule `cost`: compares the p50 and p95 of a summary. A relative rise
-/// beyond the cost tolerance, or a statistic that becomes `null` (read back
-/// as NaN), is a regression; a fall beyond the tolerance, or a move off a
-/// zero or `null` base, a note.
+/// Rule `cost`: compares each of the five statistics of a summary. A
+/// relative rise beyond the cost tolerance, or a statistic that becomes
+/// `null` (read back as NaN), is a regression; a fall beyond the tolerance,
+/// or a move off a zero or `null` base, a note.
 pub(crate) fn cost<R>(g: &mut Gate, key: &str, b: &MetricSummary, n: &MetricSummary, _: (&R, &R)) {
-    for (stat, b, n) in [("p50", b.p50, n.p50), ("p95", b.p95, n.p95)] {
+    let stats = MetricSummary::STATS
+        .into_iter()
+        .zip(b.values())
+        .zip(n.values());
+    for ((stat, b), n) in stats {
         let moved = |verb: &str| format!("{key} {stat} {verb} {} -> {}", num(b), num(n));
         match rel_change(b, n) {
             _ if b == n || (b.is_nan() && n.is_nan()) => {}
@@ -627,9 +631,9 @@ mod tests {
         let slower = report("new", vec![cell("noiseless", 1.0, 130.0)]);
         let d = diff_reports(&base, &slower, pulses(0.1));
         assert!(d.has_regressions());
-        // p50 and p95 both moved by +30%.
-        assert_eq!(d.regression_count(), 2);
-        assert!(d.deltas[0].regressions[0].contains("+30.0%"));
+        // All five statistics moved by +30%.
+        assert_eq!(d.regression_count(), 5);
+        assert!(d.deltas[0].regressions.iter().all(|r| r.contains("+30.0%")));
         // A 50% tolerance absorbs it; a speedup is never a regression.
         assert!(!diff_reports(&base, &slower, pulses(0.5)).has_regressions());
         assert!(!diff_reports(&slower, &base, pulses(0.1)).has_regressions());
@@ -651,17 +655,26 @@ mod tests {
         assert_eq!(
             d.deltas[0].regressions,
             [
+                "cc_init min rose 400 -> 800 (+100.0%)",
+                "cc_init mean rose 400 -> 800 (+100.0%)",
                 "cc_init p50 rose 400 -> 800 (+100.0%)",
                 "cc_init p95 rose 400 -> 800 (+100.0%)",
+                "cc_init max rose 400 -> 800 (+100.0%)",
+                "overhead min rose 1.50 -> 4.50 (+200.0%)",
+                "overhead mean rose 1.50 -> 4.50 (+200.0%)",
                 "overhead p50 rose 1.50 -> 4.50 (+200.0%)",
                 "overhead p95 rose 1.50 -> 4.50 (+200.0%)",
+                "overhead max rose 1.50 -> 4.50 (+200.0%)",
             ]
         );
         assert_eq!(
             d.deltas[0].notes,
             [
+                "online_pulses min fell 60 -> 30 (-50.0%)",
+                "online_pulses mean fell 60 -> 30 (-50.0%)",
                 "online_pulses p50 fell 60 -> 30 (-50.0%)",
                 "online_pulses p95 fell 60 -> 30 (-50.0%)",
+                "online_pulses max fell 60 -> 30 (-50.0%)",
             ]
         );
         assert!(!diff_reports(&base, &now, pulses(2.0)).has_regressions());
@@ -679,8 +692,11 @@ mod tests {
         assert_eq!(
             d.deltas[0].notes,
             [
+                "cc_init min changed 0 -> 400",
+                "cc_init mean changed 0 -> 400",
                 "cc_init p50 changed 0 -> 400",
-                "cc_init p95 changed 0 -> 400"
+                "cc_init p95 changed 0 -> 400",
+                "cc_init max changed 0 -> 400",
             ]
         );
     }
@@ -743,6 +759,30 @@ mod tests {
         assert_eq!(d.deltas[0].notes, ["pulses p50 changed null -> 100"]);
         let d = diff_reports(&nulled, &nulled, DiffTolerance::default());
         assert_eq!(d.unchanged, 1);
+    }
+
+    #[test]
+    fn every_statistic_of_a_cost_field_is_gated() {
+        // Not only p50 and p95: a 4-seed cell's mean and its extreme runs
+        // are compared too. A null mean and a tripled maximum are two
+        // regressions, and the cost tolerance covers every statistic.
+        let mut b = cell("noiseless", 1.0, 100.0);
+        b.cc_init = flat(400.0);
+        let mut n = b.clone();
+        n.pulses.mean = f64::NAN;
+        n.cc_init.max = 1200.0;
+        let (base, now) = (report("base", vec![b]), report("new", vec![n]));
+        let now = CampaignReport::from_json_str(&now.to_json_string()).unwrap();
+        let d = diff_reports(&base, &now, DiffTolerance::default());
+        assert_eq!(
+            d.deltas[0].regressions,
+            [
+                "pulses mean became null (was 100)",
+                "cc_init max rose 400 -> 1200 (+200.0%)",
+            ]
+        );
+        assert!(d.deltas[0].notes.is_empty());
+        assert_eq!(diff_reports(&base, &now, pulses(2.5)).regression_count(), 1);
     }
 
     #[test]
@@ -868,27 +908,17 @@ mod tests {
     }
 
     #[test]
-    fn baseline_error_and_skew_increases_are_regressions() {
+    fn baseline_error_increase_is_a_regression() {
         let base = report("base", vec![cell("noiseless", 1.0, 100.0)]);
         let mut flagged = cell("noiseless", 1.0, 100.0);
         flagged.baseline_errors = 1;
-        flagged.construction_skews = 2;
         let bad = report("new", vec![flagged.clone()]);
         let d = diff_reports(&base, &bad, DiffTolerance::default());
-        assert!(d.has_regressions());
-        assert_eq!(d.regression_count(), 2);
-        assert!(d.deltas[0]
-            .regressions
-            .iter()
-            .any(|r| r.contains("baseline_errors rose 0 -> 1")));
-        assert!(d.deltas[0]
-            .regressions
-            .iter()
-            .any(|r| r.contains("construction_skews rose 0 -> 2")));
+        assert_eq!(d.deltas[0].regressions, ["baseline_errors rose 0 -> 1"]);
         // The reverse direction is an improvement, not a regression.
         let d = diff_reports(&bad, &base, DiffTolerance::default());
         assert!(!d.has_regressions());
-        assert_eq!(d.deltas[0].notes.len(), 2);
+        assert_eq!(d.deltas[0].notes, ["baseline_errors fell 1 -> 0"]);
     }
 
     #[test]

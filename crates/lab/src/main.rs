@@ -173,8 +173,9 @@ fn usage() -> String {
      Diff flags (`fdn-lab diff BASE.json CANDIDATE.json`):\n\
     \x20 --tol-rate X                    campaign: tolerated success/quiescence\n\
     \x20                                 drop, absolute in [0,1] [default: 0]\n\
-    \x20 --tol-pulses Y                  campaign: tolerated relative p50/p95\n\
-    \x20                                 increase of every cost field (pulses,\n\
+    \x20 --tol-pulses Y                  campaign: tolerated relative increase\n\
+    \x20                                 of every statistic (min, mean, p50,\n\
+    \x20                                 p95, max) of every cost field (pulses,\n\
     \x20                                 bits, steps, cc_init, overhead, …;\n\
     \x20                                 0.1 = +10%) [default: 0]\n\
     \x20 --tol-mille N                   frontier: tolerated bracket-bound\n\

@@ -87,9 +87,9 @@ pub struct MetricSummary {
 }
 
 impl MetricSummary {
-    /// The all-zero summary: the online metric of a cell whose every run
-    /// aborted mid-construction.
-    pub const ZERO: MetricSummary = MetricSummary {
+    /// The all-zero summary, the metrics of the test fixtures.
+    #[cfg(test)]
+    pub(crate) const ZERO: MetricSummary = MetricSummary {
         min: 0.0,
         mean: 0.0,
         p50: 0.0,
@@ -121,9 +121,10 @@ impl MetricSummary {
     }
 
     /// The five statistics, in JSON and CSV order.
-    const STATS: [&'static str; 5] = ["min", "mean", "p50", "p95", "max"];
+    pub(crate) const STATS: [&'static str; 5] = ["min", "mean", "p50", "p95", "max"];
 
-    fn values(&self) -> [f64; 5] {
+    /// The values of the five [`STATS`](Self::STATS), in the same order.
+    pub(crate) fn values(&self) -> [f64; 5] {
         [self.min, self.mean, self.p50, self.p95, self.max]
     }
 }
@@ -220,10 +221,6 @@ pub struct CellReport {
     /// workload has no baseline": these cells *should* have an overhead
     /// column and don't, and the markdown rendering marks them explicitly).
     pub baseline_errors: usize,
-    /// Runs that aborted mid-construction with skewed accounting
-    /// (`cc_init > sent_total`): their `online_pulses` of 0 is a
-    /// placeholder, not a measurement.
-    pub construction_skews: usize,
     /// The construct-once seed of replay cells (`None` for the other
     /// modes). Recorded so replay reports stay diffable: two reports measure
     /// the same thing only if their cells replay the same construction.
@@ -276,7 +273,7 @@ record! {
     CellReport {
         family: id, mode: id, encoding: id, workload: id, noise: id, scheduler: id,
         first_scenario_index: note, nodes: exact, edges: exact, reference_cycle_len: exact,
-        runs: note, errors: rise, baseline_errors: rise, construction_skews: rise,
+        runs: note, errors: rise, baseline_errors: rise,
         construction_seed: note, success_rate: rate, quiescence_rate: rate, pulses: cost,
         bits: cost, steps: cost, dropped: cost, cc_init: cost, online_pulses: cost,
         max_node_pulses: cost, max_edge_pulses: cost, max_inflight: cost, cycle_len: cost,
@@ -359,7 +356,6 @@ fn summarize_cell(group: &[ScenarioOutcome], cache: &TopologyCache) -> CellRepor
         runs,
         errors: group.iter().filter(|o| o.error.is_some()).count(),
         baseline_errors: group.iter().filter(|o| o.baseline_error.is_some()).count(),
-        construction_skews: group.iter().filter(|o| o.construction_skew).count(),
         construction_seed: (cell.mode == crate::spec::EngineMode::Replay)
             .then(|| group[0].scenario.construction_seed),
         success_rate: group.iter().filter(|o| o.success).count() as f64 / runs as f64,
@@ -369,25 +365,7 @@ fn summarize_cell(group: &[ScenarioOutcome], cache: &TopologyCache) -> CellRepor
         steps: metric(&|o| o.steps as f64),
         dropped: metric(&|o| o.stats.dropped_total as f64),
         cc_init: metric(&|o| o.cc_init as f64),
-        // Skew-flagged runs carry a *placeholder* online_pulses of 0, not a
-        // measurement (their construction aborted with cc_init > sent_total);
-        // feeding the placeholders into the summary would drag the online
-        // metric toward a value nothing measured. NaN is how from_values is
-        // told to skip an observation; an all-skew cell summarizes to ZERO,
-        // with construction_skews == runs saying why.
-        online_pulses: MetricSummary::from_values(
-            &group
-                .iter()
-                .map(|o| {
-                    if o.construction_skew {
-                        f64::NAN
-                    } else {
-                        o.online_pulses as f64
-                    }
-                })
-                .collect::<Vec<f64>>(),
-        )
-        .unwrap_or(MetricSummary::ZERO),
+        online_pulses: metric(&|o| o.online_pulses as f64),
         max_node_pulses: metric(&|o| o.stats.max_sent_by_node() as f64),
         max_edge_pulses: metric(&|o| o.stats.max_sent_on_edge() as f64),
         max_inflight: metric(&|o| o.stats.max_inflight as f64),
@@ -518,16 +496,9 @@ impl CampaignReport {
                 (None, 0) => "—".to_string(),
                 (None, k) => format!("baseline-error×{k}"),
             };
-            // An aborted-mid-construction seed makes the online/CCinit split
-            // a placeholder; the skew count rides on the CCinit column.
-            let cc_init = if c.construction_skews > 0 {
-                format!("{:.0} (skew×{})", c.cc_init.p50, c.construction_skews)
-            } else {
-                format!("{:.0}", c.cc_init.p50)
-            };
             let _ = writeln!(
                 out,
-                "| {} | {} | {} | {} | {} | {} | {} | {} | {:.0} | {} | {} | {:.0} | {:.0} | {:.0} | {:.0} | {} | {} |",
+                "| {} | {} | {} | {} | {} | {} | {} | {} | {:.0} | {} | {} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} | {} |",
                 md_cell(&c.family),
                 md_cell(&c.mode),
                 md_cell(&c.encoding),
@@ -543,7 +514,7 @@ impl CampaignReport {
                 c.pulses.p95,
                 c.dropped.p50,
                 c.max_inflight.p50,
-                cc_init,
+                c.cc_init.p50,
                 overhead,
             );
         }
@@ -745,7 +716,6 @@ pub(crate) fn plain_cell() -> CellReport {
         runs: 1,
         errors: 0,
         baseline_errors: 0,
-        construction_skews: 0,
         construction_seed: None,
         success_rate: 1.0,
         quiescence_rate: 1.0,
@@ -1044,7 +1014,7 @@ mod tests {
     }
 
     #[test]
-    fn markdown_marks_baseline_errors_and_construction_skews() {
+    fn markdown_marks_baseline_errors_and_replay_seeds() {
         let mut cell = CellReport {
             runs: 2,
             cc_init: MetricSummary::from_values(&[100.0]).unwrap(),
@@ -1064,84 +1034,13 @@ mod tests {
         cell.baseline_errors = 1;
         let md = render(&cell);
         assert!(md.contains("2.5 (baseline-error×1)"), "{md}");
-        cell.overhead = None;
-        cell.baseline_errors = 2;
-        // Aborted-mid-construction seeds annotate the CCinit column.
-        cell.construction_skews = 1;
-        assert!(render(&cell).contains("100 (skew×1)"));
+        // The CCinit column shows the p50.
+        assert!(md.contains("| 100 | 2.5 (baseline-error×1) |"), "{md}");
         // Replay cells list their construction seed below the table.
         cell.mode = "replay".to_string();
         cell.construction_seed = Some(9);
         let md = render(&cell);
         assert!(md.contains("construction seeds:"), "{md}");
         assert!(md.contains("s9"), "{md}");
-    }
-
-    #[test]
-    fn aggregation_excludes_skew_placeholders_from_online_metrics() {
-        use crate::runner::ScenarioOutcome;
-        use crate::spec::{Campaign, Scenario};
-        use fdn_netsim::StatsSnapshot;
-
-        let campaign = Campaign::new("skew");
-        let cell = crate::spec::Cell {
-            family: fdn_graph::GraphFamily::Figure3,
-            mode: crate::spec::EngineMode::Full,
-            encoding: crate::spec::EncodingSpec::Binary,
-            workload: fdn_protocols::WorkloadSpec::Flood { payload_bytes: 4 },
-            noise: fdn_netsim::NoiseSpec::Omission {
-                drop_per_mille: 500,
-            },
-            scheduler: fdn_netsim::SchedulerSpec::Random,
-        };
-        let outcome = |index: usize, online: u64, skew: bool| ScenarioOutcome {
-            scenario: Scenario {
-                index,
-                cell,
-                seed: index as u64,
-                construction_seed: 0,
-                max_steps: 1000,
-                link_store: fdn_netsim::LinkStore::Exact,
-            },
-            error: None,
-            quiescent: true,
-            success: !skew,
-            nodes: 5,
-            edges: 8,
-            cycle_len: 8,
-            steps: 10,
-            stats: StatsSnapshot::default(),
-            cc_init: 50,
-            online_pulses: online,
-            construction_skew: skew,
-            baseline_messages: 10,
-            baseline_error: None,
-            stall_diagnostic: None,
-            inflight_curve: None,
-        };
-        // Two measured runs (online 200/400), one skewed placeholder (0).
-        let outcomes = vec![
-            outcome(0, 200, false),
-            outcome(1, 400, false),
-            outcome(2, 0, true),
-        ];
-        let report = aggregate(&campaign, &outcomes, &[], &TopologyCache::new());
-        let cell = &report.cells[0];
-        assert_eq!(cell.construction_skews, 1);
-        // The placeholder 0 is excluded: min is the smallest *measured* run.
-        assert_eq!(cell.online_pulses.min, 200.0);
-        assert_eq!(cell.online_pulses.max, 400.0);
-        assert_eq!(cell.online_pulses.mean, 300.0);
-        // Same for the overhead ratios (skewed run has none).
-        let overhead = cell.overhead.expect("two measured baselines");
-        assert_eq!(overhead.min, 20.0);
-        assert_eq!(overhead.max, 40.0);
-        // An all-skew group summarizes to the zero placeholder, with the
-        // count saying why.
-        let all_skew = vec![outcome(0, 0, true), outcome(1, 0, true)];
-        let report = aggregate(&campaign, &all_skew, &[], &TopologyCache::new());
-        assert_eq!(report.cells[0].online_pulses, MetricSummary::ZERO);
-        assert_eq!(report.cells[0].construction_skews, 2);
-        assert!(report.cells[0].overhead.is_none());
     }
 }

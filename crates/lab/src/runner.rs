@@ -99,13 +99,10 @@ pub struct ScenarioOutcome {
     /// Pulses spent in the construction phase (`CCinit`; 0 in cycle mode; in
     /// replay mode the checkpoint's one-time cost, identical across seeds).
     pub cc_init: u64,
-    /// Pulses spent in the online phase.
+    /// Pulses spent in the online phase. With `cc_init` it splits the run's
+    /// sends exactly: `stats.sent_total` is `cc_init + online_pulses` in full
+    /// mode and `online_pulses` in cycle and replay mode.
     pub online_pulses: u64,
-    /// True when a full-mode run aborted mid-construction with per-node
-    /// construction pulses exceeding the network's send accounting
-    /// (`cc_init > sent_total`): `online_pulses` saturated to 0 and is a
-    /// placeholder, not a measurement.
-    pub construction_skew: bool,
     /// Messages of the noiseless direct baseline (0 when the workload cannot
     /// run directly **or** the baseline run failed — see
     /// [`baseline_error`](Self::baseline_error) for the difference).
@@ -126,13 +123,9 @@ pub struct ScenarioOutcome {
 
 impl ScenarioOutcome {
     /// Online pulses per baseline message (the paper's per-message overhead),
-    /// if a baseline exists. Skew-flagged runs return `None`: their
-    /// `online_pulses` of 0 is a placeholder (see
-    /// [`construction_skew`](Self::construction_skew)), and a placeholder
-    /// divided by a baseline is still a placeholder — never a ratio to
-    /// aggregate.
+    /// if a baseline exists.
     pub fn overhead_ratio(&self) -> Option<f64> {
-        (self.baseline_messages > 0 && !self.construction_skew)
+        (self.baseline_messages > 0)
             .then(|| self.online_pulses as f64 / self.baseline_messages as f64)
     }
 
@@ -149,7 +142,6 @@ impl ScenarioOutcome {
             stats: StatsSnapshot::default(),
             cc_init: 0,
             online_pulses: 0,
-            construction_skew: false,
             baseline_messages: 0,
             baseline_error: None,
             stall_diagnostic: None,
@@ -303,13 +295,12 @@ pub(crate) fn replay_key(scenario: Scenario) -> ReplayKey {
 }
 
 /// Renders the one-shot stall diagnostic for a run that stopped without
-/// reaching quiescence while nodes were still mid-construction — the
-/// step-budget-exhaustion path behind the `construction_skew` flag. Instead
-/// of only the flag, the outcome carries what the network looked like at the
-/// moment of death: how many links still had traffic, how deep the worst
-/// queue was, which construction stage each node was stuck in, and where the
-/// cycle token was (if any engine already held it). `None` once every node
-/// is online, so runs whose nodes start online never carry one.
+/// reaching quiescence while nodes were still mid-construction (its step
+/// budget ran out): what the network looked like at the moment of death —
+/// how many links still had traffic, how deep the worst queue was, which
+/// construction stage each node was stuck in, and where the cycle token was
+/// (if any engine already held it). `None` once every node is online, so
+/// runs whose nodes start online never carry one.
 fn stall_diagnostic<O: Observer>(
     graph: &fdn_graph::Graph,
     sim: &Simulation<FullSimulator<BoxedProtocol>, O>,
@@ -395,11 +386,14 @@ fn drive<O: Observer>(
         Err(e) => Some(e.to_string()),
     };
     // A node's construction share is its part of `CCinit`, whether it was
-    // paid inside this simulation (full mode) or before it (replay).
+    // paid inside this simulation (full mode) or before it (replay); its
+    // online pulses are what it sent once online. Both are counted at the
+    // node, so the split is exact in every mode and in aborted runs.
     let cc_init = graph
         .nodes()
         .map(|v| sim.node(v).construction_pulses())
         .sum();
+    let online_pulses = graph.nodes().map(|v| sim.node(v).online_pulses()).sum();
     let cycle_len = sim
         .node(WorkloadSpec::ROOT)
         .cycle()
@@ -407,8 +401,6 @@ fn drive<O: Observer>(
     let stall = stall_diagnostic(graph, &sim);
     let outputs = sim.outputs();
     let quiescent = sim.is_quiescent();
-    let (online_pulses, construction_skew) =
-        online_split(stats.sent_total, cc_init, cell.mode == EngineMode::Full);
     let outcome = ScenarioOutcome {
         scenario,
         success: error.is_none() && quiescent && cell.workload.is_success(graph, &outputs),
@@ -420,7 +412,6 @@ fn drive<O: Observer>(
         steps: stats.delivered_total,
         cc_init,
         online_pulses,
-        construction_skew,
         stats,
         baseline_messages: baseline.messages,
         baseline_error: baseline.error,
@@ -428,24 +419,6 @@ fn drive<O: Observer>(
         inflight_curve: None,
     };
     Ok((outcome, sim.into_observer()))
-}
-
-/// Splits a run's send total into `(online_pulses, construction_skew)`.
-///
-/// In full mode (`cc_init_in_stats`), the construction pulses live inside
-/// the simulation's send accounting and are subtracted out. A run aborted
-/// mid-construction can report per-node construction pulses that were
-/// counted but never entered the outbox accounting (`cc_init > sent_total`):
-/// the subtraction saturates to 0 **and the skew is flagged**, so the 0 is
-/// recognizable as a placeholder rather than a measured online cost. In
-/// replay mode the construction was paid outside this simulation, so every
-/// send the run made is online traffic and no skew is possible.
-fn online_split(sent_total: u64, cc_init: u64, cc_init_in_stats: bool) -> (u64, bool) {
-    if cc_init_in_stats {
-        (sent_total.saturating_sub(cc_init), cc_init > sent_total)
-    } else {
-        (sent_total, false)
-    }
 }
 
 /// Per-invocation options of [`run_campaign`]: which slice of the matrix to
@@ -589,7 +562,6 @@ mod tests {
         assert!(out.online_pulses > 0);
         assert!(out.baseline_messages > 0);
         assert_eq!(out.baseline_error, None);
-        assert!(!out.construction_skew);
         assert_eq!(out.nodes, 5);
         assert_eq!(out.cycle_len, 8);
         assert_eq!(out.stats.sent_total, out.cc_init + out.online_pulses);
@@ -619,7 +591,6 @@ mod tests {
             assert_eq!(out.error, None, "seed {seed}");
             assert!(out.quiescent && out.success, "seed {seed}");
             assert!(out.cc_init > 0);
-            assert!(!out.construction_skew);
             // The simulation's own traffic is purely online: no subtraction.
             assert_eq!(out.online_pulses, out.stats.sent_total);
             assert!(out.online_pulses > 0);
@@ -728,45 +699,51 @@ mod tests {
     }
 
     #[test]
-    fn online_split_flags_skew_instead_of_fake_zero() {
-        // Coherent full-mode accounting: plain subtraction, no flag.
-        assert_eq!(online_split(100, 30, true), (70, false));
-        assert_eq!(online_split(30, 30, true), (0, false));
-        // Aborted mid-construction: the saturated 0 is flagged as skew, not
-        // passed off as a measured online cost.
-        assert_eq!(online_split(20, 30, true), (0, true));
-        // Replay pays cc_init outside the simulation: sends are all online,
-        // skew impossible by construction.
-        assert_eq!(online_split(100, 30, false), (100, false));
-        assert_eq!(online_split(20, 30, false), (20, false));
-    }
-
-    #[test]
-    fn deletion_outcomes_never_mistake_skew_for_a_measurement() {
-        // Sweep deletion seeds: every outcome must keep the flag and the
-        // subtraction coherent — a flagged run saturated to 0 with
-        // cc_init > sent_total, an unflagged run subtracts exactly.
-        let mut cell = base_cell();
-        cell.noise = fdn_netsim::NoiseSpec::Omission {
-            drop_per_mille: 500,
-        };
-        for seed in 1..24 {
-            let out = run_scenario(scenario(cell, seed));
-            if out.construction_skew {
-                assert_eq!(out.online_pulses, 0, "skewed runs saturate to 0");
-                assert!(out.cc_init > out.stats.sent_total);
-                assert!(!out.success);
-                // The placeholder never masquerades as a per-message ratio.
-                assert_eq!(out.overhead_ratio(), None);
-            } else {
-                assert!(out.cc_init <= out.stats.sent_total, "seed {seed}");
-                assert_eq!(
-                    out.online_pulses,
-                    out.stats.sent_total - out.cc_init,
-                    "seed {seed}"
-                );
+    fn pulses_split_exactly_into_cc_init_and_online() {
+        // The runner sums the nodes' own counters, so the split holds in
+        // every mode, under deletion noise and in runs the step budget stops
+        // mid-construction: full mode sends `CCinit` and the online pulses
+        // inside the simulation, cycle and replay mode only online pulses
+        // (replay paid its `CCinit` before).
+        let caches = Caches::new();
+        let budgets = [300, Campaign::new("unit").max_steps];
+        let mut stopped_mid_construction = 0;
+        for mode in [EngineMode::Full, EngineMode::CycleOnly, EngineMode::Replay] {
+            for noise in [
+                NoiseSpec::FullCorruption,
+                NoiseSpec::Omission {
+                    drop_per_mille: 500,
+                },
+            ] {
+                for max_steps in budgets {
+                    for seed in 1..7 {
+                        let cell = Cell {
+                            mode,
+                            noise,
+                            ..base_cell()
+                        };
+                        let out = run_scenario_with(
+                            &caches,
+                            Scenario {
+                                max_steps,
+                                ..scenario(cell, seed)
+                            },
+                        );
+                        let case = format!("{mode:?} {noise} max_steps {max_steps} seed {seed}");
+                        let split = match mode {
+                            EngineMode::Full => out.cc_init + out.online_pulses,
+                            EngineMode::CycleOnly | EngineMode::Replay => out.online_pulses,
+                        };
+                        assert_eq!(out.stats.sent_total, split, "{case}");
+                        stopped_mid_construction += usize::from(out.stall_diagnostic.is_some());
+                    }
+                }
             }
         }
+        assert!(
+            stopped_mid_construction > 0,
+            "the 300-step budget must stop a construction"
+        );
     }
 
     #[test]

@@ -325,15 +325,8 @@ impl TraceReport {
             let _ = writeln!(out);
             let _ = writeln!(
                 out,
-                "Outcome accounting: CCinit {}, online {}, deliveries {}{}.",
-                o.cc_init,
-                o.online_pulses,
-                o.steps,
-                if o.construction_skew {
-                    " (construction skew: online is a placeholder)"
-                } else {
-                    ""
-                },
+                "Outcome accounting: CCinit {}, online {}, deliveries {}.",
+                o.cc_init, o.online_pulses, o.steps,
             );
             let hottest = trace.profiler.hottest_links(TOP_LINKS);
             if !hottest.is_empty() {
@@ -449,6 +442,15 @@ mod tests {
         assert!(perfetto.contains("\"construction\""));
         assert!(perfetto.contains("\"online\""));
         assert!(perfetto.contains("process_name"));
+        // Each retained phase marker is an instant event on its node's track.
+        let instant = |name: &str| {
+            events.iter().any(|e| {
+                e.get("ph").and_then(crate::json::Json::as_str) == Some("i")
+                    && e.get("name").and_then(crate::json::Json::as_str) == Some(name)
+            })
+        };
+        assert!(instant("construction-start"));
+        assert!(instant("construction-quiescence"));
     }
 
     #[test]

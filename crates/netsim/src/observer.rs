@@ -371,9 +371,9 @@ impl SpanStats {
 /// The span profiler: attributes every send and delivery to a per-node
 /// phase (construction vs online), driven purely by the reactor's phase
 /// markers, and logs the markers themselves with delivery-count stamps.
-/// Exportable as Chrome trace-event JSON
-/// ([`to_chrome_trace_json`](Self::to_chrome_trace_json)) loadable in
-/// Perfetto / `chrome://tracing`, with simulated delivery counts as
+/// Its spans export as Chrome trace events
+/// ([`chrome_span_events`](Self::chrome_span_events)) for a document that
+/// Perfetto / `chrome://tracing` loads, with simulated delivery counts as
 /// timestamps.
 ///
 /// Nodes are assumed online until a [`PhaseEvent::ConstructionStart`]
@@ -467,35 +467,11 @@ impl SpanProfiler {
         v
     }
 
-    /// Exports the profile as a Chrome trace-event JSON document (Perfetto
-    /// and `chrome://tracing` both load it). Timestamps and durations are
-    /// simulated delivery counts, one "microsecond" per delivery; `tid` is
-    /// the node id. Complete (`"X"`) events cover each node's construction
-    /// and online spans; instant (`"i"`) events mark the retained phase
-    /// markers.
-    pub fn to_chrome_trace_json(&self) -> String {
-        let mut events = Vec::new();
-        for id in 0..self.node_count() {
-            let node = NodeId(id as u32);
-            events.extend(self.chrome_span_events(node, 0));
-        }
-        for (stamp, marker) in &self.markers {
-            events.push(format!(
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{}}}",
-                marker.event.label(),
-                stamp,
-                marker.node.0
-            ));
-        }
-        format!(
-            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}",
-            events.join(",")
-        )
-    }
-
     /// The complete (`"X"`) span events of one node under an explicit
     /// Chrome `pid`, as raw JSON object strings — the composition hook for
-    /// multi-simulation trace documents.
+    /// multi-simulation trace documents. Timestamps and durations are
+    /// simulated delivery counts, one "microsecond" per delivery; `tid` is
+    /// the node id.
     pub fn chrome_span_events(&self, node: NodeId, pid: u64) -> Vec<String> {
         let mut events = Vec::new();
         let end = self.last_stamp.max(1);
@@ -741,17 +717,22 @@ mod tests {
             },
             1,
         );
-        let json = p.to_chrome_trace_json();
-        assert_eq!(json, p.to_chrome_trace_json());
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("\"name\":\"construction\""));
-        assert!(json.contains("\"name\":\"online\""));
-        assert!(json.contains("construction-quiescence"));
-        // Balanced braces — a cheap well-formedness check without a parser.
-        let open = json.matches('{').count();
-        let close = json.matches('}').count();
-        assert_eq!(open, close);
+        let events = p.chrome_span_events(NodeId(0), 3);
+        assert_eq!(events, p.chrome_span_events(NodeId(0), 3));
+        // Node 0 constructed until delivery 1, then went online.
+        assert_eq!(events.len(), 2);
+        assert!(events[0].contains("\"name\":\"construction\""));
+        assert!(events[0].contains("\"ts\":0,\"dur\":1,\"pid\":3,\"tid\":0"));
+        assert!(events[1].contains("\"name\":\"online\""));
+        // A node that never constructed has only its online span.
+        let online_only = p.chrome_span_events(NodeId(1), 3);
+        assert_eq!(online_only.len(), 1);
+        assert!(online_only[0].contains("\"name\":\"online\""));
+        for event in events.iter().chain(&online_only) {
+            // Balanced braces — a cheap well-formedness check without a parser.
+            assert!(event.starts_with('{') && event.ends_with('}'));
+            assert_eq!(event.matches('{').count(), event.matches('}').count());
+        }
     }
 
     #[test]

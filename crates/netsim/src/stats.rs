@@ -32,8 +32,7 @@ pub struct Stats {
     pub bits_sent: u64,
     /// High-water mark of the total number of messages in flight at any
     /// instant of the run (queue-depth observability of the link-indexed
-    /// event core). Cumulative over the whole run: unlike the send/delivery
-    /// counters it is *not* differenced by [`Stats::since`].
+    /// event core).
     pub max_inflight: u64,
     /// Per-directed-link counters: one row per sending node (indexed by node
     /// id, grown on demand), each sorted by receiver, with one entry per
@@ -183,42 +182,6 @@ impl Stats {
             per_link_high_water,
         }
     }
-
-    /// Difference of the counters in `self` relative to an earlier snapshot
-    /// (used to measure the cost of a single phase, e.g. `CCoverhead` of one
-    /// message). High-water marks (`max_inflight`, `per_link_high_water`)
-    /// are run-cumulative, not phase-differencible, so the later values are
-    /// carried through unchanged.
-    pub fn since(&self, earlier: &Stats) -> Stats {
-        let links = self
-            .links
-            .iter()
-            .enumerate()
-            .map(|(from, row)| {
-                let before = earlier.row(from);
-                row.iter()
-                    .map(|link| LinkCounts {
-                        sent: link.sent.saturating_sub(sent_to(before, link.to)),
-                        ..*link
-                    })
-                    .collect()
-            })
-            .collect();
-        Stats {
-            sent_total: self.sent_total - earlier.sent_total,
-            delivered_total: self.delivered_total - earlier.delivered_total,
-            dropped_total: self.dropped_total - earlier.dropped_total,
-            bits_sent: self.bits_sent - earlier.bits_sent,
-            max_inflight: self.max_inflight,
-            links,
-            per_node_sent: self
-                .per_node_sent
-                .iter()
-                .zip(earlier.per_node_sent.iter().chain(std::iter::repeat(&0)))
-                .map(|(now, before)| now - before)
-                .collect(),
-        }
-    }
 }
 
 /// Messages sent to `to` in one sender's row of [`Stats`].
@@ -279,45 +242,6 @@ impl StatsSnapshot {
             .max()
             .unwrap_or(0)
     }
-
-    /// Per-counter difference relative to an `earlier` snapshot of the same
-    /// run (edges that did not change are omitted). High-water marks are
-    /// run-cumulative and carried through unchanged, as in [`Stats::since`].
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        let mut per_edge_sent = Vec::new();
-        let mut before = earlier.per_edge_sent.iter().copied().peekable();
-        for &(e, now) in &self.per_edge_sent {
-            let mut prev = 0;
-            while let Some(&(be, bc)) = before.peek() {
-                if be < e {
-                    before.next();
-                } else {
-                    if be == e {
-                        prev = bc;
-                    }
-                    break;
-                }
-            }
-            if now > prev {
-                per_edge_sent.push((e, now - prev));
-            }
-        }
-        StatsSnapshot {
-            sent_total: self.sent_total - earlier.sent_total,
-            delivered_total: self.delivered_total - earlier.delivered_total,
-            dropped_total: self.dropped_total - earlier.dropped_total,
-            bits_sent: self.bits_sent - earlier.bits_sent,
-            max_inflight: self.max_inflight,
-            per_node_sent: self
-                .per_node_sent
-                .iter()
-                .zip(earlier.per_node_sent.iter().chain(std::iter::repeat(&0)))
-                .map(|(now, before)| now - before)
-                .collect(),
-            per_edge_sent,
-            per_link_high_water: self.per_link_high_water.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -351,22 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn since_computes_difference() {
-        let mut s = Stats::new(2);
-        s.record_send(&env(0, 1, 1));
-        let snapshot = s.clone();
-        s.record_send(&env(0, 1, 1));
-        s.record_send(&env(1, 0, 3));
-        s.record_delivery();
-        let d = s.since(&snapshot);
-        assert_eq!(d.sent_total, 2);
-        assert_eq!(d.delivered_total, 1);
-        assert_eq!(d.bits_sent, 32);
-        assert_eq!(d.sent_by(NodeId(0)), 1);
-        assert_eq!(d.sent_on_edge(Edge::new(NodeId(0), NodeId(1))), 2);
-    }
-
-    #[test]
     fn default_is_zero() {
         let s = Stats::default();
         assert_eq!(s.sent_total, 0);
@@ -379,13 +287,12 @@ mod tests {
         let mut s = Stats::new(2);
         s.record_send(&env(0, 1, 1));
         s.record_drop();
-        let first = s.clone();
+        let first = s.snapshot();
         s.record_drop();
         s.record_drop();
         assert_eq!(s.dropped_total, 3);
         assert_eq!(s.snapshot().dropped_total, 3);
-        assert_eq!(s.since(&first).dropped_total, 2);
-        assert_eq!(s.snapshot().since(&first.snapshot()).dropped_total, 2);
+        assert_eq!(s.snapshot().dropped_total - first.dropped_total, 2);
     }
 
     #[test]
@@ -425,11 +332,6 @@ mod tests {
             vec![((NodeId(0), NodeId(1)), 2), ((NodeId(1), NodeId(0)), 1),]
         );
         assert_eq!(snap.max_link_high_water(), 2);
-        // High-water marks are cumulative: `since` carries them through.
-        let earlier = Stats::new(3);
-        assert_eq!(s.since(&earlier).max_inflight, 3);
-        assert_eq!(snap.since(&earlier.snapshot()).max_inflight, 3);
-        assert_eq!(snap.since(&earlier.snapshot()).max_link_high_water(), 2);
     }
 
     #[test]
@@ -485,21 +387,6 @@ mod tests {
             *hw = (*hw).max(depth);
         }
 
-        fn since(&self, earlier: &MapModel) -> MapModel {
-            let per_edge_sent = self
-                .per_edge_sent
-                .iter()
-                .filter_map(|(&e, &now)| {
-                    let before = earlier.per_edge_sent.get(&e).copied().unwrap_or(0);
-                    (now > before).then_some((e, now - before))
-                })
-                .collect();
-            MapModel {
-                per_edge_sent,
-                per_link_high_water: self.per_link_high_water.clone(),
-            }
-        }
-
         fn assert_agrees(&self, stats: &Stats, edges: &[Edge]) {
             let snap = stats.snapshot();
             let per_edge: Vec<(Edge, u64)> = self.per_edge_sent.clone().into_iter().collect();
@@ -536,10 +423,10 @@ mod tests {
             for mut stats in [Stats::new(4), Stats::default()] {
                 let mut state = seed;
                 let mut model = MapModel::default();
-                let mut earlier = None;
+                let mut midway = None;
                 for step in 0..300 {
                     if step == 150 {
-                        earlier = Some((stats.clone(), model.clone()));
+                        midway = Some((stats.clone(), model.clone()));
                     }
                     let draw = splitmix(&mut state);
                     let (a, b) = pairs[(draw % pairs.len() as u64) as usize];
@@ -560,41 +447,9 @@ mod tests {
                     }
                 }
                 model.assert_agrees(&stats, &edges);
-                let (stats_then, model_then) = earlier.expect("snapshot taken mid-run");
+                let (stats_then, model_then) = midway.expect("copy taken mid-run");
                 model_then.assert_agrees(&stats_then, &edges);
-                model
-                    .since(&model_then)
-                    .assert_agrees(&stats.since(&stats_then), &edges);
-                assert_eq!(
-                    stats.since(&stats_then).snapshot(),
-                    stats.snapshot().since(&stats_then.snapshot())
-                );
             }
         }
-    }
-
-    #[test]
-    fn snapshot_since_diffs_counters() {
-        let mut s = Stats::new(3);
-        s.record_send(&env(0, 1, 1));
-        let first = s.snapshot();
-        s.record_send(&env(0, 1, 1));
-        s.record_send(&env(1, 2, 2));
-        s.record_delivery();
-        let d = s.snapshot().since(&first);
-        assert_eq!(d.sent_total, 2);
-        assert_eq!(d.delivered_total, 1);
-        assert_eq!(d.bits_sent, 24);
-        assert_eq!(
-            d.per_edge_sent,
-            vec![
-                (Edge::new(NodeId(0), NodeId(1)), 1),
-                (Edge::new(NodeId(1), NodeId(2)), 1),
-            ]
-        );
-        // Agrees with the Stats-level diff.
-        let mut earlier = Stats::new(3);
-        earlier.record_send(&env(0, 1, 1));
-        assert_eq!(d, s.since(&earlier).snapshot());
     }
 }

@@ -240,7 +240,10 @@ mod tests {
             counts[rng.gen_range(0..4usize)] += 1;
         }
         for &c in &counts {
-            assert!((700..1300).contains(&c), "counts badly skewed: {counts:?}");
+            assert!(
+                (700..1300).contains(&c),
+                "counts far from uniform: {counts:?}"
+            );
         }
     }
 
