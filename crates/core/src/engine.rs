@@ -11,9 +11,9 @@
 //! The engine is deliberately independent of the network-simulation layer: it
 //! consumes *pulse arrival* events (`on_pulse(from)`) and message enqueue
 //! requests, and produces pulse send requests and decoded message
-//! deliveries. The [`crate::reactors`] module adapts it to the
-//! `fdn-netsim::Reactor` interface; the Robbins-cycle construction drives it
-//! directly.
+//! deliveries. [`crate::full::FullSimulator`] adapts it to the
+//! `fdn_netsim::PulseReactor` interface, whose handler receives the same
+//! pulse arrival events; the Robbins-cycle construction drives it directly.
 //!
 //! The paper's blocking pseudo-code ("wait until …") is rendered as explicit
 //! *wait points* plus per-port pending-pulse counters; the internal

@@ -19,11 +19,16 @@
 //! protocol's messages exactly as in Theorem 10. The split also gives the
 //! paper's cost accounting: [`FullSimulator::construction_pulses`] is the
 //! node's share of `CCinit`, and everything after is `CCoverhead`.
+//!
+//! Both phases are content-oblivious, and the type says so:
+//! [`FullSimulator`] is a [`PulseReactor`], whose handler learns a pulse's
+//! sender and nothing else, so the simulation never builds the corrupted
+//! content it could not read.
 
 use std::sync::Arc;
 
 use fdn_graph::{connectivity, Graph, NodeId, RobbinsCycle};
-use fdn_netsim::{Context, InnerProtocol, PhaseEvent, ProtocolIo, Reactor};
+use fdn_netsim::{Context, InnerProtocol, PhaseEvent, ProtocolIo, PulseReactor};
 
 use crate::construction::ConstructionNode;
 use crate::encoding::Encoding;
@@ -316,7 +321,7 @@ impl<P: InnerProtocol> FullSimulator<P> {
     }
 }
 
-impl<P: InnerProtocol> Reactor for FullSimulator<P> {
+impl<P: InnerProtocol> PulseReactor for FullSimulator<P> {
     fn on_start(&mut self, ctx: &mut Context) {
         // The inner protocol starts immediately; the asynchronous model lets
         // its messages simply take "a long time" (the whole pre-processing
@@ -349,8 +354,7 @@ impl<P: InnerProtocol> Reactor for FullSimulator<P> {
         }
     }
 
-    fn on_message(&mut self, from: NodeId, _payload: &[u8], ctx: &mut Context) {
-        // Content-oblivious: the payload is ignored entirely.
+    fn on_pulse(&mut self, from: NodeId, ctx: &mut Context) {
         match &mut self.stage {
             Stage::Constructing(c) => {
                 c.driver.on_pulse(from);

@@ -24,21 +24,13 @@ use crate::full::FullSimulator;
 /// delete messages.
 pub const PULSE: [u8; 1] = [0];
 
-/// The [`PULSE`] as a shared [`Payload`]: serialized once per thread, cloned
-/// (an `Arc` bump) per send. A simulation runs on one thread, so all of its
-/// pulses share one allocation, which is what lets the counting link backend
-/// classify pulse runs by pointer identity instead of comparing bytes.
-///
-/// The share is per thread rather than per process because every send and
-/// delivery writes the `Arc`'s refcount: one process-wide pulse would make
-/// parallel workers contend for that cache line on every delivery.
-/// [`Payload`] compares by bytes, so which thread allocated a pulse is not
-/// observable.
-pub fn pulse_payload() -> Payload {
-    thread_local! {
-        static SHARED: Payload = PULSE.to_vec().into();
-    }
-    SHARED.with(Payload::clone)
+/// The [`PULSE`] as a [`Payload`]: [`Payload::pulse`], which holds no
+/// allocation. Cloning it per send copies a tag, so pulses write no shared
+/// reference count on any thread, and every pulse is pointer-identical
+/// ([`Payload::ptr_eq`]) to every other, which lets the counting link
+/// backend classify pulse runs without comparing bytes.
+pub const fn pulse_payload() -> Payload {
+    Payload::pulse()
 }
 
 /// Builds one online [`FullSimulator`] per node of `graph` over the given
@@ -125,19 +117,23 @@ mod tests {
     use fdn_protocols::{FloodBroadcast, TokenRingCounter};
 
     #[test]
-    fn pulse_payload_is_shared_per_thread() {
+    fn pulse_payload_is_one_value_on_every_thread() {
         let first = pulse_payload();
         assert!(first.ptr_eq(&pulse_payload()));
-        // `first` stays alive while the other thread allocates its pulse, so
-        // the two cannot share an address by reuse.
         let other = std::thread::scope(|s| {
             s.spawn(pulse_payload)
                 .join()
                 .expect("pulse thread panicked")
         });
-        assert!(!first.ptr_eq(&other));
-        assert_eq!(first, other);
+        assert!(first.ptr_eq(&other));
         assert_eq!(&*other, &PULSE[..]);
+        let allocated = Payload::from(PULSE.to_vec());
+        assert_eq!(first, allocated);
+        // What reports and logs print of a pulse is the one-byte payload's.
+        assert_eq!(format!("{first:?}"), format!("{allocated:?}"));
+        assert_eq!(format!("{first:?}"), "Payload([0])");
+        assert_eq!(std::mem::size_of::<Payload>(), 16);
+        assert_eq!(std::mem::size_of::<fdn_netsim::Envelope>(), 32);
     }
 
     /// Floods `value` from `sender` over the `n`-ring's simple cycle under

@@ -25,7 +25,9 @@
 //!   deliberately violate that contract to measure where the paper's
 //!   construction breaks once deletion is allowed;
 //! * nodes are event-driven state machines ([`Reactor`]): they act on start
-//!   and on every message reception.
+//!   and on every message reception. A content-oblivious node implements
+//!   [`PulseReactor`] instead, whose handler learns only the sender, and its
+//!   deliveries skip building the corrupted content it could not read.
 //!
 //! The crate also defines the [`InnerProtocol`] trait — the asynchronous
 //! black-box interface `π` that the paper's simulators wrap — together with
@@ -91,7 +93,7 @@ pub use observer::{
     TimeSeriesSampler, DEFAULT_SAMPLE_CAPACITY,
 };
 pub use protocol::{Dest, DirectRunner, InnerProtocol, ProtocolIo, ProtocolMsg};
-pub use reactor::{Context, Reactor};
+pub use reactor::{Context, Delivery, PulseReactor, Reactor};
 pub use scheduler::{EdgeDelayScheduler, FifoScheduler, LifoScheduler, RandomScheduler, Scheduler};
 pub use sim::{RunReport, Simulation};
 pub use spec::{NoiseSpec, SchedulerSpec};

@@ -2,9 +2,9 @@
 //! content-oblivious pulse traffic.
 //!
 //! A *run* is a maximal block of queued messages on one link that share a
-//! payload (classified in `O(1)` by [`crate::Payload`] pointer identity, with
-//! a byte-compare fallback) and whose sequence numbers advance by a constant
-//! stride — exactly the shape a pulse broadcast produces, where one drain of
+//! payload (classified in `O(1)` by [`crate::Payload::ptr_eq`], which holds
+//! for any two pulses and for clones of one allocation, with a byte-compare
+//! fallback) and whose sequence numbers advance by a constant stride — exactly the shape a pulse broadcast produces, where one drain of
 //! a node's outbox hands consecutive global seqs to its outgoing links. A
 //! run stores `(payload, first_seq, stride, count)`; a link carrying a
 //! million such pulses costs one run and delivery is a decrement that
@@ -181,7 +181,7 @@ mod tests {
         Envelope {
             from: NodeId(0),
             to: NodeId(1),
-            payload: vec![0].into(),
+            payload: Payload::pulse(),
             seq,
         }
     }
@@ -225,6 +225,32 @@ mod tests {
             seqs.push(e.seq);
         }
         assert_eq!(seqs, vec![0, 10, 17, 24, 31, 40]);
+    }
+
+    #[test]
+    fn byte_equal_payloads_extend_a_pulse_run() {
+        let mut q = CountingQueues::new(1);
+        q.push(LINK, pulse(0));
+        q.push(LINK, pulse(1));
+        // Not the pulse by construction, but the same byte: the run grows.
+        let allocated = Envelope {
+            payload: vec![0].into(),
+            ..pulse(2)
+        };
+        assert_eq!(q.push(LINK, allocated).1, 0);
+        let other = Envelope {
+            payload: vec![1].into(),
+            ..pulse(3)
+        };
+        assert_eq!(q.push(LINK, other).1, 1);
+        let mut popped = Vec::new();
+        while let Some((e, _, _)) = q.pop(LINK, ENDS) {
+            popped.push((e.seq, e.payload.to_vec()));
+        }
+        assert_eq!(
+            popped,
+            vec![(0, vec![0]), (1, vec![0]), (2, vec![0]), (3, vec![1])]
+        );
     }
 
     #[test]

@@ -315,6 +315,13 @@ impl LinkTable {
         let link = self
             .link_between(env.from, env.to)
             .expect("envelope on a non-existent link");
+        (link, self.push_on(link, env))
+    }
+
+    /// Enqueues an envelope on `link`, already resolved from its
+    /// `(from, to)`, and returns the queue depth *after* the push.
+    pub(crate) fn push_on(&mut self, link: LinkId, env: Envelope) -> usize {
+        debug_assert_eq!(self.ends[link.index()], (env.from, env.to), "wrong link");
         let (len, ops) = self.queues.push(link, env);
         if len == 1 {
             self.active_pos[link.index()] = self.active.len();
@@ -322,7 +329,7 @@ impl LinkTable {
         }
         self.total += 1;
         self.queue_ops += ops;
-        (link, len)
+        len
     }
 
     /// The oldest in-flight envelope on `link`, if any.
@@ -442,6 +449,7 @@ impl<'a> LinkView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::Payload;
     use fdn_graph::generators;
 
     fn env(from: u32, to: u32, seq: u64) -> Envelope {
@@ -453,12 +461,12 @@ mod tests {
         }
     }
 
-    /// A pulse-like envelope: same single-byte payload regardless of seq.
+    /// A pulse envelope: the same payload regardless of seq.
     fn pulse(from: u32, to: u32, seq: u64) -> Envelope {
         Envelope {
             from: NodeId(from),
             to: NodeId(to),
-            payload: vec![0].into(),
+            payload: Payload::pulse(),
             seq,
         }
     }

@@ -5,12 +5,23 @@
 //! content may be rewritten arbitrarily, but the message can neither be
 //! deleted nor can messages be injected. The alteration models here implement
 //! exactly that contract: [`NoiseModel::corrupt`] always returns a non-empty
-//! payload and is invoked exactly once per sent message.
+//! payload.
+//!
+//! A model answers one of two questions per scheduled delivery, depending on
+//! the receiver. A reactor that reads content gets the delivered bytes from
+//! [`NoiseModel::deliver`], which calls `corrupt` once per surviving
+//! message. A content-oblivious receiver ([`crate::PulseReactor`]) cannot
+//! read bytes, so the simulation asks only [`NoiseModel::passes`] whether
+//! the message survives: the alteration models answer `true` without
+//! computing (or drawing randomness for) a corrupted copy.
 //!
 //! A second group of models deliberately steps *outside* the paper's model to
 //! probe where the no-deletion assumption is load-bearing: [`Omission`],
-//! [`CrashLink`] and [`Burst`] may **delete** messages by overriding
-//! [`NoiseModel::deliver`]. Follow-up work (e.g. content-oblivious leader
+//! [`CrashLink`] and [`Burst`] may **delete** messages: they override
+//! [`NoiseModel::passes`] with their drop decision and build
+//! [`NoiseModel::deliver`] on it, so both questions make the same decision
+//! with the same random draws, and a run's drops do not depend on which one
+//! the receiver's type asks. Follow-up work (e.g. content-oblivious leader
 //! election under crash faults) asks exactly this boundary question; sweeping
 //! these adversaries in a campaign measures *where* the Theorem 2 construction
 //! breaks — expected loss of quiescence or success, never a panic or hang.
@@ -30,7 +41,9 @@ use fdn_graph::graph::Edge;
 use crate::envelope::Envelope;
 
 /// A channel noise model. Implementations may keep internal state (e.g. an
-/// RNG) and are invoked once per scheduled delivery.
+/// RNG) and are invoked once per scheduled delivery, through
+/// [`deliver`](Self::deliver) or [`passes`](Self::passes) (see the
+/// [module docs](self)).
 pub trait NoiseModel {
     /// Produces the payload actually delivered to the receiver for a message
     /// sent as `env.payload`. Must return a non-empty payload (alteration
@@ -44,6 +57,16 @@ pub trait NoiseModel {
     /// override this.
     fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
         Some(self.corrupt(env))
+    }
+
+    /// The channel action for a content-oblivious receiver: whether the
+    /// message survives. It must decide exactly as
+    /// [`deliver`](Self::deliver) would, with the same state changes and
+    /// random draws, apart from those that only shape the delivered bytes.
+    /// The default asks `deliver` and discards the bytes; the built-in
+    /// models override it, alteration models with `true`.
+    fn passes(&mut self, env: &Envelope) -> bool {
+        self.deliver(env).is_some()
     }
 
     /// A short human-readable name used in experiment reports.
@@ -60,6 +83,10 @@ pub struct Noiseless;
 impl NoiseModel for Noiseless {
     fn corrupt(&mut self, env: &Envelope) -> Vec<u8> {
         env.payload.to_vec()
+    }
+
+    fn passes(&mut self, _env: &Envelope) -> bool {
+        true
     }
 
     fn name(&self) -> &'static str {
@@ -91,6 +118,10 @@ impl NoiseModel for FullCorruption {
         (0..len).map(|_| self.rng.gen()).collect()
     }
 
+    fn passes(&mut self, _env: &Envelope) -> bool {
+        true
+    }
+
     fn name(&self) -> &'static str {
         "full-corruption"
     }
@@ -105,6 +136,10 @@ pub struct ConstantOne;
 impl NoiseModel for ConstantOne {
     fn corrupt(&mut self, _env: &Envelope) -> Vec<u8> {
         vec![1]
+    }
+
+    fn passes(&mut self, _env: &Envelope) -> bool {
+        true
     }
 
     fn name(&self) -> &'static str {
@@ -152,6 +187,10 @@ impl NoiseModel for BitFlip {
         out
     }
 
+    fn passes(&mut self, _env: &Envelope) -> bool {
+        true
+    }
+
     fn name(&self) -> &'static str {
         "bit-flip"
     }
@@ -174,11 +213,16 @@ impl<N: NoiseModel> TargetedEdges<N> {
             inner,
         }
     }
+
+    /// Whether `env` travels on a listed edge.
+    fn targets(&self, env: &Envelope) -> bool {
+        self.edges.contains(&Edge::new(env.from, env.to))
+    }
 }
 
 impl<N: NoiseModel> NoiseModel for TargetedEdges<N> {
     fn corrupt(&mut self, env: &Envelope) -> Vec<u8> {
-        if self.edges.contains(&Edge::new(env.from, env.to)) {
+        if self.targets(env) {
             self.inner.corrupt(env)
         } else {
             env.payload.to_vec()
@@ -188,11 +232,17 @@ impl<N: NoiseModel> NoiseModel for TargetedEdges<N> {
     fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
         // Forward the full channel action, so a deletion-side inner model
         // (e.g. `Omission` on a single bridge) keeps its ability to drop.
-        if self.edges.contains(&Edge::new(env.from, env.to)) {
+        if self.targets(env) {
             self.inner.deliver(env)
         } else {
             Some(env.payload.to_vec())
         }
+    }
+
+    fn passes(&mut self, env: &Envelope) -> bool {
+        // The same edge test, then the inner model's own decision: it agrees
+        // with `deliver` whenever the inner model's two methods agree.
+        !self.targets(env) || self.inner.passes(env)
     }
 
     fn name(&self) -> &'static str {
@@ -274,13 +324,13 @@ impl NoiseModel for Omission {
     }
 
     fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
+        self.passes(env).then(|| env.payload.to_vec())
+    }
+
+    fn passes(&mut self, _env: &Envelope) -> bool {
         // One rate-independent uniform draw per delivery (see the type docs:
         // this is what couples equal-seed models across rates).
-        if self.rng.gen_range(0..OMISSION_DENOM) < self.drop_ppm {
-            None
-        } else {
-            Some(env.payload.to_vec())
-        }
+        self.rng.gen_range(0..OMISSION_DENOM) >= self.drop_ppm
     }
 
     fn name(&self) -> &'static str {
@@ -324,16 +374,16 @@ impl NoiseModel for CrashLink {
     }
 
     fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
+        self.passes(env).then(|| env.payload.to_vec())
+    }
+
+    fn passes(&mut self, env: &Envelope) -> bool {
         let edge = Edge::new(env.from, env.to);
         if self.crashed.is_none() && self.seen == self.at_pulse {
             self.crashed = Some(edge);
         }
         self.seen += 1;
-        if self.crashed == Some(edge) {
-            None
-        } else {
-            Some(env.payload.to_vec())
-        }
+        self.crashed != Some(edge)
     }
 
     fn name(&self) -> &'static str {
@@ -376,13 +426,13 @@ impl NoiseModel for Burst {
     }
 
     fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
+        self.passes(env).then(|| env.payload.to_vec())
+    }
+
+    fn passes(&mut self, _env: &Envelope) -> bool {
         let phase = self.seen % self.period;
         self.seen += 1;
-        if phase < self.len {
-            None
-        } else {
-            Some(env.payload.to_vec())
-        }
+        phase >= self.len
     }
 
     fn name(&self) -> &'static str {
@@ -616,6 +666,92 @@ mod tests {
         };
         assert_eq!(n.corrupt(&other), vec![5, 6]);
         assert_eq!(n.name(), "targeted-edges");
+    }
+
+    /// A fixed stream of envelopes spread over the edges of a 4-cycle with
+    /// a chord, in both directions, as a scheduler would pop them.
+    fn envelope_stream() -> Vec<Envelope> {
+        let arcs = [(0u32, 1u32), (1, 2), (2, 0), (2, 3), (3, 0), (1, 0), (0, 2)];
+        (0..240u64)
+            .map(|seq| {
+                let (from, to) = arcs[(seq * 5 % arcs.len() as u64) as usize];
+                Envelope {
+                    from: NodeId(from),
+                    to: NodeId(to),
+                    payload: vec![seq as u8, 0x5A].into(),
+                    seq,
+                }
+            })
+            .collect()
+    }
+
+    /// Feeds the stream to `passing` through `passes` and to its `twin`
+    /// through `deliver`, and returns the survival decisions after checking
+    /// that they agree step for step.
+    fn agreeing_decisions(
+        mut passing: Box<dyn NoiseModel>,
+        mut twin: Box<dyn NoiseModel>,
+        label: &str,
+    ) -> Vec<bool> {
+        envelope_stream()
+            .iter()
+            .enumerate()
+            .map(|(step, env)| {
+                let passed = passing.passes(env);
+                assert_eq!(
+                    passed,
+                    twin.deliver(env).is_some(),
+                    "{label}: the survival decision differs from delivery at step {step}"
+                );
+                passed
+            })
+            .collect()
+    }
+
+    #[test]
+    fn survival_decisions_match_delivery() {
+        use crate::spec::NoiseSpec;
+        let alteration: Vec<NoiseSpec> = NoiseSpec::BASIC
+            .into_iter()
+            .chain([NoiseSpec::BitFlip { p: 0.5 }])
+            .collect();
+        let deletion: Vec<NoiseSpec> = NoiseSpec::DELETION
+            .into_iter()
+            .chain([
+                NoiseSpec::Omission { drop_per_mille: 0 },
+                NoiseSpec::Omission {
+                    drop_per_mille: 1000,
+                },
+                NoiseSpec::Burst { period: 1, len: 1 },
+                NoiseSpec::CrashLink { at_pulse: 0 },
+            ])
+            .collect();
+        for seed in 0..8u64 {
+            for spec in &alteration {
+                let label = format!("{spec} seed {seed}");
+                let decisions = agreeing_decisions(spec.build(seed), spec.build(seed), &label);
+                assert!(decisions.iter().all(|&d| d), "{label} dropped a message");
+            }
+            for spec in &deletion {
+                let label = format!("{spec} seed {seed}");
+                agreeing_decisions(spec.build(seed), spec.build(seed), &label);
+            }
+            // Omission on two listed edges: listed traffic draws and may
+            // drop, unlisted traffic passes without a draw.
+            let listed = [
+                Edge::new(NodeId(0), NodeId(1)),
+                Edge::new(NodeId(2), NodeId(3)),
+            ];
+            let targeted = || Box::new(TargetedEdges::new(listed, Omission::new(500, seed)));
+            let label = format!("targeted omission(500) seed {seed}");
+            let decisions = agreeing_decisions(targeted(), targeted(), &label);
+            let stream = envelope_stream();
+            let on_listed = |env: &Envelope| listed.contains(&Edge::new(env.from, env.to));
+            let zipped = || stream.iter().zip(&decisions);
+            assert!(zipped().any(|(env, &d)| on_listed(env) && !d));
+            assert!(zipped().any(|(env, &d)| on_listed(env) && d));
+            assert!(zipped().all(|(env, &d)| on_listed(env) || d));
+        }
     }
 
     #[test]

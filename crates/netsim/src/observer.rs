@@ -124,9 +124,11 @@ pub trait Observer {
     #[inline]
     fn on_link_activation(&mut self, _link: LinkId, _from: NodeId, _to: NodeId) {}
 
-    /// A message was delivered. `deliveries` is the cumulative delivery
-    /// count (the observed timeline's clock) and `inflight` the total after
-    /// the message left its queue.
+    /// A message was delivered. `bits` is its size as sent, before any
+    /// corruption (a content-oblivious receiver's delivery has no other
+    /// size), `deliveries` the cumulative delivery count (the observed
+    /// timeline's clock) and `inflight` the total after the message left its
+    /// queue.
     #[inline]
     fn on_deliver(
         &mut self,
@@ -357,8 +359,6 @@ pub struct SpanStats {
     pub send_bits: u64,
     /// Deliveries received by the node while in this phase.
     pub deliveries: u64,
-    /// Bits delivered to the node while in this phase.
-    pub delivered_bits: u64,
 }
 
 impl SpanStats {
@@ -549,14 +549,12 @@ impl Observer for SpanProfiler {
         &mut self,
         from: NodeId,
         to: NodeId,
-        bits: u64,
+        _bits: u64,
         deliveries: u64,
         _inflight: usize,
     ) {
         self.last_stamp = deliveries;
-        let span = self.span_mut(to);
-        span.deliveries += 1;
-        span.delivered_bits += bits;
+        self.span_mut(to).deliveries += 1;
         *self.link_deliveries.entry((from, to)).or_insert(0) += 1;
     }
 

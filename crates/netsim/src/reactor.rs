@@ -101,13 +101,50 @@ impl<'a> Context<'a> {
     }
 }
 
+/// How the engine hands delivered messages to a [`Reactor`], read from
+/// [`Reactor::DELIVERY`].
+///
+/// Only the blanket [`Reactor`] impl over [`PulseReactor`] can select the
+/// pulse path: the value has no public constructor, so a reactor that
+/// implements [`Reactor`] directly always receives content.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Delivery(Path);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Path {
+    Content,
+    Pulse,
+}
+
+impl Delivery {
+    /// Every delivery runs through [`NoiseModel::deliver`](crate::NoiseModel::deliver)
+    /// and the receiver reads the bytes it returns.
+    pub const CONTENT: Delivery = Delivery(Path::Content);
+
+    /// The noise model only decides whether a message survives
+    /// ([`NoiseModel::passes`](crate::NoiseModel::passes)), and the receiver
+    /// learns the sender alone.
+    const PULSE: Delivery = Delivery(Path::Pulse);
+
+    /// Whether deliveries carry no content.
+    pub const fn is_pulse(self) -> bool {
+        matches!(self.0, Path::Pulse)
+    }
+}
+
 /// An event-driven node: the unit of execution of the simulator.
 ///
 /// A reactor is invoked once at start-up and then once per delivered message.
-/// All its communication goes through the [`Context`]. The paper's simulators
-/// (`fdn-core`) and the noiseless baseline runner are implemented as
-/// reactors.
+/// All its communication goes through the [`Context`]. The noiseless baseline
+/// runner implements this trait directly; the paper's content-oblivious
+/// simulators (`fdn-core`) implement [`PulseReactor`] and are reactors
+/// through its blanket impl.
 pub trait Reactor {
+    /// How the engine hands deliveries to this reactor. Only the blanket impl
+    /// over [`PulseReactor`] sets the pulse path; a direct impl keeps
+    /// [`Delivery::CONTENT`].
+    const DELIVERY: Delivery = Delivery::CONTENT;
+
     /// Called once, before any message is delivered.
     fn on_start(&mut self, ctx: &mut Context);
 
@@ -118,6 +155,48 @@ pub trait Reactor {
     /// The node's irrevocable output, if it has produced one.
     fn output(&self) -> Option<Vec<u8>> {
         None
+    }
+}
+
+/// A content-oblivious node, as in the paper's model: it acts on a pulse's
+/// arrival and on which neighbour sent it, and its handler receives no
+/// payload, so it cannot read content.
+///
+/// Every `PulseReactor` is a [`Reactor`] through a blanket impl, whose
+/// deliveries take the pulse path ([`Delivery::is_pulse`]): the simulation
+/// asks the noise model only whether a message survives, and never builds
+/// the corrupted copy that no pulse reactor could read. A run that records
+/// a [`crate::Transcript`] still asks for that copy, because the transcript
+/// logs delivered bytes.
+pub trait PulseReactor {
+    /// Called once, before any pulse is delivered.
+    fn on_start(&mut self, ctx: &mut Context);
+
+    /// Called when a pulse from `from` is delivered.
+    fn on_pulse(&mut self, from: NodeId, ctx: &mut Context);
+
+    /// The node's irrevocable output, if it has produced one.
+    fn output(&self) -> Option<Vec<u8>> {
+        None
+    }
+}
+
+impl<T: PulseReactor> Reactor for T {
+    const DELIVERY: Delivery = Delivery::PULSE;
+
+    #[inline]
+    fn on_start(&mut self, ctx: &mut Context) {
+        PulseReactor::on_start(self, ctx);
+    }
+
+    #[inline]
+    fn on_message(&mut self, from: NodeId, _payload: &[u8], ctx: &mut Context) {
+        self.on_pulse(from, ctx);
+    }
+
+    #[inline]
+    fn output(&self) -> Option<Vec<u8>> {
+        PulseReactor::output(self)
     }
 }
 
@@ -174,5 +253,27 @@ mod tests {
             fn on_message(&mut self, _from: NodeId, _payload: &[u8], _ctx: &mut Context) {}
         }
         assert_eq!(Silent.output(), None);
+        assert_eq!(Silent::DELIVERY, Delivery::CONTENT);
+    }
+
+    #[test]
+    fn pulse_reactors_take_the_pulse_path() {
+        struct Counter(u32);
+        impl PulseReactor for Counter {
+            fn on_start(&mut self, _ctx: &mut Context) {}
+            fn on_pulse(&mut self, from: NodeId, ctx: &mut Context) {
+                self.0 += 1;
+                ctx.send(from, vec![1]);
+            }
+        }
+        assert!(<Counter as Reactor>::DELIVERY.is_pulse());
+        assert!(!Delivery::CONTENT.is_pulse());
+        let neighbors = [NodeId(1)];
+        let mut ctx = Context::new(NodeId(0), &neighbors);
+        let mut node = Counter(0);
+        Reactor::on_message(&mut node, NodeId(1), &[7, 7], &mut ctx);
+        assert_eq!(node.0, 1);
+        assert_eq!(ctx.take_outbox(), vec![(NodeId(1), vec![1].into())]);
+        assert_eq!(Reactor::output(&node), None);
     }
 }

@@ -328,6 +328,11 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
     /// adversaries only), and — if it survives — the receiving reactor runs
     /// and its sends are queued. Returns `false` if nothing was in flight.
     ///
+    /// A [`PulseReactor`](crate::PulseReactor) cannot read content, so for
+    /// one the noise model only decides whether the message survives
+    /// ([`NoiseModel::passes`]), unless a transcript, which logs the
+    /// delivered bytes, is being recorded.
+    ///
     /// # Errors
     ///
     /// Returns an error if the receiving reactor emits an invalid message.
@@ -349,35 +354,25 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
             .pop(link)
             .expect("scheduler chose an empty or unknown link");
         self.steps += 1;
-        let Some(delivered_payload) = self.noise.deliver(&env) else {
-            // Deleted in transit: the receiver never observes anything, so no
-            // reactor runs. The step still counts towards the step limit —
-            // that is what lets `run` absorb delete-everything
-            // adversaries without hanging.
-            self.stats.record_drop();
-            self.observer
-                .on_drop(env.from, env.to, self.stats.delivered_total);
-            if let Some(t) = &mut self.transcript {
-                t.push(TranscriptEvent::Dropped {
-                    from: env.from,
-                    to: env.to,
-                    payload: env.payload.to_vec(),
-                });
+        if R::DELIVERY.is_pulse() && self.transcript.is_none() {
+            if !self.noise.passes(&env) {
+                self.record_drop(&env);
+                return Ok(true);
             }
+            self.record_delivery(&env);
+            let pulse = Payload::pulse();
+            self.react(env.to, |node, ctx| node.on_message(env.from, &pulse, ctx))?;
+            return Ok(true);
+        }
+        let Some(delivered_payload) = self.noise.deliver(&env) else {
+            self.record_drop(&env);
             return Ok(true);
         };
         debug_assert!(
             !delivered_payload.is_empty(),
             "noise must not deliver empty payloads"
         );
-        self.stats.record_delivery();
-        self.observer.on_deliver(
-            env.from,
-            env.to,
-            (delivered_payload.len() * 8) as u64,
-            self.stats.delivered_total,
-            self.links.total(),
-        );
+        self.record_delivery(&env);
         if let Some(t) = &mut self.transcript {
             t.push(TranscriptEvent::Delivered {
                 from: env.from,
@@ -389,6 +384,35 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
             node.on_message(env.from, &delivered_payload, ctx);
         })?;
         Ok(true)
+    }
+
+    /// Accounts a message the noise model deleted in transit. The receiver
+    /// never observes anything, so no reactor runs; the step still counts
+    /// towards the step limit, which is what lets `run` absorb
+    /// delete-everything adversaries without hanging.
+    fn record_drop(&mut self, env: &Envelope) {
+        self.stats.record_drop();
+        self.observer
+            .on_drop(env.from, env.to, self.stats.delivered_total);
+        if let Some(t) = &mut self.transcript {
+            t.push(TranscriptEvent::Dropped {
+                from: env.from,
+                to: env.to,
+                payload: env.payload.to_vec(),
+            });
+        }
+    }
+
+    /// Accounts a delivery of `env`; the observer sees its size as sent.
+    fn record_delivery(&mut self, env: &Envelope) {
+        self.stats.record_delivery();
+        self.observer.on_deliver(
+            env.from,
+            env.to,
+            env.bits(),
+            self.stats.delivered_total,
+            self.links.total(),
+        );
     }
 
     /// Runs until no message is in flight or this call has taken the step
@@ -505,11 +529,19 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
     }
 
     fn enqueue_send(&mut self, from: NodeId, to: NodeId, payload: Payload) -> Result<(), SimError> {
-        if !self.graph.has_edge(from, to) {
+        // One lookup serves the adjacency check, the queue and the counters.
+        let Some(link) = self.links.link_between(from, to) else {
             return Err(SimError::NotNeighbor { from, to });
-        }
+        };
         if payload.is_empty() {
             return Err(SimError::EmptyPayload { from, to });
+        }
+        if let Some(t) = &mut self.transcript {
+            t.push(TranscriptEvent::Sent {
+                from,
+                to,
+                payload: payload.to_vec(),
+            });
         }
         let env = Envelope {
             from,
@@ -518,24 +550,15 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        self.stats.record_send(&env);
-        if let Some(t) = &mut self.transcript {
-            t.push(TranscriptEvent::Sent {
-                from: env.from,
-                to: env.to,
-                payload: env.payload.to_vec(),
-            });
-        }
-        let (env_from, env_to) = (env.from, env.to);
-        let bits = (env.payload.len() * 8) as u64;
-        let (link, depth) = self.links.push(env);
+        let bits = env.bits();
+        let depth = self.links.push_on(link, env);
+        let inflight = self.links.total();
         self.stats
-            .record_queue_depth(env_from, env_to, depth as u64, self.links.total() as u64);
+            .record_enqueue(from, to, bits, depth as u64, inflight as u64);
         if depth == 1 {
-            self.observer.on_link_activation(link, env_from, env_to);
+            self.observer.on_link_activation(link, from, to);
         }
-        self.observer
-            .on_send(env_from, env_to, bits, depth, self.links.total());
+        self.observer.on_send(from, to, bits, depth, inflight);
         Ok(())
     }
 }
