@@ -28,13 +28,12 @@
 use std::sync::Arc;
 
 use fdn_graph::{connectivity, Graph, NodeId, RobbinsCycle};
-use fdn_netsim::{Context, InnerProtocol, PhaseEvent, ProtocolIo, PulseReactor};
+use fdn_netsim::{Context, InnerProtocol, Payload, PhaseEvent, ProtocolIo, PulseReactor};
 
 use crate::construction::ConstructionNode;
 use crate::encoding::Encoding;
 use crate::engine::RobbinsEngine;
 use crate::error::CoreError;
-use crate::reactors::pulse_payload;
 use crate::wire::WireMessage;
 
 /// Where a node is in the Theorem 2 pipeline.
@@ -225,7 +224,7 @@ impl<P: InnerProtocol> FullSimulator<P> {
         if let Stage::Constructing(c) = &mut self.stage {
             for to in c.driver.drain_outgoing() {
                 self.construction_pulses += 1;
-                ctx.send(to, pulse_payload());
+                ctx.send(to, Payload::pulse());
             }
         }
     }
@@ -298,7 +297,7 @@ impl<P: InnerProtocol> FullSimulator<P> {
                 }
             }
             for to in engine.drain_outgoing() {
-                ctx.send(to, pulse_payload());
+                ctx.send(to, Payload::pulse());
             }
             // Only a decoded message can make the inner protocol hand the
             // engine more work; without one, the engine is at a fixed point.

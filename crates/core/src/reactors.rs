@@ -1,5 +1,5 @@
-//! The pulse every reactor sends, and the simulation of an inner protocol
-//! over a given cycle on a fully-defective network (Theorems 4 and 10).
+//! The simulation of an inner protocol over a given cycle on a
+//! fully-defective network (Theorems 4 and 10).
 //!
 //! [`cycle_simulators`] starts one [`FullSimulator`] per node directly in
 //! its online phase, each on a fresh [`RobbinsEngine`] over the given cycle.
@@ -12,26 +12,12 @@
 use std::sync::Arc;
 
 use fdn_graph::{connectivity, Graph, NodeId, RobbinsCycle};
-use fdn_netsim::{InnerProtocol, Payload};
+use fdn_netsim::InnerProtocol;
 
 use crate::encoding::Encoding;
 use crate::engine::RobbinsEngine;
 use crate::error::CoreError;
 use crate::full::FullSimulator;
-
-/// A content-less pulse payload. The byte value is irrelevant — receivers
-/// ignore content — but it must be non-empty because the noise model may not
-/// delete messages.
-pub const PULSE: [u8; 1] = [0];
-
-/// The [`PULSE`] as a [`Payload`]: [`Payload::pulse`], which holds no
-/// allocation. Cloning it per send copies a tag, so pulses write no shared
-/// reference count on any thread, and every pulse is pointer-identical
-/// ([`Payload::ptr_eq`]) to every other, which lets the counting link
-/// backend classify pulse runs without comparing bytes.
-pub const fn pulse_payload() -> Payload {
-    Payload::pulse()
-}
 
 /// Builds one online [`FullSimulator`] per node of `graph` over the given
 /// Robbins cycle. The token holder is the node at the cycle's position 0
@@ -115,26 +101,6 @@ mod tests {
     use fdn_graph::{generators, robbins};
     use fdn_netsim::{FullCorruption, RandomScheduler, Reactor, Simulation};
     use fdn_protocols::{FloodBroadcast, TokenRingCounter};
-
-    #[test]
-    fn pulse_payload_is_one_value_on_every_thread() {
-        let first = pulse_payload();
-        assert!(first.ptr_eq(&pulse_payload()));
-        let other = std::thread::scope(|s| {
-            s.spawn(pulse_payload)
-                .join()
-                .expect("pulse thread panicked")
-        });
-        assert!(first.ptr_eq(&other));
-        assert_eq!(&*other, &PULSE[..]);
-        let allocated = Payload::from(PULSE.to_vec());
-        assert_eq!(first, allocated);
-        // What reports and logs print of a pulse is the one-byte payload's.
-        assert_eq!(format!("{first:?}"), format!("{allocated:?}"));
-        assert_eq!(format!("{first:?}"), "Payload([0])");
-        assert_eq!(std::mem::size_of::<Payload>(), 16);
-        assert_eq!(std::mem::size_of::<fdn_netsim::Envelope>(), 32);
-    }
 
     /// Floods `value` from `sender` over the `n`-ring's simple cycle under
     /// full corruption (noise seed `seeds.0`, scheduler seed `seeds.1`),

@@ -164,13 +164,22 @@ mod tests {
     #[test]
     fn the_pulse_is_the_byte_zero_without_an_allocation() {
         let pulse = Payload::pulse();
-        let shared: Payload = vec![0].into();
+        let shared = Payload::from(PULSE_BYTES.to_vec());
         assert!(pulse.ptr_eq(&pulse.clone()));
+        // One value on every thread: there is no per-thread share.
+        let other = std::thread::scope(|s| {
+            s.spawn(Payload::pulse)
+                .join()
+                .expect("pulse thread panicked")
+        });
+        assert!(pulse.ptr_eq(&other));
         assert!(!pulse.ptr_eq(&shared) && !shared.ptr_eq(&pulse));
         assert_eq!(pulse, shared);
         assert_ne!(pulse, Payload::from(vec![0, 0]));
+        assert_eq!(&*pulse, &PULSE_BYTES);
         assert_eq!(&*pulse, &[0]);
         assert_eq!(pulse.to_vec(), vec![0]);
+        // What reports and logs print of a pulse is the one-byte payload's.
         assert_eq!(format!("{pulse:?}"), format!("{shared:?}"));
         assert_eq!(format!("{pulse:?}"), "Payload([0])");
         // The pulse variant fits the `Arc` pointer's niche.

@@ -8,23 +8,23 @@
 //! payload.
 //!
 //! A model answers one of two questions per scheduled delivery, depending on
-//! the receiver. A reactor that reads content gets the delivered bytes from
-//! [`NoiseModel::deliver`], which calls `corrupt` once per surviving
-//! message. A content-oblivious receiver ([`crate::PulseReactor`]) cannot
-//! read bytes, so the simulation asks only [`NoiseModel::passes`] whether
-//! the message survives: the alteration models answer `true` without
-//! computing (or drawing randomness for) a corrupted copy.
+//! the receiver. A content-oblivious receiver ([`crate::PulseReactor`])
+//! cannot read bytes, so the simulation asks only [`NoiseModel::passes`]
+//! whether the message survives. A reactor that reads content gets the
+//! delivered bytes from [`NoiseModel::deliver`], which is `passes` followed,
+//! for a survivor, by one call of `corrupt`. The alteration models keep the
+//! default `passes`, `true` with no work, so a pulse run never computes (or
+//! draws randomness for) a corrupted copy.
 //!
 //! A second group of models deliberately steps *outside* the paper's model to
 //! probe where the no-deletion assumption is load-bearing: [`Omission`],
-//! [`CrashLink`] and [`Burst`] may **delete** messages: they override
-//! [`NoiseModel::passes`] with their drop decision and build
-//! [`NoiseModel::deliver`] on it, so both questions make the same decision
-//! with the same random draws, and a run's drops do not depend on which one
-//! the receiver's type asks. Follow-up work (e.g. content-oblivious leader
-//! election under crash faults) asks exactly this boundary question; sweeping
-//! these adversaries in a campaign measures *where* the Theorem 2 construction
-//! breaks — expected loss of quiescence or success, never a panic or hang.
+//! [`CrashLink`] and [`Burst`] may **delete** messages: their drop decision
+//! is their `passes`, which `deliver` runs too, so a run's drops do not
+//! depend on which question the receiver's type asks. Follow-up work (e.g.
+//! content-oblivious leader election under crash faults) asks exactly this
+//! boundary question; sweeping these adversaries in a campaign measures
+//! *where* the Theorem 2 construction breaks — expected loss of quiescence
+//! or success, never a panic or hang.
 
 #![expect(
     clippy::disallowed_methods,
@@ -50,23 +50,21 @@ pub trait NoiseModel {
     /// noise cannot delete messages).
     fn corrupt(&mut self, env: &Envelope) -> Vec<u8>;
 
-    /// The full channel action for one scheduled delivery: `Some(payload)` is
-    /// handed to the receiver, `None` deletes the message. The default is the
-    /// paper's contract — alteration only, never deletion — so only the
+    /// Whether the message survives the channel: the whole channel action
+    /// for a content-oblivious receiver. The default is the paper's
+    /// contract — alteration only, never deletion — so only the
     /// deletion-side adversaries ([`Omission`], [`CrashLink`], [`Burst`])
     /// override this.
-    fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
-        Some(self.corrupt(env))
+    fn passes(&mut self, _env: &Envelope) -> bool {
+        true
     }
 
-    /// The channel action for a content-oblivious receiver: whether the
-    /// message survives. It must decide exactly as
-    /// [`deliver`](Self::deliver) would, with the same state changes and
-    /// random draws, apart from those that only shape the delivered bytes.
-    /// The default asks `deliver` and discards the bytes; the built-in
-    /// models override it, alteration models with `true`.
-    fn passes(&mut self, env: &Envelope) -> bool {
-        self.deliver(env).is_some()
+    /// The full channel action for one scheduled delivery: `Some(payload)` is
+    /// handed to the receiver, `None` deletes the message. It is
+    /// [`passes`](Self::passes), then [`corrupt`](Self::corrupt) for a
+    /// survivor.
+    fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
+        self.passes(env).then(|| self.corrupt(env))
     }
 
     /// A short human-readable name used in experiment reports.
@@ -83,10 +81,6 @@ pub struct Noiseless;
 impl NoiseModel for Noiseless {
     fn corrupt(&mut self, env: &Envelope) -> Vec<u8> {
         env.payload.to_vec()
-    }
-
-    fn passes(&mut self, _env: &Envelope) -> bool {
-        true
     }
 
     fn name(&self) -> &'static str {
@@ -118,10 +112,6 @@ impl NoiseModel for FullCorruption {
         (0..len).map(|_| self.rng.gen()).collect()
     }
 
-    fn passes(&mut self, _env: &Envelope) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "full-corruption"
     }
@@ -136,10 +126,6 @@ pub struct ConstantOne;
 impl NoiseModel for ConstantOne {
     fn corrupt(&mut self, _env: &Envelope) -> Vec<u8> {
         vec![1]
-    }
-
-    fn passes(&mut self, _env: &Envelope) -> bool {
-        true
     }
 
     fn name(&self) -> &'static str {
@@ -187,10 +173,6 @@ impl NoiseModel for BitFlip {
         out
     }
 
-    fn passes(&mut self, _env: &Envelope) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "bit-flip"
     }
@@ -229,19 +211,9 @@ impl<N: NoiseModel> NoiseModel for TargetedEdges<N> {
         }
     }
 
-    fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
-        // Forward the full channel action, so a deletion-side inner model
-        // (e.g. `Omission` on a single bridge) keeps its ability to drop.
-        if self.targets(env) {
-            self.inner.deliver(env)
-        } else {
-            Some(env.payload.to_vec())
-        }
-    }
-
     fn passes(&mut self, env: &Envelope) -> bool {
-        // The same edge test, then the inner model's own decision: it agrees
-        // with `deliver` whenever the inner model's two methods agree.
+        // Forward the drop decision, so a deletion-side inner model (e.g.
+        // `Omission` on a single bridge) keeps its ability to drop.
         !self.targets(env) || self.inner.passes(env)
     }
 
@@ -323,10 +295,6 @@ impl NoiseModel for Omission {
         env.payload.to_vec()
     }
 
-    fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
-        self.passes(env).then(|| env.payload.to_vec())
-    }
-
     fn passes(&mut self, _env: &Envelope) -> bool {
         // One rate-independent uniform draw per delivery (see the type docs:
         // this is what couples equal-seed models across rates).
@@ -371,10 +339,6 @@ impl CrashLink {
 impl NoiseModel for CrashLink {
     fn corrupt(&mut self, env: &Envelope) -> Vec<u8> {
         env.payload.to_vec()
-    }
-
-    fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
-        self.passes(env).then(|| env.payload.to_vec())
     }
 
     fn passes(&mut self, env: &Envelope) -> bool {
@@ -423,10 +387,6 @@ impl Burst {
 impl NoiseModel for Burst {
     fn corrupt(&mut self, env: &Envelope) -> Vec<u8> {
         env.payload.to_vec()
-    }
-
-    fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
-        self.passes(env).then(|| env.payload.to_vec())
     }
 
     fn passes(&mut self, _env: &Envelope) -> bool {

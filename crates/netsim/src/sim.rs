@@ -529,19 +529,12 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
     }
 
     fn enqueue_send(&mut self, from: NodeId, to: NodeId, payload: Payload) -> Result<(), SimError> {
-        // One lookup serves the adjacency check, the queue and the counters.
+        // One lookup serves the adjacency check and the queue push.
         let Some(link) = self.links.link_between(from, to) else {
             return Err(SimError::NotNeighbor { from, to });
         };
         if payload.is_empty() {
             return Err(SimError::EmptyPayload { from, to });
-        }
-        if let Some(t) = &mut self.transcript {
-            t.push(TranscriptEvent::Sent {
-                from,
-                to,
-                payload: payload.to_vec(),
-            });
         }
         let env = Envelope {
             from,
@@ -550,11 +543,19 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
             seq: self.next_seq,
         };
         self.next_seq += 1;
+        self.stats.record_send(&env);
+        if let Some(t) = &mut self.transcript {
+            t.push(TranscriptEvent::Sent {
+                from,
+                to,
+                payload: env.payload.to_vec(),
+            });
+        }
         let bits = env.bits();
         let depth = self.links.push_on(link, env);
         let inflight = self.links.total();
         self.stats
-            .record_enqueue(from, to, bits, depth as u64, inflight as u64);
+            .record_queue_depth(from, to, depth as u64, inflight as u64);
         if depth == 1 {
             self.observer.on_link_activation(link, from, to);
         }

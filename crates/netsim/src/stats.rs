@@ -57,13 +57,6 @@ struct LinkCounts {
     high_water: Option<u64>,
 }
 
-impl LinkCounts {
-    /// Records a queue depth of `depth` in the high-water mark.
-    fn raise_high_water(&mut self, depth: u64) {
-        self.high_water = Some(self.high_water.map_or(depth, |mark| mark.max(depth)));
-    }
-}
-
 impl PartialEq for Stats {
     fn eq(&self, other: &Self) -> bool {
         self.snapshot() == other.snapshot()
@@ -79,30 +72,6 @@ impl Stats {
             links: vec![Vec::new(); n],
             per_node_sent: vec![0; n],
             ..Default::default()
-        }
-    }
-
-    /// Records a send of `bits` on the directed link `from -> to` together
-    /// with the queue depths right after its enqueue: what
-    /// [`record_send`](Self::record_send) and
-    /// [`record_queue_depth`](Self::record_queue_depth) record, with one
-    /// row access instead of two.
-    pub(crate) fn record_enqueue(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        bits: u64,
-        link_depth: u64,
-        total_inflight: u64,
-    ) {
-        self.sent_total += 1;
-        self.bits_sent += bits;
-        self.max_inflight = self.max_inflight.max(total_inflight);
-        let link = self.link_mut(from, to);
-        link.sent += 1;
-        link.raise_high_water(link_depth);
-        if let Some(slot) = self.per_node_sent.get_mut(from.index()) {
-            *slot += 1;
         }
     }
 
@@ -137,7 +106,8 @@ impl Stats {
         total_inflight: u64,
     ) {
         self.max_inflight = self.max_inflight.max(total_inflight);
-        self.link_mut(from, to).raise_high_water(link_depth);
+        let hw = &mut self.link_mut(from, to).high_water;
+        *hw = Some(hw.map_or(link_depth, |mark| mark.max(link_depth)));
     }
 
     /// The counters of the directed link `from -> to`, inserted zeroed on
