@@ -1,22 +1,20 @@
 //! Cell-by-cell comparison of two saved reports — the regression gate.
 //!
 //! Reports are byte-deterministic, so any difference between two saved
-//! reports of the same campaign (or frontier search) is a real behavioural
-//! change. Every field of a compared record names its diff rule in the
-//! record's `record!` table, next to the field's name, and the table
-//! generates the walk that runs those rules. [`diff_reports`] (campaign
-//! reports) and [`crate::diff_frontier_reports`] (frontier reports) walk
-//! the two headers, listing any finding under `(report parameters)`, then
-//! pair the cells of the *base* and the *candidate* by id and walk each
-//! pair. [`ReportDiff`] renders the findings as markdown or JSON; each
-//! finding names its field by JSON key. The `fdn-lab diff` subcommand exits
-//! non-zero iff [`ReportDiff::has_regressions`].
+//! reports of the same campaign is a real behavioural change. Every field
+//! of a compared record names its diff rule in the record's `record!`
+//! table, next to the field's name, and the table generates the walk that
+//! runs those rules. [`diff_reports`] walks the two headers, listing any
+//! finding under `(report parameters)`, then pairs the cells of the *base*
+//! and the *candidate* by id and walks each pair. [`ReportDiff`] renders the
+//! findings as markdown or JSON; each finding names its field by JSON key.
+//! The `fdn-lab diff` subcommand exits non-zero iff
+//! [`ReportDiff::has_regressions`].
 //!
 //! The rules are the functions `id`, `title`, `cells`, `exact`, `note`,
 //! `rise`, `fall`, `rate`, `cost` and `cost_if_both` below, each documented
-//! where it is defined; the frontier's `bracket` rule is in `frontier.rs`.
-//! A changed id is a removed cell (a regression: coverage loss) plus an
-//! added one.
+//! where it is defined. A changed id is a removed cell (a regression:
+//! coverage loss) plus an added one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -34,9 +32,6 @@ pub struct DiffTolerance {
     /// Tolerated relative rise of any statistic of a cost field: `0.1` =
     /// +10% (`--tol-pulses`).
     pub pulses: f64,
-    /// Tolerated fall of a frontier bracket bound, in per mille
-    /// (`--tol-mille`).
-    pub mille: u16,
 }
 
 /// How a cell changed between the two reports.
@@ -81,12 +76,9 @@ impl CellDelta {
     }
 }
 
-/// The full delta between two reports of one kind.
+/// The full delta between two campaign reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportDiff {
-    /// The report kind, as the markdown title names it (`Campaign`,
-    /// `Frontier`).
-    pub kind: &'static str,
     /// Name of the base report.
     pub base: String,
     /// Name of the candidate report.
@@ -120,14 +112,14 @@ pub(crate) trait Diff {
 /// record pair being compared.
 pub(crate) struct Gate {
     /// The thresholds the rules apply.
-    pub(crate) tol: DiffTolerance,
+    tol: DiffTolerance,
     notes: Vec<String>,
     regressions: Vec<String>,
 }
 
 impl Gate {
     /// Records `finding`: a regression if `regression`, else a note.
-    pub(crate) fn flag(&mut self, regression: bool, finding: String) {
+    fn flag(&mut self, regression: bool, finding: String) {
         if regression {
             self.regressions.push(finding);
         } else {
@@ -154,33 +146,33 @@ fn compare<R: Diff>(cell: String, base: &R, now: &R, tol: DiffTolerance) -> Cell
 }
 
 /// Rule `id`: cells are matched on these fields, so a pair agrees on them.
-pub(crate) fn id<T, R>(_: &mut Gate, _: &str, _: &T, _: &T, _: (&R, &R)) {}
+pub(crate) fn id<T>(_: &mut Gate, _: &str, _: &T, _: &T) {}
 
 /// Rule `title`: the report's name heads the diff and is not a finding.
-pub(crate) fn title<T, R>(_: &mut Gate, _: &str, _: &T, _: &T, _: (&R, &R)) {}
+pub(crate) fn title<T>(_: &mut Gate, _: &str, _: &T, _: &T) {}
 
 /// Rule `cells`: the cells are matched by id and walked by their own table
 /// ([`ReportDiff::match_cells`]).
-pub(crate) fn cells<T, R>(_: &mut Gate, _: &str, _: &T, _: &T, _: (&R, &R)) {}
+pub(crate) fn cells<T>(_: &mut Gate, _: &str, _: &T, _: &T) {}
 
 /// Rule `exact`: any change is a regression (the cell measured another
 /// graph).
-pub(crate) fn exact<T: Field + PartialEq, R>(g: &mut Gate, key: &str, b: &T, n: &T, _: (&R, &R)) {
+pub(crate) fn exact<T: Field + PartialEq>(g: &mut Gate, key: &str, b: &T, n: &T) {
     changed(g, true, "changed", key, (b, n));
 }
 
 /// Rule `note`: any change is a note.
-pub(crate) fn note<T: Field + PartialEq, R>(g: &mut Gate, key: &str, b: &T, n: &T, _: (&R, &R)) {
+pub(crate) fn note<T: Field + PartialEq>(g: &mut Gate, key: &str, b: &T, n: &T) {
     changed(g, false, "changed", key, (b, n));
 }
 
 /// Rule `rise`: a rise is a regression, a fall a note.
-pub(crate) fn rise<T: Field + PartialOrd, R>(g: &mut Gate, key: &str, b: &T, n: &T, _: (&R, &R)) {
+pub(crate) fn rise<T: Field + PartialOrd>(g: &mut Gate, key: &str, b: &T, n: &T) {
     changed(g, n > b, if n > b { "rose" } else { "fell" }, key, (b, n));
 }
 
 /// Rule `fall`: a fall is a regression (weaker evidence), a rise a note.
-pub(crate) fn fall<T: Field + PartialOrd, R>(g: &mut Gate, key: &str, b: &T, n: &T, _: (&R, &R)) {
+pub(crate) fn fall<T: Field + PartialOrd>(g: &mut Gate, key: &str, b: &T, n: &T) {
     changed(g, n < b, if n > b { "rose" } else { "fell" }, key, (b, n));
 }
 
@@ -200,7 +192,7 @@ fn changed<T: Field + PartialEq>(
 
 /// Rule `rate`: a drop beyond the rate tolerance is a regression, a rise
 /// beyond it a note.
-pub(crate) fn rate<R>(g: &mut Gate, key: &str, b: &f64, n: &f64, _: (&R, &R)) {
+pub(crate) fn rate(g: &mut Gate, key: &str, b: &f64, n: &f64) {
     let delta = n - b;
     if delta.abs() > g.tol.rate {
         let verb = if delta < 0.0 { "fell" } else { "improved" };
@@ -213,7 +205,7 @@ pub(crate) fn rate<R>(g: &mut Gate, key: &str, b: &f64, n: &f64, _: (&R, &R)) {
 /// relative rise beyond the cost tolerance, or a statistic that becomes
 /// `null` (read back as NaN), is a regression; a fall beyond the tolerance,
 /// or a move off a zero or `null` base, a note.
-pub(crate) fn cost<R>(g: &mut Gate, key: &str, b: &MetricSummary, n: &MetricSummary, _: (&R, &R)) {
+pub(crate) fn cost(g: &mut Gate, key: &str, b: &MetricSummary, n: &MetricSummary) {
     let stats = MetricSummary::STATS
         .into_iter()
         .zip(b.values())
@@ -235,15 +227,14 @@ pub(crate) fn cost<R>(g: &mut Gate, key: &str, b: &MetricSummary, n: &MetricSumm
 }
 
 /// Rule `cost_if_both`: `cost`, when both cells have a summary.
-pub(crate) fn cost_if_both<R>(
+pub(crate) fn cost_if_both(
     g: &mut Gate,
     key: &str,
     b: &Option<MetricSummary>,
     n: &Option<MetricSummary>,
-    records: (&R, &R),
 ) {
     if let (Some(b), Some(n)) = (b, n) {
-        cost(g, key, b, n, records);
+        cost(g, key, b, n);
     }
 }
 
@@ -283,50 +274,32 @@ pub fn diff_reports(
     candidate: &CampaignReport,
     tolerance: DiffTolerance,
 ) -> ReportDiff {
-    let mut diff = ReportDiff::new(
-        "Campaign",
-        &base.name,
-        &candidate.name,
-        format!(
+    let mut diff = ReportDiff {
+        base: base.name.clone(),
+        candidate: candidate.name.clone(),
+        matched: 0,
+        unchanged: 0,
+        deltas: Vec::new(),
+        tolerance: format!(
             "rate {}, pulses {:.1}%",
             fmt_rate(tolerance.rate),
             tolerance.pulses * 100.0
         ),
-        Json::obj(vec![
+        tolerance_json: Json::obj(vec![
             ("rate", Json::Num(tolerance.rate)),
             ("pulses", Json::Num(tolerance.pulses)),
         ]),
-    );
+    };
     diff.compare_headers(base, candidate, tolerance);
     diff.match_cells(&base.cells, &candidate.cells, tolerance);
     diff
 }
 
 impl ReportDiff {
-    /// An empty diff of two named reports of one kind.
-    pub(crate) fn new(
-        kind: &'static str,
-        base: &str,
-        candidate: &str,
-        tolerance: String,
-        tolerance_json: Json,
-    ) -> ReportDiff {
-        ReportDiff {
-            kind,
-            base: base.to_string(),
-            candidate: candidate.to_string(),
-            matched: 0,
-            unchanged: 0,
-            deltas: Vec::new(),
-            tolerance,
-            tolerance_json,
-        }
-    }
-
     /// Walks the two report headers; any finding is listed under
     /// `(report parameters)`. Call it before [`ReportDiff::match_cells`],
     /// so that the header findings come first.
-    pub(crate) fn compare_headers<R: Diff>(&mut self, base: &R, candidate: &R, tol: DiffTolerance) {
+    fn compare_headers<R: Diff>(&mut self, base: &R, candidate: &R, tol: DiffTolerance) {
         let delta = compare("(report parameters)".to_string(), base, candidate, tol);
         if delta.has_findings() {
             self.deltas.push(delta);
@@ -338,7 +311,7 @@ impl ReportDiff {
     /// candidate-only cells are noted as added. Deltas follow base order,
     /// then candidate order; matched cells without findings count as
     /// unchanged.
-    pub(crate) fn match_cells<C: Diff>(&mut self, base: &[C], candidate: &[C], tol: DiffTolerance) {
+    fn match_cells<C: Diff>(&mut self, base: &[C], candidate: &[C], tol: DiffTolerance) {
         // Index each side once: reports can hold thousands of cells, and the
         // formatted id is too expensive to rebuild per probe.
         let candidate_by_id: BTreeMap<String, &C> = candidate.iter().map(|c| (c.id(), c)).collect();
@@ -359,10 +332,7 @@ impl ReportDiff {
                     cell: key,
                     change: CellChange::Removed,
                     notes: Vec::new(),
-                    regressions: vec![format!(
-                        "cell removed from the {} (coverage loss)",
-                        self.kind.to_lowercase()
-                    )],
+                    regressions: vec!["cell removed from the campaign (coverage loss)".to_string()],
                 }),
             }
         }
@@ -394,8 +364,8 @@ impl ReportDiff {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "# {} diff: `{}` -> `{}`",
-            self.kind, self.base, self.candidate
+            "# Campaign diff: `{}` -> `{}`",
+            self.base, self.candidate
         );
         let _ = writeln!(out);
         let _ = writeln!(
@@ -462,91 +432,6 @@ impl ReportDiff {
             ),
         ])
         .render()
-    }
-}
-
-/// Checks that the gate reads every key of a rendered one-cell report
-/// `doc`: each key of the header and of the cell in turn gets a new value
-/// (`edits` names one for keys the parser restricts to a few values), the
-/// report is parsed back and diffed against the original. The `ids` keys
-/// must give a removed and an added cell, the `title` key no finding, and
-/// `cells` emptied a removed cell; every other key must give a finding
-/// that starts with its name, unless the parser rejects the edit and the
-/// key is `pinned`.
-#[cfg(test)]
-pub(crate) fn assert_every_key_gated<R>(
-    doc: &Json,
-    parse: fn(&Json) -> Result<R, String>,
-    diff: fn(&R, &R) -> ReportDiff,
-    (ids, title, pinned): (&[&str], &str, &[&str]),
-    edits: &[(&str, Json)],
-) {
-    /// `j` with every number raised by one, every string extended and every
-    /// boolean negated.
-    fn perturb(j: &Json) -> Json {
-        match j {
-            Json::Num(x) => Json::Num(x + 1.0),
-            Json::Str(s) => Json::Str(format!("{s}x")),
-            Json::Bool(b) => Json::Bool(!b),
-            Json::Arr(items) => Json::Arr(items.iter().map(perturb).collect()),
-            Json::Obj(fields) => Json::Obj(
-                fields
-                    .iter()
-                    .map(|(k, v)| (k.clone(), perturb(v)))
-                    .collect(),
-            ),
-            Json::Null => panic!("the fixture sets every optional field"),
-        }
-    }
-    /// The object `obj` with `value` at `key`.
-    fn set(obj: &Json, key: &str, value: &Json) -> Json {
-        let Json::Obj(fields) = obj else {
-            panic!("records render as objects")
-        };
-        let field = |(k, v): &(String, Json)| (k.clone(), if k == key { value } else { v }.clone());
-        Json::Obj(fields.iter().map(field).collect())
-    }
-    let base = parse(doc).unwrap();
-    let cell = &doc.get("cells").and_then(Json::as_arr).unwrap()[0];
-    for (record, in_cell) in [(doc, false), (cell, true)] {
-        let Json::Obj(fields) = record else {
-            panic!("records render as objects")
-        };
-        for (key, value) in fields {
-            let value = match edits.iter().find(|(k, _)| k == key) {
-                Some((_, edit)) => edit.clone(),
-                None if key == "cells" => Json::Arr(vec![]),
-                None => perturb(value),
-            };
-            let edited = match in_cell {
-                false => set(doc, key, &value),
-                true => set(doc, "cells", &Json::Arr(vec![set(cell, key, &value)])),
-            };
-            let Ok(candidate) = parse(&edited) else {
-                assert!(
-                    pinned.contains(&key.as_str()),
-                    "`{key}` edit does not parse"
-                );
-                continue;
-            };
-            let d = diff(&base, &candidate);
-            let changes: Vec<CellChange> = d.deltas.iter().map(|d| d.change).collect();
-            let findings: Vec<&String> = d
-                .deltas
-                .iter()
-                .flat_map(|d| d.regressions.iter().chain(&d.notes))
-                .collect();
-            if ids.contains(&key.as_str()) {
-                assert_eq!(changes, [CellChange::Removed, CellChange::Added], "{key}");
-            } else if key == "cells" {
-                assert_eq!(changes, [CellChange::Removed], "{key}");
-            } else if key == title {
-                assert!(d.deltas.is_empty() && d.candidate.ends_with('x'), "{key}");
-            } else {
-                let named = findings.iter().any(|f| f.starts_with(&format!("{key} ")));
-                assert!(named, "`{key}` is not gated: {findings:?}");
-            }
-        }
     }
 }
 
@@ -785,6 +670,77 @@ mod tests {
         assert_eq!(diff_reports(&base, &now, pulses(2.5)).regression_count(), 1);
     }
 
+    /// Checks that the gate reads every key of a rendered one-cell report
+    /// `doc`: each key of the header and of the cell in turn gets a new value,
+    /// the report is parsed back and diffed against the original. The `ids`
+    /// keys must give a removed and an added cell, the `title` key no finding,
+    /// and `cells` emptied a removed cell; every other key must give a finding
+    /// that starts with its name.
+    fn assert_every_key_gated(doc: &Json, ids: &[&str], title: &str) {
+        /// `j` with every number raised by one, every string extended and every
+        /// boolean negated.
+        fn perturb(j: &Json) -> Json {
+            match j {
+                Json::Num(x) => Json::Num(x + 1.0),
+                Json::Str(s) => Json::Str(format!("{s}x")),
+                Json::Bool(b) => Json::Bool(!b),
+                Json::Arr(items) => Json::Arr(items.iter().map(perturb).collect()),
+                Json::Obj(fields) => Json::Obj(
+                    fields
+                        .iter()
+                        .map(|(k, v)| (k.clone(), perturb(v)))
+                        .collect(),
+                ),
+                Json::Null => panic!("the fixture sets every optional field"),
+            }
+        }
+        /// The object `obj` with `value` at `key`.
+        fn set(obj: &Json, key: &str, value: &Json) -> Json {
+            let Json::Obj(fields) = obj else {
+                panic!("records render as objects")
+            };
+            let field =
+                |(k, v): &(String, Json)| (k.clone(), if k == key { value } else { v }.clone());
+            Json::Obj(fields.iter().map(field).collect())
+        }
+        let base = CampaignReport::from_json(doc).unwrap();
+        let cell = &doc.get("cells").and_then(Json::as_arr).unwrap()[0];
+        for (record, in_cell) in [(doc, false), (cell, true)] {
+            let Json::Obj(fields) = record else {
+                panic!("records render as objects")
+            };
+            for (key, value) in fields {
+                let value = match key.as_str() {
+                    "cells" => Json::Arr(vec![]),
+                    _ => perturb(value),
+                };
+                let edited = match in_cell {
+                    false => set(doc, key, &value),
+                    true => set(doc, "cells", &Json::Arr(vec![set(cell, key, &value)])),
+                };
+                let candidate = CampaignReport::from_json(&edited)
+                    .unwrap_or_else(|e| panic!("`{key}` edit does not parse: {e}"));
+                let d = diff_reports(&base, &candidate, DiffTolerance::default());
+                let changes: Vec<CellChange> = d.deltas.iter().map(|d| d.change).collect();
+                let findings: Vec<&String> = d
+                    .deltas
+                    .iter()
+                    .flat_map(|d| d.regressions.iter().chain(&d.notes))
+                    .collect();
+                if ids.contains(&key.as_str()) {
+                    assert_eq!(changes, [CellChange::Removed, CellChange::Added], "{key}");
+                } else if key == "cells" {
+                    assert_eq!(changes, [CellChange::Removed], "{key}");
+                } else if key == title {
+                    assert!(d.deltas.is_empty() && d.candidate.ends_with('x'), "{key}");
+                } else {
+                    let named = findings.iter().any(|f| f.starts_with(&format!("{key} ")));
+                    assert!(named, "`{key}` is not gated: {findings:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn every_campaign_report_key_is_gated() {
         use crate::report::CurveSummary;
@@ -815,13 +771,7 @@ mod tests {
             "noise",
             "scheduler",
         ];
-        assert_every_key_gated(
-            &doc,
-            CampaignReport::from_json,
-            |b, n| diff_reports(b, n, DiffTolerance::default()),
-            (&ids, "campaign", &[]),
-            &[],
-        );
+        assert_every_key_gated(&doc, &ids, "campaign");
     }
 
     #[test]

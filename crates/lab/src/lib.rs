@@ -26,12 +26,7 @@
 //!    cell-by-cell against a [`DiffTolerance`] (the `fdn-lab diff`
 //!    subcommand exits non-zero on regression), turning `lab-out/` into a
 //!    CI regression gate.
-//! 6. **Chart** the deletion frontier: [`run_frontier`] bisects the omission
-//!    drop-rate axis ([`FrontierOptions`]) per (family, mode, workload) cell
-//!    of a campaign to the smallest rate that breaks it, emitting a
-//!    byte-deterministic [`FrontierReport`] that is regression-gateable
-//!    through the same diff core ([`diff_frontier_reports`]).
-//! 7. **Trace** one run per cell: [`run_trace`] attaches the observer layer
+//! 6. **Trace** one run per cell: [`run_trace`] attaches the observer layer
 //!    to each cell's first seed.
 //!
 //! Each artifact has exactly one entry point with the same shape — the
@@ -67,13 +62,12 @@
 //! ```
 //!
 //! The `fdn-lab` binary exposes the same engine on the command line
-//! (`run`, `frontier`, `trace`, `list-scenarios`, `report`, `merge`,
-//! `diff`); see the repository README.
+//! (`run`, `trace`, `list-scenarios`, `report`, `merge`, `diff`); see the
+//! repository README.
 
 pub mod cache;
 pub mod diff;
 pub mod error;
-pub mod frontier;
 pub mod json;
 pub mod presets;
 pub mod report;
@@ -89,10 +83,6 @@ pub use cache::{
 };
 pub use diff::{diff_reports, CellChange, CellDelta, DiffTolerance, ReportDiff};
 pub use error::LabError;
-pub use frontier::{
-    diff_frontier_reports, run_frontier, FrontierAxis, FrontierCell, FrontierOptions,
-    FrontierProbe, FrontierReport, FrontierStatus, FRONTIER_AXIS,
-};
 pub use json::{Field, Json};
 pub use presets::PRESET_NAMES;
 pub use report::{

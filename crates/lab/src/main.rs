@@ -7,7 +7,7 @@
     reason = "D5: the CLI writes diagnostics to stderr; stdout goes through `write_stdout`"
 )]
 
-use std::fmt::{self, Display};
+use std::fmt;
 use std::io::{self, Write as _};
 use std::num::ParseIntError;
 use std::path::{Path, PathBuf};
@@ -18,10 +18,9 @@ use std::time::Duration;
 
 use fdn_graph::GraphFamily;
 use fdn_lab::{
-    diff_frontier_reports, diff_reports, merge_reports, run_campaign, run_frontier, run_trace,
-    shard_slice, Caches, Campaign, CampaignReport, CellTiming, CheckpointStore, DiffTolerance,
-    FrontierOptions, FrontierReport, Json, LabError, RunOptions, Shard, Stopwatch, StoreStats,
-    TraceOptions,
+    diff_reports, merge_reports, run_campaign, run_trace, shard_slice, Caches, Campaign,
+    CampaignReport, CellTiming, CheckpointStore, DiffTolerance, Json, LabError, RunOptions, Shard,
+    Stopwatch, StoreStats, TraceOptions,
 };
 use fdn_netsim::{NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
@@ -85,7 +84,6 @@ fn main() {
 fn dispatch(args: &[String]) -> Result<(), LabError> {
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
-        Some("frontier") => cmd_frontier(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("list-scenarios") => cmd_list(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
@@ -105,21 +103,18 @@ fn usage() -> String {
      Commands:\n\
     \x20 run             expand the matrix, run every scenario in parallel,\n\
     \x20                 write JSON + CSV + markdown reports\n\
-    \x20 frontier        bisect the omission drop-rate axis (per mille) per\n\
-    \x20                 (family, mode, workload) cell to the smallest rate\n\
-    \x20                 that breaks it; write NAME.frontier.{json,csv,md}\n\
     \x20 trace           run the first seed of every cell with the observer\n\
     \x20                 layer attached; write NAME.trace.{jsonl,json,md}\n\
     \x20                 (sampled time series, Perfetto/Chrome trace-event\n\
     \x20                 JSON, markdown phase breakdown)\n\
     \x20 list-scenarios  print the expanded matrix without running it\n\
     \x20                 (--family SUBSTR / --noise SUBSTR filter the listing)\n\
-    \x20 report          re-render a saved JSON report, campaign or\n\
-    \x20                 frontier (--input FILE)\n\
+    \x20 report          re-render a saved JSON campaign report\n\
+    \x20                 (--input FILE)\n\
     \x20 merge           recombine per-shard reports (run --shard K/M) into\n\
     \x20                 the whole campaign's report (--out FILE, else stdout)\n\
-    \x20 diff            compare two saved JSON reports (campaign or frontier)\n\
-    \x20                 cell-by-cell; exit 0 when clean, 2 on regression\n\
+    \x20 diff            compare two saved JSON campaign reports cell-by-cell;\n\
+    \x20                 exit 0 when clean, 2 on regression\n\
      \n\
      Matrix flags (override one axis of the chosen --preset):\n\
     \x20 --preset quick|standard|paper|scale|huge  base campaign [default: standard]\n\
@@ -146,7 +141,7 @@ fn usage() -> String {
     \x20                                 cell slices; run every K (concurrent\n\
     \x20                                 runs may share one --store), then\n\
     \x20                                 `merge` the M shard reports\n\
-    \x20 --store DIR                     (run, frontier, trace) persist\n\
+    \x20 --store DIR                     (run, trace) persist\n\
     \x20                                 replay-mode construction checkpoints\n\
     \x20                                 in a content-addressed on-disk store;\n\
     \x20                                 corrupt or stale entries are rebuilt,\n\
@@ -155,31 +150,19 @@ fn usage() -> String {
     \x20 --sample-every K                (run, trace) attach the in-flight\n\
     \x20                                 sampler, one sample per K deliveries\n\
     \x20                                 [trace default: 64]\n\
-    \x20 --timings PATH                  (run, frontier, trace) write a\n\
+    \x20 --timings PATH                  (run, trace) write a\n\
     \x20                                 per-cell wall-clock JSON sidecar;\n\
     \x20                                 reports themselves never carry wall\n\
     \x20                                 time, so diff gates stay byte-exact\n\
      \n\
-     Frontier flags (`fdn-lab frontier` takes the matrix flags too: one\n\
-     cell per family x mode x workload, probed on the first of --schedulers;\n\
-     --encodings, --noises, --shard and --sample-every are refused):\n\
-    \x20 --max-rate R                    top of the probe axis, per mille\n\
-    \x20                                 [default: 1000]\n\
-    \x20 --resolution W                  target bracket width, per mille\n\
-    \x20                                 [default: 8]\n\
-    \x20 --verify-probes K               probes above the bracket that hunt\n\
-    \x20                                 for non-monotone cells [default: 3]\n\
-     \n\
      Diff flags (`fdn-lab diff BASE.json CANDIDATE.json`):\n\
-    \x20 --tol-rate X                    campaign: tolerated success/quiescence\n\
-    \x20                                 drop, absolute in [0,1] [default: 0]\n\
-    \x20 --tol-pulses Y                  campaign: tolerated relative increase\n\
+    \x20 --tol-rate X                    tolerated success/quiescence drop,\n\
+    \x20                                 absolute in [0,1] [default: 0]\n\
+    \x20 --tol-pulses Y                  tolerated relative increase\n\
     \x20                                 of every statistic (min, mean, p50,\n\
     \x20                                 p95, max) of every cost field (pulses,\n\
     \x20                                 bits, steps, cc_init, overhead, …;\n\
     \x20                                 0.1 = +10%) [default: 0]\n\
-    \x20 --tol-mille N                   frontier: tolerated bracket-bound\n\
-    \x20                                 decrease, per mille [default: 0]\n\
     \x20 --format md|json                delta report format [default: md]\n"
         .to_string()
 }
@@ -488,20 +471,6 @@ fn parse_num<T: FromStr<Err = ParseIntError>>(flag: &str, v: &str) -> Result<T, 
     })
 }
 
-/// Like [`parse_num`], but also rejects values above the domain bound `max`.
-fn parse_num_bounded<T>(flag: &str, v: &str, max: T) -> Result<T, LabError>
-where
-    T: FromStr<Err = ParseIntError> + PartialOrd + Display,
-{
-    let n = parse_num(flag, v)?;
-    if n > max {
-        return Err(LabError::Usage(format!(
-            "flag `{flag}` must be at most {max}, got `{v}`"
-        )));
-    }
-    Ok(n)
-}
-
 fn cmd_run(args: &[String]) -> Result<(), LabError> {
     let RunArgs {
         campaign,
@@ -616,92 +585,6 @@ fn write_timings(
     }
     std::fs::write(path, doc.render())?;
     outln!("wrote {}", path.display());
-    Ok(())
-}
-
-fn cmd_frontier(args: &[String]) -> Result<(), LabError> {
-    let mut axis = FrontierOptions::default();
-    let opts = parse_layered(args, |flag, flags| {
-        let target = match flag {
-            "--max-rate" => &mut axis.max_rate,
-            "--resolution" => &mut axis.resolution,
-            "--verify-probes" => &mut axis.verify_probes,
-            "--encodings" | "--noises" | "--shard" | "--sample-every" => {
-                return Err(LabError::Usage(format!(
-                    "frontier does not take `{flag}`: every probe is binary-encoded under \
-                     omission noise, and each cell runs whole and unsampled"
-                )))
-            }
-            _ => return Ok(false),
-        };
-        *target = parse_num_bounded(flag, flags.value(flag)?, 1000)?;
-        Ok(true)
-    })?;
-    let campaign = opts.campaign;
-    eprintln!(
-        "frontier `{}`: {} families x {} modes x {} workloads, axis 0..={}‰ at \
-         resolution {}‰, {} seeds per probe",
-        campaign.name,
-        campaign.families.len(),
-        campaign.modes.len(),
-        campaign.workloads.len(),
-        axis.max_rate,
-        axis.resolution,
-        campaign.seeds.count,
-    );
-    let (report, elapsed) = opts.exec.execute(
-        "frontier",
-        &campaign.name,
-        |caches| run_frontier(caches, &campaign, axis),
-        |report, wall_s| {
-            // `.frontier` in the stem keeps the artifacts apart from the same
-            // preset's campaign reports in a shared --out directory.
-            let artifacts = vec![
-                ("json", report.to_json_string()),
-                ("csv", report.to_csv()),
-                ("md", report.to_markdown_with_wall_clock(Some(wall_s))),
-            ];
-            (format!("{}.frontier", report.name), artifacts)
-        },
-    )?;
-    eprintln!(
-        "{} cells bisected with {} probes in {elapsed:.2?}",
-        report.cells.len(),
-        report.probe_count(),
-    );
-    outln!(
-        "frontier `{}`: {} cells ({} bracketed, {} break at zero, {} never break, \
-         {} non-monotone), {} skipped combination(s)",
-        report.name,
-        report.cells.len(),
-        report
-            .cells
-            .iter()
-            .filter(|c| c.status == fdn_lab::FrontierStatus::Bracketed)
-            .count(),
-        report
-            .cells
-            .iter()
-            .filter(|c| c.status == fdn_lab::FrontierStatus::BreaksAtZero)
-            .count(),
-        report
-            .cells
-            .iter()
-            .filter(|c| c.status == fdn_lab::FrontierStatus::NeverBreaks)
-            .count(),
-        report.cells.iter().filter(|c| !c.monotone).count(),
-        report.skipped.len(),
-    );
-    for cell in &report.cells {
-        outln!(
-            "  {}: {} (width {}‰, {} probes{})",
-            cell.cell_id(),
-            cell.bracket_label(),
-            cell.bracket_width(),
-            cell.probes.len(),
-            if cell.monotone { "" } else { ", non-monotone" },
-        );
-    }
     Ok(())
 }
 
@@ -865,11 +748,7 @@ fn cmd_merge(args: &[String]) -> Result<(), LabError> {
     check_shard_file_set(&inputs)?;
     let reports = inputs
         .iter()
-        .map(|path| {
-            let text = std::fs::read_to_string(path)?;
-            CampaignReport::from_json_str(&text)
-                .map_err(|e| LabError::Parse(format!("{}: {e}", path.display())))
-        })
+        .map(|path| load_report(path))
         .collect::<Result<Vec<_>, LabError>>()?;
     let merged = merge_reports(&reports).map_err(LabError::Usage)?;
     eprintln!(
@@ -900,14 +779,12 @@ fn cmd_report(args: &[String]) -> Result<(), LabError> {
         }
     }
     let input = input.ok_or_else(|| LabError::Usage("report requires --input FILE".into()))?;
-    let rendered = match (load_any_report(&input)?, format.as_str()) {
-        (AnyReport::Campaign(r), "md") => r.to_markdown(),
-        (AnyReport::Campaign(r), "csv") => r.to_csv(),
-        (AnyReport::Campaign(r), "json") => r.to_json_string(),
-        (AnyReport::Frontier(r), "md") => r.to_markdown(),
-        (AnyReport::Frontier(r), "csv") => r.to_csv(),
-        (AnyReport::Frontier(r), "json") => r.to_json_string(),
-        (_, other) => return Err(LabError::Usage(format!("unknown format `{other}`"))),
+    let report = load_report(&input)?;
+    let rendered = match format.as_str() {
+        "md" => report.to_markdown(),
+        "csv" => report.to_csv(),
+        "json" => report.to_json_string(),
+        other => return Err(LabError::Usage(format!("unknown format `{other}`"))),
     };
     out!("{rendered}");
     Ok(())
@@ -925,45 +802,22 @@ fn parse_tol(flag: &str, v: &str) -> Result<f64, LabError> {
     Ok(x)
 }
 
-/// A saved report of either kind, distinguished by its leading JSON field
-/// (`campaign` vs `frontier`).
-enum AnyReport {
-    Campaign(CampaignReport),
-    Frontier(FrontierReport),
-}
-
-fn load_any_report(path: &Path) -> Result<AnyReport, LabError> {
+/// Reads a saved campaign report; a parse error names the file.
+fn load_report(path: &Path) -> Result<CampaignReport, LabError> {
     let text = std::fs::read_to_string(path)?;
-    let parse_err = |e: String| LabError::Parse(format!("{}: {e}", path.display()));
-    let doc = fdn_lab::Json::parse(&text).map_err(parse_err)?;
-    if doc.get("frontier").is_some() {
-        Ok(AnyReport::Frontier(
-            FrontierReport::from_json(&doc).map_err(parse_err)?,
-        ))
-    } else {
-        // The original report kind stays the default, so pre-frontier error
-        // messages (`field \`campaign\` missing`) are unchanged. The sniffed
-        // document is reused — the text is parsed exactly once.
-        Ok(AnyReport::Campaign(
-            CampaignReport::from_json(&doc).map_err(parse_err)?,
-        ))
-    }
+    CampaignReport::from_json_str(&text)
+        .map_err(|e| LabError::Parse(format!("{}: {e}", path.display())))
 }
 
 fn cmd_diff(args: &[String]) -> Result<(), LabError> {
     let mut inputs: Vec<PathBuf> = Vec::new();
-    let mut tol_rate: Option<f64> = None;
-    let mut tol_pulses: Option<f64> = None;
-    let mut tol_mille: Option<u16> = None;
+    let mut tolerance = DiffTolerance::default();
     let mut format = "md".to_string();
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next_flag() {
         match flag {
-            "--tol-rate" => tol_rate = Some(parse_tol(flag, flags.value(flag)?)?),
-            "--tol-pulses" => tol_pulses = Some(parse_tol(flag, flags.value(flag)?)?),
-            "--tol-mille" => {
-                tol_mille = Some(parse_num_bounded(flag, flags.value(flag)?, 1000)?);
-            }
+            "--tol-rate" => tolerance.rate = parse_tol(flag, flags.value(flag)?)?,
+            "--tol-pulses" => tolerance.pulses = parse_tol(flag, flags.value(flag)?)?,
             "--format" => format = flags.value(flag)?.to_string(),
             other if other.starts_with("--") => {
                 return Err(LabError::Usage(format!("unknown flag `{other}`")))
@@ -979,39 +833,11 @@ fn cmd_diff(args: &[String]) -> Result<(), LabError> {
             "diff requires exactly two report files: BASE.json CANDIDATE.json".into(),
         ));
     };
-    let tolerance = DiffTolerance {
-        rate: tol_rate.unwrap_or(0.0),
-        pulses: tol_pulses.unwrap_or(0.0),
-        mille: tol_mille.unwrap_or(0),
-    };
-    let delta = match (
-        load_any_report(base_path)?,
-        load_any_report(candidate_path)?,
-    ) {
-        (AnyReport::Campaign(base), AnyReport::Campaign(candidate)) => {
-            if tol_mille.is_some() {
-                return Err(LabError::Usage(
-                    "--tol-mille applies to frontier reports, not campaign reports".into(),
-                ));
-            }
-            diff_reports(&base, &candidate, tolerance)
-        }
-        (AnyReport::Frontier(base), AnyReport::Frontier(candidate)) => {
-            if tol_rate.is_some() || tol_pulses.is_some() {
-                return Err(LabError::Usage(
-                    "--tol-rate/--tol-pulses apply to campaign reports; use --tol-mille \
-                     for frontier reports"
-                        .into(),
-                ));
-            }
-            diff_frontier_reports(&base, &candidate, tolerance)
-        }
-        _ => {
-            return Err(LabError::Usage(
-                "cannot diff a campaign report against a frontier report".into(),
-            ))
-        }
-    };
+    let delta = diff_reports(
+        &load_report(base_path)?,
+        &load_report(candidate_path)?,
+        tolerance,
+    );
     let rendered = match format.as_str() {
         "md" => delta.to_markdown(),
         _ => delta.to_json_string(),

@@ -429,8 +429,7 @@ impl CampaignReport {
     }
 
     /// Parses an already-parsed JSON document (see
-    /// [`CampaignReport::from_json_str`]), so callers that sniffed the
-    /// document's kind need not re-parse the text.
+    /// [`CampaignReport::from_json_str`]).
     ///
     /// # Errors
     ///
@@ -587,7 +586,7 @@ impl CampaignReport {
 /// Checks that no two of a report's `cells` share an id. Diffs and merges
 /// match cells by id, so a repeated cell would be compared through one of
 /// its copies only.
-pub(crate) fn check_unique_cells<C: Diff>(cells: &[C]) -> Result<(), String> {
+fn check_unique_cells(cells: &[CellReport]) -> Result<(), String> {
     let mut seen = BTreeMap::new();
     for (i, c) in cells.iter().enumerate() {
         match seen.entry(c.id()) {
@@ -739,7 +738,6 @@ pub(crate) fn plain_cell() -> CellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontier::{FrontierCell, FrontierProbe, FrontierReport, FrontierStatus::Bracketed};
     use crate::json::csv_field;
 
     #[test]
@@ -946,14 +944,6 @@ mod tests {
         // Fields that are optional by design parse as absent.
         let bare = optional.iter().fold(cell_doc, |doc, key| strip(&doc, key));
         assert_eq!(CellReport::from_json(&bare).unwrap(), plain_cell());
-
-        let frontier =
-            crate::frontier::report("f", vec![crate::frontier::cell(Bracketed, 4, 8, false)]);
-        let doc = Json::parse(&frontier.to_json_string()).unwrap();
-        assert_keys_required(&doc, FrontierReport::from_json, &[]);
-        let cell_doc = first(&doc, "cells");
-        assert_keys_required(&cell_doc, FrontierCell::from_json, &[]);
-        assert_keys_required(&first(&cell_doc, "probes"), FrontierProbe::from_json, &[]);
     }
 
     #[test]
@@ -973,16 +963,6 @@ mod tests {
         );
         report.cells[1].scheduler = "fifo".to_string();
         assert!(CampaignReport::from_json_str(&report.to_json_string()).is_ok());
-
-        let probed = crate::frontier::cell(Bracketed, 4, 8, false);
-        let mut frontier = crate::frontier::report("f", vec![probed.clone(), probed]);
-        let err = FrontierReport::from_json_str(&frontier.to_json_string()).unwrap_err();
-        assert_eq!(
-            err,
-            "cell `figure3/full/flood(2)` appears twice, as `cells[0]` and `cells[1]`"
-        );
-        frontier.cells[1].workload = "leader".to_string();
-        assert!(FrontierReport::from_json_str(&frontier.to_json_string()).is_ok());
     }
 
     #[test]

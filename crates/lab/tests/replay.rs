@@ -2,7 +2,8 @@
 //! with full mode at the construction/online boundary, byte-determinism
 //! across worker-thread counts (through the CLI, the CI gate's exact
 //! interface), report round-tripping of the replay provenance fields, and
-//! the `fdn-lab diff` exit-code contract on replay cells.
+//! the `fdn-lab report` and `fdn-lab diff` contracts on saved replay
+//! reports.
 
 mod common;
 
@@ -150,8 +151,11 @@ fn replay_cli_is_byte_deterministic_across_worker_thread_counts() {
 
 #[test]
 fn diff_exit_code_contract_on_replay_reports() {
-    // The replay smoke gate's interface: identical replay reports diff
-    // clean (exit 0); a degraded replay cell fails the gate (exit 2).
+    // The replay smoke gate's interface: `report` re-renders a saved report
+    // exactly, identical replay reports diff clean (exit 0), a degraded
+    // replay cell fails the gate (exit 2), and input that is not a campaign
+    // report is an ordinary failure (exit 1), never mistakable for a
+    // regression.
     let dir = scratch("replay-exit-codes");
     let mut campaign = Campaign::new("replay-gate");
     campaign.families = vec![GraphFamily::Figure3];
@@ -160,6 +164,18 @@ fn diff_exit_code_contract_on_replay_reports() {
     let base = run_campaign(&campaign).unwrap();
     let base_path = dir.join("base.json");
     std::fs::write(&base_path, base.to_json_string()).unwrap();
+    for (format, expected) in [
+        ("json", base.to_json_string()),
+        ("csv", base.to_csv()),
+        ("md", base.to_markdown()),
+    ] {
+        let input = base_path.to_str().unwrap();
+        let out = fdn_lab(&["report", "--input", input, "--format", format], &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{format}: {stderr}");
+        assert_eq!(String::from_utf8(out.stdout).unwrap(), expected, "{format}");
+    }
+
     let out = fdn_lab(
         &[
             "diff",
@@ -184,6 +200,41 @@ fn diff_exit_code_contract_on_replay_reports() {
     );
     assert_eq!(out.status.code(), Some(2), "replay regression must exit 2");
     assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSION"));
+
+    // Unparseable input: exit 1, not 2.
+    let garbage_path = dir.join("garbage.json");
+    std::fs::write(&garbage_path, "not a report").unwrap();
+    let out = fdn_lab(
+        &[
+            "diff",
+            base_path.to_str().unwrap(),
+            garbage_path.to_str().unwrap(),
+        ],
+        &[],
+    );
+    assert_eq!(out.status.code(), Some(1), "parse error must exit 1");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("parse error"));
+
+    // A JSON object that is not a campaign report, such as the frontier
+    // reports older binaries wrote, is rejected by `report` and `diff` with
+    // exit 1, naming the missing field.
+    let frontier_path = dir.join("quick.frontier.json");
+    let frontier = r#"{"frontier": "quick", "max_rate": 1000, "skipped": [], "cells": []}"#;
+    std::fs::write(&frontier_path, frontier).unwrap();
+    let frontier = frontier_path.to_str().unwrap();
+    for args in [
+        vec!["report", "--input", frontier],
+        vec!["diff", frontier, frontier],
+        vec!["diff", base_path.to_str().unwrap(), frontier],
+    ] {
+        let out = fdn_lab(&args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("parse error:") && stderr.contains("field `campaign` missing"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -236,16 +236,17 @@ pub const OMISSION_DENOM: u32 = 1_000_000;
 /// content-oblivious, so corrupting dropped-channel content as well would not
 /// change what breaks).
 ///
-/// The drop axis is built for *re-probing*: every delivery draws one uniform
-/// value from `0..`[`OMISSION_DENOM`] and drops iff it falls below the
-/// threshold, so the RNG stream consumed is **independent of the rate**. Two
-/// models with the same seed but different rates therefore see the *same*
-/// uniform sequence, which couples their decisions monotonically: every
-/// delivery dropped at the lower rate is also dropped at the higher one (for
-/// as long as the simulated trajectories coincide). A bisection driver
-/// walking the axis — `fdn-lab frontier` — gets nested drop sets per seed
-/// instead of independently re-randomized ones, so probe verdicts move
-/// smoothly with the rate.
+/// Every delivery draws one uniform value from `0..`[`OMISSION_DENOM`] and
+/// drops iff it falls below the threshold, so the RNG stream consumed is
+/// **independent of the rate**. The draw stays that way for two reasons.
+/// Saved reports depend on it: another draw would change the bytes of every
+/// omission cell. And two models with the same seed but different rates see
+/// the *same* uniform sequence, which couples their decisions monotonically:
+/// every delivery dropped at the lower rate is also dropped at the higher
+/// one (for as long as the simulated trajectories coincide). Equal-seed rows
+/// at different rates, such as E8's `omission(10)`, `omission(50)` and
+/// `omission(200)`, therefore see nested drop sets instead of independently
+/// re-randomized ones.
 #[derive(Debug, Clone)]
 pub struct Omission {
     drop_ppm: u32,
