@@ -28,14 +28,14 @@ use std::process::ExitCode;
 
 use fdn_graph::GraphFamily;
 use fdn_lab::{
-    run_campaign, Caches, Campaign, CampaignReport, EncodingSpec, EngineMode, RunOptions, SeedRange,
+    run_campaign, Caches, Campaign, CampaignReport, EncodingSpec, EngineMode, SeedRange,
 };
 use fdn_netsim::{NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
 
 /// Runs a campaign, exiting loudly if the matrix is empty.
 fn run(campaign: &Campaign) -> CampaignReport {
-    run_campaign(&Caches::new(), campaign, RunOptions::default())
+    run_campaign(&Caches::new(), campaign, None)
         .map(|(report, _)| report)
         .unwrap_or_else(|e| panic!("campaign `{}`: {e}", campaign.name))
 }

@@ -743,17 +743,11 @@ mod tests {
 
     #[test]
     fn every_campaign_report_key_is_gated() {
-        use crate::report::CurveSummary;
         use crate::spec::SkippedCell;
         let cell = CellReport {
             mode: "replay".to_string(),
             construction_seed: Some(1),
             overhead: Some(flat(2.0)),
-            inflight_curve: Some(CurveSummary {
-                sample_every: 64,
-                peak: flat(3.0),
-                mean: flat(1.5),
-            }),
             stall_diagnostics: vec!["s1: stalled".to_string()],
             ..cell("noiseless", 1.0, 100.0)
         };
@@ -872,47 +866,9 @@ mod tests {
     }
 
     #[test]
-    fn inflight_curve_and_stall_changes_are_notes_not_regressions() {
-        use crate::report::CurveSummary;
-        let curve = |peak: f64| CurveSummary {
-            sample_every: 64,
-            peak: flat(peak),
-            mean: MetricSummary::ZERO,
-        };
-        let mut a = cell("noiseless", 1.0, 100.0);
+    fn stall_changes_are_notes_not_regressions() {
+        let a = cell("noiseless", 1.0, 100.0);
         let mut b = cell("noiseless", 1.0, 100.0);
-        // Attaching a curve where there was none: note only.
-        b.inflight_curve = Some(curve(12.0));
-        let d = diff_reports(
-            &report("base", vec![a.clone()]),
-            &report("new", vec![b.clone()]),
-            DiffTolerance::default(),
-        );
-        assert!(!d.has_regressions());
-        assert!(d.deltas[0]
-            .notes
-            .iter()
-            .any(|n| n.starts_with("inflight_curve changed null -> {")));
-        // A changed curve (even a worse peak): still only a note.
-        a.inflight_curve = Some(curve(5.0));
-        let d = diff_reports(
-            &report("base", vec![a.clone()]),
-            &report("new", vec![b.clone()]),
-            DiffTolerance::default(),
-        );
-        assert!(!d.has_regressions());
-        assert!(d.deltas[0]
-            .notes
-            .iter()
-            .any(|n| n.contains(r#""peak":{"min":5,"#) && n.contains(r#""peak":{"min":12,"#)));
-        // Identical curves: unchanged cell, no delta at all.
-        b.inflight_curve = Some(curve(5.0));
-        let d = diff_reports(
-            &report("base", vec![a.clone()]),
-            &report("new", vec![b.clone()]),
-            DiffTolerance::default(),
-        );
-        assert_eq!(d.unchanged, 1);
         // Stall diagnostics annotate without failing the gate.
         b.stall_diagnostics = vec!["s3: stalled mid-construction".to_string()];
         let d = diff_reports(

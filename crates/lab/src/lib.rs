@@ -16,8 +16,8 @@
 //!    payloads) are filtered with recorded reasons.
 //! 3. **Execute** with [`run_campaign`]: every scenario is an independent
 //!    deterministic simulation, swept in parallel with rayon and drawing
-//!    seed-independent work from shared [`Caches`]. [`RunOptions`] picks a
-//!    cell-atomic shard of the matrix and optional in-flight sampling.
+//!    seed-independent work from shared [`Caches`], optionally over one
+//!    cell-atomic [`Shard`] of the matrix.
 //! 4. **Aggregate** into a [`CampaignReport`]: per-cell min/mean/p50/p95/max
 //!    of pulses, steps, drops, `CCinit`, online pulses and per-message
 //!    overhead, plus success and quiescence rates — rendered as JSON, CSV or
@@ -30,9 +30,10 @@
 //!    to each cell's first seed.
 //!
 //! Each artifact has exactly one entry point with the same shape — the
-//! caches, the [`Campaign`], the artifact's own options — and each returns
-//! the per-cell wall-clock [`CellTiming`]s beside the report (the
-//! `--timings` sidecar; wall time never enters a report). Each report
+//! caches and the [`Campaign`], plus the [`Shard`] to run for a campaign
+//! report — and each returns the per-cell wall-clock [`CellTiming`]s
+//! beside the report (the `--timings` sidecar; wall time never enters a
+//! report). Each report
 //! record lists its fields once, and its JSON writer, strict parser and CSV
 //! columns all follow from that list through the [`Field`] trait, as does,
 //! for the records the diff gate compares, each field's diff rule. Every
@@ -47,14 +48,13 @@
 //! # Example
 //!
 //! ```
-//! use fdn_lab::{run_campaign, Caches, Campaign, RunOptions, SeedRange};
+//! use fdn_lab::{run_campaign, Caches, Campaign, SeedRange};
 //! use fdn_graph::GraphFamily;
 //!
 //! let mut campaign = Campaign::new("doc");
 //! campaign.families = vec![GraphFamily::Figure3, GraphFamily::Cycle { n: 4 }];
 //! campaign.seeds = SeedRange { start: 1, count: 2 };
-//! let (report, timings) =
-//!     run_campaign(&Caches::new(), &campaign, RunOptions::default()).unwrap();
+//! let (report, timings) = run_campaign(&Caches::new(), &campaign, None).unwrap();
 //! assert_eq!(report.cells.len(), 2);
 //! assert_eq!(timings.len(), 2);
 //! assert!(report.cells.iter().all(|c| c.success_rate == 1.0));
@@ -86,12 +86,10 @@ pub use error::LabError;
 pub use json::{Field, Json};
 pub use presets::PRESET_NAMES;
 pub use report::{
-    aggregate, fmt_rate, merge_reports, percentile, CampaignReport, CellReport, CurveSummary,
-    MetricSummary,
+    aggregate, fmt_rate, merge_reports, percentile, CampaignReport, CellReport, MetricSummary,
 };
 pub use runner::{
-    run_campaign, run_scenario_observed, run_scenario_with, CellTiming, InflightCurve, RunOptions,
-    ScenarioOutcome,
+    run_campaign, run_scenario_observed, run_scenario_with, CellTiming, ScenarioOutcome,
 };
 pub use store::{CheckpointStore, StoreStats, STORE_FORMAT_VERSION};
 pub use timing::Stopwatch;
@@ -99,4 +97,4 @@ pub use timing::Stopwatch;
 pub use spec::{
     shard_slice, Campaign, Cell, EncodingSpec, EngineMode, Scenario, SeedRange, Shard, SkippedCell,
 };
-pub use trace::{run_trace, CellTrace, TraceOptions, TraceReport};
+pub use trace::{run_trace, CellTrace, TraceReport};

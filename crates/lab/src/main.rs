@@ -19,8 +19,8 @@ use std::time::Duration;
 use fdn_graph::GraphFamily;
 use fdn_lab::{
     diff_reports, merge_reports, run_campaign, run_trace, shard_slice, Caches, Campaign,
-    CampaignReport, CellTiming, CheckpointStore, DiffTolerance, Json, LabError, RunOptions, Shard,
-    Stopwatch, StoreStats, TraceOptions,
+    CampaignReport, CellTiming, CheckpointStore, DiffTolerance, Json, LabError, Shard, Stopwatch,
+    StoreStats,
 };
 use fdn_netsim::{NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
@@ -105,8 +105,9 @@ fn usage() -> String {
     \x20                 write JSON + CSV + markdown reports\n\
     \x20 trace           run the first seed of every cell with the observer\n\
     \x20                 layer attached; write NAME.trace.{jsonl,json,md}\n\
-    \x20                 (sampled time series, Perfetto/Chrome trace-event\n\
-    \x20                 JSON, markdown phase breakdown)\n\
+    \x20                 (time series sampled every 64 deliveries,\n\
+    \x20                 Perfetto/Chrome trace-event JSON, markdown phase\n\
+    \x20                 breakdown)\n\
     \x20 list-scenarios  print the expanded matrix without running it\n\
     \x20                 (--family SUBSTR / --noise SUBSTR filter the listing)\n\
     \x20 report          re-render a saved JSON campaign report\n\
@@ -147,9 +148,6 @@ fn usage() -> String {
     \x20                                 corrupt or stale entries are rebuilt,\n\
     \x20                                 report bytes never change\n\
     \x20 --format md|csv|json            (report command) output format\n\
-    \x20 --sample-every K                (run, trace) attach the in-flight\n\
-    \x20                                 sampler, one sample per K deliveries\n\
-    \x20                                 [trace default: 64]\n\
     \x20 --timings PATH                  (run, trace) write a\n\
     \x20                                 per-cell wall-clock JSON sidecar;\n\
     \x20                                 reports themselves never carry wall\n\
@@ -270,12 +268,12 @@ impl Exec {
         });
         let elapsed = started.elapsed();
         let (stem, artifacts) = render(&report, elapsed.as_secs_f64());
-        std::fs::create_dir_all(&self.out_dir)?;
+        std::fs::create_dir_all(&self.out_dir).map_err(io_at(&self.out_dir))?;
         for (ext, contents) in &artifacts {
             // `Path::with_extension` would eat the `.shardKofM` suffix of
             // sharded stems, so the extension is appended explicitly.
             let path = self.out_dir.join(format!("{stem}.{ext}"));
-            std::fs::write(&path, contents)?;
+            std::fs::write(&path, contents).map_err(io_at(&path))?;
             outln!("wrote {}", path.display());
         }
         if let Some(path) = &self.timings {
@@ -295,7 +293,8 @@ impl Exec {
 /// The parsed flags of `run` (and of the commands layered over it).
 struct RunArgs {
     campaign: Campaign,
-    run: RunOptions,
+    /// `--shard K/M`: run only this cell-atomic slice of the matrix.
+    shard: Option<Shard>,
     exec: Exec,
 }
 
@@ -317,7 +316,7 @@ fn parse_preset_name(args: &[String]) -> Result<String, LabError> {
 fn parse_run_args(args: &[String]) -> Result<RunArgs, LabError> {
     // Two passes: --preset decides the base, every other flag overrides.
     let mut campaign = Campaign::preset(&parse_preset_name(args)?)?;
-    let mut run = RunOptions::default();
+    let mut shard = None;
     let mut exec = Exec::default();
 
     let mut flags = Flags::new(args);
@@ -364,10 +363,7 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, LabError> {
             "--seed-start" => campaign.seeds.start = parse_num(flag, flags.value(flag)?)?,
             "--max-steps" => campaign.max_steps = parse_num(flag, flags.value(flag)?)?,
             "--shard" => {
-                run.shard = Some(Shard::parse(flags.value(flag)?).map_err(|e| parse_err(flag, e))?);
-            }
-            "--sample-every" => {
-                run.sample_every = Some(parse_stride(flag, flags.value(flag)?)?);
+                shard = Some(Shard::parse(flags.value(flag)?).map_err(|e| parse_err(flag, e))?);
             }
             "--link-store" => {
                 campaign.link_store_override = Some(
@@ -396,7 +392,7 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, LabError> {
     }
     Ok(RunArgs {
         campaign,
-        run,
+        shard,
         exec,
     })
 }
@@ -420,17 +416,6 @@ fn parse_layered(
         }
     }
     parse_run_args(&rest)
-}
-
-/// Parses a sampling stride: a positive delivery count.
-fn parse_stride(flag: &str, v: &str) -> Result<u64, LabError> {
-    let n = parse_num(flag, v)?;
-    if n == 0 {
-        return Err(LabError::Usage(format!(
-            "flag `{flag}` needs a positive delivery count"
-        )));
-    }
-    Ok(n)
 }
 
 fn takes_value(flag: &str) -> bool {
@@ -474,22 +459,20 @@ fn parse_num<T: FromStr<Err = ParseIntError>>(flag: &str, v: &str) -> Result<T, 
 fn cmd_run(args: &[String]) -> Result<(), LabError> {
     let RunArgs {
         campaign,
-        run,
+        shard,
         exec,
     } = parse_run_args(args)?;
-    let scope = run
-        .shard
-        .map_or(String::new(), |shard| format!(" shard {shard}"));
+    let scope = shard.map_or(String::new(), |shard| format!(" shard {shard}"));
     eprintln!("campaign `{}`{scope}: expanding and running", campaign.name);
     let (report, elapsed) = exec.execute(
         "run",
         &campaign.name,
-        |caches| run_campaign(caches, &campaign, run),
+        |caches| run_campaign(caches, &campaign, shard),
         |report, wall_s| {
             // Shard runs get a distinguishing file stem; the report
             // *content* keeps the plain campaign name so that `merge`
             // reproduces the unsharded report byte-for-byte.
-            let stem = match run.shard {
+            let stem = match shard {
                 Some(shard) => format!("{}.shard{}", report.name, shard.file_tag()),
                 None => report.name.clone(),
             };
@@ -581,34 +564,28 @@ fn write_timings(
     }
     let doc = Json::obj(fields);
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
+        std::fs::create_dir_all(dir).map_err(io_at(dir))?;
     }
-    std::fs::write(path, doc.render())?;
+    std::fs::write(path, doc.render()).map_err(io_at(path))?;
     outln!("wrote {}", path.display());
     Ok(())
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), LabError> {
     let opts = parse_run_args(args)?;
-    if opts.run.shard.is_some() {
+    if opts.shard.is_some() {
         return Err(LabError::Usage(
             "trace runs one scenario per cell; --shard applies to `run`".into(),
         ));
     }
-    let trace_opts = TraceOptions {
-        sample_every: opts
-            .run
-            .sample_every
-            .unwrap_or(TraceOptions::default().sample_every),
-    };
     eprintln!(
-        "trace `{}`: first seed of every cell, sampling every {} deliveries",
-        opts.campaign.name, trace_opts.sample_every,
+        "trace `{}`: first seed of every cell, observers attached",
+        opts.campaign.name
     );
     let (report, elapsed) = opts.exec.execute(
         "trace",
         &opts.campaign.name,
-        |caches| run_trace(caches, &opts.campaign, trace_opts),
+        |caches| run_trace(caches, &opts.campaign),
         |report, _| {
             // `.trace` in the stem keeps the artifacts apart from the same
             // preset's campaign reports in a shared --out directory. The
@@ -668,7 +645,7 @@ fn cmd_list(args: &[String]) -> Result<(), LabError> {
             && noise_filter.as_deref().is_none_or(|n| noise.contains(n))
     };
     let (mut scenarios, skipped) = opts.campaign.expand_with_skips();
-    if let Some(shard) = opts.run.shard {
+    if let Some(shard) = opts.shard {
         scenarios = shard_slice(&scenarios, shard);
     }
     let mut shown = 0usize;
@@ -759,7 +736,7 @@ fn cmd_merge(args: &[String]) -> Result<(), LabError> {
     );
     match out {
         Some(path) => {
-            std::fs::write(&path, merged.to_json_string())?;
+            std::fs::write(&path, merged.to_json_string()).map_err(io_at(&path))?;
             outln!("wrote {}", path.display());
         }
         None => out!("{}", merged.to_json_string()),
@@ -802,9 +779,15 @@ fn parse_tol(flag: &str, v: &str) -> Result<f64, LabError> {
     Ok(x)
 }
 
-/// Reads a saved campaign report; a parse error names the file.
+/// An I/O error on `path`, as a [`LabError::Io`] whose message names the
+/// path.
+fn io_at(path: &Path) -> impl FnOnce(io::Error) -> LabError + '_ {
+    move |e| LabError::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+}
+
+/// Reads a saved campaign report; an I/O or parse error names the file.
 fn load_report(path: &Path) -> Result<CampaignReport, LabError> {
-    let text = std::fs::read_to_string(path)?;
+    let text = std::fs::read_to_string(path).map_err(io_at(path))?;
     CampaignReport::from_json_str(&text)
         .map_err(|e| LabError::Parse(format!("{}: {e}", path.display())))
 }

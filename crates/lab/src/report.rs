@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use crate::cache::TopologyCache;
 use crate::diff::{cells, cost, cost_if_both, exact, fall, id, note, rate, rise, title, Diff};
 use crate::json::{csv_lines, record, Field, Json};
-use crate::runner::{InflightCurve, ScenarioOutcome};
+use crate::runner::ScenarioOutcome;
 use crate::spec::{Campaign, SkippedCell};
 
 /// Escapes a value for use inside a markdown table cell (`|` would otherwise
@@ -169,23 +169,6 @@ impl Field for MetricSummary {
     }
 }
 
-/// Per-cell aggregate of the sampled in-flight depth curves, present only
-/// when the campaign ran with `--sample-every`. Serialized as an optional
-/// field, so unsampled reports keep their exact pre-sampler byte layout.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CurveSummary {
-    /// Largest effective sampling stride across the cell's runs (the
-    /// sampler's ring doubles its stride under compaction, so long runs can
-    /// exceed the requested value).
-    pub sample_every: u64,
-    /// Peak in-flight depth, summarized across runs.
-    pub peak: MetricSummary,
-    /// Per-run mean in-flight depth, summarized across runs.
-    pub mean: MetricSummary,
-}
-
-record! { CurveSummary { sample_every, peak, mean } }
-
 /// Aggregated measurements of one cell (family x mode x encoding x workload
 /// x noise x scheduler) across its seed sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -257,18 +240,15 @@ pub struct CellReport {
     /// Online pulses per baseline message (`CCoverhead`), when a noiseless
     /// baseline exists for the workload.
     pub overhead: Option<MetricSummary>,
-    /// Aggregate of the sampled in-flight curves (`--sample-every` runs
-    /// only). `None` — and absent from the JSON — for unsampled campaigns.
-    pub inflight_curve: Option<CurveSummary>,
     /// One diagnostic line per run that stalled mid-construction (prefixed
     /// with its seed). Empty — and absent from the JSON — for healthy cells.
     pub stall_diagnostics: Vec<String>,
 }
 
-// The observability fields are optional: omitted when absent, so
-// unsampled, healthy campaigns keep the exact bytes they produced before
-// these fields existed (the byte identity the CI rerun gates compare). Each
-// field names its diff rule (see `crate::diff`).
+// The stall diagnostics are optional: omitted when empty, so healthy
+// campaigns keep the exact bytes they produced before the field existed
+// (the byte identity the CI rerun gates compare). Each field names its
+// diff rule (see `crate::diff`).
 record! {
     CellReport {
         family: id, mode: id, encoding: id, workload: id, noise: id, scheduler: id,
@@ -279,7 +259,7 @@ record! {
         max_node_pulses: cost, max_edge_pulses: cost, max_inflight: cost, cycle_len: cost,
         baseline_messages: cost, overhead: cost_if_both,
     } optional {
-        inflight_curve: note, stall_diagnostics: note,
+        stall_diagnostics: note,
     }
 }
 
@@ -372,25 +352,6 @@ fn summarize_cell(group: &[ScenarioOutcome], cache: &TopologyCache) -> CellRepor
         cycle_len: metric(&|o| o.cycle_len as f64),
         baseline_messages: metric(&|o| o.baseline_messages as f64),
         overhead: MetricSummary::from_values(&overhead_values),
-        inflight_curve: {
-            let curves: Vec<InflightCurve> =
-                group.iter().filter_map(|o| o.inflight_curve).collect();
-            (!curves.is_empty()).then(|| CurveSummary {
-                sample_every: curves
-                    .iter()
-                    .map(|c| c.sample_every)
-                    .max()
-                    .expect("curves are non-empty"),
-                peak: MetricSummary::from_values(
-                    &curves.iter().map(|c| c.peak as f64).collect::<Vec<f64>>(),
-                )
-                .expect("curves are non-empty"),
-                mean: MetricSummary::from_values(
-                    &curves.iter().map(|c| c.mean).collect::<Vec<f64>>(),
-                )
-                .expect("curves are non-empty"),
-            })
-        },
         stall_diagnostics: group
             .iter()
             .filter_map(|o| {
@@ -538,30 +499,6 @@ impl CampaignReport {
                     .collect::<Vec<_>>()
                     .join(", ")
             );
-        }
-        let sampled: Vec<&CellReport> = self
-            .cells
-            .iter()
-            .filter(|c| c.inflight_curve.is_some())
-            .collect();
-        if !sampled.is_empty() {
-            let _ = writeln!(out);
-            let _ = writeln!(out, "## In-flight curve (sampled)");
-            let _ = writeln!(out);
-            out.push_str("| cell | every | peak p50 | peak max | mean p50 |\n");
-            out.push_str("|---|---|---|---|---|\n");
-            for c in sampled {
-                let curve = c.inflight_curve.expect("filtered above");
-                let _ = writeln!(
-                    out,
-                    "| {} | {} | {:.0} | {:.0} | {:.2} |",
-                    md_cell(&c.cell_id()),
-                    curve.sample_every,
-                    curve.peak.p50,
-                    curve.peak.max,
-                    curve.mean.p50,
-                );
-            }
         }
         let stalled: Vec<&CellReport> = self
             .cells
@@ -730,7 +667,6 @@ pub(crate) fn plain_cell() -> CellReport {
         cycle_len: MetricSummary::ZERO,
         baseline_messages: MetricSummary::ZERO,
         overhead: None,
-        inflight_curve: None,
         stall_diagnostics: vec![],
     }
 }
@@ -915,13 +851,7 @@ mod tests {
         // of parsing with made-up defaults. The keys come from the rendered
         // documents, so the check follows the record tables.
         let first = |doc: &Json, key: &str| doc.get(key).and_then(Json::as_arr).unwrap()[0].clone();
-        let curve = CurveSummary {
-            sample_every: 8,
-            peak: MetricSummary::ZERO,
-            mean: MetricSummary::ZERO,
-        };
         let cell = CellReport {
-            inflight_curve: Some(curve),
             stall_diagnostics: vec!["s1: stalled".to_string()],
             ..plain_cell()
         };
@@ -934,16 +864,32 @@ mod tests {
         assert_keys_required(&doc, CampaignReport::from_json, &[]);
         assert_keys_required(&first(&doc, "skipped"), SkippedCell::from_json, &[]);
         let cell_doc = first(&doc, "cells");
-        let optional = ["inflight_curve", "stall_diagnostics"];
-        assert_keys_required(&cell_doc, CellReport::from_json, &optional);
+        assert_keys_required(&cell_doc, CellReport::from_json, &["stall_diagnostics"]);
         assert_keys_required(
             cell_doc.get("pulses").unwrap(),
             MetricSummary::from_json,
             &[],
         );
         // Fields that are optional by design parse as absent.
-        let bare = optional.iter().fold(cell_doc, |doc, key| strip(&doc, key));
+        let bare = strip(&cell_doc, "stall_diagnostics");
         assert_eq!(CellReport::from_json(&bare).unwrap(), plain_cell());
+        // Sampled runs of older binaries wrote one more optional key, a
+        // retired in-flight curve summary, between `overhead` and
+        // `stall_diagnostics`. Such a cell still parses, and re-renders
+        // without the key.
+        let Json::Obj(mut fields) = cell_doc.clone() else {
+            panic!("records render as objects")
+        };
+        let curve = Json::obj(vec![
+            ("sample_every", Json::num_u64(8)),
+            ("peak", MetricSummary::ZERO.to_json()),
+            ("mean", MetricSummary::ZERO.to_json()),
+        ]);
+        let at = fields.iter().position(|(k, _)| k == "stall_diagnostics");
+        fields.insert(at.unwrap(), ("inflight_curve".to_string(), curve));
+        let retired = CellReport::from_json(&Json::Obj(fields)).unwrap();
+        assert_eq!(retired, cell);
+        assert_eq!(retired.to_json(), cell_doc);
     }
 
     #[test]

@@ -14,10 +14,7 @@
 use rayon::prelude::*;
 
 use fdn_core::{cycle_simulators_prevalidated, full_simulators, replay_simulators, FullSimulator};
-use fdn_netsim::{
-    DirectRunner, LinkTable, NullObserver, Observer, Simulation, StatsSnapshot, TimeSeriesSampler,
-    DEFAULT_SAMPLE_CAPACITY,
-};
+use fdn_netsim::{DirectRunner, LinkTable, NullObserver, Observer, Simulation, StatsSnapshot};
 use fdn_protocols::{BoxedProtocol, WorkloadSpec};
 
 use crate::cache::{BaselineKey, Caches, ReplayKey};
@@ -29,50 +26,6 @@ use crate::spec::{shard_slice, Campaign, EngineMode, Scenario, Shard};
 pub(crate) const NOISE_SALT: u64 = 0x4E01_5E00;
 /// Seed salt for the scheduler stream.
 pub(crate) const SCHED_SALT: u64 = 0x5C4E_D000;
-
-/// Compact summary of a sampled in-flight depth curve (attached by
-/// `--sample-every`). Every field derives from delivery-count-stamped
-/// samples, so the summary is as byte-deterministic as the run itself.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InflightCurve {
-    /// Effective sampling stride in deliveries (the sampler doubles its
-    /// stride under compaction, so this can exceed the requested value).
-    pub sample_every: u64,
-    /// Number of retained samples.
-    pub samples: u64,
-    /// Peak in-flight depth observed at any sample point.
-    pub peak: u64,
-    /// Delivery stamp of the first peak sample.
-    pub peak_at: u64,
-    /// Mean in-flight depth across the retained samples.
-    pub mean: f64,
-}
-
-impl InflightCurve {
-    /// Summarizes a sampler's retained samples.
-    pub fn from_sampler(sampler: &TimeSeriesSampler) -> Self {
-        let samples = sampler.samples();
-        let (mut peak, mut peak_at, mut sum) = (0u64, 0u64, 0u64);
-        for s in samples {
-            sum += s.inflight;
-            if s.inflight > peak {
-                peak = s.inflight;
-                peak_at = s.deliveries;
-            }
-        }
-        InflightCurve {
-            sample_every: sampler.stride(),
-            samples: samples.len() as u64,
-            peak,
-            peak_at,
-            mean: if samples.is_empty() {
-                0.0
-            } else {
-                sum as f64 / samples.len() as f64
-            },
-        }
-    }
-}
 
 /// The measured result of one scenario run.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,9 +69,6 @@ pub struct ScenarioOutcome {
     /// queue, per-node stage histogram, token holder if visible. `None` for
     /// healthy runs, so pre-existing report bytes are untouched.
     pub stall_diagnostic: Option<String>,
-    /// Summary of the in-flight depth curve when the run was sampled
-    /// (`--sample-every`); `None` for unsampled runs.
-    pub inflight_curve: Option<InflightCurve>,
 }
 
 impl ScenarioOutcome {
@@ -145,7 +95,6 @@ impl ScenarioOutcome {
             baseline_messages: 0,
             baseline_error: None,
             stall_diagnostic: None,
-            inflight_curve: None,
         }
     }
 }
@@ -416,21 +365,8 @@ fn drive<O: Observer>(
         baseline_messages: baseline.messages,
         baseline_error: baseline.error,
         stall_diagnostic: stall,
-        inflight_curve: None,
     };
     Ok((outcome, sim.into_observer()))
-}
-
-/// Per-invocation options of [`run_campaign`]: which slice of the matrix to
-/// run and whether to sample every run. Neither changes what a cell
-/// measures, only which cells run and what rides along.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunOptions {
-    /// Run only this cell-atomic slice of the expansion (`--shard K/M`).
-    pub shard: Option<Shard>,
-    /// Attach a [`TimeSeriesSampler`] with this stride to every run, so each
-    /// cell reports an in-flight curve (`--sample-every K`).
-    pub sample_every: Option<u64>,
 }
 
 /// Wall-clock cost of one cell, summed over its scenarios. This is the
@@ -449,10 +385,11 @@ pub struct CellTiming {
     pub runs: usize,
 }
 
-/// Expands `campaign`, keeps the shard's slice, runs every scenario in
-/// parallel (rayon) and aggregates the report, drawing shared work from
-/// `caches` — the hook through which `--store DIR` threads a persistent
-/// checkpoint store under the replay tier. The caches only accelerate: the
+/// Expands `campaign`, keeps `shard`'s cell-atomic slice (`--shard K/M`;
+/// `None` runs the whole matrix), runs every scenario in parallel (rayon)
+/// and aggregates the report, drawing shared work from `caches` — the hook
+/// through which `--store DIR` threads a persistent checkpoint store under
+/// the replay tier. The caches only accelerate: the
 /// report bytes are identical whichever caches are passed, and independent
 /// of thread count and interleaving.
 ///
@@ -473,10 +410,10 @@ pub struct CellTiming {
 pub fn run_campaign(
     caches: &Caches,
     campaign: &Campaign,
-    opts: RunOptions,
+    shard: Option<Shard>,
 ) -> Result<(CampaignReport, Vec<CellTiming>), LabError> {
     let (mut scenarios, skipped) = campaign.expand_with_skips();
-    match opts.shard {
+    match shard {
         Some(shard) => scenarios = shard_slice(&scenarios, shard),
         None if scenarios.is_empty() => return Err(LabError::EmptyCampaign),
         None => {}
@@ -485,15 +422,7 @@ pub fn run_campaign(
         .into_par_iter()
         .map(|s| {
             let watch = crate::timing::Stopwatch::start();
-            let outcome = match opts.sample_every {
-                Some(every) => {
-                    let sampler = TimeSeriesSampler::new(every, DEFAULT_SAMPLE_CAPACITY);
-                    let (mut outcome, sampler) = run_scenario_observed(caches, s, sampler);
-                    outcome.inflight_curve = Some(InflightCurve::from_sampler(&sampler));
-                    outcome
-                }
-                None => run_scenario_with(caches, s),
-            };
+            let outcome = run_scenario_with(caches, s);
             (outcome, watch.elapsed_ms())
         })
         .collect();
@@ -778,28 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_runs_only_add_the_curve() {
-        let caches = Caches::new();
-        let plain = run_scenario_with(&caches, scenario(base_cell(), 7));
-        let (sampled, sampler) = run_scenario_observed(
-            &caches,
-            scenario(base_cell(), 7),
-            TimeSeriesSampler::new(8, DEFAULT_SAMPLE_CAPACITY),
-        );
-        let curve = InflightCurve::from_sampler(&sampler);
-        // The sampler only listens: the outcomes match field for field,
-        // stats included.
-        assert_eq!(sampled, plain);
-        assert!(curve.samples > 0);
-        assert!(curve.sample_every >= 8 && curve.sample_every.is_multiple_of(8));
-        assert!(curve.peak >= 1);
-        assert!(curve.peak_at <= plain.steps);
-        assert!(curve.mean > 0.0);
-        assert_eq!(plain.inflight_curve, None);
-        assert_eq!(plain.stall_diagnostic, None);
-    }
-
-    #[test]
     fn step_budget_exhaustion_mid_construction_gets_a_diagnostic() {
         let mut starved = scenario(base_cell(), 7);
         starved.max_steps = 4;
@@ -814,26 +721,16 @@ mod tests {
     }
 
     #[test]
-    fn run_campaign_times_every_cell_and_samples_every_run() {
+    fn run_campaign_times_every_cell() {
         let mut campaign = Campaign::new("unit");
         campaign.families = vec![GraphFamily::Figure3, GraphFamily::Cycle { n: 4 }];
         campaign.seeds = SeedRange { start: 1, count: 2 };
         let runs = campaign.expand().len();
-        let sampled = RunOptions {
-            sample_every: Some(16),
-            ..RunOptions::default()
-        };
-        let (report, timings) = run_campaign(&Caches::new(), &campaign, sampled).unwrap();
+        let (report, timings) = run_campaign(&Caches::new(), &campaign, None).unwrap();
         assert_eq!(report.scenario_count, runs);
         assert_eq!(timings.len(), report.cells.len());
         assert_eq!(timings.iter().map(|t| t.runs).sum::<usize>(), runs);
         assert!(timings.iter().all(|t| t.wall_ms >= 0.0));
-        assert!(report.cells.iter().all(|c| c.inflight_curve.is_some()));
-        // Without sampling, the same cells aggregate without the curve.
-        let (unsampled, _) =
-            run_campaign(&Caches::new(), &campaign, RunOptions::default()).unwrap();
-        assert!(unsampled.cells.iter().all(|c| c.inflight_curve.is_none()));
-        assert_eq!(unsampled.cells[0].pulses, report.cells[0].pulses);
     }
 
     #[test]
@@ -841,22 +738,19 @@ mod tests {
         let mut campaign = Campaign::new("unit");
         campaign.families = vec![GraphFamily::Figure3, GraphFamily::Cycle { n: 4 }];
         campaign.seeds = SeedRange { start: 1, count: 2 };
-        let (report, _) = run_campaign(&Caches::new(), &campaign, RunOptions::default()).unwrap();
+        let (report, _) = run_campaign(&Caches::new(), &campaign, None).unwrap();
         assert_eq!(report.scenario_count, 4);
         assert_eq!(report.cells.len(), 2);
 
         // Two cells, three shards: the tail shard is empty but still a report.
-        let tail = RunOptions {
-            shard: Some(Shard { index: 2, count: 3 }),
-            ..RunOptions::default()
-        };
+        let tail = Some(Shard { index: 2, count: 3 });
         let (empty, timings) = run_campaign(&Caches::new(), &campaign, tail).unwrap();
         assert!(empty.cells.is_empty() && timings.is_empty());
         assert_eq!(empty.skipped, report.skipped);
 
         campaign.families = vec![GraphFamily::Path { n: 3 }];
         assert!(matches!(
-            run_campaign(&Caches::new(), &campaign, RunOptions::default()),
+            run_campaign(&Caches::new(), &campaign, None),
             Err(LabError::EmptyCampaign)
         ));
     }

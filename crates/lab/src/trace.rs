@@ -38,18 +38,8 @@ use crate::spec::{Campaign, EngineMode, Scenario, SkippedCell};
 /// How many of the busiest links the markdown rendering lists per cell.
 const TOP_LINKS: usize = 8;
 
-/// Knobs of a trace run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceOptions {
-    /// Sampling stride in deliveries for the time-series ring.
-    pub sample_every: u64,
-}
-
-impl Default for TraceOptions {
-    fn default() -> Self {
-        TraceOptions { sample_every: 64 }
-    }
-}
+/// Sampling stride of the time-series ring, in deliveries.
+const SAMPLE_EVERY: u64 = 64;
 
 /// One cell's observed run: the ordinary outcome plus everything the two
 /// observers retained.
@@ -82,8 +72,6 @@ impl CellTrace {
 pub struct TraceReport {
     /// Campaign name.
     pub name: String,
-    /// The options the trace ran under.
-    pub options: TraceOptions,
     /// Matrix combinations excluded at expansion time.
     pub skipped: Vec<SkippedCell>,
     /// One trace per cell, in expansion order.
@@ -92,9 +80,9 @@ pub struct TraceReport {
 
 /// Runs one observed scenario — the first seed of its cell — and packages
 /// the observers' take alongside the outcome.
-fn trace_scenario(caches: &Caches, scenario: Scenario, opts: TraceOptions) -> CellTrace {
+fn trace_scenario(caches: &Caches, scenario: Scenario) -> CellTrace {
     let observer = (
-        TimeSeriesSampler::new(opts.sample_every, DEFAULT_SAMPLE_CAPACITY),
+        TimeSeriesSampler::new(SAMPLE_EVERY, DEFAULT_SAMPLE_CAPACITY),
         SpanProfiler::new(),
     );
     let (outcome, (sampler, profiler)) = run_scenario_observed(caches, scenario, observer);
@@ -141,7 +129,6 @@ fn trace_scenario(caches: &Caches, scenario: Scenario, opts: TraceOptions) -> Ce
 pub fn run_trace(
     caches: &Caches,
     campaign: &Campaign,
-    opts: TraceOptions,
 ) -> Result<(TraceReport, Vec<CellTiming>), LabError> {
     let (mut firsts, skipped) = campaign.expand_with_skips();
     // One representative run per cell: expansion lists each cell's seeds
@@ -154,7 +141,7 @@ pub fn run_trace(
         .into_par_iter()
         .map(|s| {
             let watch = crate::timing::Stopwatch::start();
-            let trace = trace_scenario(caches, s, opts);
+            let trace = trace_scenario(caches, s);
             let timing = CellTiming {
                 cell: trace.cell_id(),
                 wall_ms: watch.elapsed_ms(),
@@ -168,7 +155,6 @@ pub fn run_trace(
     Ok((
         TraceReport {
             name: campaign.name.clone(),
-            options: opts,
             skipped,
             cells,
         },
@@ -279,10 +265,9 @@ impl TraceReport {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "{} cell(s), first seed each; sampled every {} deliveries \
+            "{} cell(s), first seed each; sampled every {SAMPLE_EVERY} deliveries \
              (timestamps are delivery counts, never wall clock).",
             self.cells.len(),
-            self.options.sample_every,
         );
         for trace in &self.cells {
             let o = &trace.outcome;
@@ -351,8 +336,8 @@ mod tests {
     use crate::spec::SeedRange;
     use fdn_graph::GraphFamily;
 
-    fn run_trace(campaign: &Campaign, opts: TraceOptions) -> Result<TraceReport, LabError> {
-        super::run_trace(&Caches::new(), campaign, opts).map(|(report, _)| report)
+    fn run_trace(campaign: &Campaign) -> Result<TraceReport, LabError> {
+        super::run_trace(&Caches::new(), campaign).map(|(report, _)| report)
     }
 
     fn quick_campaign(mode: EngineMode) -> Campaign {
@@ -366,7 +351,7 @@ mod tests {
     #[test]
     fn trace_runs_one_seed_per_cell_and_matches_the_runner() {
         let campaign = quick_campaign(EngineMode::Full);
-        let report = run_trace(&campaign, TraceOptions::default()).unwrap();
+        let report = run_trace(&campaign).unwrap();
         assert_eq!(report.cells.len(), 1, "one cell, one trace");
         let trace = &report.cells[0];
         // The observed run is the cell's *first* seed and measures exactly
@@ -386,8 +371,7 @@ mod tests {
 
     #[test]
     fn replay_traces_take_construction_shares_from_the_checkpoint() {
-        let report =
-            run_trace(&quick_campaign(EngineMode::Replay), TraceOptions::default()).unwrap();
+        let report = run_trace(&quick_campaign(EngineMode::Replay)).unwrap();
         let trace = &report.cells[0];
         assert_eq!(
             trace.node_cc_init.iter().sum::<u64>(),
@@ -414,8 +398,8 @@ mod tests {
     #[test]
     fn renderings_are_deterministic_and_well_formed() {
         let campaign = quick_campaign(EngineMode::Full);
-        let a = run_trace(&campaign, TraceOptions::default()).unwrap();
-        let b = run_trace(&campaign, TraceOptions::default()).unwrap();
+        let a = run_trace(&campaign).unwrap();
+        let b = run_trace(&campaign).unwrap();
         assert_eq!(a.to_jsonl(), b.to_jsonl());
         assert_eq!(a.to_perfetto_json(), b.to_perfetto_json());
         assert_eq!(a.to_markdown(), b.to_markdown());
@@ -457,9 +441,6 @@ mod tests {
     fn empty_expansion_is_an_error() {
         let mut campaign = Campaign::new("empty");
         campaign.families = vec![GraphFamily::Path { n: 3 }];
-        assert!(matches!(
-            run_trace(&campaign, TraceOptions::default()),
-            Err(LabError::EmptyCampaign)
-        ));
+        assert!(matches!(run_trace(&campaign), Err(LabError::EmptyCampaign)));
     }
 }

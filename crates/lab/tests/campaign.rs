@@ -6,18 +6,14 @@
 use fdn_graph::GraphFamily;
 use fdn_lab::{
     diff_reports, merge_reports, run_scenario_with, Caches, Campaign, CampaignReport,
-    DiffTolerance, EngineMode, LabError, RunOptions, SeedRange, Shard,
+    DiffTolerance, EngineMode, LabError, SeedRange, Shard,
 };
 use fdn_netsim::{NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
 
 /// Runs `campaign` (or one shard of it) with fresh caches.
 fn run(campaign: &Campaign, shard: Option<Shard>) -> Result<CampaignReport, LabError> {
-    let opts = RunOptions {
-        shard,
-        ..RunOptions::default()
-    };
-    fdn_lab::run_campaign(&Caches::new(), campaign, opts).map(|(report, _)| report)
+    fdn_lab::run_campaign(&Caches::new(), campaign, shard).map(|(report, _)| report)
 }
 
 fn run_campaign(campaign: &Campaign) -> Result<CampaignReport, LabError> {

@@ -7,17 +7,19 @@
 
 mod common;
 
+use std::path::Path;
+
 use common::{fdn_lab, report_artifacts, scratch};
 use fdn_graph::GraphFamily;
 use fdn_lab::{
     run_scenario_with, Caches, Campaign, CampaignReport, Cell, EncodingSpec, EngineMode, LabError,
-    RunOptions, Scenario, SeedRange,
+    Scenario, SeedRange,
 };
 use fdn_netsim::{NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
 
 fn run_campaign(campaign: &Campaign) -> Result<CampaignReport, LabError> {
-    fdn_lab::run_campaign(&Caches::new(), campaign, RunOptions::default()).map(|(r, _)| r)
+    fdn_lab::run_campaign(&Caches::new(), campaign, None).map(|(r, _)| r)
 }
 
 fn figure3_cell(mode: EngineMode) -> Cell {
@@ -214,6 +216,44 @@ fn diff_exit_code_contract_on_replay_reports() {
     );
     assert_eq!(out.status.code(), Some(1), "parse error must exit 1");
     assert!(String::from_utf8_lossy(&out.stderr).contains("parse error"));
+
+    // A file that cannot be read or written is an I/O error, exit 1, whose
+    // message names the file. A regular file blocks the output paths.
+    let blocker = dir.join("blocker");
+    std::fs::write(&blocker, "a regular file").unwrap();
+    let text = |p: &Path| p.to_str().unwrap().to_string();
+    let (base, missing) = (text(&base_path), text(&dir.join("missing.json")));
+    let (blocked, sub) = (text(&blocker), text(&blocker.join("sub")));
+    let (timings, merged) = (
+        text(&blocker.join("t.json")),
+        text(&blocker.join("merged.json")),
+    );
+    let run_out = text(&dir.join("run-out"));
+    let run: Vec<&str> =
+        "run --preset quick --families figure3 --modes cycle --workloads flood(2) \
+         --noises noiseless --seeds 1"
+            .split_whitespace()
+            .collect();
+    let cases: [(Vec<&str>, &str); 6] = [
+        (vec!["diff", &base, &missing], &missing),
+        (vec!["merge", &missing], &missing),
+        (vec!["report", "--input", &missing], &missing),
+        ([&run[..], &["--out", &sub]].concat(), &sub),
+        (
+            [&run[..], &["--out", &run_out, "--timings", &timings]].concat(),
+            &blocked,
+        ),
+        (vec!["merge", &base, "--out", &merged], &merged),
+    ];
+    for (args, named) in cases {
+        let out = fdn_lab(&args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("fdn-lab: io error: {named}: ")),
+            "{args:?}: {stderr}"
+        );
+    }
 
     // A JSON object that is not a campaign report, such as the frontier
     // reports older binaries wrote, is rejected by `report` and `diff` with

@@ -111,37 +111,3 @@ fn full_mode_traces_carry_construction_markers_and_replay_traces_do_not() {
         assert!(!line.contains("\"cc_init\":0,"), "{line}");
     }
 }
-
-#[test]
-fn sampling_flag_only_adds_fields_to_the_run_report() {
-    // `run` without --sample-every must stay byte-identical to the pre-
-    // observer engine; with the flag, the report gains per-cell curve
-    // summaries but nothing else changes.
-    let plain_dir = scratch("trace-run-plain");
-    let sampled_dir = scratch("trace-run-sampled");
-    let mut plain = vec!["run"];
-    plain.extend_from_slice(SELECTOR);
-    plain.extend_from_slice(&["--out", plain_dir.to_str().unwrap()]);
-    let out = fdn_lab(&plain, &[]);
-    assert!(out.status.success());
-    let mut sampled = vec!["run"];
-    sampled.extend_from_slice(SELECTOR);
-    sampled.extend_from_slice(&[
-        "--sample-every",
-        "32",
-        "--out",
-        sampled_dir.to_str().unwrap(),
-    ]);
-    let out = fdn_lab(&sampled, &[]);
-    assert!(out.status.success());
-
-    let plain_json = std::fs::read_to_string(plain_dir.join("t.json")).unwrap();
-    let sampled_json = std::fs::read_to_string(sampled_dir.join("t.json")).unwrap();
-    assert!(!plain_json.contains("inflight_curve"));
-    assert!(sampled_json.contains("inflight_curve"));
-    // CSV never carries the curve: the two runs' CSVs are byte-identical.
-    assert_eq!(
-        std::fs::read_to_string(plain_dir.join("t.csv")).unwrap(),
-        std::fs::read_to_string(sampled_dir.join("t.csv")).unwrap(),
-    );
-}

@@ -86,7 +86,7 @@ pub use error::SimError;
 pub use links::{LinkId, LinkStore, LinkTable, LinkView};
 pub use noise::{
     BitFlip, Burst, ConstantOne, CrashLink, FullCorruption, NoiseModel, Noiseless, Omission,
-    TargetedEdges, OMISSION_DENOM,
+    TargetedEdges,
 };
 pub use observer::{
     NullObserver, Observer, PhaseEvent, PhaseMarker, Sample, SpanProfiler, SpanStats,

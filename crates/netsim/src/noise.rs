@@ -222,13 +222,11 @@ impl<N: NoiseModel> NoiseModel for TargetedEdges<N> {
     }
 }
 
-/// Denominator of the [`Omission`] drop axis: rates are fixed-point parts
-/// per million, so the axis can be parameterized a thousand times finer than
-/// the per-mille labels campaigns sweep.
-pub const OMISSION_DENOM: u32 = 1_000_000;
+/// The range of [`Omission`]'s per-delivery draw: `0..DRAW_RANGE`.
+const DRAW_RANGE: u32 = 1_000_000;
 
 /// Independent message deletion: each scheduled delivery is dropped with
-/// probability `drop_ppm / 1_000_000`, and delivered unaltered otherwise.
+/// probability `drop_per_mille / 1000`, and delivered unaltered otherwise.
 ///
 /// This is the classical omission-fault channel, which the paper's model
 /// explicitly forbids. Content is left untouched so that sweeps isolate the
@@ -236,20 +234,21 @@ pub const OMISSION_DENOM: u32 = 1_000_000;
 /// content-oblivious, so corrupting dropped-channel content as well would not
 /// change what breaks).
 ///
-/// Every delivery draws one uniform value from `0..`[`OMISSION_DENOM`] and
-/// drops iff it falls below the threshold, so the RNG stream consumed is
+/// Every delivery draws one uniform value from `0..1_000_000` and drops iff
+/// it falls below `drop_per_mille × 1000`, so the RNG stream consumed is
 /// **independent of the rate**. The draw stays that way for two reasons.
-/// Saved reports depend on it: another draw would change the bytes of every
-/// omission cell. And two models with the same seed but different rates see
-/// the *same* uniform sequence, which couples their decisions monotonically:
-/// every delivery dropped at the lower rate is also dropped at the higher
-/// one (for as long as the simulated trajectories coincide). Equal-seed rows
-/// at different rates, such as E8's `omission(10)`, `omission(50)` and
-/// `omission(200)`, therefore see nested drop sets instead of independently
-/// re-randomized ones.
+/// Saved reports depend on it: another draw, even one from `0..1000`, would
+/// change the bytes of every omission cell. And two models with the same
+/// seed but different rates see the *same* uniform sequence, which couples
+/// their decisions monotonically: every delivery dropped at the lower rate
+/// is also dropped at the higher one (for as long as the simulated
+/// trajectories coincide). Equal-seed rows at different rates, such as E8's
+/// `omission(10)`, `omission(50)` and `omission(200)`, therefore see nested
+/// drop sets instead of independently re-randomized ones.
 #[derive(Debug, Clone)]
 pub struct Omission {
-    drop_ppm: u32,
+    /// Draws below this value drop the delivery: `drop_per_mille × 1000`.
+    drop_below: u32,
     rng: StdRng,
 }
 
@@ -265,29 +264,10 @@ impl Omission {
             drop_per_mille <= 1000,
             "drop rate is per mille and must be <= 1000"
         );
-        Omission::per_million(u32::from(drop_per_mille) * 1000, seed)
-    }
-
-    /// Creates the model at fixed-point resolution: `drop_ppm` out of every
-    /// [`OMISSION_DENOM`] deliveries are dropped in expectation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `drop_ppm` exceeds [`OMISSION_DENOM`].
-    pub fn per_million(drop_ppm: u32, seed: u64) -> Self {
-        assert!(
-            drop_ppm <= OMISSION_DENOM,
-            "drop rate is per million and must be <= {OMISSION_DENOM}"
-        );
         Omission {
-            drop_ppm,
+            drop_below: u32::from(drop_per_mille) * 1000,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// The configured drop rate in parts per million.
-    pub fn drop_ppm(&self) -> u32 {
-        self.drop_ppm
     }
 }
 
@@ -299,7 +279,7 @@ impl NoiseModel for Omission {
     fn passes(&mut self, _env: &Envelope) -> bool {
         // One rate-independent uniform draw per delivery (see the type docs:
         // this is what couples equal-seed models across rates).
-        self.rng.gen_range(0..OMISSION_DENOM) >= self.drop_ppm
+        self.rng.gen_range(0..DRAW_RANGE) >= self.drop_below
     }
 
     fn name(&self) -> &'static str {
@@ -506,41 +486,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn omission_rejects_bad_ppm_rate() {
-        let _ = Omission::per_million(OMISSION_DENOM + 1, 0);
-    }
-
-    #[test]
-    fn omission_ppm_resolves_below_one_per_mille() {
-        // 500 ppm = 0.5 per mille: far below the per-mille axis's smallest
-        // nonzero rate, yet still a real (and deterministic) drop rate.
-        let e = env(vec![2]);
-        let drops = |ppm: u32, seed: u64| {
-            let mut n = Omission::per_million(ppm, seed);
-            (0..100_000).filter(|_| n.deliver(&e).is_none()).count()
-        };
-        let d = drops(500, 11);
-        assert!((10..150).contains(&d), "got {d} drops at 500 ppm");
-        assert_eq!(d, drops(500, 11), "deterministic per seed");
-        assert_eq!(drops(0, 11), 0);
-        assert_eq!(drops(OMISSION_DENOM, 11), 100_000);
-        // The per-mille constructor is the coarse face of the same axis.
-        assert_eq!(Omission::new(200, 3).drop_ppm(), 200_000);
-        assert_eq!(Omission::per_million(200_000, 3).drop_ppm(), 200_000);
-    }
-
-    #[test]
     fn omission_equal_seeds_couple_monotonically_across_rates() {
-        // The re-probing contract: with one seed, the drop set at a lower
+        // The coupling contract: with one seed, the drop set at a lower
         // rate is a subset of the drop set at any higher rate, because every
         // delivery consumes the same uniform draw regardless of the rate.
         let e = env(vec![4]);
-        let drop_set = |ppm: u32| -> Vec<bool> {
-            let mut n = Omission::per_million(ppm, 77);
+        let drop_set = |per_mille: u16| -> Vec<bool> {
+            let mut n = Omission::new(per_mille, 77);
             (0..2_000).map(|_| n.deliver(&e).is_none()).collect()
         };
-        let rates = [50_000u32, 200_000, 450_000, 900_000];
+        let rates = [50u16, 200, 450, 900];
         let sets: Vec<Vec<bool>> = rates.iter().map(|&r| drop_set(r)).collect();
         for w in sets.windows(2) {
             let nested = w[0].iter().zip(&w[1]).all(|(&low, &high)| !low || high);

@@ -45,7 +45,7 @@ fn main() -> Result<(), LabError> {
     // both campaigns; they never change a report's bytes.
     let caches = Caches::new();
     eprintln!("running {} scenarios…", campaign.scenario_count());
-    let (report, _timings) = run_campaign(&caches, &campaign, RunOptions::default())?;
+    let (report, _timings) = run_campaign(&caches, &campaign, None)?;
 
     // Every cell should succeed: content-oblivious simulation is exact even
     // under total corruption (that is the paper's Theorem 2).
@@ -64,7 +64,7 @@ fn main() -> Result<(), LabError> {
         "running {} deletion-frontier scenarios…",
         frontier.scenario_count()
     );
-    let (frontier_report, _) = run_campaign(&caches, &frontier, RunOptions::default())?;
+    let (frontier_report, _) = run_campaign(&caches, &frontier, None)?;
     println!();
     print!("{}", frontier_report.to_markdown());
     let broken = frontier_report

@@ -74,8 +74,7 @@ pub mod prelude {
     };
     pub use fdn_lab::{
         diff_reports, run_campaign, run_scenario_with, Caches, Campaign, CampaignReport,
-        DiffTolerance, EncodingSpec, EngineMode, LabError, ReportDiff, RunOptions, Scenario,
-        SeedRange,
+        DiffTolerance, EncodingSpec, EngineMode, LabError, ReportDiff, Scenario, SeedRange,
     };
     pub use fdn_netsim::{
         Burst, CrashLink, DirectRunner, FullCorruption, InnerProtocol, NoiseSpec, Noiseless,
