@@ -2,16 +2,12 @@
 
 use std::fmt;
 
-use fdn_graph::GraphError;
-
 /// Anything that can go wrong while specifying, running or rendering a
 /// campaign.
 #[derive(Debug)]
 pub enum LabError {
     /// The matrix expanded to zero runnable scenarios.
     EmptyCampaign,
-    /// A graph-layer error.
-    Graph(GraphError),
     /// A filesystem error (report writing / reading).
     Io(std::io::Error),
     /// A spec, label or report document failed to parse.
@@ -24,7 +20,6 @@ impl fmt::Display for LabError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LabError::EmptyCampaign => f.write_str("campaign expands to zero runnable scenarios"),
-            LabError::Graph(e) => write!(f, "graph error: {e}"),
             LabError::Io(e) => write!(f, "io error: {e}"),
             LabError::Parse(msg) => write!(f, "parse error: {msg}"),
             LabError::Usage(msg) => write!(f, "usage error: {msg}"),
@@ -35,22 +30,9 @@ impl fmt::Display for LabError {
 impl std::error::Error for LabError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            LabError::Graph(e) => Some(e),
             LabError::Io(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<GraphError> for LabError {
-    fn from(e: GraphError) -> Self {
-        LabError::Graph(e)
-    }
-}
-
-impl From<std::io::Error> for LabError {
-    fn from(e: std::io::Error) -> Self {
-        LabError::Io(e)
     }
 }
 
@@ -60,17 +42,16 @@ mod tests {
 
     #[test]
     fn display_all_variants() {
-        let io = LabError::from(std::io::Error::new(std::io::ErrorKind::NotFound, "gone"));
+        let io = LabError::Io(std::io::Error::new(std::io::ErrorKind::NotFound, "gone"));
+        assert!(io.to_string().starts_with("io error: "));
+        assert!(std::error::Error::source(&io).is_some());
         for e in [
             LabError::EmptyCampaign,
             LabError::Parse("bad".into()),
             LabError::Usage("bad flag".into()),
-            io,
         ] {
             assert!(!e.to_string().is_empty());
+            assert!(std::error::Error::source(&e).is_none());
         }
-        let g: LabError = GraphError::InvalidParameter("x".into()).into();
-        assert!(g.to_string().contains("graph error"));
-        assert!(std::error::Error::source(&g).is_some());
     }
 }

@@ -2,11 +2,6 @@
 //! matrices, and re-render, merge and diff saved reports. `fdn-lab help`
 //! prints the usage.
 
-#![expect(
-    clippy::print_stderr,
-    reason = "D5: the CLI writes diagnostics to stderr; stdout goes through `write_stdout`"
-)]
-
 use std::fmt;
 use std::io::{self, Write as _};
 use std::num::ParseIntError;
@@ -35,6 +30,29 @@ const MAX_SEED: u64 = 1 << 53;
 /// Set once a write to stdout found the reading end of its pipe closed.
 static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
 
+/// Set once a write to stderr has failed.
+static STDERR_FAILED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stderr: every diagnostic the CLI prints goes through here (via
+/// [`errln!`]). A failed write, such as to a pipe whose reader has gone,
+/// is not an error: it and every later diagnostic are skipped, and the
+/// command ends with its own status.
+fn write_stderr(args: fmt::Arguments<'_>) {
+    if STDERR_FAILED.load(Ordering::Relaxed) {
+        return;
+    }
+    if io::stderr().lock().write_fmt(args).is_err() {
+        STDERR_FAILED.store(true, Ordering::Relaxed);
+    }
+}
+
+/// `eprintln!` through [`write_stderr`].
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        write_stderr(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Writes to stdout through one locked handle: every report, summary and
 /// listing the CLI prints goes through here (via [`out!`] and [`outln!`]).
 /// A reader that closed the pipe (`fdn-lab report … | head`) is not an
@@ -52,7 +70,7 @@ fn write_stdout(args: fmt::Arguments<'_>) {
             STDOUT_CLOSED.store(true, Ordering::Relaxed);
         }
         Err(e) => {
-            eprintln!("fdn-lab: cannot write to stdout: {e}");
+            errln!("fdn-lab: cannot write to stdout: {e}");
             std::process::exit(1);
         }
     }
@@ -75,8 +93,8 @@ macro_rules! outln {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = dispatch(&args) {
-        eprintln!("fdn-lab: {e}");
-        eprintln!("run `fdn-lab help` for usage");
+        errln!("fdn-lab: {e}");
+        errln!("run `fdn-lab help` for usage");
         std::process::exit(1);
     }
 }
@@ -259,10 +277,14 @@ impl Exec {
         let (report, timings) = run(&caches)?;
         let store_stats = store.map(|s| {
             let stats = s.stats();
-            eprintln!(
+            errln!(
                 "checkpoint store: {} hit(s), {} miss(es), {} rejected, {} write(s), {} write \
                  error(s)",
-                stats.hits, stats.misses, stats.rejected, stats.writes, stats.write_errors
+                stats.hits,
+                stats.misses,
+                stats.rejected,
+                stats.writes,
+                stats.write_errors
             );
             stats
         });
@@ -463,7 +485,7 @@ fn cmd_run(args: &[String]) -> Result<(), LabError> {
         exec,
     } = parse_run_args(args)?;
     let scope = shard.map_or(String::new(), |shard| format!(" shard {shard}"));
-    eprintln!("campaign `{}`{scope}: expanding and running", campaign.name);
+    errln!("campaign `{}`{scope}: expanding and running", campaign.name);
     let (report, elapsed) = exec.execute(
         "run",
         &campaign.name,
@@ -486,7 +508,7 @@ fn cmd_run(args: &[String]) -> Result<(), LabError> {
             (stem, artifacts)
         },
     )?;
-    eprintln!(
+    errln!(
         "campaign `{}`{scope}: {} scenarios on {} worker thread(s) ({} combinations skipped) \
          finished in {elapsed:.2?} ({:.1} scenarios/s)",
         report.name,
@@ -578,7 +600,7 @@ fn cmd_trace(args: &[String]) -> Result<(), LabError> {
             "trace runs one scenario per cell; --shard applies to `run`".into(),
         ));
     }
-    eprintln!(
+    errln!(
         "trace `{}`: first seed of every cell, observers attached",
         opts.campaign.name
     );
@@ -600,7 +622,7 @@ fn cmd_trace(args: &[String]) -> Result<(), LabError> {
             (format!("{}.trace", report.name), artifacts)
         },
     )?;
-    eprintln!("{} cell(s) traced in {elapsed:.2?}", report.cells.len());
+    errln!("{} cell(s) traced in {elapsed:.2?}", report.cells.len());
     outln!(
         "trace `{}`: {} cell(s), {} skipped combination(s)",
         report.name,
@@ -656,13 +678,13 @@ fn cmd_list(args: &[String]) -> Result<(), LabError> {
         }
     }
     if shown == scenarios.len() {
-        eprintln!("{shown} scenarios");
+        errln!("{shown} scenarios");
     } else {
-        eprintln!("{shown} of {} scenarios match the filters", scenarios.len());
+        errln!("{shown} of {} scenarios match the filters", scenarios.len());
     }
     for s in &skipped {
         if s.matches(family_filter.as_deref(), noise_filter.as_deref()) {
-            eprintln!("skipped {} — {}", s.cell, s.reason);
+            errln!("skipped {} — {}", s.cell, s.reason);
         }
     }
     Ok(())
@@ -728,7 +750,7 @@ fn cmd_merge(args: &[String]) -> Result<(), LabError> {
         .map(|path| load_report(path))
         .collect::<Result<Vec<_>, LabError>>()?;
     let merged = merge_reports(&reports).map_err(LabError::Usage)?;
-    eprintln!(
+    errln!(
         "merged {} shard report(s): {} scenarios across {} cells",
         reports.len(),
         merged.scenario_count,
@@ -828,7 +850,7 @@ fn cmd_diff(args: &[String]) -> Result<(), LabError> {
     let regressions = delta.regression_count();
     out!("{rendered}");
     if regressions > 0 {
-        eprintln!("fdn-lab diff: {regressions} regression finding(s) — failing the gate");
+        errln!("fdn-lab diff: {regressions} regression finding(s) — failing the gate");
         std::process::exit(EXIT_REGRESSION);
     }
     Ok(())

@@ -13,7 +13,8 @@
 //! never hash order):
 //!
 //! * **JSONL** — one line per cell header, retained sample, and phase
-//!   marker; greppable and trivially parseable.
+//!   marker; greppable and trivially parseable. A sample is taken where a
+//!   delivery's step ends, so its `inflight` reads 0 only at quiescence.
 //! * **Perfetto JSON** — a Chrome trace-event document composing every
 //!   cell's spans under its own `pid`, loadable in Perfetto or
 //!   `chrome://tracing`.
@@ -26,7 +27,7 @@ use std::fmt::Write as _;
 use rayon::prelude::*;
 
 use fdn_graph::NodeId;
-use fdn_netsim::{Sample, SpanProfiler, TimeSeriesSampler, DEFAULT_SAMPLE_CAPACITY};
+use fdn_netsim::{Sample, SpanProfiler, TimeSeriesSampler};
 
 use crate::cache::Caches;
 use crate::error::LabError;
@@ -37,9 +38,6 @@ use crate::spec::{Campaign, EngineMode, Scenario, SkippedCell};
 
 /// How many of the busiest links the markdown rendering lists per cell.
 const TOP_LINKS: usize = 8;
-
-/// Sampling stride of the time-series ring, in deliveries.
-const SAMPLE_EVERY: u64 = 64;
 
 /// One cell's observed run: the ordinary outcome plus everything the two
 /// observers retained.
@@ -81,10 +79,7 @@ pub struct TraceReport {
 /// Runs one observed scenario — the first seed of its cell — and packages
 /// the observers' take alongside the outcome.
 fn trace_scenario(caches: &Caches, scenario: Scenario) -> CellTrace {
-    let observer = (
-        TimeSeriesSampler::new(SAMPLE_EVERY, DEFAULT_SAMPLE_CAPACITY),
-        SpanProfiler::new(),
-    );
+    let observer = (TimeSeriesSampler::new(), SpanProfiler::new());
     let (outcome, (sampler, profiler)) = run_scenario_observed(caches, scenario, observer);
     let cell = scenario.cell;
     let node_cc_init: Vec<u64> = match cell.mode {
@@ -193,7 +188,6 @@ impl TraceReport {
                     deliveries,
                     inflight,
                     sent,
-                    delivered,
                     dropped,
                     max_link_depth,
                     phase,
@@ -201,9 +195,8 @@ impl TraceReport {
                 let _ = writeln!(
                     out,
                     "{{\"type\":\"sample\",\"cell\":{cell},\"deliveries\":{deliveries},\
-                     \"inflight\":{inflight},\"sent\":{sent},\"delivered\":{delivered},\
-                     \"dropped\":{dropped},\"max_link_depth\":{max_link_depth},\
-                     \"phase\":{phase}}}",
+                     \"inflight\":{inflight},\"sent\":{sent},\"dropped\":{dropped},\
+                     \"max_link_depth\":{max_link_depth},\"phase\":{phase}}}",
                 );
             }
             for (stamp, marker) in trace.profiler.markers() {
@@ -265,9 +258,10 @@ impl TraceReport {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "{} cell(s), first seed each; sampled every {SAMPLE_EVERY} deliveries \
+            "{} cell(s), first seed each; sampled every {} deliveries \
              (timestamps are delivery counts, never wall clock).",
             self.cells.len(),
+            TimeSeriesSampler::STRIDE,
         );
         for trace in &self.cells {
             let o = &trace.outcome;
@@ -335,6 +329,8 @@ mod tests {
     use super::*;
     use crate::spec::SeedRange;
     use fdn_graph::GraphFamily;
+    use fdn_netsim::NoiseSpec;
+    use fdn_protocols::WorkloadSpec;
 
     fn run_trace(campaign: &Campaign) -> Result<TraceReport, LabError> {
         super::run_trace(&Caches::new(), campaign).map(|(report, _)| report)
@@ -435,6 +431,39 @@ mod tests {
         };
         assert!(instant("construction-start"));
         assert!(instant("construction-quiescence"));
+    }
+
+    #[test]
+    fn every_sample_is_taken_where_a_step_ends() {
+        // At the end of a step every send was delivered, deleted or is still
+        // in flight, and nothing in flight means the run is over.
+        let mut campaign = Campaign::new("trace-samples");
+        campaign.families = vec![GraphFamily::Cycle { n: 4 }, GraphFamily::Figure3];
+        campaign.modes = vec![EngineMode::Full, EngineMode::CycleOnly, EngineMode::Replay];
+        campaign.workloads = vec![WorkloadSpec::Flood { payload_bytes: 2 }];
+        campaign.noises = vec![
+            NoiseSpec::FullCorruption,
+            NoiseSpec::Omission {
+                drop_per_mille: 200,
+            },
+        ];
+        campaign.seeds = SeedRange { start: 1, count: 1 };
+        let report = run_trace(&campaign).unwrap();
+        assert_eq!(report.cells.len(), 12);
+        let mut samples = 0;
+        for trace in &report.cells {
+            let (cell, steps) = (trace.cell_id(), trace.outcome.steps);
+            for s in trace.sampler.samples() {
+                assert_eq!(
+                    s.sent,
+                    s.deliveries + s.dropped + s.inflight,
+                    "{cell}: {s:?}"
+                );
+                assert!(s.inflight > 0 || s.deliveries == steps, "{cell}: {s:?}");
+                samples += 1;
+            }
+        }
+        assert!(samples > 100, "{samples} samples");
     }
 
     #[test]

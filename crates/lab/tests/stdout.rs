@@ -1,6 +1,7 @@
-//! How the `fdn-lab` binary treats its stdout: a reader that closes the
-//! pipe early (`fdn-lab report … | head`) ends the command quietly with its
-//! own exit status, and any other write error is a clean exit 1.
+//! How the `fdn-lab` binary treats its output streams: a reader that
+//! closes the stdout pipe early (`fdn-lab report … | head`) ends the command
+//! quietly with its own exit status, and any other stdout write error is a
+//! clean exit 1. A stderr that cannot be written is skipped.
 
 mod common;
 
@@ -68,6 +69,34 @@ fn a_closed_pipe_ends_the_command_quietly() {
         assert_eq!(code, Some(0), "fdn-lab {args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "fdn-lab {args:?}: {stderr}");
     }
+}
+
+#[test]
+fn a_closed_stderr_ends_the_command_quietly() {
+    let dir = scratch("a_closed_stderr_ends_the_command_quietly");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fdn-lab"))
+        .args([
+            "run",
+            "--preset",
+            "quick",
+            "--families",
+            "figure3",
+            "--modes",
+            "cycle",
+            "--seeds",
+            "1",
+            "--out",
+            dir.to_str().expect("UTF-8 scratch path"),
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn fdn-lab");
+    // Close the read end before the run writes its last diagnostic.
+    drop(child.stderr.take());
+    let status = child.wait().expect("wait for fdn-lab");
+    assert_eq!(status.code(), Some(0));
+    assert!(dir.join("quick.json").is_file());
 }
 
 #[test]

@@ -29,6 +29,12 @@
 //!   [`PulseReactor`] instead, whose handler learns only the sender, and its
 //!   deliveries skip building the corrupted content it could not read.
 //!
+//! Every run counts its sends, deliveries, deletions and queue high-water
+//! marks in one [`Stats`]. An [`Observer`] rides the engine's hot path: it
+//! sees each send, delivery, deletion and reactor phase marker, and the end
+//! of every delivery's step, where [`TimeSeriesSampler`] samples the
+//! `Stats`. The default [`NullObserver`] compiles every hook away.
+//!
 //! The crate also defines the [`InnerProtocol`] trait — the asynchronous
 //! black-box interface `π` that the paper's simulators wrap — together with
 //! [`DirectRunner`], which executes an inner protocol directly on a noiseless
@@ -90,7 +96,7 @@ pub use noise::{
 };
 pub use observer::{
     NullObserver, Observer, PhaseEvent, PhaseMarker, Sample, SpanProfiler, SpanStats,
-    TimeSeriesSampler, DEFAULT_SAMPLE_CAPACITY,
+    TimeSeriesSampler,
 };
 pub use protocol::{Dest, DirectRunner, InnerProtocol, ProtocolIo, ProtocolMsg};
 pub use reactor::{Context, Delivery, PulseReactor, Reactor};

@@ -17,6 +17,12 @@
 //! profiler attribute every pulse of a phase-transition event to the correct
 //! side of the boundary.
 //!
+//! Once a delivered message's receiver has reacted and its sends and
+//! markers are queued, the engine ends the step with
+//! [`Observer::on_step_end`], passing the run's [`Stats`]. A probe that
+//! samples counters reads them there, from the one place that keeps them,
+//! at a point where no event is half done.
+//!
 //! Everything the built-in observers record is keyed by delivery count,
 //! never wall clock: observed output is byte-deterministic and independent
 //! of thread count, exactly like the rest of the pipeline.
@@ -26,7 +32,7 @@ use std::fmt;
 
 use fdn_graph::NodeId;
 
-use crate::links::LinkId;
+use crate::stats::Stats;
 
 /// A semantic phase transition emitted by a reactor via
 /// [`Context::marker`](crate::Context::marker).
@@ -119,11 +125,6 @@ pub trait Observer {
     ) {
     }
 
-    /// The `from -> to` link went from empty to non-empty (it entered the
-    /// scheduler's active set).
-    #[inline]
-    fn on_link_activation(&mut self, _link: LinkId, _from: NodeId, _to: NodeId) {}
-
     /// A message was delivered. `bits` is its size as sent, before any
     /// corruption (a content-oblivious receiver's delivery has no other
     /// size), `deliveries` the cumulative delivery count (the observed
@@ -149,6 +150,14 @@ pub trait Observer {
     /// event's [`on_send`](Self::on_send) calls in emission order.
     #[inline]
     fn on_marker(&mut self, _marker: PhaseMarker, _deliveries: u64) {}
+
+    /// A delivery's step ended: the receiver has reacted, and its sends and
+    /// markers are queued. `stats` holds the run's counters after the step
+    /// and `inflight` the network-wide total, so `stats.sent_total ==
+    /// stats.delivered_total + stats.dropped_total + inflight`. A message
+    /// the noise model deleted has no reaction, and its step gets no call.
+    #[inline]
+    fn on_step_end(&mut self, _stats: &Stats, _inflight: usize) {}
 }
 
 /// The default observer: observes nothing, costs nothing. With
@@ -178,12 +187,6 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
     }
 
     #[inline]
-    fn on_link_activation(&mut self, link: LinkId, from: NodeId, to: NodeId) {
-        self.0.on_link_activation(link, from, to);
-        self.1.on_link_activation(link, from, to);
-    }
-
-    #[inline]
     fn on_deliver(
         &mut self,
         from: NodeId,
@@ -207,25 +210,26 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
         self.0.on_marker(marker, deliveries);
         self.1.on_marker(marker, deliveries);
     }
+
+    #[inline]
+    fn on_step_end(&mut self, stats: &Stats, inflight: usize) {
+        self.0.on_step_end(stats, inflight);
+        self.1.on_step_end(stats, inflight);
+    }
 }
 
-/// Default bound on the number of retained time-series samples.
-pub const DEFAULT_SAMPLE_CAPACITY: usize = 512;
-
-/// One point of the sampled time series. The `deliveries` stamp is the
-/// timeline clock: samples are taken every `stride` deliveries, so the
-/// retained set is always a regular grid `stride, 2*stride, ...`.
+/// One point of the sampled time series, taken when a delivery's step ends
+/// (see [`Observer::on_step_end`]). The `deliveries` stamp is the timeline
+/// clock: samples are taken every `stride` deliveries, so the retained set
+/// is always a regular grid `stride, 2*stride, ...`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sample {
     /// Cumulative deliveries at sampling time (the sample's timestamp).
     pub deliveries: u64,
-    /// Messages in flight.
+    /// Messages in flight: 0 only once the run is quiescent.
     pub inflight: u64,
     /// Cumulative sends.
     pub sent: u64,
-    /// Cumulative deliveries (equals the stamp; kept for symmetry with the
-    /// other cumulative counters when rendering rows).
-    pub delivered: u64,
     /// Cumulative deletions.
     pub dropped: u64,
     /// High-water mark of any single link's queue depth so far.
@@ -236,35 +240,30 @@ pub struct Sample {
 }
 
 /// The time-series sampler: records a bounded ring of deterministic
-/// [`Sample`]s, one every `stride` deliveries. When the ring fills, every
-/// other sample is dropped and the stride doubles, so a run of any length
-/// ends with at most `capacity` samples on a regular delivery-count grid.
+/// [`Sample`]s of the run's [`Stats`], one every `stride` deliveries,
+/// starting at [`STRIDE`](Self::STRIDE). When the ring fills, every other
+/// sample is dropped and the stride doubles, so a run of any length ends
+/// with a bounded number of samples on a regular delivery-count grid.
 #[derive(Debug, Clone)]
 pub struct TimeSeriesSampler {
     stride: u64,
-    capacity: usize,
     samples: Vec<Sample>,
-    sent: u64,
-    dropped: u64,
-    inflight: u64,
-    max_link_depth: u64,
     constructing: usize,
 }
 
 impl TimeSeriesSampler {
-    /// Creates a sampler taking one sample every `stride` deliveries
-    /// (minimum 1), retaining at most `capacity` samples (minimum 2,
-    /// rounded up to even so compaction halves exactly).
-    pub fn new(stride: u64, capacity: usize) -> Self {
-        let capacity = capacity.max(2);
+    /// The initial sampling stride, in deliveries.
+    pub const STRIDE: u64 = 64;
+
+    /// The most samples retained; even, so compaction halves exactly.
+    const CAPACITY: usize = 512;
+
+    /// Creates a sampler taking one sample every [`STRIDE`](Self::STRIDE)
+    /// deliveries.
+    pub fn new() -> Self {
         TimeSeriesSampler {
-            stride: stride.max(1),
-            capacity: capacity + capacity % 2,
+            stride: Self::STRIDE,
             samples: Vec::new(),
-            sent: 0,
-            dropped: 0,
-            inflight: 0,
-            max_link_depth: 0,
             constructing: 0,
         }
     }
@@ -292,50 +291,13 @@ impl TimeSeriesSampler {
     }
 }
 
+impl Default for TimeSeriesSampler {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Observer for TimeSeriesSampler {
-    fn on_send(
-        &mut self,
-        _from: NodeId,
-        _to: NodeId,
-        _bits: u64,
-        link_depth: usize,
-        inflight: usize,
-    ) {
-        self.sent += 1;
-        self.inflight = inflight as u64;
-        self.max_link_depth = self.max_link_depth.max(link_depth as u64);
-    }
-
-    fn on_deliver(
-        &mut self,
-        _from: NodeId,
-        _to: NodeId,
-        _bits: u64,
-        deliveries: u64,
-        inflight: usize,
-    ) {
-        self.inflight = inflight as u64;
-        if deliveries.is_multiple_of(self.stride) {
-            self.samples.push(Sample {
-                deliveries,
-                inflight: self.inflight,
-                sent: self.sent,
-                delivered: deliveries,
-                dropped: self.dropped,
-                max_link_depth: self.max_link_depth,
-                phase: u8::from(self.constructing > 0),
-            });
-            if self.samples.len() >= self.capacity {
-                self.compact();
-            }
-        }
-    }
-
-    fn on_drop(&mut self, _from: NodeId, _to: NodeId, _deliveries: u64) {
-        self.dropped += 1;
-        self.inflight = self.inflight.saturating_sub(1);
-    }
-
     fn on_marker(&mut self, marker: PhaseMarker, _deliveries: u64) {
         match marker.event {
             PhaseEvent::ConstructionStart => self.constructing += 1,
@@ -343,6 +305,24 @@ impl Observer for TimeSeriesSampler {
                 self.constructing = self.constructing.saturating_sub(1);
             }
             _ => {}
+        }
+    }
+
+    fn on_step_end(&mut self, stats: &Stats, inflight: usize) {
+        let deliveries = stats.delivered_total;
+        if !deliveries.is_multiple_of(self.stride) {
+            return;
+        }
+        self.samples.push(Sample {
+            deliveries,
+            inflight: inflight as u64,
+            sent: stats.sent_total,
+            dropped: stats.dropped_total,
+            max_link_depth: stats.max_link_depth,
+            phase: u8::from(self.constructing > 0),
+        });
+        if self.samples.len() >= Self::CAPACITY {
+            self.compact();
         }
     }
 }
@@ -355,8 +335,6 @@ pub const DEFAULT_MARKER_CAPACITY: usize = 8192;
 pub struct SpanStats {
     /// Pulses sent by the node while in this phase.
     pub sends: u64,
-    /// Bits sent by the node while in this phase.
-    pub send_bits: u64,
     /// Deliveries received by the node while in this phase.
     pub deliveries: u64,
 }
@@ -388,19 +366,15 @@ pub struct SpanProfiler {
     online_since: Vec<u64>,
     markers: Vec<(u64, PhaseMarker)>,
     markers_dropped: u64,
-    marker_capacity: usize,
     link_deliveries: BTreeMap<(NodeId, NodeId), u64>,
     last_stamp: u64,
 }
 
 impl SpanProfiler {
     /// Creates a profiler retaining at most [`DEFAULT_MARKER_CAPACITY`]
-    /// markers.
+    /// markers, as [`default`](Self::default) does.
     pub fn new() -> Self {
-        SpanProfiler {
-            marker_capacity: DEFAULT_MARKER_CAPACITY,
-            ..SpanProfiler::default()
-        }
+        SpanProfiler::default()
     }
 
     /// Per-node construction-phase aggregate (all zero when the node never
@@ -536,13 +510,11 @@ impl Observer for SpanProfiler {
         &mut self,
         from: NodeId,
         _to: NodeId,
-        bits: u64,
+        _bits: u64,
         _link_depth: usize,
         _inflight: usize,
     ) {
-        let span = self.span_mut(from);
-        span.sends += 1;
-        span.send_bits += bits;
+        self.span_mut(from).sends += 1;
     }
 
     fn on_deliver(
@@ -573,7 +545,7 @@ impl Observer for SpanProfiler {
             }
             _ => {}
         }
-        if self.markers.len() < self.marker_capacity.max(1) {
+        if self.markers.len() < DEFAULT_MARKER_CAPACITY {
             self.markers.push((deliveries, marker));
         } else {
             self.markers_dropped += 1;
@@ -585,67 +557,90 @@ impl Observer for SpanProfiler {
 mod tests {
     use super::*;
 
-    fn deliver(s: &mut TimeSeriesSampler, n: u64) {
-        let (a, b) = (NodeId(0), NodeId(1));
-        for i in 1..=n {
-            s.on_send(a, b, 8, 1, 1);
-            s.on_deliver(a, b, 8, i, 0);
+    /// Ends `steps` delivery steps of a relay that always has one pulse in
+    /// flight: each step delivers one pulse and sends the next.
+    fn relay(s: &mut TimeSeriesSampler, stats: &mut Stats, steps: u64) {
+        for _ in 0..steps {
+            stats.delivered_total += 1;
+            stats.sent_total = stats.delivered_total + 1;
+            s.on_step_end(stats, 1);
+        }
+    }
+
+    fn marker(event: PhaseEvent) -> PhaseMarker {
+        PhaseMarker {
+            node: NodeId(0),
+            event,
         }
     }
 
     #[test]
     fn sampler_keeps_a_regular_grid_and_doubles_the_stride() {
-        let mut s = TimeSeriesSampler::new(1, 8);
-        deliver(&mut s, 100);
-        assert!(s.samples().len() <= 8);
+        // Three full rings' worth of deliveries: the ring compacts twice.
+        let steps = 3 * TimeSeriesSampler::STRIDE * TimeSeriesSampler::CAPACITY as u64;
+        let mut s = TimeSeriesSampler::new();
+        relay(&mut s, &mut Stats::new(2), steps);
+        assert!(s.samples().len() < TimeSeriesSampler::CAPACITY);
         let stride = s.stride();
-        assert!(stride > 1, "100 samples at capacity 8 must have compacted");
+        assert_eq!(stride, 4 * TimeSeriesSampler::STRIDE);
         for (i, sample) in s.samples().iter().enumerate() {
-            assert_eq!(sample.deliveries % stride, 0, "off-grid sample");
-            assert!(i == 0 || sample.deliveries > s.samples()[i - 1].deliveries);
+            assert_eq!(
+                sample.deliveries,
+                (i as u64 + 1) * stride,
+                "off-grid sample"
+            );
+            assert_eq!(sample.sent, sample.deliveries + sample.inflight);
         }
         // Deterministic: the same event stream yields the same samples.
-        let mut t = TimeSeriesSampler::new(1, 8);
-        deliver(&mut t, 100);
+        let mut t = TimeSeriesSampler::default();
+        relay(&mut t, &mut Stats::new(2), steps);
         assert_eq!(s.samples(), t.samples());
         assert_eq!(s.stride(), t.stride());
     }
 
     #[test]
     fn sampler_phase_follows_construction_markers() {
-        let mut s = TimeSeriesSampler::new(1, 64);
+        let stride = TimeSeriesSampler::STRIDE;
+        let (mut s, mut stats) = (TimeSeriesSampler::new(), Stats::new(2));
+        s.on_marker(marker(PhaseEvent::ConstructionStart), 0);
+        relay(&mut s, &mut stats, 2 * stride - 1);
+        // The step that ends the construction emits its marker before the
+        // step ends, so its own sample is already online.
+        stats.delivered_total += 1;
         s.on_marker(
-            PhaseMarker {
-                node: NodeId(0),
-                event: PhaseEvent::ConstructionStart,
-            },
-            0,
+            marker(PhaseEvent::ConstructionQuiescence),
+            stats.delivered_total,
         );
-        deliver(&mut s, 2);
-        s.on_marker(
-            PhaseMarker {
-                node: NodeId(0),
-                event: PhaseEvent::ConstructionQuiescence,
-            },
-            2,
-        );
-        let (a, b) = (NodeId(0), NodeId(1));
-        s.on_send(a, b, 8, 1, 1);
-        s.on_deliver(a, b, 8, 3, 0);
+        s.on_step_end(&stats, 1);
+        relay(&mut s, &mut stats, stride);
         let phases: Vec<u8> = s.samples().iter().map(|x| x.phase).collect();
-        assert_eq!(phases, vec![1, 1, 0]);
+        assert_eq!(phases, vec![1, 0, 0]);
     }
 
     #[test]
-    fn sampler_counts_drops_without_sampling_them() {
-        let mut s = TimeSeriesSampler::new(1, 64);
-        s.on_send(NodeId(0), NodeId(1), 8, 1, 1);
-        s.on_drop(NodeId(0), NodeId(1), 0);
+    fn sampler_reads_the_counters_where_the_step_ends() {
+        let mut s = TimeSeriesSampler::new();
+        let mut stats = Stats::new(2);
+        stats.sent_total = 70;
+        stats.dropped_total = 2;
+        stats.max_link_depth = 3;
+        // Off the grid: no sample.
+        stats.delivered_total = TimeSeriesSampler::STRIDE - 1;
+        s.on_step_end(&stats, 5);
         assert!(s.samples().is_empty());
-        s.on_send(NodeId(0), NodeId(1), 8, 1, 1);
-        s.on_deliver(NodeId(0), NodeId(1), 8, 1, 0);
-        assert_eq!(s.samples()[0].dropped, 1);
-        assert_eq!(s.samples()[0].sent, 2);
+        stats.delivered_total = TimeSeriesSampler::STRIDE;
+        s.on_step_end(&stats, 4);
+        assert_eq!(
+            s.samples(),
+            [Sample {
+                deliveries: 64,
+                inflight: 4,
+                sent: 70,
+                dropped: 2,
+                max_link_depth: 3,
+                phase: 0,
+            }]
+        );
     }
 
     #[test]
@@ -663,7 +658,6 @@ mod tests {
         p.on_deliver(NodeId(0), NodeId(2), 16, 3, 0);
         assert_eq!(p.construction_span(NodeId(0)).sends, 1);
         assert_eq!(p.online_span(NodeId(0)).sends, 1);
-        assert_eq!(p.online_span(NodeId(0)).send_bits, 16);
         assert_eq!(p.online_span(NodeId(1)).deliveries, 2);
         assert_eq!(p.online_since(NodeId(0)), 2);
         assert!(!p.still_constructing(NodeId(0)));
@@ -678,21 +672,14 @@ mod tests {
 
     #[test]
     fn profiler_marker_log_is_bounded() {
-        let mut p = SpanProfiler {
-            marker_capacity: 4,
-            ..SpanProfiler::default()
-        };
-        for i in 0..10u64 {
-            p.on_marker(
-                PhaseMarker {
-                    node: NodeId(0),
-                    event: PhaseEvent::OnlineWindow,
-                },
-                i,
-            );
+        // Both constructors keep the same bound.
+        for mut p in [SpanProfiler::new(), SpanProfiler::default()] {
+            for i in 0..DEFAULT_MARKER_CAPACITY as u64 + 6 {
+                p.on_marker(marker(PhaseEvent::OnlineWindow), i);
+            }
+            assert_eq!(p.markers().len(), DEFAULT_MARKER_CAPACITY);
+            assert_eq!(p.markers_dropped(), 6);
         }
-        assert_eq!(p.markers().len(), 4);
-        assert_eq!(p.markers_dropped(), 6);
     }
 
     #[test]
@@ -735,12 +722,15 @@ mod tests {
 
     #[test]
     fn tuple_observer_drives_both_sides() {
-        let mut pair = (TimeSeriesSampler::new(1, 8), SpanProfiler::new());
+        let mut pair = (TimeSeriesSampler::new(), SpanProfiler::new());
         pair.on_attach(2, 2);
         pair.on_send(NodeId(0), NodeId(1), 8, 1, 1);
         pair.on_deliver(NodeId(0), NodeId(1), 8, 1, 0);
-        assert_eq!(pair.0.samples().len(), 1);
         assert_eq!(pair.1.online_span(NodeId(1)).deliveries, 1);
+        let mut stats = Stats::new(2);
+        stats.delivered_total = TimeSeriesSampler::STRIDE;
+        pair.on_step_end(&stats, 0);
+        assert_eq!(pair.0.samples().len(), 1);
         const { assert!(<(TimeSeriesSampler, SpanProfiler) as Observer>::ENABLED) };
         const { assert!(!NullObserver::ENABLED) };
     }

@@ -327,6 +327,8 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
     /// model either rewrites it (alteration) or deletes it (deletion-side
     /// adversaries only), and — if it survives — the receiving reactor runs
     /// and its sends are queued. Returns `false` if nothing was in flight.
+    /// A delivery's step ends with [`Observer::on_step_end`]; a deletion's
+    /// does not.
     ///
     /// A [`PulseReactor`](crate::PulseReactor) cannot read content, so for
     /// one the noise model only decides whether the message survives
@@ -362,27 +364,28 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
             self.record_delivery(&env);
             let pulse = Payload::pulse();
             self.react(env.to, |node, ctx| node.on_message(env.from, &pulse, ctx))?;
-            return Ok(true);
+        } else {
+            let Some(delivered_payload) = self.noise.deliver(&env) else {
+                self.record_drop(&env);
+                return Ok(true);
+            };
+            debug_assert!(
+                !delivered_payload.is_empty(),
+                "noise must not deliver empty payloads"
+            );
+            self.record_delivery(&env);
+            if let Some(t) = &mut self.transcript {
+                t.push(TranscriptEvent::Delivered {
+                    from: env.from,
+                    to: env.to,
+                    payload: delivered_payload.clone(),
+                });
+            }
+            self.react(env.to, |node, ctx| {
+                node.on_message(env.from, &delivered_payload, ctx);
+            })?;
         }
-        let Some(delivered_payload) = self.noise.deliver(&env) else {
-            self.record_drop(&env);
-            return Ok(true);
-        };
-        debug_assert!(
-            !delivered_payload.is_empty(),
-            "noise must not deliver empty payloads"
-        );
-        self.record_delivery(&env);
-        if let Some(t) = &mut self.transcript {
-            t.push(TranscriptEvent::Delivered {
-                from: env.from,
-                to: env.to,
-                payload: delivered_payload.clone(),
-            });
-        }
-        self.react(env.to, |node, ctx| {
-            node.on_message(env.from, &delivered_payload, ctx);
-        })?;
+        self.observer.on_step_end(&self.stats, self.links.total());
         Ok(true)
     }
 
@@ -556,9 +559,6 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
         let inflight = self.links.total();
         self.stats
             .record_queue_depth(from, to, depth as u64, inflight as u64);
-        if depth == 1 {
-            self.observer.on_link_activation(link, from, to);
-        }
         self.observer.on_send(from, to, bits, depth, inflight);
         Ok(())
     }
@@ -952,7 +952,7 @@ mod tests {
             sends: u64,
             delivers: u64,
             drops: u64,
-            activations: u64,
+            step_ends: u64,
             last_inflight: usize,
         }
         impl Observer for Recorder {
@@ -972,9 +972,6 @@ mod tests {
                 self.sends += 1;
                 self.last_inflight = inflight;
             }
-            fn on_link_activation(&mut self, _l: crate::LinkId, _f: NodeId, _t: NodeId) {
-                self.activations += 1;
-            }
             fn on_deliver(
                 &mut self,
                 _f: NodeId,
@@ -992,6 +989,17 @@ mod tests {
                 self.drops += 1;
             }
             fn on_marker(&mut self, _m: PhaseMarker, _deliveries: u64) {}
+            fn on_step_end(&mut self, stats: &Stats, inflight: usize) {
+                // One call per delivery, after the receiver's sends.
+                self.step_ends += 1;
+                assert_eq!(stats.delivered_total, self.delivers);
+                assert_eq!(stats.sent_total, self.sends);
+                assert_eq!(
+                    stats.sent_total,
+                    stats.delivered_total + stats.dropped_total + inflight as u64
+                );
+                assert_eq!(inflight, self.last_inflight);
+            }
         }
 
         let mut sim = ring_sim(5).with_observer(Recorder::default());
@@ -1000,12 +1008,11 @@ mod tests {
         assert_eq!(rec.attached, Some((5, 10)));
         assert_eq!(rec.sends, sim.stats().sent_total);
         assert_eq!(rec.delivers, sim.stats().delivered_total);
+        assert_eq!(rec.step_ends, rec.delivers);
         assert_eq!(rec.drops, 0);
-        // A single token: every send re-activates an empty link.
-        assert_eq!(rec.activations, rec.sends);
         assert_eq!(rec.last_inflight, 0);
 
-        // Drops are observed too.
+        // Drops are observed too, and their steps do not end in the hook.
         use crate::noise::Omission;
         let mut sim = ring_sim(5)
             .with_noise(Omission::new(1000, 3))
@@ -1014,6 +1021,7 @@ mod tests {
         assert_eq!(sim.observer().drops, 1);
         let rec = sim.into_observer();
         assert_eq!(rec.sends, 1);
+        assert_eq!(rec.step_ends, 0);
     }
 
     #[test]

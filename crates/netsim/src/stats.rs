@@ -34,27 +34,16 @@ pub struct Stats {
     /// instant of the run (queue-depth observability of the link-indexed
     /// event core).
     pub max_inflight: u64,
-    /// Per-directed-link counters: one row per sending node (indexed by node
-    /// id, grown on demand), each sorted by receiver, with one entry per
-    /// directed link used so far. A lookup is one index plus a binary search
-    /// over at most the sender's degree.
-    links: Vec<Vec<LinkCounts>>,
+    /// High-water mark of any single directed link's FIFO queue depth at
+    /// any instant of the run.
+    pub max_link_depth: u64,
+    /// Messages sent per directed link: one row per sending node (indexed
+    /// by node id, grown on demand) of `(receiver, sends)` entries sorted by
+    /// receiver, one per directed link used so far. A lookup is one index
+    /// plus a binary search over at most the sender's degree.
+    links: Vec<Vec<(NodeId, u64)>>,
     /// Messages sent per node (indexed by node id).
     pub per_node_sent: Vec<u64>,
-}
-
-/// The counters of one used directed link, in its sender's row of
-/// [`Stats`].
-#[derive(Debug, Clone, Copy)]
-struct LinkCounts {
-    /// The receiving node.
-    to: NodeId,
-    /// Messages sent over the link.
-    sent: u64,
-    /// The link's FIFO queue-depth high-water mark, once a depth has been
-    /// recorded. Cumulative over the whole run, like
-    /// [`Stats::max_inflight`].
-    high_water: Option<u64>,
 }
 
 impl PartialEq for Stats {
@@ -79,7 +68,7 @@ impl Stats {
     pub fn record_send(&mut self, env: &Envelope) {
         self.sent_total += 1;
         self.bits_sent += env.bits();
-        self.link_mut(env.from, env.to).sent += 1;
+        *self.sent_on_link(env.from, env.to) += 1;
         if let Some(slot) = self.per_node_sent.get_mut(env.from.index()) {
             *slot += 1;
         }
@@ -96,67 +85,34 @@ impl Stats {
     }
 
     /// Records the queue depth observed right after an enqueue: `link_depth`
-    /// messages on the directed link `from -> to`, `total_inflight` across
-    /// the whole network. Maintains the high-water marks.
+    /// messages on the link that took the message, `total_inflight` across
+    /// the whole network. Maintains the two high-water marks; which link it
+    /// was does not matter to them.
     pub fn record_queue_depth(
         &mut self,
-        from: NodeId,
-        to: NodeId,
+        _from: NodeId,
+        _to: NodeId,
         link_depth: u64,
         total_inflight: u64,
     ) {
         self.max_inflight = self.max_inflight.max(total_inflight);
-        let hw = &mut self.link_mut(from, to).high_water;
-        *hw = Some(hw.map_or(link_depth, |mark| mark.max(link_depth)));
+        self.max_link_depth = self.max_link_depth.max(link_depth);
     }
 
-    /// The counters of the directed link `from -> to`, inserted zeroed on
+    /// The send count of the directed link `from -> to`, inserted zeroed on
     /// first use.
-    fn link_mut(&mut self, from: NodeId, to: NodeId) -> &mut LinkCounts {
+    fn sent_on_link(&mut self, from: NodeId, to: NodeId) -> &mut u64 {
         if from.index() >= self.links.len() {
             self.links.resize_with(from.index() + 1, Vec::new);
         }
         let row = &mut self.links[from.index()];
         let at = row
-            .binary_search_by_key(&to, |link| link.to)
+            .binary_search_by_key(&to, |&(receiver, _)| receiver)
             .unwrap_or_else(|at| {
-                let fresh = LinkCounts {
-                    to,
-                    sent: 0,
-                    high_water: None,
-                };
-                row.insert(at, fresh);
+                row.insert(at, (to, 0));
                 at
             });
-        &mut row[at]
-    }
-
-    /// The row of links sent from node index `from` (empty if unused).
-    fn row(&self, from: usize) -> &[LinkCounts] {
-        self.links.get(from).map_or(&[], Vec::as_slice)
-    }
-
-    /// Every used directed link with its counters, in `(from, to)` order.
-    fn link_counts(&self) -> impl Iterator<Item = (NodeId, &LinkCounts)> + '_ {
-        self.links.iter().enumerate().flat_map(|(from, row)| {
-            let from = NodeId(u32::try_from(from).expect("node ids fit in u32"));
-            row.iter().map(move |link| (from, link))
-        })
-    }
-
-    /// Messages sent by a specific node.
-    pub fn sent_by(&self, node: NodeId) -> u64 {
-        self.per_node_sent.get(node.index()).copied().unwrap_or(0)
-    }
-
-    /// Messages sent over a specific undirected edge (both directions).
-    pub fn sent_on_edge(&self, e: Edge) -> u64 {
-        sent_to(self.row(e.lo().index()), e.hi()) + sent_to(self.row(e.hi().index()), e.lo())
-    }
-
-    /// The maximum number of messages sent by any single node.
-    pub fn max_sent_by_node(&self) -> u64 {
-        self.per_node_sent.iter().copied().max().unwrap_or(0)
+        &mut row[at].1
     }
 
     /// Freezes the counters into a cheap, ordered, aggregation-friendly
@@ -164,30 +120,23 @@ impl Stats {
     /// of equal runs are equal values and serialize identically).
     pub fn snapshot(&self) -> StatsSnapshot {
         let mut per_edge: BTreeMap<Edge, u64> = BTreeMap::new();
-        for (from, link) in self.link_counts().filter(|(_, link)| link.sent > 0) {
-            *per_edge.entry(Edge::new(from, link.to)).or_insert(0) += link.sent;
+        for (from, row) in self.links.iter().enumerate() {
+            let from = NodeId(u32::try_from(from).expect("node ids fit in u32"));
+            for &(to, sent) in row {
+                *per_edge.entry(Edge::new(from, to)).or_insert(0) += sent;
+            }
         }
-        let per_link_high_water = self
-            .link_counts()
-            .filter_map(|(from, link)| Some(((from, link.to), link.high_water?)))
-            .collect();
         StatsSnapshot {
             sent_total: self.sent_total,
             delivered_total: self.delivered_total,
             dropped_total: self.dropped_total,
             bits_sent: self.bits_sent,
             max_inflight: self.max_inflight,
+            max_link_depth: self.max_link_depth,
             per_node_sent: self.per_node_sent.clone(),
             per_edge_sent: per_edge.into_iter().collect(),
-            per_link_high_water,
         }
     }
-}
-
-/// Messages sent to `to` in one sender's row of [`Stats`].
-fn sent_to(row: &[LinkCounts], to: NodeId) -> u64 {
-    row.binary_search_by_key(&to, |link| link.to)
-        .map_or(0, |at| row[at].sent)
 }
 
 /// A frozen, ordered view of a [`Stats`] at one instant.
@@ -210,28 +159,19 @@ pub struct StatsSnapshot {
     pub bits_sent: u64,
     /// High-water mark of messages simultaneously in flight (run-cumulative).
     pub max_inflight: u64,
+    /// High-water mark of any single directed link's FIFO queue depth
+    /// (run-cumulative).
+    pub max_link_depth: u64,
     /// Messages sent per node (indexed by node id).
     pub per_node_sent: Vec<u64>,
     /// Messages sent per undirected edge, sorted by edge.
     pub per_edge_sent: Vec<(Edge, u64)>,
-    /// Per-directed-link FIFO queue-depth high-water marks, sorted by link
-    /// (run-cumulative).
-    pub per_link_high_water: Vec<((NodeId, NodeId), u64)>,
 }
 
 impl StatsSnapshot {
     /// The maximum number of messages sent by any single node.
     pub fn max_sent_by_node(&self) -> u64 {
         self.per_node_sent.iter().copied().max().unwrap_or(0)
-    }
-
-    /// The deepest per-link FIFO queue observed at any instant of the run.
-    pub fn max_link_high_water(&self) -> u64 {
-        self.per_link_high_water
-            .iter()
-            .map(|&(_, c)| c)
-            .max()
-            .unwrap_or(0)
     }
 
     /// The heaviest per-edge load (messages on the busiest edge).
@@ -257,6 +197,10 @@ mod tests {
         }
     }
 
+    fn edge(a: u32, b: u32) -> Edge {
+        Edge::new(NodeId(a), NodeId(b))
+    }
+
     #[test]
     fn record_and_query() {
         let mut s = Stats::new(3);
@@ -267,19 +211,19 @@ mod tests {
         assert_eq!(s.sent_total, 3);
         assert_eq!(s.delivered_total, 1);
         assert_eq!(s.bits_sent, 32);
-        assert_eq!(s.sent_by(NodeId(1)), 2);
-        assert_eq!(s.sent_by(NodeId(9)), 0);
-        assert_eq!(s.sent_on_edge(Edge::new(NodeId(0), NodeId(1))), 2);
-        assert_eq!(s.sent_on_edge(Edge::new(NodeId(0), NodeId(2))), 0);
-        assert_eq!(s.max_sent_by_node(), 2);
+        assert_eq!(s.per_node_sent, vec![1, 2, 0]);
+        let snap = s.snapshot();
+        assert_eq!(snap.per_edge_sent, vec![(edge(0, 1), 2), (edge(1, 2), 1)]);
+        assert_eq!(snap.max_sent_by_node(), 2);
+        assert_eq!(snap.max_sent_on_edge(), 2);
     }
 
     #[test]
     fn default_is_zero() {
-        let s = Stats::default();
-        assert_eq!(s.sent_total, 0);
-        assert_eq!(s.dropped_total, 0);
-        assert_eq!(s.max_sent_by_node(), 0);
+        let snap = Stats::default().snapshot();
+        assert_eq!(snap, StatsSnapshot::default());
+        assert_eq!(snap.max_sent_by_node(), 0);
+        assert_eq!(snap.max_sent_on_edge(), 0);
     }
 
     #[test]
@@ -318,86 +262,31 @@ mod tests {
     #[test]
     fn queue_depth_high_water_marks() {
         let mut s = Stats::new(3);
-        assert_eq!(s.max_inflight, 0);
+        assert_eq!((s.max_inflight, s.max_link_depth), (0, 0));
         s.record_queue_depth(NodeId(0), NodeId(1), 1, 1);
         s.record_queue_depth(NodeId(0), NodeId(1), 2, 2);
         s.record_queue_depth(NodeId(1), NodeId(0), 1, 3);
         // Depths later shrink; the marks do not.
         s.record_queue_depth(NodeId(0), NodeId(1), 1, 1);
-        assert_eq!(s.max_inflight, 3);
+        assert_eq!((s.max_inflight, s.max_link_depth), (3, 2));
         let snap = s.snapshot();
-        assert_eq!(snap.max_inflight, 3);
-        assert_eq!(
-            snap.per_link_high_water,
-            vec![((NodeId(0), NodeId(1)), 2), ((NodeId(1), NodeId(0)), 1),]
-        );
-        assert_eq!(snap.max_link_high_water(), 2);
+        assert_eq!((snap.max_inflight, snap.max_link_depth), (3, 2));
     }
 
-    #[test]
-    fn per_link_high_water_serializes_order_independently() {
-        // The same observations arriving in different orders must give
-        // equal values: every render/serialize path goes through the
-        // snapshot, and two snapshots of order-permuted stats must be equal
-        // AND byte-identical when formatted, whatever order the live
-        // counters were filled in.
-        let obs = [
-            ((3u32, 2u32), 5u64),
-            ((0, 1), 2),
-            ((2, 3), 4),
-            ((1, 0), 1),
-            ((0, 3), 7),
-        ];
-        let mut a = Stats::new(4);
-        for &((f, t), d) in &obs {
-            a.record_queue_depth(NodeId(f), NodeId(t), d, d);
-        }
-        let mut b = Stats::new(4);
-        for &((f, t), d) in obs.iter().rev() {
-            b.record_queue_depth(NodeId(f), NodeId(t), d, d);
-        }
-        let (sa, sb) = (a.snapshot(), b.snapshot());
-        assert_eq!(sa, sb);
-        assert_eq!(format!("{sa:?}"), format!("{sb:?}"));
-        // Serializing twice is also stable byte for byte.
-        assert_eq!(format!("{sa:?}"), format!("{:?}", a.snapshot()));
-        // And the order is the canonical (from, to).
-        let links: Vec<(NodeId, NodeId)> = sa.per_link_high_water.iter().map(|&(l, _)| l).collect();
-        let mut sorted = links.clone();
-        sorted.sort_unstable();
-        assert_eq!(links, sorted);
-        assert_eq!(sa.max_link_high_water(), 7);
-    }
-
-    /// The two maps `Stats` kept before its per-link rows, as a reference:
-    /// sends per undirected edge and the high-water mark per directed link.
+    /// The map `Stats` kept before its per-link rows, as a reference: sends
+    /// per undirected edge, plus the deepest queue seen.
     #[derive(Clone, Default)]
     struct MapModel {
         per_edge_sent: BTreeMap<Edge, u64>,
-        per_link_high_water: BTreeMap<(NodeId, NodeId), u64>,
+        max_link_depth: u64,
     }
 
     impl MapModel {
-        fn record_send(&mut self, from: NodeId, to: NodeId) {
-            *self.per_edge_sent.entry(Edge::new(from, to)).or_insert(0) += 1;
-        }
-
-        fn record_queue_depth(&mut self, from: NodeId, to: NodeId, depth: u64) {
-            let hw = self.per_link_high_water.entry((from, to)).or_insert(0);
-            *hw = (*hw).max(depth);
-        }
-
-        fn assert_agrees(&self, stats: &Stats, edges: &[Edge]) {
+        fn assert_agrees(&self, stats: &Stats) {
             let snap = stats.snapshot();
             let per_edge: Vec<(Edge, u64)> = self.per_edge_sent.clone().into_iter().collect();
             assert_eq!(snap.per_edge_sent, per_edge);
-            let per_link: Vec<((NodeId, NodeId), u64)> =
-                self.per_link_high_water.clone().into_iter().collect();
-            assert_eq!(snap.per_link_high_water, per_link);
-            for &e in edges {
-                let expected = self.per_edge_sent.get(&e).copied().unwrap_or(0);
-                assert_eq!(stats.sent_on_edge(e), expected, "edge {e:?}");
-            }
+            assert_eq!(snap.max_link_depth, self.max_link_depth);
         }
     }
 
@@ -415,10 +304,6 @@ mod tests {
         // A 4-cycle with a chord, plus two edges past node 3: beyond `n` for
         // `Stats::new(4)`, and every id is beyond `n` for `Stats::default()`.
         let pairs = [(0u32, 1u32), (1, 2), (2, 3), (3, 0), (0, 2), (5, 9), (9, 2)];
-        let edges: Vec<Edge> = pairs
-            .iter()
-            .map(|&(a, b)| Edge::new(NodeId(a), NodeId(b)))
-            .collect();
         for seed in 0..24u64 {
             for mut stats in [Stats::new(4), Stats::default()] {
                 let mut state = seed;
@@ -439,16 +324,16 @@ mod tests {
                             payload: vec![0].into(),
                             seq: step,
                         });
-                        model.record_send(from, to);
+                        *model.per_edge_sent.entry(Edge::new(from, to)).or_insert(0) += 1;
                     } else {
                         let depth = (draw >> 10) & 7;
                         stats.record_queue_depth(from, to, depth, depth);
-                        model.record_queue_depth(from, to, depth);
+                        model.max_link_depth = model.max_link_depth.max(depth);
                     }
                 }
-                model.assert_agrees(&stats, &edges);
+                model.assert_agrees(&stats);
                 let (stats_then, model_then) = midway.expect("copy taken mid-run");
-                model_then.assert_agrees(&stats_then, &edges);
+                model_then.assert_agrees(&stats_then);
             }
         }
     }
