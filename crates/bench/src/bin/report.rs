@@ -18,17 +18,12 @@
 //! deletion-noise frontier (success must collapse under every deletion
 //! adversary and stay at 100% under full corruption).
 
-#![expect(
-    clippy::print_stdout,
-    clippy::print_stderr,
-    reason = "D5: the experiment-table binary prints its tables, and its usage line on stderr"
-)]
-
 use std::process::ExitCode;
 
 use fdn_graph::GraphFamily;
 use fdn_lab::{
-    run_campaign, Caches, Campaign, CampaignReport, EncodingSpec, EngineMode, SeedRange,
+    errln, outln, run_campaign, Caches, Campaign, CampaignReport, EncodingSpec, EngineMode,
+    SeedRange,
 };
 use fdn_netsim::{NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
@@ -50,7 +45,7 @@ fn flood_payload(workload: &str) -> usize {
 }
 
 fn e1_unary_simple_cycle() -> bool {
-    println!("\n## E1 — Lemma 7: unary overhead over a simple cycle (campaign: cycle x unary)\n");
+    outln!("\n## E1 — Lemma 7: unary overhead over a simple cycle (campaign: cycle x unary)\n");
     let mut c = Campaign::preset("quick").expect("preset");
     c.name = "e1".into();
     c.families = vec![
@@ -67,25 +62,23 @@ fn e1_unary_simple_cycle() -> bool {
     // Unary runs on cycle(8) need ~5M deliveries; keep clear of the limit.
     c.max_steps = 20_000_000;
     let report = run(&c);
-    println!("| n (cycle) | payload bytes | message bits | pulses p50 | pulses / 2^bits |");
-    println!("|---|---|---|---|---|");
+    outln!("| n (cycle) | payload bytes | message bits | pulses p50 | pulses / 2^bits |");
+    outln!("|---|---|---|---|---|");
     for cell in &report.cells {
         let bits = 2 * 8; // 0-byte payload + 2 header bytes
-        println!(
+        outln!(
             "| {} | 0 | {bits} | {:.0} | {:.3} |",
             cell.nodes,
             cell.pulses.p50,
             cell.pulses.p50 / 2f64.powi(bits),
         );
     }
-    println!("\n(unary cost ~ n * 2^|M|; payloads beyond a couple of bytes are infeasible, which is the Lemma 7 point)");
+    outln!("\n(unary cost ~ n * 2^|M|; payloads beyond a couple of bytes are infeasible, which is the Lemma 7 point)");
     true
 }
 
 fn e2_binary_simple_cycle() -> bool {
-    println!(
-        "\n## E2 — Lemma 9: binary overhead over a simple cycle (campaign: cycle x payload)\n"
-    );
+    outln!("\n## E2 — Lemma 9: binary overhead over a simple cycle (campaign: cycle x payload)\n");
     let mut c = Campaign::preset("quick").expect("preset");
     c.name = "e2".into();
     c.families = vec![
@@ -108,24 +101,24 @@ fn e2_binary_simple_cycle() -> bool {
         count: 3,
     };
     let report = run(&c);
-    println!("| n (cycle) | payload bytes | pulses/message p50 | per-message / (n * bits) |");
-    println!("|---|---|---|---|");
+    outln!("| n (cycle) | payload bytes | pulses/message p50 | per-message / (n * bits) |");
+    outln!("|---|---|---|---|");
     for cell in &report.cells {
         let payload = flood_payload(&cell.workload);
         let bits = ((payload + 2) * 8) as f64;
         let per_message = cell.overhead.expect("flood(k>0) has a baseline").p50;
-        println!(
+        outln!(
             "| {} | {payload} | {per_message:.1} | {:.3} |",
             cell.nodes,
             per_message / (cell.nodes as f64 * bits),
         );
     }
-    println!("\n(the last column is roughly constant: cost = O(n·|m| + n log n), Lemma 9)");
+    outln!("\n(the last column is roughly constant: cost = O(n·|m| + n log n), Lemma 9)");
     true
 }
 
 fn e3_robbins_overhead() -> bool {
-    println!("\n## E3 — Lemmas 13/14: overhead over non-simple Robbins cycles\n");
+    outln!("\n## E3 — Lemmas 13/14: overhead over non-simple Robbins cycles\n");
     let mut c = Campaign::preset("quick").expect("preset");
     c.name = "e3".into();
     c.families = vec![
@@ -150,13 +143,13 @@ fn e3_robbins_overhead() -> bool {
     c.schedulers = vec![SchedulerSpec::Random];
     c.seeds = SeedRange { start: 5, count: 3 };
     let report = run(&c);
-    println!("| graph | n | \\|C\\| | payload bytes | pulses/message p50 | per-message / (\\|C\\| * bits) |");
-    println!("|---|---|---|---|---|---|");
+    outln!("| graph | n | \\|C\\| | payload bytes | pulses/message p50 | per-message / (\\|C\\| * bits) |");
+    outln!("|---|---|---|---|---|---|");
     for cell in &report.cells {
         let payload = flood_payload(&cell.workload);
         let bits = ((payload + 2) * 8) as f64;
         let per_message = cell.overhead.expect("flood(k>0) has a baseline").p50;
-        println!(
+        outln!(
             "| {} | {} | {} | {payload} | {per_message:.1} | {:.3} |",
             cell.family,
             cell.nodes,
@@ -168,7 +161,7 @@ fn e3_robbins_overhead() -> bool {
 }
 
 fn e4_construction() -> bool {
-    println!("\n## E4 — Theorem 15 / Lemma 19: Robbins-cycle construction\n");
+    outln!("\n## E4 — Theorem 15 / Lemma 19: Robbins-cycle construction\n");
     let mut c = Campaign::preset("quick").expect("preset");
     c.name = "e4".into();
     c.families = vec![
@@ -206,12 +199,12 @@ fn e4_construction() -> bool {
     c.schedulers = vec![SchedulerSpec::Random];
     c.seeds = SeedRange { start: 9, count: 3 };
     let report = run(&c);
-    println!("| graph | n | m | \\|C\\| constructed p50 | \\|C\\| reference | \\|C\\| / n^2 | CCinit p50 | CCinit / n^8 log n |");
-    println!("|---|---|---|---|---|---|---|---|");
+    outln!("| graph | n | m | \\|C\\| constructed p50 | \\|C\\| reference | \\|C\\| / n^2 | CCinit p50 | CCinit / n^8 log n |");
+    outln!("|---|---|---|---|---|---|---|---|");
     for cell in &report.cells {
         let n = cell.nodes as f64;
         let bound = n.powi(8) * n.log2();
-        println!(
+        outln!(
             "| {} | {} | {} | {:.0} | {} | {:.3} | {:.0} | {:.2e} |",
             cell.family,
             cell.nodes,
@@ -223,14 +216,12 @@ fn e4_construction() -> bool {
             cell.cc_init.p50 / bound,
         );
     }
-    println!(
-        "\n(|C| stays far below the O(n^3) bound and CCinit far below the O(n^8 log n) bound)"
-    );
+    outln!("\n(|C| stays far below the O(n^3) bound and CCinit far below the O(n^8 log n) bound)");
     true
 }
 
 fn e5_equivalence() -> bool {
-    println!(
+    outln!(
         "\n## E5 — Theorems 4/10: workload equivalence sweep (success must be 100% everywhere)\n"
     );
     let mut c = Campaign::preset("quick").expect("preset");
@@ -261,7 +252,7 @@ fn e5_equivalence() -> bool {
 }
 
 fn e6_end_to_end() -> bool {
-    println!("\n## E6 — Theorem 2: end-to-end cost split (broadcast workload)\n");
+    outln!("\n## E6 — Theorem 2: end-to-end cost split (broadcast workload)\n");
     let mut c = Campaign::preset("quick").expect("preset");
     c.name = "e6".into();
     c.families = vec![
@@ -289,10 +280,10 @@ fn e6_end_to_end() -> bool {
         count: 3,
     };
     let report = run(&c);
-    println!("| graph | n | \\|C\\| p50 | CCinit p50 | online p50 | baseline messages | online pulses / baseline message |");
-    println!("|---|---|---|---|---|---|---|");
+    outln!("| graph | n | \\|C\\| p50 | CCinit p50 | online p50 | baseline messages | online pulses / baseline message |");
+    outln!("|---|---|---|---|---|---|---|");
     for cell in &report.cells {
-        println!(
+        outln!(
             "| {} | {} | {:.0} | {:.0} | {:.0} | {:.0} | {:.1} |",
             cell.family,
             cell.nodes,
@@ -307,7 +298,7 @@ fn e6_end_to_end() -> bool {
 }
 
 fn e7_robustness() -> bool {
-    println!(
+    outln!(
         "\n## E7 — robustness: noise x scheduler invariance (success must be 100% everywhere)\n"
     );
     let mut c = Campaign::preset("quick").expect("preset");
@@ -338,7 +329,7 @@ fn e7_robustness() -> bool {
 }
 
 fn e8_deletion_frontier() -> bool {
-    println!(
+    outln!(
         "\n## E8 — beyond the model: the deletion-noise frontier (the paper forbids deletion; \
          these adversaries chart where Theorem 2 breaks)\n"
     );
@@ -367,10 +358,10 @@ fn e8_deletion_frontier() -> bool {
         count: 5,
     };
     let report = run(&c);
-    println!("| graph | noise | success | quiescent | errors | dropped p50 | pulses p50 |");
-    println!("|---|---|---|---|---|---|---|");
+    outln!("| graph | noise | success | quiescent | errors | dropped p50 | pulses p50 |");
+    outln!("|---|---|---|---|---|---|---|");
     for cell in &report.cells {
-        println!(
+        outln!(
             "| {} | {} | {} | {} | {} | {:.0} | {:.0} |",
             cell.family,
             cell.noise,
@@ -391,12 +382,12 @@ fn e8_deletion_frontier() -> bool {
         }
     });
     if holds {
-        println!(
+        outln!(
             "\n(full-corruption rows stay at 100% — alteration alone is harmless, Theorem 2; \
              every deletion row shows the no-deletion assumption is load-bearing)"
         );
     } else {
-        println!(
+        outln!(
             "\n(verdict: FAILURES PRESENT — a full-corruption row lost success, or a deletion \
              row kept 100%)"
         );
@@ -407,8 +398,8 @@ fn e8_deletion_frontier() -> bool {
 /// Renders a correctness sweep: per-(noise, scheduler) success rates plus a
 /// verdict line. Returns whether every scenario succeeded and quiesced.
 fn summarize_correctness(report: &CampaignReport) -> bool {
-    println!("| noise | scheduler | cells | scenarios | success | quiescent |");
-    println!("|---|---|---|---|---|---|");
+    outln!("| noise | scheduler | cells | scenarios | success | quiescent |");
+    outln!("|---|---|---|---|---|---|");
     let mut keys: Vec<(String, String)> = Vec::new();
     for cell in &report.cells {
         let key = (cell.noise.clone(), cell.scheduler.clone());
@@ -436,13 +427,13 @@ fn summarize_correctness(report: &CampaignReport) -> bool {
             .sum::<f64>()
             / runs as f64;
         all_ok &= success == 1.0 && quiescent == 1.0;
-        println!(
+        outln!(
             "| {noise} | {scheduler} | {cells} | {runs} | {:.1}% | {:.1}% |",
             success * 100.0,
             quiescent * 100.0
         );
     }
-    println!(
+    outln!(
         "\n({} scenarios; verdict: {})",
         report.scenario_count,
         if all_ok {
@@ -480,14 +471,12 @@ fn main() -> ExitCode {
         .collect();
     if selected.is_empty() {
         let names: Vec<_> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
-        eprintln!("usage: report [{}|all]", names.join("|"));
+        errln!("usage: report [{}|all]", names.join("|"));
         return ExitCode::from(2);
     }
-    println!("# Measured reproduction of the paper's complexity claims");
-    println!("\n(every table is an `fdn-lab` campaign; re-run any row set with the CLI, e.g.");
-    println!(
-        "`cargo run -p fdn-lab --release -- run --families petersen --noises full-corruption`)"
-    );
+    outln!("# Measured reproduction of the paper's complexity claims");
+    outln!("\n(every table is an `fdn-lab` campaign; re-run any row set with the CLI, e.g.");
+    outln!("`cargo run -p fdn-lab --release -- run --families petersen --noises full-corruption`)");
     let mut verdicts_hold = true;
     for (_, experiment) in selected {
         verdicts_hold &= experiment();

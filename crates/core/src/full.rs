@@ -244,10 +244,9 @@ impl<P: InnerProtocol> FullSimulator<P> {
                     engine,
                     cycle: Arc::new(cycle),
                 };
-                // The quiescence marker sits after this event's construction
-                // sends (already in the outbox) and before any online send
-                // queued below, so an observer's per-phase send attribution
-                // agrees exactly with `construction_pulses`.
+                // The node is online from here on: the marker comes before
+                // the online phase's own (token, first window). Its pulses
+                // are split by the counters, not by the markers.
                 ctx.marker(PhaseEvent::ConstructionQuiescence);
                 // Release the inner protocol's messages buffered during the
                 // pre-processing phase.

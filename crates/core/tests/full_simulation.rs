@@ -5,7 +5,7 @@
 use fdn_core::full::full_simulators;
 use fdn_core::{CoreError, Encoding};
 use fdn_graph::{generators, Graph, NodeId};
-use fdn_netsim::{FullCorruption, RandomScheduler, Simulation};
+use fdn_netsim::{FullCorruption, Observer, PhaseEvent, PhaseMarker, RandomScheduler, Simulation};
 use fdn_protocols::util::{decode_u64, run_direct};
 use fdn_protocols::{EchoAggregate, FloodBroadcast, GossipAllToAll, MaxIdLeaderElection};
 
@@ -167,9 +167,18 @@ fn rejects_bad_root_and_oversized_graphs() {
     .is_err());
 }
 
+/// Logs every phase marker of a run, in emission order.
+#[derive(Default)]
+struct MarkerLog(Vec<PhaseMarker>);
+
+impl Observer for MarkerLog {
+    fn on_marker(&mut self, marker: PhaseMarker, _deliveries: u64) {
+        self.0.push(marker);
+    }
+}
+
 #[test]
-fn phase_markers_attribute_every_pulse_exactly() {
-    use fdn_netsim::{PhaseEvent, SpanProfiler};
+fn full_runs_mark_one_construction_start_and_end_per_node() {
     let g = generators::figure3();
     let value = vec![0xAB, 0xCD];
     let nodes = full_simulators(&g, NodeId(0), Encoding::binary(), |v| {
@@ -180,40 +189,38 @@ fn phase_markers_attribute_every_pulse_exactly() {
         .unwrap()
         .with_noise(FullCorruption::new(3))
         .with_scheduler(RandomScheduler::new(9))
-        .with_observer(SpanProfiler::new());
+        .with_observer(MarkerLog::default());
     sim.run().unwrap();
-    // The profiler's per-phase send attribution, driven purely by markers
-    // interleaved with sends, must agree with the reactors' own CCinit /
-    // online accounting — per node, not just in aggregate.
     for v in g.nodes() {
         let node = sim.node(v);
         assert!(node.is_online(), "node {v} never finished construction");
         assert_eq!(node.stage(), "online");
-        let prof = sim.observer();
-        assert_eq!(
-            prof.construction_span(v).sends,
-            node.construction_pulses(),
-            "construction attribution diverged at node {v}"
-        );
-        assert_eq!(
-            prof.online_span(v).sends,
-            node.online_pulses(),
-            "online attribution diverged at node {v}"
-        );
-        assert!(!prof.still_constructing(v));
     }
-    let events: Vec<PhaseEvent> = sim
-        .observer()
-        .markers()
-        .iter()
-        .map(|&(_, m)| m.event)
-        .collect();
+    let events: Vec<PhaseEvent> = sim.observer().0.iter().map(|m| m.event).collect();
     let count = |e: PhaseEvent| events.iter().filter(|&&x| x == e).count();
     assert_eq!(count(PhaseEvent::ConstructionStart), g.node_count());
     assert_eq!(count(PhaseEvent::ConstructionQuiescence), g.node_count());
     assert!(count(PhaseEvent::TokenAcquired) >= 1);
     assert!(count(PhaseEvent::OnlineWindow) >= 1);
     assert_eq!(count(PhaseEvent::ReplayWarmStart), 0);
+    // Every node starts its construction before it ends it.
+    for v in g.nodes() {
+        let of_node: Vec<PhaseEvent> = sim
+            .observer()
+            .0
+            .iter()
+            .filter(|m| m.node == v && m.event.is_construction())
+            .map(|m| m.event)
+            .collect();
+        assert_eq!(
+            of_node,
+            [
+                PhaseEvent::ConstructionStart,
+                PhaseEvent::ConstructionQuiescence
+            ],
+            "node {v}"
+        );
+    }
     // Exactly one node holds the token at quiescence.
     let holders = g.nodes().filter(|&v| sim.node(v).holds_token()).count();
     assert_eq!(holders, 1);
@@ -222,7 +229,6 @@ fn phase_markers_attribute_every_pulse_exactly() {
 #[test]
 fn replayed_runs_emit_warm_start_markers_and_no_construction_markers() {
     use fdn_core::{construction_simulators, replay_simulators, ConstructionCheckpoint};
-    use fdn_netsim::{PhaseEvent, SpanProfiler};
     let g = generators::figure3();
     let nodes = construction_simulators(&g, NodeId(0), Encoding::binary()).unwrap();
     let mut build = Simulation::new(g.clone(), nodes)
@@ -243,16 +249,11 @@ fn replayed_runs_emit_warm_start_markers_and_no_construction_markers() {
         .unwrap()
         .with_noise(FullCorruption::new(6))
         .with_scheduler(RandomScheduler::new(13))
-        .with_observer(SpanProfiler::new());
+        .with_observer(MarkerLog::default());
     sim.run().unwrap();
-    let events: Vec<(PhaseEvent, NodeId)> = sim
-        .observer()
-        .markers()
-        .iter()
-        .map(|&(_, m)| (m.event, m.node))
-        .collect();
-    // Replay never constructs: warm-start markers only, one per node, and
-    // every pulse is online traffic.
+    let events: Vec<(PhaseEvent, NodeId)> =
+        sim.observer().0.iter().map(|m| (m.event, m.node)).collect();
+    // Replay never constructs: warm-start markers only, one per node.
     assert!(events.iter().all(|&(e, _)| !e.is_construction()));
     let warm = events
         .iter()
@@ -263,18 +264,13 @@ fn replayed_runs_emit_warm_start_markers_and_no_construction_markers() {
     assert!(events
         .iter()
         .any(|&(e, v)| e == PhaseEvent::TokenAcquired && v == holder));
-    for v in g.nodes() {
-        let prof = sim.observer();
-        assert_eq!(prof.construction_span(v).sends, 0);
-        assert_eq!(prof.online_span(v).sends, sim.node(v).online_pulses());
-    }
 }
 
 #[test]
 fn cycle_mode_runs_emit_token_markers_and_no_construction_markers() {
     use fdn_core::cycle_simulators;
     use fdn_graph::robbins;
-    use fdn_netsim::{PhaseEvent, Reactor, SpanProfiler};
+    use fdn_netsim::Reactor;
     let g = generators::figure3();
     let cycle = robbins::reference_robbins_cycle(&g, NodeId(0)).unwrap();
     let value = vec![0x3C];
@@ -286,14 +282,9 @@ fn cycle_mode_runs_emit_token_markers_and_no_construction_markers() {
         .unwrap()
         .with_noise(FullCorruption::new(6))
         .with_scheduler(RandomScheduler::new(13))
-        .with_observer(SpanProfiler::new());
+        .with_observer(MarkerLog::default());
     sim.run().unwrap();
-    let events: Vec<PhaseEvent> = sim
-        .observer()
-        .markers()
-        .iter()
-        .map(|&(_, m)| m.event)
-        .collect();
+    let events: Vec<PhaseEvent> = sim.observer().0.iter().map(|m| m.event).collect();
     // The token circulates: nodes announce taking and passing it on, and
     // the broadcast opens online windows.
     assert!(events.contains(&PhaseEvent::TokenAcquired));
@@ -307,9 +298,6 @@ fn cycle_mode_runs_emit_token_markers_and_no_construction_markers() {
         let node = sim.node(v);
         assert_eq!(node.output(), Some(value.clone()), "node {v}");
         assert_eq!(node.construction_pulses(), 0);
-        let prof = sim.observer();
-        assert_eq!(prof.construction_span(v).sends, 0);
-        assert_eq!(prof.online_span(v).sends, node.online_pulses());
         assert!(node.online_pulses() > 0, "node {v} sent nothing");
     }
 }

@@ -73,6 +73,7 @@ pub mod presets;
 pub mod report;
 pub mod runner;
 pub mod spec;
+pub mod stdio;
 pub mod store;
 pub mod timing;
 pub mod trace;

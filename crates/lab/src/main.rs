@@ -2,20 +2,18 @@
 //! matrices, and re-render, merge and diff saved reports. `fdn-lab help`
 //! prints the usage.
 
-use std::fmt;
-use std::io::{self, Write as _};
+use std::io;
 use std::num::ParseIntError;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use fdn_graph::GraphFamily;
 use fdn_lab::{
-    diff_reports, merge_reports, run_campaign, run_trace, shard_slice, Caches, Campaign,
-    CampaignReport, CellTiming, CheckpointStore, DiffTolerance, Json, LabError, Shard, Stopwatch,
-    StoreStats,
+    diff_reports, errln, merge_reports, out, outln, run_campaign, run_trace, shard_slice, Caches,
+    Campaign, CampaignReport, CellTiming, CheckpointStore, DiffTolerance, Json, LabError, Shard,
+    Stopwatch, StoreStats,
 };
 use fdn_netsim::{NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
@@ -26,69 +24,6 @@ const EXIT_REGRESSION: i32 = 2;
 
 /// The largest seed a campaign may sweep: 2^53.
 const MAX_SEED: u64 = 1 << 53;
-
-/// Set once a write to stdout found the reading end of its pipe closed.
-static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
-
-/// Set once a write to stderr has failed.
-static STDERR_FAILED: AtomicBool = AtomicBool::new(false);
-
-/// Writes to stderr: every diagnostic the CLI prints goes through here (via
-/// [`errln!`]). A failed write, such as to a pipe whose reader has gone,
-/// is not an error: it and every later diagnostic are skipped, and the
-/// command ends with its own status.
-fn write_stderr(args: fmt::Arguments<'_>) {
-    if STDERR_FAILED.load(Ordering::Relaxed) {
-        return;
-    }
-    if io::stderr().lock().write_fmt(args).is_err() {
-        STDERR_FAILED.store(true, Ordering::Relaxed);
-    }
-}
-
-/// `eprintln!` through [`write_stderr`].
-macro_rules! errln {
-    ($($arg:tt)*) => {
-        write_stderr(format_args!("{}\n", format_args!($($arg)*)))
-    };
-}
-
-/// Writes to stdout through one locked handle: every report, summary and
-/// listing the CLI prints goes through here (via [`out!`] and [`outln!`]).
-/// A reader that closed the pipe (`fdn-lab report … | head`) is not an
-/// error: later writes are skipped, and the command finishes its work and
-/// exits with its own status. Any other write error ends the process with
-/// exit 1.
-fn write_stdout(args: fmt::Arguments<'_>) {
-    if STDOUT_CLOSED.load(Ordering::Relaxed) {
-        return;
-    }
-    let mut stdout = io::stdout().lock();
-    match stdout.write_fmt(args).and_then(|()| stdout.flush()) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
-            STDOUT_CLOSED.store(true, Ordering::Relaxed);
-        }
-        Err(e) => {
-            errln!("fdn-lab: cannot write to stdout: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `print!` through [`write_stdout`].
-macro_rules! out {
-    ($($arg:tt)*) => {
-        write_stdout(format_args!($($arg)*))
-    };
-}
-
-/// `println!` through [`write_stdout`].
-macro_rules! outln {
-    ($($arg:tt)*) => {
-        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
-    };
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -177,7 +112,7 @@ fn usage() -> String {
     \x20 --tol-pulses Y                  tolerated relative increase\n\
     \x20                                 of every statistic (min, mean, p50,\n\
     \x20                                 p95, max) of every cost field (pulses,\n\
-    \x20                                 bits, steps, cc_init, overhead, …;\n\
+    \x20                                 steps, cc_init, overhead, …;\n\
     \x20                                 0.1 = +10%) [default: 0]\n\
     \x20 --format md|json                delta report format [default: md]\n"
         .to_string()
@@ -601,7 +536,7 @@ fn cmd_trace(args: &[String]) -> Result<(), LabError> {
         ));
     }
     errln!(
-        "trace `{}`: first seed of every cell, observers attached",
+        "trace `{}`: first seed of every cell, probe attached",
         opts.campaign.name
     );
     let (report, elapsed) = opts.exec.execute(
@@ -633,10 +568,10 @@ fn cmd_trace(args: &[String]) -> Result<(), LabError> {
         outln!(
             "  {}: CCinit {}, online {}, {} sample(s), {} marker(s){}",
             trace.cell_id(),
-            trace.outcome.cc_init,
-            trace.outcome.online_pulses,
-            trace.sampler.samples().len(),
-            trace.profiler.markers().len(),
+            trace.outcome.cc_init(),
+            trace.outcome.online_pulses(),
+            trace.probe.samples().len(),
+            trace.probe.markers().len(),
             if trace.outcome.success {
                 ""
             } else {

@@ -214,8 +214,6 @@ pub struct CellReport {
     pub quiescence_rate: f64,
     /// Total pulses sent.
     pub pulses: MetricSummary,
-    /// Total payload bits sent.
-    pub bits: MetricSummary,
     /// Deliveries performed.
     pub steps: MetricSummary,
     /// Messages deleted in transit (0 under the paper's alteration-only
@@ -255,7 +253,7 @@ record! {
         first_scenario_index: note, nodes: exact, edges: exact, reference_cycle_len: exact,
         runs: note, errors: rise, baseline_errors: rise,
         construction_seed: note, success_rate: rate, quiescence_rate: rate, pulses: cost,
-        bits: cost, steps: cost, dropped: cost, cc_init: cost, online_pulses: cost,
+        steps: cost, dropped: cost, cc_init: cost, online_pulses: cost,
         max_node_pulses: cost, max_edge_pulses: cost, max_inflight: cost, cycle_len: cost,
         baseline_messages: cost, overhead: cost_if_both,
     } optional {
@@ -341,11 +339,10 @@ fn summarize_cell(group: &[ScenarioOutcome], cache: &TopologyCache) -> CellRepor
         success_rate: group.iter().filter(|o| o.success).count() as f64 / runs as f64,
         quiescence_rate: group.iter().filter(|o| o.quiescent).count() as f64 / runs as f64,
         pulses: metric(&|o| o.stats.sent_total as f64),
-        bits: metric(&|o| o.stats.bits_sent as f64),
         steps: metric(&|o| o.steps as f64),
         dropped: metric(&|o| o.stats.dropped_total as f64),
-        cc_init: metric(&|o| o.cc_init as f64),
-        online_pulses: metric(&|o| o.online_pulses as f64),
+        cc_init: metric(&|o| o.cc_init() as f64),
+        online_pulses: metric(&|o| o.online_pulses() as f64),
         max_node_pulses: metric(&|o| o.stats.max_sent_by_node() as f64),
         max_edge_pulses: metric(&|o| o.stats.max_sent_on_edge() as f64),
         max_inflight: metric(&|o| o.stats.max_inflight as f64),
@@ -656,7 +653,6 @@ pub(crate) fn plain_cell() -> CellReport {
         success_rate: 1.0,
         quiescence_rate: 1.0,
         pulses: MetricSummary::ZERO,
-        bits: MetricSummary::ZERO,
         steps: MetricSummary::ZERO,
         dropped: MetricSummary::ZERO,
         cc_init: MetricSummary::ZERO,

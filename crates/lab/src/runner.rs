@@ -49,13 +49,11 @@ pub struct ScenarioOutcome {
     pub steps: u64,
     /// Frozen communication counters of the simulated run.
     pub stats: StatsSnapshot,
-    /// Pulses spent in the construction phase (`CCinit`; 0 in cycle mode; in
-    /// replay mode the checkpoint's one-time cost, identical across seeds).
-    pub cc_init: u64,
-    /// Pulses spent in the online phase. With `cc_init` it splits the run's
-    /// sends exactly: `stats.sent_total` is `cc_init + online_pulses` in full
-    /// mode and `online_pulses` in cycle and replay mode.
-    pub online_pulses: u64,
+    /// Every node's `(construction, online)` pulses, indexed by node id, as
+    /// the node counted them; empty when the run could not be set up. The
+    /// construction share is the node's part of `CCinit`, whether it was
+    /// paid inside this simulation (full mode) or before it (replay mode).
+    pub node_pulses: Vec<(u64, u64)>,
     /// Messages of the noiseless direct baseline (0 when the workload cannot
     /// run directly **or** the baseline run failed — see
     /// [`baseline_error`](Self::baseline_error) for the difference).
@@ -72,11 +70,25 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
+    /// Pulses spent in the construction phase (`CCinit`; 0 in cycle mode; in
+    /// replay mode the checkpoint's one-time cost, identical across seeds).
+    pub fn cc_init(&self) -> u64 {
+        self.node_pulses.iter().map(|p| p.0).sum()
+    }
+
+    /// Pulses spent in the online phase. With [`cc_init`](Self::cc_init) it
+    /// splits the run's sends exactly: `stats.sent_total` is `cc_init() +
+    /// online_pulses()` in full mode and `online_pulses()` in cycle and
+    /// replay mode.
+    pub fn online_pulses(&self) -> u64 {
+        self.node_pulses.iter().map(|p| p.1).sum()
+    }
+
     /// Online pulses per baseline message (the paper's per-message overhead),
     /// if a baseline exists.
     pub fn overhead_ratio(&self) -> Option<f64> {
         (self.baseline_messages > 0)
-            .then(|| self.online_pulses as f64 / self.baseline_messages as f64)
+            .then(|| self.online_pulses() as f64 / self.baseline_messages as f64)
     }
 
     fn failed(scenario: Scenario, nodes: usize, edges: usize, error: String) -> Self {
@@ -90,8 +102,7 @@ impl ScenarioOutcome {
             cycle_len: 0,
             steps: 0,
             stats: StatsSnapshot::default(),
-            cc_init: 0,
-            online_pulses: 0,
+            node_pulses: Vec::new(),
             baseline_messages: 0,
             baseline_error: None,
             stall_diagnostic: None,
@@ -334,15 +345,15 @@ fn drive<O: Observer>(
             .find_map(|v| sim.node(v).error().map(ToString::to_string)),
         Err(e) => Some(e.to_string()),
     };
-    // A node's construction share is its part of `CCinit`, whether it was
-    // paid inside this simulation (full mode) or before it (replay); its
-    // online pulses are what it sent once online. Both are counted at the
-    // node, so the split is exact in every mode and in aborted runs.
-    let cc_init = graph
+    // Both shares are counted at the node, so the split is exact in every
+    // mode and in aborted runs.
+    let node_pulses = graph
         .nodes()
-        .map(|v| sim.node(v).construction_pulses())
-        .sum();
-    let online_pulses = graph.nodes().map(|v| sim.node(v).online_pulses()).sum();
+        .map(|v| {
+            let node = sim.node(v);
+            (node.construction_pulses(), node.online_pulses())
+        })
+        .collect();
     let cycle_len = sim
         .node(WorkloadSpec::ROOT)
         .cycle()
@@ -359,8 +370,7 @@ fn drive<O: Observer>(
         edges: edges_n,
         cycle_len,
         steps: stats.delivered_total,
-        cc_init,
-        online_pulses,
+        node_pulses,
         stats,
         baseline_messages: baseline.messages,
         baseline_error: baseline.error,
@@ -487,13 +497,13 @@ mod tests {
         assert_eq!(out.error, None);
         assert!(out.quiescent);
         assert!(out.success);
-        assert!(out.cc_init > 0, "construction spends pulses");
-        assert!(out.online_pulses > 0);
+        assert!(out.cc_init() > 0, "construction spends pulses");
+        assert!(out.online_pulses() > 0);
         assert!(out.baseline_messages > 0);
         assert_eq!(out.baseline_error, None);
         assert_eq!(out.nodes, 5);
         assert_eq!(out.cycle_len, 8);
-        assert_eq!(out.stats.sent_total, out.cc_init + out.online_pulses);
+        assert_eq!(out.stats.sent_total, out.cc_init() + out.online_pulses());
         assert!(out.overhead_ratio().unwrap() > 1.0);
     }
 
@@ -504,8 +514,8 @@ mod tests {
         let out = run_scenario(scenario(cell, 7));
         assert_eq!(out.error, None);
         assert!(out.success);
-        assert_eq!(out.cc_init, 0);
-        assert_eq!(out.online_pulses, out.stats.sent_total);
+        assert_eq!(out.cc_init(), 0);
+        assert_eq!(out.online_pulses(), out.stats.sent_total);
         assert!(out.cycle_len >= 6);
     }
 
@@ -519,11 +529,11 @@ mod tests {
             let out = run_scenario_with(&caches, scenario_with_construction(cell, seed, 7));
             assert_eq!(out.error, None, "seed {seed}");
             assert!(out.quiescent && out.success, "seed {seed}");
-            assert!(out.cc_init > 0);
+            assert!(out.cc_init() > 0);
             // The simulation's own traffic is purely online: no subtraction.
-            assert_eq!(out.online_pulses, out.stats.sent_total);
-            assert!(out.online_pulses > 0);
-            cc_inits.push(out.cc_init);
+            assert_eq!(out.online_pulses(), out.stats.sent_total);
+            assert!(out.online_pulses() > 0);
+            cc_inits.push(out.cc_init());
         }
         // One construction, one cc_init, shared by the whole seed range.
         assert!(cc_inits.windows(2).all(|w| w[0] == w[1]));
@@ -543,7 +553,7 @@ mod tests {
             let mut cell = base_cell();
             cell.mode = EngineMode::Replay;
             let replay = run_scenario_with(&caches, scenario_with_construction(cell, seed, seed));
-            assert_eq!(replay.cc_init, full.cc_init, "seed {seed}");
+            assert_eq!(replay.cc_init(), full.cc_init(), "seed {seed}");
             assert_eq!(replay.cycle_len, full.cycle_len, "seed {seed}");
             assert!(full.success && replay.success);
         }
@@ -660,8 +670,8 @@ mod tests {
                         );
                         let case = format!("{mode:?} {noise} max_steps {max_steps} seed {seed}");
                         let split = match mode {
-                            EngineMode::Full => out.cc_init + out.online_pulses,
-                            EngineMode::CycleOnly | EngineMode::Replay => out.online_pulses,
+                            EngineMode::Full => out.cc_init() + out.online_pulses(),
+                            EngineMode::CycleOnly | EngineMode::Replay => out.online_pulses(),
                         };
                         assert_eq!(out.stats.sent_total, split, "{case}");
                         stopped_mid_construction += usize::from(out.stall_diagnostic.is_some());

@@ -3,10 +3,12 @@
 //! A campaign report compresses each cell into summary statistics; a trace
 //! keeps the *shape* of one representative run per cell (the cell's first
 //! seed). The run is executed through [`run_scenario_observed`] with a
-//! [`TimeSeriesSampler`] and a [`SpanProfiler`] attached, so the trace sees
-//! everything the report sees — same noise stream, same scheduler stream,
-//! same accounting — plus the sampled in-flight curve, the per-(phase, node)
-//! communication spans, and the phase-marker log.
+//! [`TraceProbe`] attached, so the trace sees everything the report sees —
+//! same noise stream, same scheduler stream, same accounting — plus the
+//! sampled in-flight curve, every node's construction and online phases,
+//! and the phase-marker log. The pulses a node sent in each phase are the
+//! node's own counts ([`ScenarioOutcome::node_pulses`]), in every engine
+//! mode.
 //!
 //! Three artifacts per trace, all byte-deterministic (delivery-count
 //! timestamps, sorted link keys, insertion-ordered JSON — never wall clock,
@@ -19,42 +21,34 @@
 //!   cell's spans under its own `pid`, loadable in Perfetto or
 //!   `chrome://tracing`.
 //! * **Markdown** — a per-node phase breakdown (`CCinit` vs online pulses)
-//!   whose totals match the cell's `ScenarioOutcome` accounting exactly,
-//!   plus the top-k hottest links by deliveries.
+//!   whose totals are the cell's `ScenarioOutcome` accounting, plus the
+//!   top-k hottest links by deliveries.
 
 use std::fmt::Write as _;
 
 use rayon::prelude::*;
 
-use fdn_graph::NodeId;
-use fdn_netsim::{Sample, SpanProfiler, TimeSeriesSampler};
+use fdn_netsim::{NodePhase, Phase, Sample, TraceProbe};
 
 use crate::cache::Caches;
 use crate::error::LabError;
 use crate::json::Json;
 use crate::report::push_skipped_markdown;
-use crate::runner::{replay_key, run_scenario_observed, CellTiming, ScenarioOutcome};
-use crate::spec::{Campaign, EngineMode, Scenario, SkippedCell};
+use crate::runner::{run_scenario_observed, CellTiming, ScenarioOutcome};
+use crate::spec::{Campaign, SkippedCell};
 
 /// How many of the busiest links the markdown rendering lists per cell.
 const TOP_LINKS: usize = 8;
 
-/// One cell's observed run: the ordinary outcome plus everything the two
-/// observers retained.
+/// One cell's observed run: the ordinary outcome plus everything the probe
+/// retained.
 #[derive(Debug, Clone)]
 pub struct CellTrace {
     /// The run's outcome — identical to what `fdn-lab run` would have
     /// measured for this (cell, seed).
     pub outcome: ScenarioOutcome,
-    /// The time-series sampler, with its retained delivery-stamped samples.
-    pub sampler: TimeSeriesSampler,
-    /// The span profiler: per-(phase, node) aggregates and the marker log.
-    pub profiler: SpanProfiler,
-    /// Per-node construction pulses. Full mode measures them through the
-    /// profiler's phase attribution; replay mode takes the checkpoint's
-    /// frozen shares (its simulation never runs the construction); cycle
-    /// mode has none.
-    pub node_cc_init: Vec<u64>,
+    /// The probe: samples, per-node phases, marker log and link deliveries.
+    pub probe: TraceProbe,
 }
 
 impl CellTrace {
@@ -76,40 +70,8 @@ pub struct TraceReport {
     pub cells: Vec<CellTrace>,
 }
 
-/// Runs one observed scenario — the first seed of its cell — and packages
-/// the observers' take alongside the outcome.
-fn trace_scenario(caches: &Caches, scenario: Scenario) -> CellTrace {
-    let observer = (TimeSeriesSampler::new(), SpanProfiler::new());
-    let (outcome, (sampler, profiler)) = run_scenario_observed(caches, scenario, observer);
-    let cell = scenario.cell;
-    let node_cc_init: Vec<u64> = match cell.mode {
-        // The replay simulation is purely online; the per-node construction
-        // shares live in the (cached, already built) checkpoint.
-        EngineMode::Replay => caches
-            .construction
-            .get(&caches.topology, replay_key(scenario))
-            .map(|c| {
-                c.checkpoint
-                    .nodes()
-                    .iter()
-                    .map(fdn_core::NodeCheckpoint::construction_pulses)
-                    .collect()
-            })
-            .unwrap_or_else(|_| vec![0; outcome.nodes]),
-        _ => (0..outcome.nodes)
-            .map(|v| profiler.construction_span(NodeId(v as u32)).sends)
-            .collect(),
-    };
-    CellTrace {
-        outcome,
-        sampler,
-        profiler,
-        node_cc_init,
-    }
-}
-
 /// Expands `campaign`, keeps the **first seed of every cell**, and runs each
-/// with the trace observers attached (in parallel; results are collected in
+/// with a [`TraceProbe`] attached (in parallel; results are collected in
 /// expansion order, so the report is byte-deterministic across thread
 /// counts). Shared work comes from `caches` — the hook through which
 /// `--store DIR` threads a persistent checkpoint store under the replay
@@ -136,7 +98,8 @@ pub fn run_trace(
         .into_par_iter()
         .map(|s| {
             let watch = crate::timing::Stopwatch::start();
-            let trace = trace_scenario(caches, s);
+            let (outcome, probe) = run_scenario_observed(caches, s, TraceProbe::default());
+            let trace = CellTrace { outcome, probe };
             let timing = CellTiming {
                 cell: trace.cell_id(),
                 wall_ms: watch.elapsed_ms(),
@@ -175,15 +138,15 @@ impl TraceReport {
                 o.scenario.seed,
                 o.nodes,
                 o.edges,
-                o.cc_init,
-                o.online_pulses,
+                o.cc_init(),
+                o.online_pulses(),
                 o.steps,
                 o.quiescent,
                 o.success,
-                trace.sampler.stride(),
-                trace.profiler.markers_dropped(),
+                trace.probe.stride(),
+                trace.probe.markers_dropped(),
             );
-            for s in trace.sampler.samples() {
+            for s in trace.probe.samples() {
                 let Sample {
                     deliveries,
                     inflight,
@@ -199,7 +162,7 @@ impl TraceReport {
                      \"max_link_depth\":{max_link_depth},\"phase\":{phase}}}",
                 );
             }
-            for (stamp, marker) in trace.profiler.markers() {
+            for (stamp, marker) in trace.probe.markers() {
                 let _ = writeln!(
                     out,
                     "{{\"type\":\"marker\",\"cell\":{cell},\"at\":{stamp},\"node\":{},\
@@ -214,12 +177,12 @@ impl TraceReport {
 
     /// Renders the trace as one Chrome trace-event JSON document (Perfetto /
     /// `chrome://tracing`). Each cell is a process (`pid` = cell position,
-    /// named via `process_name` metadata), each node a thread; timestamps
-    /// and durations are simulated delivery counts.
+    /// named via `process_name` metadata), each node a thread with its
+    /// construction and online spans; timestamps and durations are simulated
+    /// delivery counts.
     pub fn to_perfetto_json(&self) -> String {
         let mut events: Vec<String> = Vec::new();
         for (pid, trace) in self.cells.iter().enumerate() {
-            let pid = pid as u64;
             events.push(format!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"args\":{{\"name\":{}}}}}",
                 pid,
@@ -230,10 +193,12 @@ impl TraceReport {
                 ))
                 .render_compact(),
             ));
-            for id in 0..trace.profiler.node_count() {
-                events.extend(trace.profiler.chrome_span_events(NodeId(id as u32), pid));
+            let end = trace.outcome.steps.max(1);
+            let nodes = trace.probe.nodes().iter().zip(&trace.outcome.node_pulses);
+            for (tid, (row, &pulses)) in nodes.enumerate() {
+                push_spans(&mut events, (pid, tid), end, row, pulses);
             }
-            for (stamp, marker) in trace.profiler.markers() {
+            for (stamp, marker) in trace.probe.markers() {
                 events.push(format!(
                     "{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{stamp},\"pid\":{pid},\
                      \"tid\":{}}}",
@@ -261,7 +226,7 @@ impl TraceReport {
             "{} cell(s), first seed each; sampled every {} deliveries \
              (timestamps are delivery counts, never wall clock).",
             self.cells.len(),
-            TimeSeriesSampler::STRIDE,
+            TraceProbe::STRIDE,
         );
         for trace in &self.cells {
             let o = &trace.outcome;
@@ -278,22 +243,21 @@ impl TraceReport {
             }
             let _ = writeln!(out, "| node | CCinit | online | delivered | idle |");
             let _ = writeln!(out, "|---|---|---|---|---|");
-            let nodes = o.nodes.max(trace.profiler.node_count());
             let (mut cc_total, mut online_total, mut delivered_total) = (0u64, 0u64, 0u64);
-            for id in 0..nodes {
-                let node = NodeId(id as u32);
-                let cc = trace.node_cc_init.get(id).copied().unwrap_or(0);
-                let online = trace.profiler.online_span(node);
-                let construction = trace.profiler.construction_span(node);
-                let delivered = online.deliveries + construction.deliveries;
-                let idle = cc == 0 && online.is_idle() && construction.is_idle();
+            for id in 0..o.nodes {
+                let (cc, online) = o.node_pulses.get(id).copied().unwrap_or_default();
+                let delivered = trace
+                    .probe
+                    .nodes()
+                    .get(id)
+                    .map_or(0, |row| row.construction_deliveries + row.online_deliveries);
+                let idle = cc == 0 && online == 0 && delivered == 0;
                 cc_total += cc;
-                online_total += online.sends;
+                online_total += online;
                 delivered_total += delivered;
                 let _ = writeln!(
                     out,
-                    "| v{id} | {cc} | {} | {delivered} | {} |",
-                    online.sends,
+                    "| v{id} | {cc} | {online} | {delivered} | {} |",
                     if idle { "yes" } else { "" },
                 );
             }
@@ -305,9 +269,11 @@ impl TraceReport {
             let _ = writeln!(
                 out,
                 "Outcome accounting: CCinit {}, online {}, deliveries {}.",
-                o.cc_init, o.online_pulses, o.steps,
+                o.cc_init(),
+                o.online_pulses(),
+                o.steps,
             );
-            let hottest = trace.profiler.hottest_links(TOP_LINKS);
+            let hottest = trace.probe.hottest_links(TOP_LINKS);
             if !hottest.is_empty() {
                 let _ = writeln!(out);
                 let _ = writeln!(out, "Hottest links (top {TOP_LINKS} by deliveries):");
@@ -324,10 +290,44 @@ impl TraceReport {
     }
 }
 
+/// Appends one node's complete (`"X"`) span events under Chrome `(pid,
+/// tid)`: a construction span if the node began a construction in this
+/// simulation, and an online span once the node is online, both ending at
+/// the run's `end`. Timestamps and durations are delivery counts, one
+/// "microsecond" per delivery. A span's `sends` are the node's own count
+/// for the phase, its `deliveries` the probe's.
+fn push_spans(
+    events: &mut Vec<String>,
+    (pid, tid): (usize, usize),
+    end: u64,
+    row: &NodePhase,
+    (construction, online): (u64, u64),
+) {
+    let mut span = |name: &str, ts: u64, dur: u64, sends: u64, deliveries: u64| {
+        events.push(format!(
+            "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{pid},\
+             \"tid\":{tid},\"args\":{{\"sends\":{sends},\"deliveries\":{deliveries}}}}}"
+        ));
+    };
+    let online_since = match row.phase {
+        Phase::Online => Some(0),
+        Phase::Constructing => None,
+        Phase::OnlineSince(at) => Some(at),
+    };
+    if row.phase != Phase::Online {
+        let (dur, deliveries) = (online_since.unwrap_or(end), row.construction_deliveries);
+        span("construction", 0, dur, construction, deliveries);
+    }
+    if let Some(ts) = online_since {
+        span("online", ts, end - ts, online, row.online_deliveries);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SeedRange;
+    use crate::json::Json;
+    use crate::spec::{EngineMode, SeedRange};
     use fdn_graph::GraphFamily;
     use fdn_netsim::NoiseSpec;
     use fdn_protocols::WorkloadSpec;
@@ -344,6 +344,34 @@ mod tests {
         campaign
     }
 
+    /// The Perfetto document's span events as `(name, tid, ts, dur, sends)`.
+    fn spans(report: &TraceReport) -> Vec<(String, u64, u64, u64, u64)> {
+        let doc = Json::parse(&report.to_perfetto_json()).unwrap();
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let num = |e: &Json, key: &str| e.get(key).and_then(Json::as_u64).unwrap();
+        events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .map(|e| {
+                let name = e.get("name").and_then(Json::as_str).unwrap().to_string();
+                let sends = num(e.get("args").unwrap(), "sends");
+                (name, num(e, "tid"), num(e, "ts"), num(e, "dur"), sends)
+            })
+            .collect()
+    }
+
+    /// Asserts that the markdown totals row of the report's only cell is its
+    /// outcome line: CCinit, online pulses and deliveries.
+    fn assert_totals_match_the_outcome(report: &TraceReport) {
+        let o = &report.cells[0].outcome;
+        let (cc, online, steps) = (o.cc_init(), o.online_pulses(), o.steps);
+        let md = report.to_markdown();
+        let total = format!("| **total** | **{cc}** | **{online}** | **{steps}** | |");
+        assert!(md.contains(&total), "{md}");
+        let line = format!("Outcome accounting: CCinit {cc}, online {online}, deliveries {steps}.");
+        assert!(md.contains(&line), "{md}");
+    }
+
     #[test]
     fn trace_runs_one_seed_per_cell_and_matches_the_runner() {
         let campaign = quick_campaign(EngineMode::Full);
@@ -355,40 +383,54 @@ mod tests {
         assert_eq!(trace.outcome.scenario.seed, 7);
         let plain = crate::runner::run_scenario_with(&Caches::new(), trace.outcome.scenario);
         assert_eq!(trace.outcome, plain);
-        // Phase attribution is exact: per-node construction pulses sum to
-        // the outcome's CCinit, online sends to its online pulses.
-        assert_eq!(trace.node_cc_init.iter().sum::<u64>(), plain.cc_init);
-        let online: u64 = (0..plain.nodes)
-            .map(|v| trace.profiler.online_span(NodeId(v as u32)).sends)
+        // Every node constructed, then went online; the probe saw every
+        // delivery.
+        let rows = trace.probe.nodes();
+        assert_eq!(rows.len(), plain.nodes);
+        assert!(rows
+            .iter()
+            .all(|row| matches!(row.phase, Phase::OnlineSince(at) if at > 0)));
+        let delivered: u64 = rows
+            .iter()
+            .map(|row| row.construction_deliveries + row.online_deliveries)
             .sum();
-        assert_eq!(online, plain.online_pulses);
-        assert!(!trace.sampler.samples().is_empty());
+        assert_eq!(delivered, plain.steps);
+        assert!(!trace.probe.samples().is_empty());
+        assert_totals_match_the_outcome(&report);
     }
 
     #[test]
     fn replay_traces_take_construction_shares_from_the_checkpoint() {
-        let report = run_trace(&quick_campaign(EngineMode::Replay)).unwrap();
+        let caches = Caches::new();
+        let campaign = quick_campaign(EngineMode::Replay);
+        let (report, _) = super::run_trace(&caches, &campaign).unwrap();
         let trace = &report.cells[0];
-        assert_eq!(
-            trace.node_cc_init.iter().sum::<u64>(),
-            trace.outcome.cc_init,
-            "checkpoint shares sum to the checkpoint's CCinit"
-        );
-        assert!(trace.outcome.cc_init > 0);
+        let construction = caches
+            .construction
+            .get(
+                &caches.topology,
+                crate::runner::replay_key(trace.outcome.scenario),
+            )
+            .unwrap();
+        let shares: Vec<u64> = construction
+            .checkpoint
+            .nodes()
+            .iter()
+            .map(fdn_core::NodeCheckpoint::construction_pulses)
+            .collect();
+        let charged: Vec<u64> = trace.outcome.node_pulses.iter().map(|p| p.0).collect();
+        assert_eq!(charged, shares);
+        assert!(trace.outcome.cc_init() > 0);
         // The replayed simulation itself never constructs: every marker is a
-        // warm-start/token/online marker, none a construction marker.
+        // warm-start/token/online marker, none a construction marker, and
+        // every node has an online span only.
         assert!(trace
-            .profiler
+            .probe
             .markers()
             .iter()
             .all(|(_, m)| !m.event.is_construction()));
-        // And the markdown totals row agrees with the outcome line.
-        let md = report.to_markdown();
-        assert!(
-            md.contains(&format!("| **total** | **{}** |", trace.outcome.cc_init)),
-            "{md}"
-        );
-        assert!(md.contains(&format!("CCinit {}", trace.outcome.cc_init)));
+        assert!(spans(&report).iter().all(|span| span.0 == "online"));
+        assert_totals_match_the_outcome(&report);
     }
 
     #[test]
@@ -403,34 +445,67 @@ mod tests {
         let jsonl = a.to_jsonl();
         assert!(!jsonl.is_empty());
         for line in jsonl.lines() {
-            let doc = crate::json::Json::parse(line).unwrap();
-            let kind = doc.get("type").and_then(crate::json::Json::as_str);
+            let doc = Json::parse(line).unwrap();
+            let kind = doc.get("type").and_then(Json::as_str);
             assert!(matches!(kind, Some("cell" | "sample" | "marker")), "{line}");
         }
         // Full-mode traces retain construction markers.
         assert!(jsonl.contains("construction-start"));
         assert!(jsonl.contains("construction-quiescence"));
         // The Perfetto document is one JSON object with a non-empty event
-        // array naming both phases.
+        // array naming the cell.
         let perfetto = a.to_perfetto_json();
-        let doc = crate::json::Json::parse(&perfetto).unwrap();
-        let events = doc
-            .get("traceEvents")
-            .and_then(crate::json::Json::as_arr)
-            .unwrap();
+        let doc = Json::parse(&perfetto).unwrap();
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         assert!(!events.is_empty());
-        assert!(perfetto.contains("\"construction\""));
-        assert!(perfetto.contains("\"online\""));
         assert!(perfetto.contains("process_name"));
         // Each retained phase marker is an instant event on its node's track.
         let instant = |name: &str| {
             events.iter().any(|e| {
-                e.get("ph").and_then(crate::json::Json::as_str) == Some("i")
-                    && e.get("name").and_then(crate::json::Json::as_str) == Some(name)
+                e.get("ph").and_then(Json::as_str) == Some("i")
+                    && e.get("name").and_then(Json::as_str) == Some(name)
             })
         };
         assert!(instant("construction-start"));
         assert!(instant("construction-quiescence"));
+        // Every node has a construction span and then an online span that
+        // starts where it ends and runs to the last delivery; each span's
+        // sends are the node's own count for the phase.
+        let o = &a.cells[0].outcome;
+        let mut expected = Vec::new();
+        for (tid, &(cc, online)) in o.node_pulses.iter().enumerate() {
+            let Phase::OnlineSince(at) = a.cells[0].probe.nodes()[tid].phase else {
+                panic!("node {tid} is not online");
+            };
+            let tid = tid as u64;
+            expected.push(("construction".to_string(), tid, 0, at, cc));
+            expected.push(("online".to_string(), tid, at, o.steps - at, online));
+        }
+        assert_eq!(spans(&a), expected);
+    }
+
+    #[test]
+    fn a_run_stopped_mid_construction_has_construction_spans_only() {
+        let mut campaign = quick_campaign(EngineMode::Full);
+        campaign.max_steps = 300;
+        let report = run_trace(&campaign).unwrap();
+        let o = &report.cells[0].outcome;
+        assert_eq!(o.steps, 300);
+        assert!(o.stall_diagnostic.is_some(), "the construction was cut");
+        let expected: Vec<_> = (0..o.nodes)
+            .map(|tid| {
+                (
+                    "construction".to_string(),
+                    tid as u64,
+                    0,
+                    300,
+                    o.node_pulses[tid].0,
+                )
+            })
+            .collect();
+        assert_eq!(spans(&report), expected);
+        assert_eq!(o.online_pulses(), 0);
+        assert_totals_match_the_outcome(&report);
     }
 
     #[test]
@@ -453,7 +528,7 @@ mod tests {
         let mut samples = 0;
         for trace in &report.cells {
             let (cell, steps) = (trace.cell_id(), trace.outcome.steps);
-            for s in trace.sampler.samples() {
+            for s in trace.probe.samples() {
                 assert_eq!(
                     s.sent,
                     s.deliveries + s.dropped + s.inflight,

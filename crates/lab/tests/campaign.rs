@@ -350,8 +350,8 @@ fn engine_modes_pin_exact_counts() {
         let measured = (
             out.stats.sent_total,
             out.stats.delivered_total,
-            out.cc_init,
-            out.online_pulses,
+            out.cc_init(),
+            out.online_pulses(),
             out.cycle_len,
         );
         assert_eq!(measured, counts, "{id}");

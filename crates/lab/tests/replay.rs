@@ -63,15 +63,16 @@ fn replay_and_full_agree_on_online_pulses_for_equal_construction_seed() {
             scenario(figure3_cell(EngineMode::Replay), seed, seed),
         );
         assert!(full.success && replay.success, "seed {seed}");
-        assert_eq!(replay.cc_init, full.cc_init, "seed {seed}: CCinit");
+        assert_eq!(replay.cc_init(), full.cc_init(), "seed {seed}: CCinit");
         assert_eq!(replay.cycle_len, full.cycle_len, "seed {seed}: cycle");
         assert_eq!(
-            replay.online_pulses, full.online_pulses,
+            replay.online_pulses(),
+            full.online_pulses(),
             "seed {seed}: online overhead"
         );
         // Full mode pays construction inside the run; replay outside it.
-        assert_eq!(full.stats.sent_total, full.cc_init + full.online_pulses);
-        assert_eq!(replay.stats.sent_total, replay.online_pulses);
+        assert_eq!(full.stats.sent_total, full.cc_init() + full.online_pulses());
+        assert_eq!(replay.stats.sent_total, replay.online_pulses());
         assert_eq!(replay.overhead_ratio(), full.overhead_ratio());
     }
 }

@@ -31,9 +31,11 @@
 //!
 //! Every run counts its sends, deliveries, deletions and queue high-water
 //! marks in one [`Stats`]. An [`Observer`] rides the engine's hot path: it
-//! sees each send, delivery, deletion and reactor phase marker, and the end
-//! of every delivery's step, where [`TimeSeriesSampler`] samples the
-//! `Stats`. The default [`NullObserver`] compiles every hook away.
+//! sees each send, delivery and deletion, each reactor phase marker (an
+//! event's markers come before its sends, stamped with the delivery count)
+//! and the end of every delivery's step, where the one built-in probe,
+//! [`TraceProbe`], samples the `Stats`. The default [`NullObserver`]
+//! compiles every hook away.
 //!
 //! The crate also defines the [`InnerProtocol`] trait — the asynchronous
 //! black-box interface `π` that the paper's simulators wrap — together with
@@ -95,8 +97,7 @@ pub use noise::{
     TargetedEdges,
 };
 pub use observer::{
-    NullObserver, Observer, PhaseEvent, PhaseMarker, Sample, SpanProfiler, SpanStats,
-    TimeSeriesSampler,
+    NodePhase, NullObserver, Observer, Phase, PhaseEvent, PhaseMarker, Sample, TraceProbe,
 };
 pub use protocol::{Dest, DirectRunner, InnerProtocol, ProtocolIo, ProtocolMsg};
 pub use reactor::{Context, Delivery, PulseReactor, Reactor};

@@ -1,5 +1,5 @@
 //! The zero-cost observer layer: hot-path hooks, semantic phase markers and
-//! the built-in probes (time-series sampler, span profiler).
+//! the trace probe.
 //!
 //! The simulation engine is generic over an [`Observer`]
 //! (`Simulation<R, O = NullObserver>`). Every hook has an empty default
@@ -8,24 +8,24 @@
 //! virtual call, no allocation.
 //!
 //! Reactors participate through **phase markers**: semantic events
-//! ([`PhaseEvent`]) pushed into their [`Context`](crate::Context) alongside
-//! outgoing messages. Marker collection is off unless the simulation's
-//! observer asks for it ([`Observer::ENABLED`]), so un-observed runs pay a
-//! single predictable bool test per marker site. The engine forwards each
-//! marker to the observer **interleaved with the event's sends** in emission
-//! order and stamped with the current delivery count — which is what lets a
-//! profiler attribute every pulse of a phase-transition event to the correct
-//! side of the boundary.
+//! ([`PhaseEvent`]) recorded in their [`Context`](crate::Context). Marker
+//! collection is off unless the simulation's observer asks for it
+//! ([`Observer::ENABLED`]), so un-observed runs pay a single predictable
+//! bool test per marker site. The engine hands an event's markers to the
+//! observer in emission order, stamped with the current delivery count,
+//! **before** it queues the event's sends. A marker says when a node
+//! changes phase; how many pulses the node sent in each phase, the node
+//! counts itself.
 //!
-//! Once a delivered message's receiver has reacted and its sends and
-//! markers are queued, the engine ends the step with
+//! Once a delivered message's receiver has reacted and its markers and
+//! sends are handed over, the engine ends the step with
 //! [`Observer::on_step_end`], passing the run's [`Stats`]. A probe that
 //! samples counters reads them there, from the one place that keeps them,
 //! at a point where no event is half done.
 //!
-//! Everything the built-in observers record is keyed by delivery count,
-//! never wall clock: observed output is byte-deterministic and independent
-//! of thread count, exactly like the rest of the pipeline.
+//! Everything the [`TraceProbe`] records is keyed by delivery count, never
+//! wall clock: observed output is byte-deterministic and independent of
+//! thread count, exactly like the rest of the pipeline.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -146,13 +146,13 @@ pub trait Observer {
     fn on_drop(&mut self, _from: NodeId, _to: NodeId, _deliveries: u64) {}
 
     /// A reactor emitted a semantic phase marker, stamped with the delivery
-    /// count at which it surfaced. Markers arrive interleaved with the same
-    /// event's [`on_send`](Self::on_send) calls in emission order.
+    /// count at which it surfaced. An event's markers arrive in emission
+    /// order, before the event's [`on_send`](Self::on_send) calls.
     #[inline]
     fn on_marker(&mut self, _marker: PhaseMarker, _deliveries: u64) {}
 
-    /// A delivery's step ended: the receiver has reacted, and its sends and
-    /// markers are queued. `stats` holds the run's counters after the step
+    /// A delivery's step ended: the receiver has reacted, and its markers
+    /// and sends are handed over. `stats` holds the run's counters after the step
     /// and `inflight` the network-wide total, so `stats.sent_total ==
     /// stats.delivered_total + stats.dropped_total + inflight`. A message
     /// the noise model deleted has no reaction, and its step gets no call.
@@ -168,54 +168,6 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {
     const ENABLED: bool = false;
-}
-
-/// Two observers driven side by side (e.g. a sampler plus a profiler).
-impl<A: Observer, B: Observer> Observer for (A, B) {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    #[inline]
-    fn on_attach(&mut self, nodes: usize, links: usize) {
-        self.0.on_attach(nodes, links);
-        self.1.on_attach(nodes, links);
-    }
-
-    #[inline]
-    fn on_send(&mut self, from: NodeId, to: NodeId, bits: u64, link_depth: usize, inflight: usize) {
-        self.0.on_send(from, to, bits, link_depth, inflight);
-        self.1.on_send(from, to, bits, link_depth, inflight);
-    }
-
-    #[inline]
-    fn on_deliver(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        bits: u64,
-        deliveries: u64,
-        inflight: usize,
-    ) {
-        self.0.on_deliver(from, to, bits, deliveries, inflight);
-        self.1.on_deliver(from, to, bits, deliveries, inflight);
-    }
-
-    #[inline]
-    fn on_drop(&mut self, from: NodeId, to: NodeId, deliveries: u64) {
-        self.0.on_drop(from, to, deliveries);
-        self.1.on_drop(from, to, deliveries);
-    }
-
-    #[inline]
-    fn on_marker(&mut self, marker: PhaseMarker, deliveries: u64) {
-        self.0.on_marker(marker, deliveries);
-        self.1.on_marker(marker, deliveries);
-    }
-
-    #[inline]
-    fn on_step_end(&mut self, stats: &Stats, inflight: usize) {
-        self.0.on_step_end(stats, inflight);
-        self.1.on_step_end(stats, inflight);
-    }
 }
 
 /// One point of the sampled time series, taken when a delivery's step ends
@@ -239,34 +191,69 @@ pub struct Sample {
     pub phase: u8,
 }
 
-/// The time-series sampler: records a bounded ring of deterministic
-/// [`Sample`]s of the run's [`Stats`], one every `stride` deliveries,
-/// starting at [`STRIDE`](Self::STRIDE). When the ring fills, every other
-/// sample is dropped and the stride doubles, so a run of any length ends
-/// with a bounded number of samples on a regular delivery-count grid.
-#[derive(Debug, Clone)]
-pub struct TimeSeriesSampler {
-    stride: u64,
-    samples: Vec<Sample>,
-    constructing: usize,
+/// Where a node stands in the construction/online split, as its phase
+/// markers tell it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Phase {
+    /// Online from the start: the node began no construction in this
+    /// simulation (cycle mode, or a replay warm start).
+    #[default]
+    Online,
+    /// Constructing: [`PhaseEvent::ConstructionStart`] seen, its
+    /// [`PhaseEvent::ConstructionQuiescence`] not yet.
+    Constructing,
+    /// Constructed, and online since the given delivery count.
+    OnlineSince(u64),
 }
 
-impl TimeSeriesSampler {
+/// One node's row of the [`TraceProbe`]'s phase table.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodePhase {
+    /// The node's current phase.
+    pub phase: Phase,
+    /// Deliveries the node received while constructing.
+    pub construction_deliveries: u64,
+    /// Deliveries the node received while online.
+    pub online_deliveries: u64,
+}
+
+/// The observer of `fdn-lab trace`. One per-node phase table, driven by the
+/// construction markers, gives both the samples' phase flag and every
+/// node's construction and online deliveries. Beside it the probe keeps:
+///
+/// * a bounded ring of deterministic [`Sample`]s of the run's [`Stats`],
+///   one every `stride` deliveries, starting at [`STRIDE`](Self::STRIDE).
+///   When the ring fills, every other sample is dropped and the stride
+///   doubles, so a run of any length ends with a bounded number of samples
+///   on a regular delivery-count grid;
+/// * the phase-marker log with delivery-count stamps, at most
+///   [`MARKER_CAPACITY`](Self::MARKER_CAPACITY) markers;
+/// * the deliveries per directed link.
+///
+/// A node is online until a [`PhaseEvent::ConstructionStart`] marker moves
+/// it into its construction phase, so a simulation whose nodes emit no
+/// construction marker is online throughout.
+#[derive(Debug, Clone)]
+pub struct TraceProbe {
+    nodes: Vec<NodePhase>,
+    /// Nodes whose phase is [`Phase::Constructing`].
+    constructing: usize,
+    stride: u64,
+    samples: Vec<Sample>,
+    markers: Vec<(u64, PhaseMarker)>,
+    markers_dropped: u64,
+    link_deliveries: BTreeMap<(NodeId, NodeId), u64>,
+}
+
+impl TraceProbe {
     /// The initial sampling stride, in deliveries.
     pub const STRIDE: u64 = 64;
 
     /// The most samples retained; even, so compaction halves exactly.
     const CAPACITY: usize = 512;
 
-    /// Creates a sampler taking one sample every [`STRIDE`](Self::STRIDE)
-    /// deliveries.
-    pub fn new() -> Self {
-        TimeSeriesSampler {
-            stride: Self::STRIDE,
-            samples: Vec::new(),
-            constructing: 0,
-        }
-    }
+    /// The most phase markers retained.
+    pub const MARKER_CAPACITY: usize = 8192;
 
     /// The current sampling stride (doubles on every compaction).
     pub fn stride(&self) -> u64 {
@@ -276,6 +263,32 @@ impl TimeSeriesSampler {
     /// The retained samples, in delivery order.
     pub fn samples(&self) -> &[Sample] {
         &self.samples
+    }
+
+    /// The phase table, indexed by node id; empty until the simulation
+    /// starts.
+    pub fn nodes(&self) -> &[NodePhase] {
+        &self.nodes
+    }
+
+    /// The retained phase markers as `(delivery_stamp, marker)`, in
+    /// emission order.
+    pub fn markers(&self) -> &[(u64, PhaseMarker)] {
+        &self.markers
+    }
+
+    /// Markers discarded after the retention bound filled.
+    pub fn markers_dropped(&self) -> u64 {
+        self.markers_dropped
+    }
+
+    /// The top `k` links by delivery count; ties broken by `(from, to)` so
+    /// the ranking is deterministic.
+    pub fn hottest_links(&self, k: usize) -> Vec<((NodeId, NodeId), u64)> {
+        let mut links: Vec<_> = self.link_deliveries.iter().map(|(&l, &n)| (l, n)).collect();
+        links.sort_by_key(|&((from, to), n)| (std::cmp::Reverse(n), from, to));
+        links.truncate(k);
+        links
     }
 
     fn compact(&mut self) {
@@ -291,20 +304,59 @@ impl TimeSeriesSampler {
     }
 }
 
-impl Default for TimeSeriesSampler {
+impl Default for TraceProbe {
     fn default() -> Self {
-        Self::new()
+        TraceProbe {
+            nodes: Vec::new(),
+            constructing: 0,
+            stride: Self::STRIDE,
+            samples: Vec::new(),
+            markers: Vec::new(),
+            markers_dropped: 0,
+            link_deliveries: BTreeMap::new(),
+        }
     }
 }
 
-impl Observer for TimeSeriesSampler {
-    fn on_marker(&mut self, marker: PhaseMarker, _deliveries: u64) {
+impl Observer for TraceProbe {
+    fn on_attach(&mut self, nodes: usize, _links: usize) {
+        self.nodes = vec![NodePhase::default(); nodes];
+    }
+
+    fn on_deliver(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        _bits: u64,
+        _deliveries: u64,
+        _inflight: usize,
+    ) {
+        let row = &mut self.nodes[to.index()];
+        if row.phase == Phase::Constructing {
+            row.construction_deliveries += 1;
+        } else {
+            row.online_deliveries += 1;
+        }
+        *self.link_deliveries.entry((from, to)).or_insert(0) += 1;
+    }
+
+    fn on_marker(&mut self, marker: PhaseMarker, deliveries: u64) {
+        let row = &mut self.nodes[marker.node.index()];
         match marker.event {
-            PhaseEvent::ConstructionStart => self.constructing += 1,
-            PhaseEvent::ConstructionQuiescence => {
-                self.constructing = self.constructing.saturating_sub(1);
+            PhaseEvent::ConstructionStart if row.phase != Phase::Constructing => {
+                row.phase = Phase::Constructing;
+                self.constructing += 1;
+            }
+            PhaseEvent::ConstructionQuiescence if row.phase == Phase::Constructing => {
+                row.phase = Phase::OnlineSince(deliveries);
+                self.constructing -= 1;
             }
             _ => {}
+        }
+        if self.markers.len() < Self::MARKER_CAPACITY {
+            self.markers.push((deliveries, marker));
+        } else {
+            self.markers_dropped += 1;
         }
     }
 
@@ -327,249 +379,30 @@ impl Observer for TimeSeriesSampler {
     }
 }
 
-/// Default bound on the number of phase markers the profiler retains.
-pub const DEFAULT_MARKER_CAPACITY: usize = 8192;
-
-/// Per-(phase, node) communication aggregate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanStats {
-    /// Pulses sent by the node while in this phase.
-    pub sends: u64,
-    /// Deliveries received by the node while in this phase.
-    pub deliveries: u64,
-}
-
-impl SpanStats {
-    /// Whether the span saw any traffic at all.
-    pub fn is_idle(&self) -> bool {
-        self.sends == 0 && self.deliveries == 0
-    }
-}
-
-/// The span profiler: attributes every send and delivery to a per-node
-/// phase (construction vs online), driven purely by the reactor's phase
-/// markers, and logs the markers themselves with delivery-count stamps.
-/// Its spans export as Chrome trace events
-/// ([`chrome_span_events`](Self::chrome_span_events)) for a document that
-/// Perfetto / `chrome://tracing` loads, with simulated delivery counts as
-/// timestamps.
-///
-/// Nodes are assumed online until a [`PhaseEvent::ConstructionStart`]
-/// marker moves them into the construction phase (cycle-only simulations
-/// emit no construction markers, so their whole run is online traffic —
-/// matching the `cc_init = 0` accounting of the lab runner).
-#[derive(Debug, Clone, Default)]
-pub struct SpanProfiler {
-    construction: Vec<SpanStats>,
-    online: Vec<SpanStats>,
-    in_construction: Vec<bool>,
-    online_since: Vec<u64>,
-    markers: Vec<(u64, PhaseMarker)>,
-    markers_dropped: u64,
-    link_deliveries: BTreeMap<(NodeId, NodeId), u64>,
-    last_stamp: u64,
-}
-
-impl SpanProfiler {
-    /// Creates a profiler retaining at most [`DEFAULT_MARKER_CAPACITY`]
-    /// markers, as [`default`](Self::default) does.
-    pub fn new() -> Self {
-        SpanProfiler::default()
-    }
-
-    /// Per-node construction-phase aggregate (all zero when the node never
-    /// entered a construction phase).
-    pub fn construction_span(&self, node: NodeId) -> SpanStats {
-        self.construction
-            .get(node.index())
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Per-node online-phase aggregate.
-    pub fn online_span(&self, node: NodeId) -> SpanStats {
-        self.online.get(node.index()).copied().unwrap_or_default()
-    }
-
-    /// Number of nodes the profiler was attached to.
-    pub fn node_count(&self) -> usize {
-        self.online.len()
-    }
-
-    /// Delivery stamp at which the node left its construction phase (0 for
-    /// nodes that never constructed, i.e. were online from the start).
-    pub fn online_since(&self, node: NodeId) -> u64 {
-        self.online_since.get(node.index()).copied().unwrap_or(0)
-    }
-
-    /// Whether the node is still in its construction phase.
-    pub fn still_constructing(&self, node: NodeId) -> bool {
-        self.in_construction
-            .get(node.index())
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// The retained phase markers as `(delivery_stamp, marker)`, in
-    /// emission order.
-    pub fn markers(&self) -> &[(u64, PhaseMarker)] {
-        &self.markers
-    }
-
-    /// Markers discarded after the retention bound filled.
-    pub fn markers_dropped(&self) -> u64 {
-        self.markers_dropped
-    }
-
-    /// The delivery stamp of the last observed event (the timeline's end).
-    pub fn last_stamp(&self) -> u64 {
-        self.last_stamp
-    }
-
-    /// Per-directed-link delivery counts, sorted by `(from, to)` — the
-    /// deterministic order every renderer must use.
-    pub fn link_deliveries_sorted(&self) -> Vec<((NodeId, NodeId), u64)> {
-        self.link_deliveries.iter().map(|(&k, &n)| (k, n)).collect()
-    }
-
-    /// The top `k` links by delivery count; ties broken by `(from, to)` so
-    /// the ranking is deterministic.
-    pub fn hottest_links(&self, k: usize) -> Vec<((NodeId, NodeId), u64)> {
-        let mut v = self.link_deliveries_sorted();
-        v.sort_by_key(|&((f, t), n)| (std::cmp::Reverse(n), f, t));
-        v.truncate(k);
-        v
-    }
-
-    /// The complete (`"X"`) span events of one node under an explicit
-    /// Chrome `pid`, as raw JSON object strings — the composition hook for
-    /// multi-simulation trace documents. Timestamps and durations are
-    /// simulated delivery counts, one "microsecond" per delivery; `tid` is
-    /// the node id.
-    pub fn chrome_span_events(&self, node: NodeId, pid: u64) -> Vec<String> {
-        let mut events = Vec::new();
-        let end = self.last_stamp.max(1);
-        let boundary = self.online_since(node);
-        let construction = self.construction_span(node);
-        let online = self.online_span(node);
-        let constructed = !construction.is_idle() || self.still_constructing(node) || boundary > 0;
-        if constructed {
-            let dur = if self.still_constructing(node) {
-                end
-            } else {
-                boundary
-            };
-            events.push(format!(
-                "{{\"name\":\"construction\",\"ph\":\"X\",\"ts\":0,\"dur\":{},\"pid\":{},\"tid\":{},\
-                 \"args\":{{\"sends\":{},\"deliveries\":{}}}}}",
-                dur, pid, node.0, construction.sends, construction.deliveries
-            ));
-        }
-        if !self.still_constructing(node) {
-            let (ts, dur) = (boundary, end.saturating_sub(boundary));
-            events.push(format!(
-                "{{\"name\":\"online\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\
-                 \"args\":{{\"sends\":{},\"deliveries\":{}}}}}",
-                ts, dur, pid, node.0, online.sends, online.deliveries
-            ));
-        }
-        events
-    }
-
-    fn span_mut(&mut self, node: NodeId) -> &mut SpanStats {
-        self.ensure(node);
-        if self.in_construction[node.index()] {
-            &mut self.construction[node.index()]
-        } else {
-            &mut self.online[node.index()]
-        }
-    }
-
-    fn ensure(&mut self, node: NodeId) {
-        // Defensive: on_attach sizes the vectors, but a profiler driven
-        // without attach (unit tests) must not index out of bounds.
-        if node.index() >= self.online.len() {
-            let n = node.index() + 1;
-            self.construction.resize(n, SpanStats::default());
-            self.online.resize(n, SpanStats::default());
-            self.in_construction.resize(n, false);
-            self.online_since.resize(n, 0);
-        }
-    }
-}
-
-impl Observer for SpanProfiler {
-    fn on_attach(&mut self, nodes: usize, _links: usize) {
-        self.construction = vec![SpanStats::default(); nodes];
-        self.online = vec![SpanStats::default(); nodes];
-        self.in_construction = vec![false; nodes];
-        self.online_since = vec![0; nodes];
-    }
-
-    fn on_send(
-        &mut self,
-        from: NodeId,
-        _to: NodeId,
-        _bits: u64,
-        _link_depth: usize,
-        _inflight: usize,
-    ) {
-        self.span_mut(from).sends += 1;
-    }
-
-    fn on_deliver(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        _bits: u64,
-        deliveries: u64,
-        _inflight: usize,
-    ) {
-        self.last_stamp = deliveries;
-        self.span_mut(to).deliveries += 1;
-        *self.link_deliveries.entry((from, to)).or_insert(0) += 1;
-    }
-
-    fn on_drop(&mut self, _from: NodeId, _to: NodeId, deliveries: u64) {
-        self.last_stamp = deliveries;
-    }
-
-    fn on_marker(&mut self, marker: PhaseMarker, deliveries: u64) {
-        self.ensure(marker.node);
-        match marker.event {
-            PhaseEvent::ConstructionStart => self.in_construction[marker.node.index()] = true,
-            PhaseEvent::ConstructionQuiescence if !self.in_construction[marker.node.index()] => {}
-            PhaseEvent::ConstructionQuiescence | PhaseEvent::ReplayWarmStart => {
-                self.in_construction[marker.node.index()] = false;
-                self.online_since[marker.node.index()] = deliveries;
-            }
-            _ => {}
-        }
-        if self.markers.len() < DEFAULT_MARKER_CAPACITY {
-            self.markers.push((deliveries, marker));
-        } else {
-            self.markers_dropped += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A probe attached to a simulation of `nodes` nodes.
+    fn attached(nodes: usize) -> TraceProbe {
+        let mut probe = TraceProbe::default();
+        probe.on_attach(nodes, 2 * nodes);
+        probe
+    }
+
     /// Ends `steps` delivery steps of a relay that always has one pulse in
     /// flight: each step delivers one pulse and sends the next.
-    fn relay(s: &mut TimeSeriesSampler, stats: &mut Stats, steps: u64) {
+    fn relay(p: &mut TraceProbe, stats: &mut Stats, steps: u64) {
         for _ in 0..steps {
             stats.delivered_total += 1;
             stats.sent_total = stats.delivered_total + 1;
-            s.on_step_end(stats, 1);
+            p.on_step_end(stats, 1);
         }
     }
 
-    fn marker(event: PhaseEvent) -> PhaseMarker {
+    fn marker(node: u32, event: PhaseEvent) -> PhaseMarker {
         PhaseMarker {
-            node: NodeId(0),
+            node: NodeId(node),
             event,
         }
     }
@@ -577,12 +410,12 @@ mod tests {
     #[test]
     fn sampler_keeps_a_regular_grid_and_doubles_the_stride() {
         // Three full rings' worth of deliveries: the ring compacts twice.
-        let steps = 3 * TimeSeriesSampler::STRIDE * TimeSeriesSampler::CAPACITY as u64;
-        let mut s = TimeSeriesSampler::new();
+        let steps = 3 * TraceProbe::STRIDE * TraceProbe::CAPACITY as u64;
+        let mut s = attached(2);
         relay(&mut s, &mut Stats::new(2), steps);
-        assert!(s.samples().len() < TimeSeriesSampler::CAPACITY);
+        assert!(s.samples().len() < TraceProbe::CAPACITY);
         let stride = s.stride();
-        assert_eq!(stride, 4 * TimeSeriesSampler::STRIDE);
+        assert_eq!(stride, 4 * TraceProbe::STRIDE);
         for (i, sample) in s.samples().iter().enumerate() {
             assert_eq!(
                 sample.deliveries,
@@ -592,7 +425,7 @@ mod tests {
             assert_eq!(sample.sent, sample.deliveries + sample.inflight);
         }
         // Deterministic: the same event stream yields the same samples.
-        let mut t = TimeSeriesSampler::default();
+        let mut t = attached(2);
         relay(&mut t, &mut Stats::new(2), steps);
         assert_eq!(s.samples(), t.samples());
         assert_eq!(s.stride(), t.stride());
@@ -600,35 +433,37 @@ mod tests {
 
     #[test]
     fn sampler_phase_follows_construction_markers() {
-        let stride = TimeSeriesSampler::STRIDE;
-        let (mut s, mut stats) = (TimeSeriesSampler::new(), Stats::new(2));
-        s.on_marker(marker(PhaseEvent::ConstructionStart), 0);
+        let stride = TraceProbe::STRIDE;
+        let (mut s, mut stats) = (attached(2), Stats::new(2));
+        s.on_marker(marker(0, PhaseEvent::ConstructionStart), 0);
         relay(&mut s, &mut stats, 2 * stride - 1);
         // The step that ends the construction emits its marker before the
         // step ends, so its own sample is already online.
         stats.delivered_total += 1;
         s.on_marker(
-            marker(PhaseEvent::ConstructionQuiescence),
+            marker(0, PhaseEvent::ConstructionQuiescence),
             stats.delivered_total,
         );
         s.on_step_end(&stats, 1);
         relay(&mut s, &mut stats, stride);
         let phases: Vec<u8> = s.samples().iter().map(|x| x.phase).collect();
         assert_eq!(phases, vec![1, 0, 0]);
+        assert_eq!(s.nodes()[0].phase, Phase::OnlineSince(2 * stride));
+        assert_eq!(s.nodes()[1].phase, Phase::Online);
     }
 
     #[test]
     fn sampler_reads_the_counters_where_the_step_ends() {
-        let mut s = TimeSeriesSampler::new();
+        let mut s = attached(2);
         let mut stats = Stats::new(2);
         stats.sent_total = 70;
         stats.dropped_total = 2;
         stats.max_link_depth = 3;
         // Off the grid: no sample.
-        stats.delivered_total = TimeSeriesSampler::STRIDE - 1;
+        stats.delivered_total = TraceProbe::STRIDE - 1;
         s.on_step_end(&stats, 5);
         assert!(s.samples().is_empty());
-        stats.delivered_total = TimeSeriesSampler::STRIDE;
+        stats.delivered_total = TraceProbe::STRIDE;
         s.on_step_end(&stats, 4);
         assert_eq!(
             s.samples(),
@@ -645,94 +480,51 @@ mod tests {
 
     #[test]
     fn profiler_attributes_phases_and_ranks_links_deterministically() {
-        let mut p = SpanProfiler::new();
-        p.on_attach(3, 6);
-        let m = |node, event| PhaseMarker { node, event };
-        // Node 0 constructs for 2 deliveries, then goes online.
-        p.on_marker(m(NodeId(0), PhaseEvent::ConstructionStart), 0);
-        p.on_send(NodeId(0), NodeId(1), 8, 1, 1);
+        let mut p = attached(3);
+        // Node 1 constructs for 2 deliveries, then goes online.
+        p.on_marker(marker(1, PhaseEvent::ConstructionStart), 0);
         p.on_deliver(NodeId(0), NodeId(1), 8, 1, 0);
         p.on_deliver(NodeId(0), NodeId(1), 8, 2, 0);
-        p.on_marker(m(NodeId(0), PhaseEvent::ConstructionQuiescence), 2);
-        p.on_send(NodeId(0), NodeId(2), 16, 1, 1);
-        p.on_deliver(NodeId(0), NodeId(2), 16, 3, 0);
-        assert_eq!(p.construction_span(NodeId(0)).sends, 1);
-        assert_eq!(p.online_span(NodeId(0)).sends, 1);
-        assert_eq!(p.online_span(NodeId(1)).deliveries, 2);
-        assert_eq!(p.online_since(NodeId(0)), 2);
-        assert!(!p.still_constructing(NodeId(0)));
-        // Hottest links: (0,1) twice beats (0,2) once; ties would fall back
-        // to the (from, to) order.
-        let hot = p.hottest_links(8);
-        assert_eq!(hot[0], ((NodeId(0), NodeId(1)), 2));
-        assert_eq!(hot[1], ((NodeId(0), NodeId(2)), 1));
+        p.on_marker(marker(1, PhaseEvent::ConstructionQuiescence), 2);
+        p.on_deliver(NodeId(2), NodeId(0), 8, 3, 0);
+        p.on_deliver(NodeId(0), NodeId(1), 8, 4, 0);
+        p.on_deliver(NodeId(1), NodeId(2), 8, 5, 0);
+        // A node that never constructed has no construction to end.
+        p.on_marker(marker(2, PhaseEvent::ConstructionQuiescence), 5);
+        let row = |phase, construction_deliveries, online_deliveries| NodePhase {
+            phase,
+            construction_deliveries,
+            online_deliveries,
+        };
+        assert_eq!(
+            p.nodes(),
+            [
+                row(Phase::Online, 0, 1),
+                row(Phase::OnlineSince(2), 2, 1),
+                row(Phase::Online, 0, 1),
+            ]
+        );
+        // Hottest links: (0,1) three times beats the rest; the tie between
+        // (1,2) and (2,0) falls back to the (from, to) order.
+        assert_eq!(
+            p.hottest_links(8),
+            [
+                ((NodeId(0), NodeId(1)), 3),
+                ((NodeId(1), NodeId(2)), 1),
+                ((NodeId(2), NodeId(0)), 1),
+            ]
+        );
         assert_eq!(p.hottest_links(1).len(), 1);
-        assert_eq!(p.last_stamp(), 3);
     }
 
     #[test]
     fn profiler_marker_log_is_bounded() {
-        // Both constructors keep the same bound.
-        for mut p in [SpanProfiler::new(), SpanProfiler::default()] {
-            for i in 0..DEFAULT_MARKER_CAPACITY as u64 + 6 {
-                p.on_marker(marker(PhaseEvent::OnlineWindow), i);
-            }
-            assert_eq!(p.markers().len(), DEFAULT_MARKER_CAPACITY);
-            assert_eq!(p.markers_dropped(), 6);
+        let mut p = attached(1);
+        for i in 0..TraceProbe::MARKER_CAPACITY as u64 + 6 {
+            p.on_marker(marker(0, PhaseEvent::OnlineWindow), i);
         }
-    }
-
-    #[test]
-    fn chrome_trace_export_is_wellformed_and_deterministic() {
-        let mut p = SpanProfiler::new();
-        p.on_attach(2, 2);
-        p.on_marker(
-            PhaseMarker {
-                node: NodeId(0),
-                event: PhaseEvent::ConstructionStart,
-            },
-            0,
-        );
-        p.on_send(NodeId(0), NodeId(1), 8, 1, 1);
-        p.on_deliver(NodeId(0), NodeId(1), 8, 1, 0);
-        p.on_marker(
-            PhaseMarker {
-                node: NodeId(0),
-                event: PhaseEvent::ConstructionQuiescence,
-            },
-            1,
-        );
-        let events = p.chrome_span_events(NodeId(0), 3);
-        assert_eq!(events, p.chrome_span_events(NodeId(0), 3));
-        // Node 0 constructed until delivery 1, then went online.
-        assert_eq!(events.len(), 2);
-        assert!(events[0].contains("\"name\":\"construction\""));
-        assert!(events[0].contains("\"ts\":0,\"dur\":1,\"pid\":3,\"tid\":0"));
-        assert!(events[1].contains("\"name\":\"online\""));
-        // A node that never constructed has only its online span.
-        let online_only = p.chrome_span_events(NodeId(1), 3);
-        assert_eq!(online_only.len(), 1);
-        assert!(online_only[0].contains("\"name\":\"online\""));
-        for event in events.iter().chain(&online_only) {
-            // Balanced braces — a cheap well-formedness check without a parser.
-            assert!(event.starts_with('{') && event.ends_with('}'));
-            assert_eq!(event.matches('{').count(), event.matches('}').count());
-        }
-    }
-
-    #[test]
-    fn tuple_observer_drives_both_sides() {
-        let mut pair = (TimeSeriesSampler::new(), SpanProfiler::new());
-        pair.on_attach(2, 2);
-        pair.on_send(NodeId(0), NodeId(1), 8, 1, 1);
-        pair.on_deliver(NodeId(0), NodeId(1), 8, 1, 0);
-        assert_eq!(pair.1.online_span(NodeId(1)).deliveries, 1);
-        let mut stats = Stats::new(2);
-        stats.delivered_total = TimeSeriesSampler::STRIDE;
-        pair.on_step_end(&stats, 0);
-        assert_eq!(pair.0.samples().len(), 1);
-        const { assert!(<(TimeSeriesSampler, SpanProfiler) as Observer>::ENABLED) };
-        const { assert!(!NullObserver::ENABLED) };
+        assert_eq!(p.markers().len(), TraceProbe::MARKER_CAPACITY);
+        assert_eq!(p.markers_dropped(), 6);
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub struct Context<'a> {
     node: NodeId,
     neighbors: &'a [NodeId],
     outbox: Vec<(NodeId, Payload)>,
-    markers: Vec<(usize, PhaseEvent)>,
+    markers: Vec<PhaseEvent>,
     markers_enabled: bool,
 }
 
@@ -84,19 +84,18 @@ impl<'a> Context<'a> {
         self.markers_enabled
     }
 
-    /// Records a semantic phase marker at the current position in the
-    /// outbox: the engine forwards it to the observer *before* any message
-    /// queued after this call, so phase attribution of sends is exact. A
-    /// no-op (no allocation) unless an observer enabled marker collection.
+    /// Records a semantic phase marker. The engine hands an event's markers
+    /// to the observer in the order they were recorded, stamped with the
+    /// delivery count, before it queues the event's sends. A no-op (no
+    /// allocation) unless an observer enabled marker collection.
     pub fn marker(&mut self, event: PhaseEvent) {
         if self.markers_enabled {
-            self.markers.push((self.outbox.len(), event));
+            self.markers.push(event);
         }
     }
 
-    /// Drains the recorded markers as `(outbox position, event)` pairs
-    /// (used by the engine).
-    pub fn take_markers(&mut self) -> Vec<(usize, PhaseEvent)> {
+    /// Drains the recorded markers, in recording order (used by the engine).
+    pub fn take_markers(&mut self) -> Vec<PhaseEvent> {
         std::mem::take(&mut self.markers)
     }
 }
@@ -239,8 +238,8 @@ mod tests {
         assert_eq!(
             ctx.take_markers(),
             vec![
-                (0, PhaseEvent::ConstructionStart),
-                (1, PhaseEvent::ConstructionQuiescence)
+                PhaseEvent::ConstructionStart,
+                PhaseEvent::ConstructionQuiescence
             ]
         );
     }

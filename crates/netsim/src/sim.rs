@@ -8,7 +8,7 @@ use crate::envelope::{Envelope, Payload};
 use crate::error::SimError;
 use crate::links::{LinkStore, LinkTable, LinkView};
 use crate::noise::{NoiseModel, Noiseless};
-use crate::observer::{NullObserver, Observer, PhaseEvent, PhaseMarker};
+use crate::observer::{NullObserver, Observer, PhaseMarker};
 use crate::reactor::{Context, Reactor};
 use crate::scheduler::{RandomScheduler, Scheduler};
 use crate::stats::Stats;
@@ -469,11 +469,10 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
 
     /// Runs one reactor event: `f` gets the reactor at `node` and a context
     /// over its neighbour slice (borrowed from the graph) and the
-    /// simulation's reusable outbox. The queued sends then enter the
-    /// network, with the phase markers forwarded to the observer at the
-    /// outbox positions where they were recorded — so every send lands on
-    /// the correct side of a phase boundary. For the null observer both the
-    /// marker vector and the `O::ENABLED` blocks compile away.
+    /// simulation's reusable outbox. The event's phase markers then reach
+    /// the observer in emission order, stamped with the delivery count, and
+    /// its sends enter the network after them. For the null observer the
+    /// `O::ENABLED` blocks compile away.
     ///
     /// The outbox is drained in place and kept empty, also when a send is
     /// rejected, so no stale send outlives an error.
@@ -487,48 +486,18 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
             ctx.enable_markers();
         }
         f(&mut self.nodes[node.index()], &mut ctx);
+        if O::ENABLED {
+            for event in ctx.take_markers() {
+                self.observer
+                    .on_marker(PhaseMarker { node, event }, self.stats.delivered_total);
+            }
+        }
         let mut outbox = ctx.take_outbox();
-        let markers = if O::ENABLED {
-            ctx.take_markers()
-        } else {
-            Vec::new()
-        };
-        let queued = self.enqueue_outbox(node, &mut outbox, markers);
-        outbox.clear();
+        let queued = outbox
+            .drain(..)
+            .try_for_each(|(to, payload)| self.enqueue_send(node, to, payload));
         self.outbox = outbox;
         queued
-    }
-
-    /// Moves one event's sends out of `outbox` into the network,
-    /// interleaved with its `markers` (see [`react`](Self::react)).
-    fn enqueue_outbox(
-        &mut self,
-        from: NodeId,
-        outbox: &mut Vec<(NodeId, Payload)>,
-        markers: Vec<(usize, PhaseEvent)>,
-    ) -> Result<(), SimError> {
-        let mut markers = markers.into_iter().peekable();
-        for (pos, (to, payload)) in outbox.drain(..).enumerate() {
-            if O::ENABLED {
-                while markers.peek().is_some_and(|&(at, _)| at <= pos) {
-                    let (_, event) = markers.next().expect("peeked marker");
-                    self.observer.on_marker(
-                        PhaseMarker { node: from, event },
-                        self.stats.delivered_total,
-                    );
-                }
-            }
-            self.enqueue_send(from, to, payload)?;
-        }
-        if O::ENABLED {
-            for (_, event) in markers {
-                self.observer.on_marker(
-                    PhaseMarker { node: from, event },
-                    self.stats.delivered_total,
-                );
-            }
-        }
-        Ok(())
     }
 
     fn enqueue_send(&mut self, from: NodeId, to: NodeId, payload: Payload) -> Result<(), SimError> {
@@ -634,7 +603,6 @@ mod tests {
         assert!(sim.is_quiescent());
         assert_eq!(sim.stats().sent_total, 4);
         assert_eq!(sim.stats().delivered_total, 4);
-        assert_eq!(sim.stats().bits_sent, 4 * 16);
         // Node 0 never hears back; others saw the payload unchanged.
         assert_eq!(sim.node(NodeId(0)).output(), None);
         assert_eq!(sim.node(NodeId(3)).output(), Some(vec![7, 7]));
@@ -657,9 +625,9 @@ mod tests {
     fn noise_corrupts_delivered_payloads_only() {
         let mut sim = ring_sim(4).with_noise(ConstantOne);
         sim.run().unwrap();
-        // Receivers saw the corrupted [1]; the stats still count sent bits.
+        // Receivers saw the corrupted [1]; every send was still delivered.
         assert_eq!(sim.node(NodeId(2)).output(), Some(vec![1]));
-        assert_eq!(sim.stats().bits_sent, 3 * 16);
+        assert_eq!(sim.stats().delivered_total, 3);
     }
 
     #[test]
@@ -1025,10 +993,12 @@ mod tests {
     }
 
     #[test]
-    fn markers_interleave_with_sends_at_recorded_positions() {
+    fn markers_reach_the_observer_before_their_events_sends() {
         use crate::observer::{Observer, PhaseEvent, PhaseMarker};
 
-        /// Emits marker / send / marker / send from node 0 at start.
+        /// Node 0 sends to node 1 at start, with a marker before and one
+        /// after the send; node 1 answers the delivery with a send between
+        /// two markers of its own.
         struct Marking;
         impl Reactor for Marking {
             fn on_start(&mut self, ctx: &mut Context) {
@@ -1037,21 +1007,26 @@ mod tests {
                     ctx.marker(PhaseEvent::ConstructionStart);
                     ctx.send(NodeId(1), vec![1, 1]);
                     ctx.marker(PhaseEvent::ConstructionQuiescence);
-                    ctx.send(NodeId(1), vec![2, 2]);
                 }
             }
-            fn on_message(&mut self, _f: NodeId, _p: &[u8], _c: &mut Context) {}
+            fn on_message(&mut self, from: NodeId, _p: &[u8], ctx: &mut Context) {
+                if ctx.node() == NodeId(1) {
+                    ctx.marker(PhaseEvent::TokenAcquired);
+                    ctx.send(from, vec![2, 2]);
+                    ctx.marker(PhaseEvent::TokenReleased);
+                }
+            }
         }
 
         #[derive(Default)]
         struct Log(Vec<String>);
         impl Observer for Log {
-            fn on_send(&mut self, _f: NodeId, _t: NodeId, _b: u64, _d: usize, _i: usize) {
-                self.0.push("send".into());
+            fn on_send(&mut self, from: NodeId, _t: NodeId, _b: u64, _d: usize, _i: usize) {
+                self.0.push(format!("send v{}", from.0));
             }
-            fn on_marker(&mut self, m: PhaseMarker, _deliveries: u64) {
-                assert_eq!(m.node, NodeId(0));
-                self.0.push(m.event.label().into());
+            fn on_marker(&mut self, m: PhaseMarker, deliveries: u64) {
+                self.0
+                    .push(format!("{} v{} @{deliveries}", m.event.label(), m.node.0));
             }
         }
 
@@ -1063,10 +1038,12 @@ mod tests {
         assert_eq!(
             sim.observer().0,
             vec![
-                "construction-start",
-                "send",
-                "construction-quiescence",
-                "send"
+                "construction-start v0 @0",
+                "construction-quiescence v0 @0",
+                "send v0",
+                "token-acquired v1 @1",
+                "token-released v1 @1",
+                "send v1",
             ]
         );
     }
@@ -1083,6 +1060,7 @@ mod tests {
             }
             fn on_message(&mut self, _f: NodeId, _p: &[u8], _c: &mut Context) {}
         }
+        const { assert!(!NullObserver::ENABLED) };
         let g = generators::two_party();
         let mut sim = Simulation::new(g, vec![NoMarkers, NoMarkers]).unwrap();
         sim.run().unwrap();

@@ -1,9 +1,10 @@
 //! Communication accounting.
 //!
-//! The paper's complexity measures count the number and total length of
-//! *sent* messages (pulses), before any corruption: `CCinit` for the
-//! pre-processing phase and `CCoverhead(m)` per simulated message. The
-//! simulator tracks exactly those quantities, per node and per edge.
+//! The paper's complexity measures count *sent* messages (pulses), before
+//! any corruption: `CCinit` for the pre-processing phase and
+//! `CCoverhead(m)` per simulated message. The simulator counts sends per
+//! node and per edge; a content-oblivious run sends only one-byte pulses,
+//! so their number is also their length.
 
 #![deny(clippy::float_arithmetic, clippy::cast_precision_loss)]
 
@@ -27,9 +28,6 @@ pub struct Stats {
     /// Total messages deleted by the noise model (always 0 under the paper's
     /// alteration-only contract; deletion-side adversaries may drop).
     pub dropped_total: u64,
-    /// Total payload bits sent (the paper's `CC` counts bits of sent
-    /// messages).
-    pub bits_sent: u64,
     /// High-water mark of the total number of messages in flight at any
     /// instant of the run (queue-depth observability of the link-indexed
     /// event core).
@@ -67,7 +65,6 @@ impl Stats {
     /// Records a send.
     pub fn record_send(&mut self, env: &Envelope) {
         self.sent_total += 1;
-        self.bits_sent += env.bits();
         *self.sent_on_link(env.from, env.to) += 1;
         if let Some(slot) = self.per_node_sent.get_mut(env.from.index()) {
             *slot += 1;
@@ -130,7 +127,6 @@ impl Stats {
             sent_total: self.sent_total,
             delivered_total: self.delivered_total,
             dropped_total: self.dropped_total,
-            bits_sent: self.bits_sent,
             max_inflight: self.max_inflight,
             max_link_depth: self.max_link_depth,
             per_node_sent: self.per_node_sent.clone(),
@@ -155,8 +151,6 @@ pub struct StatsSnapshot {
     pub delivered_total: u64,
     /// Total messages deleted by the noise model.
     pub dropped_total: u64,
-    /// Total payload bits sent.
-    pub bits_sent: u64,
     /// High-water mark of messages simultaneously in flight (run-cumulative).
     pub max_inflight: u64,
     /// High-water mark of any single directed link's FIFO queue depth
@@ -210,7 +204,6 @@ mod tests {
         s.record_delivery();
         assert_eq!(s.sent_total, 3);
         assert_eq!(s.delivered_total, 1);
-        assert_eq!(s.bits_sent, 32);
         assert_eq!(s.per_node_sent, vec![1, 2, 0]);
         let snap = s.snapshot();
         assert_eq!(snap.per_edge_sent, vec![(edge(0, 1), 2), (edge(1, 2), 1)]);

@@ -9,12 +9,7 @@
 //!
 //! Usage: `cargo run --release --example campaign`
 
-#![expect(
-    clippy::print_stdout,
-    clippy::print_stderr,
-    reason = "D5: an example prints its results, and its progress to stderr"
-)]
-
+use fdn_lab::{errln, out, outln};
 use fully_defective::prelude::*;
 
 fn main() -> Result<(), LabError> {
@@ -44,14 +39,14 @@ fn main() -> Result<(), LabError> {
     // The caches share seed-independent work (topologies, baselines) across
     // both campaigns; they never change a report's bytes.
     let caches = Caches::new();
-    eprintln!("running {} scenarios…", campaign.scenario_count());
+    errln!("running {} scenarios…", campaign.scenario_count());
     let (report, _timings) = run_campaign(&caches, &campaign, None)?;
 
     // Every cell should succeed: content-oblivious simulation is exact even
     // under total corruption (that is the paper's Theorem 2).
     assert!(report.cells.iter().all(|c| c.success_rate == 1.0));
 
-    print!("{}", report.to_markdown());
+    out!("{}", report.to_markdown());
 
     // The frontier: the same matrix under deletion-side adversaries, which
     // the paper's model forbids. Success is *expected* to collapse — the
@@ -60,19 +55,18 @@ fn main() -> Result<(), LabError> {
     let mut frontier = campaign.clone();
     frontier.name = "example-frontier".to_string();
     frontier.noises = NoiseSpec::DELETION.to_vec();
-    eprintln!(
+    errln!(
         "running {} deletion-frontier scenarios…",
         frontier.scenario_count()
     );
     let (frontier_report, _) = run_campaign(&caches, &frontier, None)?;
-    println!();
-    print!("{}", frontier_report.to_markdown());
+    out!("\n{}", frontier_report.to_markdown());
     let broken = frontier_report
         .cells
         .iter()
         .filter(|c| c.success_rate < 1.0)
         .count();
-    println!(
+    outln!(
         "\ndeletion frontier: {} of {} cells lost success once messages could be dropped",
         broken,
         frontier_report.cells.len()
