@@ -442,6 +442,12 @@ fn summarize_correctness(report: &CampaignReport) -> bool {
             "FAILURES PRESENT"
         }
     );
+    outln!(
+        "(The alteration-noise rows share one run per (cell, seed): a noise that never \
+         deletes cannot change a content-oblivious run. The unshared test \
+         `alteration_twins_share_a_run_without_changing_a_cell` in \
+         `crates/lab/tests/campaign.rs` checks that the sharing changes no cell.)"
+    );
     all_ok
 }
 

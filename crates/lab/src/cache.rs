@@ -26,6 +26,33 @@
 //!   noise or encoding axes at all, so memoizing it across those axes reuses
 //!   bit-identical work.
 //!
+//! One more reuse needs no memo, because it is settled before dispatch:
+//! [`run_campaign`](crate::runner::run_campaign) runs **alteration-noise
+//! twins** once. Scenarios that become equal once their expansion index is
+//! zeroed and a noise that never deletes ([`NoiseSpec::deletes`] is false)
+//! is replaced by [`NoiseSpec::Noiseless`] are one execution; the first of
+//! each group runs and the rest get a copy of its outcome, each under its
+//! own scenario. The copy is exact because:
+//!
+//! * on the pulse path the noise model only answers
+//!   [`NoiseModel::passes`](fdn_netsim::NoiseModel::passes). Every engine
+//!   mode runs `FullSimulator`, whose deliveries take that path
+//!   (`runner.rs` asserts it at compile time), and a campaign run records
+//!   no transcript, the one thing that would ask for content;
+//! * a model that never deletes always answers yes: the four alteration
+//!   models keep the trait's default `passes`, which draws nothing
+//!   (`fdn-netsim`'s `survival_decisions_match_delivery` test checks each
+//!   of them);
+//! * the noise RNG is its own stream (seeded with `seed ^ NOISE_SALT`),
+//!   apart from the separately salted scheduler stream, so no noise can
+//!   move the schedule. The baseline and the replay checkpoint never see
+//!   the noise at all (above).
+//!
+//! [`run_scenario_with`](crate::runner::run_scenario_with), `fdn-lab trace`
+//! and the benchmark's per-layer replay stay unshared; the campaign test
+//! `alteration_twins_share_a_run_without_changing_a_cell` compares shared
+//! cells with unshared runs.
+//!
 //! What is **still** deliberately not cached is the full-mode distributed
 //! construction: a `full` cell measures construction *and* online cost under
 //! the scenario's own seed, so its construction must be re-run per seed —

@@ -102,7 +102,8 @@ fn usage() -> String {
     \x20                                 report bytes never change\n\
     \x20 --format md|csv|json            (report command) output format\n\
     \x20 --timings PATH                  (run, trace) write a\n\
-    \x20                                 per-cell wall-clock JSON sidecar;\n\
+    \x20                                 per-cell wall-clock JSON sidecar\n\
+    \x20                                 (and the runs copied from a twin);\n\
     \x20                                 reports themselves never carry wall\n\
     \x20                                 time, so diff gates stay byte-exact\n\
      \n\
@@ -475,10 +476,11 @@ fn cmd_run(args: &[String]) -> Result<(), LabError> {
     Ok(())
 }
 
-/// Writes the `--timings` sidecar: per-cell wall clock plus (when a store
-/// was attached) the checkpoint-store counters, kept out of every report so
-/// the byte-identity diff gates never see wall time or cache behaviour. CI's
-/// warm-store gate reads the `store` object from here.
+/// Writes the `--timings` sidecar: per-cell wall clock, runs and shared
+/// runs, plus (when a store was attached) the checkpoint-store counters,
+/// kept out of every report so the byte-identity diff gates never see wall
+/// time or cache behaviour. CI's warm-store gate reads the `store` object
+/// from here.
 fn write_timings(
     path: &Path,
     command: &str,
@@ -501,6 +503,7 @@ fn write_timings(
                             ("cell", Json::Str(t.cell.clone())),
                             ("wall_ms", Json::Num(t.wall_ms)),
                             ("runs", Json::num_u64(t.runs as u64)),
+                            ("shared", Json::num_u64(t.shared as u64)),
                         ])
                     })
                     .collect(),

@@ -5,16 +5,19 @@
 //! from the scenario seed, and the outcome is a plain value. Work that is
 //! identical across slices of the matrix — the seed-independent topology,
 //! the construct-once replay checkpoints, the noiseless direct baselines —
-//! comes from the shared [`Caches`] (see `cache.rs` for the soundness
-//! arguments). That sharing is read-only-after-build, which is what makes
-//! the rayon sweep in [`run_campaign`] trivially safe — and, because results
-//! are collected in scenario order and contain no wall-clock data,
-//! byte-identical across runs regardless of thread count.
+//! comes from the shared [`Caches`], and [`run_campaign`] runs scenarios
+//! that differ only in an alteration noise once (see `cache.rs` for the
+//! soundness arguments). That sharing is read-only-after-build, which is
+//! what makes the rayon sweep in [`run_campaign`] trivially safe — and,
+//! because results are collected in scenario order and contain no
+//! wall-clock data, byte-identical across runs regardless of thread count.
 
 use rayon::prelude::*;
 
 use fdn_core::{cycle_simulators_prevalidated, full_simulators, replay_simulators, FullSimulator};
-use fdn_netsim::{DirectRunner, LinkTable, NullObserver, Observer, Simulation, StatsSnapshot};
+use fdn_netsim::{
+    DirectRunner, LinkTable, NoiseSpec, NullObserver, Observer, Reactor, Simulation, StatsSnapshot,
+};
 use fdn_protocols::{BoxedProtocol, WorkloadSpec};
 
 use crate::cache::{BaselineKey, Caches, ReplayKey};
@@ -26,6 +29,10 @@ use crate::spec::{shard_slice, Campaign, EngineMode, Scenario, Shard};
 pub(crate) const NOISE_SALT: u64 = 0x4E01_5E00;
 /// Seed salt for the scheduler stream.
 pub(crate) const SCHED_SALT: u64 = 0x5C4E_D000;
+
+// Every engine mode runs this reactor, and alteration twins may share one
+// run only because its deliveries take the pulse path (see `cache.rs`).
+const _: () = assert!(<FullSimulator<BoxedProtocol> as Reactor>::DELIVERY.is_pulse());
 
 /// The measured result of one scenario run.
 #[derive(Debug, Clone, PartialEq)]
@@ -393,15 +400,38 @@ pub struct CellTiming {
     pub wall_ms: f64,
     /// Number of scenario runs the total covers.
     pub runs: usize,
+    /// Of those, the scenarios whose outcome was copied from an alteration
+    /// twin's run (see [`run_campaign`]); they add nothing to `wall_ms`.
+    pub shared: usize,
+}
+
+/// The execution `scenario` runs, as a scenario: its expansion index zeroed
+/// and a noise that never deletes replaced by [`NoiseSpec::Noiseless`].
+/// Scenarios with one execution are alteration twins, whose outcomes differ
+/// only in [`ScenarioOutcome::scenario`] (see `cache.rs`).
+fn execution(scenario: Scenario) -> Scenario {
+    let mut cell = scenario.cell;
+    if !cell.noise.deletes() {
+        cell.noise = NoiseSpec::Noiseless;
+    }
+    Scenario {
+        index: 0,
+        cell,
+        ..scenario
+    }
 }
 
 /// Expands `campaign`, keeps `shard`'s cell-atomic slice (`--shard K/M`;
-/// `None` runs the whole matrix), runs every scenario in parallel (rayon)
-/// and aggregates the report, drawing shared work from `caches` — the hook
+/// `None` runs the whole matrix), runs it in parallel (rayon) and
+/// aggregates the report, drawing shared work from `caches` — the hook
 /// through which `--store DIR` threads a persistent checkpoint store under
-/// the replay tier. The caches only accelerate: the
-/// report bytes are identical whichever caches are passed, and independent
-/// of thread count and interleaving.
+/// the replay tier. Alteration-noise twins (scenarios that differ only in a
+/// noise that never deletes) run once: the first of each group, in
+/// expansion order, is simulated, and every scenario of the group receives
+/// a copy of its outcome under its own [`Scenario`] (see `cache.rs` for
+/// why the copy is exact). Neither the caches nor the sharing change a
+/// report byte, and the report is independent of thread count and
+/// interleaving.
 ///
 /// Alongside the report comes each cell's wall-clock cost, listed in the
 /// deterministic expansion order of the cells; only the `wall_ms` values
@@ -428,12 +458,45 @@ pub fn run_campaign(
         None if scenarios.is_empty() => return Err(LabError::EmptyCampaign),
         None => {}
     }
-    let timed: Vec<(ScenarioOutcome, f64)> = scenarios
+    // `runs` holds the first scenario of each execution, in expansion
+    // order; `run_of[i]` is the position in `runs` of scenario i's.
+    let mut executions: Vec<Scenario> = Vec::new();
+    let mut runs: Vec<Scenario> = Vec::new();
+    let run_of: Vec<usize> = scenarios
+        .iter()
+        .map(|&s| {
+            let execution = execution(s);
+            executions
+                .iter()
+                .rposition(|e| *e == execution)
+                .unwrap_or_else(|| {
+                    executions.push(execution);
+                    runs.push(s);
+                    runs.len() - 1
+                })
+        })
+        .collect();
+    let ran: Vec<(ScenarioOutcome, f64)> = runs
         .into_par_iter()
         .map(|s| {
             let watch = crate::timing::Stopwatch::start();
             let outcome = run_scenario_with(caches, s);
             (outcome, watch.elapsed_ms())
+        })
+        .collect();
+    // Each scenario receives its execution's outcome under its own identity;
+    // only the scenario that ran carries the run's wall time.
+    let timed: Vec<(ScenarioOutcome, Option<f64>)> = scenarios
+        .into_iter()
+        .zip(run_of)
+        .map(|(scenario, r)| {
+            let (outcome, ms) = &ran[r];
+            let own = (outcome.scenario == scenario).then_some(*ms);
+            let outcome = ScenarioOutcome {
+                scenario,
+                ..outcome.clone()
+            };
+            (outcome, own)
         })
         .collect();
     // Expansion (and so the collected order) lists each cell's seeds as one
@@ -442,8 +505,9 @@ pub fn run_campaign(
         .chunk_by(|(a, _), (b, _)| a.scenario.cell == b.scenario.cell)
         .map(|block| CellTiming {
             cell: block[0].0.scenario.cell.id(),
-            wall_ms: block.iter().map(|(_, ms)| ms).sum(),
+            wall_ms: block.iter().filter_map(|(_, ms)| *ms).sum(),
             runs: block.len(),
+            shared: block.iter().filter(|(_, ms)| ms.is_none()).count(),
         })
         .collect();
     let outcomes: Vec<ScenarioOutcome> = timed.into_iter().map(|(o, _)| o).collect();

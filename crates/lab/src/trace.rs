@@ -104,6 +104,7 @@ pub fn run_trace(
                 cell: trace.cell_id(),
                 wall_ms: watch.elapsed_ms(),
                 runs: 1,
+                shared: 0,
             };
             (trace, timing)
         })
@@ -223,10 +224,12 @@ impl TraceReport {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "{} cell(s), first seed each; sampled every {} deliveries \
-             (timestamps are delivery counts, never wall clock).",
+            "{} cell(s), first seed each; sampled every {} deliveries, the stride \
+             doubling each time a cell's {}-sample ring fills (each cell states its \
+             final stride; timestamps are delivery counts, never wall clock).",
             self.cells.len(),
             TraceProbe::STRIDE,
+            TraceProbe::CAPACITY,
         );
         for trace in &self.cells {
             let o = &trace.outcome;
@@ -272,6 +275,12 @@ impl TraceReport {
                 o.cc_init(),
                 o.online_pulses(),
                 o.steps,
+            );
+            let _ = writeln!(
+                out,
+                "Sampled every {} deliveries ({} samples).",
+                trace.probe.stride(),
+                trace.probe.samples().len(),
             );
             let hottest = trace.probe.hottest_links(TOP_LINKS);
             if !hottest.is_empty() {
@@ -539,6 +548,39 @@ mod tests {
             }
         }
         assert!(samples > 100, "{samples} samples");
+    }
+
+    #[test]
+    fn a_cell_long_enough_to_compact_states_its_doubled_stride() {
+        // The leader election on an 8-ring takes 45,454 deliveries in full
+        // mode: the sample ring fills at delivery 32,768 and the stride
+        // doubles once.
+        let mut campaign = Campaign::new("trace-long");
+        campaign.families = vec![GraphFamily::Cycle { n: 8 }];
+        campaign.workloads = vec![WorkloadSpec::Leader];
+        campaign.seeds = SeedRange { start: 1, count: 1 };
+        let report = run_trace(&campaign).unwrap();
+        let probe = &report.cells[0].probe;
+        assert!(report.cells[0].outcome.steps > TraceProbe::STRIDE * TraceProbe::CAPACITY as u64);
+        let stride = probe.stride();
+        assert_eq!(stride, 2 * TraceProbe::STRIDE);
+        assert!(probe.samples().iter().all(|s| s.deliveries % stride == 0));
+        let md = report.to_markdown();
+        assert!(
+            md.contains("sampled every 64 deliveries, the stride doubling each time a cell's 512-sample ring fills"),
+            "{md}"
+        );
+        let line = format!(
+            "Sampled every {stride} deliveries ({} samples).",
+            probe.samples().len()
+        );
+        assert!(md.contains(&line), "{md}");
+        // A short cell keeps the initial stride and says so.
+        let short = run_trace(&quick_campaign(EngineMode::Full)).unwrap();
+        assert_eq!(short.cells[0].probe.stride(), TraceProbe::STRIDE);
+        assert!(short
+            .to_markdown()
+            .contains("Sampled every 64 deliveries ("));
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Integration tests of the campaign engine: determinism under parallelism,
 //! correctness of aggregation, JSON round-tripping, the deletion-noise
-//! frontier, the report diff gate, the construction cache, and sharded
-//! campaign recombination.
+//! frontier, the report diff gate, the construction cache, sharded
+//! campaign recombination, and alteration-noise twins sharing one run.
+
+mod common;
 
 use fdn_graph::GraphFamily;
 use fdn_lab::{
-    diff_reports, merge_reports, run_scenario_with, Caches, Campaign, CampaignReport,
-    DiffTolerance, EngineMode, LabError, SeedRange, Shard,
+    diff_reports, merge_reports, run_scenario_with, Caches, Campaign, CampaignReport, Cell,
+    DiffTolerance, EngineMode, Json, LabError, Scenario, ScenarioOutcome, SeedRange, Shard,
 };
 use fdn_netsim::{NoiseSpec, SchedulerSpec};
 use fdn_protocols::WorkloadSpec;
@@ -355,5 +357,150 @@ fn engine_modes_pin_exact_counts() {
             out.cycle_len,
         );
         assert_eq!(measured, counts, "{id}");
+    }
+}
+
+/// The four alteration noises: none of them deletes.
+const ALTERATION: [NoiseSpec; 4] = [
+    NoiseSpec::Noiseless,
+    NoiseSpec::FullCorruption,
+    NoiseSpec::ConstantOne,
+    NoiseSpec::BitFlip { p: 0.2 },
+];
+
+/// The quick families in every engine mode, with both quick workloads and
+/// three schedulers at one seed (54 cells per noise), under `noises`.
+fn twin_matrix(noises: &[NoiseSpec]) -> Campaign {
+    let mut c = Campaign::preset("quick").unwrap();
+    c.modes = EngineMode::ALL.to_vec();
+    c.schedulers = vec![
+        SchedulerSpec::Random,
+        SchedulerSpec::Fifo,
+        SchedulerSpec::Lifo,
+    ];
+    c.noises = noises.to_vec();
+    c.seeds = SeedRange { start: 1, count: 1 };
+    c
+}
+
+#[test]
+fn alteration_twins_share_a_run_without_changing_a_cell() {
+    // One alteration noise alone has no twin, so every scenario is simulated
+    // for itself: these cells are the unshared reference. (The caches hold
+    // no run, only the topology, baselines and checkpoints.)
+    let omission = NoiseSpec::Omission {
+        drop_per_mille: 200,
+    };
+    let all: Vec<NoiseSpec> = ALTERATION.into_iter().chain([omission]).collect();
+    let (combined, timings) =
+        fdn_lab::run_campaign(&Caches::new(), &twin_matrix(&all), None).unwrap();
+    let shared: usize = timings.iter().map(|t| t.shared).sum();
+    assert_eq!(
+        shared,
+        3 * 54,
+        "three of the four alteration noises copy the first"
+    );
+    let (caches, mut compared) = (Caches::new(), 0);
+    for noise in ALTERATION {
+        let (alone, timings) =
+            fdn_lab::run_campaign(&caches, &twin_matrix(&[noise]), None).unwrap();
+        assert_eq!(alone.cells.len(), 54, "{noise}");
+        assert!(timings.iter().all(|t| t.shared == 0), "{noise}");
+        for cell in &alone.cells {
+            let id = cell.cell_id();
+            let mut twin = combined
+                .cells
+                .iter()
+                .find(|c| c.cell_id() == id)
+                .unwrap_or_else(|| panic!("{id} missing from the combined run"))
+                .clone();
+            twin.first_scenario_index = cell.first_scenario_index;
+            assert_eq!(&twin, cell, "{id}");
+            compared += 1;
+        }
+    }
+    assert_eq!(compared, 4 * 54);
+    assert_eq!(combined.cells.len(), 5 * 54);
+}
+
+#[test]
+fn alteration_noises_change_no_outcome_field_but_the_scenario() {
+    // `run_scenario_with` never shares: each noise runs for itself.
+    let mut campaign = twin_matrix(&[NoiseSpec::Noiseless]);
+    campaign.families = vec![GraphFamily::Figure3];
+    let scenarios = campaign.expand();
+    assert_eq!(scenarios.len(), 18);
+    let caches = Caches::new();
+    let outcomes = |noise: NoiseSpec| -> Vec<ScenarioOutcome> {
+        scenarios
+            .iter()
+            .map(|&s| {
+                let cell = Cell { noise, ..s.cell };
+                run_scenario_with(&caches, Scenario { cell, ..s })
+            })
+            .collect()
+    };
+    let noiseless = outcomes(NoiseSpec::Noiseless);
+    assert!(noiseless.iter().all(|o| o.success), "every run succeeds");
+    for noise in &ALTERATION[1..] {
+        for (out, base) in outcomes(*noise).into_iter().zip(&noiseless) {
+            assert_eq!(out.scenario.cell.noise, *noise);
+            let id = out.scenario.id();
+            let out = ScenarioOutcome {
+                scenario: base.scenario,
+                ..out
+            };
+            assert_eq!(&out, base, "{id}");
+        }
+    }
+}
+
+#[test]
+fn the_timings_sidecar_counts_the_shared_scenarios() {
+    // In the quick preset every full-corruption scenario is the twin of a
+    // noiseless one, so exactly those copy an outcome.
+    let dir = common::scratch("timings_shared");
+    let (out, sidecar) = (dir.join("out"), dir.join("timings.json"));
+    let run = common::fdn_lab(
+        &[
+            "run",
+            "--preset",
+            "quick",
+            "--out",
+            out.to_str().unwrap(),
+            "--timings",
+            sidecar.to_str().unwrap(),
+        ],
+        &[],
+    );
+    assert!(run.status.success(), "{run:?}");
+    let list = common::fdn_lab(
+        &[
+            "list-scenarios",
+            "--preset",
+            "quick",
+            "--noise",
+            "full-corruption",
+        ],
+        &[],
+    );
+    assert!(list.status.success(), "{list:?}");
+    let listed = String::from_utf8(list.stdout).unwrap().lines().count();
+    assert_eq!(listed, 24);
+    let doc = Json::parse(&std::fs::read_to_string(&sidecar).unwrap()).unwrap();
+    let cells = doc.get("cells").and_then(Json::as_arr).unwrap();
+    let count = |cell: &Json, key: &str| cell.get(key).and_then(Json::as_u64).unwrap();
+    let shared: u64 = cells.iter().map(|c| count(c, "shared")).sum();
+    assert_eq!(shared, listed as u64);
+    for cell in cells {
+        let id = cell.get("cell").and_then(Json::as_str).unwrap();
+        let wall_ms = cell.get("wall_ms").and_then(Json::as_f64).unwrap();
+        if id.contains("/full-corruption/") {
+            // A copied outcome costs no wall time.
+            assert_eq!(count(cell, "shared"), count(cell, "runs"), "{id}");
+            assert_eq!(wall_ms, 0.0, "{id}");
+        } else {
+            assert_eq!(count(cell, "shared"), 0, "{id}");
+        }
     }
 }

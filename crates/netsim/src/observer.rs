@@ -250,7 +250,7 @@ impl TraceProbe {
     pub const STRIDE: u64 = 64;
 
     /// The most samples retained; even, so compaction halves exactly.
-    const CAPACITY: usize = 512;
+    pub const CAPACITY: usize = 512;
 
     /// The most phase markers retained.
     pub const MARKER_CAPACITY: usize = 8192;
