@@ -373,7 +373,7 @@ fn e8_deletion_frontier() -> bool {
         );
     }
     // Every row but the full-corruption baseline runs a deletion adversary.
-    let baseline = NoiseSpec::FullCorruption.label();
+    let baseline = NoiseSpec::FullCorruption.to_string();
     let holds = report.cells.iter().all(|cell| {
         if cell.noise == baseline {
             cell.success_rate == 1.0

@@ -29,13 +29,14 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use fdn_graph::cycle::LocalCycleView;
 use fdn_graph::{Graph, NodeId, RobbinsCycle};
+use fdn_netsim::Dest;
 
 use crate::control::ControlMsg;
 use crate::encoding::Encoding;
 use crate::engine::RobbinsEngine;
 use crate::error::CoreError;
 use crate::full::{full_simulators, FullSimulator};
-use crate::wire::{WireDest, WireMessage};
+use crate::wire::WireMessage;
 
 /// The role of this node in the paper's Algorithm 4(a) DFS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,7 +303,7 @@ impl ConstructionNode {
         self.outgoing.push(to);
     }
 
-    fn enqueue_main(&mut self, dest: WireDest, msg: &ControlMsg) {
+    fn enqueue_main(&mut self, dest: Dest, msg: &ControlMsg) {
         let wire = WireMessage {
             src: self.node,
             dest,
@@ -321,7 +322,7 @@ impl ConstructionNode {
         }
     }
 
-    fn enqueue_ear(&mut self, dest: WireDest, msg: &ControlMsg) {
+    fn enqueue_ear(&mut self, dest: Dest, msg: &ControlMsg) {
         let wire = WireMessage {
             src: self.node,
             dest,
@@ -411,10 +412,7 @@ impl ConstructionNode {
                 // early and is buffered.
                 if stage == CycleStage::EarAwaitClosed && self.ear_prev.is_none() {
                     self.ear_prev = Some(from);
-                    self.enqueue_main(
-                        WireDest::Broadcast,
-                        &ControlMsg::EarClosedAt { z: self.node },
-                    );
+                    self.enqueue_main(Dest::Broadcast, &ControlMsg::EarClosedAt { z: self.node });
                 } else if stage == CycleStage::NextRootAwaitDecision && self.ear_prev.is_none() {
                     // The ear DFS can outrun this node's processing of
                     // ⟨new root⟩; remember the pulse and become z when the
@@ -506,7 +504,7 @@ impl ConstructionNode {
                     self.start_fresh_learn_id(true);
                     let next = self.dfs_next.expect("root already chose its first edge");
                     self.enqueue_main(
-                        WireDest::Node(next),
+                        Dest::Node(next),
                         &ControlMsg::LearnIdCollect {
                             ids: vec![self.node],
                         },
@@ -571,13 +569,13 @@ impl ConstructionNode {
                         .map(|c| c.seq().to_vec())
                         .unwrap_or_default();
                     seq.extend_from_slice(&ids);
-                    self.enqueue_main(WireDest::Broadcast, &ControlMsg::LearnIdDone { cycle: seq });
+                    self.enqueue_main(Dest::Broadcast, &ControlMsg::LearnIdDone { cycle: seq });
                 } else {
                     ids.push(self.node);
                     let next = self
                         .dfs_next
                         .expect("learn-ID node knows its cycle successor");
-                    self.enqueue_main(WireDest::Node(next), &ControlMsg::LearnIdCollect { ids });
+                    self.enqueue_main(Dest::Node(next), &ControlMsg::LearnIdCollect { ids });
                 }
             }
             ControlMsg::LearnIdDone { cycle } => self.adopt_cycle_and_start_next_root(cycle),
@@ -615,7 +613,7 @@ impl ConstructionNode {
         self.reports.clear();
         self.phase = Phase::Cycle(CycleStage::NextRootAwaitCheck);
         if self.is_current_root {
-            self.enqueue_main(WireDest::Broadcast, &ControlMsg::CheckEdges);
+            self.enqueue_main(Dest::Broadcast, &ControlMsg::CheckEdges);
         }
     }
 
@@ -640,7 +638,7 @@ impl ConstructionNode {
             (CycleStage::NextRootAwaitCheck, ControlMsg::CheckEdges) => {
                 let has = self.has_unexplored_edges();
                 self.enqueue_main(
-                    WireDest::Broadcast,
+                    Dest::Broadcast,
                     &ControlMsg::EdgeReport {
                         id: self.node,
                         has_unexplored: has,
@@ -665,10 +663,10 @@ impl ConstructionNode {
                             .min();
                         match candidate {
                             Some(new_root) => self.enqueue_main(
-                                WireDest::Broadcast,
+                                Dest::Broadcast,
                                 &ControlMsg::NewRoot { id: new_root },
                             ),
-                            None => self.enqueue_main(WireDest::Broadcast, &ControlMsg::Completed),
+                            None => self.enqueue_main(Dest::Broadcast, &ControlMsg::Completed),
                         }
                     }
                 }
@@ -721,10 +719,7 @@ impl ConstructionNode {
                         .expect("checked non-empty");
                     *self.pending_coord.get_mut(&from).expect("present") -= 1;
                     self.ear_prev = Some(from);
-                    self.enqueue_main(
-                        WireDest::Broadcast,
-                        &ControlMsg::EarClosedAt { z: self.node },
-                    );
+                    self.enqueue_main(Dest::Broadcast, &ControlMsg::EarClosedAt { z: self.node });
                 }
             }
             (CycleStage::NextRootAwaitDecision, ControlMsg::Completed) => {
@@ -749,13 +744,13 @@ impl ConstructionNode {
                         .map(|c| c.seq().to_vec())
                         .unwrap_or_default();
                     seq.extend_from_slice(&ids);
-                    self.enqueue_ear(WireDest::Broadcast, &ControlMsg::LearnIdDone { cycle: seq });
+                    self.enqueue_ear(Dest::Broadcast, &ControlMsg::LearnIdDone { cycle: seq });
                 } else {
                     ids.push(self.node);
                     let next = self
                         .ear_next
                         .expect("ear learn-ID node knows its successor");
-                    self.enqueue_ear(WireDest::Node(next), &ControlMsg::LearnIdCollect { ids });
+                    self.enqueue_ear(Dest::Node(next), &ControlMsg::LearnIdCollect { ids });
                 }
             }
             (CycleStage::EarLearnId, ControlMsg::LearnIdDone { cycle }) => {
@@ -763,7 +758,7 @@ impl ConstructionNode {
                 self.ear_prev = None;
                 self.ear_next = None;
                 if self.is_current_root {
-                    self.enqueue_main(WireDest::Broadcast, &ControlMsg::NewCycle { cycle });
+                    self.enqueue_main(Dest::Broadcast, &ControlMsg::NewCycle { cycle });
                 }
                 self.phase = Phase::Cycle(CycleStage::EarAwaitNewCycle);
             }
@@ -836,7 +831,7 @@ impl ConstructionNode {
             return;
         }
         *count -= 1;
-        self.enqueue_main(WireDest::Broadcast, &ControlMsg::Ready);
+        self.enqueue_main(Dest::Broadcast, &ControlMsg::Ready);
         self.phase = Phase::Cycle(CycleStage::EarAwaitReady);
     }
 
@@ -858,7 +853,7 @@ impl ConstructionNode {
             self.phase = Phase::Cycle(CycleStage::EarLearnId);
             if self.is_current_root {
                 self.enqueue_ear(
-                    WireDest::Node(next),
+                    Dest::Node(next),
                     &ControlMsg::LearnIdCollect {
                         ids: vec![self.node],
                     },

@@ -910,8 +910,8 @@ impl RobbinsEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::WireDest;
     use fdn_graph::cycle::Occurrence;
+    use fdn_netsim::Dest;
 
     fn simple_view(node: u32, prev: u32, next: u32) -> LocalCycleView {
         LocalCycleView::from_simple(NodeId(node), NodeId(prev), NodeId(next))
@@ -1048,7 +1048,7 @@ mod tests {
             let delivered = e.take_delivered();
             assert_eq!(delivered.len(), 1, "engine {i} delivered {delivered:?}");
             assert_eq!(delivered[0].src, NodeId(0));
-            assert_eq!(delivered[0].dest, WireDest::Broadcast);
+            assert_eq!(delivered[0].dest, Dest::Broadcast);
             assert_eq!(delivered[0].payload, vec![0xA5]);
             assert_eq!(e.epochs_completed(), 1);
         }

@@ -50,4 +50,4 @@ pub use engine::RobbinsEngine;
 pub use error::CoreError;
 pub use full::{full_simulators, FullSimulator};
 pub use reactors::{cycle_simulators, cycle_simulators_prevalidated};
-pub use wire::{WireDest, WireMessage};
+pub use wire::WireMessage;

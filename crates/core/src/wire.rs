@@ -52,24 +52,6 @@ pub(crate) fn check_node_count(graph: &Graph) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Destination of a simulated message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WireDest {
-    /// A single destination node.
-    Node(NodeId),
-    /// Every node on the cycle (Remark 3).
-    Broadcast,
-}
-
-impl From<Dest> for WireDest {
-    fn from(d: Dest) -> Self {
-        match d {
-            Dest::Node(v) => WireDest::Node(v),
-            Dest::Broadcast => WireDest::Broadcast,
-        }
-    }
-}
-
 /// A simulated message in flight: the inner protocol's payload plus the
 /// source and destination the simulator must route it between.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -77,7 +59,7 @@ pub struct WireMessage {
     /// The node whose inner protocol emitted the message.
     pub src: NodeId,
     /// Where it should be delivered.
-    pub dest: WireDest,
+    pub dest: Dest,
     /// The inner protocol's payload.
     pub payload: Vec<u8>,
 }
@@ -87,7 +69,7 @@ impl WireMessage {
     pub fn from_protocol(src: NodeId, msg: ProtocolMsg) -> Self {
         WireMessage {
             src,
-            dest: msg.dest.into(),
+            dest: msg.dest,
             payload: msg.payload,
         }
     }
@@ -96,7 +78,7 @@ impl WireMessage {
     pub fn to_node(src: NodeId, dest: NodeId, payload: Vec<u8>) -> Self {
         WireMessage {
             src,
-            dest: WireDest::Node(dest),
+            dest: Dest::Node(dest),
             payload,
         }
     }
@@ -105,7 +87,7 @@ impl WireMessage {
     pub fn broadcast(src: NodeId, payload: Vec<u8>) -> Self {
         WireMessage {
             src,
-            dest: WireDest::Broadcast,
+            dest: Dest::Broadcast,
             payload,
         }
     }
@@ -113,8 +95,8 @@ impl WireMessage {
     /// Whether the message should be handed to the inner protocol of `node`.
     pub fn is_for(&self, node: NodeId) -> bool {
         match self.dest {
-            WireDest::Node(v) => v == node,
-            WireDest::Broadcast => true,
+            Dest::Node(v) => v == node,
+            Dest::Broadcast => true,
         }
     }
 
@@ -124,8 +106,8 @@ impl WireMessage {
     fn fits_compact(&self) -> bool {
         self.src.0 <= MAX_NODE_ID
             && match self.dest {
-                WireDest::Broadcast => true,
-                WireDest::Node(v) => v.0 <= MAX_NODE_ID,
+                Dest::Broadcast => true,
+                Dest::Node(v) => v.0 <= MAX_NODE_ID,
             }
     }
 
@@ -139,8 +121,8 @@ impl WireMessage {
     pub fn to_bytes(&self) -> Result<Vec<u8>, CoreError> {
         if self.fits_compact() {
             let dest_byte = match self.dest {
-                WireDest::Broadcast => 0xFF,
-                WireDest::Node(v) => v.0 as u8,
+                Dest::Broadcast => 0xFF,
+                Dest::Node(v) => v.0 as u8,
             };
             let mut out = Vec::with_capacity(2 + self.payload.len());
             out.push(self.src.0 as u8);
@@ -160,8 +142,8 @@ impl WireMessage {
         };
         let src = check(self.src.0)?;
         let dest = match self.dest {
-            WireDest::Broadcast => WIDE_BROADCAST,
-            WireDest::Node(v) => check(v.0)?,
+            Dest::Broadcast => WIDE_BROADCAST,
+            Dest::Node(v) => check(v.0)?,
         };
         let mut out = Vec::with_capacity(5 + self.payload.len());
         out.push(WIDE_MARKER);
@@ -189,9 +171,9 @@ impl WireMessage {
             let src = NodeId(u32::from(u16::from_le_bytes([bytes[1], bytes[2]])));
             let dest_raw = u16::from_le_bytes([bytes[3], bytes[4]]);
             let dest = if dest_raw == WIDE_BROADCAST {
-                WireDest::Broadcast
+                Dest::Broadcast
             } else {
-                WireDest::Node(NodeId(u32::from(dest_raw)))
+                Dest::Node(NodeId(u32::from(dest_raw)))
             };
             return Ok(WireMessage {
                 src,
@@ -207,9 +189,9 @@ impl WireMessage {
         }
         let src = NodeId(u32::from(bytes[0]));
         let dest = if bytes[1] == 0xFF {
-            WireDest::Broadcast
+            Dest::Broadcast
         } else {
-            WireDest::Node(NodeId(u32::from(bytes[1])))
+            Dest::Node(NodeId(u32::from(bytes[1])))
         };
         Ok(WireMessage {
             src,
@@ -312,7 +294,7 @@ mod tests {
                 payload: vec![9],
             },
         );
-        assert_eq!(m.dest, WireDest::Broadcast);
+        assert_eq!(m.dest, Dest::Broadcast);
         assert_eq!(m.src, NodeId(4));
         let m = WireMessage::from_protocol(
             NodeId(4),
@@ -321,6 +303,6 @@ mod tests {
                 payload: vec![9],
             },
         );
-        assert_eq!(m.dest, WireDest::Node(NodeId(1)));
+        assert_eq!(m.dest, Dest::Node(NodeId(1)));
     }
 }

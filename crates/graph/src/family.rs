@@ -5,8 +5,8 @@
 //! experiment campaign wants a *value* it can store in a scenario matrix,
 //! print in a report and reparse from a CLI flag. [`GraphFamily`] is that
 //! value — one enum variant per generator, a single parameterized
-//! [`GraphFamily::build`] constructor, a stable [`GraphFamily::label`] used as
-//! the report key, and a [`GraphFamily::parse`] inverse for command lines.
+//! [`GraphFamily::build`] constructor, a stable `Display` form used as the
+//! report key, and a [`GraphFamily::parse`] inverse for command lines.
 
 use std::fmt;
 
@@ -149,13 +149,8 @@ impl GraphFamily {
         matches!(self, GraphFamily::Cycle { .. })
     }
 
-    /// The stable textual form, e.g. `cycle(8)` or `random2ec(12,6,s42)`.
-    /// [`GraphFamily::parse`] is the exact inverse.
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
-
-    /// Parses a label produced by [`GraphFamily::label`].
+    /// Parses the stable textual form, e.g. `cycle(8)` or
+    /// `random2ec(12,6,s42)`; [`Display`](fmt::Display) is the exact inverse.
     ///
     /// # Errors
     ///
@@ -329,7 +324,7 @@ mod tests {
     #[test]
     fn label_parse_roundtrip() {
         for fam in GraphFamily::representatives() {
-            let label = fam.label();
+            let label = fam.to_string();
             assert_eq!(
                 GraphFamily::parse(&label).unwrap(),
                 fam,

@@ -7,14 +7,15 @@
 //! * **Robbins' theorem** — every 2-edge-connected graph admits an
 //!   orientation that is strongly connected, hence a closed directed walk (a
 //!   *Robbins cycle*) that visits every node and never uses an edge in both
-//!   directions.
+//!   directions. The cycle's arcs are such an orientation: the set of
+//!   [`RobbinsCycle::arcs`] holds each edge in exactly one direction.
 //! * **Whitney's ear decomposition** — every 2-edge-connected graph is a
 //!   simple cycle plus a sequence of ears.
 //!
 //! This crate provides the graph type, a collection of generators used by the
 //! test-suite and the benchmark harness, connectivity / bridge analysis,
-//! centralized (reference) Robbins orientations, ear decompositions and
-//! Robbins-cycle construction, and the [`RobbinsCycle`] data structure with
+//! ear decompositions and centralized (reference) Robbins-cycle
+//! construction, and the [`RobbinsCycle`] data structure with
 //! both the *global* (ID string) and *local* (per-occurrence `prev`/`next`)
 //! representations used by the simulators in `fdn-core`.
 //!
@@ -37,7 +38,6 @@ pub mod error;
 pub mod family;
 pub mod generators;
 pub mod graph;
-pub mod orientation;
 pub mod robbins;
 
 pub use cycle::{LocalCycleView, Occurrence, RobbinsCycle};
@@ -45,4 +45,3 @@ pub use ear::{Ear, EarDecomposition};
 pub use error::GraphError;
 pub use family::GraphFamily;
 pub use graph::{Graph, NodeId};
-pub use orientation::Orientation;

@@ -88,6 +88,7 @@ pub fn extend_cycle_with_ear(
 mod tests {
     use super::*;
     use crate::generators;
+    use std::collections::BTreeSet;
 
     #[test]
     fn simple_cycle_graph_gives_simple_cycle() {
@@ -134,6 +135,11 @@ mod tests {
             // Every edge traversal is a cycle position, and each undirected
             // edge is traversed at least once, so |C| >= |E|.
             assert!(c.len() >= g.edge_count());
+            // The arc set is a Robbins orientation: each edge in exactly one
+            // direction.
+            let arcs: BTreeSet<(NodeId, NodeId)> = c.arcs().into_iter().collect();
+            assert!(arcs.iter().all(|&(u, v)| !arcs.contains(&(v, u))));
+            assert_eq!(arcs.len(), g.edge_count());
         }
     }
 

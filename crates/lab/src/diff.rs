@@ -46,7 +46,7 @@ pub enum CellChange {
 }
 
 impl CellChange {
-    /// The label the renderers print.
+    /// The label the markdown rendering prints.
     pub fn label(self) -> &'static str {
         match self {
             CellChange::Added => "added",
@@ -93,8 +93,6 @@ pub struct ReportDiff {
     /// The tolerance the comparison ran under, as the markdown summary
     /// states it.
     pub tolerance: String,
-    /// The same tolerance as the JSON rendering's `tolerance` object.
-    pub tolerance_json: Json,
 }
 
 /// A report record the gate compares field by field. Its `record!` table
@@ -285,10 +283,6 @@ pub fn diff_reports(
             fmt_rate(tolerance.rate),
             tolerance.pulses * 100.0
         ),
-        tolerance_json: Json::obj(vec![
-            ("rate", Json::Num(tolerance.rate)),
-            ("pulses", Json::Num(tolerance.pulses)),
-        ]),
     };
     diff.compare_headers(base, candidate, tolerance);
     diff.match_cells(&base.cells, &candidate.cells, tolerance);
@@ -403,35 +397,6 @@ impl ReportDiff {
             }
         }
         out
-    }
-
-    /// Renders the delta as a JSON document.
-    pub fn to_json_string(&self) -> String {
-        let strings = |v: &[String]| Json::Arr(v.iter().map(|s| Json::Str(s.clone())).collect());
-        let delta_json = |d: &CellDelta| {
-            Json::obj(vec![
-                ("cell", Json::Str(d.cell.clone())),
-                ("change", Json::Str(d.change.label().to_string())),
-                ("regressions", strings(&d.regressions)),
-                ("notes", strings(&d.notes)),
-            ])
-        };
-        Json::obj(vec![
-            ("base", Json::Str(self.base.clone())),
-            ("candidate", Json::Str(self.candidate.clone())),
-            ("matched", Json::Num(self.matched as f64)),
-            ("unchanged", Json::Num(self.unchanged as f64)),
-            (
-                "regression_count",
-                Json::Num(self.regression_count() as f64),
-            ),
-            ("tolerance", self.tolerance_json.clone()),
-            (
-                "deltas",
-                Json::Arr(self.deltas.iter().map(delta_json).collect()),
-            ),
-        ])
-        .render()
     }
 }
 
@@ -811,16 +776,10 @@ mod tests {
         let new = report("new", vec![cell("noiseless", 0.5, 150.0)]);
         let d = diff_reports(&base, &new, DiffTolerance::default());
         assert_eq!(d.to_markdown(), d.to_markdown());
-        assert_eq!(d.to_json_string(), d.to_json_string());
         let md = d.to_markdown();
         assert!(md.contains("**REGRESSION**"));
         assert!(md.contains("removed"));
-        let j = Json::parse(&d.to_json_string()).unwrap();
-        assert_eq!(
-            j.get("regression_count").and_then(Json::as_u64),
-            Some(d.regression_count() as u64)
-        );
-        assert_eq!(j.get("base").and_then(Json::as_str), Some("base"));
+        assert!(md.contains(&format!("{} regression finding(s)", d.regression_count())));
     }
 
     #[test]

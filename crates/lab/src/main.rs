@@ -62,7 +62,6 @@ fn usage() -> String {
     \x20                 Perfetto/Chrome trace-event JSON, markdown phase\n\
     \x20                 breakdown)\n\
     \x20 list-scenarios  print the expanded matrix without running it\n\
-    \x20                 (--family SUBSTR / --noise SUBSTR filter the listing)\n\
     \x20 report          re-render a saved JSON campaign report\n\
     \x20                 (--input FILE)\n\
     \x20 merge           recombine per-shard reports (run --shard K/M) into\n\
@@ -114,8 +113,7 @@ fn usage() -> String {
     \x20                                 of every statistic (min, mean, p50,\n\
     \x20                                 p95, max) of every cost field (pulses,\n\
     \x20                                 steps, cc_init, overhead, …;\n\
-    \x20                                 0.1 = +10%) [default: 0]\n\
-    \x20 --format md|json                delta report format [default: md]\n"
+    \x20                                 0.1 = +10%) [default: 0]\n"
         .to_string()
 }
 
@@ -355,27 +353,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, LabError> {
     })
 }
 
-/// Parses a command that layers its own flags over `run`'s: `own` consumes
-/// the flags it knows (returning `false` for the rest), and everything else
-/// goes verbatim through [`parse_run_args`] — so a selector that works on
-/// `run` works identically here.
-fn parse_layered(
-    args: &[String],
-    mut own: impl FnMut(&str, &mut Flags) -> Result<bool, LabError>,
-) -> Result<RunArgs, LabError> {
-    let mut rest: Vec<String> = Vec::new();
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next_flag() {
-        if !own(flag, &mut flags)? {
-            rest.push(flag.to_string());
-            if takes_value(flag) {
-                rest.push(flags.value(flag)?.to_string());
-            }
-        }
-    }
-    parse_run_args(&rest)
-}
-
 fn takes_value(flag: &str) -> bool {
     flag.starts_with("--")
 }
@@ -586,44 +563,17 @@ fn cmd_trace(args: &[String]) -> Result<(), LabError> {
 }
 
 fn cmd_list(args: &[String]) -> Result<(), LabError> {
-    // `--family` / `--noise` are listing filters, not matrix axes: pull them
-    // out before handing the rest to the shared matrix parser. Values are
-    // substring matches on the labels, so `--family cycle` covers every
-    // `cycle(n)` while `--family "cycle(120)"` pins one.
-    let mut family_filter: Option<String> = None;
-    let mut noise_filter: Option<String> = None;
-    let opts = parse_layered(args, |flag, flags| {
-        match flag {
-            "--family" => family_filter = Some(flags.value(flag)?.to_string()),
-            "--noise" => noise_filter = Some(flags.value(flag)?.to_string()),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    })?;
-    let keep = |family: &str, noise: &str| {
-        family_filter.as_deref().is_none_or(|f| family.contains(f))
-            && noise_filter.as_deref().is_none_or(|n| noise.contains(n))
-    };
+    let opts = parse_run_args(args)?;
     let (mut scenarios, skipped) = opts.campaign.expand_with_skips();
     if let Some(shard) = opts.shard {
         scenarios = shard_slice(&scenarios, shard);
     }
-    let mut shown = 0usize;
     for s in &scenarios {
-        if keep(&s.cell.family.label(), &s.cell.noise.label()) {
-            outln!("{:>6}  {}", s.index, s.id());
-            shown += 1;
-        }
+        outln!("{:>6}  {}", s.index, s.id());
     }
-    if shown == scenarios.len() {
-        errln!("{shown} scenarios");
-    } else {
-        errln!("{shown} of {} scenarios match the filters", scenarios.len());
-    }
+    errln!("{} scenarios", scenarios.len());
     for s in &skipped {
-        if s.matches(family_filter.as_deref(), noise_filter.as_deref()) {
-            errln!("skipped {} — {}", s.cell, s.reason);
-        }
+        errln!("skipped {} — {}", s.cell, s.reason);
     }
     Ok(())
 }
@@ -755,21 +705,16 @@ fn load_report(path: &Path) -> Result<CampaignReport, LabError> {
 fn cmd_diff(args: &[String]) -> Result<(), LabError> {
     let mut inputs: Vec<PathBuf> = Vec::new();
     let mut tolerance = DiffTolerance::default();
-    let mut format = "md".to_string();
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next_flag() {
         match flag {
             "--tol-rate" => tolerance.rate = parse_tol(flag, flags.value(flag)?)?,
             "--tol-pulses" => tolerance.pulses = parse_tol(flag, flags.value(flag)?)?,
-            "--format" => format = flags.value(flag)?.to_string(),
             other if other.starts_with("--") => {
                 return Err(LabError::Usage(format!("unknown flag `{other}`")))
             }
             positional => inputs.push(PathBuf::from(positional)),
         }
-    }
-    if !matches!(format.as_str(), "md" | "json") {
-        return Err(LabError::Usage(format!("unknown format `{format}`")));
     }
     let [base_path, candidate_path] = inputs.as_slice() else {
         return Err(LabError::Usage(
@@ -781,12 +726,8 @@ fn cmd_diff(args: &[String]) -> Result<(), LabError> {
         &load_report(candidate_path)?,
         tolerance,
     );
-    let rendered = match format.as_str() {
-        "md" => delta.to_markdown(),
-        _ => delta.to_json_string(),
-    };
     let regressions = delta.regression_count();
-    out!("{rendered}");
+    out!("{}", delta.to_markdown());
     if regressions > 0 {
         errln!("fdn-lab diff: {regressions} regression finding(s) — failing the gate");
         std::process::exit(EXIT_REGRESSION);

@@ -321,12 +321,12 @@ fn summarize_cell(group: &[ScenarioOutcome], cache: &TopologyCache) -> CellRepor
         .and_then(|topo| topo.cycle.as_ref().ok().map(fdn_graph::RobbinsCycle::len))
         .unwrap_or(0);
     CellReport {
-        family: cell.family.label(),
-        mode: cell.mode.label(),
-        encoding: cell.encoding.label(),
-        workload: cell.workload.label(),
-        noise: cell.noise.label(),
-        scheduler: cell.scheduler.label(),
+        family: cell.family.to_string(),
+        mode: cell.mode.to_string(),
+        encoding: cell.encoding.to_string(),
+        workload: cell.workload.to_string(),
+        noise: cell.noise.to_string(),
+        scheduler: cell.scheduler.to_string(),
         first_scenario_index: group[0].scenario.index,
         nodes: group[0].nodes,
         edges: group[0].edges,

@@ -12,6 +12,8 @@
 //! because results are collected in scenario order and contain no
 //! wall-clock data, byte-identical across runs regardless of thread count.
 
+use std::collections::BTreeMap;
+
 use rayon::prelude::*;
 
 use fdn_core::{cycle_simulators_prevalidated, full_simulators, replay_simulators, FullSimulator};
@@ -459,21 +461,26 @@ pub fn run_campaign(
         None => {}
     }
     // `runs` holds the first scenario of each execution, in expansion
-    // order; `run_of[i]` is the position in `runs` of scenario i's.
-    let mut executions: Vec<Scenario> = Vec::new();
+    // order; `run_of[i]` is the position in `runs` of scenario i's. An
+    // execution is found by its id, which leaves out only fields that are
+    // uniform within a campaign (the zeroed index, the construction seed,
+    // the step budget and the link store); the assertion holds that.
+    let mut run_by_id: BTreeMap<String, usize> = BTreeMap::new();
     let mut runs: Vec<Scenario> = Vec::new();
     let run_of: Vec<usize> = scenarios
         .iter()
         .map(|&s| {
-            let execution = execution(s);
-            executions
-                .iter()
-                .rposition(|e| *e == execution)
-                .unwrap_or_else(|| {
-                    executions.push(execution);
-                    runs.push(s);
-                    runs.len() - 1
-                })
+            let own = execution(s);
+            let r = *run_by_id.entry(own.id()).or_insert_with(|| {
+                runs.push(s);
+                runs.len() - 1
+            });
+            assert!(
+                execution(runs[r]) == own,
+                "two executions share the id `{}`",
+                own.id()
+            );
+            r
         })
         .collect();
     let ran: Vec<(ScenarioOutcome, f64)> = runs

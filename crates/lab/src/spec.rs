@@ -41,12 +41,8 @@ impl EngineMode {
     /// Every engine mode.
     pub const ALL: [EngineMode; 3] = [EngineMode::Full, EngineMode::CycleOnly, EngineMode::Replay];
 
-    /// The stable textual form; [`EngineMode::parse`] is the inverse.
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
-
-    /// Parses a label produced by [`EngineMode::label`].
+    /// Parses the stable textual form; [`Display`](fmt::Display) is the
+    /// inverse.
     ///
     /// # Errors
     ///
@@ -95,12 +91,8 @@ impl EncodingSpec {
         }
     }
 
-    /// The stable textual form; [`EncodingSpec::parse`] is the inverse.
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
-
-    /// Parses a label produced by [`EncodingSpec::label`].
+    /// Parses the stable textual form; [`Display`](fmt::Display) is the
+    /// inverse.
     ///
     /// # Errors
     ///
@@ -295,25 +287,6 @@ pub struct SkippedCell {
 
 record! { SkippedCell { cell, reason } }
 
-impl SkippedCell {
-    /// Whether this entry passes the `list-scenarios` substring filters.
-    ///
-    /// The cell id is the `/`-joined [`Cell::id`] format
-    /// (`family/mode/encoding/workload/noise/scheduler`) — or just the
-    /// family label when the family itself failed to build — so the family
-    /// is the first segment and the noise the fifth. Filtering positionally
-    /// keeps `--family` from ever matching a scheduler or workload label.
-    /// An entry without a noise segment matches only when no noise filter
-    /// is set.
-    pub fn matches(&self, family_filter: Option<&str>, noise_filter: Option<&str>) -> bool {
-        let mut parts = self.cell.split('/');
-        let family = parts.next().unwrap_or("");
-        let noise = parts.nth(3);
-        family_filter.is_none_or(|f| family.contains(f))
-            && noise_filter.is_none_or(|n| noise.is_some_and(|label| label.contains(n)))
-    }
-}
-
 /// The declarative experiment matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Campaign {
@@ -396,7 +369,7 @@ impl Campaign {
                 Ok(g) => g,
                 Err(e) => {
                     skipped.push(SkippedCell {
-                        cell: family.label(),
+                        cell: family.to_string(),
                         reason: format!("family does not build: {e}"),
                     });
                     continue;
@@ -641,30 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn skipped_cell_filters_match_fields_not_the_whole_id() {
-        let skip = |cell: &str| SkippedCell {
-            cell: cell.to_string(),
-            reason: "r".to_string(),
-        };
-        let full = skip("figure3/full/binary/leader/omission(200)/random");
-        assert!(full.matches(None, None));
-        assert!(full.matches(Some("figure3"), None));
-        assert!(full.matches(None, Some("omission")));
-        assert!(full.matches(Some("figure3"), Some("omission(200)")));
-        // `random` is the *scheduler* here; a family filter must not see it.
-        assert!(!full.matches(Some("random"), None));
-        // Nor can a noise filter match the workload or family labels.
-        assert!(!full.matches(None, Some("leader")));
-        assert!(!full.matches(None, Some("figure3")));
-        // A build-failure entry is just the family label: it has no noise,
-        // so it matches family filters and never matches noise filters.
-        let bare = skip("cycle(2)");
-        assert!(bare.matches(Some("cycle"), None));
-        assert!(!bare.matches(Some("cycle"), Some("noiseless")));
-        assert!(!bare.matches(Some("theta"), None));
-    }
-
-    #[test]
     fn shard_parse_accepts_k_of_m_and_rejects_nonsense() {
         assert_eq!(Shard::parse("0/2").unwrap(), Shard { index: 0, count: 2 });
         assert_eq!(Shard::parse(" 3/4 ").unwrap(), Shard { index: 3, count: 4 });
@@ -713,10 +662,10 @@ mod tests {
     #[test]
     fn labels_roundtrip() {
         for mode in EngineMode::ALL {
-            assert_eq!(EngineMode::parse(&mode.label()).unwrap(), mode);
+            assert_eq!(EngineMode::parse(&mode.to_string()).unwrap(), mode);
         }
         for enc in EncodingSpec::ALL {
-            assert_eq!(EncodingSpec::parse(&enc.label()).unwrap(), enc);
+            assert_eq!(EncodingSpec::parse(&enc.to_string()).unwrap(), enc);
         }
         assert!(EngineMode::parse("warp").is_err());
         assert!(EncodingSpec::parse("trinary").is_err());

@@ -1,7 +1,8 @@
 //! Integration tests of the campaign engine: determinism under parallelism,
 //! correctness of aggregation, JSON round-tripping, the deletion-noise
 //! frontier, the report diff gate, the construction cache, sharded
-//! campaign recombination, and alteration-noise twins sharing one run.
+//! campaign recombination, alteration-noise twins sharing one run, and the
+//! `list-scenarios` listing.
 
 mod common;
 
@@ -479,7 +480,7 @@ fn the_timings_sidecar_counts_the_shared_scenarios() {
             "list-scenarios",
             "--preset",
             "quick",
-            "--noise",
+            "--noises",
             "full-corruption",
         ],
         &[],
@@ -503,4 +504,35 @@ fn the_timings_sidecar_counts_the_shared_scenarios() {
             assert_eq!(count(cell, "shared"), 0, "{id}");
         }
     }
+}
+
+#[test]
+fn list_scenarios_prints_the_selected_expansion() {
+    // `perfbench/run.py`'s expansion guard parses these `INDEX  ID` lines.
+    let list = common::fdn_lab(
+        &[
+            "list-scenarios",
+            "--preset",
+            "quick",
+            "--families",
+            "figure3",
+            "--noises",
+            "full-corruption",
+        ],
+        &[],
+    );
+    assert!(list.status.success(), "{list:?}");
+    let mut campaign = Campaign::preset("quick").unwrap();
+    campaign.families = vec![GraphFamily::Figure3];
+    campaign.noises = vec![NoiseSpec::FullCorruption];
+    let scenarios = campaign.expand();
+    assert!(!scenarios.is_empty());
+    let lines: String = scenarios
+        .iter()
+        .map(|s| format!("{:>6}  {}\n", s.index, s.id()))
+        .collect();
+    assert_eq!(String::from_utf8(list.stdout).unwrap(), lines);
+    let stderr = String::from_utf8(list.stderr).unwrap();
+    let count = format!("{} scenarios\n", scenarios.len());
+    assert!(stderr.starts_with(&count), "{stderr}");
 }

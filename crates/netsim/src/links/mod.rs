@@ -107,12 +107,8 @@ impl LinkStore {
     /// Both representations, in gating order (reference first).
     pub const ALL: [LinkStore; 2] = [LinkStore::Exact, LinkStore::Counting];
 
-    /// The stable textual form; [`LinkStore::parse`] is the inverse.
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
-
-    /// Parses a label produced by [`LinkStore::label`].
+    /// Parses the stable textual form; [`Display`](fmt::Display) is the
+    /// inverse.
     ///
     /// # Errors
     ///
@@ -474,7 +470,7 @@ mod tests {
     #[test]
     fn link_store_labels_roundtrip() {
         for store in LinkStore::ALL {
-            assert_eq!(LinkStore::parse(&store.label()).unwrap(), store);
+            assert_eq!(LinkStore::parse(&store.to_string()).unwrap(), store);
         }
         assert_eq!(LinkStore::default(), LinkStore::Exact);
         assert!(LinkStore::parse("compressed").is_err());

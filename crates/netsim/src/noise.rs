@@ -66,11 +66,6 @@ pub trait NoiseModel {
     fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
         self.passes(env).then(|| self.corrupt(env))
     }
-
-    /// A short human-readable name used in experiment reports.
-    fn name(&self) -> &'static str {
-        "noise"
-    }
 }
 
 /// The identity model: payloads are delivered untouched. Used for the
@@ -81,10 +76,6 @@ pub struct Noiseless;
 impl NoiseModel for Noiseless {
     fn corrupt(&mut self, env: &Envelope) -> Vec<u8> {
         env.payload.to_vec()
-    }
-
-    fn name(&self) -> &'static str {
-        "noiseless"
     }
 }
 
@@ -111,10 +102,6 @@ impl NoiseModel for FullCorruption {
         let len = self.rng.gen_range(1..=8usize);
         (0..len).map(|_| self.rng.gen()).collect()
     }
-
-    fn name(&self) -> &'static str {
-        "full-corruption"
-    }
 }
 
 /// Every payload is replaced by the single byte `1` — the canonical adversary
@@ -126,10 +113,6 @@ pub struct ConstantOne;
 impl NoiseModel for ConstantOne {
     fn corrupt(&mut self, _env: &Envelope) -> Vec<u8> {
         vec![1]
-    }
-
-    fn name(&self) -> &'static str {
-        "constant-one"
     }
 }
 
@@ -172,10 +155,6 @@ impl NoiseModel for BitFlip {
         }
         out
     }
-
-    fn name(&self) -> &'static str {
-        "bit-flip"
-    }
 }
 
 /// Applies an inner noise model only on a designated set of edges and leaves
@@ -215,10 +194,6 @@ impl<N: NoiseModel> NoiseModel for TargetedEdges<N> {
         // Forward the drop decision, so a deletion-side inner model (e.g.
         // `Omission` on a single bridge) keeps its ability to drop.
         !self.targets(env) || self.inner.passes(env)
-    }
-
-    fn name(&self) -> &'static str {
-        "targeted-edges"
     }
 }
 
@@ -281,10 +256,6 @@ impl NoiseModel for Omission {
         // this is what couples equal-seed models across rates).
         self.rng.gen_range(0..DRAW_RANGE) >= self.drop_below
     }
-
-    fn name(&self) -> &'static str {
-        "omission"
-    }
 }
 
 /// A crash fault on one link: the undirected edge carrying the `at_pulse`-th
@@ -330,10 +301,6 @@ impl NoiseModel for CrashLink {
         self.seen += 1;
         self.crashed != Some(edge)
     }
-
-    fn name(&self) -> &'static str {
-        "crash-link"
-    }
 }
 
 /// Periodic burst deletion: deliveries are counted globally, and within every
@@ -375,10 +342,6 @@ impl NoiseModel for Burst {
         self.seen += 1;
         phase >= self.len
     }
-
-    fn name(&self) -> &'static str {
-        "burst"
-    }
 }
 
 #[cfg(test)]
@@ -399,7 +362,6 @@ mod tests {
     fn noiseless_is_identity() {
         let mut n = Noiseless;
         assert_eq!(n.corrupt(&env(vec![1, 2, 3])), vec![1, 2, 3]);
-        assert_eq!(n.name(), "noiseless");
     }
 
     #[test]
@@ -414,7 +376,6 @@ mod tests {
             assert!(ca.len() <= 8);
             assert_eq!(ca, cb);
         }
-        assert_eq!(a.name(), "full-corruption");
     }
 
     #[test]
@@ -429,7 +390,6 @@ mod tests {
     fn constant_one() {
         let mut n = ConstantOne;
         assert_eq!(n.corrupt(&env(vec![9, 9, 9])), vec![1]);
-        assert_eq!(n.name(), "constant-one");
     }
 
     #[test]
@@ -442,7 +402,6 @@ mod tests {
     fn bitflip_one_probability_inverts_everything() {
         let mut n = BitFlip::new(1.0, 3);
         assert_eq!(n.corrupt(&env(vec![0x0F])), vec![0xF0]);
-        assert_eq!(n.name(), "bit-flip");
     }
 
     #[test]
@@ -467,7 +426,6 @@ mod tests {
         let e = env(vec![9]);
         assert!((0..100).all(|_| always.deliver(&e).is_none()));
         assert!((0..100).all(|_| never.deliver(&e) == Some(vec![9])));
-        assert_eq!(always.name(), "omission");
         // Roughly half at 500 per mille, deterministic per seed.
         let count = |seed| {
             let mut n = Omission::new(500, seed);
@@ -535,7 +493,6 @@ mod tests {
         assert_eq!(n.crashed_edge(), Some(Edge::new(NodeId(0), NodeId(1))));
         assert_eq!(n.deliver(&cd), Some(vec![6])); // other edges keep working
         assert_eq!(n.deliver(&ba), None); // both directions are dead
-        assert_eq!(n.name(), "crash-link");
     }
 
     #[test]
@@ -555,7 +512,6 @@ mod tests {
             pattern,
             vec![false, false, true, true, false, false, true, true]
         );
-        assert_eq!(n.name(), "burst");
         // len == 0 never drops; len == period always drops.
         let mut open = Burst::new(3, 0);
         assert!((0..9).all(|_| open.deliver(&e).is_some()));
@@ -581,7 +537,6 @@ mod tests {
             seq: 0,
         };
         assert_eq!(n.corrupt(&other), vec![5, 6]);
-        assert_eq!(n.name(), "targeted-edges");
     }
 
     /// A fixed stream of envelopes spread over the edges of a 4-cycle with

@@ -41,11 +41,6 @@ pub trait Scheduler {
     /// Returns the link (one of `view.active()`, which is guaranteed
     /// non-empty) whose head envelope is delivered next.
     fn next_link(&mut self, view: &LinkView<'_>) -> LinkId;
-
-    /// A short human-readable name used in experiment reports.
-    fn name(&self) -> &'static str {
-        "scheduler"
-    }
 }
 
 /// Delivers the head of a uniformly random non-empty link (seeded, hence
@@ -70,10 +65,6 @@ impl Scheduler for RandomScheduler {
         let active = view.active();
         active[self.rng.gen_range(0..active.len())]
     }
-
-    fn name(&self) -> &'static str {
-        "random"
-    }
 }
 
 /// Delivers messages in global send order (the most synchronous-looking
@@ -91,10 +82,6 @@ impl Scheduler for FifoScheduler {
             .min_by_key(|&&l| view.head(l).seq)
             .expect("active set is non-empty")
     }
-
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
 }
 
 /// Delivers from the link with the most recently sent *head* — an
@@ -111,10 +98,6 @@ impl Scheduler for LifoScheduler {
             .iter()
             .max_by_key(|&&l| view.head(l).seq)
             .expect("active set is non-empty")
-    }
-
-    fn name(&self) -> &'static str {
-        "lifo"
     }
 }
 
@@ -168,10 +151,6 @@ impl Scheduler for EdgeDelayScheduler {
             .nth(r)
             .expect("r < fast link count")
     }
-
-    fn name(&self) -> &'static str {
-        "edge-delay"
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +185,6 @@ mod tests {
         let mut s = FifoScheduler;
         let link = s.next_link(&t.view());
         assert_eq!(t.view().head(link).seq, 10);
-        assert_eq!(s.name(), "fifo");
     }
 
     #[test]
@@ -234,7 +212,6 @@ mod tests {
         let mut s = LifoScheduler;
         let link = s.next_link(&t.view());
         assert_eq!(t.view().head(link).seq, 12);
-        assert_eq!(s.name(), "lifo");
     }
 
     #[test]
@@ -261,7 +238,6 @@ mod tests {
             assert_eq!(la, lb);
             assert!(t.view().active().contains(&la));
         }
-        assert_eq!(a.name(), "random");
     }
 
     #[test]
@@ -282,6 +258,5 @@ mod tests {
         only_slow.push(env(1, 0, 2));
         let l = s.next_link(&only_slow.view());
         assert_eq!(only_slow.view().head(l).seq, 2);
-        assert_eq!(s.name(), "edge-delay");
     }
 }

@@ -91,12 +91,8 @@ impl NoiseSpec {
         }
     }
 
-    /// The stable textual form; [`NoiseSpec::parse`] is the inverse.
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
-
-    /// Parses a label produced by [`NoiseSpec::label`].
+    /// Parses the stable textual form; [`Display`](fmt::Display) is the
+    /// inverse.
     ///
     /// # Errors
     ///
@@ -168,8 +164,6 @@ impl NoiseSpec {
 
 impl fmt::Display for NoiseSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Matches the `name()` of the model the spec builds, so specs and
-        // live instances agree in reports.
         match *self {
             NoiseSpec::Noiseless => f.write_str("noiseless"),
             NoiseSpec::FullCorruption => f.write_str("full-corruption"),
@@ -210,12 +204,8 @@ impl SchedulerSpec {
         }
     }
 
-    /// The stable textual form; [`SchedulerSpec::parse`] is the inverse.
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
-
-    /// Parses a label produced by [`SchedulerSpec::label`].
+    /// Parses the stable textual form; [`Display`](fmt::Display) is the
+    /// inverse.
     ///
     /// # Errors
     ///
@@ -289,10 +279,10 @@ mod tests {
             NoiseSpec::CrashLink { at_pulse: 17 },
             NoiseSpec::Burst { period: 6, len: 2 },
         ] {
-            assert_eq!(NoiseSpec::parse(&spec.label()).unwrap(), spec);
+            assert_eq!(NoiseSpec::parse(&spec.to_string()).unwrap(), spec);
         }
         for spec in NoiseSpec::DELETION {
-            assert_eq!(NoiseSpec::parse(&spec.label()).unwrap(), spec);
+            assert_eq!(NoiseSpec::parse(&spec.to_string()).unwrap(), spec);
         }
         assert!(NoiseSpec::parse("gaussian").is_err());
         assert!(NoiseSpec::parse("bitflip(2.0)").is_err());
@@ -329,18 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn noise_labels_match_model_names() {
-        for spec in [
-            NoiseSpec::Noiseless,
-            NoiseSpec::FullCorruption,
-            NoiseSpec::ConstantOne,
-        ] {
-            assert_eq!(spec.label(), spec.build(0).name());
-        }
-        assert_eq!(NoiseSpec::BitFlip { p: 0.5 }.build(0).name(), "bit-flip");
-    }
-
-    #[test]
     fn scheduler_spec_builds_and_roundtrips() {
         let g = fdn_graph::generators::cycle(3).unwrap();
         let mut links = crate::links::LinkTable::new(&g);
@@ -367,8 +345,7 @@ mod tests {
         let picked = SchedulerSpec::Random.build(0).next_link(&links.view());
         assert!(links.view().active().contains(&picked));
         for spec in SchedulerSpec::ALL {
-            assert_eq!(SchedulerSpec::parse(&spec.label()).unwrap(), spec);
-            assert_eq!(spec.label(), spec.build(0).name());
+            assert_eq!(SchedulerSpec::parse(&spec.to_string()).unwrap(), spec);
         }
         assert!(SchedulerSpec::parse("priority").is_err());
     }

@@ -151,12 +151,8 @@ impl WorkloadSpec {
         }
     }
 
-    /// The stable textual form; [`WorkloadSpec::parse`] is the inverse.
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
-
-    /// Parses a label produced by [`WorkloadSpec::label`].
+    /// Parses the stable textual form; [`Display`](fmt::Display) is the
+    /// inverse.
     ///
     /// # Errors
     ///
@@ -265,7 +261,7 @@ mod tests {
     #[test]
     fn label_parse_roundtrip() {
         for spec in WorkloadSpec::ALL {
-            assert_eq!(WorkloadSpec::parse(&spec.label()).unwrap(), spec);
+            assert_eq!(WorkloadSpec::parse(&spec.to_string()).unwrap(), spec);
         }
         assert!(WorkloadSpec::parse("quicksort").is_err());
         assert!(WorkloadSpec::parse("flood(x)").is_err());

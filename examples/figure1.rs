@@ -5,33 +5,34 @@
 //!
 //! Run with: `cargo run --example figure1`
 
-#![expect(clippy::print_stdout, reason = "D5: an example prints its results")]
+use std::collections::BTreeSet;
 
+use fdn_lab::outln;
 use fully_defective::graph::ear::ear_decomposition;
-use fully_defective::graph::orientation::robbins_orientation;
 use fully_defective::prelude::*;
 
 fn describe(graph: &Graph, name: &str, root: NodeId) {
-    println!("=== {name} ===");
-    println!(
+    outln!("=== {name} ===");
+    outln!(
         "graph: {graph}, 2-edge-connected: {}",
         connectivity::is_two_edge_connected(graph)
     );
 
-    // Figure 1(a): a Robbins (strongly-connected) orientation.
-    let orientation = robbins_orientation(graph, root).expect("2-edge-connected");
-    println!("Robbins orientation arcs: {:?}", orientation.arcs());
+    // Figure 1(a): a Robbins (strongly-connected) orientation, the set of
+    // the reference cycle's arcs (each edge in exactly one direction).
+    let reference = robbins::reference_robbins_cycle(graph, root).expect("2-edge-connected");
+    let orientation: BTreeSet<(NodeId, NodeId)> = reference.arcs().into_iter().collect();
+    outln!("Robbins orientation arcs: {orientation:?}");
 
     // Whitney ear decomposition (the skeleton of the construction).
     let ears = ear_decomposition(graph, root).expect("2-edge-connected");
-    println!("initial cycle C0: {:?}", ears.initial_cycle);
+    outln!("initial cycle C0: {:?}", ears.initial_cycle);
     for (i, ear) in ears.ears.iter().enumerate() {
-        println!("ear E{i}: {:?}", ear.path);
+        outln!("ear E{i}: {:?}", ear.path);
     }
 
     // Figure 1(b)/3(c): the induced (possibly non-simple) Robbins cycle.
-    let reference = robbins::reference_robbins_cycle(graph, root).expect("2-edge-connected");
-    println!(
+    outln!(
         "reference Robbins cycle ({} occurrences): {reference}",
         reference.len()
     );
@@ -51,7 +52,7 @@ fn describe(graph: &Graph, name: &str, root: NodeId) {
         .clone();
     constructed.validate(graph).expect("valid Robbins cycle");
     assert!(constructed.covers_all_edges(graph));
-    println!(
+    outln!(
         "distributed construction: |C| = {}, {} pulses, cycle = {constructed}",
         constructed.len(),
         sim.stats().sent_total
@@ -59,7 +60,7 @@ fn describe(graph: &Graph, name: &str, root: NodeId) {
     for v in graph.nodes() {
         assert_eq!(sim.node(v).cycle().expect("done").seq(), constructed.seq());
     }
-    println!("all nodes agree on the constructed cycle ✔\n");
+    outln!("all nodes agree on the constructed cycle ✔\n");
 }
 
 fn main() {

@@ -9,15 +9,14 @@
 //!
 //! Run with: `cargo run --example leader_election`
 
-#![expect(clippy::print_stdout, reason = "D5: an example prints its results")]
-
+use fdn_lab::outln;
 use fully_defective::prelude::*;
 use fully_defective::protocols::util::{decode_u64, run_direct};
 
 fn main() {
     // A random 2-edge-connected topology of 10 nodes.
     let g = generators::random_two_edge_connected(10, 5, 99).expect("valid parameters");
-    println!("network: {g}");
+    outln!("network: {g}");
 
     // Per-node priorities (e.g. battery levels); the max should win.
     let priorities: Vec<u64> = g
@@ -25,7 +24,7 @@ fn main() {
         .map(|v| (u64::from(v.0) * 37 + 11) % 100)
         .collect();
     let expected = *priorities.iter().max().expect("non-empty network");
-    println!("priorities: {priorities:?}  => expected leader priority {expected}");
+    outln!("priorities: {priorities:?}  => expected leader priority {expected}");
 
     // Ground truth: run π directly on the noiseless network.
     let baseline = run_direct(
@@ -58,8 +57,8 @@ fn main() {
         );
         cc_init += node.construction_pulses();
     }
-    println!("every node elected priority {expected}, matching the noiseless baseline ✔");
-    println!(
+    outln!("every node elected priority {expected}, matching the noiseless baseline ✔");
+    outln!(
         "cost: CCinit = {cc_init} pulses (pre-processing), {} pulses total",
         sim.stats().sent_total
     );

@@ -6,16 +6,15 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-#![expect(clippy::print_stdout, reason = "D5: an example prints its results")]
-
+use fdn_lab::outln;
 use fully_defective::prelude::*;
 
 fn main() {
     // The paper's Figure 3 network: a square v1-v2-v3-v4 plus the ear
     // v1-v5-v3. It is 2-edge-connected, so simulation is possible.
     let g = generators::figure3();
-    println!("network: {g}");
-    println!(
+    outln!("network: {g}");
+    outln!(
         "2-edge-connected: {}",
         connectivity::is_two_edge_connected(&g)
     );
@@ -36,12 +35,12 @@ fn main() {
 
     let report = sim.run().expect("simulation runs to quiescence");
 
-    println!("\npulses delivered : {}", report.steps);
-    println!("pulses sent      : {}", sim.stats().sent_total);
+    outln!("\npulses delivered : {}", report.steps);
+    outln!("pulses sent      : {}", sim.stats().sent_total);
     for v in g.nodes() {
         let node = sim.node(v);
         let out = node.output().expect("every node decides");
-        println!(
+        outln!(
             "node {v}: output = {:?} (cycle |C| = {}, CCinit share = {} pulses)",
             String::from_utf8_lossy(&out),
             node.cycle().map(RobbinsCycle::len).unwrap_or(0),
@@ -49,5 +48,5 @@ fn main() {
         );
         assert_eq!(out, payload);
     }
-    println!("\nall nodes decoded the broadcast despite total corruption ✔");
+    outln!("\nall nodes decoded the broadcast despite total corruption ✔");
 }

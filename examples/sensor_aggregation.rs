@@ -8,20 +8,19 @@
 //!
 //! Run with: `cargo run --example sensor_aggregation`
 
-#![expect(clippy::print_stdout, reason = "D5: an example prints its results")]
-
+use fdn_lab::outln;
 use fully_defective::prelude::*;
 use fully_defective::protocols::util::decode_u64;
 
 fn main() {
     let g = generators::grid_torus(3, 3).expect("valid grid");
     let sink = NodeId(0);
-    println!("sensor field: {g}, sink = {sink}");
+    outln!("sensor field: {g}, sink = {sink}");
 
     // Synthetic sensor readings.
     let readings: Vec<u64> = g.nodes().map(|v| 100 + u64::from(v.0) * 7).collect();
     let expected: u64 = readings.iter().sum();
-    println!("readings: {readings:?}  => true total {expected}");
+    outln!("readings: {readings:?}  => true total {expected}");
 
     let nodes = full_simulators(&g, sink, Encoding::binary(), |v| {
         EchoAggregate::new(v, sink, readings[v.index()])
@@ -35,12 +34,12 @@ fn main() {
 
     let sink_node = sim.node(sink);
     let total = decode_u64(&sink_node.output().expect("sink decides"));
-    println!(
+    outln!(
         "sink computed total {total} over a Robbins cycle of length {}",
         sink_node.cycle().map(RobbinsCycle::len).unwrap_or(0)
     );
     assert_eq!(total, expected);
-    println!(
+    outln!(
         "pulses: {} sent in total, of which {} during the cycle construction ✔",
         sim.stats().sent_total,
         g.nodes()

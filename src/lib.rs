@@ -13,8 +13,9 @@
 //! arrived on and in *what order* — never on content. This workspace
 //! implements the whole construction:
 //!
-//! * [`graph`] — graphs, generators, 2-edge-connectivity, Robbins
-//!   orientations and ear decompositions, Robbins-cycle representations;
+//! * [`graph`] — graphs, generators, 2-edge-connectivity, ear
+//!   decompositions, Robbins-cycle representations (a cycle's arcs are the
+//!   Robbins orientation);
 //! * [`netsim`] — a deterministic asynchronous network simulator with
 //!   pluggable schedulers (asynchrony) and noise models (full corruption);
 //! * [`protocols`] — workload protocols (broadcast, leader election,
@@ -66,7 +67,7 @@ pub use fdn_protocols as protocols;
 pub mod prelude {
     pub use fdn_core::{
         construction_simulators, cycle_simulators, full_simulators, CoreError, Encoding,
-        FullSimulator, RobbinsEngine, WireDest, WireMessage,
+        FullSimulator, RobbinsEngine, WireMessage,
     };
     pub use fdn_graph::{
         connectivity, generators, robbins, Graph, GraphError, GraphFamily, LocalCycleView, NodeId,

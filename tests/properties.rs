@@ -11,7 +11,8 @@
 use fully_defective::core::encoding::{
     bits_to_bytes, bytes_to_bits, frame, pad, parse_frame, unary_decode, unary_value, unpad,
 };
-use fully_defective::core::{construction_simulators, full_simulators, WireDest, WireMessage};
+use fully_defective::core::{construction_simulators, full_simulators, WireMessage};
+use fully_defective::netsim::Dest;
 use fully_defective::prelude::*;
 use fully_defective::protocols::util::run_direct;
 use rand::rngs::StdRng;
@@ -95,8 +96,8 @@ fn wire_message_roundtrip() {
         let bytes = msg.to_bytes().unwrap();
         assert_eq!(WireMessage::from_bytes(&bytes).unwrap(), msg.clone());
         match msg.dest {
-            WireDest::Broadcast => assert!(msg.is_for(NodeId(0))),
-            WireDest::Node(d) => assert!(msg.is_for(d)),
+            Dest::Broadcast => assert!(msg.is_for(NodeId(0))),
+            Dest::Node(d) => assert!(msg.is_for(d)),
         }
     });
 }
